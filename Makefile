@@ -1,6 +1,6 @@
 .PHONY: all build check test fmt bench par-smoke chaos-smoke phys-smoke \
         obs-smoke serve-smoke daemon-smoke crash-smoke scale-smoke \
-        stream-smoke bench-diff clean
+        stream-smoke bench-diff perf-digest clean
 
 all: build
 
@@ -331,6 +331,23 @@ bench-diff:
 	  --baseline bench/baselines/BENCH_scale.json --tolerance 0.25 \
 	  --ignore '*.slots_per_s' --ignore '*_seconds' \
 	  --ignore '*.peak_rss_mb' --ignore 'scale.bench.n1000000.*'
+
+# Outcome gate for the paper-workload benchmark: every perfbench workload
+# at seed 1 with no timed window beyond its fixed prefix.  The digest of
+# that prefix's outcomes must equal the one recorded in
+# bench/baselines/perfbench_digests.txt, so a speedup that changes what is
+# simulated fails here.  Exits 1 on any difference.
+perf-digest:
+	dune build ./perfbench/main.exe
+	@fail=0; \
+	while read -r w want; do \
+	  case "$$w" in ''|'#'*) continue;; esac; \
+	  got=$$(./_build/default/perfbench/main.exe --workload "$$w" --seed 1 \
+	    --seconds 0 --trace 0 < /dev/null | awk '/^digest /{print $$2; exit}'); \
+	  if [ "$$got" = "$$want" ]; then echo "perf-digest: $$w $$got ok"; \
+	  else echo "perf-digest: $$w digest '$$got', want $$want"; fail=1; fi; \
+	done < bench/baselines/perfbench_digests.txt; \
+	exit $$fail
 
 test: check
 

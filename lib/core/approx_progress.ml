@@ -55,19 +55,22 @@ type stage =
   | Mis_stage of { round : int; sub : int } (* CONGEST round, sub in [0, T) *)
   | Data_stage of int                   (* slot within [0, data_slots) *)
 
-(* Bit-per-node membership columns (the engine's flat layout): [decide]
-   touches them for every awake node every slot, so they live as packed
-   bitmaps on [t] rather than as record fields scattered across the heap. *)
+(* Bit-per-node membership column (the engine's flat layout): [decide]
+   and [on_receive] test it per node per slot, so it lives as a packed
+   bitmap on [t] rather than as record fields scattered across the heap. *)
 module Bits = Sinr_engine.State.Bits
+module Node_set = Sinr_engine.Node_set
 
 (* Cold per-node phase tables; the hot scalar state (payload, membership)
-   lives in flat columns on [t]. *)
+   lives in flat columns on [t].  Only phase participants ever write
+   them, so they are allocated on a node's first participation and are
+   empty for every non-participant. *)
 type node_data = {
-  mutable counts : (int, int) Hashtbl.t;
+  counts : (int, int) Hashtbl.t;
   mutable potential : int list;
-  mutable listed_by : (int, unit) Hashtbl.t; (* senders whose list names us *)
+  listed_by : (int, unit) Hashtbl.t; (* senders whose list names us *)
   mutable h_neighbors : int list;
-  mutable mis_heard : (int, Sw_mis.msg) Hashtbl.t;
+  mis_heard : (int, Sw_mis.msg) Hashtbl.t;
 }
 
 type rcv_event = { node : int; payload : Events.payload; from : int }
@@ -77,14 +80,20 @@ type t = {
   sched : Params.schedule;
   n : int;
   rng : Rng.t;
-  nodes : node_data array;
+  nodes : node_data array;     (* [unused] until the node first participates *)
+  unused : node_data;
   payload : Events.payload option array; (* ongoing broadcast message m *)
+  holders : Node_set.t;        (* nodes with [payload <> None] *)
   member : Bits.t;             (* in S_phi and still active this epoch *)
-  phase_participant : Bits.t;  (* was in S_phi at phase start (beacons) *)
+  participants : Node_set.t;
+      (* was in S_phi at phase start (beacons); a superset of [member],
+         and the only nodes whose [decide] can transmit *)
   emitted : (int * (int * int), unit) Hashtbl.t; (* (node, payload id) *)
   mutable mis : Sw_mis.t option;
   mutable labels : int array;
   mutable pos : int;        (* slot within the epoch, [0, epoch_slots) *)
+  mutable phase : int;      (* [pos] decoded, once per slot *)
+  mutable stage : stage;
   mutable epoch : int;
   mutable pending_rcv : rcv_event list;
   (* diagnostics *)
@@ -111,11 +120,11 @@ let fresh_node () =
     mis_heard = Hashtbl.create 8 }
 
 let reset_phase_tables nd =
-  nd.counts <- Hashtbl.create 8;
+  Hashtbl.reset nd.counts;
   nd.potential <- [];
-  nd.listed_by <- Hashtbl.create 8;
+  Hashtbl.reset nd.listed_by;
   nd.h_neighbors <- [];
-  nd.mis_heard <- Hashtbl.create 8
+  Hashtbl.reset nd.mis_heard
 
 (* Close the open span stack, innermost first (stage, then phase, then —
    when [epoch_too] — the epoch).  Integer compares when nothing is open. *)
@@ -134,35 +143,67 @@ let close_spans t ~epoch_too =
     t.epoch_span <- Span.none
   end
 
+(* S_1 of the new epoch is every node with an ongoing broadcast.  Phase
+   state lives only on participants, so only the outgoing and incoming
+   participants are touched. *)
 let begin_epoch t =
   close_spans t ~epoch_too:true;
   t.epoch <- t.epoch + 1;
   Metrics.incr m_epochs;
-  Array.iteri
-    (fun v nd ->
-      let m = t.payload.(v) <> None in
-      Bits.set t.member v m;
-      Bits.set t.phase_participant v m;
-      reset_phase_tables nd)
-    t.nodes;
+  Node_set.iter t.participants (fun v ->
+      Bits.set t.member v false;
+      reset_phase_tables t.nodes.(v));
+  Node_set.clear t.participants;
+  Node_set.iter t.holders (fun v ->
+      Bits.set t.member v true;
+      Node_set.add t.participants v;
+      if t.nodes.(v) == t.unused then t.nodes.(v) <- fresh_node ());
   t.mis <- None
+
+(* Decode the position within the epoch into (phase, stage). *)
+let stage_of (s : Params.schedule) pos =
+  let phase = pos / s.phase_slots in
+  let o = pos mod s.phase_slots in
+  let st =
+    if o < s.t then Probe_stage o
+    else if o < 2 * s.t then List_stage (o - (2 * s.t) + s.t)
+    else begin
+      let o' = o - (2 * s.t) in
+      if o' < s.mis_rounds * s.t then
+        Mis_stage { round = o' / s.t; sub = o' mod s.t }
+      else Data_stage (o' - (s.mis_rounds * s.t))
+    end
+  in
+  (phase, st)
+
+let set_pos t pos =
+  let phase, st = stage_of t.sched pos in
+  t.pos <- pos;
+  t.phase <- phase;
+  t.stage <- st
 
 let create params config ~lambda ~n ~rng =
   let params = Params.validate_approg params in
   let sched = Params.schedule config ~lambda params in
+  let unused = fresh_node () in
+  let phase, stage = stage_of sched 0 in
   let t =
     { params;
       sched;
       n;
       rng;
-      nodes = Array.init n (fun _ -> fresh_node ());
+      nodes = Array.make n unused;
+      unused;
       payload = Array.make n None;
+      holders = Node_set.create n;
       member = Bits.create n;
-      phase_participant = Bits.create n;
+      participants = Node_set.create n;
       emitted = Hashtbl.create 64;
       mis = None;
       labels = Array.make n 0;
       pos = 0;
+      phase;
+      stage;
       epoch = -1;
       pending_rcv = [];
       last_h_graph = None;
@@ -186,35 +227,25 @@ let has_payload t ~node = t.payload.(node) <> None
 let drops_total t = t.drops_total
 let last_h_graph t = t.last_h_graph
 
-let start t ~node payload = t.payload.(node) <- Some payload
+let start t ~node payload =
+  t.payload.(node) <- Some payload;
+  Node_set.add t.holders node
 
-let stop t ~node = t.payload.(node) <- None
+let stop t ~node =
+  t.payload.(node) <- None;
+  Node_set.remove t.holders node
+
+let contenders t = t.participants
 
 let set_clock t f = t.clock <- f
 
-(* Decode the position within the epoch into (phase, stage). *)
-let stage_of t pos =
-  let s = t.sched in
-  let phase = pos / s.phase_slots in
-  let o = pos mod s.phase_slots in
-  let st =
-    if o < s.t then Probe_stage o
-    else if o < 2 * s.t then List_stage (o - (2 * s.t) + s.t)
-    else begin
-      let o' = o - (2 * s.t) in
-      if o' < s.mis_rounds * s.t then
-        Mis_stage { round = o' / s.t; sub = o' mod s.t }
-      else Data_stage (o' - (s.mis_rounds * s.t))
-    end
-  in
-  (phase, st)
+let current_phase t = t.phase
 
-let current_phase t = fst (stage_of t t.pos)
-
+(* Every branch that can transmit (and every RNG draw) is guarded by
+   [member] or participation, so for any other node this is [None] with
+   no side effect — the contract behind [contenders]. *)
 let decide t ~node =
-  let nd = t.nodes.(node) in
-  let _, st = stage_of t t.pos in
-  match st with
+  match t.stage with
   | Probe_stage _ ->
     if Bits.get t.member node && Rng.bernoulli t.rng t.params.p then begin
       Metrics.incr m_probe_tx;
@@ -224,13 +255,13 @@ let decide t ~node =
   | List_stage _ ->
     if Bits.get t.member node && Rng.bernoulli t.rng t.params.p then begin
       Metrics.incr m_list_tx;
-      Some (Events.Neighbor_list nd.potential)
+      Some (Events.Neighbor_list t.nodes.(node).potential)
     end
     else None
   | Mis_stage { round; sub = _ } ->
     (* Dropped phase participants keep beaconing their status so that
        neighbors can distinguish protocol silence from loss (see Sw_mis). *)
-    if Bits.get t.phase_participant node && Rng.bernoulli t.rng t.params.p
+    if Node_set.mem t.participants node && Rng.bernoulli t.rng t.params.p
     then
       match t.mis with
       | None -> None
@@ -263,20 +294,19 @@ let emit_rcv t ~node ~payload ~from =
   end
 
 let on_receive t ~receiver ~sender wire =
-  let nd = t.nodes.(receiver) in
-  let _, st = stage_of t t.pos in
-  match wire, st with
+  match wire, t.stage with
   | Events.Probe, Probe_stage _ ->
     if Bits.get t.member receiver then begin
+      let nd = t.nodes.(receiver) in
       let c = Option.value (Hashtbl.find_opt nd.counts sender) ~default:0 in
       Hashtbl.replace nd.counts sender (c + 1)
     end
   | Events.Neighbor_list ids, List_stage _ ->
     if Bits.get t.member receiver && List.mem receiver ids then
-      Hashtbl.replace nd.listed_by sender ()
+      Hashtbl.replace t.nodes.(receiver).listed_by sender ()
   | Events.Mis_round { round; msg }, Mis_stage { round = r; sub = _ } ->
-    if Bits.get t.phase_participant receiver && round = r then
-      Hashtbl.replace nd.mis_heard sender msg
+    if Node_set.mem t.participants receiver && round = r then
+      Hashtbl.replace t.nodes.(receiver).mis_heard sender msg
   | Events.Data payload, _ -> emit_rcv t ~node:receiver ~payload ~from:sender
   | Events.Decay payload, _ -> emit_rcv t ~node:receiver ~payload ~from:sender
   | (Events.Probe | Events.Neighbor_list _ | Events.Mis_round _), _ ->
@@ -287,10 +317,13 @@ let on_receive t ~receiver ~sender wire =
 (* Stage boundaries                                                     *)
 (* ------------------------------------------------------------------ *)
 
+(* Stage boundaries walk the participants (ascending, as a full node
+   scan would): every member is one, and nobody else holds phase state. *)
+
 let finish_probe_stage t =
-  Array.iteri
-    (fun v nd ->
+  Node_set.iter t.participants (fun v ->
       if Bits.get t.member v then begin
+        let nd = t.nodes.(v) in
         let acc = ref [] in
         Hashtbl.iter
           (fun sender c ->
@@ -298,19 +331,17 @@ let finish_probe_stage t =
           nd.counts;
         nd.potential <- List.sort compare !acc
       end)
-    t.nodes
 
 let finish_list_stage t =
   (* u's H~~ neighbors: potential neighbors v whose own list named u. *)
   let members = ref [] in
-  Array.iteri
-    (fun v nd ->
+  Node_set.iter t.participants (fun v ->
       if Bits.get t.member v then begin
+        let nd = t.nodes.(v) in
         nd.h_neighbors <-
           List.filter (fun u -> Hashtbl.mem nd.listed_by u) nd.potential;
         members := v :: !members
-      end)
-    t.nodes;
+      end);
   (* Fresh temporary labels and a fresh MIS machine for this phase. *)
   t.labels <-
     Labels.draw t.rng ~n:t.n ~participants:!members ~bits:t.sched.label_bits;
@@ -320,12 +351,10 @@ let finish_list_stage t =
          ~label_bits:t.sched.label_bits ~stages:t.params.mis_stages);
   (* Diagnostic snapshot of the (asymmetric) estimate, symmetrized. *)
   let edges = ref [] in
-  Array.iteri
-    (fun v nd ->
+  Node_set.iter t.participants (fun v ->
       if Bits.get t.member v then
         List.iter (fun u -> if u > v then edges := (v, u) :: !edges)
-          nd.h_neighbors)
-    t.nodes;
+          t.nodes.(v).h_neighbors);
   Metrics.observe_int m_h_edges (List.length !edges);
   Metrics.observe_int m_phase_members (List.length !members);
   t.last_h_graph <- Some (Sinr_graph.Graph.of_edges ~n:t.n !edges)
@@ -337,8 +366,8 @@ let finish_mis_round t =
     (* Completeness check: a phase participant that missed any of its H~~
        neighbors this round has had unsuccessful communication and leaves
        the epoch; otherwise its neighbors' messages are delivered. *)
-    Array.iteri
-      (fun v nd ->
+    Node_set.iter t.participants (fun v ->
+        let nd = t.nodes.(v) in
         if Bits.get t.member v then begin
           let missing =
             List.exists
@@ -362,8 +391,7 @@ let finish_mis_round t =
                 | None -> assert false)
               nd.h_neighbors
         end;
-        nd.mis_heard <- Hashtbl.create 8)
-      t.nodes;
+        Hashtbl.reset nd.mis_heard);
     Metrics.incr m_mis_rounds;
     Sw_mis.advance mis
 
@@ -372,17 +400,17 @@ let finish_phase t =
   (match t.mis with
    | None -> ()
    | Some mis ->
-     let dominator = Array.make t.n false in
-     let winners = Sw_mis.dominators mis in
-     List.iter (fun v -> dominator.(v) <- true) winners;
-     Metrics.observe_int m_mis_winners (List.length winners);
-     Array.iteri
-       (fun v nd ->
-         let m = Bits.get t.member v && dominator.(v) in
+     (* S_{phi+1}: the members the MIS made dominators.  Every dominator
+        is a participant (the MIS ran over the members). *)
+     let winners = ref 0 in
+     Node_set.iter t.participants (fun v ->
+         let dominator = Sw_mis.status mis v = Sw_mis.Dominator in
+         if dominator then incr winners;
+         let m = Bits.get t.member v && dominator in
          Bits.set t.member v m;
-         Bits.set t.phase_participant v m;
-         reset_phase_tables nd)
-       t.nodes);
+         if not m then Node_set.remove t.participants v;
+         reset_phase_tables t.nodes.(v));
+     Metrics.observe_int m_mis_winners !winners);
   t.mis <- None
 
 (* Pull the rcv outputs accumulated since the last drain.  Algorithm 11.1
@@ -410,7 +438,7 @@ let stage_span_name = function
    armed (one load-and-branch otherwise, checked by the caller). *)
 let trace_slot t =
   let slot = t.clock () in
-  let phase, st = stage_of t t.pos in
+  let phase = t.phase and st = t.stage in
   let tag = stage_tag st in
   if t.epoch_span = Span.none then begin
     t.epoch_span <- Span.start ~name:"approg.epoch" ~slot ();
@@ -444,8 +472,7 @@ let trace_slot t =
 let end_slot t =
   let s = t.sched in
   if Span.is_enabled () then trace_slot t;
-  let _, st = stage_of t t.pos in
-  (match st with
+  (match t.stage with
    | Probe_stage o -> if o = s.t - 1 then finish_probe_stage t
    | List_stage o -> if o = s.t - 1 then finish_list_stage t
    | Mis_stage { round; sub } ->
@@ -454,9 +481,9 @@ let end_slot t =
        if round = s.mis_rounds - 1 && s.data_slots = 0 then finish_phase t
      end
    | Data_stage o -> if o = s.data_slots - 1 then finish_phase t);
-  t.pos <- t.pos + 1;
-  if t.pos >= s.epoch_slots then begin
-    t.pos <- 0;
+  if t.pos + 1 >= s.epoch_slots then begin
+    set_pos t 0;
     begin_epoch t
-  end;
+  end
+  else set_pos t (t.pos + 1);
   drain_rcv t

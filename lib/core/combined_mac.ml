@@ -52,6 +52,9 @@ type t = {
   mutable raw_rcv_hook : (Approx_progress.rcv_event -> unit) option;
   seq : int array;
   ongoing : Events.payload option array;
+  ongoing_set : Node_set.t;
+      (* the nodes with [ongoing <> None]: the even-slot contenders (B.1
+         transmits only with a payload) and the ack scan's walk *)
   bcast_slot : int array;
   last_ack_capped : bool array;
   trace : Trace.t option;
@@ -111,6 +114,7 @@ let create ?(ack_params = Params.default_ack)
     raw_rcv_hook = None;
     seq = Array.make n 0;
     ongoing = Array.make n None;
+    ongoing_set = Node_set.create n;
     bcast_slot = Array.make n 0;
     last_ack_capped = Array.make n false;
     trace;
@@ -179,6 +183,7 @@ let bcast t ~node ~data =
   let payload = { Events.origin = node; seq = t.seq.(node); data } in
   t.seq.(node) <- t.seq.(node) + 1;
   t.ongoing.(node) <- Some payload;
+  Node_set.add t.ongoing_set node;
   t.bcast_slot.(node) <- now t;
   Metrics.incr m_bcasts;
   Engine.wake t.engine node;
@@ -205,6 +210,7 @@ let abort t ~node =
   | None -> ()
   | Some payload ->
     t.ongoing.(node) <- None;
+    Node_set.remove t.ongoing_set node;
     finish_spans t ~node ~outcome:"abort";
     Hm_ack.stop t.hm ~node;
     Approx_progress.stop t.approg ~node;
@@ -233,6 +239,7 @@ let fire_rcvs t rcvs =
 
 let finish_ack t ~node payload ~capped =
   t.ongoing.(node) <- None;
+  Node_set.remove t.ongoing_set node;
   t.last_ack_capped.(node) <- capped;
   Metrics.incr m_acks;
   if capped then Metrics.incr m_acks_capped;
@@ -257,7 +264,12 @@ let step t =
       | Some w -> Engine.Transmit w
       | None -> Engine.Listen
   in
-  let deliveries = Engine.step t.engine ~decide in
+  (* Only nodes that can transmit are consulted: B.1 needs an ongoing
+     broadcast, Algorithm 9.1 phase participation. *)
+  let contenders =
+    if hm_slot then t.ongoing_set else Approx_progress.contenders t.approg
+  in
+  let deliveries = Engine.step ~contenders t.engine ~decide in
   if hm_slot then begin
     List.iter
       (fun d ->
@@ -290,14 +302,18 @@ let step t =
   (* Acknowledgments: B.1 halt or the f_ack cap.  A node that crashed with
      an ongoing broadcast must never ack (the ack cap is a timer, not a
      liveness proof): drop the payload as an abort, which Spec_check then
-     counts as aborted rather than as a late-ack violation. *)
-  Array.iteri
-    (fun node slot0 ->
+     counts as aborted rather than as a late-ack violation.  The walk is
+     ascending and sees the handlers' updates as a full node scan would: a
+     broadcast started by an [on_ack] at a higher id is visited in this
+     same pass. *)
+  Node_set.iter t.ongoing_set (fun node ->
       match t.ongoing.(node) with
       | None -> ()
       | Some payload ->
+        let slot0 = t.bcast_slot.(node) in
         if Engine.is_crashed t.engine node then begin
           t.ongoing.(node) <- None;
+          Node_set.remove t.ongoing_set node;
           finish_spans t ~node ~outcome:"crash_drop";
           Hm_ack.stop t.hm ~node;
           Approx_progress.stop t.approg ~node;
@@ -313,4 +329,3 @@ let step t =
           let halted = Hm_ack.halted t.hm ~node in
           if halted || now t - slot0 >= t.fack_cap then
             finish_ack t ~node payload ~capped:(not halted))
-    t.bcast_slot

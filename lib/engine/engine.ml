@@ -145,19 +145,29 @@ let awake_nodes t =
   done;
   !acc
 
-(* Run one slot.  [decide v] is consulted only for awake, non-crashed nodes;
-   everyone else listens.  Returns the deliveries of the slot.  Also calls
-   [on_deliver] per delivery if given (before waking the receiver), so
-   callers can distinguish "received while asleep". *)
-let step ?on_deliver t ~decide =
+(* Run one slot.  [decide v] is consulted only for awake, non-crashed nodes
+   — all of them, or only those in [contenders] — and everyone else
+   listens.  Returns the deliveries of the slot.  Also calls [on_deliver]
+   per delivery if given (before waking the receiver), so callers can
+   distinguish "received while asleep".
+
+   Untraced, the slot costs O(consulted nodes + senders + receivers) on
+   top of the resolution kernel: the decide walk visits only the
+   contenders when a set is given, resolution writes into the reusable
+   [decoded] buffers, and delivery visits only the receivers.  The
+   listener count and the collision/silence split stay O(n), under
+   telemetry only. *)
+let step ?on_deliver ?contenders t ~decide =
   let n = n t in
   let st = t.state in
   let awake = st.State.awake and crashed = st.State.crashed in
   (* Reusable slot buffers (State): no per-slot O(n) allocation.  The
-     [messages] invariant — all-None between slots — is restored under
-     Fun.protect by clearing exactly the sender entries written, so a
-     raising [decide]/[on_deliver] cannot poison the next slot. *)
+     [messages] and [decoded] invariants — all-None / empty between
+     slots — are restored under Fun.protect by clearing exactly the
+     entries written, so a raising [decide]/[on_deliver] cannot poison
+     the next slot. *)
   let messages = st.State.messages and senders = st.State.senders in
+  let decoded = st.State.decoded in
   let ntx = ref 0 in
   (* Profiler stage boundaries (profile.<stage>.ns, see lib/obs/profile).
      With the profiler off every [Profile.start] is one atomic load and
@@ -167,10 +177,11 @@ let step ?on_deliver t ~decide =
     ~finally:(fun () ->
       for i = 0 to !ntx - 1 do
         messages.(senders.(i)) <- None
-      done)
+      done;
+      Sinr.clear_decoded decoded)
   @@ fun () ->
   let p0 = Profile.start () in
-  for v = 0 to n - 1 do
+  let consider v =
     if State.Bits.get awake v && not (State.Bits.get crashed v) then
       match decide v with
       | Transmit m ->
@@ -178,7 +189,13 @@ let step ?on_deliver t ~decide =
         senders.(!ntx) <- v;
         incr ntx
       | Listen -> ()
-  done;
+  in
+  (match contenders with
+   | None ->
+     for v = 0 to n - 1 do
+       consider v
+     done
+   | Some set -> Node_set.iter set consider);
   Profile.stop Profile.Decide p0;
   let ntx = !ntx in
   (* The seed built its sender list by consing an ascending scan, so
@@ -222,54 +239,58 @@ let step ?on_deliver t ~decide =
     Profile.stop Profile.Perturb p0;
     if telemetry && Option.is_some perturb then Metrics.incr m_perturbed_slots;
     let p0 = Profile.start () in
-    let outcome =
-      if telemetry then begin
-        let r = Timer.start () in
-        let o = Sinr.resolve_array ?perturb t.sinr ~senders ~nsenders:ntx in
-        Timer.observe_span ~ns:m_resolve_ns ~minor_w:m_resolve_minor
-          (Timer.stop r);
-        o
-      end
-      else Sinr.resolve_array ?perturb t.sinr ~senders ~nsenders:ntx
-    in
+    if telemetry then begin
+      let r = Timer.start () in
+      Sinr.resolve_into ?perturb t.sinr ~senders ~nsenders:ntx decoded;
+      Timer.observe_span ~ns:m_resolve_ns ~minor_w:m_resolve_minor
+        (Timer.stop r)
+    end
+    else Sinr.resolve_into ?perturb t.sinr ~senders ~nsenders:ntx decoded;
     Profile.stop Profile.Resolve p0;
-    let any_in_range u =
-      let rec go i =
-        i < ntx && (Sinr.in_range t.sinr senders.(i) u || go (i + 1))
-      in
-      go 0
-    in
     let p0 = Profile.start () in
-    for u = 0 to n - 1 do
-      if not (State.Bits.get crashed u) then
-        match outcome.(u) with
-        | Some v ->
-          (match messages.(v) with
-           | Some m ->
-             (* Cached-gain lookup: same value as power_between on the two
-                positions, without re-deriving the path loss. *)
-             let power = Sinr.power t.sinr ~sender:v ~receiver:u in
-             let d = { receiver = u; sender = v; message = m; power } in
-             if tracing then
-               Recorder.event ~slot:t.slot
-                 (Json.Obj
-                    [ ("ev", Json.Str "deliver"); ("rx", Json.int u);
-                      ("tx", Json.int v) ]);
-             (match on_deliver with Some f -> f d | None -> ());
-             deliveries := d :: !deliveries;
-             t.delivery_total <- t.delivery_total + 1;
-             incr ndeliv;
-             if t.wake_on_receive then wake t u
-           | None -> assert false)
-        | None ->
-          (* An awake listener that decoded nothing: either some sender was
-             within range (collision / interference loss) or none was
-             (silence).  The node itself cannot tell (no collision
-             detection); the observer can, so split the two. *)
-          if telemetry && State.Bits.get awake u && messages.(u) = None then
-            if any_in_range u then Metrics.incr m_collision_loss
-            else Metrics.incr m_silence
+    (* Receivers come in ascending order, so deliveries keep the order of
+       a full node scan. *)
+    let sender_of = decoded.Sinr.sender
+    and receivers = decoded.Sinr.receivers in
+    for i = 0 to decoded.Sinr.count - 1 do
+      let u = receivers.(i) in
+      if not (State.Bits.get crashed u) then begin
+        let v = sender_of.(u) in
+        match messages.(v) with
+        | Some m ->
+          (* Cached-gain lookup: same value as power_between on the two
+             positions, without re-deriving the path loss. *)
+          let power = Sinr.power t.sinr ~sender:v ~receiver:u in
+          let d = { receiver = u; sender = v; message = m; power } in
+          if tracing then
+            Recorder.event ~slot:t.slot
+              (Json.Obj
+                 [ ("ev", Json.Str "deliver"); ("rx", Json.int u);
+                   ("tx", Json.int v) ]);
+          (match on_deliver with Some f -> f d | None -> ());
+          deliveries := d :: !deliveries;
+          t.delivery_total <- t.delivery_total + 1;
+          incr ndeliv;
+          if t.wake_on_receive then wake t u
+        | None -> assert false
+      end
     done;
+    if telemetry then begin
+      (* An awake listener that decoded nothing: either some sender was
+         within range (collision / interference loss) or none was
+         (silence).  The node itself cannot tell (no collision
+         detection); the observer can, so split the two. *)
+      let reached = Sinr.in_range_of_any t.sinr ~senders ~nsenders:ntx in
+      for u = 0 to n - 1 do
+        if (not (State.Bits.get crashed u))
+           && sender_of.(u) < 0
+           && State.Bits.get awake u
+           && messages.(u) = None
+        then
+          if reached u then Metrics.incr m_collision_loss
+          else Metrics.incr m_silence
+      done
+    end;
     Profile.stop Profile.Delivery p0
   end;
   if telemetry then begin

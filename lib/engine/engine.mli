@@ -57,10 +57,24 @@ val revive : 'm t -> int -> unit
 val awake_nodes : 'm t -> int list
 
 val step :
-  ?on_deliver:('m delivery -> unit) -> 'm t -> decide:(int -> 'm action) ->
-  'm delivery list
-(** Run one slot. [decide] is consulted only for awake, non-crashed nodes;
-    all others listen. Returns the slot's deliveries. *)
+  ?on_deliver:('m delivery -> unit) -> ?contenders:Node_set.t -> 'm t ->
+  decide:(int -> 'm action) -> 'm delivery list
+(** Run one slot and return its deliveries, in ascending receiver order.
+
+    [decide] is consulted only for awake, non-crashed nodes, in ascending
+    id order, at most once each; all others listen. Without [contenders]
+    that is every such node. With [contenders], only the members of the
+    set are consulted, walked in ascending order. The caller guarantees
+    that [decide v] for any other awake node would return [Listen] with no
+    side effect (no RNG draw, no state change); under that contract the
+    slot — deliveries, wake and trace events, and every later RNG draw —
+    is identical to the full scan.
+
+    Untraced, the cost beyond the resolution kernel is O(consulted nodes +
+    transmitters + receivers): resolution writes into reusable engine
+    buffers and delivery visits only the nodes that decoded. With
+    telemetry enabled the listener count and the collision/silence split
+    add two O(n) passes. *)
 
 val run :
   ?on_deliver:('m delivery -> unit) ->

@@ -6,8 +6,9 @@
    slot.  At n = 10^6 that is 16 MB of bitmap traffic and ~8 MB of
    allocation per slot before any physics runs.  Here awake/crashed are
    Bytes-backed bitmaps (a bit per node, 125 KB each at 10^6) and the
-   per-slot buffers are allocated once and recycled: the engine clears
-   exactly the entries it wrote. *)
+   per-slot buffers — senders, messages and the resolution output — are
+   allocated once and recycled: the engine clears exactly the entries it
+   wrote. *)
 
 module Bits = struct
   type t = { nbits : int; b : Bytes.t }
@@ -37,6 +38,9 @@ type 'm t = {
   messages : 'm option array;   (* slot scratch: per-node offered message;
                                    all-None between slots (the engine clears
                                    exactly the sender entries it set) *)
+  decoded : Sinr_phys.Sinr.decoded;
+                                (* slot scratch: resolution output; empty
+                                   between slots (cleared in O(receivers)) *)
 }
 
 let create n =
@@ -45,6 +49,7 @@ let create n =
     awake = Bits.create n;
     crashed = Bits.create n;
     senders = Array.make n 0;
-    messages = Array.make n None }
+    messages = Array.make n None;
+    decoded = Sinr_phys.Sinr.create_decoded n }
 
 let n t = t.n

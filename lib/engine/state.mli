@@ -23,6 +23,8 @@ type 'm t = {
       (** slot scratch: the first [ntx] entries are the slot's transmitters *)
   messages : 'm option array;
       (** slot scratch: per-node offered message; all-[None] between slots *)
+  decoded : Sinr_phys.Sinr.decoded;
+      (** slot scratch: the resolution output; empty between slots *)
 }
 
 val create : int -> 'm t

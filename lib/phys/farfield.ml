@@ -149,12 +149,14 @@ let bucket t ~ids ~nsend =
   done;
   { occupied; counts; starts; members }
 
-(* Score every listener against the bucketed senders, writing decisions
-   into [result].  Near cells read the listener's cached power row (fetched
+(* Score every listener against the bucketed senders, recording decodes
+   ([sender.(u)], [u] appended to [receivers], ascending); returns the
+   receiver count.  Near cells read the listener's cached power row (fetched
    lazily, only for listeners that actually have a near cell — filled into
    [scratch] past the cache cap); far cells contribute one aggregate term
    each. *)
-let resolve_into t ~cache ~scratch ~slot:s ~mark ~result =
+let resolve_into t ~cache ~scratch ~slot:s ~mark ~sender ~receivers =
+  let count = ref 0 in
   let nocc = Array.length s.occupied in
   let telemetry = Metrics.is_enabled () in
   let near_links = ref 0 and pruned = ref 0 and far_cells = ref 0 in
@@ -201,17 +203,23 @@ let resolve_into t ~cache ~scratch ~slot:s ~mark ~result =
         end
       done;
       if !best >= 0 && !best_pw >= t.beta *. (t.noise +. !total -. !best_pw)
-      then result.(u) <- Some !best
+      then begin
+        sender.(u) <- !best;
+        receivers.(!count) <- u;
+        incr count
+      end
     end
   done;
   if telemetry then begin
     Metrics.add m_near !near_links;
     Metrics.add m_pruned !pruned;
     Metrics.add m_cells !far_cells
-  end
+  end;
+  !count
 
-let resolve t ~cache ~scratch ~ids ~nsend ~mark ~result =
-  resolve_into t ~cache ~scratch ~slot:(bucket t ~ids ~nsend) ~mark ~result
+let resolve t ~cache ~scratch ~ids ~nsend ~mark ~sender ~receivers =
+  resolve_into t ~cache ~scratch ~slot:(bucket t ~ids ~nsend) ~mark ~sender
+    ~receivers
 
 (* The approximated total interference at a node — what resolve's [total]
    accumulator sees, exposed so tests can assert the eps_I bound against

@@ -25,10 +25,12 @@ val cell_size : t -> float
 
 val resolve :
   t -> cache:Gain_cache.t -> scratch:Float.Array.t -> ids:int array ->
-  nsend:int -> mark:Bytes.t -> result:int option array -> unit
+  nsend:int -> mark:Bytes.t -> sender:int array -> receivers:int array ->
+  int
 (** Score every listener ([mark.(u) = '\000']) against the first [nsend]
-    senders of [ids], writing at most one decoded sender per listener
-    into [result]. Near-cell powers read the listener's cached row
+    senders of [ids]. A listener [u] that decodes gets [sender.(u)] set
+    and is appended to [receivers] (ascending, from index 0); returns how
+    many did. Near-cell powers read the listener's cached row
     ([scratch], length [>= n], holds rows past the cache cap). *)
 
 val interference : t -> receiver:int -> senders:int list -> float

@@ -84,13 +84,19 @@ let bytes_cached t = rows_cached t * t.n * 8
 (* The seed formula, verbatim (Sinr.power_between inlined on node pairs). *)
 let compute t ~sender:v ~receiver:u = t.power /. (Soa.dist t.soa v u ** t.alpha)
 
+(* Per-pair loop: the columns are indexed in place (a call into [Soa]
+   would box every distance), with [Soa.dist_to]'s exact expression. *)
 let fill_into t u (dst : Float.Array.t) =
-  let soa = t.soa in
-  let ux = Soa.unsafe_x soa u and uy = Soa.unsafe_y soa u in
+  let xs = Soa.xs t.soa and ys = Soa.ys t.soa in
+  let ux = Float.Array.get xs u and uy = Float.Array.get ys u in
   for v = 0 to t.n - 1 do
     Float.Array.unsafe_set dst v
       (if v = u then 0.
-       else t.power /. (Soa.dist_to soa v ~x:ux ~y:uy ** t.alpha))
+       else begin
+         let dx = Float.Array.unsafe_get xs v -. ux
+         and dy = Float.Array.unsafe_get ys v -. uy in
+         t.power /. (sqrt ((dx *. dx) +. (dy *. dy)) ** t.alpha)
+       end)
   done
 
 (* Admit one more row against the byte budget. *)

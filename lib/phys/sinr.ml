@@ -16,7 +16,8 @@
    reads them from a per-receiver [Gain_cache] row (bit-identical to the
    direct formula) instead of re-deriving a sqrt and a libm pow per pair
    per slot.  Senders travel as an int array plus a membership bitmap held
-   in per-domain scratch (no per-slot list/tuple churn), perturbed gains
+   in per-domain scratch (no per-slot list/tuple churn), decodes land in
+   caller-owned [decoded] buffers (no per-slot n-array), perturbed gains
    multiply the cached clean-channel power, listeners fan out over
    [Sinr_par.Pool] past [Phys_tuning.par_threshold], and the opt-in
    [Farfield] mode aggregates far interference with a bounded eps error.
@@ -193,15 +194,45 @@ let with_row ~n f =
   end
 
 (* ------------------------------------------------------------------ *)
+(* Decoded-sender buffers                                              *)
+(* ------------------------------------------------------------------ *)
+
+(* A slot's outcome in caller-owned, reusable form: the decoded sender
+   per node (-1 = nothing) plus the ascending list of the nodes that
+   decoded.  Kernels only append; [clear_decoded] restores the empty
+   state in O(count), so a simulator resolves every slot without an
+   O(n) allocation or an O(n) scan of the outcome. *)
+type decoded = {
+  sender : int array;
+  receivers : int array;
+  mutable count : int;
+}
+
+let create_decoded n =
+  { sender = Array.make n (-1); receivers = Array.make n 0; count = 0 }
+
+let clear_decoded d =
+  for i = 0 to d.count - 1 do
+    Array.unsafe_set d.sender (Array.unsafe_get d.receivers i) (-1)
+  done;
+  d.count <- 0
+
+let[@inline] decode d u v =
+  Array.unsafe_set d.sender u v;
+  Array.unsafe_set d.receivers d.count u;
+  d.count <- d.count + 1
+
+(* ------------------------------------------------------------------ *)
 (* Scoring kernel                                                      *)
 (* ------------------------------------------------------------------ *)
 
-(* Score listeners [lo..hi]: one row read per listener, one pass over the
-   sender array accumulating total power while tracking the strongest
-   sender — only the strongest can pass the beta > 1 test.  Iteration
-   order matches the seed kernel's list order, so the float accumulation
-   (and therefore every decision) is bit-identical. *)
-let score_range t ~ids ~nsend ~mark ~rowbuf ~result ~lo ~hi =
+(* Score listeners [lo..hi], recording decodes into [out] in ascending
+   order: one row read per listener, one pass over the sender array
+   accumulating total power while tracking the strongest sender — only
+   the strongest can pass the beta > 1 test.  Iteration order matches the
+   seed kernel's list order, so the float accumulation (and therefore
+   every decision) is bit-identical. *)
+let score_range t ~ids ~nsend ~mark ~rowbuf ~out ~lo ~hi =
   let beta = t.config.Config.beta and noise = t.config.Config.noise in
   for u = lo to hi do
     if Bytes.unsafe_get mark u = '\000' then begin
@@ -218,14 +249,14 @@ let score_range t ~ids ~nsend ~mark ~rowbuf ~result ~lo ~hi =
         end
       done;
       if !best >= 0 && !best_pw >= beta *. (noise +. !total -. !best_pw)
-      then result.(u) <- Some !best
+      then decode out u !best
     end
   done
 
 (* The perturbed variant: adversarial gains multiply the cached
    clean-channel powers, exactly as the seed kernel multiplied the freshly
    computed ones. *)
-let score_range_perturbed t p ~ids ~nsend ~mark ~rowbuf ~result ~lo ~hi =
+let score_range_perturbed t p ~ids ~nsend ~mark ~rowbuf ~out ~lo ~hi =
   let beta = t.config.Config.beta and noise = t.config.Config.noise in
   for u = lo to hi do
     if Bytes.unsafe_get mark u = '\000' then begin
@@ -243,82 +274,99 @@ let score_range_perturbed t p ~ids ~nsend ~mark ~rowbuf ~result ~lo ~hi =
       done;
       let noise = noise *. p.noise_factor u in
       if !best >= 0 && !best_pw >= beta *. (noise +. !total -. !best_pw)
-      then result.(u) <- Some !best
+      then decode out u !best
     end
   done
 
-(* Whole-slot resolution over a marked sender set.  Dispatch: perturbed
-   slots run the sequential perturbed kernel (adversary closures are not
-   required to be domain-safe); clean slots run the far-field kernel when
-   one is installed, fan listeners out over the shared pool past the
-   parallelism threshold, and otherwise run the sequential cached kernel. *)
-let resolve_marked ?perturb t ~ids ~nsend ~mark =
+(* Fan the exact kernel out over the shared pool: chunk [c] covers the
+   listeners [lo..hi] and records its decodes into its own slice of
+   [out.receivers] (which starts at [lo] and has room for every listener
+   of the chunk); the slices are then packed in chunk order, so the list
+   stays ascending and the outcome is bit-identical whatever the jobs
+   count. *)
+let score_parallel t pool ~ids ~nsend ~mark ~out =
   let n = Soa.length t.soa in
-  let result = Array.make n None in
+  let jobs = Pool.jobs pool in
+  let csize = max 64 ((n + (jobs * 4) - 1) / (jobs * 4)) in
+  let nchunks = (n + csize - 1) / csize in
+  let counts =
+    Pool.mapi ~chunk:1 pool ~n:nchunks (fun c ->
+        let lo = c * csize in
+        let hi = min (n - 1) (lo + csize - 1) in
+        let slice = { out with count = lo } in
+        with_row ~n (fun rowbuf ->
+            score_range t ~ids ~nsend ~mark ~rowbuf ~out:slice ~lo ~hi);
+        slice.count - lo)
+  in
+  Array.iteri
+    (fun c k ->
+      Array.blit out.receivers (c * csize) out.receivers out.count k;
+      out.count <- out.count + k)
+    counts
+
+(* Whole-slot resolution over a marked sender set, into [out] (which must
+   be empty).  Dispatch: perturbed slots run the sequential perturbed
+   kernel (adversary closures are not required to be domain-safe); clean
+   slots run the sparse or far-field kernel when one is installed, fan
+   listeners out over the shared pool past the parallelism threshold, and
+   otherwise run the sequential cached kernel. *)
+let resolve_marked ?perturb t ~ids ~nsend ~mark ~out =
+  let n = Soa.length t.soa in
   if nsend > 0 then begin
     let telemetry = Metrics.is_enabled () in
     let run () =
       match perturb with
       | Some p ->
         with_row ~n (fun rowbuf ->
-            score_range_perturbed t p ~ids ~nsend ~mark ~rowbuf ~result ~lo:0
+            score_range_perturbed t p ~ids ~nsend ~mark ~rowbuf ~out ~lo:0
               ~hi:(n - 1))
       | None ->
         (match t.sparse, t.farfield with
          | Some sp, _ ->
            (* Auto-installed sparse path (n >= Phys_tuning.sparse_threshold):
               occupied-cell iteration, shared per-coarse-cell far sums,
-              exact silent-cell skipping.  Reported under the same
-              profiler sub-stage as the opt-in far-field mode. *)
+              exact silent-cell and silent-listener skipping.  Reported
+              under the same profiler sub-stage as the opt-in far-field
+              mode. *)
            let p0 = Profile.start () in
-           Sparse.resolve sp ~ids ~nsend ~mark ~result;
+           out.count <-
+             Sparse.resolve sp ~ids ~nsend ~mark ~sender:out.sender
+               ~receivers:out.receivers;
            Profile.stop Profile.Farfield p0
          | None, Some ff ->
            (* Slot-phase profiler sub-stage: how much of resolve is the
               far-field aggregation (reported inside Resolve). *)
            let p0 = Profile.start () in
            with_row ~n (fun rowbuf ->
-               Farfield.resolve ff ~cache:t.cache ~scratch:rowbuf ~ids ~nsend
-                 ~mark ~result);
+               out.count <-
+                 Farfield.resolve ff ~cache:t.cache ~scratch:rowbuf ~ids ~nsend
+                   ~mark ~sender:out.sender ~receivers:out.receivers);
            Profile.stop Profile.Farfield p0
          | None, None ->
-           if n >= t.par_threshold && Pool.default_jobs () > 1 then begin
-             let pool = Pool.get () in
-             let jobs = Pool.jobs pool in
-             if jobs > 1 then begin
-               (* Chunked listener ranges; each chunk writes a disjoint
-                  slice of [result] and scores listeners independently, so
-                  the outcome is bit-identical whatever the jobs count. *)
-               let csize = max 64 ((n + (jobs * 4) - 1) / (jobs * 4)) in
-               let nchunks = (n + csize - 1) / csize in
-               ignore
-                 (Pool.mapi ~chunk:1 pool ~n:nchunks (fun c ->
-                      let lo = c * csize in
-                      let hi = min (n - 1) (lo + csize - 1) in
-                      with_row ~n (fun rowbuf ->
-                          score_range t ~ids ~nsend ~mark ~rowbuf ~result ~lo
-                            ~hi)))
-             end
-             else
-               with_row ~n (fun rowbuf ->
-                   score_range t ~ids ~nsend ~mark ~rowbuf ~result ~lo:0
-                     ~hi:(n - 1))
-           end
-           else
-             with_row ~n (fun rowbuf ->
-                 score_range t ~ids ~nsend ~mark ~rowbuf ~result ~lo:0
-                   ~hi:(n - 1)))
+           let pool =
+             if n >= t.par_threshold && Pool.default_jobs () > 1 then
+               Some (Pool.get ())
+             else None
+           in
+           (match pool with
+            | Some pool when Pool.jobs pool > 1 ->
+              score_parallel t pool ~ids ~nsend ~mark ~out
+            | Some _ | None ->
+              with_row ~n (fun rowbuf ->
+                  score_range t ~ids ~nsend ~mark ~rowbuf ~out ~lo:0
+                    ~hi:(n - 1))))
     in
     if telemetry then begin
       Metrics.incr m_resolve_calls;
-      Metrics.add m_resolve_links (nsend * n);
+      (* The sparse kernel counts the links it actually scores itself. *)
+      if Option.is_none t.sparse || Option.is_some perturb then
+        Metrics.add m_resolve_links (nsend * n);
       let r = Timer.start () in
       run ();
       Metrics.observe m_resolve_ns ((Timer.stop r).Timer.wall_s *. 1e9)
     end
     else run ()
-  end;
-  result
+  end
 
 (* Copy + validate the sender list into scratch, then set the membership
    bitmap.  Validation happens before any bit is set, so a raise leaves
@@ -341,26 +389,17 @@ let clear_marks mark ids nsend =
     Bytes.unsafe_set mark (Array.unsafe_get ids i) '\000'
   done
 
-(* Resolve a whole slot: for every node, the sender it decodes (None for
-   transmitters and for listeners that decode nothing).  O(|S| * n).
-   [perturb] applies the slot's adversarial channel state; omitting it is
-   the clean-channel fast path. *)
-let resolve ?perturb t ~senders =
-  let n = Soa.length t.soa in
-  let count = List.length senders in
-  with_senders ~count ~n @@ fun sc ->
-  let nsend = load_senders ~who:"Sinr.resolve" ~n sc senders in
-  Fun.protect
-    ~finally:(fun () -> clear_marks sc.mark sc.ids nsend)
-    (fun () -> resolve_marked ?perturb t ~ids:sc.ids ~nsend ~mark:sc.mark)
-
-(* Array-scratch entry point (Reliability's Monte-Carlo trials): the first
-   [nsenders] entries of [senders] transmit; the caller's array is only
-   read. *)
-let resolve_array ?perturb t ~senders ~nsenders =
+(* The simulator's entry point: the first [nsenders] entries of
+   [senders] transmit (the array is only read); decodes land in [out],
+   which must be empty on entry and which the caller empties again with
+   [clear_decoded] once it has consumed them.  If resolution raises,
+   [out] is emptied here. *)
+let resolve_into ?perturb t ~senders ~nsenders out =
   let n = Soa.length t.soa in
   if nsenders < 0 || nsenders > Array.length senders then
-    invalid_arg "Sinr.resolve_array: nsenders out of bounds";
+    invalid_arg "Sinr.resolve_into: nsenders out of bounds";
+  if Array.length out.sender < n || Array.length out.receivers < n then
+    invalid_arg "Sinr.resolve_into: buffers shorter than the node count";
   for k = 0 to nsenders - 1 do
     let s = Array.unsafe_get senders k in
     if s < 0 || s >= n then invalid_arg "Sinr.resolve: sender out of range"
@@ -369,9 +408,56 @@ let resolve_array ?perturb t ~senders ~nsenders =
   for k = 0 to nsenders - 1 do
     Bytes.unsafe_set sc.mark (Array.unsafe_get senders k) '\001'
   done;
-  Fun.protect
-    ~finally:(fun () -> clear_marks sc.mark senders nsenders)
-    (fun () -> resolve_marked ?perturb t ~ids:senders ~nsend:nsenders ~mark:sc.mark)
+  match
+    resolve_marked ?perturb t ~ids:senders ~nsend:nsenders ~mark:sc.mark ~out
+  with
+  | () -> clear_marks sc.mark senders nsenders
+  | exception e ->
+    clear_marks sc.mark senders nsenders;
+    clear_decoded out;
+    raise e
+
+(* Per-domain decoded buffers for the option-array wrappers below (same
+   busy-flag pattern as the sender scratch). *)
+type decoded_scratch = { mutable d : decoded; mutable d_busy : bool }
+
+let decoded_key =
+  Domain.DLS.new_key (fun () -> { d = create_decoded 0; d_busy = false })
+
+let with_decoded ~n f =
+  let dc = Domain.DLS.get decoded_key in
+  if dc.d_busy then f (create_decoded n)
+  else begin
+    dc.d_busy <- true;
+    if Array.length dc.d.sender < n then dc.d <- create_decoded n;
+    Fun.protect
+      ~finally:(fun () ->
+        clear_decoded dc.d;
+        dc.d_busy <- false)
+      (fun () -> f dc.d)
+  end
+
+let to_options ~n d =
+  let result = Array.make n None in
+  for i = 0 to d.count - 1 do
+    let u = d.receivers.(i) in
+    result.(u) <- Some d.sender.(u)
+  done;
+  result
+
+(* Resolve a whole slot: for every node, the sender it decodes (None for
+   transmitters and for listeners that decode nothing).  O(|S| * n) on
+   the exact kernels.  [perturb] applies the slot's adversarial channel
+   state; omitting it is the clean-channel fast path. *)
+let resolve_array ?perturb t ~senders ~nsenders =
+  let n = Soa.length t.soa in
+  with_decoded ~n (fun out ->
+      resolve_into ?perturb t ~senders ~nsenders out;
+      to_options ~n out)
+
+let resolve ?perturb t ~senders =
+  let senders = Array.of_list senders in
+  resolve_array ?perturb t ~senders ~nsenders:(Array.length senders)
 
 (* Single-listener reception through the same kernel: O(|S|) to mark the
    membership bitmap (the test [u in senders] is then O(1)), one row read,
@@ -489,3 +575,25 @@ let resolve_reference ?perturb t ~senders =
    reachability: true iff d(v,u) <= R. *)
 let in_range t v u =
   Soa.dist t.soa v u <= Config.range t.config +. 1e-12
+
+(* Whether some sender reaches u ([in_range]), as a predicate over u.
+   With the sparse grid installed the reached nodes are marked up front
+   from the cells around each sender (a padded window, see
+   [Sparse.iter_window]) — O(n + nodes near senders) instead of
+   O(n * senders) over all listeners; otherwise each query scans the
+   senders and stops at the first that reaches u. *)
+let in_range_of_any t ~senders ~nsenders =
+  match t.sparse with
+  | Some sp ->
+    let reached = Bytes.make (Soa.length t.soa) '\000' in
+    let radius = Config.range t.config +. 1e-12 in
+    for i = 0 to nsenders - 1 do
+      let v = senders.(i) in
+      Sparse.iter_window sp v ~radius (fun u ->
+          if in_range t v u then Bytes.unsafe_set reached u '\001')
+    done;
+    fun u -> Bytes.get reached u <> '\000'
+  | None ->
+    fun u ->
+      let rec go i = i < nsenders && (in_range t senders.(i) u || go (i + 1)) in
+      go 0

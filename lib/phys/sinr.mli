@@ -84,14 +84,40 @@ val reception : ?perturb:perturb -> t -> senders:int list -> receiver:int -> int
     Membership is one O(|senders|) bitmap pass (then O(1)); scoring goes
     through the shared cached kernel. *)
 
+type decoded = {
+  sender : int array;
+      (** per node: the sender it decoded this slot, or [-1] *)
+  receivers : int array;
+      (** the first [count] entries: the nodes that decoded, ascending *)
+  mutable count : int;
+}
+(** A slot's outcome in caller-owned, reusable buffers. Empty means
+    [count = 0] and [sender] all [-1]. *)
+
+val create_decoded : int -> decoded
+(** Empty buffers for a simulator of the given node count. *)
+
+val clear_decoded : decoded -> unit
+(** Empty the buffers again in O(count). *)
+
+val resolve_into :
+  ?perturb:perturb -> t -> senders:int array -> nsenders:int -> decoded -> unit
+(** Resolve a slot in which the first [nsenders] entries of [senders]
+    transmit (the array is only read) into empty [decoded] buffers. This
+    is the one resolution entry point every wrapper below goes through;
+    its cost is that of the kernel plus O(receivers) — no O(n) allocation
+    or outcome scan. The sparse kernel's cost is O(senders log senders +
+    scored near links + active cells × occupied sender cells). On an
+    exception the buffers are left empty. *)
+
 val resolve : ?perturb:perturb -> t -> senders:int list -> int option array
-(** Per-node decoding outcome for a whole slot, in O(|senders| · n). *)
+(** Per-node decoding outcome for a whole slot (a wrapper over
+    {!resolve_into}). *)
 
 val resolve_array :
   ?perturb:perturb -> t -> senders:int array -> nsenders:int -> int option array
 (** {!resolve} with the senders given as the first [nsenders] entries of a
-    reusable array (only read) — the allocation-free entry point for
-    Monte-Carlo trial loops. *)
+    reusable array (only read). *)
 
 val resolve_reference : ?perturb:perturb -> t -> senders:int list -> int option array
 (** The seed kernel, verbatim: re-derives every link power per pair per
@@ -100,3 +126,10 @@ val resolve_reference : ?perturb:perturb -> t -> senders:int list -> int option 
 
 val in_range : t -> int -> int -> bool
 (** Weak reachability: distance at most the transmission range R. *)
+
+val in_range_of_any : t -> senders:int array -> nsenders:int -> int -> bool
+(** [in_range_of_any t ~senders ~nsenders] is the predicate "some of the
+    first [nsenders] entries of [senders] is {!in_range} of [u]". With the
+    sparse kernel installed, building it costs O(n + nodes near the
+    senders) and each query O(1); otherwise each query scans the senders.
+    (Telemetry's collision/silence split.) *)

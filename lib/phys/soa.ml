@@ -35,8 +35,8 @@ let set t i ~x ~y =
 let x t i = Float.Array.get t.xs i
 let y t i = Float.Array.get t.ys i
 
-let unsafe_x t i = Float.Array.unsafe_get t.xs i
-let unsafe_y t i = Float.Array.unsafe_get t.ys i
+let xs t = t.xs
+let ys t = t.ys
 
 let get t i = Point.make (Float.Array.get t.xs i) (Float.Array.get t.ys i)
 

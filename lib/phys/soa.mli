@@ -23,8 +23,13 @@ val set : t -> int -> x:float -> y:float -> unit
 val x : t -> int -> float
 val y : t -> int -> float
 
-val unsafe_x : t -> int -> float
-val unsafe_y : t -> int -> float
+val xs : t -> Float.Array.t
+val ys : t -> Float.Array.t
+(** The columns themselves, for per-pair kernel loops: index them with
+    [Float.Array.unsafe_get] in place. The library is compiled [-opaque]
+    in the default profile, so an accessor call such as {!x} is never
+    inlined and boxes its result; in a hot loop that costs an allocation
+    per read. Read-only by contract (the columns are frozen). *)
 
 val get : t -> int -> Point.t
 (** Boxed view of one node (allocates). *)

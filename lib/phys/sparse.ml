@@ -35,6 +35,19 @@
    nothing — the whole cell is skipped without looking at its members.
    This is exact, not part of the eps approximation.
 
+   The same argument, applied per listener inside an active cell, skips
+   most of the remaining work.  A listener decodes only if its strongest
+   sender reaches beta * N on its own: the SINR test's right-hand side is
+   beta * (N + total - best), and total >= best in floating point because
+   the sum only adds non-negative terms.  Such a sender is within R of the
+   listener, so its fine cell's center lies within R + h of the coarse
+   cell's center: it is in one of the cell's *candidate* sender cells
+   (usually one or two).  A listener whose loudest candidate sender falls
+   below beta * N therefore cannot decode and skips its interference sum;
+   a cell's near/far split and far aggregate are computed only once some
+   listener of the cell needs them.  Both skips leave every decision
+   bit-identical.
+
    Per-slot state lives in domain-local scratch (the [Sinr] pattern:
    busy flag, grow-only arrays, stamp-based set membership), so
    Reliability's Pool workers can resolve concurrently on one instance.
@@ -48,6 +61,12 @@ let m_slots = Metrics.counter "phys.sparse.slots"
 let m_active = Metrics.counter "phys.sparse.active_cells"
 let m_near = Metrics.counter "phys.sparse.near_links"
 let m_far = Metrics.counter "phys.sparse.far_cell_pairs"
+let m_silent = Metrics.counter "phys.sparse.silent_listeners"
+
+(* The resolution-wide link counter [Sinr] also feeds: this kernel adds
+   the links it actually scores (near links plus far cell pairs), not
+   senders x nodes. *)
+let m_links = Metrics.counter "phys.resolve.links"
 
 type t = {
   power : float;
@@ -123,9 +142,11 @@ let create (config : Config.t) soa ~eps =
   in
   let fine_of = Array.make n 0 in
   let clampi v hi = if v < 0 then 0 else if v > hi then hi else v in
+  let xs = Soa.xs soa and ys = Soa.ys soa in
   for i = 0 to n - 1 do
-    let kx = clampi (int_of_float ((Soa.unsafe_x soa i -. xmin) /. cf)) (ncx - 1) in
-    let ky = clampi (int_of_float ((Soa.unsafe_y soa i -. ymin) /. cf)) (ncy - 1) in
+    let x = Float.Array.unsafe_get xs i and y = Float.Array.unsafe_get ys i in
+    let kx = clampi (int_of_float ((x -. xmin) /. cf)) (ncx - 1) in
+    let ky = clampi (int_of_float ((y -. ymin) /. cf)) (ncy - 1) in
     fine_of.(i) <- (ky * ncx) + kx
   done;
   (* Counting sort of the nodes into their coarse cells. *)
@@ -188,6 +209,11 @@ type scratch = {
   mutable cell_cx : float array;    (* -> cell center *)
   mutable cell_cy : float array;
   mutable near : int array;         (* near cell indices for one coarse cell *)
+  mutable cand_head : int array;    (* coarse cell -> first candidate pair *)
+  mutable pair_cell : int array;    (* pair -> sender cell in active radius *)
+  mutable pair_next : int array;    (* -> next pair of the coarse cell, or -1 *)
+  mutable sort_tmp : int array;     (* radix-sort buffer for the receivers *)
+  sort_cnt : int array;             (* radix-sort digit counts, 257 *)
   mutable seen : int array;         (* coarse-cell stamps *)
   mutable active : int array;       (* marked coarse cells *)
   mutable stamp : int;
@@ -202,6 +228,11 @@ let scratch_key =
         cell_cx = [||];
         cell_cy = [||];
         near = [||];
+        cand_head = [||];
+        pair_cell = [||];
+        pair_next = [||];
+        sort_tmp = [||];
+        sort_cnt = Array.make 257 0;
         seen = [||];
         active = [||];
         stamp = 0;
@@ -214,6 +245,11 @@ let fresh_scratch ~cells ~mcells =
     cell_cx = Array.make cells 0.;
     cell_cy = Array.make cells 0.;
     near = Array.make cells 0;
+    cand_head = Array.make mcells 0;
+    pair_cell = [||];
+    pair_next = [||];
+    sort_tmp = [||];
+    sort_cnt = Array.make 257 0;
     seen = Array.make mcells 0;
     active = Array.make mcells 0;
     stamp = 0;
@@ -236,7 +272,8 @@ let with_scratch ~cells ~mcells f =
        so grown entries can never read as marked. *)
     if Array.length sc.seen < mcells then begin
       sc.seen <- Array.make mcells 0;
-      sc.active <- Array.make mcells 0
+      sc.active <- Array.make mcells 0;
+      sc.cand_head <- Array.make mcells 0
     end;
     Fun.protect ~finally:(fun () -> sc.busy <- false) (fun () -> f sc)
   end
@@ -289,11 +326,13 @@ let bucket t sc ~ids ~nsend =
 
 (* Mark every coarse cell whose center lies within the active radius of
    an occupied sender cell's center; cells outside cannot decode (see the
-   header proof) and are never visited. *)
+   header proof) and are never visited.  Each such (coarse cell, sender
+   cell) pair is also listed as a candidate of the coarse cell: the only
+   sender cells that can hold a sender one of its listeners decodes. *)
 let mark_active t sc ~ncells =
   sc.stamp <- sc.stamp + 1;
   let stamp = sc.stamp in
-  let nactive = ref 0 in
+  let nactive = ref 0 and npairs = ref 0 in
   let w = t.window in
   for c = 0 to ncells - 1 do
     let cx = sc.cell_cx.(c) and cy = sc.cell_cy.(c) in
@@ -305,99 +344,184 @@ let mark_active t sc ~ncells =
       let gyc = t.y0 +. ((float_of_int gy +. 0.5) *. t.cc) in
       for gx = gxlo to gxhi do
         let g = (gy * t.mcx) + gx in
-        if sc.seen.(g) <> stamp then begin
-          let gxc = t.x0 +. ((float_of_int gx +. 0.5) *. t.cc) in
-          let dx = gxc -. cx and dy = gyc -. cy in
-          if (dx *. dx) +. (dy *. dy) <= t.active_r2 then begin
+        let gxc = t.x0 +. ((float_of_int gx +. 0.5) *. t.cc) in
+        let dx = gxc -. cx and dy = gyc -. cy in
+        if (dx *. dx) +. (dy *. dy) <= t.active_r2 then begin
+          if sc.seen.(g) <> stamp then begin
             sc.seen.(g) <- stamp;
             sc.active.(!nactive) <- g;
-            incr nactive
-          end
+            incr nactive;
+            sc.cand_head.(g) <- -1
+          end;
+          let p = !npairs in
+          if p >= Array.length sc.pair_cell then begin
+            let grow a =
+              let b = Array.make (max 64 (2 * p)) 0 in
+              Array.blit a 0 b 0 p;
+              b
+            in
+            sc.pair_cell <- grow sc.pair_cell;
+            sc.pair_next <- grow sc.pair_next
+          end;
+          sc.pair_cell.(p) <- c;
+          sc.pair_next.(p) <- sc.cand_head.(g);
+          sc.cand_head.(g) <- p;
+          npairs := p + 1
         end
       done
     done
   done;
   !nactive
 
-let resolve t ~ids ~nsend ~mark ~(result : int option array) =
-  if nsend > 0 then
+(* Ascending order for [receivers.(0 .. k-1)], which the kernel appends
+   coarse cell by coarse cell: an LSD radix sort on 8-bit digits, O(k)
+   per pass and as many passes as the node ids have bytes. *)
+let sort_receivers t sc receivers k =
+  if k > 1 then begin
+    if Array.length sc.sort_tmp < k then
+      sc.sort_tmp <- Array.make (max k (2 * Array.length sc.sort_tmp)) 0;
+    let cnt = sc.sort_cnt in
+    let src = ref receivers and dst = ref sc.sort_tmp in
+    let shift = ref 0 in
+    while (Array.length t.fine_of - 1) lsr !shift > 0 do
+      let a = !src and b = !dst and sh = !shift in
+      Array.fill cnt 0 257 0;
+      for i = 0 to k - 1 do
+        let d = (Array.unsafe_get a i lsr sh) land 255 in
+        cnt.(d + 1) <- cnt.(d + 1) + 1
+      done;
+      for d = 1 to 256 do
+        cnt.(d) <- cnt.(d) + cnt.(d - 1)
+      done;
+      for i = 0 to k - 1 do
+        let v = Array.unsafe_get a i in
+        let d = (v lsr sh) land 255 in
+        b.(cnt.(d)) <- v;
+        cnt.(d) <- cnt.(d) + 1
+      done;
+      src := b;
+      dst := a;
+      shift := sh + 8
+    done;
+    if !src != receivers then Array.blit !src 0 receivers 0 k
+  end
+
+let resolve t ~ids ~nsend ~mark ~sender ~receivers =
+  if nsend = 0 then 0
+  else
     with_scratch ~cells:(max 1 nsend) ~mcells:(max 1 t.mcells) @@ fun sc ->
     let combo, mask, ncells = bucket t sc ~ids ~nsend in
     let nactive = mark_active t sc ~ncells in
-    let telemetry = Metrics.is_enabled () in
-    if telemetry then begin
-      Metrics.incr m_slots;
-      Metrics.add m_active nactive
-    end;
-    let near_links = ref 0 and far_pairs = ref 0 in
-    let soa = t.soa in
+    (* Per-pair loops index the columns directly: a call into [Soa] from
+       here would not be inlined and would box every coordinate. *)
+    let xs = Soa.xs t.soa and ys = Soa.ys t.soa in
+    let cmembers = t.cmembers in
     let power = t.power and beta = t.beta and noise = t.noise in
+    let floor = beta *. noise in
+    let count = ref 0 in
+    let near_links = ref 0 and far_pairs = ref 0 and silent = ref 0 in
     for a = 0 to nactive - 1 do
       let g = sc.active.(a) in
       let mbeg = t.cstart.(g) and mend = t.cstart.(g + 1) in
       (* A marked cell with no members is still silent: skip. *)
       if mbeg < mend then begin
-        let gxc = t.x0 +. ((float_of_int (g mod t.mcx) +. 0.5) *. t.cc) in
-        let gyc = t.y0 +. ((float_of_int (g / t.mcx) +. 0.5) *. t.cc) in
-        (* One pass over the occupied sender cells: aggregate the far
-           ones into the shared sum, collect the near ones. *)
-        let far = ref 0. in
-        let nnear = ref 0 in
-        for c = 0 to ncells - 1 do
-          let dx = sc.cell_cx.(c) -. gxc and dy = sc.cell_cy.(c) -. gyc in
-          let d2 = (dx *. dx) +. (dy *. dy) in
-          if d2 >= t.threshold2 then
-            far :=
-              !far
-              +. (float_of_int sc.cell_cnt.(c) *. (power /. pow_alpha t d2))
-          else begin
-            sc.near.(!nnear) <- c;
-            incr nnear
-          end
-        done;
-        if telemetry then far_pairs := !far_pairs + (ncells - !nnear);
-        let far = !far and nnear = !nnear in
-        let near_sz = ref 0 in
-        for q = 0 to nnear - 1 do
-          near_sz := !near_sz + sc.cell_cnt.(sc.near.(q))
-        done;
-        let near_sz = !near_sz in
+        (* Split the occupied sender cells — near ones are scored
+           exactly per listener, far ones share one aggregate — only once
+           some listener of this cell can decode. *)
+        let nnear = ref 0 and split = ref false in
+        let far = ref 0. and near_sz = ref 0 in
         for m = mbeg to mend - 1 do
-          let u = Array.unsafe_get t.cmembers m in
+          let u = Array.unsafe_get cmembers m in
           if Bytes.unsafe_get mark u = '\000' then begin
-            let ux = Soa.unsafe_x soa u and uy = Soa.unsafe_y soa u in
-            let total = ref far in
-            let best = ref (-1) and best_pw = ref 0. in
-            for q = 0 to nnear - 1 do
-              let c = Array.unsafe_get sc.near q in
+            let ux = Float.Array.unsafe_get xs u
+            and uy = Float.Array.unsafe_get ys u in
+            (* Exact per-listener silence (see the module comment):
+               a decodable listener's strongest sender reaches beta * N
+               on its own and lies in a candidate cell. *)
+            let loudest = ref 0. in
+            let p = ref sc.cand_head.(g) in
+            while !p >= 0 do
+              let c = Array.unsafe_get sc.pair_cell !p in
               let jbeg = sc.cell_beg.(c) in
               for j = jbeg to jbeg + sc.cell_cnt.(c) - 1 do
                 let v =
                   Array.unsafe_get ids (Array.unsafe_get combo j land mask)
                 in
-                let dx = Soa.unsafe_x soa v -. ux
-                and dy = Soa.unsafe_y soa v -. uy in
-                let d2 = (dx *. dx) +. (dy *. dy) in
-                let pw = power /. pow_alpha t d2 in
-                total := !total +. pw;
-                if pw > !best_pw then begin
-                  best_pw := pw;
-                  best := v
-                end
-              done
+                let dx = Float.Array.unsafe_get xs v -. ux
+                and dy = Float.Array.unsafe_get ys v -. uy in
+                let pw = power /. pow_alpha t ((dx *. dx) +. (dy *. dy)) in
+                if pw > !loudest then loudest := pw
+              done;
+              p := Array.unsafe_get sc.pair_next !p
             done;
-            if telemetry then near_links := !near_links + near_sz;
-            if !best >= 0
-               && !best_pw >= beta *. (noise +. !total -. !best_pw)
-            then result.(u) <- Some !best
+            if !loudest < floor then incr silent
+            else begin
+              if not !split then begin
+                let gxc = t.x0 +. ((float_of_int (g mod t.mcx) +. 0.5) *. t.cc)
+                and gyc = t.y0 +. ((float_of_int (g / t.mcx) +. 0.5) *. t.cc) in
+                for c = 0 to ncells - 1 do
+                  let dx = sc.cell_cx.(c) -. gxc
+                  and dy = sc.cell_cy.(c) -. gyc in
+                  let d2 = (dx *. dx) +. (dy *. dy) in
+                  if d2 >= t.threshold2 then begin
+                    far :=
+                      !far
+                      +. float_of_int sc.cell_cnt.(c)
+                         *. (power /. pow_alpha t d2);
+                    incr far_pairs
+                  end
+                  else begin
+                    sc.near.(!nnear) <- c;
+                    incr nnear;
+                    near_sz := !near_sz + sc.cell_cnt.(c)
+                  end
+                done;
+                split := true
+              end;
+              let nnear = !nnear in
+              let total = ref !far in
+              let best = ref (-1) and best_pw = ref 0. in
+              for q = 0 to nnear - 1 do
+                let c = Array.unsafe_get sc.near q in
+                let jbeg = sc.cell_beg.(c) in
+                for j = jbeg to jbeg + sc.cell_cnt.(c) - 1 do
+                  let v =
+                    Array.unsafe_get ids (Array.unsafe_get combo j land mask)
+                  in
+                  let dx = Float.Array.unsafe_get xs v -. ux
+                  and dy = Float.Array.unsafe_get ys v -. uy in
+                  let d2 = (dx *. dx) +. (dy *. dy) in
+                  let pw = power /. pow_alpha t d2 in
+                  total := !total +. pw;
+                  if pw > !best_pw then begin
+                    best_pw := pw;
+                    best := v
+                  end
+                done
+              done;
+              near_links := !near_links + !near_sz;
+              if !best >= 0
+                 && !best_pw >= beta *. (noise +. !total -. !best_pw)
+              then begin
+                Array.unsafe_set sender u !best;
+                Array.unsafe_set receivers !count u;
+                incr count
+              end
+            end
           end
         done
       end
     done;
-    if telemetry then begin
+    if Metrics.is_enabled () then begin
+      Metrics.incr m_slots;
+      Metrics.add m_active nactive;
       Metrics.add m_near !near_links;
-      Metrics.add m_far !far_pairs
-    end
+      Metrics.add m_far !far_pairs;
+      Metrics.add m_silent !silent;
+      Metrics.add m_links (!near_links + !far_pairs)
+    end;
+    sort_receivers t sc receivers !count;
+    !count
 
 (* Approximate total incoming power at listener [u], exactly as the
    resolve kernel accumulates it (shared far sum of u's coarse cell plus
@@ -413,7 +537,8 @@ let interference t ~ids ~nsend ~receiver:u =
     let gxc = t.x0 +. ((float_of_int (g mod t.mcx) +. 0.5) *. t.cc) in
     let gyc = t.y0 +. ((float_of_int (g / t.mcx) +. 0.5) *. t.cc) in
     let total = ref 0. in
-    let ux = Soa.x t.soa u and uy = Soa.y t.soa u in
+    let xs = Soa.xs t.soa and ys = Soa.ys t.soa in
+    let ux = Float.Array.get xs u and uy = Float.Array.get ys u in
     for c = 0 to ncells - 1 do
       let dx = sc.cell_cx.(c) -. gxc and dy = sc.cell_cy.(c) -. gyc in
       let d2 = (dx *. dx) +. (dy *. dy) in
@@ -424,11 +549,46 @@ let interference t ~ids ~nsend ~receiver:u =
         let jbeg = sc.cell_beg.(c) in
         for j = jbeg to jbeg + sc.cell_cnt.(c) - 1 do
           let v = ids.(combo.(j) land mask) in
-          let dx = Soa.unsafe_x t.soa v -. ux
-          and dy = Soa.unsafe_y t.soa v -. uy in
+          let dx = Float.Array.unsafe_get xs v -. ux
+          and dy = Float.Array.unsafe_get ys v -. uy in
           let d2 = (dx *. dx) +. (dy *. dy) in
           total := !total +. (t.power /. pow_alpha t d2)
         done
       end
     done;
     !total
+
+(* Every node whose coarse cell overlaps the axis-aligned square of
+   half-side [radius] around node [v] — a superset of the nodes within
+   [radius] of [v], found from the deployment's coarse-cell index in
+   O(members of the overlapped cells).  The window is computed with the
+   expression that assigned the nodes to fine cells and widened by one
+   fine cell (side >= 1) each way, which absorbs any rounding in the
+   coordinate arithmetic; a radius that does not fit the grid visits
+   every cell. *)
+let iter_window t v ~radius f =
+  let x = Float.Array.get (Soa.xs t.soa) v
+  and y = Float.Array.get (Soa.ys t.soa) v in
+  let span = float_of_int (max t.ncx t.ncy) *. t.cf in
+  let gx0, gx1, gy0, gy1 =
+    if not (radius < span) then (0, t.mcx - 1, 0, t.mcy - 1)
+    else begin
+      let coarse c lo ncells ~pad =
+        let k = int_of_float ((c -. lo) /. t.cf) + pad in
+        let k = if k < 0 then 0 else if k > ncells - 1 then ncells - 1 else k in
+        k / coarse_k
+      in
+      ( coarse (x -. radius) t.x0 t.ncx ~pad:(-1),
+        coarse (x +. radius) t.x0 t.ncx ~pad:1,
+        coarse (y -. radius) t.y0 t.ncy ~pad:(-1),
+        coarse (y +. radius) t.y0 t.ncy ~pad:1 )
+    end
+  in
+  for gy = gy0 to gy1 do
+    for gx = gx0 to gx1 do
+      let g = (gy * t.mcx) + gx in
+      for m = t.cstart.(g) to t.cstart.(g + 1) - 1 do
+        f t.cmembers.(m)
+      done
+    done
+  done

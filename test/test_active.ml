@@ -1,0 +1,481 @@
+(* The O(active) slot path: the contender walk must reproduce the full
+   node scan exactly, and the sparse kernel's per-listener silence skip
+   must never change a decision.
+
+   - Node_set walks are checked against a model (a bool array scanned
+     0..n-1, membership tested at visit time) under random updates made
+     from inside the walk.
+   - Engine.step over a contender set is checked against the full scan on
+     generated placements with decide functions that are pure off the
+     set: same deliveries, same wake/crash trace, same later RNG draws.
+   - Combined_mac edge cases (an on_ack that starts a broadcast at a
+     higher id, crashed or not, mid-scan; abort; crash mid-broadcast) are
+     pinned to trace digests recorded before the contender walk existed.
+   - The sparse skip is checked at the decoding boundary R, R +- 1 ulp,
+     R +- 1e-9, alone and under interference. *)
+
+open Sinr_geom
+open Sinr_phys
+open Sinr_engine
+open Sinr_mac
+open Sinr_obs
+
+let cfg = Config.default
+
+(* ---------------- Node_set against a model scan ---------------- *)
+
+let elements s =
+  let acc = ref [] in
+  Node_set.iter s (fun v -> acc := v :: !acc);
+  List.rev !acc
+
+(* One op stream drives both sides: before the walk, and from inside
+   each visit.  The model is the full scan the walk replaces. *)
+let random_op ops ~n ~add ~remove =
+  let v = Rng.int ops n in
+  match Rng.int ops 3 with
+  | 0 -> add v
+  | 1 -> remove v
+  | _ -> ()
+
+let model_run ~seed ~n ~walks =
+  let ops = Rng.create seed in
+  let mem = Array.make n false in
+  let add v = mem.(v) <- true and remove v = mem.(v) <- false in
+  let visits = Buffer.create 256 in
+  for _ = 1 to walks do
+    for _ = 1 to 1 + Rng.int ops 6 do
+      random_op ops ~n ~add ~remove
+    done;
+    for v = 0 to n - 1 do
+      if mem.(v) then begin
+        Printf.bprintf visits "%d," v;
+        if Rng.bernoulli ops 0.5 then random_op ops ~n ~add ~remove
+      end
+    done;
+    Buffer.add_char visits '|'
+  done;
+  (Buffer.contents visits, List.filter (fun v -> mem.(v)) (List.init n Fun.id))
+
+let set_run ~seed ~n ~walks =
+  let ops = Rng.create seed in
+  let s = Node_set.create n in
+  let add v = Node_set.add s v and remove v = Node_set.remove s v in
+  let visits = Buffer.create 256 in
+  for _ = 1 to walks do
+    for _ = 1 to 1 + Rng.int ops 6 do
+      random_op ops ~n ~add ~remove
+    done;
+    Node_set.iter s (fun v ->
+        Printf.bprintf visits "%d," v;
+        if Rng.bernoulli ops 0.5 then random_op ops ~n ~add ~remove);
+    Buffer.add_char visits '|'
+  done;
+  (Buffer.contents visits, elements s)
+
+let prop_node_set_model =
+  QCheck.Test.make ~name:"node set walk = membership scan" ~count:200
+    QCheck.(pair (int_range 1 100_000) (int_range 1 40))
+    (fun (seed, n) ->
+      model_run ~seed ~n ~walks:12 = set_run ~seed ~n ~walks:12)
+
+let test_node_set_walk_edges () =
+  let s = Node_set.create 10 in
+  List.iter (Node_set.add s) [ 7; 2; 5 ];
+  let seen = ref [] in
+  Node_set.iter s (fun v ->
+      seen := v :: !seen;
+      if v = 2 then begin
+        Node_set.add s 9;      (* above the cursor: visited this walk *)
+        Node_set.add s 1;      (* below it: next walk *)
+        Node_set.remove s 5    (* not yet visited: skipped *)
+      end;
+      if v = 7 then Node_set.add s 8);
+  Alcotest.(check (list int)) "walk order" [ 2; 7; 8; 9 ] (List.rev !seen);
+  Alcotest.(check (list int)) "members" [ 1; 2; 7; 8; 9 ] (elements s);
+  Alcotest.check_raises "reentrant walk"
+    (Invalid_argument "Node_set.iter: reentrant walk") (fun () ->
+      Node_set.iter s (fun _ -> Node_set.iter s ignore));
+  (* A raising callback leaves the set intact. *)
+  (try Node_set.iter s (fun v -> if v = 2 then failwith "boom") with
+   | Failure _ -> ());
+  Alcotest.(check (list int)) "after a raise" [ 1; 2; 7; 8; 9 ]
+    (elements s);
+  Node_set.clear s;
+  Alcotest.(check (list int)) "cleared" [] (elements s);
+  Node_set.add s 3;
+  Alcotest.(check bool) "re-add after clear" true (Node_set.mem s 3)
+
+(* ---------------- Engine.step: contender walk = full scan ---------------- *)
+
+(* A slot-by-slot run where only [member] nodes may transmit, drawing
+   from [drv]; the scenario (wakes, crashes, revivals, membership) comes
+   from its own stream, identical in both runs. *)
+let engine_run ~seed ~use_set =
+  let ops = Rng.create seed in
+  let n = 8 + Rng.int ops 40 in
+  let side = 4. *. sqrt (float_of_int n) in
+  let pts = Placement.uniform ops ~n ~box:(Box.square ~side) ~min_dist:1. in
+  let trace = Trace.create ~capacity:100_000 () in
+  let eng = Engine.create ~trace (Sinr.create cfg pts) in
+  let drv = Rng.create (seed + 1) in
+  let set = Node_set.create n in
+  let member = Array.make n false in
+  let log = Buffer.create 1024 in
+  let consulted = ref 0 in
+  for slot = 0 to 40 do
+    for _ = 1 to 4 do
+      let v = Rng.int ops n in
+      match Rng.int ops 6 with
+      | 0 -> Engine.wake eng v
+      | 1 -> if Rng.bernoulli ops 0.3 then Engine.crash eng v
+      | 2 -> Engine.revive eng v
+      | 3 ->
+        member.(v) <- true;
+        Node_set.add set v
+      | 4 ->
+        member.(v) <- false;
+        Node_set.remove set v
+      | _ -> ()
+    done;
+    let decide v =
+      incr consulted;
+      if member.(v) && Rng.bernoulli drv 0.35 then Engine.Transmit (v, slot)
+      else Engine.Listen
+    in
+    let ds =
+      if use_set then Engine.step ~contenders:set eng ~decide
+      else Engine.step eng ~decide
+    in
+    List.iter
+      (fun (d : (int * int) Engine.delivery) ->
+        let v, s = d.Engine.message in
+        Printf.bprintf log "%d<%d:%d/%d:%h;" d.Engine.receiver d.Engine.sender v
+          s d.Engine.power)
+      ds;
+    Buffer.add_char log '\n'
+  done;
+  Buffer.add_string log (Trace.to_jsonl trace);
+  Printf.bprintf log "|%d|%d|%d" (Engine.tx_total eng)
+    (Engine.delivery_total eng) (Rng.int drv 1_000_000);
+  (Buffer.contents log, !consulted)
+
+let prop_engine_contenders =
+  QCheck.Test.make ~name:"engine: contender walk = full scan" ~count:60
+    QCheck.(int_range 1 100_000)
+    (fun seed ->
+      let full, full_calls = engine_run ~seed ~use_set:false in
+      let walk, walk_calls = engine_run ~seed ~use_set:true in
+      full = walk && walk_calls <= full_calls)
+
+(* ---------------- Combined_mac edge cases, pinned ---------------- *)
+
+(* A 4x4 grid, spacing 4: every node contends with its neighbours. *)
+let grid_net () =
+  Sinr.create cfg
+    (Array.init 16 (fun i ->
+         Point.make
+           (4. *. float_of_int (i mod 4))
+           (4. *. float_of_int (i / 4))))
+
+(* Run one scripted scenario and digest everything observable: the full
+   absMAC/fault trace plus the engine totals. *)
+let mac_digest ~seed ~script =
+  let trace = Trace.create ~capacity:1_000_000 () in
+  let mac = Combined_mac.create ~trace (grid_net ()) ~rng:(Rng.create seed) in
+  let eng = Combined_mac.engine mac in
+  let on_ack = ref (fun ~node:_ -> ()) in
+  Combined_mac.set_handlers mac
+    { Absmac_intf.on_rcv = (fun ~node:_ ~payload:_ -> ());
+      on_ack = (fun ~node ~payload:_ -> !on_ack ~node) };
+  let bcast v =
+    if not (Combined_mac.busy mac ~node:v) then
+      ignore (Combined_mac.bcast mac ~node:v ~data:v)
+  in
+  let at = script ~mac ~bcast ~on_ack in
+  let horizon = 3 * (Combined_mac.bounds mac).Absmac_intf.f_ack in
+  for slot = 0 to horizon do
+    at slot;
+    Combined_mac.step mac
+  done;
+  Digest.to_hex
+    (Digest.string
+       (Printf.sprintf "%s|%d|%d" (Trace.to_jsonl trace) (Engine.tx_total eng)
+          (Engine.delivery_total eng)))
+
+(* on_ack starts broadcasts mid-scan: above the acking node (live and
+   crashed — the crashed one is dropped in the same pass), below it
+   (next pass), and aborts a higher broadcast before the scan reaches it. *)
+let script_ack_chain ~mac ~bcast ~on_ack =
+  let eng = Combined_mac.engine mac in
+  let rounds = ref 0 in
+  (on_ack :=
+     fun ~node ->
+       incr rounds;
+       if !rounds < 12 then
+         match node with
+         | 1 ->
+           bcast 11;
+           bcast 13;
+           bcast 0
+         | 6 ->
+           Combined_mac.abort mac ~node:11;
+           bcast 6
+         | 0 -> bcast 14
+         | v -> bcast ((v + 5) mod 16));
+  fun slot ->
+    if slot = 0 then begin
+      Engine.crash eng 13;
+      bcast 1;
+      bcast 6
+    end
+
+let script_abort ~mac ~bcast ~on_ack:_ =
+ fun slot ->
+  if slot = 0 then List.iter bcast [ 2; 5; 9 ];
+  if slot = 41 then Combined_mac.abort mac ~node:5;
+  if slot = 42 then bcast 5;
+  if slot = 300 then Combined_mac.abort mac ~node:9
+
+let script_crash ~mac ~bcast ~on_ack:_ =
+  let eng = Combined_mac.engine mac in
+  fun slot ->
+    if slot = 0 then List.iter bcast [ 3; 8; 12 ];
+    if slot = 31 then Engine.crash eng 8;
+    if slot = 32 then Engine.crash eng 7;
+    if slot = 250 then begin
+      Engine.revive eng 8;
+      Engine.revive eng 7;
+      bcast 8
+    end
+
+(* Recorded on the full-scan implementation (before Engine.step took a
+   contender set); any change here means the slot path changed outcomes. *)
+let pinned =
+  [ ("ack chain", 3, script_ack_chain, "b890a6c740c879db85bf48a2ee661d15");
+    ("ack chain", 4, script_ack_chain, "a701ab4148c03a4c2df3581fd18828c3");
+    ("abort", 5, script_abort, "50fd0da83b261f8cae8fea03b83b5a7c");
+    ( "crash mid-broadcast", 6, script_crash,
+      "4f75235a3656a52a7246bdd7fae2cb66" ) ]
+
+let test_mac_pinned () =
+  List.iter
+    (fun (name, seed, script, want) ->
+      Alcotest.(check string)
+        (Printf.sprintf "%s (seed %d)" name seed)
+        want (mac_digest ~seed ~script))
+    pinned
+
+(* ---------------- sparse: exact per-listener silence skip ---------------- *)
+
+let with_sparse f =
+  let pt = Phys_tuning.sparse_threshold () in
+  Phys_tuning.set_sparse_threshold 1;
+  Fun.protect ~finally:(fun () -> Phys_tuning.set_sparse_threshold pt) f
+
+(* The decision the kernel must reach for listener [u]: the exact near
+   sum (every sender here is near) accumulated as the kernel does, the
+   strongest sender, the SINR test.  No skip. *)
+let full_sum_decision sinr sp ~senders u =
+  let soa = Sinr.soa sinr in
+  let ids = Array.of_list senders in
+  let nsend = Array.length ids in
+  let total = Sparse.interference sp ~ids ~nsend ~receiver:u in
+  let best = ref (-1) and best_pw = ref 0. in
+  Array.iter
+    (fun v ->
+      let dx = Soa.x soa v -. Soa.x soa u and dy = Soa.y soa v -. Soa.y soa u in
+      let d2 = (dx *. dx) +. (dy *. dy) in
+      let pw = cfg.Config.power /. (d2 *. sqrt d2) in
+      if pw > !best_pw then begin
+        best_pw := pw;
+        best := v
+      end)
+    ids;
+  if
+    (not (List.mem u senders))
+    && !best >= 0
+    && !best_pw >= cfg.Config.beta *. (cfg.Config.noise +. total -. !best_pw)
+  then Some !best
+  else None
+
+(* Listeners around a sender at the origin at each boundary distance:
+   the first four on the axes (where d2 = d * d exactly), all of them
+   again on two other arcs, each on its own bearing so that the ring
+   keeps the near-field normalization (pairwise distance >= 1). *)
+let boundary_points r =
+  let near_r = [ r; Float.pred r; Float.succ r; r -. 1e-9; r +. 1e-9 ] in
+  let axes =
+    List.map2
+      (fun d (cx, cy) -> Point.make (cx *. d) (cy *. d))
+      (List.filteri (fun i _ -> i < 4) near_r)
+      [ (1., 0.); (0., 1.); (-1., 0.); (0., -1.) ]
+  in
+  let arc start =
+    List.mapi
+      (fun i d ->
+        let th = start +. (0.25 *. float_of_int i) in
+        Point.make (d *. cos th) (d *. sin th))
+      near_r
+  in
+  axes @ arc 0.3 @ arc 3.4
+  @ [ Point.make (0.5 *. r *. cos 2.2) (0.5 *. r *. sin 2.2);
+      Point.make (1.5 *. r *. cos 2.2) (1.5 *. r *. sin 2.2) ]
+
+let check_sparse_case ~label pts ~senders =
+  let sinr = Sinr.create cfg pts in
+  let sp =
+    match Sinr.sparse sinr with
+    | Some sp -> sp
+    | None -> Alcotest.fail "sparse kernel not installed"
+  in
+  let got = Sinr.resolve sinr ~senders in
+  Array.iteri
+    (fun u o ->
+      Alcotest.(check (option int))
+        (Printf.sprintf "%s: listener %d" label u)
+        (full_sum_decision sinr sp ~senders u) o)
+    got;
+  got
+
+let test_sparse_silence_boundary () =
+  with_sparse @@ fun () ->
+  Metrics.reset_for_tests ();
+  Fun.protect ~finally:Metrics.reset_for_tests @@ fun () ->
+  Metrics.set_enabled true;
+  let r = Config.range cfg in
+  let lone = Array.of_list (Point.make 0. 0. :: boundary_points r) in
+  let got = check_sparse_case ~label:"lone sender" lone ~senders:[ 0 ] in
+  (* Both sides of the boundary are exercised. *)
+  Alcotest.(check bool) "someone decodes" true
+    (Array.exists Option.is_some got);
+  Alcotest.(check bool) "someone does not" true
+    (Array.exists Option.is_none (Array.sub got 1 (Array.length got - 1)));
+  (* Under interference: a second sender 2.2 R away on the far side and
+     a third close enough to spoil part of the ring. *)
+  let crowd =
+    Array.append lone
+      [| Point.make (-2.2 *. r) 0.5; Point.make (0.3 *. r) (1.7 *. r) |]
+  in
+  let n = Array.length crowd in
+  ignore
+    (check_sparse_case ~label:"interference" crowd
+       ~senders:[ 0; n - 2; n - 1 ]);
+  let count name = Option.value ~default:0 (Metrics.counter_peek name) in
+  Alcotest.(check bool) "the skip engaged" true
+    (count "phys.sparse.silent_listeners" > 0);
+  (* Scored links, not senders x nodes. *)
+  let links = count "phys.resolve.links" in
+  let near = count "phys.sparse.near_links" in
+  let far = count "phys.sparse.far_cell_pairs" in
+  Alcotest.(check int) "links = near links + far cell pairs" (near + far) links
+
+let prop_sparse_skip_exact =
+  QCheck.Test.make ~name:"sparse: silence skip = full near sum" ~count:60
+    QCheck.(int_range 1 100_000)
+    (fun seed ->
+      with_sparse @@ fun () ->
+      let rng = Rng.create seed in
+      let n = 10 + Rng.int rng 50 in
+      let side = 3. *. Config.range cfg in
+      let pts = Placement.uniform rng ~n ~box:(Box.square ~side) ~min_dist:1. in
+      let sinr = Sinr.create cfg pts in
+      let sp = Option.get (Sinr.sparse sinr) in
+      let senders =
+        List.filter (fun _ -> Rng.bernoulli rng 0.15) (List.init n Fun.id)
+      in
+      let got = Sinr.resolve sinr ~senders in
+      Array.for_all Fun.id
+        (Array.mapi (fun u o -> full_sum_decision sinr sp ~senders u = o) got))
+
+(* The simulator entry point: ascending receivers, matching the option
+   wrapper, and empty buffers afterwards — on the sparse path too. *)
+let test_resolve_into_buffers () =
+  let check_on sinr senders =
+    let n = Sinr.n sinr in
+    let d = Sinr.create_decoded n in
+    let arr = Array.of_list senders in
+    Sinr.resolve_into sinr ~senders:arr ~nsenders:(Array.length arr) d;
+    let listed = Array.to_list (Array.sub d.Sinr.receivers 0 d.Sinr.count) in
+    Alcotest.(check (list int)) "receivers ascending" (List.sort compare listed)
+      listed;
+    let want = Sinr.resolve_reference sinr ~senders in
+    Array.iteri
+      (fun u o ->
+        Alcotest.(check (option int)) "decoded column" o
+          (if d.Sinr.sender.(u) < 0 then None else Some d.Sinr.sender.(u)))
+      want;
+    Sinr.clear_decoded d;
+    Alcotest.(check bool) "cleared" true
+      (d.Sinr.count = 0 && Array.for_all (fun s -> s = -1) d.Sinr.sender)
+  in
+  let rng = Rng.create 17 in
+  let pts =
+    Placement.uniform rng ~n:80 ~box:(Box.square ~side:40.) ~min_dist:1.
+  in
+  let senders = [ 3; 17; 40; 41; 66 ] in
+  check_on (Sinr.create cfg pts) senders;
+  with_sparse (fun () -> check_on (Sinr.create cfg pts) [ 3; 66 ]);
+  (* The pooled exact kernel: several listener chunks, each recording
+     into its own slice of the receiver list before they are packed. *)
+  let prev_thresh = Phys_tuning.par_threshold () in
+  let prev_jobs = Sinr_par.Pool.default_jobs () in
+  Phys_tuning.set_par_threshold 4;
+  Sinr_par.Pool.set_default_jobs 3;
+  Fun.protect
+    ~finally:(fun () ->
+      Phys_tuning.set_par_threshold prev_thresh;
+      Sinr_par.Pool.set_default_jobs prev_jobs)
+  @@ fun () ->
+  let n = 300 in
+  let side = 4.4 *. sqrt (float_of_int n) in
+  let pts = Placement.uniform rng ~n ~box:(Box.square ~side) ~min_dist:1. in
+  check_on (Sinr.create cfg pts)
+    (List.filter (fun _ -> Rng.bernoulli rng 0.05) (List.init n Fun.id))
+
+(* The telemetry collision/silence split asks whether some sender
+   reaches a node; the sparse grid answers from the cells around each
+   sender and must agree with the brute-force [in_range] scan exactly. *)
+let test_in_range_of_any () =
+  let rng = Rng.create 23 in
+  let n = 400 in
+  let side = 4.4 *. sqrt (float_of_int n) in
+  let pts = Placement.uniform rng ~n ~box:(Box.square ~side) ~min_dist:1. in
+  let check sinr =
+    for case = 0 to 30 do
+      let senders =
+        Array.of_list
+          (List.filter (fun _ -> Rng.bernoulli rng 0.03) (List.init n Fun.id))
+      in
+      let nsenders = Array.length senders in
+      let reached = Sinr.in_range_of_any sinr ~senders ~nsenders in
+      for u = 0 to n - 1 do
+        Alcotest.(check bool)
+          (Printf.sprintf "case %d node %d" case u)
+          (Array.exists (fun v -> Sinr.in_range sinr v u) senders)
+          (reached u)
+      done
+    done
+  in
+  check (Sinr.create cfg pts);
+  with_sparse (fun () ->
+      let sinr = Sinr.create cfg pts in
+      Alcotest.(check bool) "sparse installed" true (Sinr.sparse sinr <> None);
+      check sinr)
+
+(* Fixed qcheck seed: the suite is deterministic like every other one. *)
+let fixed_rand () = Random.State.make [| 1505 |]
+
+let suite =
+  [ QCheck_alcotest.to_alcotest ~rand:(fixed_rand ()) prop_node_set_model;
+    Alcotest.test_case "node set walk edge cases" `Quick
+      test_node_set_walk_edges;
+    QCheck_alcotest.to_alcotest ~rand:(fixed_rand ()) prop_engine_contenders;
+    Alcotest.test_case "combined mac: pinned edge cases" `Quick
+      test_mac_pinned;
+    Alcotest.test_case "sparse: silence skip at the boundary" `Quick
+      test_sparse_silence_boundary;
+    QCheck_alcotest.to_alcotest ~rand:(fixed_rand ()) prop_sparse_skip_exact;
+    Alcotest.test_case "resolve_into buffers" `Quick test_resolve_into_buffers;
+    Alcotest.test_case "in_range_of_any = in_range scan" `Quick
+      test_in_range_of_any ]

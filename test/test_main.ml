@@ -24,4 +24,5 @@ let () =
       ("chaos", Test_chaos.suite);
       ("phys_fast", Test_phys_fast.suite);
       ("serve", Test_serve.suite);
-      ("scale", Test_scale.suite) ]
+      ("scale", Test_scale.suite);
+      ("active", Test_active.suite) ]
