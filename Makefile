@@ -28,12 +28,9 @@ chaos-smoke:
 	  --jam 0.5 --crash-frac 0.2 --abort-rate 0.0005
 
 # End-to-end exercise of the physics fast path: the CLI self-check
-# (exits 1 if the cached kernel diverges from the seed kernel), once
-# exact and once in the opt-in far-field mode.
+# (exits 1 if the cached kernel diverges from the seed kernel).
 phys-smoke:
 	dune exec bin/sinr_sim.exe -- phys --seed 3 --n 90 --cases 60
-	dune exec bin/sinr_sim.exe -- phys --seed 3 --n 90 --cases 60 \
-	  --phys-farfield 0.2
 
 # End-to-end exercise of the tracing layer: a traced run of the full
 # Algorithm 11.1 stack dumping a flight-recorder JSONL, then trace-report

@@ -354,8 +354,8 @@ let par_bench () =
    path"): slot-resolution throughput of the cached kernel against the
    seed kernel (Sinr.resolve_reference) at n in {64, 256, 1024} with
    |S| = n/4 senders, plus the Reliability.estimate wall clock on both
-   kernels and a far-field sample.  Telemetry stays off (the experiment
-   is in [uninstrumented]) so the clocks measure the kernels. *)
+   kernels.  Telemetry stays off (the experiment is in [uninstrumented])
+   so the clocks measure the kernels. *)
 let phys_bench_path = "BENCH_phys.json"
 
 (* Adaptive repetition: run [f] until >= 0.3 s of wall clock, return
@@ -445,26 +445,6 @@ let phys_bench () =
   record "phys.bench.reliability.reference.seconds" reference_s;
   record "phys.bench.reliability.speedup"
     (if cached_s > 0. then reference_s /. cached_s else 0.);
-  (* Far-field sample: the opt-in approximate mode on the largest
-     deployment.  Its win is pruning per-sender pow calls, so the natural
-     baseline is the seed kernel (the cached table already amortizes the
-     pows away; far field is for deployments past the cache budget). *)
-  let eps = 0.25 in
-  Phys_tuning.set_farfield (Some eps);
-  let ff_rate, ref_rate =
-    Fun.protect ~finally:(fun () -> Phys_tuning.set_farfield None)
-    @@ fun () ->
-    let sinr_ff, senders = phys_deployment ~n:1024 in
-    ( calls_per_second (fun () -> ignore (Sinr.resolve sinr_ff ~senders)),
-      calls_per_second (fun () ->
-          ignore (Sinr.resolve_reference sinr_ff ~senders)) )
-  in
-  Fmt.pr "farfield n=1024 eps=%.2f   %10.0f slots/s   seed %10.0f slots/s   \
-          speedup %5.2fx@."
-    eps ff_rate ref_rate (ff_rate /. ref_rate);
-  record "phys.bench.farfield.eps" eps;
-  record "phys.bench.farfield.n1024.slots_per_s" ff_rate;
-  record "phys.bench.farfield.n1024.vs_reference_speedup" (ff_rate /. ref_rate);
   let snap =
     List.sort compare !gauges
     |> List.map (fun (name, v) -> (name, Sinr_obs.Metrics.Gauge_v v))

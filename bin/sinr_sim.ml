@@ -20,10 +20,6 @@
    /metrics (Prometheus text of the live snapshot), /healthz and /spans
    for its duration, so long sweeps can be scraped mid-flight.
 
-   The run subcommands take --phys-farfield EPS: opt into the grid-pruned
-   far-field interference mode with relative error bound EPS (DESIGN.md
-   "Physics fast path"; default is the exact kernel).
-
    The run subcommands take --metrics-out FILE: the run executes with the
    telemetry registry enabled and its final snapshot is written to FILE as
    one JSONL object (see DESIGN.md "Observability").  --prometheus-out
@@ -110,24 +106,6 @@ let jobs_arg =
 let set_jobs = function
   | None -> ()
   | Some j -> Sinr_par.Pool.set_default_jobs j
-
-let farfield_arg =
-  Arg.(value & opt (some float) None
-       & info [ "phys-farfield" ] ~docv:"EPS"
-           ~doc:"Opt into the grid-pruned far-field interference mode: \
-                 distant senders are aggregated per grid cell with relative \
-                 interference error at most $(docv) (in (0,1)). The default \
-                 is the exact kernel.")
-
-(* The flag lands in the Phys_tuning knob, which every Sinr.create from
-   here on captures. *)
-let set_farfield = function
-  | None -> ()
-  | Some eps ->
-    (try Phys_tuning.set_farfield (Some eps)
-     with Invalid_argument _ ->
-       Fmt.epr "sinr_sim: --phys-farfield expects EPS in (0, 1), got %g@." eps;
-       Stdlib.exit 2)
 
 (* Probe that [path] is creatable/writable before a (possibly long) run so
    a bad path fails fast instead of discarding the finished simulation's
@@ -237,10 +215,9 @@ let profile_cmd =
 (* ---------------- smb ---------------- *)
 
 let smb_cmd =
-  let run seed n degree range farfield metrics_out prom_out trace_out jobs
-      serve serve_port_file =
+  let run seed n degree range metrics_out prom_out trace_out jobs serve
+      serve_port_file =
     set_jobs jobs;
-    set_farfield farfield;
     with_obs ~label:"smb" ~metrics_out ~prom_out ~trace_out ~serve
       ?serve_port_file
     @@ fun () ->
@@ -277,7 +254,7 @@ let smb_cmd =
   Cmd.v
     (Cmd.info "smb"
        ~doc:"Global single-message broadcast: ours vs the baselines.")
-    Term.(const run $ seed_arg $ n_arg $ degree_arg $ range_arg $ farfield_arg
+    Term.(const run $ seed_arg $ n_arg $ degree_arg $ range_arg
           $ metrics_out_arg $ prom_out_arg $ trace_out_arg $ jobs_arg
           $ serve_arg $ serve_port_file_arg)
 
@@ -288,10 +265,9 @@ let cons_cmd =
     Arg.(value & opt int 0
          & info [ "crashes" ] ~docv:"K" ~doc:"Crash K nodes mid-run.")
   in
-  let run seed n degree range crashes farfield metrics_out prom_out trace_out
-      jobs serve serve_port_file =
+  let run seed n degree range crashes metrics_out prom_out trace_out jobs
+      serve serve_port_file =
     set_jobs jobs;
-    set_farfield farfield;
     with_obs ~label:"cons" ~metrics_out ~prom_out ~trace_out ~serve
       ?serve_port_file
     @@ fun () ->
@@ -322,16 +298,15 @@ let cons_cmd =
   Cmd.v
     (Cmd.info "cons" ~doc:"Network-wide consensus over the absMAC.")
     Term.(const run $ seed_arg $ n_arg $ degree_arg $ range_arg $ crashes_arg
-          $ farfield_arg $ metrics_out_arg $ prom_out_arg $ trace_out_arg
-          $ jobs_arg $ serve_arg $ serve_port_file_arg)
+          $ metrics_out_arg $ prom_out_arg $ trace_out_arg $ jobs_arg
+          $ serve_arg $ serve_port_file_arg)
 
 (* ---------------- approg ---------------- *)
 
 let approg_cmd =
-  let run seed n degree range farfield metrics_out prom_out trace_out jobs
-      serve serve_port_file =
+  let run seed n degree range metrics_out prom_out trace_out jobs serve
+      serve_port_file =
     set_jobs jobs;
-    set_farfield farfield;
     with_obs ~label:"approg" ~metrics_out ~prom_out ~trace_out ~serve
       ?serve_port_file
     @@ fun () ->
@@ -372,7 +347,7 @@ let approg_cmd =
   Cmd.v
     (Cmd.info "approg"
        ~doc:"Measure approximate progress of Algorithm 9.1 on a deployment.")
-    Term.(const run $ seed_arg $ n_arg $ degree_arg $ range_arg $ farfield_arg
+    Term.(const run $ seed_arg $ n_arg $ degree_arg $ range_arg
           $ metrics_out_arg $ prom_out_arg $ trace_out_arg $ jobs_arg
           $ serve_arg $ serve_port_file_arg)
 
@@ -412,10 +387,9 @@ let chaos_cmd =
              ~doc:"Per-slot probability that each busy node's broadcast is \
                    adversarially aborted.")
   in
-  let run seed n degree jam fading crash_frac downtime abort_rate farfield
-      metrics_out prom_out trace_out jobs serve serve_port_file =
+  let run seed n degree jam fading crash_frac downtime abort_rate metrics_out
+      prom_out trace_out jobs serve serve_port_file =
     set_jobs jobs;
-    set_farfield farfield;
     with_obs ~label:"chaos" ~metrics_out ~prom_out ~trace_out ~serve
       ?serve_port_file
     @@ fun () ->
@@ -454,7 +428,7 @@ let chaos_cmd =
        ~doc:"Run the absMAC under adversarial channel conditions and \
              faults, and report the degradation.")
     Term.(const run $ seed_arg $ n_arg $ degree_arg $ jam_arg $ fading_arg
-          $ crash_frac_arg $ downtime_arg $ abort_rate_arg $ farfield_arg
+          $ crash_frac_arg $ downtime_arg $ abort_rate_arg
           $ metrics_out_arg $ prom_out_arg $ trace_out_arg $ jobs_arg
           $ serve_arg $ serve_port_file_arg)
 
@@ -649,19 +623,17 @@ let trace_report_cmd =
 (* Self-check of the physics fast path (DESIGN.md "Physics fast path"):
    resolve the same random slots through the cached kernel and through the
    seed kernel (Sinr.resolve_reference) and demand bit-identical outcomes;
-   then a small throughput sample and, when --phys-farfield is given, the
-   observed far-field interference error against its eps bound.  Exits 1 on
-   any mismatch, so `make phys-smoke` can gate CI on it. *)
+   then a small throughput sample.  Exits 1 on any mismatch, so
+   `make phys-smoke` can gate CI on it. *)
 let phys_cmd =
   let cases_arg =
     Arg.(value & opt int 80
          & info [ "cases" ] ~docv:"K"
              ~doc:"Number of random slots to check for equivalence.")
   in
-  let run seed n degree range cases farfield metrics_out prom_out trace_out
-      jobs serve serve_port_file =
+  let run seed n degree range cases metrics_out prom_out trace_out jobs serve
+      serve_port_file =
     set_jobs jobs;
-    set_farfield farfield;
     with_obs ~label:"phys" ~metrics_out ~prom_out ~trace_out ~serve
       ?serve_port_file
     @@ fun () ->
@@ -673,7 +645,6 @@ let phys_cmd =
       let r = Rng.split rng ~key:case in
       List.filter (fun _ -> Rng.bernoulli r 0.3) (List.init n Fun.id)
     in
-    (* Equivalence: exact unless the far-field mode was requested. *)
     let mismatches = ref 0 and checked = ref 0 in
     for case = 0 to cases - 1 do
       let senders = slot_senders case in
@@ -683,41 +654,10 @@ let phys_cmd =
         then incr mismatches
       end
     done;
-    let exact = farfield = None in
-    Fmt.pr "equivalence: %d/%d slots %s (%d mismatch%s)@." (!checked - !mismatches)
-      !checked
-      (if exact then "bit-identical to the seed kernel"
-       else "compared against the exact kernel")
-      !mismatches
+    Fmt.pr "equivalence: %d/%d slots bit-identical to the seed kernel \
+            (%d mismatch%s)@."
+      (!checked - !mismatches) !checked !mismatches
       (if !mismatches = 1 then "" else "es");
-    (* Far-field error sample: the observed relative interference error
-       must stay within the advertised eps bound. *)
-    (match Sinr.farfield sinr with
-     | None -> ()
-     | Some ff ->
-       let worst = ref 0. in
-       for case = 0 to min 19 (cases - 1) do
-         let senders = slot_senders case in
-         if senders <> [] then
-           for u = 0 to n - 1 do
-             if not (List.mem u senders) then begin
-               let exact =
-                 Sinr.interference_at sinr ~senders ~at:(Sinr.points sinr).(u)
-               in
-               let approx = Farfield.interference ff ~receiver:u ~senders in
-               if exact > 0. then
-                 worst := Float.max !worst (Float.abs (approx -. exact) /. exact)
-             end
-           done
-       done;
-       Fmt.pr "farfield: eps=%.3f threshold=%.1f cell=%.1f observed max \
-               relative interference error %.4f@."
-         (Farfield.eps ff) (Farfield.threshold ff) (Farfield.cell_size ff)
-         !worst;
-       if !worst > Farfield.eps ff then begin
-         Fmt.epr "sinr_sim phys: far-field error exceeds its eps bound@.";
-         Stdlib.exit 1
-       end);
     (* Throughput sample: cached kernel vs seed kernel on one busy slot. *)
     let senders = List.filter (fun v -> v mod 4 = 0) (List.init n Fun.id) in
     let rate f =
@@ -753,7 +693,7 @@ let phys_cmd =
        ~doc:"Check the physics fast path against the seed kernel (exit 1 \
              on divergence) and sample its throughput.")
     Term.(const run $ seed_arg $ n_arg $ degree_arg $ range_arg $ cases_arg
-          $ farfield_arg $ metrics_out_arg $ prom_out_arg $ trace_out_arg
+          $ metrics_out_arg $ prom_out_arg $ trace_out_arg
           $ jobs_arg $ serve_arg $ serve_port_file_arg)
 
 (* ---------------- scale ---------------- *)
@@ -926,9 +866,8 @@ let serve_cmd =
                    dump).")
   in
   let run port port_file dir wal_dir queue_cap checkpoint_every deadline
-      cell_timeout max_retries jobs farfield =
+      cell_timeout max_retries jobs =
     set_jobs jobs;
-    set_farfield farfield;
     let wal_dir = Option.value wal_dir ~default:dir in
     List.iter
       (fun d ->
@@ -1035,7 +974,7 @@ let serve_cmd =
              resume bit-identically after a crash.")
     Term.(const run $ port_arg $ serve_port_file_arg $ dir_arg $ wal_dir_arg
           $ queue_cap_arg $ checkpoint_arg $ deadline_arg $ cell_timeout_arg
-          $ max_retries_arg $ jobs_arg $ farfield_arg)
+          $ max_retries_arg $ jobs_arg)
 
 (* ---------------- watch ---------------- *)
 
@@ -1181,10 +1120,9 @@ let profile_report_cmd =
          & info [ "max-slots" ] ~docv:"SLOTS"
              ~doc:"Slot budget for the profiled workload.")
   in
-  let run seed n degree range max_slots farfield jobs serve serve_port_file
-      metrics_out prom_out =
+  let run seed n degree range max_slots jobs serve serve_port_file metrics_out
+      prom_out =
     set_jobs jobs;
-    set_farfield farfield;
     List.iter (Option.iter probe_writable) [ metrics_out; prom_out ];
     let d = deployment ~seed ~n ~degree ~range in
     let senders = List.filter (fun v -> v mod 2 = 0) (List.init n Fun.id) in
@@ -1220,7 +1158,7 @@ let profile_report_cmd =
        ~doc:"Profile an instrumented absMAC workload and print the \
              per-stage slot-time table (share, p50, p99).")
     Term.(const run $ seed_arg $ n_arg $ degree_arg $ range_arg $ slots_arg
-          $ farfield_arg $ jobs_arg $ serve_arg $ serve_port_file_arg
+          $ jobs_arg $ serve_arg $ serve_port_file_arg
           $ metrics_out_arg $ prom_out_arg)
 
 let () =

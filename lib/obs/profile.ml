@@ -4,9 +4,9 @@
    perturbation, SINR resolution, delivery fan-out, metrics/trace
    bookkeeping) in [start]/[stop] hooks; each stage's duration lands in a
    log2 histogram named [profile.<stage>.ns], which therefore flows through
-   every normal sink (snapshot, JSONL, Prometheus, /metrics).  [Farfield]
-   is a sub-stage timed inside [Sinr.resolve]'s far-field branch and is
-   reported inside Resolve, not beside it.
+   every normal sink (snapshot, JSONL, Prometheus, /metrics).  [Sparse]
+   is a sub-stage timed inside [Sinr.resolve]'s sparse-kernel branch and
+   is reported inside Resolve, not beside it.
 
    Gating mirrors the other obs layers: one process-global atomic flag,
    default off.  [start] returns 0. when disabled so the matching [stop]
@@ -40,7 +40,7 @@ type stage =
   | Decide
   | Perturb
   | Resolve
-  | Farfield (* sub-stage of Resolve, timed inside lib/phys *)
+  | Sparse (* sub-stage of Resolve, timed inside lib/phys *)
   | Delivery
   | Telemetry
 
@@ -49,7 +49,7 @@ let stage_name = function
   | Decide -> "decide"
   | Perturb -> "perturb"
   | Resolve -> "resolve"
-  | Farfield -> "farfield"
+  | Sparse -> "sparse"
   | Delivery -> "delivery"
   | Telemetry -> "telemetry"
 
@@ -59,7 +59,7 @@ let hist_of =
   and decide = h Decide
   and perturb = h Perturb
   and resolve = h Resolve
-  and farfield = h Farfield
+  and sparse = h Sparse
   and delivery = h Delivery
   and telemetry = h Telemetry in
   function
@@ -67,7 +67,7 @@ let hist_of =
   | Decide -> decide
   | Perturb -> perturb
   | Resolve -> resolve
-  | Farfield -> farfield
+  | Sparse -> sparse
   | Delivery -> delivery
   | Telemetry -> telemetry
 
@@ -94,7 +94,7 @@ type report = {
   slots : int; (* profiled slots (= count of profile.step.ns) *)
   step_ns : float; (* total profiled wall time, ns *)
   rows : row list; (* top-level stages + "other"; shares sum to ~100 *)
-  farfield : row option; (* sub-stage of resolve, when the fast path ran *)
+  sparse : row option; (* sub-stage of resolve, when the sparse kernel ran *)
 }
 
 let top_stages = [ Decide; Perturb; Resolve; Delivery; Telemetry ]
@@ -128,12 +128,12 @@ let report () =
         r_p50 = nan;
         r_p99 = nan }
     in
-    let farfield =
-      let ff = row_of ~step_ns Farfield in
-      if ff.r_count = 0 then None else Some ff
+    let sparse =
+      let sp = row_of ~step_ns Sparse in
+      if sp.r_count = 0 then None else Some sp
     in
     Some { slots = step.Metrics.count; step_ns; rows = rows @ [ other ];
-           farfield }
+           sparse }
   end
 
 let pp_ns ppf v =
@@ -153,8 +153,8 @@ let pp_report ppf r =
       (row.r_total_ns /. 1e6) pp_ns row.r_p50 pp_ns row.r_p99
   in
   List.iter line r.rows;
-  match r.farfield with
+  match r.sparse with
   | None -> ()
-  | Some ff ->
+  | Some sp ->
     Fmt.pf ppf "  (within resolve)@.";
-    line ff
+    line sp

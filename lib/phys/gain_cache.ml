@@ -27,17 +27,18 @@
      [phys.cache.bypassed].
    - Byte budget: below the ceiling, rows fill lazily (first touch wins)
      until the configured byte budget (Phys_tuning.cache_cap_bytes at
-     Sinr.create time) is spent; past the cap a row is computed into the
-     caller's per-domain scratch buffer and not retained.  Row publication
+     Sinr.create time) is spent; past the cap only the slot's sender
+     entries are computed into the caller's per-domain scratch buffer
+     (the kernels read no others) and nothing is retained.  Row publication
      goes through an [Atomic.t] per row, so concurrent Pool workers (the
      Reliability Monte-Carlo) either see a fully initialized row or build
      their own — a lost race wastes one row fill of identical values,
      never correctness.
 
    Telemetry (when Sinr_obs.Metrics is enabled): phys.cache.hits,
-   phys.cache.fills (rows retained), phys.cache.scratch_rows (rows
-   recomputed past the cap), phys.cache.bypassed (caches refused at the
-   node ceiling). *)
+   phys.cache.fills (rows retained), phys.cache.scratch_rows (partial
+   rows recomputed past the cap, one per listener), phys.cache.bypassed
+   (caches refused at the node ceiling). *)
 
 open Sinr_obs
 
@@ -99,16 +100,30 @@ let fill_into t u (dst : Float.Array.t) =
        end)
   done
 
+(* Past the cap only the listener's sender entries are filled: the same
+   expression as [fill_into], over [ids.(0 .. nsend-1)] instead of 0..n-1
+   (the kernels never list the listener itself as a sender). *)
+let fill_ids t u ~ids ~nsend (dst : Float.Array.t) =
+  let xs = Soa.xs t.soa and ys = Soa.ys t.soa in
+  let ux = Float.Array.get xs u and uy = Float.Array.get ys u in
+  for k = 0 to nsend - 1 do
+    let v = Array.unsafe_get ids k in
+    let dx = Float.Array.unsafe_get xs v -. ux
+    and dy = Float.Array.unsafe_get ys v -. uy in
+    Float.Array.unsafe_set dst v
+      (t.power /. (sqrt ((dx *. dx) +. (dy *. dy)) ** t.alpha))
+  done
+
 (* Admit one more row against the byte budget. *)
 let rec reserve t =
   let c = Atomic.get t.reserved in
   c < t.max_rows
   && (Atomic.compare_and_set t.reserved c (c + 1) || reserve t)
 
-let row t u ~scratch =
+let row t u ~ids ~nsend ~scratch =
   if t.bypassed then begin
     Metrics.incr m_scratch;
-    fill_into t u scratch;
+    fill_ids t u ~ids ~nsend scratch;
     scratch
   end
   else
@@ -126,7 +141,7 @@ let row t u ~scratch =
       end
       else begin
         Metrics.incr m_scratch;
-        fill_into t u scratch;
+        fill_ids t u ~ids ~nsend scratch;
         scratch
       end
 

@@ -2,9 +2,9 @@
 
    These are *performance* knobs, not model parameters: whatever their
    values, the clean-channel resolution outcome is bit-identical to the
-   direct evaluation of Eq. 1 — except for the explicitly approximate
-   far-field mode, which is off unless an eps is installed and whose
-   relative interference error is bounded by that eps (see Farfield).
+   direct evaluation of Eq. 1 — except past [sparse_threshold] nodes,
+   where the one approximate kernel (Sparse) bounds the relative
+   interference error by [sparse_eps].
 
    The knobs are read once per [Sinr.create] and captured in the instance,
    so flipping them mid-run never changes the physics of an existing
@@ -23,17 +23,6 @@ let cache_cap = ref (
 let cache_cap_bytes () = !cache_cap
 let set_cache_cap_bytes b = cache_cap := max 0 b
 
-let farfield = ref None
-
-let farfield_eps () = !farfield
-
-let set_farfield = function
-  | None -> farfield := None
-  | Some eps ->
-    if eps <= 0. || eps >= 1. then
-      invalid_arg "Phys_tuning.set_farfield: eps must lie in (0, 1)";
-    farfield := Some eps
-
 (* Below this node count the per-chunk pool overhead dwarfs the scoring
    work, so resolve stays on the sequential path. *)
 let par_thresh = ref 1024
@@ -45,11 +34,11 @@ let set_par_threshold n = par_thresh := max 1 n
 (* Million-node knobs                                                  *)
 (* ------------------------------------------------------------------ *)
 
-(* From this node count on, a [Sinr.create] with no explicit far-field
-   mode installs the sparse cell-aggregated resolution path (Sparse) —
-   the only way 10^5..10^6-node slots stay sub-second.  Below it the
-   exact kernels keep the bit-identity contract.  A non-positive value
-   disables the automatic switch entirely. *)
+(* From this node count on, [Sinr.create] installs the sparse
+   cell-aggregated resolution path (Sparse) — the only way
+   10^5..10^6-node slots stay sub-second.  Below it the exact kernels
+   keep the bit-identity contract.  A non-positive value disables the
+   automatic switch entirely. *)
 let default_sparse_threshold = 4096
 
 let sparse_thresh = ref (
@@ -64,8 +53,9 @@ let sparse_thresh = ref (
 let sparse_threshold () = !sparse_thresh
 let set_sparse_threshold n = sparse_thresh := (if n <= 0 then max_int else n)
 
-(* Relative interference error bound of the automatic sparse path (same
-   eps semantics as the opt-in Farfield mode). *)
+(* Relative interference error bound of the automatic sparse path: its
+   far-cell aggregates are within a factor 1 +- eps of the exact
+   interference. *)
 let default_sparse_eps = 0.5
 
 let sparse_eps_v = ref (

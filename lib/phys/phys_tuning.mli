@@ -1,9 +1,9 @@
 (** Process-global tuning knobs for the physics fast path.
 
     Performance knobs only — none of them changes a clean-channel
-    resolution outcome (the far-field mode is the one explicitly
-    approximate opt-in, with a bounded interference error). Values are
-    read once per [Sinr.create] and captured in the instance. *)
+    resolution outcome below [sparse_threshold] nodes (the sparse path is
+    the one approximate kernel, with a bounded interference error). Values
+    are read once per [Sinr.create] and captured in the instance. *)
 
 val cache_cap_bytes : unit -> int
 (** Memory budget for [Gain_cache] rows, in bytes. Default 64 MiB,
@@ -14,14 +14,6 @@ val cache_cap_bytes : unit -> int
 val set_cache_cap_bytes : int -> unit
 (** Clamped to [>= 0]. *)
 
-val farfield_eps : unit -> float option
-(** Relative interference error bound of the grid-pruned far-field mode;
-    [None] (the default) keeps exact semantics. *)
-
-val set_farfield : float option -> unit
-(** Install (or clear) the far-field mode for simulators created from now
-    on. Raises [Invalid_argument] unless the eps lies in (0, 1). *)
-
 val par_threshold : unit -> int
 (** Minimum node count before [Sinr.resolve] fans listeners out over the
     shared [Sinr_par.Pool] (and only when the pool default is > 1 job).
@@ -31,8 +23,8 @@ val set_par_threshold : int -> unit
 (** Clamped to [>= 1]. *)
 
 val sparse_threshold : unit -> int
-(** Node count from which [Sinr.create] (with no explicit far-field mode)
-    installs the sparse cell-aggregated resolution path. Default 4096,
+(** Node count from which [Sinr.create] installs the sparse
+    cell-aggregated resolution path. Default 4096,
     overridable with [SINR_SPARSE_THRESHOLD]; a non-positive value
     disables the automatic switch. Below the threshold resolution stays
     exact (bit-identical to [resolve_reference]). *)
@@ -42,9 +34,9 @@ val set_sparse_threshold : int -> unit
     on. *)
 
 val sparse_eps : unit -> float
-(** Relative interference error bound of the automatic sparse path (same
-    semantics as the opt-in far-field eps). Default 0.5, overridable with
-    [SINR_SPARSE_EPS]. *)
+(** Relative interference error bound of the automatic sparse path:
+    |I' - I| <= eps * I for every listener's approximated interference
+    I'. Default 0.5, overridable with [SINR_SPARSE_EPS]. *)
 
 val set_sparse_eps : float -> unit
 (** Raises [Invalid_argument] unless the eps lies in (0, 1). *)

@@ -18,9 +18,10 @@
    per slot.  Senders travel as an int array plus a membership bitmap held
    in per-domain scratch (no per-slot list/tuple churn), decodes land in
    caller-owned [decoded] buffers (no per-slot n-array), perturbed gains
-   multiply the cached clean-channel power, listeners fan out over
-   [Sinr_par.Pool] past [Phys_tuning.par_threshold], and the opt-in
-   [Farfield] mode aggregates far interference with a bounded eps error.
+   multiply the cached clean-channel power, and listeners fan out over
+   [Sinr_par.Pool] past [Phys_tuning.par_threshold].  From
+   [Phys_tuning.sparse_threshold] nodes on, [Sparse] (the one approximate
+   kernel, eps-bounded far interference) resolves clean slots instead.
    [resolve_reference] keeps the seed kernel verbatim so tests and benches
    can assert the equivalence. *)
 
@@ -39,7 +40,6 @@ type t = {
       (* boxed record view, forced only by geometry/graph consumers
          (Induced, Spec_check, the experiments) — never by the hot path *)
   cache : Gain_cache.t;
-  farfield : Farfield.t option;
   sparse : Sparse.t option;
   par_threshold : int;
 }
@@ -49,16 +49,10 @@ type t = {
 let make config soa points =
   (* Tuning knobs are captured here: flipping them later never changes an
      existing simulator. *)
-  let farfield =
-    match Phys_tuning.farfield_eps () with
-    | None -> None
-    | Some eps -> Some (Farfield.create config (Lazy.force points) ~eps)
-  in
   let sparse =
-    (* The explicit opt-in far-field mode wins; otherwise large
-       simulators auto-install the sparse cell-aggregated path. *)
-    if farfield = None && Soa.length soa >= Phys_tuning.sparse_threshold ()
-    then Some (Sparse.create config soa ~eps:(Phys_tuning.sparse_eps ()))
+    (* Large simulators install the sparse cell-aggregated path. *)
+    if Soa.length soa >= Phys_tuning.sparse_threshold () then
+      Some (Sparse.create config soa ~eps:(Phys_tuning.sparse_eps ()))
     else None
   in
   { config;
@@ -68,7 +62,6 @@ let make config soa points =
       Gain_cache.create config soa
         ~cap_bytes:(Phys_tuning.cache_cap_bytes ())
         ~node_ceiling:(Phys_tuning.cache_node_ceiling ());
-    farfield;
     sparse;
     par_threshold = Phys_tuning.par_threshold () }
 
@@ -98,7 +91,6 @@ let soa t = t.soa
 let points t = Lazy.force t.points
 let n t = Soa.length t.soa
 let gain_cache t = t.cache
-let farfield t = t.farfield
 let sparse t = t.sparse
 
 (* A per-slot channel perturbation, supplied by an adversary (lib/chaos):
@@ -236,7 +228,7 @@ let score_range t ~ids ~nsend ~mark ~rowbuf ~out ~lo ~hi =
   let beta = t.config.Config.beta and noise = t.config.Config.noise in
   for u = lo to hi do
     if Bytes.unsafe_get mark u = '\000' then begin
-      let row = Gain_cache.row t.cache u ~scratch:rowbuf in
+      let row = Gain_cache.row t.cache u ~ids ~nsend ~scratch:rowbuf in
       let total = ref 0. in
       let best = ref (-1) and best_pw = ref 0. in
       for k = 0 to nsend - 1 do
@@ -260,7 +252,7 @@ let score_range_perturbed t p ~ids ~nsend ~mark ~rowbuf ~out ~lo ~hi =
   let beta = t.config.Config.beta and noise = t.config.Config.noise in
   for u = lo to hi do
     if Bytes.unsafe_get mark u = '\000' then begin
-      let row = Gain_cache.row t.cache u ~scratch:rowbuf in
+      let row = Gain_cache.row t.cache u ~ids ~nsend ~scratch:rowbuf in
       let total = ref 0. in
       let best = ref (-1) and best_pw = ref 0. in
       for k = 0 to nsend - 1 do
@@ -307,9 +299,9 @@ let score_parallel t pool ~ids ~nsend ~mark ~out =
 (* Whole-slot resolution over a marked sender set, into [out] (which must
    be empty).  Dispatch: perturbed slots run the sequential perturbed
    kernel (adversary closures are not required to be domain-safe); clean
-   slots run the sparse or far-field kernel when one is installed, fan
-   listeners out over the shared pool past the parallelism threshold, and
-   otherwise run the sequential cached kernel. *)
+   slots run the sparse kernel when it is installed, fan listeners out
+   over the shared pool past the parallelism threshold, and otherwise run
+   the sequential cached kernel. *)
 let resolve_marked ?perturb t ~ids ~nsend ~mark ~out =
   let n = Soa.length t.soa in
   if nsend > 0 then begin
@@ -321,28 +313,18 @@ let resolve_marked ?perturb t ~ids ~nsend ~mark ~out =
             score_range_perturbed t p ~ids ~nsend ~mark ~rowbuf ~out ~lo:0
               ~hi:(n - 1))
       | None ->
-        (match t.sparse, t.farfield with
-         | Some sp, _ ->
+        (match t.sparse with
+         | Some sp ->
            (* Auto-installed sparse path (n >= Phys_tuning.sparse_threshold):
               occupied-cell iteration, shared per-coarse-cell far sums,
-              exact silent-cell and silent-listener skipping.  Reported
-              under the same profiler sub-stage as the opt-in far-field
-              mode. *)
+              exact silent-cell and silent-listener skipping.  Timed as a
+              profiler sub-stage, reported inside Resolve. *)
            let p0 = Profile.start () in
            out.count <-
              Sparse.resolve sp ~ids ~nsend ~mark ~sender:out.sender
                ~receivers:out.receivers;
-           Profile.stop Profile.Farfield p0
-         | None, Some ff ->
-           (* Slot-phase profiler sub-stage: how much of resolve is the
-              far-field aggregation (reported inside Resolve). *)
-           let p0 = Profile.start () in
-           with_row ~n (fun rowbuf ->
-               out.count <-
-                 Farfield.resolve ff ~cache:t.cache ~scratch:rowbuf ~ids ~nsend
-                   ~mark ~sender:out.sender ~receivers:out.receivers);
-           Profile.stop Profile.Farfield p0
-         | None, None ->
+           Profile.stop Profile.Sparse p0
+         | None ->
            let pool =
              if n >= t.par_threshold && Pool.default_jobs () > 1 then
                Some (Pool.get ())
@@ -474,7 +456,9 @@ let reception ?perturb t ~senders ~receiver:u =
       if Bytes.get sc.mark u <> '\000' || nsend = 0 then None
       else
         with_row ~n @@ fun rowbuf ->
-        let row = Gain_cache.row t.cache u ~scratch:rowbuf in
+        let row =
+          Gain_cache.row t.cache u ~ids:sc.ids ~nsend ~scratch:rowbuf
+        in
         let p = Option.value perturb ~default:no_perturb in
         let total = ref 0. in
         let best = ref (-1) and best_pw = ref 0. in

@@ -17,10 +17,10 @@ type t
 val create : Config.t -> Point.t array -> t
 (** Raises [Invalid_argument] if any pairwise distance is below 1 (the
     near-field normalization of Section 4.2). Captures the current
-    [Phys_tuning] knobs (gain-cache byte cap + node ceiling, optional
-    far-field eps, sparse threshold/eps, parallelism threshold). From
-    [Phys_tuning.sparse_threshold] nodes on (and with no explicit
-    far-field mode) the sparse cell-aggregated path is installed. *)
+    [Phys_tuning] knobs (gain-cache byte cap + node ceiling, sparse
+    threshold/eps, parallelism threshold). From
+    [Phys_tuning.sparse_threshold] nodes on the sparse cell-aggregated
+    path is installed; below it resolution is exact. *)
 
 val create_soa : ?check:bool -> Config.t -> Soa.t -> t
 (** Column-first constructor for streaming placements at large n: the
@@ -41,9 +41,6 @@ val n : t -> int
 
 val gain_cache : t -> Gain_cache.t
 (** The instance's pairwise received-power table (for stats and tests). *)
-
-val farfield : t -> Farfield.t option
-(** The grid-pruned far-field state, when one was installed at creation. *)
 
 val sparse : t -> Sparse.t option
 (** The sparse cell-aggregated resolution state, when the node count

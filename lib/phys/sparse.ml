@@ -17,7 +17,7 @@
      coarse cell share one far-field interference sum, computed once per
      (coarse cell, occupied fine cell) pair.
 
-   Far/near split, as in [Farfield]: a sender cell whose center is at
+   Far/near split: a sender cell whose center is at
    least max(Dmin, R + h) from the listener cell's center contributes its
    aggregate count * P/d(centers)^alpha; anything closer is scored
    exactly per listener.  With h the sum of the two cells' half-diagonals

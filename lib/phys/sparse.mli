@@ -15,7 +15,8 @@
 
     Installed automatically by [Sinr.create] at
     [Phys_tuning.sparse_threshold] nodes and above (eps from
-    [Phys_tuning.sparse_eps]) unless an explicit far-field mode is on. *)
+    [Phys_tuning.sparse_eps]); it is the simulator's only approximate
+    kernel. *)
 
 type t
 

@@ -9,7 +9,6 @@
    exactly like the fresh one it checkpointed. *)
 
 open Sinr_expt
-open Sinr_phys
 open Sinr_obs
 module Failpoint = Sinr_chaos.Chaos.Failpoint
 
@@ -28,16 +27,9 @@ let range name lo hi v =
 (* -- ack: Exp_ack's star grid, param = requested Delta ---------------- *)
 
 (* The deployment build is cached; the key encodes everything it reads:
-   the (delta, seed) pair and the far-field knob (the one process-global
-   physics setting that changes simulator semantics).  The gain-row byte
-   cap is deliberately absent — it changes residency, never values. *)
-let ack_key ~delta ~seed =
-  let ff =
-    match Phys_tuning.farfield_eps () with
-    | None -> "exact"
-    | Some e -> Printf.sprintf "%.17g" e
-  in
-  Printf.sprintf "ack-star:delta=%d:seed=%d:ff=%s" delta seed ff
+   the (delta, seed) pair.  The gain-row byte cap is deliberately absent —
+   it changes residency, never values. *)
+let ack_key ~delta ~seed = Printf.sprintf "ack-star:delta=%d:seed=%d" delta seed
 
 let ack_cell ~param:delta ~seed =
   (* the lib/chaos process-level failpoint: disarmed it is one atomic

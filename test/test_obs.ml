@@ -945,6 +945,39 @@ let test_profile_report =
         Alcotest.(check int) "profile.step.ns in the registry" slots
           (Metrics.histogram_count (Metrics.histogram "profile.step.ns")))
 
+(* The [Sparse] sub-stage is timed inside resolve only when the sparse
+   kernel runs: forcing it on (threshold 1) reports a sparse row, the
+   exact kernel on the same run reports none. *)
+let profile_sparse_row ~threshold =
+  Metrics.reset ();
+  let prev = Phys_tuning.sparse_threshold () in
+  Phys_tuning.set_sparse_threshold threshold;
+  Fun.protect ~finally:(fun () -> Phys_tuning.set_sparse_threshold prev)
+  @@ fun () ->
+  Profile.with_enabled (fun () ->
+      let eng =
+        Engine.create ~wake_on_receive:false
+          (Sinr.create cfg (Placement.line ~n:8 ~spacing:5.))
+      in
+      Engine.wake eng 0;
+      for _ = 1 to 20 do
+        ignore (Engine.step eng ~decide:(fun _ -> Engine.Transmit "m"))
+      done);
+  match Profile.report () with
+  | None -> Alcotest.fail "expected a report"
+  | Some r -> r.Profile.sparse
+
+let test_profile_sparse_substage =
+  with_registry (fun () ->
+      (match profile_sparse_row ~threshold:1 with
+       | None -> Alcotest.fail "sparse kernel ran but reported no sparse row"
+       | Some row ->
+         Alcotest.(check string) "row name" "sparse" row.Profile.r_stage;
+         Alcotest.(check bool) "sparse row counted" true
+           (row.Profile.r_count > 0));
+      Alcotest.(check bool) "exact kernel reports no sparse row" true
+        (profile_sparse_row ~threshold:0 = None))
+
 (* ---------------- instrumented approx-progress smoke ---------------- *)
 
 let test_approg_instrumented_smoke =
@@ -1038,5 +1071,7 @@ let suite =
     Alcotest.test_case "engine counters" `Quick test_engine_counters;
     Alcotest.test_case "profile report (shares sum to ~100%)" `Quick
       test_profile_report;
+    Alcotest.test_case "profile sparse sub-stage" `Quick
+      test_profile_sparse_substage;
     Alcotest.test_case "instrumented approg smoke" `Quick
       test_approg_instrumented_smoke ]

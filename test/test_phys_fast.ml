@@ -1,7 +1,6 @@
 (* The physics fast path: the cached/scratch/parallel/array kernels must be
    bit-identical to the seed implementation (Sinr.resolve_reference) across
-   random placements, sender sets and chaos-style perturbations, and the
-   far-field mode must honour its eps_I interference bound. *)
+   random placements, sender sets and chaos-style perturbations. *)
 
 open Sinr_geom
 open Sinr_phys
@@ -72,7 +71,15 @@ let test_scratch_matches_reference () =
     check_case
       ~label:(Fmt.str "scratch perturbed %d" case)
       sinr ~senders
-      ~perturb:(Some (perturb_of rng ~case))
+      ~perturb:(Some (perturb_of rng ~case));
+    (* Single-listener reception reads the same partially filled rows. *)
+    Array.iteri
+      (fun u expected ->
+        Alcotest.(check (option int))
+          (Fmt.str "scratch reception %d/%d" case u)
+          expected
+          (Sinr.reception sinr ~senders ~receiver:u))
+      (Sinr.resolve_reference sinr ~senders)
   done
 
 let test_cache_cap_partial () =
@@ -217,118 +224,6 @@ let test_reliability_matches_seed_trial_loop () =
     done
   done
 
-(* ---------------- far field ---------------- *)
-
-let with_farfield eps f =
-  Phys_tuning.set_farfield (Some eps);
-  Fun.protect ~finally:(fun () -> Phys_tuning.set_farfield None) f
-
-(* A sparse wide-area deployment so genuinely far pairs exist. *)
-let wide_deployment r ~n ~side =
-  Placement.uniform r ~n ~box:(Box.square ~side) ~min_dist:1.
-
-let test_farfield_interference_bound () =
-  let eps = 0.15 in
-  with_farfield eps @@ fun () ->
-  let rng = Rng.create 79 in
-  let pts = wide_deployment rng ~n:60 ~side:220. in
-  let n = Array.length pts in
-  let sinr = Sinr.create cfg pts in
-  let ff =
-    match Sinr.farfield sinr with
-    | Some ff -> ff
-    | None -> Alcotest.fail "farfield not installed"
-  in
-  Alcotest.(check (float 1e-9)) "eps recorded" eps (Farfield.eps ff);
-  let pruned_something = ref false in
-  for case = 0 to 29 do
-    let r = Rng.split rng ~key:(100 + case) in
-    let senders =
-      List.filter (fun _ -> Rng.bernoulli r 0.4) (List.init n Fun.id)
-    in
-    if senders <> [] then
-      for u = 0 to n - 1 do
-        if not (List.mem u senders) then begin
-        let exact =
-          Sinr.interference_at sinr ~senders
-            ~at:(Sinr.points sinr).(u)
-        in
-        let approx = Farfield.interference ff ~receiver:u ~senders in
-        if not (Float.equal exact approx) then pruned_something := true;
-        if Float.abs (approx -. exact) > (eps *. exact) +. 1e-9 then
-          Alcotest.failf
-            "eps_I bound violated at %d (case %d): exact %.6g approx %.6g"
-            u case exact approx
-        end
-      done
-  done;
-  Alcotest.(check bool) "some interference was actually aggregated" true
-    !pruned_something
-
-let test_farfield_decisions_near_exact () =
-  (* Far-field decisions may differ from exact only for links within the
-     eps interference margin of the beta threshold. *)
-  let eps = 0.15 in
-  let exact_outcomes, ff_outcomes, sinr_exact =
-    let rng = Rng.create 80 in
-    let pts = wide_deployment rng ~n:80 ~side:260. in
-    let n = Array.length pts in
-    let senders =
-      List.filter (fun _ -> Rng.bernoulli rng 0.3) (List.init n Fun.id)
-    in
-    let sinr_exact = Sinr.create cfg pts in
-    let exact = Sinr.resolve_reference sinr_exact ~senders in
-    let ff_out =
-      with_farfield eps @@ fun () ->
-      let sinr_ff = Sinr.create cfg pts in
-      Alcotest.(check bool) "farfield installed" true
-        (Sinr.farfield sinr_ff <> None);
-      Sinr.resolve sinr_ff ~senders
-    in
-    ((exact, senders), ff_out, sinr_exact)
-  in
-  let exact, senders = exact_outcomes in
-  let beta = cfg.Config.beta and noise = cfg.Config.noise in
-  Array.iteri
-    (fun u exp_u ->
-      if exp_u <> ff_outcomes.(u) && not (List.mem u senders) then begin
-        (* The disputed candidate is the exact strongest sender; check its
-           margin against the threshold. *)
-        let at = (Sinr.points sinr_exact).(u) in
-        let best_pw =
-          List.fold_left
-            (fun acc v ->
-              Float.max acc (Sinr.power_between sinr_exact ~from:(Sinr.points sinr_exact).(v) ~at))
-            0. senders
-        in
-        let total = Sinr.interference_at sinr_exact ~senders ~at in
-        let rhs = beta *. (noise +. total -. best_pw) in
-        let ratio = best_pw /. rhs in
-        if ratio < 1. /. (1. +. (3. *. eps)) || ratio > 1. +. (3. *. eps) then
-          Alcotest.failf
-            "decision flip outside eps margin at %d: ratio %.4f" u ratio
-      end)
-    exact
-
-let test_farfield_threshold_exceeds_range () =
-  with_farfield 0.1 @@ fun () ->
-  let rng = Rng.create 81 in
-  let pts = wide_deployment rng ~n:20 ~side:120. in
-  let sinr = Sinr.create cfg pts in
-  match Sinr.farfield sinr with
-  | None -> Alcotest.fail "farfield not installed"
-  | Some ff ->
-    Alcotest.(check bool) "threshold > R" true
-      (Farfield.threshold ff > Config.range cfg)
-
-let test_farfield_validation () =
-  Alcotest.(check bool) "eps >= 1 rejected" true
-    (try Phys_tuning.set_farfield (Some 1.0); false
-     with Invalid_argument _ -> true);
-  Alcotest.(check bool) "eps <= 0 rejected" true
-    (try Phys_tuning.set_farfield (Some 0.); false
-     with Invalid_argument _ -> true)
-
 let suite =
   [ Alcotest.test_case "cached kernel = seed kernel (300 cases)" `Quick
       test_cached_matches_reference;
@@ -345,12 +240,4 @@ let suite =
     Alcotest.test_case "cached power = power_between" `Quick
       test_power_matches_power_between;
     Alcotest.test_case "reliability = seed trial loop" `Quick
-      test_reliability_matches_seed_trial_loop;
-    Alcotest.test_case "farfield eps_I interference bound" `Quick
-      test_farfield_interference_bound;
-    Alcotest.test_case "farfield decisions near-exact" `Quick
-      test_farfield_decisions_near_exact;
-    Alcotest.test_case "farfield threshold exceeds range" `Quick
-      test_farfield_threshold_exceeds_range;
-    Alcotest.test_case "farfield eps validation" `Quick
-      test_farfield_validation ]
+      test_reliability_matches_seed_trial_loop ]
