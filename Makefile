@@ -330,19 +330,21 @@ bench-diff:
 	  --ignore '*.peak_rss_mb' --ignore 'scale.bench.n1000000.*'
 
 # Outcome gate for the paper-workload benchmark: every perfbench workload
-# at seed 1 with no timed window beyond its fixed prefix.  The digest of
-# that prefix's outcomes must equal the one recorded in
-# bench/baselines/perfbench_digests.txt, so a speedup that changes what is
-# simulated fails here.  Exits 1 on any difference.
+# at seeds 1-3 with no timed window beyond its fixed prefix.  The digest of
+# that prefix's outcomes must equal the one recorded for the workload and
+# seed in bench/baselines/perfbench_digests.txt, so a speedup that changes
+# what is simulated fails here.  Exits 1 on any difference.
 perf-digest:
 	dune build ./perfbench/main.exe
 	@fail=0; \
-	while read -r w want; do \
+	while read -r w seed want; do \
 	  case "$$w" in ''|'#'*) continue;; esac; \
-	  got=$$(./_build/default/perfbench/main.exe --workload "$$w" --seed 1 \
-	    --seconds 0 --trace 0 < /dev/null | awk '/^digest /{print $$2; exit}'); \
-	  if [ "$$got" = "$$want" ]; then echo "perf-digest: $$w $$got ok"; \
-	  else echo "perf-digest: $$w digest '$$got', want $$want"; fail=1; fi; \
+	  got=$$(./_build/default/perfbench/main.exe --workload "$$w" \
+	    --seed "$$seed" --seconds 0 --trace 0 < /dev/null \
+	    | awk '/^digest /{print $$2; exit}'); \
+	  if [ "$$got" = "$$want" ]; then echo "perf-digest: $$w seed $$seed $$got ok"; \
+	  else echo "perf-digest: $$w seed $$seed digest '$$got', want $$want"; \
+	    fail=1; fi; \
 	done < bench/baselines/perfbench_digests.txt; \
 	exit $$fail
 

@@ -60,6 +60,7 @@ type stage =
    bitmap on [t] rather than as record fields scattered across the heap. *)
 module Bits = Sinr_engine.State.Bits
 module Node_set = Sinr_engine.Node_set
+module Int_tbl = Hashtbl.Make (Int)
 
 (* Cold per-node phase tables; the hot scalar state (payload, membership)
    lives in flat columns on [t].  Only phase participants ever write
@@ -88,7 +89,10 @@ type t = {
   participants : Node_set.t;
       (* was in S_phi at phase start (beacons); a superset of [member],
          and the only nodes whose [decide] can transmit *)
-  emitted : (int * (int * int), unit) Hashtbl.t; (* (node, payload id) *)
+  emitted : unit Int_tbl.t array;
+      (* per receiver, the payloads it has output, keyed by
+         [seq * n + origin]; [no_rcvs] until its first rcv *)
+  no_rcvs : unit Int_tbl.t;
   mutable mis : Sw_mis.t option;
   mutable labels : int array;
   mutable pos : int;        (* slot within the epoch, [0, epoch_slots) *)
@@ -186,6 +190,7 @@ let create params config ~lambda ~n ~rng =
   let params = Params.validate_approg params in
   let sched = Params.schedule config ~lambda params in
   let unused = fresh_node () in
+  let no_rcvs = Int_tbl.create 1 in
   let phase, stage = stage_of sched 0 in
   let t =
     { params;
@@ -198,7 +203,8 @@ let create params config ~lambda ~n ~rng =
       holders = Node_set.create n;
       member = Bits.create n;
       participants = Node_set.create n;
-      emitted = Hashtbl.create 64;
+      emitted = Array.make n no_rcvs;
+      no_rcvs;
       mis = None;
       labels = Array.make n 0;
       pos = 0;
@@ -284,13 +290,22 @@ let decide t ~node =
 
 (* A rcv(m)_i output is emitted at most once per (node, message): protocols
    above the layer ([37]'s BSMB/BMMB) deduplicate anyway, and experiments
-   that need raw reception times watch engine deliveries directly. *)
+   that need raw reception times watch engine deliveries directly.  The
+   message (origin, seq) is keyed as the int [seq * n + origin] in the
+   receiver's own table.  Entries outlive the broadcast: [stop] must not
+   prune them, since a protocol such as Dgkn_broadcast relays an origin's
+   payload from other senders after the origin has acked. *)
 let emit_rcv t ~node ~payload ~from =
-  let id = (node, Events.payload_id payload) in
-  if payload.Events.origin <> node && not (Hashtbl.mem t.emitted id) then begin
-    Hashtbl.add t.emitted id ();
-    Metrics.incr m_data_rcv;
-    t.pending_rcv <- { node; payload; from } :: t.pending_rcv
+  let origin = payload.Events.origin in
+  if origin <> node then begin
+    if t.emitted.(node) == t.no_rcvs then t.emitted.(node) <- Int_tbl.create 8;
+    let seen = t.emitted.(node) in
+    let key = (payload.Events.seq * t.n) + origin in
+    if not (Int_tbl.mem seen key) then begin
+      Int_tbl.add seen key ();
+      Metrics.incr m_data_rcv;
+      t.pending_rcv <- { node; payload; from } :: t.pending_rcv
+    end
   end
 
 let on_receive t ~receiver ~sender wire =

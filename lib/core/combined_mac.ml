@@ -54,7 +54,14 @@ type t = {
   ongoing : Events.payload option array;
   ongoing_set : Node_set.t;
       (* the nodes with [ongoing <> None]: the even-slot contenders (B.1
-         transmits only with a payload) and the ack scan's walk *)
+         transmits only with a payload) *)
+  due : Node_set.t;
+      (* the ack pass's walk: a superset of the ongoing broadcasts that are
+         crashed, halted or at their f_ack cap (see [step]) *)
+  deadlines : (int * int) Queue.t;
+      (* (f_ack cap slot, node) of each broadcast started so far, oldest
+         first: the cap is start slot + the fixed [fack_cap], so start
+         order is deadline order *)
   bcast_slot : int array;
   last_ack_capped : bool array;
   trace : Trace.t option;
@@ -103,23 +110,31 @@ let create ?(ack_params = Params.default_ack)
   (* Span annotations from the sub-machines carry engine slots. *)
   Hm_ack.set_clock hm (fun () -> Engine.slot engine);
   Approx_progress.set_clock approg (fun () -> Engine.slot engine);
-  { engine;
-    hm;
-    approg;
-    lambda;
-    exact_threshold;
-    fack_cap;
-    bounds;
-    handlers = Absmac_intf.null_handlers;
-    raw_rcv_hook = None;
-    seq = Array.make n 0;
-    ongoing = Array.make n None;
-    ongoing_set = Node_set.create n;
-    bcast_slot = Array.make n 0;
-    last_ack_capped = Array.make n false;
-    trace;
-    spans = Array.make n Span.none;
-    hm_spans = Array.make n Span.none }
+  let t =
+    { engine;
+      hm;
+      approg;
+      lambda;
+      exact_threshold;
+      fack_cap;
+      bounds;
+      handlers = Absmac_intf.null_handlers;
+      raw_rcv_hook = None;
+      seq = Array.make n 0;
+      ongoing = Array.make n None;
+      ongoing_set = Node_set.create n;
+      due = Node_set.create n;
+      deadlines = Queue.create ();
+      bcast_slot = Array.make n 0;
+      last_ack_capped = Array.make n false;
+      trace;
+      spans = Array.make n Span.none;
+      hm_spans = Array.make n Span.none }
+  in
+  (* A broadcaster that crashes is dropped by the next ack pass. *)
+  Engine.set_on_crash engine (fun v ->
+      if t.ongoing.(v) <> None then Node_set.add t.due v);
+  t
 
 (* Exact local broadcast (Remark 4.6): with signal-strength measurement a
    node can reject data from outside the strong radius, because received
@@ -185,6 +200,9 @@ let bcast t ~node ~data =
   t.ongoing.(node) <- Some payload;
   Node_set.add t.ongoing_set node;
   t.bcast_slot.(node) <- now t;
+  Queue.add (now t + t.fack_cap, node) t.deadlines;
+  if Engine.is_crashed t.engine node || t.fack_cap <= 0 then
+    Node_set.add t.due node;
   Metrics.incr m_bcasts;
   Engine.wake t.engine node;
   Hm_ack.start t.hm ~node payload;
@@ -255,10 +273,11 @@ let step t =
   let hm_slot = slot mod 2 = 0 in
   Metrics.incr (if hm_slot then m_slots_even else m_slots_odd);
   let decide v =
-    if hm_slot then
-      match Hm_ack.decide t.hm ~node:v with
-      | Some w -> Engine.Transmit w
-      | None -> Engine.Listen
+    if hm_slot then begin
+      let w = Hm_ack.decide t.hm ~node:v in
+      if Hm_ack.halted t.hm ~node:v then Node_set.add t.due v;
+      match w with Some w -> Engine.Transmit w | None -> Engine.Listen
+    end
     else
       match Approx_progress.decide t.approg ~node:v with
       | Some w -> Engine.Transmit w
@@ -302,11 +321,25 @@ let step t =
   (* Acknowledgments: B.1 halt or the f_ack cap.  A node that crashed with
      an ongoing broadcast must never ack (the ack cap is a timer, not a
      liveness proof): drop the payload as an abort, which Spec_check then
-     counts as aborted rather than as a late-ack violation.  The walk is
-     ascending and sees the handlers' updates as a full node scan would: a
-     broadcast started by an [on_ack] at a higher id is visited in this
-     same pass. *)
-  Node_set.iter t.ongoing_set (fun node ->
+     counts as aborted rather than as a late-ack violation.
+
+     The pass walks [due], not every ongoing broadcast.  Every broadcast
+     the body below acts on is in it: a B.1 halt is added by [decide], a
+     crash by the engine's crash hook (or by [bcast] on a crashed node),
+     and an f_ack cap by the deadline FIFO just before the walk.  A node
+     leaves [due] before its body runs, and the body re-checks everything,
+     so a stale or repeated entry costs one visit and nothing else.  The
+     walk is ascending and sees the handlers' updates as a full node scan
+     would: a node an [on_ack] crashes (or starts on a crashed node, or at
+     [fack_cap <= 0]) above the acking id is handled in this same pass,
+     one below it in the next. *)
+  while
+    (not (Queue.is_empty t.deadlines)) && fst (Queue.peek t.deadlines) <= now t
+  do
+    Node_set.add t.due (snd (Queue.pop t.deadlines))
+  done;
+  Node_set.iter t.due (fun node ->
+      Node_set.remove t.due node;
       match t.ongoing.(node) with
       | None -> ()
       | Some payload ->

@@ -65,6 +65,8 @@ type 'm t = {
   mutable perturb : slot:int -> Sinr.perturb option;
       (* per-slot adversarial channel state (lib/chaos); the default is the
          clean channel *)
+  mutable on_crash : int -> unit;
+      (* the layer above's crash hook (Combined_mac's ack due-set) *)
 }
 
 let create ?(wake_on_receive = true) ?trace sinr =
@@ -76,9 +78,11 @@ let create ?(wake_on_receive = true) ?trace sinr =
     tx_total = 0;
     delivery_total = 0;
     trace;
-    perturb = (fun ~slot:_ -> None) }
+    perturb = (fun ~slot:_ -> None);
+    on_crash = ignore }
 
 let set_perturb t f = t.perturb <- f
+let set_on_crash t f = t.on_crash <- f
 
 (* Fault/wake events go to the bounded trace (when one is attached) and,
    with tracing armed, to the flight recorder ring — the recorder check is
@@ -123,7 +127,8 @@ let crash t v =
     Metrics.incr m_crashes;
     State.Bits.set st.State.crashed v true;
     State.Bits.set st.State.awake v false;
-    record t (Trace.Crash { node = v })
+    record t (Trace.Crash { node = v });
+    t.on_crash v
   end
 
 (* Crash–recover adversaries un-crash a node: it rejoins asleep, so the

@@ -30,6 +30,14 @@ val set_perturb : 'm t -> (slot:int -> Sinr.perturb option) -> unit
     [lib/chaos]). Consulted once per slot before SINR resolution; [None]
     keeps the clean-channel fast path. *)
 
+val set_on_crash : 'm t -> (int -> unit) -> unit
+(** Install the crash hook: [f v] runs once for each effective {!crash}
+    of [v] (not for a repeated crash of a down node), after the crashed
+    and awake bitmaps are updated and the Crash event is recorded, so
+    {!is_crashed} already holds inside [f]. The hook has one owner — a
+    second call replaces the first — and [Combined_mac] installs it to
+    learn which broadcasters to drop without scanning them every slot. *)
+
 val sinr : 'm t -> Sinr.t
 val n : 'm t -> int
 val slot : 'm t -> int

@@ -13,7 +13,11 @@ val arrive : t -> node:int -> msg:int -> unit
     identified by integers and must be globally unique. *)
 
 val step : t -> unit
-(** Trigger pending bcasts, then advance the MAC one time unit. *)
+(** Trigger pending bcasts, then advance the MAC one time unit. The
+    protocol's own cost is O(nodes with a queued message) per step, not
+    O(n): only those nodes are visited, in ascending order, and a message
+    the MAC's handlers queue mid-step above the visited node is sent in
+    the same step, as a scan of every node would. *)
 
 val delivered : t -> node:int -> msg:int -> bool
 val delivery_slot : t -> node:int -> msg:int -> int option
@@ -23,4 +27,7 @@ val deliveries : t -> delivery list
 val run_until_complete :
   t -> nodes:int list -> msgs:int list -> max_steps:int -> int option
 (** Steps until every alive node of [nodes] delivered every message, or
-    the budget runs out. Returns the completion time. *)
+    the budget runs out. Returns the completion time. The completion test
+    costs O(1) amortized per step (a cursor over [nodes]) plus one full
+    check each time the cursor reaches the end; a node that revives
+    undelivered is caught by that check. *)

@@ -9,8 +9,14 @@
      generated placements with decide functions that are pure off the
      set: same deliveries, same wake/crash trace, same later RNG draws.
    - Combined_mac edge cases (an on_ack that starts a broadcast at a
-     higher id, crashed or not, mid-scan; abort; crash mid-broadcast) are
-     pinned to trace digests recorded before the contender walk existed.
+     higher id, crashed or not, mid-scan; abort; crash mid-broadcast; an
+     on_ack that crashes busy nodes above and below it; crash and revive
+     between two passes) are pinned to trace digests recorded on the full
+     scans the contender walk and the ack due-set replaced.
+   - The ack pass is checked on random scripts: after every step no busy
+     node is crashed, halted or at its f_ack cap.
+   - Bmmb's pending walk and completion cursor are checked against the
+     full scans they replaced, over an ideal MAC with crashes.
    - The sparse skip is checked at the decoding boundary R, R +- 1 ulp,
      R +- 1e-9, alone and under interference. *)
 
@@ -249,14 +255,57 @@ let script_crash ~mac ~bcast ~on_ack:_ =
       bcast 8
     end
 
-(* Recorded on the full-scan implementation (before Engine.step took a
-   contender set); any change here means the slot path changed outcomes. *)
+(* on_ack crashes busy nodes mid-scan: the lowest one above the acking
+   node (the scan reaches it in this same pass and drops it) and the
+   highest one below it (dropped on the next pass).  Broadcasters are also
+   crashed and revived between two passes, which must not drop them, and
+   later revived and restarted. *)
+let script_ack_crash ~mac ~bcast ~on_ack =
+  let eng = Combined_mac.engine mac in
+  let busy v = Combined_mac.busy mac ~node:v in
+  let ids = List.init 16 Fun.id in
+  let rounds = ref 0 in
+  (on_ack :=
+     fun ~node ->
+       incr rounds;
+       if !rounds < 10 then begin
+         (match List.find_opt (fun v -> v > node && busy v) ids with
+          | Some v -> Engine.crash eng v
+          | None -> ());
+         (match List.find_opt (fun v -> v < node && busy v) (List.rev ids) with
+          | Some v -> Engine.crash eng v
+          | None -> ());
+         bcast ((node + 7) mod 16)
+       end);
+  fun slot ->
+    if slot = 0 then List.iter bcast [ 1; 3; 4; 6; 9; 10; 12; 15 ];
+    if slot = 17 then begin
+      Engine.crash eng 4;
+      Engine.crash eng 9;
+      Engine.revive eng 4;
+      Engine.revive eng 9
+    end;
+    if slot = 2000 then
+      List.iter
+        (fun v ->
+          if Engine.is_crashed eng v then begin
+            Engine.revive eng v;
+            bcast v
+          end)
+        ids
+
+(* Recorded on the full-scan implementations: the first four before
+   Engine.step took a contender set, the "ack crash" pair before the ack
+   pass walked a due-set.  Any change here means the slot path changed
+   outcomes. *)
 let pinned =
   [ ("ack chain", 3, script_ack_chain, "b890a6c740c879db85bf48a2ee661d15");
     ("ack chain", 4, script_ack_chain, "a701ab4148c03a4c2df3581fd18828c3");
     ("abort", 5, script_abort, "50fd0da83b261f8cae8fea03b83b5a7c");
     ( "crash mid-broadcast", 6, script_crash,
-      "4f75235a3656a52a7246bdd7fae2cb66" ) ]
+      "4f75235a3656a52a7246bdd7fae2cb66" );
+    ("ack crash", 7, script_ack_crash, "0682823b675393c90d758d8a22658ef2");
+    ("ack crash", 8, script_ack_crash, "c2b96773b06e825026efc100181b94eb") ]
 
 let test_mac_pinned () =
   List.iter
@@ -265,6 +314,290 @@ let test_mac_pinned () =
         (Printf.sprintf "%s (seed %d)" name seed)
         want (mac_digest ~seed ~script))
     pinned
+
+(* ---------------- Combined_mac: nothing left due ---------------- *)
+
+(* A short f_ack cap (eps_ack = 0.5).  On this grid B.1 halts well inside
+   it at tp_budget 1.5 and seldom reaches its budget by it at 4, so even
+   seeds exercise halts and odd seeds mostly the cap. *)
+let quick_ack ~seed =
+  { Params.default_ack with
+    Params.tp_budget = (if seed mod 2 = 0 then 1.5 else 4.);
+    eps_ack = 0.5 }
+
+type ack_pass = { ok : bool; halts : int; caps : int; drops : int }
+
+(* A random script of bcast / abort / crash / revive / crash-and-revive
+   inputs between slots, and an [on_ack] that starts or crashes a random
+   node.  After every step no busy node may be crashed, halted, or at its
+   f_ack cap: the pass must have acked or dropped it.  The one exception
+   is a node an [on_ack] started or crashed at or below the acking id,
+   which the pass has already moved past (as a full scan would have). *)
+let ack_pass_run ~seed =
+  let mac =
+    Combined_mac.create ~ack_params:(quick_ack ~seed) (grid_net ())
+      ~rng:(Rng.create seed)
+  in
+  let eng = Combined_mac.engine mac and hm = Combined_mac.hm mac in
+  let f_ack = (Combined_mac.bounds mac).Absmac_intf.f_ack in
+  let n = 16 in
+  let ops = Rng.create (seed + 1) in
+  let start = Array.make n 0 and exempt = Array.make n false in
+  let halts = ref 0 and caps = ref 0 in
+  let bcast v =
+    if not (Combined_mac.busy mac ~node:v) then begin
+      start.(v) <- Combined_mac.now mac;
+      ignore (Combined_mac.bcast mac ~node:v ~data:v)
+    end
+  in
+  Combined_mac.set_handlers mac
+    { Absmac_intf.on_rcv = (fun ~node:_ ~payload:_ -> ());
+      on_ack =
+        (fun ~node ~payload:_ ->
+          if Combined_mac.last_ack_capped mac ~node then incr caps
+          else incr halts;
+          let w = Rng.int ops n in
+          match Rng.int ops 3 with
+          | 0 ->
+            bcast w;
+            if w <= node then exempt.(w) <- true
+          | 1 ->
+            Engine.crash eng w;
+            if w <= node then exempt.(w) <- true
+          | _ -> ()) };
+  let drops0 = Metrics.counter_value (Metrics.counter "mac.crash_drops") in
+  let ok = ref true in
+  for _ = 1 to 3 * f_ack do
+    if Rng.bernoulli ops 0.03 then
+      for _ = 0 to Rng.int ops 3 do
+        let v = Rng.int ops n in
+        match Rng.int ops 5 with
+        | 0 | 1 -> bcast v
+        | 2 -> Combined_mac.abort mac ~node:v
+        | 3 -> Engine.crash eng v
+        | _ ->
+          Engine.crash eng v;
+          Engine.revive eng v
+      done;
+    if Rng.bernoulli ops 0.02 then Engine.revive eng (Rng.int ops n);
+    Array.fill exempt 0 n false;
+    Combined_mac.step mac;
+    let now = Combined_mac.now mac in
+    for v = 0 to n - 1 do
+      if
+        Combined_mac.busy mac ~node:v
+        && (not exempt.(v))
+        && (Engine.is_crashed eng v
+           || Hm_ack.halted hm ~node:v
+           || now - start.(v) >= f_ack)
+      then ok := false
+    done
+  done;
+  { ok = !ok;
+    halts = !halts;
+    caps = !caps;
+    drops = Metrics.counter_value (Metrics.counter "mac.crash_drops") - drops0 }
+
+let prop_ack_pass =
+  QCheck.Test.make ~name:"combined mac: ack pass leaves nothing due"
+    ~count:30
+    QCheck.(int_range 1 100_000)
+    (fun seed -> (ack_pass_run ~seed).ok)
+
+(* The script above is not vacuous: two runs meet all three ways out. *)
+let test_ack_pass_coverage () =
+  Metrics.with_enabled (fun () ->
+      let even = ack_pass_run ~seed:12 and odd = ack_pass_run ~seed:11 in
+      Alcotest.(check bool) "nothing left due" true (even.ok && odd.ok);
+      Alcotest.(check bool) "B.1 halts" true (even.halts > 0);
+      Alcotest.(check bool) "f_ack caps" true (odd.caps > 0);
+      Alcotest.(check bool) "crash drops" true
+        (even.drops > 0 && odd.drops > 0))
+
+(* ---------------- Bmmb: pending walk and completion cursor ---------------- *)
+
+module Bmmb = Sinr_proto.Bmmb
+module Mac_driver = Sinr_proto.Mac_driver
+
+(* BMMB as it stood before the pending set: every step scans every node.
+   The reference for the walk. *)
+module Scan_bmmb = struct
+  type t = {
+    mac : Mac_driver.t;
+    bcastq : int Queue.t array;
+    rcvd : (int, unit) Hashtbl.t array;
+    mutable deliveries : Bmmb.delivery list; (* newest first *)
+  }
+
+  let handle t ~node ~msg =
+    if not (Hashtbl.mem t.rcvd.(node) msg) then begin
+      Hashtbl.add t.rcvd.(node) msg ();
+      t.deliveries <-
+        { Bmmb.node; msg; at = t.mac.Mac_driver.now () } :: t.deliveries;
+      Queue.add msg t.bcastq.(node)
+    end
+
+  let create mac =
+    let n = mac.Mac_driver.n in
+    let t =
+      { mac;
+        bcastq = Array.init n (fun _ -> Queue.create ());
+        rcvd = Array.init n (fun _ -> Hashtbl.create 8);
+        deliveries = [] }
+    in
+    mac.Mac_driver.set_handlers
+      { Absmac_intf.on_rcv =
+          (fun ~node ~payload -> handle t ~node ~msg:payload.Events.data);
+        on_ack = (fun ~node:_ ~payload:_ -> ()) };
+    t
+
+  let step t =
+    for node = 0 to t.mac.Mac_driver.n - 1 do
+      if t.mac.Mac_driver.alive ~node
+         && (not (t.mac.Mac_driver.busy ~node))
+         && not (Queue.is_empty t.bcastq.(node))
+      then begin
+        let msg = Queue.pop t.bcastq.(node) in
+        ignore (t.mac.Mac_driver.bcast ~node ~data:msg)
+      end
+    done;
+    t.mac.Mac_driver.step ()
+end
+
+let bmmb_n = 12
+
+(* An ideal MAC on a random graph whose nodes crash and revive: [alive]
+   reads [crashed], and a crashed node hears nothing. *)
+let crashy_driver ~seed ~crashed =
+  let grng = Rng.create seed in
+  let g =
+    Sinr_graph.Graph.of_predicate ~n:bmmb_n (fun u v ->
+        v = u + 1 || Rng.bernoulli grng 0.2)
+  in
+  let bounds =
+    { Absmac_intf.f_ack = 8; f_prog = 3; f_approg = 3; eps_ack = 0.;
+      eps_prog = 0.; eps_approg = 0. }
+  in
+  let d =
+    Mac_driver.of_ideal
+      (Ideal_mac.create g ~bounds ~rng:(Rng.create (seed + 1)))
+  in
+  { d with
+    Mac_driver.alive = (fun ~node -> not crashed.(node));
+    set_handlers =
+      (fun h ->
+        d.Mac_driver.set_handlers
+          { h with
+            Absmac_intf.on_rcv =
+              (fun ~node ~payload ->
+                if not crashed.(node) then h.Absmac_intf.on_rcv ~node ~payload)
+          }) }
+
+(* Crash or revive a random node, now and then. *)
+let toggle ops crashed =
+  if Rng.bernoulli ops 0.15 then begin
+    let v = Rng.int ops bmmb_n in
+    crashed.(v) <- not crashed.(v)
+  end
+
+(* Both protocols see the same inputs: arrivals and crash toggles between
+   steps, and arrivals injected from inside [bcast], i.e. mid-walk. *)
+let bmmb_deliveries ~seed ~scan =
+  let crashed = Array.make bmmb_n false in
+  let ops = Rng.create (seed + 2) in
+  let fresh = ref 0 in
+  let arrive = ref (fun ~node:_ ~msg:_ -> ()) in
+  let new_arrival () =
+    incr fresh;
+    !arrive ~node:(Rng.int ops bmmb_n) ~msg:!fresh
+  in
+  let d = crashy_driver ~seed ~crashed in
+  let d =
+    { d with
+      Mac_driver.bcast =
+        (fun ~node ~data ->
+          let p = d.Mac_driver.bcast ~node ~data in
+          if Rng.bernoulli ops 0.2 then new_arrival ();
+          p) }
+  in
+  let step, deliveries =
+    if scan then begin
+      let r = Scan_bmmb.create d in
+      (arrive := fun ~node ~msg -> Scan_bmmb.handle r ~node ~msg);
+      ((fun () -> Scan_bmmb.step r), fun () -> List.rev r.Scan_bmmb.deliveries)
+    end
+    else begin
+      let b = Bmmb.create d in
+      (arrive := fun ~node ~msg -> Bmmb.arrive b ~node ~msg);
+      ((fun () -> Bmmb.step b), fun () -> Bmmb.deliveries b)
+    end
+  in
+  for _ = 1 to 150 do
+    if Rng.bernoulli ops 0.1 then new_arrival ();
+    toggle ops crashed;
+    step ()
+  done;
+  deliveries ()
+
+let prop_bmmb_pending =
+  QCheck.Test.make ~name:"bmmb: pending walk = node scan" ~count:60
+    QCheck.(int_range 1 100_000)
+    (fun seed ->
+      let got = bmmb_deliveries ~seed ~scan:false in
+      got <> [] && got = bmmb_deliveries ~seed ~scan:true)
+
+(* [run_until_complete] against the full completion check, under crash
+   toggles applied inside every step.  A revived node that never got the
+   messages must keep the run going. *)
+let completion_run ~seed ~full =
+  let ops = Rng.create (seed + 3) in
+  (* A third of the nodes start down and come back within 20 steps,
+     often after the flood has passed them by. *)
+  let crashed = Array.init bmmb_n (fun _ -> Rng.bernoulli ops 0.3) in
+  let back = Array.init bmmb_n (fun _ -> 1 + Rng.int ops 20) in
+  let d = crashy_driver ~seed ~crashed in
+  let steps = ref 0 in
+  let d =
+    { d with
+      Mac_driver.step =
+        (fun () ->
+          incr steps;
+          Array.iteri (fun v k -> if k = !steps then crashed.(v) <- false) back;
+          toggle ops crashed;
+          d.Mac_driver.step ()) }
+  in
+  let b = Bmmb.create d in
+  let msgs = List.init (1 + Rng.int ops 2) (fun k -> 100 + k) in
+  List.iter (fun msg -> Bmmb.arrive b ~node:(Rng.int ops bmmb_n) ~msg) msgs;
+  let order = Array.init bmmb_n Fun.id in
+  Rng.shuffle ops order;
+  let nodes = Array.to_list order in
+  let max_steps = 10 + Rng.int ops 120 in
+  let result =
+    if full then begin
+      let complete () =
+        List.for_all
+          (fun node ->
+            crashed.(node)
+            || List.for_all (fun msg -> Bmmb.delivered b ~node ~msg) msgs)
+          nodes
+      in
+      let steps = ref 0 in
+      while (not (complete ())) && !steps < max_steps do
+        Bmmb.step b;
+        incr steps
+      done;
+      if complete () then Some (d.Mac_driver.now ()) else None
+    end
+    else Bmmb.run_until_complete b ~nodes ~msgs ~max_steps
+  in
+  (result, Bmmb.deliveries b)
+
+let prop_bmmb_completion =
+  QCheck.Test.make ~name:"bmmb: completion cursor = full check" ~count:100
+    QCheck.(int_range 1 100_000)
+    (fun seed ->
+      completion_run ~seed ~full:false = completion_run ~seed ~full:true)
 
 (* ---------------- sparse: exact per-listener silence skip ---------------- *)
 
@@ -473,6 +806,11 @@ let suite =
     QCheck_alcotest.to_alcotest ~rand:(fixed_rand ()) prop_engine_contenders;
     Alcotest.test_case "combined mac: pinned edge cases" `Quick
       test_mac_pinned;
+    QCheck_alcotest.to_alcotest ~rand:(fixed_rand ()) prop_ack_pass;
+    Alcotest.test_case "combined mac: ack pass coverage" `Quick
+      test_ack_pass_coverage;
+    QCheck_alcotest.to_alcotest ~rand:(fixed_rand ()) prop_bmmb_pending;
+    QCheck_alcotest.to_alcotest ~rand:(fixed_rand ()) prop_bmmb_completion;
     Alcotest.test_case "sparse: silence skip at the boundary" `Quick
       test_sparse_silence_boundary;
     QCheck_alcotest.to_alcotest ~rand:(fixed_rand ()) prop_sparse_skip_exact;
