@@ -25,35 +25,6 @@ open Sinr_phys
 open Sinr_expt
 open Sinr_par
 
-let table1_ack () = ignore (Exp_ack.run ())
-
-let fig1_lb () = ignore (Exp_progress_lb.run ())
-
-let table1_approg () =
-  ignore (Exp_approg.run_density ());
-  ignore (Exp_approg.run_eps ())
-
-let thm8_decay () = ignore (Exp_decay_lb.run ())
-
-let table2_smb () =
-  ignore (Exp_smb.run_diameter ());
-  ignore (Exp_smb.run_lambda ());
-  ignore (Exp_smb.run_size ())
-
-let table1_mmb () = ignore (Exp_mmb.run ())
-
-let table1_cons () =
-  ignore (Exp_cons.run ());
-  ignore (Exp_cons.run_crashes ())
-
-let ablation () = ignore (Exp_ablation.run ())
-
-let mac_compare () = ignore (Exp_mac_compare.run ())
-
-let capacity () = ignore (Exp_capacity.run ())
-
-let chaos () = ignore (Exp_chaos.run ~out:"BENCH_chaos.json" ())
-
 (* ------------------------------------------------------------------ *)
 (* Bechamel micro-benchmarks of the hot kernels                         *)
 (* ------------------------------------------------------------------ *)
@@ -744,24 +715,15 @@ let metrics_overhead () =
   record_gauge "obs.bench.metrics.speedup1" speedup1;
   record_gauge "obs.bench.metrics.speedup4" speedup4
 
+(* The paper's experiments, then the harness's own benchmarks. *)
 let experiments =
-  [ ("table1-ack", table1_ack);
-    ("fig1-progress-lb", fig1_lb);
-    ("table1-approg", table1_approg);
-    ("thm8-decay", thm8_decay);
-    ("table2-smb", table2_smb);
-    ("table1-mmb", table1_mmb);
-    ("table1-cons", table1_cons);
-    ("ablation", ablation);
-    ("mac-compare", mac_compare);
-    ("capacity", capacity);
-    ("chaos", chaos);
-    ("micro", micro);
-    ("par-bench", par_bench);
-    ("phys", phys_bench);
-    ("scale", scale_bench);
-    ("trace-overhead", trace_overhead);
-    ("metrics-overhead", metrics_overhead) ]
+  Catalog.experiments
+  @ [ ("micro", micro);
+      ("par-bench", par_bench);
+      ("phys", phys_bench);
+      ("scale", scale_bench);
+      ("trace-overhead", trace_overhead);
+      ("metrics-overhead", metrics_overhead) ]
 
 (* Machine-readable companion to the printed tables: the telemetry snapshot
    of everything the experiments did, plus wall-time and status gauges per
@@ -780,22 +742,20 @@ let uninstrumented =
 
 (* Leading --jobs N / --jobs=N flags; everything else is experiment ids. *)
 let parse_args args =
+  let set_jobs n =
+    match int_of_string_opt n with
+    | Some j when j >= 1 -> Pool.set_default_jobs j
+    | Some _ | None ->
+      Fmt.epr "bench: --jobs expects a positive integer, got %S@." n;
+      exit 2
+  in
   let rec go acc = function
     | [] -> List.rev acc
     | "--jobs" :: n :: rest ->
-      (match int_of_string_opt n with
-       | Some j when j >= 1 -> Pool.set_default_jobs j
-       | Some _ | None ->
-         Fmt.epr "bench: --jobs expects a positive integer, got %S@." n;
-         exit 2);
+      set_jobs n;
       go acc rest
     | arg :: rest when String.length arg > 7 && String.sub arg 0 7 = "--jobs=" ->
-      let n = String.sub arg 7 (String.length arg - 7) in
-      (match int_of_string_opt n with
-       | Some j when j >= 1 -> Pool.set_default_jobs j
-       | Some _ | None ->
-         Fmt.epr "bench: --jobs expects a positive integer, got %S@." n;
-         exit 2);
+      set_jobs (String.sub arg 7 (String.length arg - 7));
       go acc rest
     | arg :: rest -> go (arg :: acc) rest
   in

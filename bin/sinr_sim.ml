@@ -6,7 +6,7 @@
      cons       run network-wide consensus
      approg     measure approximate progress on a deployment
      chaos      run the absMAC under adversarial channels/faults (lib/chaos)
-     exp        run a named bench experiment (same ids as bench/main.exe)
+     exp        run a named paper experiment (Catalog, shared with bench)
      obs        run an instrumented workload and print the metric snapshot
      phys       check the physics fast path against the seed kernel
      scale      run the large-n engine workload and gate slots/s + peak RSS
@@ -15,24 +15,20 @@
      trace-report  analyze a flight-recorder dump against the theorem bounds
      profile-report  profile where slot time goes, per engine stage
 
-   The run subcommands take --serve PORT: the run executes with telemetry
-   enabled and an embedded HTTP server on 127.0.0.1:PORT serving GET
-   /metrics (Prometheus text of the live snapshot), /healthz and /spans
-   for its duration, so long sweeps can be scraped mid-flight.
-
-   The run subcommands take --metrics-out FILE: the run executes with the
-   telemetry registry enabled and its final snapshot is written to FILE as
-   one JSONL object (see DESIGN.md "Observability").  --prometheus-out
-   FILE additionally renders the same snapshot as Prometheus text, and
-   --trace-out FILE arms the causal tracing layer (Span/Recorder) and
-   dumps the flight-recorder ring to FILE after the run — feed that file
-   to `sinr_sim trace-report`.
-
-   They also take --jobs N, which sets the worker-domain count of the
-   shared [Sinr_par.Pool] used by the Monte-Carlo and sweep kernels
-   (default: $SINR_JOBS, else the recommended domain count; N=1 is the
-   legacy sequential path).  Outputs are bit-identical for every N — see
-   DESIGN.md "Parallel execution". *)
+   The run subcommands (smb, cons, approg, chaos, exp, obs, phys,
+   profile-report) share one set of run options, [run_opts], and one
+   lifecycle, [with_run_env]:
+     --metrics-out FILE     final metric snapshot as one JSONL object
+     --prometheus-out FILE  the same snapshot as Prometheus text
+     --trace-out FILE       arm spans + flight recorder, dump the ring to
+                            FILE (feed it to `sinr_sim trace-report`)
+     --serve PORT           live /metrics /healthz /spans on 127.0.0.1
+     --serve-port-file PATH write the bound port there once it is up
+     --jobs N               size of the shared [Sinr_par.Pool] (default:
+                            $SINR_JOBS, else the recommended domain count)
+   obs has no --jobs and profile-report no --trace-out.  Outputs are
+   bit-identical for every --jobs value — see DESIGN.md "Observability"
+   and "Parallel execution". *)
 
 open Cmdliner
 open Sinr_geom
@@ -92,8 +88,18 @@ let serve_port_file_arg =
                  (atomic temp+rename) once the server is up — the reliable \
                  way to find the kernel-picked port of $(b,--serve 0).")
 
+(* A value below 1 is a usage error, as it is for bench/main.exe. *)
 let jobs_arg =
-  Arg.(value & opt (some int) None
+  let positive =
+    Arg.conv
+      ( (fun s ->
+          match int_of_string_opt s with
+          | Some j when j >= 1 -> Ok j
+          | Some _ | None ->
+            Error (`Msg (Fmt.str "expected a positive integer, got %S" s))),
+        Fmt.int )
+  in
+  Arg.(value & opt (some positive) None
        & info [ "jobs" ] ~docv:"N"
            ~doc:"Worker domains for parallel kernels (Monte-Carlo \
                  reliability, experiment sweeps). $(docv)=1 forces the \
@@ -101,11 +107,27 @@ let jobs_arg =
                  $(b,SINR_JOBS), else the recommended domain count. \
                  Results are bit-identical whatever $(docv) is.")
 
-(* The --jobs flag lands in the shared-pool default, which every parallel
-   kernel downstream (Sweep grids, Reliability.estimate) picks up. *)
-let set_jobs = function
-  | None -> ()
-  | Some j -> Sinr_par.Pool.set_default_jobs j
+(* ---------------- run environment ---------------- *)
+
+type run_opts = {
+  metrics_out : string option;
+  prom_out : string option;
+  trace_out : string option;
+  serve : int option;
+  serve_port_file : string option;
+  jobs : int option;
+}
+
+(* The run options as one term.  obs takes no --jobs and profile-report
+   no --trace-out: [~jobs:false] / [~trace:false] leave the flag out of
+   the subcommand and read it as unset. *)
+let run_opts ?(jobs = true) ?(trace = true) () =
+  Term.(const (fun metrics_out prom_out trace_out serve serve_port_file jobs ->
+            { metrics_out; prom_out; trace_out; serve; serve_port_file; jobs })
+        $ metrics_out_arg $ prom_out_arg
+        $ (if trace then trace_out_arg else const None)
+        $ serve_arg $ serve_port_file_arg
+        $ (if jobs then jobs_arg else const None))
 
 (* Probe that [path] is creatable/writable before a (possibly long) run so
    a bad path fails fast instead of discarding the finished simulation's
@@ -117,77 +139,76 @@ let probe_writable path =
     Fmt.epr "sinr_sim: cannot write output: %s@." e;
     Stdlib.exit 1
 
-(* Start the embedded observability server (when --serve was given) and
-   say where it listens; the caller stops it when the run is over.  The
-   port file (--serve-port-file) is written atomically after the bind, so
-   a watcher that sees the file can connect immediately. *)
-let start_server ?handler ?port_file = function
-  | None -> None
-  | Some port ->
-    (match Http.serve ?handler ~port () with
-     | s ->
-       Fmt.pr "[serving /metrics /healthz /spans on http://127.0.0.1:%d]@."
-         (Http.port s);
-       Option.iter
-         (fun path ->
-           Sink.write_file path (string_of_int (Http.port s) ^ "\n");
-           Fmt.pr "[port written: %s]@." path)
-         port_file;
-       Some s
-     | exception Unix.Unix_error (e, _, _) ->
-       Fmt.epr "sinr_sim: cannot serve on port %d: %s@." port
-         (Unix.error_message e);
-       Stdlib.exit 1)
-
-(* Run [f] with telemetry/tracing per the output flags — and, with --serve,
-   the live HTTP endpoint up for the duration — then write the metric
-   snapshot (JSONL and/or Prometheus) and the flight-recorder dump to
-   their files. *)
-let with_obs ~label ~metrics_out ~prom_out ~trace_out ~serve ?serve_port_file
-    f =
-  let need_metrics =
-    metrics_out <> None || prom_out <> None || serve <> None
-  in
-  if not (need_metrics || trace_out <> None) then f ()
-  else begin
-    List.iter
-      (fun o -> Option.iter probe_writable o)
-      [ metrics_out; prom_out; trace_out;
-        (if serve <> None then serve_port_file else None) ];
-    if need_metrics then begin
-      Metrics.reset ();
-      Metrics.set_enabled true
-    end;
-    if trace_out <> None then begin
-      Recorder.clear ();
-      Recorder.set_enabled true
-    end;
-    let server = start_server ?port_file:serve_port_file serve in
-    Fun.protect
-      ~finally:(fun () ->
-        Option.iter Http.stop server;
-        Metrics.set_enabled false;
-        Recorder.set_enabled false)
-      f;
-    if need_metrics then begin
-      let snap = Metrics.snapshot () in
-      Option.iter
-        (fun path ->
-          Sink.write_snapshot ~label path snap;
-          Fmt.pr "[metrics written: %s]@." path)
-        metrics_out;
-      Option.iter
-        (fun path ->
-          Sink.write_file path (Sink.snapshot_to_prometheus snap);
-          Fmt.pr "[prometheus written: %s]@." path)
-        prom_out
-    end;
+(* Start the embedded HTTP server on 127.0.0.1:[port] and say where it
+   listens; the caller stops it.  The port file is written atomically
+   after the bind, so a watcher that sees the file can connect
+   immediately. *)
+let start_server ?handler ?stream_handler
+    ?(banner = "serving /metrics /healthz /spans") ?port_file port =
+  match Http.serve ?handler ?stream_handler ~port () with
+  | exception Unix.Unix_error (e, _, _) ->
+    Fmt.epr "sinr_sim: cannot serve on port %d: %s@." port
+      (Unix.error_message e);
+    Stdlib.exit 1
+  | s ->
+    Fmt.pr "[%s on http://127.0.0.1:%d]@." banner (Http.port s);
     Option.iter
       (fun path ->
-        let p = Recorder.dump ~path ~reason:label () in
-        Fmt.pr "[trace written: %s]@." p)
-      trace_out
-  end
+        Sink.write_file path (string_of_int (Http.port s) ^ "\n");
+        Fmt.pr "[port written: %s]@." path)
+      port_file;
+    s
+
+(* The lifecycle of every run subcommand: size the pool, probe every
+   output path, reset and enable the metric registry (when an output,
+   --serve or [~metrics] needs it) and the flight recorder (with
+   --trace-out), start the server and write its port file, run [f], then
+   write the snapshot (JSONL, Prometheus) and the recorder dump.  [label]
+   tags the snapshot and names the dump's reason. *)
+let with_run_env ?(metrics = false) ~label o f =
+  Option.iter Sinr_par.Pool.set_default_jobs o.jobs;
+  let metrics =
+    metrics || o.metrics_out <> None || o.prom_out <> None || o.serve <> None
+  in
+  List.iter (Option.iter probe_writable)
+    [ o.metrics_out; o.prom_out; o.trace_out;
+      (if o.serve <> None then o.serve_port_file else None) ];
+  if metrics then begin
+    Metrics.reset ();
+    Metrics.set_enabled true
+  end;
+  if o.trace_out <> None then begin
+    Recorder.clear ();
+    Recorder.set_enabled true
+  end;
+  let server =
+    Option.map (fun port -> start_server ?port_file:o.serve_port_file port)
+      o.serve
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      Option.iter Http.stop server;
+      Metrics.set_enabled false;
+      Recorder.set_enabled false)
+    f;
+  if metrics then begin
+    let snap = Metrics.snapshot () in
+    Option.iter
+      (fun path ->
+        Sink.write_snapshot ~label path snap;
+        Fmt.pr "[metrics written: %s]@." path)
+      o.metrics_out;
+    Option.iter
+      (fun path ->
+        Sink.write_file path (Sink.snapshot_to_prometheus snap);
+        Fmt.pr "[prometheus written: %s]@." path)
+      o.prom_out
+  end;
+  Option.iter
+    (fun path ->
+      let p = Recorder.dump ~path ~reason:label () in
+      Fmt.pr "[trace written: %s]@." p)
+    o.trace_out
 
 let deployment ~seed ~n ~degree ~range =
   let config = Config.with_range ~range () in
@@ -204,6 +225,19 @@ let pp_profile (d : Workloads.deployment) =
   Fmt.pr "  connected     %b@."
     (Sinr_graph.Components.is_connected p.Induced.strong)
 
+(* The standard instrumented workload of obs and profile-report: every
+   even node broadcasts through Algorithm 11.1, run to the last ack.  The
+   deployment is built here, before [with_run_env] arms telemetry, so a
+   snapshot covers the returned run alone. *)
+let acks_workload ~seed ~n ~degree ~range ~max_slots =
+  let d = deployment ~seed ~n ~degree ~range in
+  let senders = List.filter (fun v -> v mod 2 = 0) (List.init n Fun.id) in
+  fun () ->
+    ignore
+      (Sinr_mac.Measure.acks d.Workloads.sinr
+         ~rng:(Rng.create (seed + 4))
+         ~senders ~max_slots)
+
 (* ---------------- profile ---------------- *)
 
 let profile_cmd =
@@ -215,12 +249,8 @@ let profile_cmd =
 (* ---------------- smb ---------------- *)
 
 let smb_cmd =
-  let run seed n degree range metrics_out prom_out trace_out jobs serve
-      serve_port_file =
-    set_jobs jobs;
-    with_obs ~label:"smb" ~metrics_out ~prom_out ~trace_out ~serve
-      ?serve_port_file
-    @@ fun () ->
+  let run seed n degree range opts =
+    with_run_env ~label:"smb" opts @@ fun () ->
     let d = deployment ~seed ~n ~degree ~range in
     pp_profile d;
     let budget = 40_000_000 in
@@ -255,8 +285,7 @@ let smb_cmd =
     (Cmd.info "smb"
        ~doc:"Global single-message broadcast: ours vs the baselines.")
     Term.(const run $ seed_arg $ n_arg $ degree_arg $ range_arg
-          $ metrics_out_arg $ prom_out_arg $ trace_out_arg $ jobs_arg
-          $ serve_arg $ serve_port_file_arg)
+          $ run_opts ())
 
 (* ---------------- cons ---------------- *)
 
@@ -265,12 +294,8 @@ let cons_cmd =
     Arg.(value & opt int 0
          & info [ "crashes" ] ~docv:"K" ~doc:"Crash K nodes mid-run.")
   in
-  let run seed n degree range crashes metrics_out prom_out trace_out jobs
-      serve serve_port_file =
-    set_jobs jobs;
-    with_obs ~label:"cons" ~metrics_out ~prom_out ~trace_out ~serve
-      ?serve_port_file
-    @@ fun () ->
+  let run seed n degree range crashes opts =
+    with_run_env ~label:"cons" opts @@ fun () ->
     let d = deployment ~seed ~n ~degree ~range in
     pp_profile d;
     let rng = Rng.create (seed + 10) in
@@ -298,18 +323,13 @@ let cons_cmd =
   Cmd.v
     (Cmd.info "cons" ~doc:"Network-wide consensus over the absMAC.")
     Term.(const run $ seed_arg $ n_arg $ degree_arg $ range_arg $ crashes_arg
-          $ metrics_out_arg $ prom_out_arg $ trace_out_arg $ jobs_arg
-          $ serve_arg $ serve_port_file_arg)
+          $ run_opts ())
 
 (* ---------------- approg ---------------- *)
 
 let approg_cmd =
-  let run seed n degree range metrics_out prom_out trace_out jobs serve
-      serve_port_file =
-    set_jobs jobs;
-    with_obs ~label:"approg" ~metrics_out ~prom_out ~trace_out ~serve
-      ?serve_port_file
-    @@ fun () ->
+  let run seed n degree range opts =
+    with_run_env ~label:"approg" opts @@ fun () ->
     let d = deployment ~seed ~n ~degree ~range in
     pp_profile d;
     let senders = List.filter (fun v -> v mod 2 = 0) (List.init n Fun.id) in
@@ -348,8 +368,7 @@ let approg_cmd =
     (Cmd.info "approg"
        ~doc:"Measure approximate progress of Algorithm 9.1 on a deployment.")
     Term.(const run $ seed_arg $ n_arg $ degree_arg $ range_arg
-          $ metrics_out_arg $ prom_out_arg $ trace_out_arg $ jobs_arg
-          $ serve_arg $ serve_port_file_arg)
+          $ run_opts ())
 
 (* ---------------- chaos ---------------- *)
 
@@ -387,12 +406,8 @@ let chaos_cmd =
              ~doc:"Per-slot probability that each busy node's broadcast is \
                    adversarially aborted.")
   in
-  let run seed n degree jam fading crash_frac downtime abort_rate metrics_out
-      prom_out trace_out jobs serve serve_port_file =
-    set_jobs jobs;
-    with_obs ~label:"chaos" ~metrics_out ~prom_out ~trace_out ~serve
-      ?serve_port_file
-    @@ fun () ->
+  let run seed n degree jam fading crash_frac downtime abort_rate opts =
+    with_run_env ~label:"chaos" opts @@ fun () ->
     let spec =
       { Exp_chaos.clean with
         Exp_chaos.jam_duty = jam;
@@ -428,52 +443,27 @@ let chaos_cmd =
        ~doc:"Run the absMAC under adversarial channel conditions and \
              faults, and report the degradation.")
     Term.(const run $ seed_arg $ n_arg $ degree_arg $ jam_arg $ fading_arg
-          $ crash_frac_arg $ downtime_arg $ abort_rate_arg
-          $ metrics_out_arg $ prom_out_arg $ trace_out_arg $ jobs_arg
-          $ serve_arg $ serve_port_file_arg)
+          $ crash_frac_arg $ downtime_arg $ abort_rate_arg $ run_opts ())
 
 (* ---------------- exp ---------------- *)
 
 let exp_cmd =
+  let ids = List.map fst Catalog.experiments in
   let id_arg =
     Arg.(required & pos 0 (some string) None
          & info [] ~docv:"ID"
-             ~doc:"Experiment id (table1-ack, fig1-progress-lb, \
-                   table1-approg, thm8-decay, table2-smb, table1-mmb, \
-                   table1-cons, ablation, mac-compare, capacity, chaos).")
+             ~doc:("Experiment id (" ^ String.concat ", " ids ^ ")."))
   in
-  let run id metrics_out prom_out trace_out jobs serve serve_port_file =
-    set_jobs jobs;
-    with_obs ~label:("exp:" ^ id) ~metrics_out ~prom_out ~trace_out ~serve
-      ?serve_port_file
-    @@ fun () ->
-    match id with
-    | "table1-ack" -> ignore (Exp_ack.run ())
-    | "fig1-progress-lb" -> ignore (Exp_progress_lb.run ())
-    | "table1-approg" ->
-      ignore (Exp_approg.run_density ());
-      ignore (Exp_approg.run_eps ())
-    | "thm8-decay" -> ignore (Exp_decay_lb.run ())
-    | "table2-smb" ->
-      ignore (Exp_smb.run_diameter ());
-      ignore (Exp_smb.run_lambda ());
-      ignore (Exp_smb.run_size ())
-    | "table1-mmb" -> ignore (Exp_mmb.run ())
-    | "table1-cons" ->
-      ignore (Exp_cons.run ());
-      ignore (Exp_cons.run_crashes ())
-    | "ablation" -> ignore (Exp_ablation.run ())
-    | "mac-compare" -> ignore (Exp_mac_compare.run ())
-    | "capacity" -> ignore (Exp_capacity.run ())
-    | "chaos" -> ignore (Exp_chaos.run ~out:"BENCH_chaos.json" ())
-    | other ->
-      Fmt.epr "unknown experiment %S@." other;
+  let run id opts =
+    match List.assoc_opt id Catalog.experiments with
+    | Some f -> with_run_env ~label:("exp:" ^ id) opts f
+    | None ->
+      Fmt.epr "unknown experiment %S; known: %s@." id (String.concat " " ids);
       exit 2
   in
   Cmd.v
     (Cmd.info "exp" ~doc:"Run a named experiment (see DESIGN.md index).")
-    Term.(const run $ id_arg $ metrics_out_arg $ prom_out_arg $ trace_out_arg
-          $ jobs_arg $ serve_arg $ serve_port_file_arg)
+    Term.(const run $ id_arg $ run_opts ())
 
 (* ---------------- obs ---------------- *)
 
@@ -497,56 +487,22 @@ let obs_cmd =
          & info [ "max-slots" ] ~docv:"SLOTS"
              ~doc:"Slot budget for the instrumented workload.")
   in
-  let run seed n degree range format max_slots metrics_out prom_out trace_out
-      serve serve_port_file =
-    List.iter (Option.iter probe_writable) [ metrics_out; prom_out; trace_out ];
-    let d = deployment ~seed ~n ~degree ~range in
-    let senders = List.filter (fun v -> v mod 2 = 0) (List.init n Fun.id) in
-    Metrics.reset ();
-    Metrics.set_enabled true;
-    if trace_out <> None then begin
-      Recorder.clear ();
-      Recorder.set_enabled true
-    end;
-    let server = start_server ?port_file:serve_port_file serve in
-    Fun.protect
-      ~finally:(fun () ->
-        Option.iter Http.stop server;
-        Metrics.set_enabled false;
-        Recorder.set_enabled false)
-      (fun () ->
-        ignore
-          (Sinr_mac.Measure.acks d.Workloads.sinr
-             ~rng:(Rng.create (seed + 4))
-             ~senders ~max_slots));
+  let run seed n degree range format max_slots opts =
+    let workload = acks_workload ~seed ~n ~degree ~range ~max_slots in
+    with_run_env ~metrics:true ~label:"obs" opts @@ fun () ->
+    workload ();
     let snap = Metrics.snapshot () in
-    (match format with
-     | `Pretty -> Fmt.pr "%a" Sink.pp_snapshot snap
-     | `Json -> print_string (Sink.snapshot_to_jsonl ~label:"obs" snap)
-     | `Prom -> print_string (Sink.snapshot_to_prometheus snap));
-    (match metrics_out with
-     | None -> ()
-     | Some path ->
-       Sink.write_snapshot ~label:"obs" path snap;
-       Fmt.pr "[metrics written: %s]@." path);
-    (match prom_out with
-     | None -> ()
-     | Some path ->
-       Sink.write_file path (Sink.snapshot_to_prometheus snap);
-       Fmt.pr "[prometheus written: %s]@." path);
-    match trace_out with
-    | None -> ()
-    | Some path ->
-      ignore (Recorder.dump ~path ~reason:"obs" ());
-      Fmt.pr "[trace written: %s]@." path
+    match format with
+    | `Pretty -> Fmt.pr "%a" Sink.pp_snapshot snap
+    | `Json -> print_string (Sink.snapshot_to_jsonl ~label:"obs" snap)
+    | `Prom -> print_string (Sink.snapshot_to_prometheus snap)
   in
   Cmd.v
     (Cmd.info "obs"
        ~doc:"Run an instrumented absMAC workload and print the telemetry \
              snapshot.")
     Term.(const run $ seed_arg $ n_arg $ degree_arg $ range_arg $ format_arg
-          $ slots_arg $ metrics_out_arg $ prom_out_arg $ trace_out_arg
-          $ serve_arg $ serve_port_file_arg)
+          $ slots_arg $ run_opts ~jobs:false ())
 
 (* ---------------- trace-report ---------------- *)
 
@@ -631,12 +587,8 @@ let phys_cmd =
          & info [ "cases" ] ~docv:"K"
              ~doc:"Number of random slots to check for equivalence.")
   in
-  let run seed n degree range cases metrics_out prom_out trace_out jobs serve
-      serve_port_file =
-    set_jobs jobs;
-    with_obs ~label:"phys" ~metrics_out ~prom_out ~trace_out ~serve
-      ?serve_port_file
-    @@ fun () ->
+  let run seed n degree range cases opts =
+    with_run_env ~label:"phys" opts @@ fun () ->
     let d = deployment ~seed ~n ~degree ~range in
     let sinr = d.Workloads.sinr in
     let n = Sinr.n sinr in
@@ -693,8 +645,7 @@ let phys_cmd =
        ~doc:"Check the physics fast path against the seed kernel (exit 1 \
              on divergence) and sample its throughput.")
     Term.(const run $ seed_arg $ n_arg $ degree_arg $ range_arg $ cases_arg
-          $ metrics_out_arg $ prom_out_arg $ trace_out_arg
-          $ jobs_arg $ serve_arg $ serve_port_file_arg)
+          $ run_opts ())
 
 (* ---------------- scale ---------------- *)
 
@@ -867,7 +818,7 @@ let serve_cmd =
   in
   let run port port_file dir wal_dir queue_cap checkpoint_every deadline
       cell_timeout max_retries jobs =
-    set_jobs jobs;
+    Option.iter Sinr_par.Pool.set_default_jobs jobs;
     let wal_dir = Option.value wal_dir ~default:dir in
     List.iter
       (fun d ->
@@ -906,28 +857,14 @@ let serve_cmd =
       Fmt.pr "[wal: %d job%s recovered; resuming from checkpoints]@." recovered
         (if recovered = 1 then "" else "s");
     let server =
-      match
-        Http.serve
-          ~handler:(Sinr_serve.Daemon.handler daemon)
-          ~stream_handler:(Sinr_serve.Daemon.stream_handler daemon)
-          ~port ()
-      with
-      | s -> s
-      | exception Unix.Unix_error (e, _, _) ->
-        Fmt.epr "sinr_sim serve: cannot serve on port %d: %s@." port
-          (Unix.error_message e);
-        Stdlib.exit 1
+      start_server
+        ~handler:(Sinr_serve.Daemon.handler daemon)
+        ~stream_handler:(Sinr_serve.Daemon.stream_handler daemon)
+        ~banner:"serve: POST/GET /jobs, GET /jobs/:id[/table|/metrics|/events], \
+                 DELETE /jobs/:id, GET /events + /metrics /healthz /readyz \
+                 /spans"
+        ?port_file port
     in
-    Fmt.pr
-      "[serve: POST/GET /jobs, GET /jobs/:id[/table|/metrics|/events], \
-       DELETE /jobs/:id, GET /events + /metrics /healthz /readyz /spans \
-       on http://127.0.0.1:%d]@."
-      (Http.port server);
-    Option.iter
-      (fun path ->
-        Sink.write_file path (string_of_int (Http.port server) ^ "\n");
-        Fmt.pr "[port written: %s]@." path)
-      port_file;
     let drain _ = Sinr_serve.Daemon.request_drain daemon in
     Sys.set_signal Sys.sigint (Sys.Signal_handle drain);
     Sys.set_signal Sys.sigterm (Sys.Signal_handle drain);
@@ -1120,46 +1057,22 @@ let profile_report_cmd =
          & info [ "max-slots" ] ~docv:"SLOTS"
              ~doc:"Slot budget for the profiled workload.")
   in
-  let run seed n degree range max_slots jobs serve serve_port_file metrics_out
-      prom_out =
-    set_jobs jobs;
-    List.iter (Option.iter probe_writable) [ metrics_out; prom_out ];
-    let d = deployment ~seed ~n ~degree ~range in
-    let senders = List.filter (fun v -> v mod 2 = 0) (List.init n Fun.id) in
-    Metrics.reset ();
-    let server = start_server ?port_file:serve_port_file serve in
-    Fun.protect ~finally:(fun () -> Option.iter Http.stop server)
-    @@ fun () ->
-    Profile.with_enabled (fun () ->
-        ignore
-          (Sinr_mac.Measure.acks d.Workloads.sinr
-             ~rng:(Rng.create (seed + 4))
-             ~senders ~max_slots));
+  let run seed n degree range max_slots opts =
+    let workload = acks_workload ~seed ~n ~degree ~range ~max_slots in
+    with_run_env ~metrics:true ~label:"profile-report" opts @@ fun () ->
+    Profile.with_enabled workload;
     match Profile.report () with
     | None ->
       Fmt.epr "sinr_sim profile-report: no slots were profiled@.";
       Stdlib.exit 1
-    | Some r ->
-      Fmt.pr "%a" Profile.pp_report r;
-      let snap = Metrics.snapshot () in
-      Option.iter
-        (fun path ->
-          Sink.write_snapshot ~label:"profile-report" path snap;
-          Fmt.pr "[metrics written: %s]@." path)
-        metrics_out;
-      Option.iter
-        (fun path ->
-          Sink.write_file path (Sink.snapshot_to_prometheus snap);
-          Fmt.pr "[prometheus written: %s]@." path)
-        prom_out
+    | Some r -> Fmt.pr "%a" Profile.pp_report r
   in
   Cmd.v
     (Cmd.info "profile-report"
        ~doc:"Profile an instrumented absMAC workload and print the \
              per-stage slot-time table (share, p50, p99).")
     Term.(const run $ seed_arg $ n_arg $ degree_arg $ range_arg $ slots_arg
-          $ jobs_arg $ serve_arg $ serve_port_file_arg
-          $ metrics_out_arg $ prom_out_arg)
+          $ run_opts ~trace:false ())
 
 let () =
   let doc = "Local broadcast layer for the SINR network model — simulator" in

@@ -37,18 +37,9 @@ let set_par_threshold n = par_thresh := max 1 n
 (* From this node count on, [Sinr.create] installs the sparse
    cell-aggregated resolution path (Sparse) — the only way
    10^5..10^6-node slots stay sub-second.  Below it the exact kernels
-   keep the bit-identity contract.  A non-positive value disables the
-   automatic switch entirely. *)
-let default_sparse_threshold = 4096
-
-let sparse_thresh = ref (
-  match Sys.getenv_opt "SINR_SPARSE_THRESHOLD" with
-  | Some s ->
-    (match int_of_string_opt s with
-     | Some n when n > 0 -> n
-     | Some _ -> max_int  (* <= 0 disables *)
-     | None -> default_sparse_threshold)
-  | None -> default_sparse_threshold)
+   keep the bit-identity contract.  [set_sparse_threshold] with a
+   non-positive value disables the automatic switch entirely. *)
+let sparse_thresh = ref 4096
 
 let sparse_threshold () = !sparse_thresh
 let set_sparse_threshold n = sparse_thresh := (if n <= 0 then max_int else n)
@@ -56,15 +47,7 @@ let set_sparse_threshold n = sparse_thresh := (if n <= 0 then max_int else n)
 (* Relative interference error bound of the automatic sparse path: its
    far-cell aggregates are within a factor 1 +- eps of the exact
    interference. *)
-let default_sparse_eps = 0.5
-
-let sparse_eps_v = ref (
-  match Sys.getenv_opt "SINR_SPARSE_EPS" with
-  | Some s ->
-    (match float_of_string_opt s with
-     | Some e when e > 0. && e < 1. -> e
-     | Some _ | None -> default_sparse_eps)
-  | None -> default_sparse_eps)
+let sparse_eps_v = ref 0.5
 
 let sparse_eps () = !sparse_eps_v
 
@@ -76,15 +59,7 @@ let set_sparse_eps e =
 (* Above this node count the Gain_cache refuses to allocate any rows at
    all (not merely byte-capping them): at large n even the row-pointer
    array is waste, and resolution has moved to cell aggregates anyway. *)
-let default_cache_node_ceiling = 8192
-
-let cache_ceiling = ref (
-  match Sys.getenv_opt "SINR_CACHE_NODE_CEILING" with
-  | Some s ->
-    (match int_of_string_opt s with
-     | Some n when n >= 0 -> n
-     | Some _ | None -> default_cache_node_ceiling)
-  | None -> default_cache_node_ceiling)
+let cache_ceiling = ref 8192
 
 let cache_node_ceiling () = !cache_ceiling
 let set_cache_node_ceiling n = cache_ceiling := max 0 n

@@ -24,10 +24,8 @@ val set_par_threshold : int -> unit
 
 val sparse_threshold : unit -> int
 (** Node count from which [Sinr.create] installs the sparse
-    cell-aggregated resolution path. Default 4096,
-    overridable with [SINR_SPARSE_THRESHOLD]; a non-positive value
-    disables the automatic switch. Below the threshold resolution stays
-    exact (bit-identical to [resolve_reference]). *)
+    cell-aggregated resolution path. Default 4096. Below the threshold
+    resolution stays exact (bit-identical to [resolve_reference]). *)
 
 val set_sparse_threshold : int -> unit
 (** [n <= 0] disables the sparse path for simulators created from now
@@ -36,7 +34,7 @@ val set_sparse_threshold : int -> unit
 val sparse_eps : unit -> float
 (** Relative interference error bound of the automatic sparse path:
     |I' - I| <= eps * I for every listener's approximated interference
-    I'. Default 0.5, overridable with [SINR_SPARSE_EPS]. *)
+    I'. Default 0.5. *)
 
 val set_sparse_eps : float -> unit
 (** Raises [Invalid_argument] unless the eps lies in (0, 1). *)
@@ -45,7 +43,7 @@ val cache_node_ceiling : unit -> int
 (** Node count above which [Gain_cache] is bypassed outright: no row is
     ever allocated, lookups evaluate the seed formula directly, and the
     decision is visible as the [phys.cache.bypassed] counter. Default
-    8192, overridable with [SINR_CACHE_NODE_CEILING]. *)
+    8192. *)
 
 val set_cache_node_ceiling : int -> unit
 (** Clamped to [>= 0] ([0] bypasses the cache at every size). *)

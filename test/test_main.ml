@@ -25,4 +25,5 @@ let () =
       ("phys_fast", Test_phys_fast.suite);
       ("serve", Test_serve.suite);
       ("scale", Test_scale.suite);
-      ("active", Test_active.suite) ]
+      ("active", Test_active.suite);
+      ("cli", Test_cli.suite) ]
