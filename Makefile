@@ -1,6 +1,6 @@
 .PHONY: all build check test fmt bench par-smoke chaos-smoke phys-smoke \
         obs-smoke serve-smoke daemon-smoke crash-smoke scale-smoke \
-        stream-smoke bench-diff perf-digest clean
+        stream-smoke bench-diff perf-digest trace-digest clean
 
 all: build
 
@@ -344,6 +344,30 @@ perf-digest:
 	    | awk '/^digest /{print $$2; exit}'); \
 	  if [ "$$got" = "$$want" ]; then echo "perf-digest: $$w seed $$seed $$got ok"; \
 	  else echo "perf-digest: $$w seed $$seed digest '$$got', want $$want"; \
+	    fail=1; fi; \
+	done < bench/baselines/perfbench_digests.txt; \
+	exit $$fail
+
+# Outcome gate for the traced path: every perfbench workload at seed 1
+# with --trace 1, which replays the fixed prefix untraced and then with the
+# flight recorder armed.  The verdict must report correct true (both replays
+# simulated the same execution) and the traced digest must equal the
+# workload's seed-1 line in bench/baselines/perfbench_digests.txt, so a
+# recorder change that alters what is simulated fails here.
+trace-digest:
+	dune build ./perfbench/main.exe
+	@fail=0; \
+	while read -r w seed want; do \
+	  case "$$w" in ''|'#'*) continue;; esac; \
+	  [ "$$seed" = 1 ] || continue; \
+	  out=$$(./_build/default/perfbench/main.exe --workload "$$w" \
+	    --seed 1 --seconds 0 --trace 1 < /dev/null); \
+	  got=$$(printf '%s\n' "$$out" | awk '/^digest traced /{print $$3; exit}'); \
+	  verdict=$$(printf '%s\n' "$$out" | awk '/^attempted /{print $$NF; exit}'); \
+	  if [ "$$got" = "$$want" ] && [ "$$verdict" = true ]; then \
+	    echo "trace-digest: $$w traced $$got correct true ok"; \
+	  else echo "trace-digest: $$w traced digest '$$got' correct" \
+	    "'$$verdict', want $$want correct true"; \
 	    fail=1; fi; \
 	done < bench/baselines/perfbench_digests.txt; \
 	exit $$fail

@@ -546,7 +546,7 @@ let trace_report_cmd =
           tr.Trace_report.spans;
       events =
         List.filter
-          (fun (e : Trace_report.event_rec) -> has e.Trace_report.e_fields)
+          (fun (e : Trace_report.event_rec) -> e.Trace_report.e_job = Some id)
           tr.Trace_report.events }
   in
   let run file strict job =

@@ -11,8 +11,10 @@
    bounds, and an [abort] input.
 
    Implementations: {!Ideal_mac} (graph-based reference used to validate
-   protocols and the spec itself) and {!Combined_mac} (Algorithm 11.1 over
-   the SINR simulator). *)
+   protocols and the spec itself), {!Decay_mac} (the Decay baseline) and
+   {!Combined_mac} (Algorithm 11.1 over the SINR simulator).
+   [Sinr_proto.Mac_driver] packs each one as an [S], so the compiler checks
+   all three claims. *)
 
 type bounds = {
   f_ack : int;       (* acknowledged-by bound, in MAC time units *)

@@ -161,15 +161,6 @@ let lambda t = t.lambda
    than a natural Algorithm B.1 halt. *)
 let last_ack_capped t ~node = t.last_ack_capped.(node)
 
-(* absMAC events go to the bounded trace (when attached) and are mirrored
-   into the flight-recorder ring while tracing is armed. *)
-let record t ev =
-  (match t.trace with
-   | Some tr -> Trace.record tr ~slot:(now t) ev
-   | None -> ());
-  if Recorder.is_enabled () then
-    Recorder.event ~slot:(now t) (Trace.event_to_json ev)
-
 (* Close the node's hm.bcast and mac.bcast spans with a final [outcome]
    attribute ("ack" / "ack_capped" / "abort" / "crash_drop").  Guarded by
    the root id, so this is two array reads and a compare when tracing is
@@ -207,7 +198,8 @@ let bcast t ~node ~data =
   Engine.wake t.engine node;
   Hm_ack.start t.hm ~node payload;
   Approx_progress.start t.approg ~node payload;
-  record t (Trace.Bcast { node; msg = payload.Events.seq });
+  Trace.emit t.trace ~slot:(now t)
+    (Trace.Bcast { node; msg = payload.Events.seq });
   if Span.is_enabled () then begin
     let slot = now t in
     let root = Span.start ~name:"mac.bcast" ~slot () in
@@ -233,7 +225,8 @@ let abort t ~node =
     Hm_ack.stop t.hm ~node;
     Approx_progress.stop t.approg ~node;
     Metrics.incr m_aborts;
-    record t (Trace.Abort { node; msg = payload.Events.seq })
+    Trace.emit t.trace ~slot:(now t)
+      (Trace.Abort { node; msg = payload.Events.seq })
 
 let set_raw_rcv_hook t f = t.raw_rcv_hook <- Some f
 
@@ -241,7 +234,8 @@ let fire_rcvs t rcvs =
   List.iter
     (fun ({ Approx_progress.node; payload; from } as ev) ->
       Metrics.incr m_rcvs;
-      record t (Trace.Rcv { node; msg = payload.Events.seq; from });
+      Trace.emit t.trace ~slot:(now t)
+        (Trace.Rcv { node; msg = payload.Events.seq; from });
       (* Progress annotation on the originator's span — only while that
          broadcast is still the ongoing one (a rcv can trail an ack). *)
       (if Span.is_enabled () then
@@ -265,7 +259,8 @@ let finish_ack t ~node payload ~capped =
   finish_spans t ~node ~outcome:(if capped then "ack_capped" else "ack");
   Hm_ack.stop t.hm ~node;
   Approx_progress.stop t.approg ~node;
-  record t (Trace.Ack { node; msg = payload.Events.seq });
+  Trace.emit t.trace ~slot:(now t)
+    (Trace.Ack { node; msg = payload.Events.seq });
   t.handlers.Absmac_intf.on_ack ~node ~payload
 
 let step t =
@@ -351,7 +346,8 @@ let step t =
           Hm_ack.stop t.hm ~node;
           Approx_progress.stop t.approg ~node;
           Metrics.incr m_crash_drops;
-          record t (Trace.Abort { node; msg = payload.Events.seq });
+          Trace.emit t.trace ~slot:(now t)
+            (Trace.Abort { node; msg = payload.Events.seq });
           (* Flight-recorder trigger: a node died with a broadcast in
              flight.  One dump per run (dump_once), containing the just-
              finished crash_drop span and the history around it. *)

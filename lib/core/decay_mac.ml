@@ -71,11 +71,6 @@ let set_handlers t h = t.handlers <- h
 let busy t ~node = t.ongoing.(node) <> None
 let engine t = t.engine
 
-let record t ev =
-  match t.trace with
-  | Some tr -> Trace.record tr ~slot:(now t) ev
-  | None -> ()
-
 let bcast t ~node ~data =
   if busy t ~node then
     invalid_arg "Decay_mac.bcast: node already has an ongoing broadcast";
@@ -85,7 +80,8 @@ let bcast t ~node ~data =
   t.bcast_slot.(node) <- now t;
   Engine.wake t.engine node;
   Decay.start t.decay ~node ~slot:(now t) payload;
-  record t (Trace.Bcast { node; msg = payload.Events.seq });
+  Trace.emit t.trace ~slot:(now t)
+    (Trace.Bcast { node; msg = payload.Events.seq });
   payload
 
 let abort t ~node =
@@ -94,13 +90,15 @@ let abort t ~node =
   | Some payload ->
     t.ongoing.(node) <- None;
     Decay.stop t.decay ~node;
-    record t (Trace.Abort { node; msg = payload.Events.seq })
+    Trace.emit t.trace ~slot:(now t)
+      (Trace.Abort { node; msg = payload.Events.seq })
 
 let emit_rcv t ~node ~payload ~from =
   let id = (node, Events.payload_id payload) in
   if payload.Events.origin <> node && not (Hashtbl.mem t.emitted id) then begin
     Hashtbl.add t.emitted id ();
-    record t (Trace.Rcv { node; msg = payload.Events.seq; from });
+    Trace.emit t.trace ~slot:(now t)
+      (Trace.Rcv { node; msg = payload.Events.seq; from });
     t.handlers.Absmac_intf.on_rcv ~node ~payload
   end
 
@@ -127,7 +125,8 @@ let step t =
         if now t - slot0 >= t.ack_budget then begin
           t.ongoing.(node) <- None;
           Decay.stop t.decay ~node;
-          record t (Trace.Ack { node; msg = payload.Events.seq });
+          Trace.emit t.trace ~slot:(now t)
+            (Trace.Ack { node; msg = payload.Events.seq });
           t.handlers.Absmac_intf.on_ack ~node ~payload
         end)
     t.bcast_slot

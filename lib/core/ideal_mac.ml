@@ -59,11 +59,6 @@ let create ?(policy = Random) ?trace graph ~bounds ~rng =
     seq = Array.make (Graph.n graph) 0;
     active = Array.make (Graph.n graph) None }
 
-let record t ev =
-  match t.trace with
-  | Some tr -> Trace.record tr ~slot:t.now ev
-  | None -> ()
-
 let n t = Graph.n t.graph
 let now t = t.now
 let bounds t = t.bounds
@@ -127,7 +122,8 @@ let bcast t ~node ~data =
   in
   t.seq.(node) <- t.seq.(node) + 1;
   t.active.(node) <- Some (schedule t node payload);
-  record t (Trace.Bcast { node; msg = payload.Events.seq });
+  Trace.emit t.trace ~slot:t.now
+    (Trace.Bcast { node; msg = payload.Events.seq });
   payload
 
 let abort t ~node =
@@ -136,7 +132,8 @@ let abort t ~node =
   | Some p ->
     p.aborted <- true;
     t.active.(node) <- None;
-    record t (Trace.Abort { node; msg = p.payload.Events.seq })
+    Trace.emit t.trace ~slot:t.now
+      (Trace.Abort { node; msg = p.payload.Events.seq })
 
 let step t =
   t.now <- t.now + 1;
@@ -149,13 +146,14 @@ let step t =
         p.rcv_at <- later;
         List.iter
           (fun (_, u) ->
-            record t
+            Trace.emit t.trace ~slot:t.now
               (Trace.Rcv { node = u; msg = p.payload.Events.seq; from = node });
             t.handlers.Absmac_intf.on_rcv ~node:u ~payload:p.payload)
           due;
         if p.rcv_at = [] && p.ack_at <= t.now then begin
           t.active.(node) <- None;
-          record t (Trace.Ack { node; msg = p.payload.Events.seq });
+          Trace.emit t.trace ~slot:t.now
+            (Trace.Ack { node; msg = p.payload.Events.seq });
           t.handlers.Absmac_intf.on_ack ~node ~payload:p.payload
         end)
     t.active

@@ -1,7 +1,7 @@
 (** Graph-based reference absMAC: delivers exactly the probabilistic
     specification over an explicit graph, under a random or adversarial
     (latest-legal) event scheduler. Used to test protocols above the layer
-    independently of the SINR machinery. *)
+    independently of the SINR machinery. Implements {!Absmac_intf.S}. *)
 
 open Sinr_geom
 open Sinr_graph

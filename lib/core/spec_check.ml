@@ -70,7 +70,7 @@ let broadcasts_of_trace trace =
            Hashtbl.replace tbl (from, msg)
              { b with rcvs = (node, slot) :: b.rcvs }
          | None -> ())
-      | Wake _ | Crash _ | Recover _ | Note _ -> ())
+      | Wake _ | Crash _ | Recover _ | Deliver _ | Note _ -> ())
     (Trace.events trace);
   Hashtbl.fold (fun _ b acc -> b :: acc) tbl []
 

@@ -35,8 +35,6 @@ let m_recoveries = Metrics.counter "engine.recoveries"
 let m_perturbed_slots = Metrics.counter "engine.perturbed_slots"
 let m_slot_tx = Metrics.histogram "engine.slot_tx"
 let m_slot_deliveries = Metrics.histogram "engine.slot_deliveries"
-let m_resolve_ns = Metrics.histogram "engine.resolve.ns"
-let m_resolve_minor = Metrics.histogram "engine.resolve.minor_w"
 
 type 'm action = Transmit of 'm | Listen
 
@@ -60,8 +58,9 @@ type 'm t = {
   mutable tx_total : int;        (* transmissions across all slots *)
   mutable delivery_total : int;  (* successful decodings across all slots *)
   trace : Trace.t option;
-      (* fault events (wake/crash/recover) are recorded here so Spec_check
-         and the chaos experiments see the full execution *)
+      (* fault events (wake/crash/recover) are recorded here, through
+         Trace.emit, so Spec_check and the chaos experiments see the full
+         execution *)
   mutable perturb : slot:int -> Sinr.perturb option;
       (* per-slot adversarial channel state (lib/chaos); the default is the
          clean channel *)
@@ -84,16 +83,6 @@ let create ?(wake_on_receive = true) ?trace sinr =
 let set_perturb t f = t.perturb <- f
 let set_on_crash t f = t.on_crash <- f
 
-(* Fault/wake events go to the bounded trace (when one is attached) and,
-   with tracing armed, to the flight recorder ring — the recorder check is
-   the tracing layer's single load-and-branch. *)
-let record t ev =
-  (match t.trace with
-   | Some tr -> Trace.record tr ~slot:t.slot ev
-   | None -> ());
-  if Recorder.is_enabled () then
-    Recorder.event ~slot:t.slot (Trace.event_to_json ev)
-
 let sinr t = t.sinr
 let n t = Sinr.n t.sinr
 let slot t = t.slot
@@ -110,7 +99,7 @@ let wake t v =
   then begin
     Metrics.incr m_wakeups;
     State.Bits.set st.State.awake v true;
-    record t (Trace.Wake { node = v })
+    Trace.emit t.trace ~slot:t.slot (Trace.Wake { node = v })
   end
 
 let wake_all t =
@@ -127,7 +116,7 @@ let crash t v =
     Metrics.incr m_crashes;
     State.Bits.set st.State.crashed v true;
     State.Bits.set st.State.awake v false;
-    record t (Trace.Crash { node = v });
+    Trace.emit t.trace ~slot:t.slot (Trace.Crash { node = v });
     t.on_crash v
   end
 
@@ -139,7 +128,7 @@ let revive t v =
   if State.Bits.get t.state.State.crashed v then begin
     Metrics.incr m_recoveries;
     State.Bits.set t.state.State.crashed v false;
-    record t (Trace.Recover { node = v })
+    Trace.emit t.trace ~slot:t.slot (Trace.Recover { node = v })
   end
 
 let awake_nodes t =
@@ -216,8 +205,9 @@ let step ?on_deliver ?contenders t ~decide =
   t.tx_total <- t.tx_total + ntx;
   let telemetry = Metrics.is_enabled () in
   (* Hoisted once per slot, like [telemetry]: with tracing off the whole
-     recorder integration is this one load-and-branch. *)
-  let tracing = Recorder.is_enabled () in
+     recorder integration is this one load-and-branch.  Deliveries go to
+     the ring only, never to the per-run trace. *)
+  let tracing = Span.is_enabled () in
   if telemetry then begin
     let p0 = Profile.start () in
     Metrics.incr m_slots;
@@ -243,14 +233,10 @@ let step ?on_deliver ?contenders t ~decide =
     let perturb = t.perturb ~slot:t.slot in
     Profile.stop Profile.Perturb p0;
     if telemetry && Option.is_some perturb then Metrics.incr m_perturbed_slots;
+    (* Timed by phys.resolve.ns inside the kernel and by the profiler's
+       resolve stage here. *)
     let p0 = Profile.start () in
-    if telemetry then begin
-      let r = Timer.start () in
-      Sinr.resolve_into ?perturb t.sinr ~senders ~nsenders:ntx decoded;
-      Timer.observe_span ~ns:m_resolve_ns ~minor_w:m_resolve_minor
-        (Timer.stop r)
-    end
-    else Sinr.resolve_into ?perturb t.sinr ~senders ~nsenders:ntx decoded;
+    Sinr.resolve_into ?perturb t.sinr ~senders ~nsenders:ntx decoded;
     Profile.stop Profile.Resolve p0;
     let p0 = Profile.start () in
     (* Receivers come in ascending order, so deliveries keep the order of
@@ -268,10 +254,8 @@ let step ?on_deliver ?contenders t ~decide =
           let power = Sinr.power t.sinr ~sender:v ~receiver:u in
           let d = { receiver = u; sender = v; message = m; power } in
           if tracing then
-            Recorder.event ~slot:t.slot
-              (Json.Obj
-                 [ ("ev", Json.Str "deliver"); ("rx", Json.int u);
-                   ("tx", Json.int v) ]);
+            Span.record_event ~slot:t.slot
+              (Sim_event.Deliver { node = u; from = v });
           (match on_deliver with Some f -> f d | None -> ());
           deliveries := d :: !deliveries;
           t.delivery_total <- t.delivery_total + 1;

@@ -23,7 +23,9 @@ val create : ?wake_on_receive:bool -> ?trace:Trace.t -> Sinr.t -> 'm t
 (** Fresh simulation with every node asleep. [wake_on_receive] (default
     true) makes asleep nodes wake when they decode a message, per the
     conditional-wakeup model. [trace] records Wake/Crash/Recover fault
-    events as the simulation advances. *)
+    events as the simulation advances, through {!Trace.emit}: with the
+    flight recorder armed the same typed events also go to its ring,
+    whether or not a trace is attached. *)
 
 val set_perturb : 'm t -> (slot:int -> Sinr.perturb option) -> unit
 (** Install a per-slot channel-perturbation hook (an adversary from
@@ -82,7 +84,9 @@ val step :
     transmitters + receivers): resolution writes into reusable engine
     buffers and delivery visits only the nodes that decoded. With
     telemetry enabled the listener count and the collision/silence split
-    add two O(n) passes. *)
+    add two O(n) passes. With the flight recorder armed each delivery
+    pushes one typed [Deliver] event into its ring (never into the
+    attached trace). *)
 
 val run :
   ?on_deliver:('m delivery -> unit) ->

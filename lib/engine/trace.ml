@@ -2,16 +2,19 @@
 
    The absMAC specification (Section 4.4) is stated over executions — ordered
    sequences of bcast/rcv/ack events with timing constraints.  Tests record
-   executions with this module and then check spec predicates over them. *)
+   executions with this module and then check spec predicates over them.
+   The event type is [Sinr_obs.Sim_event.t], re-exported so [Trace.Bcast]
+   patterns read naturally; its printer and JSON shape live there. *)
 
-type event =
-  | Bcast of { node : int; msg : int }  (* environment handed msg to node *)
+type event = Sinr_obs.Sim_event.t =
+  | Bcast of { node : int; msg : int }
   | Rcv of { node : int; msg : int; from : int }
   | Ack of { node : int; msg : int }
   | Abort of { node : int; msg : int }
   | Wake of { node : int }
   | Crash of { node : int }
-  | Recover of { node : int } (* crash–recover adversaries revive the node *)
+  | Recover of { node : int }
+  | Deliver of { node : int; from : int }
   | Note of string
 
 type entry = { slot : int; event : event }
@@ -63,53 +66,18 @@ let find_first t pred =
 let count t pred =
   List.fold_left (fun acc e -> if pred e then acc + 1 else acc) 0 t.entries
 
-let pp_event ppf = function
-  | Bcast { node; msg } -> Fmt.pf ppf "bcast(m%d)_%d" msg node
-  | Rcv { node; msg; from } -> Fmt.pf ppf "rcv(m%d<-%d)_%d" msg from node
-  | Ack { node; msg } -> Fmt.pf ppf "ack(m%d)_%d" msg node
-  | Abort { node; msg } -> Fmt.pf ppf "abort(m%d)_%d" msg node
-  | Wake { node } -> Fmt.pf ppf "wake_%d" node
-  | Crash { node } -> Fmt.pf ppf "crash_%d" node
-  | Recover { node } -> Fmt.pf ppf "recover_%d" node
-  | Note s -> Fmt.pf ppf "note(%s)" s
+(* The one record call for the engine and every MAC: append to the
+   attached per-run trace, and — with tracing armed — push the same typed
+   event into the flight-recorder ring (Span checks the flag). *)
+let emit trace ~slot ev =
+  (match trace with Some t -> record t ~slot ev | None -> ());
+  Sinr_obs.Span.record_event ~slot ev
 
-let pp_entry ppf e = Fmt.pf ppf "[%6d] %a" e.slot pp_event e.event
-
-(* ------------------------------------------------------------------ *)
-(* Structured export (JSONL, one event per line)                       *)
-(* ------------------------------------------------------------------ *)
-
-let event_to_json =
-  let open Sinr_obs.Json in
-  function
-  | Bcast { node; msg } ->
-    Obj [ ("ev", Str "bcast"); ("node", int node); ("msg", int msg) ]
-  | Rcv { node; msg; from } ->
-    Obj
-      [ ("ev", Str "rcv"); ("node", int node); ("msg", int msg);
-        ("from", int from) ]
-  | Ack { node; msg } ->
-    Obj [ ("ev", Str "ack"); ("node", int node); ("msg", int msg) ]
-  | Abort { node; msg } ->
-    Obj [ ("ev", Str "abort"); ("node", int node); ("msg", int msg) ]
-  | Wake { node } -> Obj [ ("ev", Str "wake"); ("node", int node) ]
-  | Crash { node } -> Obj [ ("ev", Str "crash"); ("node", int node) ]
-  | Recover { node } -> Obj [ ("ev", Str "recover"); ("node", int node) ]
-  | Note s -> Obj [ ("ev", Str "note"); ("text", Str s) ]
-
-let entry_to_json e =
-  match event_to_json e.event with
-  | Sinr_obs.Json.Obj fields ->
-    Sinr_obs.Json.Obj (("slot", Sinr_obs.Json.int e.slot) :: fields)
-  | j -> j
-
+(* JSONL export, one event per line: the slot, then the event's fields. *)
 let to_jsonl t =
-  let buf = Buffer.create 1024 in
-  List.iter
-    (fun e ->
-      Buffer.add_string buf (Sinr_obs.Json.to_string_json (entry_to_json e));
-      Buffer.add_char buf '\n')
-    (events t);
-  Buffer.contents buf
-
-let write_jsonl t path = Sinr_obs.Sink.write_file path (to_jsonl t)
+  let open Sinr_obs in
+  let line e =
+    Json.Obj (("slot", Json.int e.slot) :: Sim_event.fields e.event)
+  in
+  String.concat ""
+    (List.map (fun e -> Json.to_string_json (line e) ^ "\n") (events t))

@@ -1,7 +1,7 @@
-(** Bounded traces of absMAC-level events, used by tests to check the
-    specification's execution predicates. *)
+(** Bounded traces of absMAC-level events, used by tests and Spec_check to
+    check the specification's execution predicates. *)
 
-type event =
+type event = Sinr_obs.Sim_event.t =
   | Bcast of { node : int; msg : int }
   | Rcv of { node : int; msg : int; from : int }
   | Ack of { node : int; msg : int }
@@ -9,7 +9,10 @@ type event =
   | Wake of { node : int }
   | Crash of { node : int }
   | Recover of { node : int }
+  | Deliver of { node : int; from : int }
   | Note of string
+(** Re-export of {!Sinr_obs.Sim_event.t}, whose [pp], [to_json] and
+    [of_json] are the event's one printer and JSON shape. *)
 
 type entry = { slot : int; event : event }
 
@@ -25,17 +28,12 @@ val events : t -> entry list
 val dropped : t -> int
 val find_first : t -> (entry -> bool) -> entry option
 val count : t -> (entry -> bool) -> int
-val pp_event : event Fmt.t
-val pp_entry : entry Fmt.t
 
-val event_to_json : event -> Sinr_obs.Json.t
-(** The event alone, as [{"ev":..., ...}] — the flight recorder mirrors
-    events through this without the slot field (the recorder stamps its
-    own). *)
+val emit : t option -> slot:int -> event -> unit
+(** The engine's and every MAC's single record call: {!record} into the
+    attached trace when there is one, and, while the flight recorder is
+    armed, {!Sinr_obs.Span.record_event} of the same typed event. *)
 
-val entry_to_json : entry -> Sinr_obs.Json.t
 val to_jsonl : t -> string
-(** All retained events, oldest first, one JSON object per line. *)
-
-val write_jsonl : t -> string -> unit
-(** [write_jsonl t path] dumps {!to_jsonl} to [path]. *)
+(** All retained events, oldest first, one [{"slot":..,<event fields>}]
+    object per line. *)

@@ -19,7 +19,6 @@
    tracing layer, so "is tracing on" is a single atomic load everywhere. *)
 let set_enabled = Span.set_enabled
 let is_enabled = Span.is_enabled
-let with_enabled = Span.with_enabled
 
 let mutex = Mutex.create ()
 let dump_dir = ref "."
@@ -33,8 +32,6 @@ let configure ?capacity ?dir () =
     dump_dir := d;
     Mutex.unlock mutex
   | None -> ()
-
-let event ~slot body = Span.record_event ~slot body
 
 let clear () =
   Span.clear ();
@@ -51,20 +48,17 @@ let sanitize reason =
       | _ -> '-')
     reason
 
-(* Does a span / loose event belong to job [id]?  Spans carry the ambient
-   ["job_id"] attribute (Span.with_context in the daemon runner); events
-   match on a top-level ["job_id"] field. *)
-let span_has_job id (sp : Span.t) =
-  match List.assoc_opt "job_id" sp.Span.attrs with
+(* Does a span / loose event belong to job [id]?  Both carry the ambient
+   context they were opened or recorded in (Span.with_context in the
+   daemon runner), whose ["job_id"] names the job. *)
+let has_job id attrs =
+  match List.assoc_opt "job_id" attrs with
   | Some j -> Json.to_int j = Some id
   | None -> false
 
 let entry_has_job id = function
-  | Span.Span_entry sp -> span_has_job id sp
-  | Span.Event_entry { body; _ } ->
-    (match Option.bind (Json.member "job_id" body) Json.to_int with
-     | Some j -> j = id
-     | None -> false)
+  | Span.Span_entry sp -> has_job id sp.Span.attrs
+  | Span.Event_entry { ctx; _ } -> has_job id ctx
 
 (* Keep the last [n] elements of [l]. *)
 let last_n n l =
@@ -79,7 +73,7 @@ let to_jsonl ?last ?job ~reason () =
     match job with
     | None -> (open_spans, entries)
     | Some id ->
-      (List.filter (span_has_job id) open_spans,
+      (List.filter (fun (sp : Span.t) -> has_job id sp.Span.attrs) open_spans,
        List.filter (entry_has_job id) entries)
   in
   let entries = match last with None -> entries | Some n -> last_n (max 0 n) entries in

@@ -1,22 +1,19 @@
 (** Flight recorder: bounded in-memory history of spans + events, dumped to
     JSONL on failure or on request.
 
-    Storage is {!Span}'s ring; this module owns the dump policy. Dumps are
+    Storage is {!Span}'s ring (typed events are recorded with
+    {!Span.record_event}); this module owns the dump policy. Dumps are
     triggered by Spec_check violations (Exp_chaos), crash-mid-broadcast
     (Combined_mac), or the caller ([sinr_sim --trace-out]). Shares Span's
     enable flag — {!set_enabled}[ true] arms both spans and events. *)
 
 val set_enabled : bool -> unit
 val is_enabled : unit -> bool
-val with_enabled : (unit -> 'a) -> 'a
 
 val configure : ?capacity:int -> ?dir:string -> unit -> unit
 (** [capacity]: ring size in entries (resets ring contents; default
     {!Span.default_capacity}). [dir]: directory for default dump paths
     (default ["."]). *)
-
-val event : slot:int -> Json.t -> unit
-(** Record a loose event (= {!Span.record_event}); no-op when disabled. *)
 
 val clear : unit -> unit
 (** Drop ring + open spans and re-arm {!dump_once} reasons. *)
@@ -28,9 +25,9 @@ val to_jsonl : ?last:int -> ?job:int -> reason:string -> unit -> string
     one JSON object per line. [?last] keeps only the newest [n] ring
     entries (the header's ["entries"] counts what is served and a
     ["total_entries"] field reports the pre-cap total when truncated).
-    [?job] keeps only spans whose ["job_id"] attribute — stamped by
-    {!Span.with_context} in the daemon — and events whose ["job_id"]
-    field match. *)
+    [?job] keeps only the spans and events whose ambient ["job_id"] —
+    stamped by {!Span.with_context} in the daemon at open / record time —
+    matches. Events are rendered to JSON here, not when recorded. *)
 
 val dump : ?path:string -> reason:string -> unit -> string
 (** Write {!to_jsonl} atomically and return the path written. Default path

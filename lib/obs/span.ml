@@ -12,7 +12,9 @@
    against [none]), so the hooks can live inside per-slot kernels.
 
    Finished spans and loose events land in a bounded ring (the flight
-   recorder's storage): the last [capacity] entries are retained, older
+   recorder's storage).  Events stay typed ([Sim_event.t]) in the ring;
+   JSON is built only by [entry_to_json] when a dump is written.  The
+   last [capacity] entries are retained, older
    ones are overwritten and counted in [dropped].  Spans still open live
    in a side table until [finish] moves them into the ring, so a dump can
    also show what was in flight at the moment of failure.
@@ -25,11 +27,6 @@
 let on = Atomic.make false
 let set_enabled b = Atomic.set on b
 let is_enabled () = Atomic.get on
-
-let with_enabled f =
-  let prev = Atomic.get on in
-  Atomic.set on true;
-  Fun.protect ~finally:(fun () -> Atomic.set on prev) f
 
 type id = int
 
@@ -45,7 +42,13 @@ type t = {
   mutable notes : (int * string) list;  (* (slot, text), newest first *)
 }
 
-type entry = Span_entry of t | Event_entry of { slot : int; body : Json.t }
+type entry =
+  | Span_entry of t
+  | Event_entry of {
+      slot : int;
+      ctx : (string * Json.t) list;  (* ambient context, newest first *)
+      event : Sim_event.t;
+    }
 
 let mutex = Mutex.create ()
 
@@ -60,8 +63,11 @@ let active : (id, t) Hashtbl.t = Hashtbl.create 64
 
 let default_capacity = 32_768
 
-(* The ring: [head] is the next write position, [size] the live prefix. *)
-let ring = ref (Array.make default_capacity None)
+(* The ring: [head] is the next write position, [size] the live prefix.
+   Slots outside the live prefix hold [vacant], so a push stores the entry
+   itself, not an option around it. *)
+let vacant = Event_entry { slot = 0; ctx = []; event = Sim_event.Note "" }
+let ring = ref (Array.make default_capacity vacant)
 let head = ref 0
 let size = ref 0
 let dropped = ref 0
@@ -69,7 +75,7 @@ let dropped = ref 0
 let set_capacity cap =
   let cap = max 16 cap in
   locked (fun () ->
-    ring := Array.make cap None;
+    ring := Array.make cap vacant;
     head := 0;
     size := 0;
     dropped := 0)
@@ -78,7 +84,7 @@ let capacity () = locked (fun () -> Array.length !ring)
 
 let clear () =
   locked (fun () ->
-    Array.fill !ring 0 (Array.length !ring) None;
+    Array.fill !ring 0 (Array.length !ring) vacant;
     head := 0;
     size := 0;
     dropped := 0;
@@ -89,27 +95,33 @@ let push e =
   let r = !ring in
   let cap = Array.length r in
   if !size = cap then incr dropped else incr size;
-  r.(!head) <- Some e;
+  r.(!head) <- e;
   head := (!head + 1) mod cap
 
-let record_event ~slot body =
-  if Atomic.get on then
-    locked (fun () -> push (Event_entry { slot; body }))
-
-(* Ambient context: attributes stamped onto every span opened while the
-   context is set.  The daemon's runner scopes a [("job_id", ...)] pair
-   around each job so every span opened inside the job's cells — engine,
-   MAC, physics — carries the job identity without threading it through
-   the whole call stack.  One atomic load on [start] when tracing is on;
-   nothing at all when it is off. *)
+(* Ambient context: attributes stamped onto every span opened and every
+   event recorded while the context is set.  The daemon's runner scopes a
+   [("job_id", ...)] pair around each job so every span and event inside
+   the job's cells — engine, MAC, physics — carries the job identity
+   without threading it through the whole call stack.  One atomic load on
+   [start] / [record_event] when tracing is on; nothing at all when it is
+   off. *)
 let context : (string * Json.t) list Atomic.t = Atomic.make []
-
-let set_context attrs = Atomic.set context attrs
 
 let with_context attrs f =
   let prev = Atomic.get context in
   Atomic.set context (attrs @ prev);
   Fun.protect ~finally:(fun () -> Atomic.set context prev) f
+
+(* The event stays typed in the ring; [entry_to_json] renders it only when
+   a dump is written.  The context list is shared, not copied. *)
+let record_event ~slot event =
+  if Atomic.get on then begin
+    let e = Event_entry { slot; ctx = Atomic.get context; event } in
+    (* [push] cannot raise, so the hot path skips [locked]'s closure. *)
+    Mutex.lock mutex;
+    push e;
+    Mutex.unlock mutex
+  end
 
 let start ?(parent = none) ~name ~slot () =
   if not (Atomic.get on) then none
@@ -159,10 +171,7 @@ let entries () =
     let cap = Array.length r in
     let n = !size in
     let first = (!head - n + cap) mod cap in
-    List.init n (fun i ->
-      match r.((first + i) mod cap) with
-      | Some e -> e
-      | None -> assert false))
+    List.init n (fun i -> r.((first + i) mod cap)))
 
 let open_spans () =
   locked (fun () -> Hashtbl.fold (fun _ sp acc -> sp :: acc) active [])
@@ -195,13 +204,9 @@ let span_to_json sp =
 
 let entry_to_json = function
   | Span_entry sp -> span_to_json sp
-  | Event_entry { slot; body } ->
-    (* Flatten object bodies so event lines read like Trace JSONL with a
-       kind discriminator; non-object bodies keep their own field. *)
-    let fields =
-      match body with
-      | Json.Obj fs -> fs
-      | other -> [ ("body", other) ]
-    in
+  | Event_entry { slot; ctx; event } ->
+    (* Event lines read like Trace JSONL with a kind discriminator; the
+       context (a daemon job's ["job_id"]) follows the event's fields. *)
     Json.Obj
-      (("kind", Json.Str "event") :: ("slot", Json.int slot) :: fields)
+      (("kind", Json.Str "event") :: ("slot", Json.int slot)
+       :: (Sim_event.fields event @ List.rev ctx))

@@ -4,21 +4,18 @@
     attributes and slot-stamped text annotations. The MAC stack opens a
     root span per broadcast and hangs Hm_ack / Approx_progress
     epoch/phase/stage children off it; {!Recorder} dumps them (plus loose
-    events) as JSONL.
+    typed {!Sim_event.t} events) as JSONL.
 
     Everything is gated on one process-global flag, default {e off}: with
     tracing off {!start} returns {!none} without allocating, and all other
     operations cost one branch, so the hooks can sit inside per-slot
-    kernels. Enable with {!set_enabled} or {!with_enabled}.
+    kernels. Enable with {!set_enabled}.
 
     Domain-safe but intended for single-run debugging: all domains share
     one ring. *)
 
 val set_enabled : bool -> unit
 val is_enabled : unit -> bool
-
-val with_enabled : (unit -> 'a) -> 'a
-(** Run with tracing enabled, restoring the previous state after. *)
 
 type id = private int
 (** Handle to a span; process-unique, never reused. *)
@@ -33,15 +30,12 @@ val start : ?parent:id -> name:string -> slot:int -> unit -> id
     {!none} [parent] means root). The span's initial attributes are the
     current ambient context (see {!with_context}). *)
 
-val set_context : (string * Json.t) list -> unit
-(** Set the process-global ambient context: attributes stamped onto every
-    span subsequently opened, in any domain. Used by the sweep daemon to
-    tag all spans of a running job with its [job_id]. Prefer
-    {!with_context} for scoped use. *)
-
 val with_context : (string * Json.t) list -> (unit -> 'a) -> 'a
-(** Prepend attributes to the ambient context for the duration of [f],
-    restoring the previous context after (even on exceptions). *)
+(** Prepend attributes to the process-global ambient context for the
+    duration of [f], restoring it after (even on exceptions). Every span
+    opened and every event recorded meanwhile, in any domain, carries the
+    context: the sweep daemon tags a job's spans and events with its
+    [job_id] this way. *)
 
 val set_attr : id -> string -> Json.t -> unit
 (** Set (or replace) an attribute on a still-open span. *)
@@ -53,9 +47,10 @@ val finish : id -> slot:int -> unit
 (** Close the span and move it into the ring. Works even if tracing was
     disabled after {!start}, so enabled-phase spans cannot leak. *)
 
-val record_event : slot:int -> Json.t -> unit
-(** Push a loose (span-less) event into the ring; no-op when disabled.
-    Exposed to {!Recorder} and the engine hooks. *)
+val record_event : slot:int -> Sim_event.t -> unit
+(** Push a loose (span-less) event into the ring, stamped with the
+    ambient context; no-op when disabled. The event is stored typed:
+    {!entry_to_json} renders it at dump time. *)
 
 (** {1 Ring management} *)
 
@@ -85,7 +80,15 @@ type t = private {
   mutable notes : (int * string) list;  (** (slot, text), newest first *)
 }
 
-type entry = Span_entry of t | Event_entry of { slot : int; body : Json.t }
+type entry =
+  | Span_entry of t
+  | Event_entry of {
+      slot : int;
+      ctx : (string * Json.t) list;
+          (** the ambient context when recorded, newest first ([[]]
+              outside any {!with_context}) *)
+      event : Sim_event.t;
+    }
 
 val entries : unit -> entry list
 (** Ring contents, oldest first. *)
@@ -98,4 +101,6 @@ val entry_to_json : entry -> Json.t
 (** One JSONL line per entry: spans as
     [{"kind":"span","id":..,"parent":..,"name":..,"start":..,"end":..,
     "attrs":{..},"notes":[[slot,text],..]}], events as
-    [{"kind":"event","slot":..,<body fields>}]. *)
+    [{"kind":"event","slot":..,<Sim_event.fields>,<context fields>}] —
+    the context fields (oldest first) only when recorded inside a
+    context. *)

@@ -1,59 +1,15 @@
-(* Wall-clock spans paired with allocation deltas from [Gc.quick_stat]
-   (which reads mutable counters without walking the heap, so a span costs
-   two quick_stats and a gettimeofday).  Used to profile the [Sinr.resolve]
-   kernel and the per-experiment phases of the bench harness. *)
+(* Wall-clock spans paired with minor-heap allocation deltas.  Used to time
+   the [Sinr.resolve] kernel into [phys.resolve.ns]. *)
 
-type span = {
-  wall_s : float;
-  minor_words : float;
-  major_words : float;
-  promoted_words : float;
-}
+type span = { wall_s : float; minor_words : float }
 
 (* [Gc.minor_words ()] reads the domain's allocation pointer directly; the
    [minor_words] field of [quick_stat] is only refreshed at minor
    collections on OCaml 5 and would report 0 for short spans. *)
-type running = { t0 : float; minor0 : float; gc0 : Gc.stat }
+type running = { t0 : float; minor0 : float }
 
-let start () =
-  { t0 = Unix.gettimeofday ();
-    minor0 = Gc.minor_words ();
-    gc0 = Gc.quick_stat () }
+let start () = { t0 = Unix.gettimeofday (); minor0 = Gc.minor_words () }
 
 let stop r =
-  let t1 = Unix.gettimeofday () in
-  let minor1 = Gc.minor_words () in
-  let gc1 = Gc.quick_stat () in
-  { wall_s = t1 -. r.t0;
-    minor_words = minor1 -. r.minor0;
-    major_words = gc1.Gc.major_words -. r.gc0.Gc.major_words;
-    promoted_words = gc1.Gc.promoted_words -. r.gc0.Gc.promoted_words }
-
-let time f =
-  let r = start () in
-  let x = f () in
-  (x, stop r)
-
-(* Record a span into histograms under [prefix]: wall time in nanoseconds
-   ([<prefix>.ns]) and minor-heap allocation in words ([<prefix>.minor_w]).
-   The histogram handles are get-or-create, so repeated calls with the same
-   prefix share metrics; call sites on hot paths should keep their own
-   handles and use [observe_span] instead. *)
-let observe_span ~ns ~minor_w span =
-  Metrics.observe ns (span.wall_s *. 1e9);
-  Metrics.observe minor_w span.minor_words
-
-let record ~prefix f =
-  if Metrics.is_enabled () then begin
-    let x, span = time f in
-    observe_span
-      ~ns:(Metrics.histogram (prefix ^ ".ns"))
-      ~minor_w:(Metrics.histogram (prefix ^ ".minor_w"))
-      span;
-    x
-  end
-  else f ()
-
-let pp_span ppf s =
-  Fmt.pf ppf "%.3fms minor=%.0fw major=%.0fw promoted=%.0fw" (s.wall_s *. 1e3)
-    s.minor_words s.major_words s.promoted_words
+  { wall_s = Unix.gettimeofday () -. r.t0;
+    minor_words = Gc.minor_words () -. r.minor0 }

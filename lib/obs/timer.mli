@@ -1,28 +1,9 @@
-(** Wall-clock spans with [Gc.quick_stat] allocation deltas, for profiling
+(** Wall-clock spans with minor-heap allocation deltas, for profiling
     simulation kernels. *)
 
-type span = {
-  wall_s : float;
-  minor_words : float;
-  major_words : float;
-  promoted_words : float;
-}
+type span = { wall_s : float; minor_words : float }
 
 type running
 
 val start : unit -> running
 val stop : running -> span
-
-val time : (unit -> 'a) -> 'a * span
-
-val observe_span :
-  ns:Metrics.histogram -> minor_w:Metrics.histogram -> span -> unit
-(** Record a span's wall time (nanoseconds) and minor allocation (words)
-    into pre-created histogram handles — the hot-path form. *)
-
-val record : prefix:string -> (unit -> 'a) -> 'a
-(** [record ~prefix f] runs [f], recording into [<prefix>.ns] and
-    [<prefix>.minor_w] when metrics are enabled; with metrics disabled it
-    is just [f ()]. *)
-
-val pp_span : span Fmt.t

@@ -27,7 +27,7 @@ type span_rec = {
   s_notes : (int * string) list;
 }
 
-type event_rec = { e_slot : int; e_fields : (string * Json.t) list }
+type event_rec = { e_slot : int; e_event : Sim_event.t; e_job : int option }
 
 type trace = {
   header : (string * Json.t) list;
@@ -80,12 +80,17 @@ let of_lines lines =
         match Option.bind (Json.member "kind" j) Json.to_string with
         | Some "span" -> spans := span_of_json j :: !spans
         | Some "event" ->
-          let fields = match j with Json.Obj fs -> fs | _ -> [] in
-          let slot =
-            Option.value ~default:0
-              (Option.bind (Json.member "slot" j) Json.to_int)
+          let int k = Option.bind (Json.member k j) Json.to_int in
+          let event =
+            match Sim_event.of_json j with
+            | Some ev -> ev
+            | None -> failwith ("unrecognised event line: " ^ line)
           in
-          events := { e_slot = slot; e_fields = fields } :: !events
+          events :=
+            { e_slot = Option.value ~default:0 (int "slot");
+              e_event = event;
+              e_job = int "job_id" }
+            :: !events
         | Some k -> failwith (Printf.sprintf "unknown line kind %S" k)
         | None ->
           if Json.member "flight" j <> None then
@@ -178,16 +183,12 @@ let analyze tr =
   let first_rcv : (int * int, int) Hashtbl.t = Hashtbl.create 32 in
   List.iter
     (fun e ->
-      match Option.bind (List.assoc_opt "ev" e.e_fields) Json.to_string with
-      | Some "rcv" ->
-        let f name = Option.bind (List.assoc_opt name e.e_fields) Json.to_int in
-        (match (f "from", f "msg") with
-         | Some from, Some msg ->
-           let key = (from, msg) in
-           (match Hashtbl.find_opt first_rcv key with
-            | Some s when s <= e.e_slot -> ()
-            | _ -> Hashtbl.replace first_rcv key e.e_slot)
-         | _ -> ())
+      match e.e_event with
+      | Sim_event.Rcv { from; msg; _ } ->
+        let key = (from, msg) in
+        (match Hashtbl.find_opt first_rcv key with
+         | Some s when s <= e.e_slot -> ()
+         | _ -> Hashtbl.replace first_rcv key e.e_slot)
       | _ -> ())
     tr.events;
   let messages =

@@ -18,7 +18,11 @@ type span_rec = {
   s_notes : (int * string) list;
 }
 
-type event_rec = { e_slot : int; e_fields : (string * Json.t) list }
+type event_rec = {
+  e_slot : int;
+  e_event : Sim_event.t;  (** decoded with {!Sim_event.of_json} *)
+  e_job : int option;  (** the ["job_id"] a daemon job stamped *)
+}
 
 type trace = {
   header : (string * Json.t) list;
@@ -28,8 +32,8 @@ type trace = {
 
 val of_lines : string list -> trace
 (** Parse dump lines. Raises [Json.Parse_error] on malformed JSON and
-    [Failure] on lines that are neither header, span nor event. Blank
-    lines are skipped. *)
+    [Failure] on lines that are neither header, span nor a decodable
+    event. Blank lines are skipped. *)
 
 val load_file : string -> trace
 (** {!of_lines} over a file; raises [Sys_error] on IO failure. *)

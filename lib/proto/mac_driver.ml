@@ -20,42 +20,29 @@ type t = {
   alive : node:int -> bool; (* false for crashed nodes *)
 }
 
-let of_ideal mac =
-  { n = Ideal_mac.n mac;
-    now = (fun () -> Ideal_mac.now mac);
-    bounds = Ideal_mac.bounds mac;
-    set_handlers = Ideal_mac.set_handlers mac;
-    bcast = (fun ~node ~data -> Ideal_mac.bcast mac ~node ~data);
-    abort = (fun ~node -> Ideal_mac.abort mac ~node);
-    busy = (fun ~node -> Ideal_mac.busy mac ~node);
-    step = (fun () -> Ideal_mac.step mac);
-    alive = (fun ~node:_ -> true) }
+(* One constructor for every implementation: packing the MAC as an
+   [Absmac_intf.S] makes the compiler check the interface claim. *)
+let of_mac (type m) (module M : Absmac_intf.S with type t = m) ~alive mac =
+  { n = M.n mac;
+    now = (fun () -> M.now mac);
+    bounds = M.bounds mac;
+    set_handlers = M.set_handlers mac;
+    bcast = (fun ~node ~data -> M.bcast mac ~node ~data);
+    abort = (fun ~node -> M.abort mac ~node);
+    busy = (fun ~node -> M.busy mac ~node);
+    step = (fun () -> M.step mac);
+    alive }
+
+let of_ideal mac = of_mac (module Ideal_mac) mac ~alive:(fun ~node:_ -> true)
+
+let not_crashed engine ~node = not (Sinr_engine.Engine.is_crashed engine node)
 
 let of_decay mac =
-  { n = Decay_mac.n mac;
-    now = (fun () -> Decay_mac.now mac);
-    bounds = Decay_mac.bounds mac;
-    set_handlers = Decay_mac.set_handlers mac;
-    bcast = (fun ~node ~data -> Decay_mac.bcast mac ~node ~data);
-    abort = (fun ~node -> Decay_mac.abort mac ~node);
-    busy = (fun ~node -> Decay_mac.busy mac ~node);
-    step = (fun () -> Decay_mac.step mac);
-    alive =
-      (fun ~node ->
-        not (Sinr_engine.Engine.is_crashed (Decay_mac.engine mac) node)) }
+  of_mac (module Decay_mac) mac ~alive:(not_crashed (Decay_mac.engine mac))
 
 let of_combined mac =
-  { n = Combined_mac.n mac;
-    now = (fun () -> Combined_mac.now mac);
-    bounds = Combined_mac.bounds mac;
-    set_handlers = Combined_mac.set_handlers mac;
-    bcast = (fun ~node ~data -> Combined_mac.bcast mac ~node ~data);
-    abort = (fun ~node -> Combined_mac.abort mac ~node);
-    busy = (fun ~node -> Combined_mac.busy mac ~node);
-    step = (fun () -> Combined_mac.step mac);
-    alive =
-      (fun ~node ->
-        not (Sinr_engine.Engine.is_crashed (Combined_mac.engine mac) node)) }
+  of_mac (module Combined_mac) mac
+    ~alive:(not_crashed (Combined_mac.engine mac))
 
 (* ------------------------------------------------------------------ *)
 (* Retry-with-deadline wrapper                                         *)

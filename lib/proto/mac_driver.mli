@@ -19,6 +19,10 @@ type t = {
 val of_ideal : Ideal_mac.t -> t
 val of_decay : Decay_mac.t -> t
 val of_combined : Combined_mac.t -> t
+(** The three are one constructor applied to the MAC packed as an
+    {!Absmac_intf.S} (so each implementation's claim to satisfy it is
+    compiler-checked), plus its [alive]: always true for the ideal MAC,
+    "not crashed in the engine" for the two SINR MACs. *)
 
 (** {1 Retry with deadline}
 

@@ -609,18 +609,42 @@ let test_span_context =
         [ ("job_id", Json.int 7) ]
         (fun () ->
           let sp = Span.start ~name:"ctx.inside" ~slot:0 () in
+          Span.record_event ~slot:1
+            (Sim_event.Rcv { node = 2; msg = 3; from = 4 });
           Span.finish sp ~slot:1);
       let sp = Span.start ~name:"ctx.outside" ~slot:0 () in
+      Span.record_event ~slot:1 (Sim_event.Rcv { node = 5; msg = 6; from = 7 });
       Span.finish sp ~slot:1;
       let dump = Recorder.to_jsonl ~reason:"t" () in
       Alcotest.(check bool) "inside span stamped" true
         (has_sub dump "\"job_id\":7");
-      (* ?job keeps the stamped span, drops the rest *)
+      (* Events get the context's job_id after their own fields; an event
+         recorded outside any context keeps the unstamped line. *)
+      let inside_ev =
+        {|{"kind":"event","slot":1,"ev":"rcv","node":2,"msg":3,"from":4,"job_id":7}|}
+      and outside_ev =
+        {|{"kind":"event","slot":1,"ev":"rcv","node":5,"msg":6,"from":7}|}
+      in
+      Alcotest.(check bool) "inside event stamped" true
+        (has_sub dump inside_ev);
+      Alcotest.(check bool) "outside event line unchanged" true
+        (has_sub dump (outside_ev ^ "\n"));
+      (* ?job keeps the stamped span and event, drops the rest *)
       let filtered = Recorder.to_jsonl ~job:7 ~reason:"t" () in
       Alcotest.(check bool) "filter keeps stamped" true
         (has_sub filtered "ctx.inside");
+      Alcotest.(check bool) "filter keeps stamped event" true
+        (has_sub filtered inside_ev);
       Alcotest.(check bool) "filter drops unstamped" true
         (not (has_sub filtered "ctx.outside"));
+      Alcotest.(check bool) "filter drops unstamped event" true
+        (not (has_sub filtered outside_ev));
+      (* trace-report reads the stamp back *)
+      let tr =
+        Trace_report.of_lines (String.split_on_char '\n' filtered)
+      in
+      Alcotest.(check (list (option int))) "report sees the job" [ Some 7 ]
+        (List.map (fun e -> e.Trace_report.e_job) tr.Trace_report.events);
       (* context restored on exit *)
       let dump2 = Recorder.to_jsonl ~job:7 ~reason:"t" () in
       Alcotest.(check bool) "context scoped" true
@@ -797,17 +821,15 @@ let test_spans_last_cap =
 
 (* ---------------- timer ---------------- *)
 
-let test_timer =
-  with_registry (fun () ->
-      (* Cons cells allocate on the minor heap (large arrays would go
-         straight to the major heap and leave minor_words at 0). *)
-      let x, span = Timer.time (fun () -> List.length (List.init 1000 Fun.id)) in
-      Alcotest.(check int) "result passthrough" 1000 x;
-      Alcotest.(check bool) "wall time non-negative" true (span.Timer.wall_s >= 0.);
-      Alcotest.(check bool) "allocated" true (span.Timer.minor_words > 0.);
-      ignore (Timer.record ~prefix:"test.span" (fun () -> ()));
-      Alcotest.(check bool) "recorded histogram" true
-        (Metrics.histogram_count (Metrics.histogram "test.span.ns") = 1))
+let test_timer () =
+  (* Cons cells allocate on the minor heap (large arrays would go straight
+     to the major heap and leave minor_words at 0). *)
+  let r = Timer.start () in
+  let x = List.length (List.init 1000 Fun.id) in
+  let span = Timer.stop r in
+  Alcotest.(check int) "work ran" 1000 x;
+  Alcotest.(check bool) "wall time non-negative" true (span.Timer.wall_s >= 0.);
+  Alcotest.(check bool) "allocated" true (span.Timer.minor_words > 0.)
 
 (* ---------------- trace ring buffer ---------------- *)
 

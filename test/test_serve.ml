@@ -1132,6 +1132,61 @@ let test_job_metrics_disjoint =
         (status_of (handle "DELETE /jobs/1/metrics HTTP/1.1\r\n\r\n"));
       Daemon.close daemon)
 
+(* Events are stamped with the running job's id when they are recorded,
+   like spans, so a per-job scrape (/spans?job=N) carries that job's rcv
+   events and trace-report on it sees progress. *)
+let test_job_spans_carry_events =
+  with_registry (fun () ->
+      Recorder.clear ();
+      Recorder.set_enabled true;
+      Fun.protect
+        ~finally:(fun () ->
+          Recorder.set_enabled false;
+          Recorder.clear ())
+      @@ fun () ->
+      let daemon = Daemon.create ~dir:(fresh_dir ()) () in
+      Fun.protect ~finally:(fun () -> Daemon.close daemon) @@ fun () ->
+      let handle = Http.handle ~handler:(Daemon.handler daemon) in
+      List.iter
+        (fun seed ->
+          Alcotest.(check (option int)) "submit" (Some 202)
+            (status_of
+               (handle
+                  (post_jobs
+                     (Printf.sprintf
+                        {|{"exp":"chaos","params":[0],"seeds":[%d]}|} seed)))))
+        [ 1; 2 ];
+      while Daemon.step daemon do () done;
+      let scrape job =
+        body_of
+          (handle
+             (Printf.sprintf "GET /spans?job=%d&last=1000000 HTTP/1.1\r\n\r\n"
+                job))
+      in
+      let lines job =
+        List.filter (fun l -> l <> "") (String.split_on_char '\n' (scrape job))
+      in
+      let rcvs job =
+        List.filter (fun l -> has_sub l {|"ev":"rcv"|}) (lines job)
+      in
+      List.iter
+        (fun job ->
+          let own = Printf.sprintf {|"job_id":%d|} job in
+          Alcotest.(check bool)
+            (Printf.sprintf "job %d scrape has rcv events" job)
+            true
+            (rcvs job <> []);
+          Alcotest.(check bool)
+            (Printf.sprintf "every rcv in job %d's scrape is its own" job)
+            true
+            (List.for_all (fun l -> has_sub l own) (rcvs job));
+          let r = Trace_report.analyze (Trace_report.of_lines (lines job)) in
+          Alcotest.(check bool)
+            (Printf.sprintf "job %d report measures progress" job)
+            true
+            (r.Trace_report.prog_pcts <> None))
+        [ 1; 2 ])
+
 (* ---------------- http: slowloris guard ------------------------------ *)
 
 let test_http_read_timeout () =
@@ -1231,6 +1286,8 @@ let suite =
       test_watch_reassembles_table;
     Alcotest.test_case "daemon: /jobs/:id/metrics disjoint" `Quick
       test_job_metrics_disjoint;
+    Alcotest.test_case "job spans scrape carries its rcv events" `Quick
+      test_job_spans_carry_events;
     Alcotest.test_case "http: slowloris read timeout" `Slow
       test_http_read_timeout;
     Alcotest.test_case "bench diff: missing current" `Quick

@@ -56,7 +56,7 @@ let test_span_disabled_is_none () =
   Span.set_attr id "k" (Json.Num 1.);
   Span.annotate id ~slot:1 "note";
   Span.finish id ~slot:2;
-  Span.record_event ~slot:0 (Json.Obj [ ("ev", Json.Str "x") ]);
+  Span.record_event ~slot:0 (Sim_event.Note "x");
   Alcotest.(check int) "ring untouched" 0 (List.length (Span.entries ()))
 
 let test_span_parent_attrs_notes =
@@ -96,7 +96,7 @@ let test_ring_eviction =
   with_recorder ~capacity:16 (fun () ->
       Alcotest.(check int) "capacity clamped as asked" 16 (Span.capacity ());
       for slot = 0 to 19 do
-        Span.record_event ~slot (Json.Obj [ ("ev", Json.Str "tick") ])
+        Span.record_event ~slot (Sim_event.Note "tick")
       done;
       let es = Span.entries () in
       Alcotest.(check int) "ring holds capacity entries" 16 (List.length es);
@@ -127,9 +127,8 @@ let test_dump_roundtrip () =
       let s = Span.start ~name:"unit.span" ~slot:3 () in
       Span.set_attr s "node" (Json.int 4);
       Span.finish s ~slot:9;
-      Recorder.event ~slot:5
-        (Json.Obj [ ("ev", Json.Str "rcv"); ("from", Json.int 4);
-                    ("msg", Json.int 0) ]);
+      Span.record_event ~slot:5
+        (Sim_event.Rcv { node = 1; msg = 0; from = 4 });
       let open_span = Span.start ~name:"unit.open" ~slot:7 () in
       ignore open_span;
       let path = Recorder.dump ~reason:"unit test!" () in
@@ -195,6 +194,92 @@ let test_crash_mid_broadcast_dumps () =
           m.Trace_report.m_outcome
       | ms -> Alcotest.failf "expected one message, got %d" (List.length ms))
     ()
+
+(* ---------------- Pinned flight dump ---------------- *)
+
+(* A small seeded traced Combined_mac run that meets every event kind the
+   ring can hold (bcast, abort, rcv, ack, wake, crash, recover, deliver)
+   plus the MAC's spans.  The digest of its dump is pinned, so any change
+   to how events are stored or rendered must keep the bytes.  Span ids are
+   process-unique and depend on what ran before, so they are renumbered
+   from the run's first id before hashing. *)
+let pinned_dump () =
+  let mac = Combined_mac.create (line_net 6 3.) ~rng:(Rng.create 11) in
+  let eng = Combined_mac.engine mac in
+  ignore (Combined_mac.bcast mac ~node:0 ~data:1);
+  ignore (Combined_mac.bcast mac ~node:4 ~data:2);
+  for _ = 1 to 30 do Combined_mac.step mac done;
+  Engine.crash eng 5;
+  for _ = 1 to 30 do Combined_mac.step mac done;
+  Engine.revive eng 5;
+  Combined_mac.abort mac ~node:4;
+  let budget = ref (Combined_mac.bounds mac).Absmac_intf.f_ack in
+  while Combined_mac.busy mac ~node:0 && !budget > 0 do
+    Combined_mac.step mac;
+    decr budget
+  done;
+  ignore (Combined_mac.bcast mac ~node:2 ~data:3);
+  for _ = 1 to 200 do Combined_mac.step mac done;
+  let lines =
+    String.split_on_char '\n' (Recorder.to_jsonl ~reason:"pin" ())
+    |> List.filter (fun l -> l <> "")
+    |> List.map Json.parse
+  in
+  let ids =
+    List.filter_map (fun j -> Option.bind (Json.member "id" j) Json.to_int)
+      lines
+  in
+  let base = List.fold_left min max_int ids - 1 in
+  let renumber = function
+    | Json.Obj fs ->
+      Json.Obj
+        (List.map
+           (fun (k, v) ->
+             match (k, Json.to_int v) with
+             | ("id" | "parent"), Some i -> (k, Json.int (i - base))
+             | _ -> (k, v))
+           fs)
+    | j -> j
+  in
+  String.concat "\n"
+    (List.map (fun j -> Json.to_string_json (renumber j)) lines)
+
+let test_pinned_flight_dump =
+  with_recorder (fun () ->
+      let dump = pinned_dump () in
+      List.iter
+        (fun ev ->
+          Alcotest.(check bool) (ev ^ " events present") true
+            (contains dump (Printf.sprintf "\"ev\":%S" ev)))
+        [ "bcast"; "abort"; "rcv"; "ack"; "wake"; "crash"; "recover";
+          "deliver" ];
+      Alcotest.(check string) "flight dump digest"
+        "1f48b57ea4a1af1604c6598bf608dd0d"
+        (Digest.to_hex (Digest.string dump)))
+
+(* Every constructor survives to_json -> of_json, directly and through
+   the printed line a dump carries. *)
+let prop_sim_event_roundtrip =
+  let gen =
+    let open QCheck.Gen in
+    let id = int_range 0 1_000_000 in
+    oneof
+      [ map2 (fun node msg -> Sim_event.Bcast { node; msg }) id id;
+        map3 (fun node msg from -> Sim_event.Rcv { node; msg; from }) id id id;
+        map2 (fun node msg -> Sim_event.Ack { node; msg }) id id;
+        map2 (fun node msg -> Sim_event.Abort { node; msg }) id id;
+        map (fun node -> Sim_event.Wake { node }) id;
+        map (fun node -> Sim_event.Crash { node }) id;
+        map (fun node -> Sim_event.Recover { node }) id;
+        map2 (fun node from -> Sim_event.Deliver { node; from }) id id;
+        map (fun s -> Sim_event.Note s) string_printable ]
+  in
+  QCheck.Test.make ~name:"sim event: of_json (to_json e) = Some e" ~count:500
+    (QCheck.make ~print:(Fmt.to_to_string Sim_event.pp) gen)
+    (fun e ->
+      let j = Sim_event.to_json e in
+      Sim_event.of_json j = Some e
+      && Sim_event.of_json (Json.parse (Json.to_string_json j)) = Some e)
 
 (* ---------------- Spec_check violation -> flight recorder ----------- *)
 
@@ -325,6 +410,11 @@ let test_trace_report_rejects_garbage () =
     (Failure "unknown line kind \"blob\"")
     (fun () ->
       ignore (Trace_report.of_lines [ {|{"kind":"blob"}|} ]));
+  Alcotest.check_raises "undecodable event"
+    (Failure {|unrecognised event line: {"kind":"event","slot":1,"ev":"zap"}|})
+    (fun () ->
+      ignore
+        (Trace_report.of_lines [ {|{"kind":"event","slot":1,"ev":"zap"}|} ]));
   Alcotest.(check bool) "malformed json raises Parse_error" true
     (try
        ignore (Trace_report.of_lines [ "{oops" ]);
@@ -430,6 +520,10 @@ let suite =
       test_dump_roundtrip;
     Alcotest.test_case "recorder: crash-mid-broadcast dumps" `Quick
       test_crash_mid_broadcast_dumps;
+    Alcotest.test_case "recorder: pinned flight dump" `Quick
+      test_pinned_flight_dump;
+    QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 20 |])
+      prop_sim_event_roundtrip;
     Alcotest.test_case "recorder: spec violation dumps a timeline" `Slow
       test_spec_violation_dumps_and_reconstructs;
     Alcotest.test_case "trace-report: synthetic bounds check" `Quick
