@@ -28,9 +28,13 @@ chaos-smoke:
 	  --jam 0.5 --crash-frac 0.2 --abort-rate 0.0005
 
 # End-to-end exercise of the physics fast path: the CLI self-check
-# (exits 1 if the cached kernel diverges from the seed kernel).
+# (exits 1 if the cached kernel diverges from the seed kernel).  The
+# second, sparser deployment leaves most listeners beyond every sender's
+# reach, so its slots take the reach-limited path as well as the dense
+# one.
 phys-smoke:
 	dune exec bin/sinr_sim.exe -- phys --seed 3 --n 90 --cases 60
+	dune exec bin/sinr_sim.exe -- phys --seed 3 --n 400 --degree 2 --cases 60
 
 # End-to-end exercise of the tracing layer: a traced run of the full
 # Algorithm 11.1 stack dumping a flight-recorder JSONL, then trace-report

@@ -264,11 +264,14 @@ let step ?on_deliver ?contenders t ~decide =
         | None -> assert false
       end
     done;
+    Profile.stop Profile.Delivery p0;
     if telemetry then begin
       (* An awake listener that decoded nothing: either some sender was
          within range (collision / interference loss) or none was
          (silence).  The node itself cannot tell (no collision
-         detection); the observer can, so split the two. *)
+         detection); the observer can, so split the two.  Telemetry-only
+         work, so the profiler books it as telemetry. *)
+      let p0 = Profile.start () in
       let reached = Sinr.in_range_of_any t.sinr ~senders ~nsenders:ntx in
       for u = 0 to n - 1 do
         if (not (State.Bits.get crashed u))
@@ -278,9 +281,9 @@ let step ?on_deliver ?contenders t ~decide =
         then
           if reached u then Metrics.incr m_collision_loss
           else Metrics.incr m_silence
-      done
-    end;
-    Profile.stop Profile.Delivery p0
+      done;
+      Profile.stop Profile.Telemetry p0
+    end
   end;
   if telemetry then begin
     let p0 = Profile.start () in

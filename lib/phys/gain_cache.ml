@@ -114,6 +114,28 @@ let fill_ids t u ~ids ~nsend (dst : Float.Array.t) =
       (t.power /. (sqrt ((dx *. dx) +. (dy *. dy)) ** t.alpha))
   done
 
+(* Sender [v]'s reach list: the ascending ids u <> v whose link power
+   v -> u is at least [floor].  Each power is [fill_into]'s expression for
+   row u, column v (dx = x_v - x_u), so the list agrees bit-for-bit with
+   every value a kernel reads, resident row or scratch.  Assembled in
+   [scratch] (>= n ints), returned as an exact-length copy. *)
+let reach t v ~floor ~scratch =
+  let xs = Soa.xs t.soa and ys = Soa.ys t.soa in
+  let vx = Float.Array.get xs v and vy = Float.Array.get ys v in
+  let k = ref 0 in
+  for u = 0 to t.n - 1 do
+    if u <> v then begin
+      let dx = vx -. Float.Array.unsafe_get xs u
+      and dy = vy -. Float.Array.unsafe_get ys u in
+      if t.power /. (sqrt ((dx *. dx) +. (dy *. dy)) ** t.alpha) >= floor
+      then begin
+        Array.unsafe_set scratch !k u;
+        incr k
+      end
+    end
+  done;
+  Array.sub scratch 0 !k
+
 (* Admit one more row against the byte budget. *)
 let rec reserve t =
   let c = Atomic.get t.reserved in

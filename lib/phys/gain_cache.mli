@@ -39,6 +39,12 @@ val row :
     returns it; its other entries are stale. [u] must not be among the
     ids. *)
 
+val reach : t -> int -> floor:float -> scratch:int array -> int array
+(** [reach t v ~floor ~scratch] lists, ascending, every node [u <> v]
+    whose power from [v] — the very value {!row} holds for receiver [u] at
+    index [v] — is at least [floor]. O(n) evaluations; [scratch] (length
+    [>= n t]) is overwritten. *)
+
 val pair : t -> sender:int -> receiver:int -> float
 (** One entry: cached when the receiver's row is resident, otherwise a
     direct evaluation of the same expression. Never triggers a row fill. *)

@@ -19,7 +19,10 @@
    in per-domain scratch (no per-slot list/tuple churn), decodes land in
    caller-owned [decoded] buffers (no per-slot n-array), perturbed gains
    multiply the cached clean-channel power, and listeners fan out over
-   [Sinr_par.Pool] past [Phys_tuning.par_threshold].  From
+   [Sinr_par.Pool] past [Phys_tuning.par_threshold].  Clean slots score
+   only the listeners on some sender's reach list (the nodes its lone
+   power reaches at beta * N; beta > 1 makes everyone else silent, see
+   [score_clean]) unless those lists cover the listeners anyway.  From
    [Phys_tuning.sparse_threshold] nodes on, [Sparse] (the one approximate
    kernel, eps-bounded far interference) resolves clean slots instead.
    [resolve_reference] keeps the seed kernel verbatim so tests and benches
@@ -31,6 +34,7 @@ open Sinr_obs
 
 let m_resolve_calls = Metrics.counter "phys.resolve.calls"
 let m_resolve_links = Metrics.counter "phys.resolve.links"
+let m_resolve_silent = Metrics.counter "phys.resolve.silent_listeners"
 let m_resolve_ns = Metrics.histogram "phys.resolve.ns"
 
 type t = {
@@ -42,6 +46,9 @@ type t = {
   cache : Gain_cache.t;
   sparse : Sparse.t option;
   par_threshold : int;
+  reach : int array option Atomic.t array;
+      (* per sender, built on its first clean exact slot; empty when
+         [sparse] is installed (that kernel never reads them) *)
 }
 
 (* Shared constructor body: [points] must be the record view of [soa]
@@ -63,7 +70,10 @@ let make config soa points =
         ~cap_bytes:(Phys_tuning.cache_cap_bytes ())
         ~node_ceiling:(Phys_tuning.cache_node_ceiling ());
     sparse;
-    par_threshold = Phys_tuning.par_threshold () }
+    par_threshold = Phys_tuning.par_threshold ();
+    reach =
+      (if Option.is_some sparse then [||]
+       else Array.init (Soa.length soa) (fun _ -> Atomic.make None)) }
 
 let validate_min_dist ~who points =
   let dmin = Placement.min_pairwise_dist points in
@@ -141,9 +151,11 @@ let link_sinr t ~senders ~sender:v ~receiver:u =
 (* Sender ids + membership bitmap, and a row buffer for uncached gain
    rows.  Held in domain-local storage so Pool workers never share, with
    a busy flag so reentrant use (a perturb closure calling back into
-   reception) falls back to fresh allocations instead of aliasing.  The
-   bitmap invariant: all-zero between uses (resolve clears exactly the
-   bits it set, under Fun.protect). *)
+   reception) falls back to fresh allocations instead of aliasing; the
+   [with_*] wrappers drop the flag on every exit (a match on the
+   exception rather than Fun.protect, whose two closures per call show
+   in a per-slot path).  The bitmap invariant: all-zero between uses
+   (resolve clears exactly the bits it set, on every exit). *)
 type sender_scratch = {
   mutable ids : int array;
   mutable mark : Bytes.t;
@@ -163,6 +175,21 @@ let row_key =
   Domain.DLS.new_key (fun () ->
       { buf = Float.Array.create 0; r_busy = false })
 
+(* Candidate listeners of a reach-limited slot — a bitmap (all-zero
+   between uses: the scorer clears exactly the bits it set, on every
+   exit) plus their ids in marking order — and the assembly buffer for
+   reach lists, under the same busy-flag pattern. *)
+type reach_scratch = {
+  mutable cand : Bytes.t;
+  mutable cands : int array;
+  mutable build : int array;
+  mutable c_busy : bool;
+}
+
+let reach_key =
+  Domain.DLS.new_key (fun () ->
+      { cand = Bytes.empty; cands = [||]; build = [||]; c_busy = false })
+
 let with_senders ~count ~n f =
   let sc = Domain.DLS.get sender_key in
   if sc.s_busy then
@@ -173,8 +200,44 @@ let with_senders ~count ~n f =
     sc.s_busy <- true;
     if Array.length sc.ids < count then sc.ids <- Array.make count 0;
     if Bytes.length sc.mark < n then sc.mark <- Bytes.make n '\000';
-    Fun.protect ~finally:(fun () -> sc.s_busy <- false) (fun () -> f sc)
+    match f sc with
+    | r ->
+      sc.s_busy <- false;
+      r
+    | exception e ->
+      sc.s_busy <- false;
+      raise e
   end
+
+let with_reach ~n f =
+  let rs = Domain.DLS.get reach_key in
+  if rs.c_busy then
+    f { cand = Bytes.make n '\000';
+        cands = Array.make n 0;
+        build = Array.make n 0;
+        c_busy = true }
+  else begin
+    rs.c_busy <- true;
+    if Bytes.length rs.cand < n then begin
+      rs.cand <- Bytes.make n '\000';
+      rs.cands <- Array.make n 0;
+      rs.build <- Array.make n 0
+    end;
+    match f rs with
+    | r ->
+      rs.c_busy <- false;
+      r
+    | exception e ->
+      rs.c_busy <- false;
+      raise e
+  end
+
+(* Unset the bits of the first [nsend] ids: restores a bitmap's all-zero
+   invariant in O(bits set). *)
+let clear_marks mark ids nsend =
+  for i = 0 to nsend - 1 do
+    Bytes.unsafe_set mark (Array.unsafe_get ids i) '\000'
+  done
 
 let with_row ~n f =
   let rc = Domain.DLS.get row_key in
@@ -182,7 +245,13 @@ let with_row ~n f =
   else begin
     rc.r_busy <- true;
     if Float.Array.length rc.buf < n then rc.buf <- Float.Array.create n;
-    Fun.protect ~finally:(fun () -> rc.r_busy <- false) (fun () -> f rc.buf)
+    match f rc.buf with
+    | r ->
+      rc.r_busy <- false;
+      r
+    | exception e ->
+      rc.r_busy <- false;
+      raise e
   end
 
 (* ------------------------------------------------------------------ *)
@@ -218,31 +287,41 @@ let[@inline] decode d u v =
 (* Scoring kernel                                                      *)
 (* ------------------------------------------------------------------ *)
 
-(* Score listeners [lo..hi], recording decodes into [out] in ascending
-   order: one row read per listener, one pass over the sender array
-   accumulating total power while tracking the strongest sender — only
-   the strongest can pass the beta > 1 test.  Iteration order matches the
-   seed kernel's list order, so the float accumulation (and therefore
-   every decision) is bit-identical. *)
-let score_range t ~ids ~nsend ~mark ~rowbuf ~out ~lo ~hi =
+(* Score listener [u], recording a decode into [out]: one row read, one
+   pass over the sender array accumulating total power while tracking the
+   strongest sender — only the strongest can pass the beta > 1 test.
+   Sender order matches the seed kernel's list order, so the float
+   accumulation (and therefore every decision) is bit-identical. *)
+let[@inline] score_listener t ~ids ~nsend ~rowbuf ~out u =
   let beta = t.config.Config.beta and noise = t.config.Config.noise in
-  for u = lo to hi do
-    if Bytes.unsafe_get mark u = '\000' then begin
-      let row = Gain_cache.row t.cache u ~ids ~nsend ~scratch:rowbuf in
-      let total = ref 0. in
-      let best = ref (-1) and best_pw = ref 0. in
-      for k = 0 to nsend - 1 do
-        let v = Array.unsafe_get ids k in
-        let pw = Float.Array.unsafe_get row v in
-        total := !total +. pw;
-        if pw > !best_pw then begin
-          best_pw := pw;
-          best := v
-        end
-      done;
-      if !best >= 0 && !best_pw >= beta *. (noise +. !total -. !best_pw)
-      then decode out u !best
+  let row = Gain_cache.row t.cache u ~ids ~nsend ~scratch:rowbuf in
+  let total = ref 0. in
+  let best = ref (-1) and best_pw = ref 0. in
+  for k = 0 to nsend - 1 do
+    let v = Array.unsafe_get ids k in
+    let pw = Float.Array.unsafe_get row v in
+    total := !total +. pw;
+    if pw > !best_pw then begin
+      best_pw := pw;
+      best := v
     end
+  done;
+  if !best >= 0 && !best_pw >= beta *. (noise +. !total -. !best_pw) then
+    decode out u !best
+
+(* Score the non-senders among listeners [lo..hi], recording decodes into
+   [out] in ascending order. *)
+let score_range t ~ids ~nsend ~mark ~rowbuf ~out ~lo ~hi =
+  for u = lo to hi do
+    if Bytes.unsafe_get mark u = '\000' then
+      score_listener t ~ids ~nsend ~rowbuf ~out u
+  done
+
+(* Score the candidates [among.(lo..hi)] (non-senders), recording decodes
+   into [out] in candidate order. *)
+let score_among t ~ids ~nsend ~among ~rowbuf ~out ~lo ~hi =
+  for i = lo to hi do
+    score_listener t ~ids ~nsend ~rowbuf ~out (Array.unsafe_get among i)
   done
 
 (* The perturbed variant: adversarial gains multiply the cached
@@ -270,24 +349,29 @@ let score_range_perturbed t p ~ids ~nsend ~mark ~rowbuf ~out ~lo ~hi =
     end
   done
 
-(* Fan the exact kernel out over the shared pool: chunk [c] covers the
-   listeners [lo..hi] and records its decodes into its own slice of
+(* Fan listener positions [0..len-1] (node ids, or with [among] indices
+   into a candidate list) out over the shared pool: chunk [c] covers the
+   positions [lo..hi] and records its decodes into its own slice of
    [out.receivers] (which starts at [lo] and has room for every listener
-   of the chunk); the slices are then packed in chunk order, so the list
-   stays ascending and the outcome is bit-identical whatever the jobs
-   count. *)
-let score_parallel t pool ~ids ~nsend ~mark ~out =
+   of the chunk); the slices are then packed in chunk order, so the
+   outcome is bit-identical whatever the jobs count.  Workers only read
+   [mark] and [among], which the calling domain owns for the duration of
+   the call. *)
+let score_parallel t pool ~ids ~nsend ~mark ?among ~out ~len () =
   let n = Soa.length t.soa in
   let jobs = Pool.jobs pool in
-  let csize = max 64 ((n + (jobs * 4) - 1) / (jobs * 4)) in
-  let nchunks = (n + csize - 1) / csize in
+  let csize = max 64 ((len + (jobs * 4) - 1) / (jobs * 4)) in
+  let nchunks = (len + csize - 1) / csize in
   let counts =
     Pool.mapi ~chunk:1 pool ~n:nchunks (fun c ->
         let lo = c * csize in
-        let hi = min (n - 1) (lo + csize - 1) in
+        let hi = min (len - 1) (lo + csize - 1) in
         let slice = { out with count = lo } in
         with_row ~n (fun rowbuf ->
-            score_range t ~ids ~nsend ~mark ~rowbuf ~out:slice ~lo ~hi);
+            match among with
+            | None -> score_range t ~ids ~nsend ~mark ~rowbuf ~out:slice ~lo ~hi
+            | Some among ->
+              score_among t ~ids ~nsend ~among ~rowbuf ~out:slice ~lo ~hi);
         slice.count - lo)
   in
   Array.iteri
@@ -296,22 +380,135 @@ let score_parallel t pool ~ids ~nsend ~mark ~out =
       out.count <- out.count + k)
     counts
 
-(* Whole-slot resolution over a marked sender set, into [out] (which must
-   be empty).  Dispatch: perturbed slots run the sequential perturbed
-   kernel (adversary closures are not required to be domain-safe); clean
-   slots run the sparse kernel when it is installed, fan listeners out
-   over the shared pool past the parallelism threshold, and otherwise run
-   the sequential cached kernel. *)
-let resolve_marked ?perturb t ~ids ~nsend ~mark ~out =
+(* Sort [a.(0 .. len-1)] ascending in place: Shell sort with Knuth's
+   gaps, no allocation.  The decodes of a reach-limited slot are a few
+   ascending runs (one per sender's reach list), on which the final
+   insertion pass does nearly all the work. *)
+let sort_prefix (a : int array) len =
+  let h = ref 1 in
+  while !h < len / 3 do
+    h := (3 * !h) + 1
+  done;
+  while !h >= 1 do
+    let gap = !h in
+    for i = gap to len - 1 do
+      let x = Array.unsafe_get a i in
+      let j = ref i in
+      while !j >= gap && Array.unsafe_get a (!j - gap) > x do
+        Array.unsafe_set a !j (Array.unsafe_get a (!j - gap));
+        j := !j - gap
+      done;
+      Array.unsafe_set a !j x
+    done;
+    h := gap / 3
+  done
+
+(* Sender [v]'s reach list ([Gain_cache.reach] at beta * N), built on
+   first use and published through its atomic cell: a racing domain
+   builds an identical list, so a lost race wastes one build, never
+   correctness. *)
+let reach_of t rs v =
+  let cell = Array.unsafe_get t.reach v in
+  match Atomic.get cell with
+  | Some r -> r
+  | None ->
+    let floor = t.config.Config.beta *. t.config.Config.noise in
+    let r = Gain_cache.reach t.cache v ~floor ~scratch:rs.build in
+    Atomic.set cell (Some r);
+    r
+
+(* A clean exact slot, reach-limited.  A listener decodes only if its
+   strongest sender alone clears beta * N: the test's right-hand side is
+   beta * (N + total - best), and total >= best in floating point because
+   the sum only adds non-negative terms.  So only listeners on some
+   sender's reach list can decode: they are collected (once each) into
+   [rs.cands] and scored by [score_listener], everyone else decodes
+   nothing, and the decodes are sorted — the outcome is bit-identical to
+   scoring all [listeners] in id order.  When the reach lists hold at
+   least [listeners] entries, collecting costs more than it saves and
+   every listener is scored instead.  Returns the number of listeners
+   scored. *)
+let score_clean t ~ids ~nsend ~mark ~listeners ~out =
+  let n = Soa.length t.soa in
+  let pool =
+    if n >= t.par_threshold && Pool.default_jobs () > 1 then
+      Some (Pool.get ())
+    else None
+  in
+  let score ?among len =
+    match pool with
+    | Some pool when Pool.jobs pool > 1 ->
+      score_parallel t pool ~ids ~nsend ~mark ?among ~out ~len ()
+    | Some _ | None ->
+      let hi = len - 1 in
+      with_row ~n (fun rowbuf ->
+          match among with
+          | None -> score_range t ~ids ~nsend ~mark ~rowbuf ~out ~lo:0 ~hi
+          | Some among ->
+            score_among t ~ids ~nsend ~among ~rowbuf ~out ~lo:0 ~hi)
+  in
+  with_reach ~n @@ fun rs ->
+  let entries = ref 0 and k = ref 0 in
+  while !k < nsend && !entries < listeners do
+    entries :=
+      !entries + Array.length (reach_of t rs (Array.unsafe_get ids !k));
+    incr k
+  done;
+  if !entries >= listeners then begin
+    score n;
+    listeners
+  end
+  else begin
+    let cand = rs.cand and cands = rs.cands in
+    let scored = ref 0 in
+    match
+      for k = 0 to nsend - 1 do
+        let r = reach_of t rs (Array.unsafe_get ids k) in
+        for i = 0 to Array.length r - 1 do
+          let u = Array.unsafe_get r i in
+          if Bytes.unsafe_get mark u = '\000'
+             && Bytes.unsafe_get cand u = '\000'
+          then begin
+            Bytes.unsafe_set cand u '\001';
+            Array.unsafe_set cands !scored u;
+            incr scored
+          end
+        done
+      done;
+      if !scored > 0 then begin
+        score ~among:cands !scored;
+        sort_prefix out.receivers out.count
+      end
+    with
+    | () ->
+      clear_marks cand cands !scored;
+      !scored
+    | exception e ->
+      clear_marks cand cands !scored;
+      raise e
+  end
+
+(* Whole-slot resolution over a marked sender set ([listeners] nodes
+   unmarked), into [out] (which must be empty).  Dispatch: perturbed
+   slots run the sequential perturbed kernel over every listener
+   (adversary closures are not required to be domain-safe, and gains
+   above 1 void the reach argument); clean slots run the sparse kernel
+   when it is installed and otherwise the reach-limited cached kernel,
+   which fans listeners out over the shared pool past the parallelism
+   threshold. *)
+let resolve_marked ?perturb t ~ids ~nsend ~mark ~listeners ~out =
   let n = Soa.length t.soa in
   if nsend > 0 then begin
     let telemetry = Metrics.is_enabled () in
+    (* The number of listeners scored; [-1] when the sparse kernel ran
+       (it counts its own links). *)
     let run () =
       match perturb with
       | Some p ->
         with_row ~n (fun rowbuf ->
             score_range_perturbed t p ~ids ~nsend ~mark ~rowbuf ~out ~lo:0
-              ~hi:(n - 1))
+              ~hi:(n - 1));
+        listeners
       | None ->
         (match t.sparse with
          | Some sp ->
@@ -323,31 +520,22 @@ let resolve_marked ?perturb t ~ids ~nsend ~mark ~out =
            out.count <-
              Sparse.resolve sp ~ids ~nsend ~mark ~sender:out.sender
                ~receivers:out.receivers;
-           Profile.stop Profile.Sparse p0
-         | None ->
-           let pool =
-             if n >= t.par_threshold && Pool.default_jobs () > 1 then
-               Some (Pool.get ())
-             else None
-           in
-           (match pool with
-            | Some pool when Pool.jobs pool > 1 ->
-              score_parallel t pool ~ids ~nsend ~mark ~out
-            | Some _ | None ->
-              with_row ~n (fun rowbuf ->
-                  score_range t ~ids ~nsend ~mark ~rowbuf ~out ~lo:0
-                    ~hi:(n - 1))))
+           Profile.stop Profile.Sparse p0;
+           -1
+         | None -> score_clean t ~ids ~nsend ~mark ~listeners ~out)
     in
     if telemetry then begin
       Metrics.incr m_resolve_calls;
-      (* The sparse kernel counts the links it actually scores itself. *)
-      if Option.is_none t.sparse || Option.is_some perturb then
-        Metrics.add m_resolve_links (nsend * n);
       let r = Timer.start () in
-      run ();
-      Metrics.observe m_resolve_ns ((Timer.stop r).Timer.wall_s *. 1e9)
+      let scored = run () in
+      Metrics.observe m_resolve_ns ((Timer.stop r).Timer.wall_s *. 1e9);
+      (* Links actually scored; the sparse kernel counts its own. *)
+      if scored >= 0 then begin
+        Metrics.add m_resolve_links (scored * nsend);
+        Metrics.add m_resolve_silent (listeners - scored)
+      end
     end
-    else run ()
+    else ignore (run () : int)
   end
 
 (* Copy + validate the sender list into scratch, then set the membership
@@ -366,11 +554,6 @@ let load_senders ~who ~n sc senders =
   done;
   !k
 
-let clear_marks mark ids nsend =
-  for i = 0 to nsend - 1 do
-    Bytes.unsafe_set mark (Array.unsafe_get ids i) '\000'
-  done
-
 (* The simulator's entry point: the first [nsenders] entries of
    [senders] transmit (the array is only read); decodes land in [out],
    which must be empty on entry and which the caller empties again with
@@ -387,11 +570,15 @@ let resolve_into ?perturb t ~senders ~nsenders out =
     if s < 0 || s >= n then invalid_arg "Sinr.resolve: sender out of range"
   done;
   with_senders ~count:0 ~n @@ fun sc ->
+  let listeners = ref n in
   for k = 0 to nsenders - 1 do
-    Bytes.unsafe_set sc.mark (Array.unsafe_get senders k) '\001'
+    let s = Array.unsafe_get senders k in
+    if Bytes.unsafe_get sc.mark s = '\000' then decr listeners;
+    Bytes.unsafe_set sc.mark s '\001'
   done;
   match
-    resolve_marked ?perturb t ~ids:senders ~nsend:nsenders ~mark:sc.mark ~out
+    resolve_marked ?perturb t ~ids:senders ~nsend:nsenders ~mark:sc.mark
+      ~listeners:!listeners ~out
   with
   | () -> clear_marks sc.mark senders nsenders
   | exception e ->

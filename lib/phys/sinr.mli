@@ -5,8 +5,10 @@
 
     Resolution runs on a cached-gain fast path (see DESIGN.md "Physics
     fast path"): link powers are read from a precomputed per-receiver row
-    that stores bit-identical results of the seed formula, so outcomes —
-    including every seeded experiment number — are unchanged. The seed
+    that stores bit-identical results of the seed formula, and a clean
+    slot scores only the listeners within some sender's reach (its lone
+    power clears βN; nobody else can decode), so outcomes — including
+    every seeded experiment number — are unchanged. The seed
     kernel is kept as {!resolve_reference} for equivalence tests and
     benchmarks. *)
 

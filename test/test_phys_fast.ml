@@ -4,6 +4,7 @@
 
 open Sinr_geom
 open Sinr_phys
+open Sinr_obs
 
 let cfg = Config.default (* alpha=3 beta=1.5 N=1 eps=0.1, R=12 *)
 
@@ -184,6 +185,198 @@ let test_power_matches_power_between () =
         pts)
     pts
 
+(* ---------------- reach-limited clean kernel ---------------- *)
+
+(* Telemetry on, counters zeroed, for one test. *)
+let with_telemetry f =
+  Metrics.reset_for_tests ();
+  Fun.protect ~finally:Metrics.reset_for_tests @@ fun () ->
+  Metrics.set_enabled true;
+  f ()
+
+let count name = Option.value ~default:0 (Metrics.counter_peek name)
+
+(* Resolve one clean slot against the seed kernel and check the exact
+   kernel's counters: every listener is either scored against every
+   sender (phys.resolve.links) or skipped (silent_listeners).  Returns
+   the outcome and the number of listeners skipped. *)
+let check_counted ~label sinr ~senders =
+  let links0 = count "phys.resolve.links"
+  and silent0 = count "phys.resolve.silent_listeners" in
+  check_case ~label sinr ~senders ~perturb:None;
+  let nsend = List.length senders in
+  let listeners = Sinr.n sinr - nsend in
+  let silent = count "phys.resolve.silent_listeners" - silent0 in
+  Alcotest.(check int)
+    (label ^ ": links = scored listeners x senders")
+    ((listeners - silent) * nsend)
+    (count "phys.resolve.links" - links0);
+  silent
+
+let test_reach_boundary () =
+  with_telemetry @@ fun () ->
+  (* R = 12 exactly: P = beta N R^alpha = 2592, so at d = 12 a lone
+     sender's power is 2592 / 1728 = 1.5 = beta N and the listener
+     decodes, on the boundary itself. *)
+  Alcotest.(check (float 0.)) "P" 2592. cfg.Config.power;
+  let axes =
+    [ Point.make 12. 0.; Point.make 0. 12.; Point.make (-12.) 0.;
+      Point.make 0. (-12.) ]
+  in
+  (* Just beyond R, each on its own bearing (pairwise distance >= 1). *)
+  let beyond =
+    List.mapi
+      (fun i d ->
+        let th = 0.4 +. (0.8 *. float_of_int i) in
+        Point.make (d *. cos th) (d *. sin th))
+      [ Float.succ 12.; 12. +. 1e-9; 12. +. 1e-6; 12.001; 12.5; 13. ]
+  in
+  let far = [ Point.make 40. 0.; Point.make 0. 41.; Point.make (-39.) 3. ] in
+  let pts =
+    Array.of_list
+      ((Point.make 0. 0. :: axes) @ beyond @ far @ [ Point.make 5. 5. ])
+  in
+  let sinr = Sinr.create cfg pts in
+  Alcotest.(check (float 0.)) "power at R" 1.5
+    (Gain_cache.compute (Sinr.gain_cache sinr) ~sender:0 ~receiver:1);
+  let silent = check_counted ~label:"lone sender" sinr ~senders:[ 0 ] in
+  let got = Sinr.resolve sinr ~senders:[ 0 ] in
+  for u = 1 to 4 do
+    Alcotest.(check (option int)) (Fmt.str "decodes at R (%d)" u) (Some 0)
+      got.(u)
+  done;
+  Alcotest.(check (option int)) "nothing at 13" None got.(10);
+  Alcotest.(check bool) "out-of-reach listeners skipped" true (silent > 0);
+  (* A second sender among the far nodes: its reach joins the candidates
+     and its interference reaches the ring. *)
+  ignore (check_counted ~label:"two senders" sinr ~senders:[ 0; 11 ])
+
+(* Spread-out deployments (box side >= 6R) with 1-3 senders: most
+   listeners are beyond every sender's reach. *)
+let spread_case rng ~case =
+  let r = Rng.split rng ~key:case in
+  let n = 10 + Rng.int r 40 in
+  let side = (6. *. 12.) +. Rng.float r 60. in
+  let pts = Placement.uniform r ~n ~box:(Box.square ~side) ~min_dist:1. in
+  let n = Array.length pts in
+  let k = 1 + Rng.int r 3 in
+  let senders = List.sort_uniq compare (List.init k (fun _ -> Rng.int r n)) in
+  (pts, senders)
+
+let check_spread ~seed () =
+  with_telemetry @@ fun () ->
+  let rng = Rng.create seed in
+  let silent = ref 0 in
+  for case = 0 to 79 do
+    let pts, senders = spread_case rng ~case in
+    let sinr = Sinr.create cfg pts in
+    silent :=
+      !silent
+      + check_counted ~label:(Fmt.str "spread case %d" case) sinr ~senders;
+    check_case
+      ~label:(Fmt.str "spread perturbed %d" case)
+      sinr ~senders
+      ~perturb:(Some (perturb_of rng ~case))
+  done;
+  Alcotest.(check bool) "listeners skipped" true (!silent > 0)
+
+let test_reach_spread () = check_spread ~seed:79 ()
+
+let test_reach_spread_scratch () =
+  let prev = Phys_tuning.cache_cap_bytes () in
+  Phys_tuning.set_cache_cap_bytes 0;
+  Fun.protect ~finally:(fun () -> Phys_tuning.set_cache_cap_bytes prev)
+  @@ check_spread ~seed:80
+
+let test_reach_dense_rule () =
+  with_telemetry @@ fun () ->
+  (* A tight cluster of 10 (everyone within reach of everyone) with three
+     senders, plus 10 nodes far out of reach: the reach lists hold
+     3 x 9 = 27 entries for 17 listeners, so every listener is scored —
+     the far ones too, and they still decode nothing. *)
+  let cluster =
+    List.init 10 (fun i ->
+        let cell k = 1.5 *. float_of_int k in
+        Point.make (cell (i mod 5)) (cell (i / 5)))
+  in
+  let far =
+    List.init 10 (fun i -> Point.make (100. +. (3. *. float_of_int i)) 100.)
+  in
+  let sinr = Sinr.create cfg (Array.of_list (cluster @ far)) in
+  let silent = check_counted ~label:"dense slot" sinr ~senders:[ 0; 4; 7 ] in
+  Alcotest.(check int) "dense: no listener skipped" 0 silent;
+  (* One sender: 9 entries for 19 listeners, so the far ones are skipped. *)
+  let silent = check_counted ~label:"sparse slot" sinr ~senders:[ 4 ] in
+  Alcotest.(check int) "reach-limited: the far listeners skipped" 10 silent
+
+let test_reach_many_decodes () =
+  with_telemetry @@ fun () ->
+  (* 64 clusters 40 apart, each a sender with two listeners at distance 3
+     and a loner out of everyone's reach, ids shuffled: 128 decodes arrive
+     in reach-list order, out of id order, and must come out ascending. *)
+  let cluster i =
+    let cx = 40. *. float_of_int (i mod 8)
+    and cy = 40. *. float_of_int (i / 8) in
+    [ (`Sender, Point.make cx cy);
+      (`Other, Point.make (cx +. 3.) cy);
+      (`Other, Point.make cx (cy +. 3.));
+      (`Other, Point.make (cx +. 20.) (cy +. 20.)) ]
+  in
+  let nodes = Array.of_list (List.concat (List.init 64 cluster)) in
+  Rng.shuffle (Rng.create 82) nodes;
+  let pts = Array.map snd nodes in
+  let senders =
+    List.filter (fun u -> fst nodes.(u) = `Sender)
+      (List.init (Array.length pts) Fun.id)
+  in
+  let sinr = Sinr.create cfg pts in
+  Alcotest.(check int) "loners skipped" 64
+    (check_counted ~label:"64 clusters" sinr ~senders);
+  let out = Sinr.create_decoded (Array.length pts) in
+  let ids = Array.of_list senders in
+  Sinr.resolve_into sinr ~senders:ids ~nsenders:(Array.length ids) out;
+  Alcotest.(check int) "decodes" 128 out.Sinr.count;
+  for i = 1 to out.Sinr.count - 1 do
+    if out.Sinr.receivers.(i - 1) >= out.Sinr.receivers.(i) then
+      Alcotest.failf "receivers not ascending at %d" i
+  done
+
+let test_reach_parallel () =
+  (* n >= par_threshold: the candidate window fans out over the pool,
+     and jobs 2 must agree with jobs 1 and with the seed kernel. *)
+  let prev_thresh = Phys_tuning.par_threshold () in
+  let prev_jobs = Sinr_par.Pool.default_jobs () in
+  Phys_tuning.set_par_threshold 64;
+  Fun.protect
+    ~finally:(fun () ->
+      Phys_tuning.set_par_threshold prev_thresh;
+      Sinr_par.Pool.set_default_jobs prev_jobs)
+  @@ fun () ->
+  with_telemetry @@ fun () ->
+  let rng = Rng.create 81 in
+  let silent = ref 0 in
+  for case = 0 to 11 do
+    let r = Rng.split rng ~key:case in
+    let side = 120. +. Rng.float r 120. in
+    let pts = Placement.uniform r ~n:300 ~box:(Box.square ~side) ~min_dist:1. in
+    let n = Array.length pts in
+    (* Every third slot is busy enough for the dense rule. *)
+    let p = if case mod 3 = 0 then 0.3 else 0.02 in
+    let senders =
+      List.filter (fun _ -> Rng.bernoulli r p) (List.init n Fun.id)
+    in
+    let sinr = Sinr.create cfg pts in
+    Sinr_par.Pool.set_default_jobs 1;
+    let one = Sinr.resolve sinr ~senders in
+    Sinr_par.Pool.set_default_jobs 2;
+    silent :=
+      !silent
+      + check_counted ~label:(Fmt.str "jobs 2 case %d" case) sinr ~senders;
+    Alcotest.check outcome (Fmt.str "jobs 2 = jobs 1, case %d" case) one
+      (Sinr.resolve sinr ~senders)
+  done;
+  Alcotest.(check bool) "listeners skipped" true (!silent > 0)
+
 (* ---------------- reliability estimate bit-identity ---------------- *)
 
 let test_reliability_matches_seed_trial_loop () =
@@ -240,4 +433,15 @@ let suite =
     Alcotest.test_case "cached power = power_between" `Quick
       test_power_matches_power_between;
     Alcotest.test_case "reliability = seed trial loop" `Quick
-      test_reliability_matches_seed_trial_loop ]
+      test_reliability_matches_seed_trial_loop;
+    Alcotest.test_case "reach: decodes at exactly R" `Quick
+      test_reach_boundary;
+    Alcotest.test_case "reach: spread-out slots skip listeners" `Quick
+      test_reach_spread;
+    Alcotest.test_case "reach: spread-out slots, cap 0" `Quick
+      test_reach_spread_scratch;
+    Alcotest.test_case "reach: dense rule scores everyone" `Quick
+      test_reach_dense_rule;
+    Alcotest.test_case "reach: many decodes, ascending" `Quick
+      test_reach_many_decodes;
+    Alcotest.test_case "reach: jobs 2 = jobs 1" `Quick test_reach_parallel ]
