@@ -542,7 +542,9 @@ let record_gauge name v =
    inside it — then once with the recorder on for the honest price of
    full tracing.  The gauges land in BENCH_obs.json; `bench diff` gates
    obs.bench.off.spread (band) so a hook creeping out of the branch shows
-   up as a regression. *)
+   up as a regression.  A run with metrics on (recorder off) prices the
+   always-on telemetry of `sinr_sim serve`: obs.bench.metrics_ratio, gated
+   as a band, catches a per-slot O(n) counter pass coming back. *)
 let trace_overhead () =
   Report.section "trace-overhead: span hooks off vs on";
   let workload () =
@@ -577,6 +579,8 @@ let trace_overhead () =
   let off2 = time run in
   let off = Float.min off1 off2 in
   let spread = if off > 0. then Float.abs (off1 -. off2) /. off else 0. in
+  let metered = Sinr_obs.Metrics.with_enabled (fun () -> time run) in
+  let metrics_ratio = if off > 0. then metered /. off else 0. in
   Sinr_obs.Recorder.clear ();
   Sinr_obs.Recorder.set_enabled true;
   let traced =
@@ -604,11 +608,13 @@ let trace_overhead () =
     "acks workload x%d: off %.3fs / %.3fs (spread %.1f%%)   traced %.3fs \
      (%.2fx)   ring %d entries, %d dropped@."
     reps off1 off2 (100. *. spread) traced ratio entries dropped;
+  Fmt.pr "metrics on: %.3fs (%.2fx)@." metered metrics_ratio;
   Fmt.pr "disabled check: %.2f ns/call@." check_ns;
   record_gauge "obs.bench.off.seconds" off;
   record_gauge "obs.bench.off.spread" spread;
   record_gauge "obs.bench.traced.seconds" traced;
   record_gauge "obs.bench.traced_ratio" ratio;
+  record_gauge "obs.bench.metrics_ratio" metrics_ratio;
   record_gauge "obs.bench.ring_entries" (float_of_int entries);
   record_gauge "obs.bench.disabled_check.ns" check_ns
 

@@ -66,6 +66,14 @@ type 'm t = {
          clean channel *)
   mutable on_crash : int -> unit;
       (* the layer above's crash hook (Combined_mac's ack due-set) *)
+  mutable live : int;
+      (* awake nodes; awake implies not crashed, since only [wake] sets the
+         awake bit (refusing crashed nodes) and [crash] clears it *)
+  mutable seen : int array;
+      (* telemetry scratch, allocated on first use: the collision walk's
+         per-node stamp, deduplicating the union of the senders'
+         neighbourhoods without a clearing pass *)
+  mutable seen_gen : int;
 }
 
 let create ?(wake_on_receive = true) ?trace sinr =
@@ -78,7 +86,10 @@ let create ?(wake_on_receive = true) ?trace sinr =
     delivery_total = 0;
     trace;
     perturb = (fun ~slot:_ -> None);
-    on_crash = ignore }
+    on_crash = ignore;
+    live = 0;
+    seen = [||];
+    seen_gen = 0 }
 
 let set_perturb t f = t.perturb <- f
 let set_on_crash t f = t.on_crash <- f
@@ -99,6 +110,7 @@ let wake t v =
   then begin
     Metrics.incr m_wakeups;
     State.Bits.set st.State.awake v true;
+    t.live <- t.live + 1;
     Trace.emit t.trace ~slot:t.slot (Trace.Wake { node = v })
   end
 
@@ -115,6 +127,7 @@ let crash t v =
   if not (State.Bits.get st.State.crashed v) then begin
     Metrics.incr m_crashes;
     State.Bits.set st.State.crashed v true;
+    if State.Bits.get st.State.awake v then t.live <- t.live - 1;
     State.Bits.set st.State.awake v false;
     Trace.emit t.trace ~slot:t.slot (Trace.Crash { node = v });
     t.on_crash v
@@ -139,6 +152,38 @@ let awake_nodes t =
   done;
   !acc
 
+(* How many of the first [k] entries of [ids] are awake now. *)
+let count_awake awake ids k =
+  let c = ref 0 in
+  for i = 0 to k - 1 do
+    if State.Bits.get awake (Array.unsafe_get ids i) then incr c
+  done;
+  !c
+
+(* Telemetry's collision count for a resolved slot: the awake listeners
+   that decoded nothing although some sender is in range.  Such a node
+   lies in some sender's neighbourhood, so the walk covers the union of
+   the [ntx] senders' neighbourhoods, each node stamped once. *)
+let collision_losses t ~ntx =
+  let st = t.state in
+  if Array.length t.seen < n t then t.seen <- Array.make (n t) (-1);
+  t.seen_gen <- t.seen_gen + 1;
+  let seen = t.seen and gen = t.seen_gen in
+  let awake = st.State.awake and messages = st.State.messages in
+  let sender_of = st.State.decoded.Sinr.sender in
+  let lost = ref 0 in
+  let visit u =
+    if Array.unsafe_get seen u <> gen then begin
+      Array.unsafe_set seen u gen;
+      if State.Bits.get awake u && Array.unsafe_get sender_of u < 0 then
+        match Array.unsafe_get messages u with None -> incr lost | Some _ -> ()
+    end
+  in
+  for i = 0 to ntx - 1 do
+    Sinr.iter_in_range t.sinr st.State.senders.(i) visit
+  done;
+  !lost
+
 (* Run one slot.  [decide v] is consulted only for awake, non-crashed nodes
    — all of them, or only those in [contenders] — and everyone else
    listens.  Returns the deliveries of the slot.  Also calls [on_deliver]
@@ -148,9 +193,10 @@ let awake_nodes t =
    Untraced, the slot costs O(consulted nodes + senders + receivers) on
    top of the resolution kernel: the decide walk visits only the
    contenders when a set is given, resolution writes into the reusable
-   [decoded] buffers, and delivery visits only the receivers.  The
-   listener count and the collision/silence split stay O(n), under
-   telemetry only. *)
+   [decoded] buffers, and delivery visits only the receivers.  Telemetry
+   adds O(senders + receivers) for the listener and undelivered counts
+   (derived from the live-node count) plus the senders' neighbourhoods
+   for the collision/silence split. *)
 let step ?on_deliver ?contenders t ~decide =
   let n = n t in
   let st = t.state in
@@ -213,15 +259,9 @@ let step ?on_deliver ?contenders t ~decide =
     Metrics.incr m_slots;
     Metrics.add m_tx ntx;
     Metrics.observe_int m_slot_tx ntx;
-    (* Awake, non-crashed nodes that chose (or defaulted) to listen. *)
-    let listeners = ref 0 in
-    for v = 0 to n - 1 do
-      if State.Bits.get awake v
-         && (not (State.Bits.get crashed v))
-         && messages.(v) = None
-      then incr listeners
-    done;
-    Metrics.add m_listens !listeners;
+    (* Awake (hence non-crashed) nodes that chose or defaulted to listen:
+       the live nodes but the senders [decide] left awake. *)
+    Metrics.add m_listens (t.live - count_awake awake senders ntx);
     Profile.stop Profile.Telemetry p0
   end;
   let deliveries = ref [] in
@@ -269,19 +309,19 @@ let step ?on_deliver ?contenders t ~decide =
       (* An awake listener that decoded nothing: either some sender was
          within range (collision / interference loss) or none was
          (silence).  The node itself cannot tell (no collision
-         detection); the observer can, so split the two.  Telemetry-only
-         work, so the profiler books it as telemetry. *)
+         detection); the observer can, so split the two.  The undelivered
+         listeners are the live nodes but the awake senders and the awake
+         receivers; the collisions among them are counted on the senders'
+         neighbourhoods, and the rest is silence.  Telemetry-only work,
+         so the profiler books it as telemetry. *)
       let p0 = Profile.start () in
-      let reached = Sinr.in_range_of_any t.sinr ~senders ~nsenders:ntx in
-      for u = 0 to n - 1 do
-        if (not (State.Bits.get crashed u))
-           && sender_of.(u) < 0
-           && State.Bits.get awake u
-           && messages.(u) = None
-        then
-          if reached u then Metrics.incr m_collision_loss
-          else Metrics.incr m_silence
-      done;
+      let undelivered =
+        t.live - count_awake awake senders ntx
+        - count_awake awake receivers decoded.Sinr.count
+      in
+      let lost = if undelivered > 0 then collision_losses t ~ntx else 0 in
+      Metrics.add m_collision_loss lost;
+      Metrics.add m_silence (undelivered - lost);
       Profile.stop Profile.Telemetry p0
     end
   end;

@@ -83,8 +83,10 @@ val step :
     Untraced, the cost beyond the resolution kernel is O(consulted nodes +
     transmitters + receivers): resolution writes into reusable engine
     buffers and delivery visits only the nodes that decoded. With
-    telemetry enabled the listener count and the collision/silence split
-    add two O(n) passes. With the flight recorder armed each delivery
+    telemetry enabled the listener and undelivered counts add
+    O(transmitters + receivers) (they are derived from an O(1) count of
+    awake nodes), and the collision/silence split walks the
+    transmitters' {!Sinr.iter_in_range} neighbourhoods. With the flight recorder armed each delivery
     pushes one typed [Deliver] event into its ring (never into the
     attached trace). *)
 

@@ -161,6 +161,32 @@ let finish id ~slot =
         push (Span_entry sp)
       | None -> ())
 
+(* Spans left open by a scope that has ended — a daemon job whose cells
+   stopped mid-epoch never reach the machines' own [finish] — would stay
+   in the active table (and in every dump's open list) for the life of
+   the process.  Close the ones carrying [key = v] in id order, each at
+   the latest slot it recorded (its start or newest note), marked
+   ["abandoned"]. *)
+let abandon key v =
+  locked (fun () ->
+    let left =
+      Hashtbl.fold
+        (fun _ sp acc ->
+          if List.assoc_opt key sp.attrs = Some v then sp :: acc else acc)
+        active []
+      |> List.sort (fun a b -> compare a.id b.id)
+    in
+    List.iter
+      (fun sp ->
+        sp.end_slot <-
+          (match sp.notes with
+           | (slot, _) :: _ -> max sp.start_slot slot
+           | [] -> sp.start_slot);
+        sp.attrs <- ("abandoned", Json.Bool true) :: sp.attrs;
+        Hashtbl.remove active sp.id;
+        push (Span_entry sp))
+      left)
+
 (* ------------------------------------------------------------------ *)
 (* Reading (for Recorder and tests)                                    *)
 (* ------------------------------------------------------------------ *)

@@ -47,6 +47,13 @@ val finish : id -> slot:int -> unit
 (** Close the span and move it into the ring. Works even if tracing was
     disabled after {!start}, so enabled-phase spans cannot leak. *)
 
+val abandon : string -> Json.t -> unit
+(** [abandon key v] closes every still-open span whose attributes carry
+    [key] = [v] — what a scope that has ended left behind, such as the
+    daemon's job [("job_id", id)] whose cells stopped mid-epoch. Each ends
+    at its start slot or its newest note, whichever is later, gains an
+    ["abandoned": true] attribute and moves into the ring. *)
+
 val record_event : slot:int -> Sim_event.t -> unit
 (** Push a loose (span-less) event into the ring, stamped with the
     ambient context; no-op when disabled. The event is stored typed:

@@ -49,7 +49,18 @@ type t = {
   reach : int array option Atomic.t array;
       (* per sender, built on its first clean exact slot; empty when
          [sparse] is installed (that kernel never reads them) *)
+  grid : Grid_index.t option Atomic.t;
+      (* cell-R hash of the positions, built on the first [iter_in_range]
+         of an exact simulator *)
+  nbrs : int array option Atomic.t array;
+      (* per node, its [in_range] set, built on its first [iter_in_range];
+         empty when [sparse] is installed (its grid answers instead) *)
 }
+
+(* One lazily filled cell per node, for the exact kernels only. *)
+let per_node_cells sparse soa =
+  if Option.is_some sparse then [||]
+  else Array.init (Soa.length soa) (fun _ -> Atomic.make None)
 
 (* Shared constructor body: [points] must be the record view of [soa]
    (lazily, so the column-first path at n = 10^6 never boxes a point). *)
@@ -71,9 +82,9 @@ let make config soa points =
         ~node_ceiling:(Phys_tuning.cache_node_ceiling ());
     sparse;
     par_threshold = Phys_tuning.par_threshold ();
-    reach =
-      (if Option.is_some sparse then [||]
-       else Array.init (Soa.length soa) (fun _ -> Atomic.make None)) }
+    reach = per_node_cells sparse soa;
+    grid = Atomic.make None;
+    nbrs = per_node_cells sparse soa }
 
 let validate_min_dist ~who points =
   let dmin = Placement.min_pairwise_dist points in
@@ -742,29 +753,52 @@ let resolve_reference ?perturb t ~senders =
      done);
   result
 
+let range_bound t = Config.range t.config +. 1e-12
+
+(* [Soa.dist v u <= r], with the distance evaluated by the same float
+   expression, on columns and a bound hoisted out of a caller's loop. *)
+let[@inline] within xs ys v u r =
+  let dx = Float.Array.unsafe_get xs v -. Float.Array.unsafe_get xs u
+  and dy = Float.Array.unsafe_get ys v -. Float.Array.unsafe_get ys u in
+  sqrt ((dx *. dx) +. (dy *. dy)) <= r
+
 (* Is a single isolated transmission from v decodable at u?  Defines weak
    reachability: true iff d(v,u) <= R. *)
-let in_range t v u =
-  Soa.dist t.soa v u <= Config.range t.config +. 1e-12
+let in_range t v u = within (Soa.xs t.soa) (Soa.ys t.soa) v u (range_bound t)
 
-(* Whether some sender reaches u ([in_range]), as a predicate over u.
-   With the sparse grid installed the reached nodes are marked up front
-   from the cells around each sender (a padded window, see
-   [Sparse.iter_window]) — O(n + nodes near senders) instead of
-   O(n * senders) over all listeners; otherwise each query scans the
-   senders and stops at the first that reaches u. *)
-let in_range_of_any t ~senders ~nsenders =
+(* Every node [in_range] of [v] ([v] itself included), each once, in
+   unspecified order — the telemetry's collision/silence split walks the
+   union over a slot's senders.  The candidates come from a window that
+   covers the range with room to spare and are filtered with [in_range]
+   itself, so the set is exactly the predicate's.  With the sparse kernel
+   installed its coarse-cell index supplies the window; otherwise the
+   lists are built from a cell-R [Grid_index] on a node's first call and
+   kept (racing domains build identical lists, like the reach lists). *)
+let iter_in_range t v f =
+  let r = range_bound t and xs = Soa.xs t.soa and ys = Soa.ys t.soa in
   match t.sparse with
   | Some sp ->
-    let reached = Bytes.make (Soa.length t.soa) '\000' in
-    let radius = Config.range t.config +. 1e-12 in
-    for i = 0 to nsenders - 1 do
-      let v = senders.(i) in
-      Sparse.iter_window sp v ~radius (fun u ->
-          if in_range t v u then Bytes.unsafe_set reached u '\001')
-    done;
-    fun u -> Bytes.get reached u <> '\000'
+    Sparse.iter_window sp v ~radius:r (fun u -> if within xs ys v u r then f u)
   | None ->
-    fun u ->
-      let rec go i = i < nsenders && (in_range t senders.(i) u || go (i + 1)) in
-      go 0
+    let cell = t.nbrs.(v) in
+    let l =
+      match Atomic.get cell with
+      | Some l -> l
+      | None ->
+        let g =
+          match Atomic.get t.grid with
+          | Some g -> g
+          | None ->
+            let g = Grid_index.create ~cell:r (Soa.to_points t.soa) in
+            Atomic.set t.grid (Some g);
+            g
+        in
+        let acc = ref [] in
+        Grid_index.iter_within g ~center:(Grid_index.point g v)
+          ~r:(r +. (1e-9 *. (1. +. r)))
+          (fun u -> if within xs ys v u r then acc := u :: !acc);
+        let l = Array.of_list !acc in
+        Atomic.set cell (Some l);
+        l
+    in
+    Array.iter f l

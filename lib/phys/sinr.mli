@@ -126,9 +126,10 @@ val resolve_reference : ?perturb:perturb -> t -> senders:int list -> int option 
 val in_range : t -> int -> int -> bool
 (** Weak reachability: distance at most the transmission range R. *)
 
-val in_range_of_any : t -> senders:int array -> nsenders:int -> int -> bool
-(** [in_range_of_any t ~senders ~nsenders] is the predicate "some of the
-    first [nsenders] entries of [senders] is {!in_range} of [u]". With the
-    sparse kernel installed, building it costs O(n + nodes near the
-    senders) and each query O(1); otherwise each query scans the senders.
-    (Telemetry's collision/silence split.) *)
+val iter_in_range : t -> int -> (int -> unit) -> unit
+(** [iter_in_range t v f] calls [f] once on every node [u] with
+    [in_range t v u] ([v] itself included), in unspecified order. With the
+    sparse kernel installed a call costs O(nodes in the coarse cells around
+    [v]); otherwise [v]'s list is built from a grid window at its first
+    call and kept, and later calls cost O(its size). (Telemetry's
+    collision/silence split walks the union over a slot's senders.) *)

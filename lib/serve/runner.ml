@@ -155,7 +155,10 @@ let run_job ?(checkpoint_every = 4) ?(should_stop = fun () -> false)
   Span.set_attr span "cells" (Json.int job.Queue.cells_total);
   let finish_span () =
     Span.set_attr span "state" (Json.Str (Queue.state_name job.Queue.state));
-    Span.finish span ~slot:job.Queue.cells_done
+    Span.finish span ~slot:job.Queue.cells_done;
+    (* whatever the attempt's cells left open (Approx_progress epochs cut
+       off when a cell ends) must not outlive it *)
+    Span.abandon "job_id" (Json.int jid)
   in
   (* Unsupervised, a failure is terminal; under a supervisor, [on_fail]
      owns the disposition (retry with backoff, or quarantine) and must

@@ -18,7 +18,10 @@
    - Bmmb's pending walk and completion cursor are checked against the
      full scans they replaced, over an ideal MAC with crashes.
    - The sparse skip is checked at the decoding boundary R, R +- 1 ulp,
-     R +- 1e-9, alone and under interference. *)
+     R +- 1e-9, alone and under interference.
+   - The engine's O(events) telemetry counters (listens, collision loss,
+     silence) are checked slot by slot against the O(n) scans, and the
+     neighbourhood iterator behind them against the in_range scan. *)
 
 open Sinr_geom
 open Sinr_phys
@@ -766,35 +769,150 @@ let test_resolve_into_buffers () =
   check_on (Sinr.create cfg pts)
     (List.filter (fun _ -> Rng.bernoulli rng 0.05) (List.init n Fun.id))
 
-(* The telemetry collision/silence split asks whether some sender
-   reaches a node; the sparse grid answers from the cells around each
-   sender and must agree with the brute-force [in_range] scan exactly. *)
-let test_in_range_of_any () =
+(* The telemetry collision/silence split walks the senders'
+   neighbourhoods: [Sinr.iter_in_range] must visit exactly the nodes the
+   brute-force [in_range] scan accepts, each once — on the sparse grid's
+   window, on the exact kernel's cached lists (first call and reuse), and
+   at the range boundary. *)
+let test_iter_in_range () =
+  let check_all label sinr =
+    let n = Sinr.n sinr in
+    for pass = 1 to 2 do
+      for v = 0 to n - 1 do
+        let got = ref [] in
+        Sinr.iter_in_range sinr v (fun u -> got := u :: !got);
+        Alcotest.(check (list int))
+          (Printf.sprintf "%s pass %d: node %d" label pass v)
+          (List.filter (Sinr.in_range sinr v) (List.init n Fun.id))
+          (List.sort compare !got)
+      done
+    done
+  in
   let rng = Rng.create 23 in
   let n = 400 in
   let side = 4.4 *. sqrt (float_of_int n) in
   let pts = Placement.uniform rng ~n ~box:(Box.square ~side) ~min_dist:1. in
-  let check sinr =
-    for case = 0 to 30 do
-      let senders =
-        Array.of_list
-          (List.filter (fun _ -> Rng.bernoulli rng 0.03) (List.init n Fun.id))
-      in
-      let nsenders = Array.length senders in
-      let reached = Sinr.in_range_of_any sinr ~senders ~nsenders in
-      for u = 0 to n - 1 do
-        Alcotest.(check bool)
-          (Printf.sprintf "case %d node %d" case u)
-          (Array.exists (fun v -> Sinr.in_range sinr v u) senders)
-          (reached u)
-      done
-    done
+  let boundary =
+    Array.of_list (Point.make 0. 0. :: boundary_points (Config.range cfg))
   in
-  check (Sinr.create cfg pts);
+  check_all "exact" (Sinr.create cfg pts);
+  check_all "exact boundary" (Sinr.create cfg boundary);
   with_sparse (fun () ->
       let sinr = Sinr.create cfg pts in
       Alcotest.(check bool) "sparse installed" true (Sinr.sparse sinr <> None);
-      check sinr)
+      check_all "sparse" sinr;
+      check_all "sparse boundary" (Sinr.create cfg boundary))
+
+(* ---------------- Engine telemetry: counters = reference scan ---------------- *)
+
+(* The engine derives engine.listens / collision_loss / silence from a
+   live-node count and the senders' neighbourhoods; here they are checked
+   slot by slot against the O(n) scans they replaced.  Scenario: wakes,
+   crashes and revivals between slots, asleep receivers woken by delivery,
+   an on_deliver that crashes nodes (later receivers of the slot
+   included), and jammed slots; on the exact kernel and on the sparse one.
+   The reference listener count is taken when the engine asks for the
+   slot's perturbation (after every decide, before resolution); the
+   reference decodes come from resolving the same senders, in the
+   engine's order, with the same perturbation. *)
+let engine_counters_agree ~seed ~sparse =
+  let ops = Rng.create seed in
+  let n = 6 + Rng.int ops 50 in
+  let side = (0.8 +. Rng.float ops 2.5) *. Config.range cfg in
+  let pts = Placement.uniform ops ~n ~box:(Box.square ~side) ~min_dist:1. in
+  let sinr =
+    if sparse then with_sparse (fun () -> Sinr.create cfg pts)
+    else Sinr.create cfg pts
+  in
+  assert (Option.is_some (Sinr.sparse sinr) = sparse);
+  let eng = Engine.create sinr in
+  let jam slot =
+    if slot mod 3 = 0 then
+      Some
+        { Sinr.noise_factor = (fun u -> if u mod 2 = 0 then 4. else 1.);
+          gain = (fun ~sender:_ ~receiver:_ -> 1.) }
+    else None
+  in
+  let senders = ref [] and ref_listens = ref (-1) in
+  let listeners () =
+    let c = ref 0 in
+    for v = 0 to n - 1 do
+      if Engine.is_awake eng v && (not (Engine.is_crashed eng v))
+         && not (List.mem v !senders)
+      then incr c
+    done;
+    !c
+  in
+  Engine.set_perturb eng (fun ~slot ->
+      ref_listens := listeners ();
+      jam slot);
+  let peek k = Option.value ~default:0 (Metrics.counter_peek k) in
+  let counters () =
+    (peek "engine.listens", peek "engine.collision_loss", peek "engine.silence")
+  in
+  for v = 0 to n - 1 do
+    if Rng.bernoulli ops 0.5 then Engine.wake eng v
+  done;
+  for slot = 0 to 60 do
+    for _ = 1 to 3 do
+      let v = Rng.int ops n in
+      match Rng.int ops 5 with
+      | 0 -> Engine.wake eng v
+      | 1 -> Engine.crash eng v
+      | 2 -> Engine.revive eng v
+      | _ -> ()
+    done;
+    senders := [];
+    ref_listens := -1;
+    let decide v =
+      if Rng.bernoulli ops 0.25 then begin
+        senders := v :: !senders;
+        Engine.Transmit v
+      end
+      else Engine.Listen
+    in
+    let on_deliver (d : int Engine.delivery) =
+      if Rng.bernoulli ops 0.15 then Engine.crash eng (Rng.int ops n);
+      if Rng.bernoulli ops 0.1 then Engine.crash eng d.Engine.receiver
+    in
+    let l0, c0, s0 = counters () in
+    ignore (Engine.step ~on_deliver eng ~decide : int Engine.delivery list);
+    let l1, c1, s1 = counters () in
+    let label what = Printf.sprintf "seed %d slot %d %s" seed slot what in
+    (* No sender: no perturbation asked, nothing delivered since decide. *)
+    if !senders = [] then ref_listens := listeners ();
+    Alcotest.(check int) (label "listens") !ref_listens (l1 - l0);
+    let want_c, want_s =
+      if !senders = [] then (0, 0)
+      else begin
+        (* [senders] is descending, like the engine's resolution order. *)
+        let got = Sinr.resolve ?perturb:(jam slot) sinr ~senders:!senders in
+        let c = ref 0 and s = ref 0 in
+        for u = 0 to n - 1 do
+          if Engine.is_awake eng u && (not (Engine.is_crashed eng u))
+             && (not (List.mem u !senders))
+             && got.(u) = None
+          then
+            if List.exists (fun v -> Sinr.in_range sinr v u) !senders then incr c
+            else incr s
+        done;
+        (!c, !s)
+      end
+    in
+    Alcotest.(check int) (label "collision_loss") want_c (c1 - c0);
+    Alcotest.(check int) (label "silence") want_s (s1 - s0)
+  done
+
+let prop_engine_counters =
+  QCheck.Test.make ~name:"engine: telemetry counters = reference scan"
+    ~count:40
+    QCheck.(pair (int_range 1 100_000) bool)
+    (fun (seed, sparse) ->
+      Metrics.reset_for_tests ();
+      Fun.protect ~finally:Metrics.reset_for_tests @@ fun () ->
+      Metrics.set_enabled true;
+      engine_counters_agree ~seed ~sparse;
+      true)
 
 (* Fixed qcheck seed: the suite is deterministic like every other one. *)
 let fixed_rand () = Random.State.make [| 1505 |]
@@ -804,6 +922,7 @@ let suite =
     Alcotest.test_case "node set walk edge cases" `Quick
       test_node_set_walk_edges;
     QCheck_alcotest.to_alcotest ~rand:(fixed_rand ()) prop_engine_contenders;
+    QCheck_alcotest.to_alcotest ~rand:(fixed_rand ()) prop_engine_counters;
     Alcotest.test_case "combined mac: pinned edge cases" `Quick
       test_mac_pinned;
     QCheck_alcotest.to_alcotest ~rand:(fixed_rand ()) prop_ack_pass;
@@ -815,5 +934,5 @@ let suite =
       test_sparse_silence_boundary;
     QCheck_alcotest.to_alcotest ~rand:(fixed_rand ()) prop_sparse_skip_exact;
     Alcotest.test_case "resolve_into buffers" `Quick test_resolve_into_buffers;
-    Alcotest.test_case "in_range_of_any = in_range scan" `Quick
-      test_in_range_of_any ]
+    Alcotest.test_case "iter_in_range = in_range scan" `Quick
+      test_iter_in_range ]

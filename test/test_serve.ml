@@ -1187,6 +1187,58 @@ let test_job_spans_carry_events =
             (r.Trace_report.prog_pcts <> None))
         [ 1; 2 ])
 
+(* A job's cells can end mid-epoch, leaving Approx_progress spans open;
+   when the attempt ends they are closed, so a long-lived daemon's open
+   table (and every flight dump's "open" list) does not grow per job. *)
+let test_finished_jobs_leave_no_open_spans =
+  with_registry (fun () ->
+      Recorder.clear ();
+      Recorder.set_enabled true;
+      Fun.protect
+        ~finally:(fun () ->
+          Recorder.set_enabled false;
+          Recorder.clear ())
+      @@ fun () ->
+      let daemon = Daemon.create ~dir:(fresh_dir ()) () in
+      Fun.protect ~finally:(fun () -> Daemon.close daemon) @@ fun () ->
+      let handle = Http.handle ~handler:(Daemon.handler daemon) in
+      let jobs = 20 in
+      for seed = 1 to jobs do
+        Alcotest.(check (option int)) "submit" (Some 202)
+          (status_of
+             (handle
+                (post_jobs
+                   (Printf.sprintf
+                      {|{"exp":"chaos","params":[0,50],"seeds":[%d]}|} seed))));
+        while Daemon.step daemon do () done
+      done;
+      let leftover =
+        List.filter
+          (fun (sp : Span.t) ->
+            match List.assoc_opt "job_id" sp.Span.attrs with
+            | Some j -> (
+              match Json.to_int j with
+              | Some id -> id >= 1 && id <= jobs
+              | None -> false)
+            | None -> false)
+          (Span.open_spans ())
+      in
+      Alcotest.(check int) "open spans of finished jobs" 0
+        (List.length leftover);
+      let header =
+        List.hd
+          (String.split_on_char '\n' (Recorder.to_jsonl ~reason:"test" ()))
+      in
+      Alcotest.(check (option int)) "dump lists nothing open" (Some 0)
+        (Option.bind (Json.member "open" (Json.parse header)) Json.to_int);
+      Alcotest.(check bool) "the closed spans are in the ring, marked" true
+        (List.exists
+           (function
+             | Span.Span_entry sp ->
+               List.mem_assoc "abandoned" sp.Span.attrs
+             | Span.Event_entry _ -> false)
+           (Span.entries ())))
+
 (* ---------------- http: slowloris guard ------------------------------ *)
 
 let test_http_read_timeout () =
@@ -1288,6 +1340,8 @@ let suite =
       test_job_metrics_disjoint;
     Alcotest.test_case "job spans scrape carries its rcv events" `Quick
       test_job_spans_carry_events;
+    Alcotest.test_case "finished jobs leave no open spans" `Quick
+      test_finished_jobs_leave_no_open_spans;
     Alcotest.test_case "http: slowloris read timeout" `Slow
       test_http_read_timeout;
     Alcotest.test_case "bench diff: missing current" `Quick
