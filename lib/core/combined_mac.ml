@@ -267,23 +267,21 @@ let step t =
   let slot = Engine.slot t.engine in
   let hm_slot = slot mod 2 = 0 in
   Metrics.incr (if hm_slot then m_slots_even else m_slots_odd);
-  let decide v =
-    if hm_slot then begin
-      let w = Hm_ack.decide t.hm ~node:v in
-      if Hm_ack.halted t.hm ~node:v then Node_set.add t.due v;
-      match w with Some w -> Engine.Transmit w | None -> Engine.Listen
-    end
-    else
-      match Approx_progress.decide t.approg ~node:v with
-      | Some w -> Engine.Transmit w
-      | None -> Engine.Listen
-  in
   (* Only nodes that can transmit are consulted: B.1 needs an ongoing
-     broadcast, Algorithm 9.1 phase participation. *)
-  let contenders =
-    if hm_slot then t.ongoing_set else Approx_progress.contenders t.approg
+     broadcast, Algorithm 9.1 phase participation.  B.1's contenders are
+     stepped in one batched pass, which also adds the ones it halts to
+     [due]. *)
+  let deliveries =
+    if hm_slot then
+      Engine.step_select t.engine
+        ~select:(Hm_ack.select t.hm ~contenders:t.ongoing_set ~due:t.due)
+    else
+      Engine.step ~contenders:(Approx_progress.contenders t.approg) t.engine
+        ~decide:(fun v ->
+          match Approx_progress.decide t.approg ~node:v with
+          | Some w -> Engine.Transmit w
+          | None -> Engine.Listen)
   in
-  let deliveries = Engine.step ~contenders t.engine ~decide in
   if hm_slot then begin
     List.iter
       (fun d ->
@@ -319,15 +317,16 @@ let step t =
      counts as aborted rather than as a late-ack violation.
 
      The pass walks [due], not every ongoing broadcast.  Every broadcast
-     the body below acts on is in it: a B.1 halt is added by [decide], a
-     crash by the engine's crash hook (or by [bcast] on a crashed node),
-     and an f_ack cap by the deadline FIFO just before the walk.  A node
-     leaves [due] before its body runs, and the body re-checks everything,
-     so a stale or repeated entry costs one visit and nothing else.  The
-     walk is ascending and sees the handlers' updates as a full node scan
-     would: a node an [on_ack] crashes (or starts on a crashed node, or at
-     [fack_cap <= 0]) above the acking id is handled in this same pass,
-     one below it in the next. *)
+     the body below acts on is in it: a B.1 halt is added by the even
+     slot's [Hm_ack.select], a crash by the engine's crash hook (or by
+     [bcast] on a crashed node), and an f_ack cap by the deadline FIFO
+     just before the walk.  A node leaves [due] before its body runs, and
+     the body re-checks everything, so a stale or repeated entry costs one
+     visit and nothing else.  The walk is ascending and sees the
+     handlers' updates as a full node scan would: a node an [on_ack]
+     crashes (or starts on a crashed node, or at [fack_cap <= 0]) above
+     the acking id is handled in this same pass, one below it in the
+     next. *)
   while
     (not (Queue.is_empty t.deadlines)) && fst (Queue.peek t.deadlines) <= now t
   do

@@ -25,9 +25,12 @@
    level, so the node backs off (FallBack) instead of escalating.
 
    The machine exposes one node-slot of behaviour at a time so that
-   Algorithm 11.1 can interleave it with Algorithm 9.1 on even/odd slots. *)
+   Algorithm 11.1 can interleave it with Algorithm 9.1 on even/odd slots,
+   either per node ([decide]) or as one batched pass over a slot's
+   contenders ([select]); both run the same step, [advance]. *)
 
 open Sinr_geom
+open Sinr_engine
 open Sinr_obs
 
 (* Telemetry: Algorithm B.1's round structure. *)
@@ -41,8 +44,6 @@ let m_broadcast_slots = Metrics.histogram "hm.broadcast_slots"
 
 type node_state = {
   mutable payload : Events.payload option; (* ongoing broadcast, if any *)
-  mutable p : float;
-  mutable tp : float;
   mutable rc : int;
   mutable j : int;         (* position within the inner for-loop *)
   mutable ramp_pending : bool; (* double p before the next slot *)
@@ -60,6 +61,10 @@ type t = {
   p_start : float;
   p_cap : float;
   nodes : node_state array;
+  p : Float.Array.t;
+  tp : Float.Array.t;
+      (* per-node p_y and tp_y, unboxed: an update neither allocates nor
+         passes the write barrier *)
   rng : Rng.t;
   spans : Span.id array;
       (* per-node causal span of the ongoing broadcast (Combined_mac owns
@@ -67,12 +72,11 @@ type t = {
   mutable clock : unit -> int;
       (* engine-slot clock for span annotations; Combined_mac installs the
          real one, the default stamps 0 *)
+  mutable ramps : int; (* inner-loop ramps not yet added to hm.ramps *)
 }
 
 let fresh_node () =
   { payload = None;
-    p = 0.;
-    tp = 0.;
     rc = 0;
     j = 0;
     ramp_pending = false;
@@ -102,9 +106,12 @@ let create (params : Params.ack) ~lambda ~n ~rng =
     p_start = 1. /. (params.p_start_div *. float_of_int n_tilde);
     p_cap = params.p_cap;
     nodes = Array.init n (fun _ -> fresh_node ());
+    p = Float.Array.make n 0.;
+    tp = Float.Array.make n 0.;
     rng;
     spans = Array.make n Span.none;
-    clock = (fun () -> 0) }
+    clock = (fun () -> 0);
+    ramps = 0 }
 
 let n_tilde t = t.n_tilde
 
@@ -113,8 +120,8 @@ let start t ~node payload =
   nd.payload <- Some payload;
   (* Lines 1-5 followed by the first pass of line 7: the ramp doubles p on
      entry to each inner loop. *)
-  nd.p <- Float.max t.p_min (t.p_start /. 32.);
-  nd.tp <- 0.;
+  Float.Array.set t.p node (Float.max t.p_min (t.p_start /. 32.));
+  Float.Array.set t.tp node 0.;
   nd.rc <- 0;
   nd.j <- 0;
   nd.ramp_pending <- true;
@@ -140,47 +147,87 @@ let payload t ~node = t.nodes.(node).payload
 let slots_run t ~node = t.nodes.(node).slots_run
 let fallbacks t ~node = t.nodes.(node).fallbacks
 
+(* One HM slot of a node that broadcasts and has not halted (lines
+   7-16): returns whether it transmits.  The ramp is tallied in
+   [t.ramps]; the caller publishes it with the slot and tx counts. *)
+let advance t ~node nd =
+  if nd.ramp_pending then begin
+    (* Line 7: p <- min(1/16, 2p). *)
+    Float.Array.set t.p node (Float.min t.p_cap (2. *. Float.Array.get t.p node));
+    nd.ramp_pending <- false;
+    t.ramps <- t.ramps + 1
+  end;
+  nd.slots_run <- nd.slots_run + 1;
+  let p = Float.Array.get t.p node in
+  let send = Rng.bernoulli t.rng p in
+  (* Line 13: tp accounts for the *probability*, not the outcome. *)
+  let tp = Float.Array.get t.tp node +. p in
+  Float.Array.set t.tp node tp;
+  if tp > t.tp_cap then begin
+    (* lines 14-16 *)
+    nd.halted <- true;
+    Metrics.incr m_halts;
+    Metrics.observe_int m_broadcast_slots nd.slots_run;
+    if t.spans.(node) <> Span.none then
+      Span.annotate t.spans.(node) ~slot:(t.clock ()) "hm.halt"
+  end
+  else begin
+    nd.j <- nd.j + 1;
+    if nd.j >= t.inner_len then begin
+      (* End of the for-loop: the enclosing inner loop doubles p next. *)
+      nd.j <- 0;
+      nd.ramp_pending <- true
+    end
+  end;
+  (* The halting slot still carries its transmission if one was drawn. *)
+  send
+
+let publish t ~slots ~tx =
+  Metrics.add m_slots slots;
+  Metrics.add m_tx tx;
+  Metrics.add m_ramps t.ramps;
+  t.ramps <- 0
+
 (* One HM slot for [node]: returns the transmission decision.  Must be
    called exactly once per HM slot for each active node. *)
 let decide t ~node =
   let nd = t.nodes.(node) in
   match nd.payload with
-  | None -> None
-  | Some _ when nd.halted -> None
-  | Some payload ->
-    if nd.ramp_pending then begin
-      (* Line 7: p <- min(1/16, 2p). *)
-      nd.p <- Float.min t.p_cap (2. *. nd.p);
-      nd.ramp_pending <- false;
-      Metrics.incr m_ramps
-    end;
-    nd.slots_run <- nd.slots_run + 1;
-    Metrics.incr m_slots;
-    let send = Rng.bernoulli t.rng nd.p in
-    (* Line 13: tp accounts for the *probability*, not the outcome. *)
-    nd.tp <- nd.tp +. nd.p;
-    if nd.tp > t.tp_cap then begin
-      (* lines 14-16 *)
-      nd.halted <- true;
-      Metrics.incr m_halts;
-      Metrics.observe_int m_broadcast_slots nd.slots_run;
-      if t.spans.(node) <> Span.none then
-        Span.annotate t.spans.(node) ~slot:(t.clock ()) "hm.halt"
+  | Some payload when not nd.halted ->
+    let send = advance t ~node nd in
+    publish t ~slots:1 ~tx:(Bool.to_int send);
+    if send then Some (Events.Data payload) else None
+  | Some _ | None -> None
+
+(* [decide] for every eligible contender in ascending order, in one loop:
+   the same [advance] calls, hence the same RNG draws, as the per-node
+   walk, with no callback per contender and one metrics update per slot.
+   A halted contender is added to [due], as the walk's caller does. *)
+let select t ~contenders ~due (sel : Events.wire Engine.selection) =
+  let ids = Node_set.ascending contenders in
+  let eligible = sel.Engine.eligible in
+  let senders = sel.Engine.senders and messages = sel.Engine.messages in
+  let k = ref 0 and slots = ref 0 in
+  for i = 0 to Node_set.cardinal contenders - 1 do
+    let v = Array.unsafe_get ids i in
+    if State.Bits.get eligible v then begin
+      let nd = t.nodes.(v) in
+      match nd.payload with
+      | None -> ()
+      | Some payload ->
+        if not nd.halted then begin
+          incr slots;
+          if advance t ~node:v nd then begin
+            messages.(v) <- Some (Events.Data payload);
+            senders.(!k) <- v;
+            incr k
+          end
+        end;
+        if nd.halted then Node_set.add due v
     end
-    else begin
-      nd.j <- nd.j + 1;
-      if nd.j >= t.inner_len then begin
-        (* End of the for-loop: the enclosing inner loop doubles p next. *)
-        nd.j <- 0;
-        nd.ramp_pending <- true
-      end
-    end;
-    (* The halting slot still carries its transmission if one was drawn. *)
-    if send then begin
-      Metrics.incr m_tx;
-      Some (Events.Data payload)
-    end
-    else None
+  done;
+  publish t ~slots:!slots ~tx:!k;
+  !k
 
 (* Lines 17-22: a message was received during this HM slot. *)
 let on_receive t ~node =
@@ -193,7 +240,7 @@ let on_receive t ~node =
     Metrics.incr m_rcv;
     if nd.rc > t.rc_cap then begin
       (* FallBack to line 4: shrink p, reset rc, restart the inner loop. *)
-      nd.p <- Float.max t.p_min (nd.p /. 32.);
+      Float.Array.set t.p node (Float.max t.p_min (Float.Array.get t.p node /. 32.));
       nd.rc <- 0;
       nd.j <- 0;
       nd.ramp_pending <- true;
@@ -201,5 +248,5 @@ let on_receive t ~node =
       Metrics.incr m_fallbacks;
       if t.spans.(node) <> Span.none then
         Span.annotate t.spans.(node) ~slot:(t.clock ())
-          (Printf.sprintf "hm.fallback p=%.3g" nd.p)
+          (Printf.sprintf "hm.fallback p=%.3g" (Float.Array.get t.p node))
     end

@@ -3,9 +3,12 @@
     implementation (Theorem 5.1).
 
     The machine exposes one node-slot at a time so Algorithm 11.1 can
-    interleave it with Algorithm 9.1 on even/odd slots. *)
+    interleave it with Algorithm 9.1 on even/odd slots: per node
+    ({!decide}) or batched over a slot's contenders ({!select}), both
+    through one step of the algorithm. *)
 
 open Sinr_geom
+open Sinr_engine
 
 type t
 
@@ -36,6 +39,18 @@ val fallbacks : t -> node:int -> int
 val decide : t -> node:int -> Events.wire option
 (** Consume one HM slot for the node: [Some wire] to transmit, [None] to
     listen. Call exactly once per HM slot per active node. *)
+
+val select :
+  t -> contenders:Node_set.t -> due:Node_set.t ->
+  Events.wire Engine.selection -> int
+(** One HM slot for a whole slot's contenders, as an
+    {!Engine.step_select} selector: equivalent to {!decide} for every
+    [eligible] member of [contenders] in ascending order, followed by
+    [Node_set.add due v] for each such [v] that is {!halted} — the same
+    RNG draws in the same order, the same senders and messages — but in
+    one loop over {!Node_set.ascending}, with no callback per contender
+    and one update each of [hm.slots], [hm.tx] and [hm.ramps] per
+    call. *)
 
 val on_receive : t -> node:int -> unit
 (** Report that the node decoded some message during this HM slot

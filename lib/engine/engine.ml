@@ -48,6 +48,16 @@ type 'm delivery = {
          (the paper's Remark 4.6 CCA assumption) can observe *)
 }
 
+(* The slot's sender buffers as a selector sees them.  [eligible] is the
+   awake map: awake implies not crashed, since only [wake] sets the awake
+   bit (refusing crashed nodes) and [crash] clears it, so it is exactly
+   the nodes that may transmit. *)
+type 'm selection = {
+  eligible : State.Bits.t;
+  senders : int array;
+  messages : 'm option array;
+}
+
 type 'm t = {
   sinr : Sinr.t;
   mutable slot : int;
@@ -66,9 +76,8 @@ type 'm t = {
          clean channel *)
   mutable on_crash : int -> unit;
       (* the layer above's crash hook (Combined_mac's ack due-set) *)
-  mutable live : int;
-      (* awake nodes; awake implies not crashed, since only [wake] sets the
-         awake bit (refusing crashed nodes) and [crash] clears it *)
+  selection : 'm selection;  (* the state's slot buffers, for [select] *)
+  mutable live : int;  (* awake nodes (hence not crashed, see above) *)
   mutable seen : int array;
       (* telemetry scratch, allocated on first use: the collision walk's
          per-node stamp, deduplicating the union of the senders'
@@ -78,15 +87,20 @@ type 'm t = {
 
 let create ?(wake_on_receive = true) ?trace sinr =
   let n = Sinr.n sinr in
+  let state = State.create n in
   { sinr;
     slot = 0;
-    state = State.create n;
+    state;
     wake_on_receive;
     tx_total = 0;
     delivery_total = 0;
     trace;
     perturb = (fun ~slot:_ -> None);
     on_crash = ignore;
+    selection =
+      { eligible = state.State.awake;
+        senders = state.State.senders;
+        messages = state.State.messages };
     live = 0;
     seen = [||];
     seen_gen = 0 }
@@ -184,28 +198,28 @@ let collision_losses t ~ntx =
   done;
   !lost
 
-(* Run one slot.  [decide v] is consulted only for awake, non-crashed nodes
-   — all of them, or only those in [contenders] — and everyone else
-   listens.  Returns the deliveries of the slot.  Also calls [on_deliver]
-   per delivery if given (before waking the receiver), so callers can
-   distinguish "received while asleep".
+(* Run one slot whose transmitters [select] picks: it writes them
+   ascending into [senders], sets their [messages] entries and returns
+   how many there are.  Returns the deliveries of the slot.  Also calls
+   [on_deliver] per delivery if given (before waking the receiver), so
+   callers can distinguish "received while asleep".
 
-   Untraced, the slot costs O(consulted nodes + senders + receivers) on
-   top of the resolution kernel: the decide walk visits only the
-   contenders when a set is given, resolution writes into the reusable
+   Untraced, the slot costs [select] plus O(senders + receivers) on top
+   of the resolution kernel: resolution writes into the reusable
    [decoded] buffers, and delivery visits only the receivers.  Telemetry
    adds O(senders + receivers) for the listener and undelivered counts
    (derived from the live-node count) plus the senders' neighbourhoods
    for the collision/silence split. *)
-let step ?on_deliver ?contenders t ~decide =
+let step_select ?on_deliver t ~select =
   let n = n t in
   let st = t.state in
   let awake = st.State.awake and crashed = st.State.crashed in
   (* Reusable slot buffers (State): no per-slot O(n) allocation.  The
      [messages] and [decoded] invariants — all-None / empty between
      slots — are restored under Fun.protect by clearing exactly the
-     entries written, so a raising [decide]/[on_deliver] cannot poison
-     the next slot. *)
+     entries written (all of [messages] if [select] raised, since its
+     count is then unknown), so a raising [select]/[on_deliver] cannot
+     poison the next slot. *)
   let messages = st.State.messages and senders = st.State.senders in
   let decoded = st.State.decoded in
   let ntx = ref 0 in
@@ -221,23 +235,23 @@ let step ?on_deliver ?contenders t ~decide =
       Sinr.clear_decoded decoded)
   @@ fun () ->
   let p0 = Profile.start () in
-  let consider v =
-    if State.Bits.get awake v && not (State.Bits.get crashed v) then
-      match decide v with
-      | Transmit m ->
-        messages.(v) <- Some m;
-        senders.(!ntx) <- v;
-        incr ntx
-      | Listen -> ()
+  let k =
+    match select t.selection with
+    | k -> k
+    | exception e ->
+      Array.fill messages 0 n None;
+      raise e
   in
-  (match contenders with
-   | None ->
-     for v = 0 to n - 1 do
-       consider v
-     done
-   | Some set -> Node_set.iter set consider);
+  ntx := k;
   Profile.stop Profile.Decide p0;
-  let ntx = !ntx in
+  (* The selection contract, checked in O(senders): strictly ascending
+     eligible ids. *)
+  for i = 0 to k - 1 do
+    let v = senders.(i) in
+    if (i > 0 && v <= senders.(i - 1)) || not (State.Bits.get awake v) then
+      invalid_arg "Engine.step_select: senders not ascending and eligible"
+  done;
+  let ntx = k in
   (* The seed built its sender list by consing an ascending scan, so
      resolution accumulated interference in DESCENDING node order.
      Reverse the ascending prefix to keep every float — and therefore
@@ -335,6 +349,30 @@ let step ?on_deliver ?contenders t ~decide =
   let out = List.rev !deliveries in
   Profile.stop Profile.Step p_step;
   out
+
+(* The per-node walk as a selector: [decide v] for each eligible node —
+   all of them, or only those in [contenders] — in ascending order. *)
+let step ?on_deliver ?contenders t ~decide =
+  step_select ?on_deliver t ~select:(fun sel ->
+      let eligible = sel.eligible in
+      let senders = sel.senders and messages = sel.messages in
+      let ntx = ref 0 in
+      let consider v =
+        if State.Bits.get eligible v then
+          match decide v with
+          | Transmit m ->
+            messages.(v) <- Some m;
+            senders.(!ntx) <- v;
+            incr ntx
+          | Listen -> ()
+      in
+      (match contenders with
+       | None ->
+         for v = 0 to n t - 1 do
+           consider v
+         done
+       | Some set -> Node_set.iter set consider);
+      !ntx)
 
 (* Drive the simulation until [stop] returns true or [max_slots] elapse.
    Returns the number of slots executed.  [on_slot] fires after every slot

@@ -66,29 +66,58 @@ val revive : 'm t -> int -> unit
 
 val awake_nodes : 'm t -> int list
 
-val step :
-  ?on_deliver:('m delivery -> unit) -> ?contenders:Node_set.t -> 'm t ->
-  decide:(int -> 'm action) -> 'm delivery list
-(** Run one slot and return its deliveries, in ascending receiver order.
+type 'm selection = private {
+  eligible : State.Bits.t;
+      (** the nodes that may transmit this slot: awake and not crashed.
+          It is the engine's awake map (awake implies not crashed);
+          read-only. *)
+  senders : int array;
+      (** the slot's transmitters, written by the selector in ascending
+          id order from index 0 *)
+  messages : 'm option array;
+      (** per node, the message it transmits: [Some m] for exactly the
+          written senders, [None] elsewhere (as handed over) *)
+}
+(** The slot's sender buffers, owned by the engine and reused every slot
+    (no per-slot allocation). *)
 
-    [decide] is consulted only for awake, non-crashed nodes, in ascending
-    id order, at most once each; all others listen. Without [contenders]
-    that is every such node. With [contenders], only the members of the
-    set are consulted, walked in ascending order. The caller guarantees
-    that [decide v] for any other awake node would return [Listen] with no
-    side effect (no RNG draw, no state change); under that contract the
-    slot — deliveries, wake and trace events, and every later RNG draw —
-    is identical to the full scan.
+val step_select :
+  ?on_deliver:('m delivery -> unit) -> 'm t ->
+  select:('m selection -> int) -> 'm delivery list
+(** Run one slot whose transmitters [select] picks, and return its
+    deliveries in ascending receiver order. [select sel] writes the
+    transmitters into [sel.senders.(0 .. k-1)], strictly ascending and
+    each [eligible], sets [sel.messages.(v) <- Some m] for each of them
+    and for no other node, and returns [k]. The engine checks the ids in
+    O(k) and raises [Invalid_argument] if they are not ascending and
+    eligible. If [select] raises, the engine clears all of [messages]
+    (O(n), on that path only) and re-raises. [on_deliver] is called per
+    delivery, before the receiver is woken, so callers can distinguish
+    "received while asleep".
 
-    Untraced, the cost beyond the resolution kernel is O(consulted nodes +
-    transmitters + receivers): resolution writes into reusable engine
+    Untraced, the cost beyond [select] and the resolution kernel is
+    O(transmitters + receivers): resolution writes into reusable engine
     buffers and delivery visits only the nodes that decoded. With
     telemetry enabled the listener and undelivered counts add
     O(transmitters + receivers) (they are derived from an O(1) count of
     awake nodes), and the collision/silence split walks the
-    transmitters' {!Sinr.iter_in_range} neighbourhoods. With the flight recorder armed each delivery
-    pushes one typed [Deliver] event into its ring (never into the
-    attached trace). *)
+    transmitters' {!Sinr.iter_in_range} neighbourhoods. With the flight
+    recorder armed each delivery pushes one typed [Deliver] event into
+    its ring (never into the attached trace). *)
+
+val step :
+  ?on_deliver:('m delivery -> unit) -> ?contenders:Node_set.t -> 'm t ->
+  decide:(int -> 'm action) -> 'm delivery list
+(** {!step_select} with the per-node walk as the selector: [decide] is
+    consulted only for awake, non-crashed nodes, in ascending id order,
+    at most once each; all others listen. Without [contenders] that is
+    every such node. With [contenders], only the members of the set are
+    consulted, walked in ascending order. The caller guarantees that
+    [decide v] for any other awake node would return [Listen] with no
+    side effect (no RNG draw, no state change); under that contract the
+    slot — deliveries, wake and trace events, and every later RNG draw —
+    is identical to the full scan. The walk adds O(consulted nodes), one
+    closure call each, to {!step_select}'s cost. *)
 
 val run :
   ?on_deliver:('m delivery -> unit) ->

@@ -8,7 +8,12 @@
    runs; the ids still present after their visit are written, in order,
    to [spare], which then becomes the sorted array.  [listed v] says that
    v sits in exactly one of those places (the sorted array, [adds], the
-   heap, or in flight in the walk), so no id is ever listed twice. *)
+   heap, or in flight in the walk), so no id is ever listed twice.
+
+   {!ascending} compacts the same places into the sorted array without a
+   callback, and only when an update has marked the set [dirty] since the
+   last view: a contender set that changes once in many slots is merged
+   once, and every other view is O(1). *)
 
 module Bits = State.Bits
 
@@ -24,6 +29,8 @@ type t = {
   mutable nheap : int;
   mutable walking : bool;
   mutable cursor : int;       (* id being visited; -1 before the first *)
+  mutable size : int;         (* members *)
+  mutable dirty : bool;       (* updated since the last [ascending] *)
 }
 
 let create n =
@@ -38,7 +45,9 @@ let create n =
     heap = [||];
     nheap = 0;
     walking = false;
-    cursor = -1 }
+    cursor = -1;
+    size = 0;
+    dirty = false }
 
 let check t v =
   if v < 0 || v >= Bits.length t.mem then
@@ -101,6 +110,8 @@ let add t v =
   check t v;
   if not (Bits.get t.mem v) then begin
     Bits.set t.mem v true;
+    t.size <- t.size + 1;
+    t.dirty <- true;
     if not (Bits.get t.listed v) then begin
       Bits.set t.listed v true;
       if t.walking && v > t.cursor then heap_push t v else push_add t v
@@ -109,7 +120,13 @@ let add t v =
 
 let remove t v =
   check t v;
-  Bits.set t.mem v false
+  if Bits.get t.mem v then begin
+    Bits.set t.mem v false;
+    t.size <- t.size - 1;
+    t.dirty <- true
+  end
+
+let cardinal t = t.size
 
 let clear t =
   if t.walking then invalid_arg "Node_set.clear: inside a walk";
@@ -124,7 +141,9 @@ let clear t =
     drop t.adds.(k)
   done;
   t.len <- 0;
-  t.nadds <- 0
+  t.nadds <- 0;
+  t.size <- 0;
+  t.dirty <- false
 
 let iter t f =
   if t.walking then invalid_arg "Node_set.iter: reentrant walk";
@@ -189,3 +208,37 @@ let iter t f =
   | exception e ->
     finish ();
     raise e
+
+(* The walk's merge without a visit: pending additions through the heap,
+   removed ids dropped, members written in order to [spare]. *)
+let ascending t =
+  if t.walking then invalid_arg "Node_set.ascending: inside a walk";
+  if t.dirty then begin
+    for k = 0 to t.nadds - 1 do
+      heap_push t t.adds.(k)
+    done;
+    t.nadds <- 0;
+    t.spare <- grow t.spare t.size;
+    let ids = t.ids and len = t.len and out = t.spare in
+    let i = ref 0 and o = ref 0 in
+    while !i < len || t.nheap > 0 do
+      let v =
+        if t.nheap = 0 || (!i < len && ids.(!i) < t.heap.(0)) then begin
+          let v = ids.(!i) in
+          incr i;
+          v
+        end
+        else heap_pop t
+      in
+      if Bits.get t.mem v then begin
+        out.(!o) <- v;
+        incr o
+      end
+      else Bits.set t.listed v false
+    done;
+    t.spare <- ids;
+    t.ids <- out;
+    t.len <- !o;
+    t.dirty <- false
+  end;
+  t.ids

@@ -21,6 +21,9 @@ val add : t -> int -> unit
 val remove : t -> int -> unit
 (** Idempotent. *)
 
+val cardinal : t -> int
+(** Number of members, O(1). *)
+
 val clear : t -> unit
 (** Remove every member. Raises [Invalid_argument] during a walk. *)
 
@@ -28,3 +31,12 @@ val iter : t -> (int -> unit) -> unit
 (** Visit the members in ascending order (see the module comment for
     updates made by the callback). Raises [Invalid_argument] if called
     from inside a walk of the same set. *)
+
+val ascending : t -> int array
+(** The members in ascending order, as the first {!cardinal} entries of
+    the returned array, with no per-member callback. O(1) when the set is
+    unchanged since the last view; otherwise one merge of the pending
+    additions, O(size + additions · log). The array is the set's own
+    buffer: read it before the set's next [add], [remove], [clear],
+    [iter] or [ascending], and never write it. Raises [Invalid_argument]
+    inside a walk of the same set. *)

@@ -209,6 +209,8 @@ let finish t job outcome =
        | `Done table ->
          job.state <- Done;
          job.table <- Some table;
+         (* the table supersedes the last checkpoint's partial results *)
+         job.partial <- None;
          job.error <- None; (* a success after retries clears the scar *)
          Metrics.incr m_completed
        | `Failed msg ->

@@ -34,7 +34,8 @@ type job = {
   mutable not_before : float;  (** retry backoff: {!take} skips until then *)
   mutable quarantined : bool;  (** parked as Failed by the supervisor *)
   mutable dump : string option;  (** flight-recorder dump path, if any *)
-  mutable partial : Json.t option;  (** completed cells so far *)
+  mutable partial : Json.t option;
+      (** completed cells so far, while the job runs; [None] once done *)
   mutable table : Json.t option;   (** final table once [Done] *)
   mutable error : string option;  (** last failure (cleared on Done) *)
   mutable finished_at : float option;
@@ -91,8 +92,9 @@ val finish :
   t -> job ->
   [ `Done of Json.t | `Failed of string | `Quarantined of string
   | `Cancelled ] -> unit
-(** [`Quarantined] parks the job as Failed with [quarantined] set — the
-    supervisor's poison verdict. *)
+(** [`Done table] stores the table and drops [partial], which only holds
+    results while the job runs. [`Quarantined] parks the job as Failed
+    with [quarantined] set — the supervisor's poison verdict. *)
 
 val requeue : t -> job -> unit
 (** Drain: back to Queued, resumable from its checkpoint. *)

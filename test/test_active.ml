@@ -4,10 +4,14 @@
 
    - Node_set walks are checked against a model (a bool array scanned
      0..n-1, membership tested at visit time) under random updates made
-     from inside the walk.
+     from inside the walk, and the ascending view against the sorted
+     members and the walk order.
    - Engine.step over a contender set is checked against the full scan on
      generated placements with decide functions that are pure off the
      set: same deliveries, same wake/crash trace, same later RNG draws.
+   - Hm_ack's batched selection is checked against the per-node decide
+     walk it replaced: same senders in the same order, same messages,
+     same due additions, same next RNG draw.
    - Combined_mac edge cases (an on_ack that starts a broadcast at a
      higher id, crashed or not, mid-scan; abort; crash mid-broadcast; an
      on_ack that crashes busy nodes above and below it; crash and revive
@@ -105,6 +109,9 @@ let test_node_set_walk_edges () =
   Alcotest.check_raises "reentrant walk"
     (Invalid_argument "Node_set.iter: reentrant walk") (fun () ->
       Node_set.iter s (fun _ -> Node_set.iter s ignore));
+  Alcotest.check_raises "view inside a walk"
+    (Invalid_argument "Node_set.ascending: inside a walk") (fun () ->
+      Node_set.iter s (fun _ -> ignore (Node_set.ascending s)));
   (* A raising callback leaves the set intact. *)
   (try Node_set.iter s (fun v -> if v = 2 then failwith "boom") with
    | Failure _ -> ());
@@ -114,6 +121,48 @@ let test_node_set_walk_edges () =
   Alcotest.(check (list int)) "cleared" [] (elements s);
   Node_set.add s 3;
   Alcotest.(check bool) "re-add after clear" true (Node_set.mem s 3)
+
+(* The ascending view against the model, between walks that update the
+   set from their callback: the view is the sorted members and the order
+   a walk visits, and viewing leaves every member to the next walk
+   exactly once. *)
+let prop_node_set_view =
+  QCheck.Test.make ~name:"node set view = sorted members" ~count:200
+    QCheck.(pair (int_range 1 100_000) (int_range 1 40))
+    (fun (seed, n) ->
+      let ops = Rng.create seed in
+      let s = Node_set.create n in
+      let mem = Array.make n false in
+      let add v =
+        Node_set.add s v;
+        mem.(v) <- true
+      and remove v =
+        Node_set.remove s v;
+        mem.(v) <- false
+      in
+      let view () =
+        Array.to_list (Array.sub (Node_set.ascending s) 0 (Node_set.cardinal s))
+      in
+      let model () = List.filter (fun v -> mem.(v)) (List.init n Fun.id) in
+      let ok = ref true in
+      let expect b = if not b then ok := false in
+      for _ = 1 to 12 do
+        for _ = 1 to Rng.int ops 6 do
+          random_op ops ~n ~add ~remove
+        done;
+        if Rng.bool ops then expect (view () = model ());
+        Node_set.iter s (fun _ ->
+            if Rng.bernoulli ops 0.5 then random_op ops ~n ~add ~remove);
+        for _ = 1 to Rng.int ops 3 do
+          random_op ops ~n ~add ~remove
+        done;
+        let v1 = view () in
+        expect (v1 = model ());
+        expect (view () = v1);
+        expect (elements s = v1);
+        expect (Node_set.cardinal s = List.length v1)
+      done;
+      !ok)
 
 (* ---------------- Engine.step: contender walk = full scan ---------------- *)
 
@@ -176,6 +225,98 @@ let prop_engine_contenders =
       let full, full_calls = engine_run ~seed ~use_set:false in
       let walk, walk_calls = engine_run ~seed ~use_set:true in
       full = walk && walk_calls <= full_calls)
+
+(* ---------------- Hm_ack.select = per-node decide walk ---------------- *)
+
+(* Small budgets so broadcasts ramp, fall back and halt within the run. *)
+let hm_params =
+  { Params.default_ack with
+    Params.contention_bound = Some 2;
+    tp_budget = 0.3;
+    fallback_threshold = 0.5;
+    eps_ack = 0.5 }
+
+let wire_id = function
+  | Events.Data p -> Printf.sprintf "d%d.%d" p.Events.origin p.Events.seq
+  | Events.Probe | Events.Neighbor_list _ | Events.Mis_round _
+  | Events.Decay _ ->
+    "other"
+
+(* Both sides run the same scenario on their own engine, machine and
+   sets: random bcasts (added to the contender set between slots), acks
+   of halted broadcasts, aborts, crashes, revivals and wakes.  The walk
+   side is Combined_mac's former even slot: [decide] per contender,
+   adding halted ones to [due].  The log holds, per slot, the senders in
+   selection order with their messages, the deliveries and the due set;
+   then the machine's next RNG draw. *)
+let hm_select_run ~seed ~batch =
+  let ops = Rng.create seed in
+  let n = 6 + Rng.int ops 30 in
+  let side = 3. *. sqrt (float_of_int n) in
+  let pts = Placement.uniform ops ~n ~box:(Box.square ~side) ~min_dist:1. in
+  let eng = Engine.create (Sinr.create cfg pts) in
+  let hm_rng = Rng.create (seed + 1) in
+  let hm = Hm_ack.create hm_params ~lambda:4. ~n ~rng:hm_rng in
+  let ongoing = Node_set.create n and due = Node_set.create n in
+  let log = Buffer.create 1024 in
+  let stop v =
+    Hm_ack.stop hm ~node:v;
+    Node_set.remove ongoing v
+  in
+  for slot = 0 to 80 do
+    for _ = 1 to 3 do
+      let v = Rng.int ops n in
+      match Rng.int ops 7 with
+      | 0 | 1 ->
+        if not (Node_set.mem ongoing v) then begin
+          Engine.wake eng v;
+          Hm_ack.start hm ~node:v { Events.origin = v; seq = slot; data = 0 };
+          Node_set.add ongoing v
+        end
+      | 2 -> if Hm_ack.halted hm ~node:v then stop v
+      | 3 -> if Rng.bernoulli ops 0.2 then stop v
+      | 4 -> if Rng.bernoulli ops 0.3 then Engine.crash eng v
+      | 5 -> Engine.revive eng v
+      | _ -> Engine.wake eng v
+    done;
+    let picked v w = Printf.bprintf log "%d:%s," v (wire_id w) in
+    let ds =
+      if batch then
+        Engine.step_select eng ~select:(fun sel ->
+            let k = Hm_ack.select hm ~contenders:ongoing ~due sel in
+            for i = 0 to k - 1 do
+              let v = sel.Engine.senders.(i) in
+              picked v (Option.get sel.Engine.messages.(v))
+            done;
+            k)
+      else
+        Engine.step ~contenders:ongoing eng ~decide:(fun v ->
+            let w = Hm_ack.decide hm ~node:v in
+            if Hm_ack.halted hm ~node:v then Node_set.add due v;
+            match w with
+            | Some w ->
+              picked v w;
+              Engine.Transmit w
+            | None -> Engine.Listen)
+    in
+    Buffer.add_char log '>';
+    List.iter
+      (fun (d : Events.wire Engine.delivery) ->
+        Hm_ack.on_receive hm ~node:d.Engine.receiver;
+        Printf.bprintf log "%d<%d;" d.Engine.receiver d.Engine.sender)
+      ds;
+    Buffer.add_string log " due";
+    Node_set.iter due (fun v -> Printf.bprintf log " %d" v);
+    Node_set.clear due;
+    Buffer.add_char log '\n'
+  done;
+  Printf.bprintf log "next %d" (Rng.int hm_rng 1_000_000);
+  Buffer.contents log
+
+let prop_hm_select =
+  QCheck.Test.make ~name:"hm: batch selection = decide walk" ~count:60
+    QCheck.(int_range 1 100_000)
+    (fun seed -> hm_select_run ~seed ~batch:true = hm_select_run ~seed ~batch:false)
 
 (* ---------------- Combined_mac edge cases, pinned ---------------- *)
 
@@ -921,7 +1062,9 @@ let suite =
   [ QCheck_alcotest.to_alcotest ~rand:(fixed_rand ()) prop_node_set_model;
     Alcotest.test_case "node set walk edge cases" `Quick
       test_node_set_walk_edges;
+    QCheck_alcotest.to_alcotest ~rand:(fixed_rand ()) prop_node_set_view;
     QCheck_alcotest.to_alcotest ~rand:(fixed_rand ()) prop_engine_contenders;
+    QCheck_alcotest.to_alcotest ~rand:(fixed_rand ()) prop_hm_select;
     QCheck_alcotest.to_alcotest ~rand:(fixed_rand ()) prop_engine_counters;
     Alcotest.test_case "combined mac: pinned edge cases" `Quick
       test_mac_pinned;

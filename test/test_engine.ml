@@ -65,6 +65,45 @@ let test_crashed_nodes_silent () =
   Alcotest.(check bool) "crashed cannot rewake" false
     (Engine.wake eng 0; Engine.is_awake eng 0)
 
+(* Engine.step_select: a selector's senders are checked (ascending,
+   eligible), and a raising selector leaves every message slot empty for
+   the next one. *)
+let test_step_select_contract () =
+  let eng = Engine.create (line_net 3 5.) in
+  Engine.wake eng 0;
+  Engine.wake eng 2;
+  let select_ids ids (sel : string Engine.selection) =
+    List.iteri
+      (fun i v ->
+        sel.Engine.senders.(i) <- v;
+        sel.Engine.messages.(v) <- Some "x")
+      ids;
+    List.length ids
+  in
+  let rejected ids =
+    match Engine.step_select eng ~select:(select_ids ids) with
+    | _ -> false
+    | exception Invalid_argument _ -> true
+  in
+  Alcotest.(check bool) "asleep sender rejected" true (rejected [ 1 ]);
+  Alcotest.(check bool) "descending senders rejected" true (rejected [ 2; 0 ]);
+  (match
+     Engine.step_select eng ~select:(fun sel ->
+         sel.Engine.messages.(0) <- Some "stale";
+         failwith "select")
+   with
+   | _ -> Alcotest.fail "select's exception was swallowed"
+   | exception Failure _ -> ());
+  let clean = ref false in
+  let ds =
+    Engine.step_select eng ~select:(fun sel ->
+        clean := Array.for_all Option.is_none sel.Engine.messages;
+        select_ids [ 0 ] sel)
+  in
+  Alcotest.(check bool) "messages empty after a raise" true !clean;
+  Alcotest.(check (list int)) "lone sender delivers" [ 1; 2 ]
+    (List.map (fun d -> d.Engine.receiver) ds)
+
 let test_slot_counter_and_totals () =
   (* wake_on_receive off so node 1 stays a pure listener. *)
   let eng = Engine.create ~wake_on_receive:false (line_net 2 5.) in
@@ -191,6 +230,7 @@ let suite =
     Alcotest.test_case "wake_on_receive opt out" `Quick
       test_no_wake_on_receive_opt_out;
     Alcotest.test_case "crashed nodes silent" `Quick test_crashed_nodes_silent;
+    Alcotest.test_case "step_select contract" `Quick test_step_select_contract;
     Alcotest.test_case "slot counter and totals" `Quick
       test_slot_counter_and_totals;
     Alcotest.test_case "run stop condition" `Quick test_run_stop_condition;

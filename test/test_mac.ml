@@ -505,6 +505,48 @@ let test_combined_deterministic () =
   in
   Alcotest.(check int) "same seed same ack slot" (run 7) (run 7)
 
+(* Algorithm B.1's round counters on a seeded run, pinned to the values
+   the per-node decide walk produced before the even slot was batched:
+   every node of a 4x4 grid broadcasts at once and re-broadcasts on each
+   ack (three rounds), under a B.1 budget small enough that every ack is
+   a halt, so the contender set grows, shrinks and halts nodes while
+   the run lasts. *)
+let test_combined_hm_counters () =
+  Sinr_obs.Metrics.reset_for_tests ();
+  Fun.protect ~finally:Sinr_obs.Metrics.reset_for_tests @@ fun () ->
+  Sinr_obs.Metrics.set_enabled true;
+  let sinr =
+    Sinr.create cfg
+      (Array.init 16 (fun i ->
+           Point.make
+             (4. *. float_of_int (i mod 4))
+             (4. *. float_of_int (i / 4))))
+  in
+  let ack_params = { Params.default_ack with Params.tp_budget = 2.5 } in
+  let mac = Combined_mac.create ~ack_params sinr ~rng:(Rng.create 23) in
+  let rounds = Array.make 16 1 in
+  Combined_mac.set_handlers mac
+    { Absmac_intf.on_rcv = (fun ~node:_ ~payload:_ -> ());
+      on_ack =
+        (fun ~node ~payload:_ ->
+          if rounds.(node) < 3 then begin
+            rounds.(node) <- rounds.(node) + 1;
+            ignore (Combined_mac.bcast mac ~node ~data:rounds.(node))
+          end) };
+  for v = 0 to 15 do
+    ignore (Combined_mac.bcast mac ~node:v ~data:1)
+  done;
+  for _ = 1 to 3 * (Combined_mac.bounds mac).Absmac_intf.f_ack do
+    Combined_mac.step mac
+  done;
+  let count name =
+    Sinr_obs.Metrics.counter_value (Sinr_obs.Metrics.counter name)
+  in
+  List.iter
+    (fun (name, want) -> Alcotest.(check int) name want (count name))
+    [ ("hm.slots", 27708); ("hm.tx", 954); ("hm.ramps", 3262);
+      ("hm.halts", 48); ("mac.acks", 48); ("mac.acks_capped", 0) ]
+
 (* ---------------- Measure.acks sanity ---------------- *)
 
 let test_measure_acks_all_delivered () =
@@ -579,6 +621,8 @@ let suite =
     Alcotest.test_case "combined: double bcast rejected" `Quick
       test_combined_double_bcast_rejected;
     Alcotest.test_case "combined: deterministic" `Quick test_combined_deterministic;
+    Alcotest.test_case "combined: hm counters pinned" `Quick
+      test_combined_hm_counters;
     Alcotest.test_case "measure: acks all delivered" `Slow
       test_measure_acks_all_delivered;
     Alcotest.test_case "measure: covered listeners" `Quick test_covered_listeners ]

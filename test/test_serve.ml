@@ -1098,6 +1098,38 @@ let test_watch_reassembles_table =
          | Watch.Stream_error _ -> true
          | _ -> false))
 
+(* A finished job keeps its results once: GET /jobs/:id carries the
+   table and no longer the last checkpoint's partial tree, and a watch
+   attached after completion still replays the table's rows. *)
+let test_done_job_drops_partial =
+  with_registry (fun () ->
+      let daemon = Daemon.create ~dir:(fresh_dir ()) ~checkpoint_every:2 () in
+      let server =
+        Http.serve ~handler:(Daemon.handler daemon)
+          ~stream_handler:(Daemon.stream_handler daemon) ~port:0 ()
+      in
+      Fun.protect
+        ~finally:(fun () ->
+          Http.stop server;
+          Daemon.close daemon)
+      @@ fun () ->
+      let handle = Http.handle ~handler:(Daemon.handler daemon) in
+      Alcotest.(check (option int)) "submit" (Some 202)
+        (status_of
+           (handle (post_jobs {|{"exp":"ack","params":[2,3,4],"seeds":[1,2]}|})));
+      while Daemon.step daemon do () done;
+      let status = body_of (handle "GET /jobs/1 HTTP/1.1\r\n\r\n") in
+      Alcotest.(check bool) "done" true (has_sub status {|"state":"done"|});
+      Alcotest.(check bool) "carries the table" true
+        (has_sub status {|"table":|});
+      Alcotest.(check bool) "no partial" false (has_sub status {|"partial":|});
+      let served = body_of (handle "GET /jobs/1/table HTTP/1.1\r\n\r\n") in
+      match Watch.watch ~port:(Http.port server) ~job:1 () with
+      | Watch.Completed table ->
+        Alcotest.(check string) "replayed rows rebuild the table" served
+          (Json.to_string_json table ^ "\n")
+      | _ -> Alcotest.fail "replay watch did not complete")
+
 (* Two jobs through the same daemon: each /jobs/:id/metrics page carries
    only its own job's labeled children. *)
 let test_job_metrics_disjoint =
@@ -1336,6 +1368,8 @@ let suite =
       test_events_drop_policy;
     Alcotest.test_case "watch: SSE stream reassembles table" `Slow
       test_watch_reassembles_table;
+    Alcotest.test_case "daemon: done job drops its partial" `Quick
+      test_done_job_drops_partial;
     Alcotest.test_case "daemon: /jobs/:id/metrics disjoint" `Quick
       test_job_metrics_disjoint;
     Alcotest.test_case "job spans scrape carries its rcv events" `Quick
