@@ -30,11 +30,14 @@ chaos-smoke:
 # End-to-end exercise of the physics fast path: the CLI self-check
 # (exits 1 if the cached kernel diverges from the seed kernel).  The
 # second, sparser deployment leaves most listeners beyond every sender's
-# reach, so its slots take the reach-limited path as well as the dense
-# one.
+# neighbour list, so its slots take the list-limited path as well as the
+# dense one.  The third runs at n = 1200, past Phys_tuning.par_threshold,
+# with two jobs: the pooled listener fan-out at its real threshold.
 phys-smoke:
 	dune exec bin/sinr_sim.exe -- phys --seed 3 --n 90 --cases 60
 	dune exec bin/sinr_sim.exe -- phys --seed 3 --n 400 --degree 2 --cases 60
+	dune exec bin/sinr_sim.exe -- phys --seed 3 --n 1200 --degree 2 \
+	  --cases 20 --jobs 2
 
 # End-to-end exercise of the tracing layer: a traced run of the full
 # Algorithm 11.1 stack dumping a flight-recorder JSONL, then trace-report

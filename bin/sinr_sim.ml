@@ -225,6 +225,18 @@ let pp_profile (d : Workloads.deployment) =
   Fmt.pr "  connected     %b@."
     (Sinr_graph.Components.is_connected p.Induced.strong)
 
+(* A global protocol (smb, cons) cannot complete when the weak graph G1
+   is disconnected: no message crosses between its components, so the
+   run would only spin to its slot budget.  Such a deployment is refused
+   before any slot runs, with exit 2. *)
+let refuse_disconnected ~cmd (d : Workloads.deployment) =
+  let k = Sinr_graph.Components.count d.Workloads.profile.Induced.weak in
+  if k > 1 then begin
+    Fmt.epr "sinr_sim %s: weak graph G1 is disconnected (%d components); \
+             no global protocol can complete@." cmd k;
+    Stdlib.exit 2
+  end
+
 (* The standard instrumented workload of obs and profile-report: every
    even node broadcasts through Algorithm 11.1, run to the last ack.  The
    deployment is built here, before [with_run_env] arms telemetry, so a
@@ -253,6 +265,7 @@ let smb_cmd =
     with_run_env ~label:"smb" opts @@ fun () ->
     let d = deployment ~seed ~n ~degree ~range in
     pp_profile d;
+    refuse_disconnected ~cmd:"smb" d;
     let budget = 40_000_000 in
     let ours =
       Sinr_proto.Global.smb d.Workloads.sinr
@@ -298,6 +311,7 @@ let cons_cmd =
     with_run_env ~label:"cons" opts @@ fun () ->
     let d = deployment ~seed ~n ~degree ~range in
     pp_profile d;
+    refuse_disconnected ~cmd:"cons" d;
     let rng = Rng.create (seed + 10) in
     let initial = Array.init n (fun _ -> Rng.bool rng) in
     let faults =

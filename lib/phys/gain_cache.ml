@@ -17,28 +17,27 @@
    diagonal is stored as 0 and never read (a node is either the listener
    or a sender, and half-duplex listeners skip themselves).
 
-   Memory cap, two levels:
-
-   - Node ceiling: when n exceeds [node_ceiling] the cache is bypassed
-     outright — no row-pointer array, no atomics, every lookup evaluates
-     the seed formula directly.  An n x n table is quadratic by design;
-     past ~10^4 nodes resolution runs on cell aggregates (Sparse) and a
-     row cache is pure waste.  The decision is counted once per create on
-     [phys.cache.bypassed].
-   - Byte budget: below the ceiling, rows fill lazily (first touch wins)
-     until the configured byte budget (Phys_tuning.cache_cap_bytes at
-     Sinr.create time) is spent; past the cap only the slot's sender
-     entries are computed into the caller's per-domain scratch buffer
-     (the kernels read no others) and nothing is retained.  Row publication
-     goes through an [Atomic.t] per row, so concurrent Pool workers (the
-     Reliability Monte-Carlo) either see a fully initialized row or build
-     their own — a lost race wastes one row fill of identical values,
-     never correctness.
+   Memory: [Sinr] bypasses the cache outright exactly when it installs
+   the sparse kernel (n >= Phys_tuning.sparse_threshold) — no row-pointer
+   array, no atomics, every lookup evaluates the seed formula directly;
+   an n x n table is quadratic by design, that kernel never reads it,
+   and a perturbed slot there needs only its senders' entries.  The
+   decision is counted once per create on [phys.cache.bypassed].
+   Otherwise rows fill lazily (first touch wins) until the configured
+   byte budget (Phys_tuning.cache_cap_bytes at Sinr.create time) is
+   spent; past the cap only the slot's sender entries are computed into
+   the caller's per-domain scratch buffer (the kernels read no others)
+   and nothing is retained.  No other size limit is needed: the default
+   64 MiB holds the whole table only below n ~ 2,900 anyway.  Row
+   publication goes through an [Atomic.t] per row, so concurrent Pool
+   workers (the Reliability Monte-Carlo) either see a fully initialized
+   row or build their own — a lost race wastes one row fill of identical
+   values, never correctness.
 
    Telemetry (when Sinr_obs.Metrics is enabled): phys.cache.hits,
    phys.cache.fills (rows retained), phys.cache.scratch_rows (partial
    rows recomputed past the cap, one per listener), phys.cache.bypassed
-   (caches refused at the node ceiling). *)
+   (caches refused because the sparse kernel is installed). *)
 
 open Sinr_obs
 
@@ -52,18 +51,17 @@ type t = {
   alpha : float;
   soa : Soa.t;
   n : int;
-  bypassed : bool;  (* n exceeded the node ceiling: no rows, ever *)
+  bypassed : bool;  (* the sparse kernel is installed: no rows, ever *)
   rows : Float.Array.t option Atomic.t array;  (* empty when bypassed *)
   reserved : int Atomic.t;  (* rows admitted against the cap *)
   max_rows : int;
 }
 
-let create (config : Config.t) soa ~cap_bytes ~node_ceiling =
+let create (config : Config.t) soa ~cap_bytes ~bypass:bypassed =
   let n = Soa.length soa in
   let row_bytes = max 1 (n * 8) in
-  (* Refuse before allocating anything: past the ceiling even the
-     row-pointer array (n words + n atomics) is quadratic-era waste. *)
-  let bypassed = n > node_ceiling in
+  (* Refuse before allocating anything: at sparse scale even the
+     row-pointer array (n words + n atomics) is waste. *)
   if bypassed then Metrics.incr m_bypassed;
   { power = config.Config.power;
     alpha = config.Config.alpha;
@@ -113,28 +111,6 @@ let fill_ids t u ~ids ~nsend (dst : Float.Array.t) =
     Float.Array.unsafe_set dst v
       (t.power /. (sqrt ((dx *. dx) +. (dy *. dy)) ** t.alpha))
   done
-
-(* Sender [v]'s reach list: the ascending ids u <> v whose link power
-   v -> u is at least [floor].  Each power is [fill_into]'s expression for
-   row u, column v (dx = x_v - x_u), so the list agrees bit-for-bit with
-   every value a kernel reads, resident row or scratch.  Assembled in
-   [scratch] (>= n ints), returned as an exact-length copy. *)
-let reach t v ~floor ~scratch =
-  let xs = Soa.xs t.soa and ys = Soa.ys t.soa in
-  let vx = Float.Array.get xs v and vy = Float.Array.get ys v in
-  let k = ref 0 in
-  for u = 0 to t.n - 1 do
-    if u <> v then begin
-      let dx = vx -. Float.Array.unsafe_get xs u
-      and dy = vy -. Float.Array.unsafe_get ys u in
-      if t.power /. (sqrt ((dx *. dx) +. (dy *. dy)) ** t.alpha) >= floor
-      then begin
-        Array.unsafe_set scratch !k u;
-        incr k
-      end
-    end
-  done;
-  Array.sub scratch 0 !k
 
 (* Admit one more row against the byte budget. *)
 let rec reserve t =

@@ -8,14 +8,15 @@
     only the requested sender entries are recomputed into the caller's
     scratch buffer.
 
-    When the node count exceeds [node_ceiling] the cache is refused
-    outright before any allocation: no row-pointer array exists, every
-    lookup evaluates the formula directly, and the decision ticks the
-    [phys.cache.bypassed] counter. *)
+    [Sinr] creates the cache [~bypass:true] exactly when it installs the
+    sparse kernel: then no row-pointer array exists, every lookup
+    evaluates the formula directly, and the decision ticks the
+    [phys.cache.bypassed] counter. No other size limit is needed: from
+    n ≈ 2,900 up the default 64 MiB cannot hold the table anyway. *)
 
 type t
 
-val create : Config.t -> Soa.t -> cap_bytes:int -> node_ceiling:int -> t
+val create : Config.t -> Soa.t -> cap_bytes:int -> bypass:bool -> t
 
 val n : t -> int
 
@@ -23,7 +24,7 @@ val max_rows : t -> int
 (** How many rows the byte budget admits (0 when bypassed). *)
 
 val bypassed : t -> bool
-(** The node count exceeded the ceiling: no row will ever be allocated. *)
+(** Created [~bypass:true]: no row will ever be allocated. *)
 
 val rows_cached : t -> int
 val bytes_cached : t -> int
@@ -38,12 +39,6 @@ val row :
     entries [ids.(0 .. nsend-1)] of [scratch] (length [>= n t]) and
     returns it; its other entries are stale. [u] must not be among the
     ids. *)
-
-val reach : t -> int -> floor:float -> scratch:int array -> int array
-(** [reach t v ~floor ~scratch] lists, ascending, every node [u <> v]
-    whose power from [v] — the very value {!row} holds for receiver [u] at
-    index [v] — is at least [floor]. O(n) evaluations; [scratch] (length
-    [>= n t]) is overwritten. *)
 
 val pair : t -> sender:int -> receiver:int -> float
 (** One entry: cached when the receiver's row is resident, otherwise a

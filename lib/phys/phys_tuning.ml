@@ -55,11 +55,3 @@ let set_sparse_eps e =
   if e <= 0. || e >= 1. then
     invalid_arg "Phys_tuning.set_sparse_eps: eps must lie in (0, 1)";
   sparse_eps_v := e
-
-(* Above this node count the Gain_cache refuses to allocate any rows at
-   all (not merely byte-capping them): at large n even the row-pointer
-   array is waste, and resolution has moved to cell aggregates anyway. *)
-let cache_ceiling = ref 8192
-
-let cache_node_ceiling () = !cache_ceiling
-let set_cache_node_ceiling n = cache_ceiling := max 0 n

@@ -24,8 +24,10 @@ val set_par_threshold : int -> unit
 
 val sparse_threshold : unit -> int
 (** Node count from which [Sinr.create] installs the sparse
-    cell-aggregated resolution path. Default 4096. Below the threshold
-    resolution stays exact (bit-identical to [resolve_reference]). *)
+    cell-aggregated resolution path and bypasses [Gain_cache] (no row is
+    ever allocated; the [phys.cache.bypassed] counter ticks). Default
+    4096. Below the threshold resolution stays exact (bit-identical to
+    [resolve_reference]). *)
 
 val set_sparse_threshold : int -> unit
 (** [n <= 0] disables the sparse path for simulators created from now
@@ -38,12 +40,3 @@ val sparse_eps : unit -> float
 
 val set_sparse_eps : float -> unit
 (** Raises [Invalid_argument] unless the eps lies in (0, 1). *)
-
-val cache_node_ceiling : unit -> int
-(** Node count above which [Gain_cache] is bypassed outright: no row is
-    ever allocated, lookups evaluate the seed formula directly, and the
-    decision is visible as the [phys.cache.bypassed] counter. Default
-    8192. *)
-
-val set_cache_node_ceiling : int -> unit
-(** Clamped to [>= 0] ([0] bypasses the cache at every size). *)

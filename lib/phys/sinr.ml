@@ -19,12 +19,14 @@
    in per-domain scratch (no per-slot list/tuple churn), decodes land in
    caller-owned [decoded] buffers (no per-slot n-array), perturbed gains
    multiply the cached clean-channel power, and listeners fan out over
-   [Sinr_par.Pool] past [Phys_tuning.par_threshold].  Clean slots score
-   only the listeners on some sender's reach list (the nodes its lone
-   power reaches at beta * N; beta > 1 makes everyone else silent, see
-   [score_clean]) unless those lists cover the listeners anyway.  From
+   [Sinr_par.Pool] past [Phys_tuning.par_threshold].  Each node keeps one
+   neighbour list (its [in_range] set, then a thin boundary ring; see
+   [build_near]): [iter_in_range] walks it, and clean slots score only the
+   listeners on some sender's list (beta > 1 makes everyone else silent,
+   see [score_clean]) unless those lists cover the listeners anyway.  From
    [Phys_tuning.sparse_threshold] nodes on, [Sparse] (the one approximate
-   kernel, eps-bounded far interference) resolves clean slots instead.
+   kernel, eps-bounded far interference) resolves clean slots instead and
+   the gain cache is bypassed.
    [resolve_reference] keeps the seed kernel verbatim so tests and benches
    can assert the equivalence. *)
 
@@ -46,45 +48,38 @@ type t = {
   cache : Gain_cache.t;
   sparse : Sparse.t option;
   par_threshold : int;
-  reach : int array option Atomic.t array;
-      (* per sender, built on its first clean exact slot; empty when
-         [sparse] is installed (that kernel never reads them) *)
-  grid : Grid_index.t option Atomic.t;
-      (* cell-R hash of the positions, built on the first [iter_in_range]
-         of an exact simulator *)
-  nbrs : int array option Atomic.t array;
-      (* per node, its [in_range] set, built on its first [iter_in_range];
-         empty when [sparse] is installed (its grid answers instead) *)
+  nbrs : near array option Atomic.t;
+      (* every node's neighbour list, built together on first use; never
+         built when [sparse] is installed (its grid answers
+         [iter_in_range]) *)
 }
 
-(* One lazily filled cell per node, for the exact kernels only. *)
-let per_node_cells sparse soa =
-  if Option.is_some sparse then [||]
-  else Array.init (Soa.length soa) (fun _ -> Atomic.make None)
+(* Node [v]'s neighbour list: ascending, the [in_range] members of [v]
+   ([v] itself included) in [near.(0 .. split-1)], then, ascending again,
+   the boundary ring of nodes beyond the range but inside the window
+   [build_near] queries. *)
+and near = { near : int array; split : int }
 
 (* Shared constructor body: [points] must be the record view of [soa]
    (lazily, so the column-first path at n = 10^6 never boxes a point). *)
 let make config soa points =
   (* Tuning knobs are captured here: flipping them later never changes an
      existing simulator. *)
-  let sparse =
-    (* Large simulators install the sparse cell-aggregated path. *)
-    if Soa.length soa >= Phys_tuning.sparse_threshold () then
-      Some (Sparse.create config soa ~eps:(Phys_tuning.sparse_eps ()))
-    else None
-  in
+  (* Large simulators install the sparse cell-aggregated path, which
+     reads neither the gain cache nor the neighbour lists. *)
+  let sparse = Soa.length soa >= Phys_tuning.sparse_threshold () in
   { config;
     soa;
     points;
     cache =
       Gain_cache.create config soa
-        ~cap_bytes:(Phys_tuning.cache_cap_bytes ())
-        ~node_ceiling:(Phys_tuning.cache_node_ceiling ());
-    sparse;
+        ~cap_bytes:(Phys_tuning.cache_cap_bytes ()) ~bypass:sparse;
+    sparse =
+      (if sparse then
+         Some (Sparse.create config soa ~eps:(Phys_tuning.sparse_eps ()))
+       else None);
     par_threshold = Phys_tuning.par_threshold ();
-    reach = per_node_cells sparse soa;
-    grid = Atomic.make None;
-    nbrs = per_node_cells sparse soa }
+    nbrs = Atomic.make None }
 
 let validate_min_dist ~who points =
   let dmin = Placement.min_pairwise_dist points in
@@ -125,10 +120,6 @@ type perturb = {
   gain : sender:int -> receiver:int -> float;
 }
 
-let no_perturb =
-  { noise_factor = (fun _ -> 1.);
-    gain = (fun ~sender:_ ~receiver:_ -> 1.) }
-
 (* Received power at plane position [at] from a transmitter at [from]. *)
 let power_between t ~from ~at =
   let d = Point.dist from at in
@@ -159,17 +150,21 @@ let link_sinr t ~senders ~sender:v ~receiver:u =
 (* Per-domain scratch                                                  *)
 (* ------------------------------------------------------------------ *)
 
-(* Sender ids + membership bitmap, and a row buffer for uncached gain
-   rows.  Held in domain-local storage so Pool workers never share, with
-   a busy flag so reentrant use (a perturb closure calling back into
-   reception) falls back to fresh allocations instead of aliasing; the
-   [with_*] wrappers drop the flag on every exit (a match on the
-   exception rather than Fun.protect, whose two closures per call show
-   in a per-slot path).  The bitmap invariant: all-zero between uses
-   (resolve clears exactly the bits it set, on every exit). *)
+(* Sender ids + membership bitmap, the candidate listeners of a clean
+   exact slot (a bitmap plus their ids in marking order, grown on first
+   use by [score_clean]), and a row buffer for uncached gain rows.  Held
+   in domain-local storage so Pool workers never share, with a busy flag
+   so reentrant use (a perturb closure calling back into reception) falls
+   back to fresh allocations instead of aliasing; the [with_*] wrappers
+   drop the flag on every exit (a match on the exception rather than
+   Fun.protect, whose two closures per call show in a per-slot path).
+   The bitmap invariant: both bitmaps are all-zero between uses (their
+   users clear exactly the bits they set, on every exit). *)
 type sender_scratch = {
   mutable ids : int array;
   mutable mark : Bytes.t;
+  mutable cand : Bytes.t;
+  mutable cands : int array;
   mutable s_busy : bool;
 }
 
@@ -180,32 +175,20 @@ type row_scratch = {
 
 let sender_key =
   Domain.DLS.new_key (fun () ->
-      { ids = [||]; mark = Bytes.empty; s_busy = false })
+      { ids = [||]; mark = Bytes.empty; cand = Bytes.empty; cands = [||];
+        s_busy = false })
 
 let row_key =
   Domain.DLS.new_key (fun () ->
       { buf = Float.Array.create 0; r_busy = false })
-
-(* Candidate listeners of a reach-limited slot — a bitmap (all-zero
-   between uses: the scorer clears exactly the bits it set, on every
-   exit) plus their ids in marking order — and the assembly buffer for
-   reach lists, under the same busy-flag pattern. *)
-type reach_scratch = {
-  mutable cand : Bytes.t;
-  mutable cands : int array;
-  mutable build : int array;
-  mutable c_busy : bool;
-}
-
-let reach_key =
-  Domain.DLS.new_key (fun () ->
-      { cand = Bytes.empty; cands = [||]; build = [||]; c_busy = false })
 
 let with_senders ~count ~n f =
   let sc = Domain.DLS.get sender_key in
   if sc.s_busy then
     f { ids = Array.make (max 1 count) 0;
         mark = Bytes.make n '\000';
+        cand = Bytes.empty;
+        cands = [||];
         s_busy = true }
   else begin
     sc.s_busy <- true;
@@ -217,29 +200,6 @@ let with_senders ~count ~n f =
       r
     | exception e ->
       sc.s_busy <- false;
-      raise e
-  end
-
-let with_reach ~n f =
-  let rs = Domain.DLS.get reach_key in
-  if rs.c_busy then
-    f { cand = Bytes.make n '\000';
-        cands = Array.make n 0;
-        build = Array.make n 0;
-        c_busy = true }
-  else begin
-    rs.c_busy <- true;
-    if Bytes.length rs.cand < n then begin
-      rs.cand <- Bytes.make n '\000';
-      rs.cands <- Array.make n 0;
-      rs.build <- Array.make n 0
-    end;
-    match f rs with
-    | r ->
-      rs.c_busy <- false;
-      r
-    | exception e ->
-      rs.c_busy <- false;
       raise e
   end
 
@@ -295,16 +255,100 @@ let[@inline] decode d u v =
   d.count <- d.count + 1
 
 (* ------------------------------------------------------------------ *)
+(* Neighbour lists                                                     *)
+(* ------------------------------------------------------------------ *)
+
+let range_bound t = Config.range t.config +. 1e-12
+
+(* [Soa.dist v u <= r], with the distance evaluated by the same float
+   expression, on columns and a bound hoisted out of a caller's loop. *)
+let[@inline] within xs ys v u r =
+  let dx = Float.Array.unsafe_get xs v -. Float.Array.unsafe_get xs u
+  and dy = Float.Array.unsafe_get ys v -. Float.Array.unsafe_get ys u in
+  sqrt ((dx *. dx) +. (dy *. dy)) <= r
+
+(* Is a single isolated transmission from v decodable at u?  Defines weak
+   reachability: true iff d(v,u) <= R. *)
+let in_range t v u = within (Soa.xs t.soa) (Soa.ys t.soa) v u (range_bound t)
+
+(* Every node's neighbour list ([near]), each from a cell-R [Grid_index]
+   window of radius r' = r + 1e-9 (1 + r), r = [range_bound].  Built
+   together the first time one is asked for (the grid is dropped after)
+   and published through one atomic cell: a racing domain builds
+   identical lists, so a lost race wastes one build, never correctness.
+
+   [v]'s list holds every node that can decode [v] in some clean slot.  A
+   decode at u needs best >= beta (N + total - best) >= beta N: total >=
+   best in floating point (the sum only adds non-negative terms, one of
+   them best), and rounding is monotone.  The best power is the gain
+   rows' P / d^alpha, each operation correctly rounded but libm's pow
+   (within an ulp), so P / d^alpha >= beta N forces d <= R (1 + c u) for
+   a small constant c and the unit roundoff u ~ 1.1e-16 — and R =
+   Config.range carries a few ulps of its own.  The window's pad is
+   relatively at least 1e-9, some 10^6 times that, and the window's own
+   test (a squared distance against r'^2) is exact to a few ulps too.  So
+   [v]'s possible decoders all lie in the list; the ring only adds a few
+   listeners that are scored and decode nothing. *)
+let build_near t =
+  let r = range_bound t and xs = Soa.xs t.soa and ys = Soa.ys t.soa in
+  let pts = Soa.to_points t.soa in
+  let g = Grid_index.create ~cell:r pts in
+  let sorted l =
+    let a = Array.of_list l in
+    Array.sort Int.compare a;
+    a
+  in
+  Array.init (Array.length pts) (fun v ->
+      let inner = ref [] and ring = ref [] in
+      Grid_index.iter_within g ~center:pts.(v) ~r:(r +. (1e-9 *. (1. +. r)))
+        (fun u ->
+          if within xs ys v u r then inner := u :: !inner
+          else ring := u :: !ring);
+      let inner = sorted !inner in
+      { near = Array.append inner (sorted !ring); split = Array.length inner })
+
+let near_of t v =
+  match Atomic.get t.nbrs with
+  | Some l -> Array.unsafe_get l v
+  | None ->
+    let l = build_near t in
+    Atomic.set t.nbrs (Some l);
+    Array.unsafe_get l v
+
+let neighbours t v =
+  if Option.is_some t.sparse then
+    invalid_arg "Sinr.neighbours: the sparse kernel keeps no lists";
+  let l = near_of t v in
+  (l.near, l.split)
+
+(* Every node [in_range] of [v] ([v] itself included), each once, in
+   unspecified order — the telemetry's collision/silence split walks the
+   union over a slot's senders.  The candidates come from a window that
+   covers the range with room to spare and are filtered with [in_range]
+   itself, so the set is exactly the predicate's.  With the sparse kernel
+   installed its coarse-cell index supplies the window; otherwise it is
+   the prefix of [v]'s neighbour list. *)
+let iter_in_range t v f =
+  match t.sparse with
+  | Some sp ->
+    let r = range_bound t and xs = Soa.xs t.soa and ys = Soa.ys t.soa in
+    Sparse.iter_window sp v ~radius:r (fun u -> if within xs ys v u r then f u)
+  | None ->
+    let l = near_of t v in
+    for i = 0 to l.split - 1 do
+      f (Array.unsafe_get l.near i)
+    done
+
+(* ------------------------------------------------------------------ *)
 (* Scoring kernel                                                      *)
 (* ------------------------------------------------------------------ *)
 
-(* Score listener [u], recording a decode into [out]: one row read, one
-   pass over the sender array accumulating total power while tracking the
+(* Listener [u]'s decoded sender, or [-1]: one row read, one pass over
+   the sender array accumulating total power while tracking the
    strongest sender — only the strongest can pass the beta > 1 test.
    Sender order matches the seed kernel's list order, so the float
    accumulation (and therefore every decision) is bit-identical. *)
-let[@inline] score_listener t ~ids ~nsend ~rowbuf ~out u =
-  let beta = t.config.Config.beta and noise = t.config.Config.noise in
+let[@inline] score_listener t ~ids ~nsend ~rowbuf u =
   let row = Gain_cache.row t.cache u ~ids ~nsend ~scratch:rowbuf in
   let total = ref 0. in
   let best = ref (-1) and best_pw = ref 0. in
@@ -317,46 +361,60 @@ let[@inline] score_listener t ~ids ~nsend ~rowbuf ~out u =
       best := v
     end
   done;
+  let beta = t.config.Config.beta and noise = t.config.Config.noise in
   if !best >= 0 && !best_pw >= beta *. (noise +. !total -. !best_pw) then
-    decode out u !best
+    !best
+  else -1
+
+(* The perturbed variant: adversarial gains multiply the cached
+   clean-channel powers, exactly as the seed kernel multiplied the freshly
+   computed ones.  A separate body, not a branch per sender inside
+   [score_listener]: that branch cost the clean kernel ~20%. *)
+let[@inline] score_listener_perturbed t p ~ids ~nsend ~rowbuf u =
+  let row = Gain_cache.row t.cache u ~ids ~nsend ~scratch:rowbuf in
+  let total = ref 0. in
+  let best = ref (-1) and best_pw = ref 0. in
+  for k = 0 to nsend - 1 do
+    let v = Array.unsafe_get ids k in
+    let pw = Float.Array.unsafe_get row v *. p.gain ~sender:v ~receiver:u in
+    total := !total +. pw;
+    if pw > !best_pw then begin
+      best_pw := pw;
+      best := v
+    end
+  done;
+  let beta = t.config.Config.beta in
+  let noise = t.config.Config.noise *. p.noise_factor u in
+  if !best >= 0 && !best_pw >= beta *. (noise +. !total -. !best_pw) then
+    !best
+  else -1
 
 (* Score the non-senders among listeners [lo..hi], recording decodes into
    [out] in ascending order. *)
 let score_range t ~ids ~nsend ~mark ~rowbuf ~out ~lo ~hi =
   for u = lo to hi do
-    if Bytes.unsafe_get mark u = '\000' then
-      score_listener t ~ids ~nsend ~rowbuf ~out u
+    if Bytes.unsafe_get mark u = '\000' then begin
+      let v = score_listener t ~ids ~nsend ~rowbuf u in
+      if v >= 0 then decode out u v
+    end
   done
 
 (* Score the candidates [among.(lo..hi)] (non-senders), recording decodes
    into [out] in candidate order. *)
 let score_among t ~ids ~nsend ~among ~rowbuf ~out ~lo ~hi =
   for i = lo to hi do
-    score_listener t ~ids ~nsend ~rowbuf ~out (Array.unsafe_get among i)
+    let u = Array.unsafe_get among i in
+    let v = score_listener t ~ids ~nsend ~rowbuf u in
+    if v >= 0 then decode out u v
   done
 
-(* The perturbed variant: adversarial gains multiply the cached
-   clean-channel powers, exactly as the seed kernel multiplied the freshly
-   computed ones. *)
-let score_range_perturbed t p ~ids ~nsend ~mark ~rowbuf ~out ~lo ~hi =
-  let beta = t.config.Config.beta and noise = t.config.Config.noise in
-  for u = lo to hi do
+(* Score every non-sender under the perturbation [p], in ascending
+   order. *)
+let score_all_perturbed t p ~ids ~nsend ~mark ~rowbuf ~out =
+  for u = 0 to Soa.length t.soa - 1 do
     if Bytes.unsafe_get mark u = '\000' then begin
-      let row = Gain_cache.row t.cache u ~ids ~nsend ~scratch:rowbuf in
-      let total = ref 0. in
-      let best = ref (-1) and best_pw = ref 0. in
-      for k = 0 to nsend - 1 do
-        let v = Array.unsafe_get ids k in
-        let pw = Float.Array.unsafe_get row v *. p.gain ~sender:v ~receiver:u in
-        total := !total +. pw;
-        if pw > !best_pw then begin
-          best_pw := pw;
-          best := v
-        end
-      done;
-      let noise = noise *. p.noise_factor u in
-      if !best >= 0 && !best_pw >= beta *. (noise +. !total -. !best_pw)
-      then decode out u !best
+      let v = score_listener_perturbed t p ~ids ~nsend ~rowbuf u in
+      if v >= 0 then decode out u v
     end
   done
 
@@ -392,9 +450,10 @@ let score_parallel t pool ~ids ~nsend ~mark ?among ~out ~len () =
     counts
 
 (* Sort [a.(0 .. len-1)] ascending in place: Shell sort with Knuth's
-   gaps, no allocation.  The decodes of a reach-limited slot are a few
-   ascending runs (one per sender's reach list), on which the final
-   insertion pass does nearly all the work. *)
+   gaps, no allocation.  The decodes of a list-limited slot are a few
+   ascending runs (two per sender's neighbour list: its in-range prefix
+   and its ring), on which the final insertion pass does nearly all the
+   work. *)
 let sort_prefix (a : int array) len =
   let h = ref 1 in
   while !h < len / 3 do
@@ -414,33 +473,18 @@ let sort_prefix (a : int array) len =
     h := gap / 3
   done
 
-(* Sender [v]'s reach list ([Gain_cache.reach] at beta * N), built on
-   first use and published through its atomic cell: a racing domain
-   builds an identical list, so a lost race wastes one build, never
-   correctness. *)
-let reach_of t rs v =
-  let cell = Array.unsafe_get t.reach v in
-  match Atomic.get cell with
-  | Some r -> r
-  | None ->
-    let floor = t.config.Config.beta *. t.config.Config.noise in
-    let r = Gain_cache.reach t.cache v ~floor ~scratch:rs.build in
-    Atomic.set cell (Some r);
-    r
-
-(* A clean exact slot, reach-limited.  A listener decodes only if its
-   strongest sender alone clears beta * N: the test's right-hand side is
-   beta * (N + total - best), and total >= best in floating point because
-   the sum only adds non-negative terms.  So only listeners on some
-   sender's reach list can decode: they are collected (once each) into
-   [rs.cands] and scored by [score_listener], everyone else decodes
-   nothing, and the decodes are sorted — the outcome is bit-identical to
-   scoring all [listeners] in id order.  When the reach lists hold at
-   least [listeners] entries, collecting costs more than it saves and
-   every listener is scored instead.  Returns the number of listeners
+(* A clean exact slot, limited to the senders' neighbour lists.  Only a
+   listener on some sender's list can decode (see [build_near]), so those
+   are collected (once each, into [sc.cand]/[sc.cands]) and scored by
+   [score_listener], everyone else decodes nothing, and the decodes are
+   sorted — the outcome is bit-identical to scoring all [listeners] in id
+   order.  When the lists (less each sender itself) hold at least
+   [listeners] entries, collecting costs more than it saves and every
+   listener is scored instead.  Returns the number of listeners
    scored. *)
-let score_clean t ~ids ~nsend ~mark ~listeners ~out =
+let score_clean t sc ~ids ~nsend ~listeners ~out =
   let n = Soa.length t.soa in
+  let mark = sc.mark in
   let pool =
     if n >= t.par_threshold && Pool.default_jobs () > 1 then
       Some (Pool.get ())
@@ -458,11 +502,10 @@ let score_clean t ~ids ~nsend ~mark ~listeners ~out =
           | Some among ->
             score_among t ~ids ~nsend ~among ~rowbuf ~out ~lo:0 ~hi)
   in
-  with_reach ~n @@ fun rs ->
   let entries = ref 0 and k = ref 0 in
   while !k < nsend && !entries < listeners do
-    entries :=
-      !entries + Array.length (reach_of t rs (Array.unsafe_get ids !k));
+    let l = near_of t (Array.unsafe_get ids !k) in
+    entries := !entries + Array.length l.near - 1;
     incr k
   done;
   if !entries >= listeners then begin
@@ -470,13 +513,17 @@ let score_clean t ~ids ~nsend ~mark ~listeners ~out =
     listeners
   end
   else begin
-    let cand = rs.cand and cands = rs.cands in
+    if Bytes.length sc.cand < n then begin
+      sc.cand <- Bytes.make n '\000';
+      sc.cands <- Array.make n 0
+    end;
+    let cand = sc.cand and cands = sc.cands in
     let scored = ref 0 in
     match
       for k = 0 to nsend - 1 do
-        let r = reach_of t rs (Array.unsafe_get ids k) in
-        for i = 0 to Array.length r - 1 do
-          let u = Array.unsafe_get r i in
+        let l = (near_of t (Array.unsafe_get ids k)).near in
+        for i = 0 to Array.length l - 1 do
+          let u = Array.unsafe_get l i in
           if Bytes.unsafe_get mark u = '\000'
              && Bytes.unsafe_get cand u = '\000'
           then begin
@@ -499,15 +546,15 @@ let score_clean t ~ids ~nsend ~mark ~listeners ~out =
       raise e
   end
 
-(* Whole-slot resolution over a marked sender set ([listeners] nodes
-   unmarked), into [out] (which must be empty).  Dispatch: perturbed
-   slots run the sequential perturbed kernel over every listener
-   (adversary closures are not required to be domain-safe, and gains
-   above 1 void the reach argument); clean slots run the sparse kernel
-   when it is installed and otherwise the reach-limited cached kernel,
-   which fans listeners out over the shared pool past the parallelism
-   threshold. *)
-let resolve_marked ?perturb t ~ids ~nsend ~mark ~listeners ~out =
+(* Whole-slot resolution over the sender set [ids.(0 .. nsend-1)], marked
+   in [sc.mark] ([listeners] nodes unmarked), into [out] (which must be
+   empty).  Dispatch: perturbed slots run the sequential perturbed kernel
+   over every listener (adversary closures are not required to be
+   domain-safe, and gains above 1 void the neighbour-list argument);
+   clean slots run the sparse kernel when it is installed and otherwise
+   the list-limited cached kernel, which fans listeners out over the
+   shared pool past the parallelism threshold. *)
+let resolve_marked ?perturb t sc ~ids ~nsend ~listeners ~out =
   let n = Soa.length t.soa in
   if nsend > 0 then begin
     let telemetry = Metrics.is_enabled () in
@@ -517,8 +564,7 @@ let resolve_marked ?perturb t ~ids ~nsend ~mark ~listeners ~out =
       match perturb with
       | Some p ->
         with_row ~n (fun rowbuf ->
-            score_range_perturbed t p ~ids ~nsend ~mark ~rowbuf ~out ~lo:0
-              ~hi:(n - 1));
+            score_all_perturbed t p ~ids ~nsend ~mark:sc.mark ~rowbuf ~out);
         listeners
       | None ->
         (match t.sparse with
@@ -529,11 +575,11 @@ let resolve_marked ?perturb t ~ids ~nsend ~mark ~listeners ~out =
               profiler sub-stage, reported inside Resolve. *)
            let p0 = Profile.start () in
            out.count <-
-             Sparse.resolve sp ~ids ~nsend ~mark ~sender:out.sender
+             Sparse.resolve sp ~ids ~nsend ~mark:sc.mark ~sender:out.sender
                ~receivers:out.receivers;
            Profile.stop Profile.Sparse p0;
            -1
-         | None -> score_clean t ~ids ~nsend ~mark ~listeners ~out)
+         | None -> score_clean t sc ~ids ~nsend ~listeners ~out)
     in
     if telemetry then begin
       Metrics.incr m_resolve_calls;
@@ -588,7 +634,7 @@ let resolve_into ?perturb t ~senders ~nsenders out =
     Bytes.unsafe_set sc.mark s '\001'
   done;
   match
-    resolve_marked ?perturb t ~ids:senders ~nsend:nsenders ~mark:sc.mark
+    resolve_marked ?perturb t sc ~ids:senders ~nsend:nsenders
       ~listeners:!listeners ~out
   with
   | () -> clear_marks sc.mark senders nsenders
@@ -654,40 +700,12 @@ let reception ?perturb t ~senders ~receiver:u =
       if Bytes.get sc.mark u <> '\000' || nsend = 0 then None
       else
         with_row ~n @@ fun rowbuf ->
-        let row =
-          Gain_cache.row t.cache u ~ids:sc.ids ~nsend ~scratch:rowbuf
+        let v =
+          match perturb with
+          | None -> score_listener t ~ids:sc.ids ~nsend ~rowbuf u
+          | Some p -> score_listener_perturbed t p ~ids:sc.ids ~nsend ~rowbuf u
         in
-        let p = Option.value perturb ~default:no_perturb in
-        let total = ref 0. in
-        let best = ref (-1) and best_pw = ref 0. in
-        (match perturb with
-         | None ->
-           for k = 0 to nsend - 1 do
-             let v = Array.unsafe_get sc.ids k in
-             let pw = Float.Array.unsafe_get row v in
-             total := !total +. pw;
-             if pw > !best_pw then begin
-               best_pw := pw;
-               best := v
-             end
-           done
-         | Some p ->
-           for k = 0 to nsend - 1 do
-             let v = Array.unsafe_get sc.ids k in
-             let pw =
-               Float.Array.unsafe_get row v *. p.gain ~sender:v ~receiver:u
-             in
-             total := !total +. pw;
-             if pw > !best_pw then begin
-               best_pw := pw;
-               best := v
-             end
-           done);
-        let beta = t.config.Config.beta in
-        let noise = t.config.Config.noise *. p.noise_factor u in
-        if !best >= 0 && !best_pw >= beta *. (noise +. !total -. !best_pw)
-        then Some !best
-        else None)
+        if v >= 0 then Some v else None)
 
 (* ------------------------------------------------------------------ *)
 (* Seed kernel, kept verbatim                                          *)
@@ -752,53 +770,3 @@ let resolve_reference ?perturb t ~senders =
        end
      done);
   result
-
-let range_bound t = Config.range t.config +. 1e-12
-
-(* [Soa.dist v u <= r], with the distance evaluated by the same float
-   expression, on columns and a bound hoisted out of a caller's loop. *)
-let[@inline] within xs ys v u r =
-  let dx = Float.Array.unsafe_get xs v -. Float.Array.unsafe_get xs u
-  and dy = Float.Array.unsafe_get ys v -. Float.Array.unsafe_get ys u in
-  sqrt ((dx *. dx) +. (dy *. dy)) <= r
-
-(* Is a single isolated transmission from v decodable at u?  Defines weak
-   reachability: true iff d(v,u) <= R. *)
-let in_range t v u = within (Soa.xs t.soa) (Soa.ys t.soa) v u (range_bound t)
-
-(* Every node [in_range] of [v] ([v] itself included), each once, in
-   unspecified order — the telemetry's collision/silence split walks the
-   union over a slot's senders.  The candidates come from a window that
-   covers the range with room to spare and are filtered with [in_range]
-   itself, so the set is exactly the predicate's.  With the sparse kernel
-   installed its coarse-cell index supplies the window; otherwise the
-   lists are built from a cell-R [Grid_index] on a node's first call and
-   kept (racing domains build identical lists, like the reach lists). *)
-let iter_in_range t v f =
-  let r = range_bound t and xs = Soa.xs t.soa and ys = Soa.ys t.soa in
-  match t.sparse with
-  | Some sp ->
-    Sparse.iter_window sp v ~radius:r (fun u -> if within xs ys v u r then f u)
-  | None ->
-    let cell = t.nbrs.(v) in
-    let l =
-      match Atomic.get cell with
-      | Some l -> l
-      | None ->
-        let g =
-          match Atomic.get t.grid with
-          | Some g -> g
-          | None ->
-            let g = Grid_index.create ~cell:r (Soa.to_points t.soa) in
-            Atomic.set t.grid (Some g);
-            g
-        in
-        let acc = ref [] in
-        Grid_index.iter_within g ~center:(Grid_index.point g v)
-          ~r:(r +. (1e-9 *. (1. +. r)))
-          (fun u -> if within xs ys v u r then acc := u :: !acc);
-        let l = Array.of_list !acc in
-        Atomic.set cell (Some l);
-        l
-    in
-    Array.iter f l

@@ -6,11 +6,12 @@
     Resolution runs on a cached-gain fast path (see DESIGN.md "Physics
     fast path"): link powers are read from a precomputed per-receiver row
     that stores bit-identical results of the seed formula, and a clean
-    slot scores only the listeners within some sender's reach (its lone
-    power clears βN; nobody else can decode), so outcomes — including
-    every seeded experiment number — are unchanged. The seed
-    kernel is kept as {!resolve_reference} for equivalence tests and
-    benchmarks. *)
+    slot scores only the listeners on some sender's neighbour list (its
+    range R plus a 1e-9 relative pad: a decode needs the sender's lone
+    power to clear βN, which forces d ≤ R to within a few ulps), so
+    outcomes — including every seeded experiment number — are unchanged.
+    The seed kernel is kept as {!resolve_reference} for equivalence tests
+    and benchmarks. *)
 
 open Sinr_geom
 
@@ -19,10 +20,10 @@ type t
 val create : Config.t -> Point.t array -> t
 (** Raises [Invalid_argument] if any pairwise distance is below 1 (the
     near-field normalization of Section 4.2). Captures the current
-    [Phys_tuning] knobs (gain-cache byte cap + node ceiling, sparse
-    threshold/eps, parallelism threshold). From
-    [Phys_tuning.sparse_threshold] nodes on the sparse cell-aggregated
-    path is installed; below it resolution is exact. *)
+    [Phys_tuning] knobs (gain-cache byte cap, sparse threshold/eps,
+    parallelism threshold). From [Phys_tuning.sparse_threshold] nodes on
+    the sparse cell-aggregated path is installed and the gain cache
+    bypassed; below it resolution is exact. *)
 
 val create_soa : ?check:bool -> Config.t -> Soa.t -> t
 (** Column-first constructor for streaming placements at large n: the
@@ -73,9 +74,6 @@ type perturb = {
     everywhere is the identity; omitting the perturbation entirely keeps
     the clean-channel fast path. Perturbed gains multiply the cached
     clean-channel powers. *)
-
-val no_perturb : perturb
-(** The identity perturbation. *)
 
 val reception : ?perturb:perturb -> t -> senders:int list -> receiver:int -> int option
 (** The sender decoded by [receiver] in a slot where exactly [senders]
@@ -130,6 +128,16 @@ val iter_in_range : t -> int -> (int -> unit) -> unit
 (** [iter_in_range t v f] calls [f] once on every node [u] with
     [in_range t v u] ([v] itself included), in unspecified order. With the
     sparse kernel installed a call costs O(nodes in the coarse cells around
-    [v]); otherwise [v]'s list is built from a grid window at its first
-    call and kept, and later calls cost O(its size). (Telemetry's
+    [v]); otherwise it walks the in-range prefix of [v]'s neighbour list
+    (the one the clean kernel collects listeners from; every node's list
+    is built from a grid window at the first use of any and kept), at
+    O(its size). (Telemetry's
     collision/silence split walks the union over a slot's senders.) *)
+
+val neighbours : t -> int -> int array * int
+(** [neighbours t v] is [v]'s neighbour list on an exact simulator and
+    the length of its prefix: ascending, the nodes [u] with [in_range t v u]
+    ([v] included), then ascending the thin boundary ring just beyond R
+    that the clean kernel also scores. Every node that can decode [v] in a
+    clean slot is on it. Raises [Invalid_argument] when the sparse kernel
+    is installed. *)

@@ -7,6 +7,8 @@
    - A --jobs value below 1 is a usage error (cmdliner's exit 124).
    - An unwritable --serve-port-file fails up front with exit 1 on every
      run subcommand, obs and profile-report included.
+   - smb and cons refuse a deployment whose weak graph G1 is disconnected
+     with exit 2, in seconds.
    - A run with every output flag writes all three files and reports
      them in order; `profile --n 20` prints a pinned profile. *)
 
@@ -139,6 +141,22 @@ let test_unwritable_port_file () =
   Sys.remove file;
   Alcotest.(check int) "smb: exit" 1 code
 
+let test_disconnected_refused () =
+  (* Seed 1's default deployment (n = 50) has a disconnected G1: both
+     global protocols print the profile and refuse before any slot. *)
+  List.iter
+    (fun cmd ->
+      let t0 = Unix.gettimeofday () in
+      let code, out, err = run [ cmd; "--seed"; "1" ] in
+      Alcotest.(check int) (cmd ^ ": exit") 2 code;
+      Alcotest.(check bool) (cmd ^ ": profile printed") true
+        (contains out "connected     false");
+      Alcotest.(check bool) (cmd ^ ": names the disconnection") true
+        (contains err "disconnected (2 components)");
+      Alcotest.(check bool) (cmd ^ ": no slot run") true
+        (Unix.gettimeofday () -. t0 < 10.))
+    [ "smb"; "cons" ]
+
 let test_run_outputs () =
   let tmp ext = Filename.temp_file "sinr_cli" ext in
   let m = tmp ".json" and p = tmp ".prom" and t = tmp ".jsonl" in
@@ -185,6 +203,8 @@ let suite =
       test_jobs_positive;
     Alcotest.test_case "unwritable port file fails up front" `Quick
       test_unwritable_port_file;
+    Alcotest.test_case "disconnected deployment refused" `Quick
+      test_disconnected_refused;
     Alcotest.test_case "run outputs reported in order" `Quick
       test_run_outputs;
     Alcotest.test_case "profile output" `Quick test_profile_output ]

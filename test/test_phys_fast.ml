@@ -185,7 +185,10 @@ let test_power_matches_power_between () =
         pts)
     pts
 
-(* ---------------- reach-limited clean kernel ---------------- *)
+(* ---------------- list-limited clean kernel ---------------- *)
+
+(* A sender's reach is its neighbour list ([Sinr.neighbours]): a clean
+   exact slot scores only the listeners on its senders' lists. *)
 
 (* Telemetry on, counters zeroed, for one test. *)
 let with_telemetry f =
@@ -223,7 +226,9 @@ let test_reach_boundary () =
     [ Point.make 12. 0.; Point.make 0. 12.; Point.make (-12.) 0.;
       Point.make 0. (-12.) ]
   in
-  (* Just beyond R, each on its own bearing (pairwise distance >= 1). *)
+  (* Just beyond R, each on its own bearing (pairwise distance >= 1); the
+     first two are on the sender's list (within in_range's 1e-12 slack,
+     and in the boundary ring), scored and silent. *)
   let beyond =
     List.mapi
       (fun i d ->
@@ -247,7 +252,7 @@ let test_reach_boundary () =
   done;
   Alcotest.(check (option int)) "nothing at 13" None got.(10);
   Alcotest.(check bool) "out-of-reach listeners skipped" true (silent > 0);
-  (* A second sender among the far nodes: its reach joins the candidates
+  (* A second sender among the far nodes: its list joins the candidates
      and its interference reaches the ring. *)
   ignore (check_counted ~label:"two senders" sinr ~senders:[ 0; 11 ])
 
@@ -291,9 +296,10 @@ let test_reach_spread_scratch () =
 let test_reach_dense_rule () =
   with_telemetry @@ fun () ->
   (* A tight cluster of 10 (everyone within reach of everyone) with three
-     senders, plus 10 nodes far out of reach: the reach lists hold
-     3 x 9 = 27 entries for 17 listeners, so every listener is scored —
-     the far ones too, and they still decode nothing. *)
+     senders, plus 10 nodes far out of reach: the senders' lists, less
+     the senders themselves, hold 3 x 9 = 27 entries for 17 listeners, so
+     every listener is scored — the far ones too, and they still decode
+     nothing. *)
   let cluster =
     List.init 10 (fun i ->
         let cell k = 1.5 *. float_of_int k in
@@ -313,7 +319,8 @@ let test_reach_many_decodes () =
   with_telemetry @@ fun () ->
   (* 64 clusters 40 apart, each a sender with two listeners at distance 3
      and a loner out of everyone's reach, ids shuffled: 128 decodes arrive
-     in reach-list order, out of id order, and must come out ascending. *)
+     in neighbour-list order, out of id order, and must come out
+     ascending. *)
   let cluster i =
     let cx = 40. *. float_of_int (i mod 8)
     and cy = 40. *. float_of_int (i / 8) in
@@ -376,6 +383,113 @@ let test_reach_parallel () =
       (Sinr.resolve sinr ~senders)
   done;
   Alcotest.(check bool) "listeners skipped" true (!silent > 0)
+
+(* ---------------- neighbour lists ---------------- *)
+
+(* Random configs (alpha in [2.1, 6], beta in (1, 4], N and R in
+   [1, 10^4]) and placements with nodes at R, Float.succ R, R (1 +- 1e-12)
+   and Float.pred R from a centre, plus scattered nodes: every node whose
+   lone power from [v] clears beta N is on [v]'s neighbour list, and the
+   list's prefix is exactly the brute-force [in_range] scan. *)
+let prop_neighbours_superset =
+  QCheck.Test.make ~name:"neighbour list holds every decoder" ~count:150
+    QCheck.(int_range 1 100_000)
+    (fun seed ->
+      let r = Rng.create seed in
+      let alpha = 2.1 +. Rng.float r 3.9 in
+      let beta = 4. -. Rng.float r 3. in
+      let noise = 1. +. Rng.float r 9999. in
+      let cfg =
+        Config.with_range ~alpha ~beta ~noise ~range:(1. +. Rng.float r 9999.)
+          ()
+      in
+      let range = Config.range cfg in
+      let centre = Point.make (Rng.float r 1e4) (Rng.float r 1e4) in
+      let ring =
+        List.mapi
+          (fun i d ->
+            let theta = (1.25 *. float_of_int i) +. Rng.float r 0.2 in
+            Point.on_circle ~center:centre ~r:d ~theta)
+          [ range; Float.succ range; range *. (1. +. 1e-12);
+            range *. (1. -. 1e-12); Float.pred range ]
+      in
+      let pts = ref (centre :: ring) in
+      for _ = 1 to 30 do
+        let p =
+          Point.make
+            (Point.x centre +. ((Rng.float r 5. -. 2.5) *. range))
+            (Point.y centre +. ((Rng.float r 5. -. 2.5) *. range))
+        in
+        if List.for_all (fun q -> Point.dist p q >= 1.01) !pts then
+          pts := !pts @ [ p ]
+      done;
+      let sinr = Sinr.create cfg (Array.of_list !pts) in
+      let n = Sinr.n sinr and gc = Sinr.gain_cache sinr in
+      let floor = cfg.Config.beta *. cfg.Config.noise in
+      List.for_all
+        (fun v ->
+          let near, split = Sinr.neighbours sinr v in
+          let on_list u = Array.mem u near in
+          Array.to_list (Array.sub near 0 split)
+          = List.filter (Sinr.in_range sinr v) (List.init n Fun.id)
+          && List.length (List.sort_uniq compare (Array.to_list near))
+             = Array.length near
+          && List.for_all
+               (fun u ->
+                 u = v
+                 || Gain_cache.compute gc ~sender:v ~receiver:u < floor
+                 || on_list u)
+               (List.init n Fun.id))
+        (List.init n Fun.id))
+
+(* A perturb closure that calls back into the same instance mid-slot:
+   the inner calls find the per-domain scratch busy and must fall back to
+   fresh buffers, so the outer slot and every inner answer stay equal to
+   the seed kernel's.  Dense and spread-out cases alternate (the inner
+   clean slot takes the dense rule or the list-limited path), and cap 0
+   makes every row a scratch row. *)
+let check_reentrant ~seed () =
+  let rng = Rng.create seed in
+  for case = 0 to 19 do
+    let pts, senders =
+      if case mod 2 = 0 then random_case rng ~case else spread_case rng ~case
+    in
+    let sinr = Sinr.create cfg pts in
+    let base = perturb_of rng ~case in
+    let clean = Sinr.resolve_reference sinr ~senders in
+    let pert = Sinr.resolve_reference ~perturb:base sinr ~senders in
+    let inner = ref 0 in
+    let gain ~sender ~receiver =
+      incr inner;
+      Alcotest.(check (option int))
+        (Fmt.str "case %d: inner reception %d" case receiver)
+        pert.(receiver)
+        (Sinr.reception ~perturb:base sinr ~senders ~receiver);
+      Alcotest.(check (option int))
+        (Fmt.str "case %d: inner clean reception %d" case receiver)
+        clean.(receiver)
+        (Sinr.reception sinr ~senders ~receiver);
+      if !inner = 1 then
+        Alcotest.check outcome (Fmt.str "case %d: inner clean slot" case) clean
+          (Sinr.resolve sinr ~senders);
+      base.gain ~sender ~receiver
+    in
+    Alcotest.check outcome (Fmt.str "case %d: outer slot" case) pert
+      (Sinr.resolve ~perturb:{ base with gain } sinr ~senders);
+    Alcotest.(check bool) (Fmt.str "case %d: re-entered" case)
+      (senders <> [] && List.length senders < Array.length pts)
+      (!inner > 0);
+    (* The scratch is released: a later slot still agrees. *)
+    check_case ~label:(Fmt.str "case %d: after" case) sinr ~senders
+      ~perturb:None
+  done
+
+let test_reentrant_reception () =
+  check_reentrant ~seed:83 ();
+  let prev = Phys_tuning.cache_cap_bytes () in
+  Phys_tuning.set_cache_cap_bytes 0;
+  Fun.protect ~finally:(fun () -> Phys_tuning.set_cache_cap_bytes prev)
+  @@ check_reentrant ~seed:84
 
 (* ---------------- reliability estimate bit-identity ---------------- *)
 
@@ -444,4 +558,8 @@ let suite =
       test_reach_dense_rule;
     Alcotest.test_case "reach: many decodes, ascending" `Quick
       test_reach_many_decodes;
-    Alcotest.test_case "reach: jobs 2 = jobs 1" `Quick test_reach_parallel ]
+    Alcotest.test_case "reach: jobs 2 = jobs 1" `Quick test_reach_parallel;
+    QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 1207 |])
+      prop_neighbours_superset;
+    Alcotest.test_case "reentrant reception in a perturbed slot" `Quick
+      test_reentrant_reception ]

@@ -1,8 +1,9 @@
 (* The million-node path: structure-of-arrays state must be bit-identical
    to the record-based seed path (columns, engine step, streaming
-   placement), the gain-cache node ceiling must refuse rows without
-   changing outcomes, and the auto-installed sparse resolution must honour
-   its eps interference bound and its exact silent-cell skipping. *)
+   placement), the gain cache must refuse rows exactly when the sparse
+   kernel is installed without changing outcomes, and the auto-installed
+   sparse resolution must honour its eps interference bound and its exact
+   silent-cell skipping. *)
 
 open Sinr_geom
 open Sinr_phys
@@ -255,40 +256,6 @@ let test_uniform_stream_invariant_and_equivalence () =
     (Sinr.resolve_reference sinr ~senders)
     (Sinr.resolve sinr ~senders)
 
-(* ---------------- gain-cache node ceiling ---------------- *)
-
-let test_cache_node_ceiling_refuses_rows () =
-  let prev = Phys_tuning.cache_node_ceiling () in
-  Phys_tuning.set_cache_node_ceiling 10;
-  Fun.protect ~finally:(fun () -> Phys_tuning.set_cache_node_ceiling prev)
-  @@ fun () ->
-  Metrics.reset_for_tests ();
-  Fun.protect ~finally:Metrics.reset_for_tests @@ fun () ->
-  Metrics.set_enabled true;
-  let rng = Rng.create 906 in
-  let pts = deployment rng ~n:40 in
-  let n = Array.length pts in
-  let sinr = Sinr.create cfg pts in
-  let gc = Sinr.gain_cache sinr in
-  Alcotest.(check bool) "bypassed above ceiling" true (Gain_cache.bypassed gc);
-  (* Refusal happens before allocation: the row table itself is empty. *)
-  Alcotest.(check int) "max_rows 0" 0 (Gain_cache.max_rows gc);
-  Alcotest.(check int) "rows_cached 0" 0 (Gain_cache.rows_cached gc);
-  Alcotest.(check int) "bytes_cached 0" 0 (Gain_cache.bytes_cached gc);
-  let senders = random_senders rng ~n ~p:0.2 in
-  Alcotest.check outcome "bypassed resolve matches reference"
-    (Sinr.resolve_reference sinr ~senders)
-    (Sinr.resolve sinr ~senders);
-  Alcotest.(check int) "still no rows after resolving" 0
-    (Gain_cache.rows_cached gc);
-  Alcotest.(check bool) "phys.cache.bypassed counter ticked" true
-    (match Metrics.counter_peek "phys.cache.bypassed" with
-     | Some c -> c >= 1
-     | None -> false);
-  let small = Sinr.create cfg (deployment rng ~n:8) in
-  Alcotest.(check bool) "below ceiling the cache engages" false
-    (Gain_cache.bypassed (Sinr.gain_cache small))
-
 (* ---------------- sparse resolution ---------------- *)
 
 let with_sparse ~threshold ~eps f =
@@ -306,6 +273,43 @@ let sparse_of sinr =
   match Sinr.sparse sinr with
   | Some sp -> sp
   | None -> Alcotest.fail "sparse not installed"
+
+(* ---------------- gain-cache bypass ---------------- *)
+
+(* The gain cache is bypassed exactly when the sparse kernel is
+   installed.  Clean slots then resolve on cell aggregates, so the exact
+   bypassed path is checked on a perturbed slot, which scores every
+   listener with powers computed on the fly. *)
+let test_cache_bypass_with_sparse () =
+  with_sparse ~threshold:10 ~eps:(Phys_tuning.sparse_eps ()) @@ fun () ->
+  Metrics.reset_for_tests ();
+  Fun.protect ~finally:Metrics.reset_for_tests @@ fun () ->
+  Metrics.set_enabled true;
+  let rng = Rng.create 906 in
+  let pts = deployment rng ~n:40 in
+  let n = Array.length pts in
+  let sinr = Sinr.create cfg pts in
+  ignore (sparse_of sinr : Sparse.t);
+  let gc = Sinr.gain_cache sinr in
+  Alcotest.(check bool) "bypassed with sparse" true (Gain_cache.bypassed gc);
+  (* Refusal happens before allocation: the row table itself is empty. *)
+  Alcotest.(check int) "max_rows 0" 0 (Gain_cache.max_rows gc);
+  Alcotest.(check int) "rows_cached 0" 0 (Gain_cache.rows_cached gc);
+  Alcotest.(check int) "bytes_cached 0" 0 (Gain_cache.bytes_cached gc);
+  let senders = random_senders rng ~n ~p:0.2 in
+  let perturb = perturb_of rng ~key:1 in
+  Alcotest.check outcome "bypassed perturbed resolve matches reference"
+    (Sinr.resolve_reference ~perturb sinr ~senders)
+    (Sinr.resolve ~perturb sinr ~senders);
+  Alcotest.(check int) "still no rows after resolving" 0
+    (Gain_cache.rows_cached gc);
+  Alcotest.(check bool) "phys.cache.bypassed counter ticked" true
+    (match Metrics.counter_peek "phys.cache.bypassed" with
+     | Some c -> c >= 1
+     | None -> false);
+  let small = Sinr.create cfg (deployment rng ~n:8) in
+  Alcotest.(check bool) "below the sparse threshold the cache engages" false
+    (Gain_cache.bypassed (Sinr.gain_cache small))
 
 (* With a single transmitter there is no far-field approximation to lean
    on: every decodable listener is near (threshold > R) and scored
@@ -437,8 +441,8 @@ let suite =
       test_engine_step_exception_safe;
     Alcotest.test_case "uniform_stream invariant + equivalence" `Quick
       test_uniform_stream_invariant_and_equivalence;
-    Alcotest.test_case "gain-cache node ceiling bypass" `Quick
-      test_cache_node_ceiling_refuses_rows;
+    Alcotest.test_case "gain-cache bypass with sparse" `Quick
+      test_cache_bypass_with_sparse;
     Alcotest.test_case "sparse: single-sender bit-identical" `Quick
       test_sparse_silence_is_exact;
     Alcotest.test_case "sparse: interference eps bound" `Slow
