@@ -1,5 +1,5 @@
 .PHONY: all build check test fmt bench par-smoke chaos-smoke phys-smoke \
-        obs-smoke serve-smoke daemon-smoke crash-smoke scale-smoke \
+        obs-smoke serve-smoke crash-smoke scale-smoke \
         stream-smoke bench-diff perf-digest trace-digest clean
 
 all: build
@@ -78,72 +78,17 @@ serve-smoke:
 	  serve-metrics.prom; \
 	echo "serve-smoke: OK ($$(wc -l < serve-metrics.prom) exposition lines)"
 
-# End-to-end exercise of the sweep daemon: start `sinr_sim serve` on a
-# kernel-picked port (read back via the port file), POST a tiny exp_ack
-# sweep, observe queue backpressure (the second job must 429 against
-# --queue-cap 1 and show up in serve_jobs_rejected), poll the job to
-# done, feed the live /spans scrape to trace-report --strict, then drain
-# gracefully with SIGTERM and require exit 0.  Artifacts: daemon-smoke.log,
-# daemon-metrics.prom, daemon-spans.jsonl and the daemon-smoke-dir
-# checkpoints.
-daemon-smoke:
-	dune build bin/sinr_sim.exe
-	rm -rf daemon-smoke-dir daemon-port.txt; \
-	./_build/default/bin/sinr_sim.exe serve --port 0 \
-	  --serve-port-file daemon-port.txt --dir daemon-smoke-dir \
-	  --queue-cap 1 --checkpoint-every 2 --jobs 2 \
-	  > daemon-smoke.log 2>&1 & pid=$$!; \
-	up=0; for i in $$(seq 1 50); do \
-	  if [ -s daemon-port.txt ]; then up=1; break; fi; sleep 0.1; done; \
-	if [ $$up -ne 1 ]; then echo "daemon-smoke: port file never appeared"; \
-	  cat daemon-smoke.log; kill $$pid 2>/dev/null; exit 1; fi; \
-	port=$$(cat daemon-port.txt); \
-	code=$$(curl -s -o /dev/null -w '%{http_code}' \
-	  -X POST http://127.0.0.1:$$port/jobs \
-	  -d '{"exp":"ack","params":[2,3,4],"seeds":[1,2,3],"tag":"smoke"}'); \
-	if [ "$$code" != "202" ]; then echo "daemon-smoke: submit got $$code"; \
-	  cat daemon-smoke.log; kill $$pid 2>/dev/null; exit 1; fi; \
-	code=$$(curl -s -o /dev/null -w '%{http_code}' \
-	  -X POST http://127.0.0.1:$$port/jobs \
-	  -d '{"exp":"ack","params":[2],"seeds":[1]}'); \
-	if [ "$$code" != "429" ]; then \
-	  echo "daemon-smoke: expected 429 backpressure, got $$code"; \
-	  kill $$pid 2>/dev/null; exit 1; fi; \
-	done_=0; for i in $$(seq 1 240); do \
-	  if curl -sf http://127.0.0.1:$$port/jobs/1 | grep -q '"state":"done"'; \
-	  then done_=1; break; fi; sleep 0.5; done; \
-	if [ $$done_ -ne 1 ]; then echo "daemon-smoke: job never finished"; \
-	  curl -s http://127.0.0.1:$$port/jobs; cat daemon-smoke.log; \
-	  kill $$pid 2>/dev/null; exit 1; fi; \
-	curl -sf http://127.0.0.1:$$port/jobs/1 | grep -q '"table"' || \
-	  { echo "daemon-smoke: done job has no table"; \
-	    kill $$pid 2>/dev/null; exit 1; }; \
-	curl -sf http://127.0.0.1:$$port/metrics > daemon-metrics.prom; \
-	curl -sf http://127.0.0.1:$$port/spans > daemon-spans.jsonl; \
-	kill -TERM $$pid; wait $$pid; rc=$$?; \
-	if [ $$rc -ne 0 ]; then \
-	  echo "daemon-smoke: drain exited $$rc, want 0"; \
-	  cat daemon-smoke.log; exit 1; fi; \
-	grep -q '^serve_jobs_rejected [1-9]' daemon-metrics.prom || \
-	  { echo "daemon-smoke: rejection not visible in serve.* metrics"; \
-	    exit 1; }; \
-	grep -q '^serve_jobs_completed [1-9]' daemon-metrics.prom || \
-	  { echo "daemon-smoke: completion not visible in serve.* metrics"; \
-	    exit 1; }; \
-	ls daemon-smoke-dir/serve-smoke.ckpt.jsonl >/dev/null || \
-	  { echo "daemon-smoke: checkpoint file missing"; exit 1; }; \
-	grep -q '\[drained' daemon-smoke.log || \
-	  { echo "daemon-smoke: no drain confirmation in log"; exit 1; }; \
-	dune exec bin/sinr_sim.exe -- trace-report --strict daemon-spans.jsonl; \
-	echo "daemon-smoke: OK"
-
 # Crash-tolerance gate for the daemon: start `sinr_sim serve`, submit a
 # sweep, SIGKILL the process mid-grid (a failpoint slows every cell so
 # the kill window is wide), restart on the same --dir/--wal-dir, and
-# require (a) the WAL recovery banner, (b) the job runs to done, and
-# (c) its table is byte-identical (cmp) to an uninterrupted reference
-# run in a fresh directory.  Artifacts: crash-smoke.log, crash-table.json,
-# crash-table-ref.json and the crash-smoke-dir WAL + checkpoints.
+# require (a) the WAL recovery banner, (b) the job runs to done, (c) a
+# SIGTERM drains the restarted daemon to exit 0 with its drain line in
+# the log, and (d) the table is byte-identical (cmp) to an uninterrupted
+# reference run in a fresh directory.  The graceful lifecycle (429
+# backpressure, serve.* metrics, checkpoint file, strict /spans) is the
+# in-process test "daemon: submit, 429, done, scrape".  Artifacts:
+# crash-smoke.log, crash-table.json, crash-table-ref.json and the
+# crash-smoke-dir WAL + checkpoints.
 crash-smoke:
 	dune build bin/sinr_sim.exe
 	rm -rf crash-smoke-dir crash-ref-dir crash-port.txt \
@@ -195,6 +140,8 @@ crash-smoke:
 	kill -TERM $$pid; wait $$pid; rc=$$?; \
 	if [ $$rc -ne 0 ]; then echo "crash-smoke: drain exited $$rc, want 0"; \
 	  cat crash-smoke.log; exit 1; fi; \
+	grep -q '\[drained' crash-smoke.log || \
+	  { echo "crash-smoke: no drain confirmation in log"; exit 1; }; \
 	rm -f crash-port.txt; \
 	./_build/default/bin/sinr_sim.exe serve --port 0 \
 	  --serve-port-file crash-port.txt --dir crash-ref-dir \

@@ -886,13 +886,8 @@ let serve_cmd =
     let report_finished () =
       List.iter
         (fun (j : Sinr_serve.Queue.job) ->
-          let terminal =
-            match j.Sinr_serve.Queue.state with
-            | Sinr_serve.Queue.Done | Sinr_serve.Queue.Failed
-            | Sinr_serve.Queue.Cancelled -> true
-            | _ -> false
-          in
-          if terminal && not (Hashtbl.mem reported j.Sinr_serve.Queue.id)
+          if Sinr_serve.Job_state.terminal j.Sinr_serve.Queue.state
+             && not (Hashtbl.mem reported j.Sinr_serve.Queue.id)
           then begin
             Hashtbl.replace reported j.Sinr_serve.Queue.id ();
             Fmt.pr "[job %d %s: %d/%d cells]@." j.Sinr_serve.Queue.id

@@ -18,11 +18,9 @@
 
    The handler runs on the HTTP accept domain; all job execution happens
    in the owner's [step] loop, so a request never blocks on a sweep.
-   Every admission and terminal transition lands in the WAL before the
-   HTTP response; on startup [create] replays the WAL (tolerating a torn
-   tail, quarantining real corruption), re-admits live jobs with their
-   strike counts, compacts the log, and the next [step]s resume them
-   from their checkpoints — bit-identical to an uninterrupted run. *)
+   Durability and recovery are the job log's: [Queue] commits each
+   transition as one WAL record, and [create] folds [Job_state.apply]
+   over the replayed log. *)
 
 open Sinr_obs
 open Sinr_par
@@ -30,7 +28,6 @@ open Sinr_par
 type t = {
   queue : Queue.t;
   dir : string;
-  wal_dir : string;
   wal : Wal.t;
   supervisor : Supervisor.t;
   events : Events.t;
@@ -39,59 +36,6 @@ type t = {
   recovered : int;
   wal_recovery : [ `Clean | `Torn_tail | `Quarantined of string ];
 }
-
-(* The ["state"] event body: enough for a watcher to render the job line
-   without a follow-up GET. Published from the queue's transition hook,
-   so every committed transition — admission, take, finish, retry,
-   requeue — is narrated in commit order. *)
-let state_event (job : Queue.job) =
-  Json.Obj
-    (List.concat
-       [ [ ("job_id", Json.int job.Queue.id);
-           ("state", Json.Str (Queue.state_name job.Queue.state));
-           ("cells_done", Json.int job.Queue.cells_done);
-           ("cells_total", Json.int job.Queue.cells_total);
-           ("attempts", Json.int job.Queue.attempts);
-           ("quarantined", Json.Bool job.Queue.quarantined) ];
-         (match job.Queue.error with
-          | Some e -> [ ("error", Json.Str e) ]
-          | None -> []) ])
-
-(* Fold the replayed records into per-job state.  [attempts] counts
-   Started records not closed by Yielded (graceful drains are not
-   strikes) plus any compacted Strikes baseline; a terminal record
-   removes the job from the live set. *)
-let fold_replay records =
-  let tbl = Hashtbl.create 16 in
-  (* id -> (spec option, attempts, live) in insertion order via ids *)
-  List.iter
-    (fun { Wal.job = id; ev } ->
-      let spec, attempts, live =
-        match Hashtbl.find_opt tbl id with
-        | Some s -> s
-        | None -> (None, 0, true)
-      in
-      let entry =
-        match ev with
-        | Wal.Submitted spec -> (Some spec, attempts, true)
-        | Wal.Started _ -> (spec, attempts + 1, live)
-        | Wal.Yielded -> (spec, max 0 (attempts - 1), live)
-        | Wal.Strikes n -> (spec, attempts + max 0 n, live)
-        | Wal.Checkpointed _ -> (spec, attempts, live)
-        | Wal.Completed | Wal.Cancelled | Wal.Failed _ | Wal.Quarantined _
-          -> (spec, attempts, false)
-      in
-      Hashtbl.replace tbl id entry)
-    records;
-  let live =
-    Hashtbl.fold
-      (fun id entry acc ->
-        match entry with
-        | Some spec, attempts, true -> (id, spec, attempts) :: acc
-        | _ -> acc)
-      tbl []
-  in
-  List.sort (fun (a, _, _) (b, _, _) -> compare a b) live
 
 let create ?(dir = ".") ?wal_dir ?(max_queued = 8) ?(checkpoint_every = 4)
     ?policy () =
@@ -106,62 +50,43 @@ let create ?(dir = ".") ?wal_dir ?(max_queued = 8) ?(checkpoint_every = 4)
     else if replay.Wal.torn_tail then `Torn_tail
     else `Clean
   in
-  let live = fold_replay replay.Wal.records in
-  (* Compact: the reopened WAL holds exactly the live jobs — their spec
-     and strike baseline — instead of the full history. *)
-  let wal =
-    Wal.reset ~dir:wal_dir
-      (List.concat_map
-         (fun (id, spec, attempts) ->
-           { Wal.job = id; ev = Wal.Submitted spec }
-           ::
-           (if attempts > 0 then
-              [ { Wal.job = id; ev = Wal.Strikes attempts } ]
-            else []))
-         live)
+  (* Recovery: the crashed process's job table, folded from its log, then
+     compacted — the reopened WAL holds exactly the live jobs, each a
+     spec and its attempts on record, instead of the full history. *)
+  let live =
+    Job_state.compact
+      (List.fold_left Job_state.apply Job_state.empty replay.Wal.records)
   in
+  let wal = Wal.reset ~dir:wal_dir live in
   let events = Events.create () in
-  let queue = Queue.create ~max_queued () in
-  Queue.on_transition queue (fun job ->
-      Events.publish events ~job:job.Queue.id ~typ:"state" (state_event job));
+  let queue = Queue.create ~max_queued ~wal ~events ~log:live () in
   let pol = Supervisor.policy supervisor in
-  let recovered =
-    List.fold_left
-      (fun acc (id, spec, attempts) ->
-        let job = Queue.recover queue ~id ~spec ~attempts in
-        (* a job that took the process down more often than the retry
-           budget allows is poison: park it before it wedges the loop
-           again *)
-        if attempts > pol.Supervisor.max_retries then begin
-          Queue.finish queue job
-            (`Quarantined
-               (Printf.sprintf
-                  "quarantined at recovery: %d attempts on record \
-                   (crashed or never finished), budget %d"
-                  attempts pol.Supervisor.max_retries));
-          Wal.append wal
-            { Wal.job = id;
-              ev = Wal.Quarantined "recovery: strike budget exhausted" }
-        end;
-        acc + 1)
-      0 live
-  in
+  let recovered = Queue.jobs queue in
+  List.iter
+    (fun (job : Queue.job) ->
+      (* a job that took the process down more often than the retry
+         budget allows is poison: park it before it wedges the loop
+         again *)
+      if job.Queue.attempts > pol.Supervisor.max_retries then
+        Queue.finish queue job
+          (`Quarantined
+             (Printf.sprintf
+                "quarantined at recovery: %d attempts on record (crashed \
+                 or never finished), budget %d"
+                job.Queue.attempts pol.Supervisor.max_retries)))
+    recovered;
   { queue;
     dir;
-    wal_dir;
     wal;
     supervisor;
     events;
     checkpoint_every = max 1 checkpoint_every;
     draining = Atomic.make false;
-    recovered;
+    recovered = List.length recovered;
     wal_recovery }
 
 let queue t = t.queue
 let events t = t.events
-let dir t = t.dir
-let wal_dir t = t.wal_dir
-let wal t = t.wal
 let recovered t = t.recovered
 let wal_recovery t = t.wal_recovery
 let request_drain t = Atomic.set t.draining true
@@ -174,7 +99,7 @@ let step t =
     match Queue.take t.queue with
     | None -> false
     | Some job ->
-      Supervisor.run t.supervisor ~wal:t.wal
+      Supervisor.run t.supervisor
         ~notify:(fun ~typ body ->
           Events.publish t.events ~job:job.Queue.id ~typ body)
         ~should_stop:(fun () -> Atomic.get t.draining)
@@ -267,10 +192,8 @@ let submit t body =
                      Json.int (Pool.in_flight (Pool.get ())))
                  :: []))
           | Ok job ->
-            (* durable before the 202: a crash after this response must
-               not lose an acknowledged job *)
-            Wal.append t.wal
-              { Wal.job = job.Queue.id; ev = Wal.Submitted spec };
+            (* the Submitted record is on disk: a crash after this
+               response cannot lose an acknowledged job *)
             json_response 202
               (Json.Obj
                  [ ("id", Json.int job.Queue.id);
@@ -284,6 +207,11 @@ let job_by_id t id_str =
   | None -> None
   | Some id -> Queue.find t.queue id
 
+let with_job t id_str f =
+  match job_by_id t id_str with
+  | None -> error_response 404 "no such job"
+  | Some job -> f job
+
 (* DELETE /jobs/:id is idempotent where idempotence is meaningful:
    cancelling a cancelled job re-answers 200 with the same state, while
    a Done/Failed job is a real conflict (409) — the work is not
@@ -296,11 +224,7 @@ let cancel t id_str =
     | `Not_found -> error_response 404 "no such job"
     | `Already_finished ->
       error_response 409 "job already finished"
-    | `Cancelled ->
-      Wal.append t.wal { Wal.job = id; ev = Wal.Cancelled };
-      json_response 200
-        (Json.Obj [ ("id", Json.int id); ("state", Json.Str "cancelled") ])
-    | `Already_cancelled ->
+    | `Cancelled | `Already_cancelled ->
       json_response 200
         (Json.Obj [ ("id", Json.int id); ("state", Json.Str "cancelled") ])
     | `Cancelling ->
@@ -310,107 +234,79 @@ let cancel t id_str =
 (* The bare table, for piping and byte-comparison (the crash-smoke
    diffing in CI curls this into a file and cmp(1)s it). *)
 let table t id_str =
-  match job_by_id t id_str with
-  | None -> error_response 404 "no such job"
-  | Some job -> (
-    match (job.Queue.state, job.Queue.table) with
-    | Queue.Done, Some table -> json_response 200 table
-    | _ ->
-      error_response
-        ~headers:[ ("X-Job-State", Queue.state_name job.Queue.state) ]
-        409
-        (Printf.sprintf "job is %s, table only exists once done"
-           (Queue.state_name job.Queue.state)))
+  with_job t id_str @@ fun job ->
+  match (job.Queue.state, job.Queue.table) with
+  | Queue.Done, Some table -> json_response 200 table
+  | _ ->
+    error_response
+      ~headers:[ ("X-Job-State", Queue.state_name job.Queue.state) ]
+      409
+      (Printf.sprintf "job is %s, table only exists once done"
+         (Queue.state_name job.Queue.state))
 
 (* GET /jobs/:id/metrics — the labeled [{job_id="<id>"}] children of the
    process registry, rendered as Prometheus text.  Two concurrent jobs
    expose disjoint scopes here while /metrics keeps the totals. *)
 let job_metrics t id_str =
-  match job_by_id t id_str with
-  | None -> error_response 404 "no such job"
-  | Some job ->
-    let want = ("job_id", string_of_int job.Queue.id) in
-    let scoped =
-      List.filter
-        (fun (name, _) ->
-          let _, pairs = Metrics.split_name name in
-          List.mem want pairs)
-        (Metrics.snapshot ())
-    in
-    Http.response ~content_type:"text/plain; version=0.0.4" 200
-      (Sink.snapshot_to_prometheus scoped)
+  with_job t id_str @@ fun job ->
+  let want = ("job_id", string_of_int job.Queue.id) in
+  let scoped =
+    List.filter
+      (fun (name, _) ->
+        let _, pairs = Metrics.split_name name in
+        List.mem want pairs)
+      (Metrics.snapshot ())
+  in
+  Http.response ~content_type:"text/plain; version=0.0.4" 200
+    (Sink.snapshot_to_prometheus scoped)
+
+(* One route: its handlers by method; any other method is a 405 that
+   lists the allowed ones. *)
+let route (req : Http.request) path methods =
+  Some
+    (match List.assoc_opt req.Http.meth methods with
+     | Some f -> f ()
+     | None ->
+       error_response
+         ~headers:[ ("Allow", String.concat ", " (List.map fst methods)) ]
+         405
+         ("method not allowed on " ^ path))
 
 let handler t (req : Http.request) =
   match String.split_on_char '/' req.Http.path with
-  | [ ""; "readyz" ] -> (
-    match req.Http.meth with
-    | "GET" -> Some (readiness t)
-    | _ ->
-      Some
-        (error_response ~headers:[ ("Allow", "GET") ] 405
-           "method not allowed on /readyz"))
-  | [ ""; "jobs" ] -> (
-    match req.Http.meth with
-    | "POST" -> Some (submit t req.Http.body)
-    | "GET" ->
-      Some
-        (json_response 200
-           (Json.Obj
-              (( "jobs",
-                 Json.List
-                   (List.map (job_json ~full:false) (Queue.jobs t.queue)) )
-              :: queue_state t)))
-    | _ ->
-      Some
-        (error_response ~headers:[ ("Allow", "GET, POST") ] 405
-           "method not allowed on /jobs"))
-  | [ ""; "jobs"; id ] -> (
-    match req.Http.meth with
-    | "GET" -> (
-      match job_by_id t id with
-      | None -> Some (error_response 404 "no such job")
-      | Some job -> Some (json_response 200 (job_json ~full:true job)))
-    | "DELETE" -> Some (cancel t id)
-    | _ ->
-      Some
-        (error_response ~headers:[ ("Allow", "GET, DELETE") ] 405
-           "method not allowed on /jobs/:id"))
-  | [ ""; "jobs"; id; "table" ] -> (
-    match req.Http.meth with
-    | "GET" -> Some (table t id)
-    | _ ->
-      Some
-        (error_response ~headers:[ ("Allow", "GET") ] 405
-           "method not allowed on /jobs/:id/table"))
-  | [ ""; "jobs"; id; "metrics" ] -> (
-    match req.Http.meth with
-    | "GET" -> Some (job_metrics t id)
-    | _ ->
-      Some
-        (error_response ~headers:[ ("Allow", "GET") ] 405
-           "method not allowed on /jobs/:id/metrics"))
+  | [ ""; "readyz" ] -> route req "/readyz" [ ("GET", fun () -> readiness t) ]
+  | [ ""; "jobs" ] ->
+    route req "/jobs"
+      [ ( "GET",
+          fun () ->
+            json_response 200
+              (Json.Obj
+                 (( "jobs",
+                    Json.List
+                      (List.map (job_json ~full:false) (Queue.jobs t.queue)) )
+                 :: queue_state t)) );
+        ("POST", fun () -> submit t req.Http.body) ]
+  | [ ""; "jobs"; id ] ->
+    route req "/jobs/:id"
+      [ ( "GET",
+          fun () -> with_job t id (fun job -> json_response 200 (job_json ~full:true job)) );
+        ("DELETE", fun () -> cancel t id) ]
+  | [ ""; "jobs"; id; "table" ] ->
+    route req "/jobs/:id/table" [ ("GET", fun () -> table t id) ]
+  | [ ""; "jobs"; id; "metrics" ] ->
+    route req "/jobs/:id/metrics" [ ("GET", fun () -> job_metrics t id) ]
   (* GET on the event paths normally never lands here — the stream
      handler intercepts it.  Reaching this arm means the job id is
      unknown (the stream handler fell through) or streaming is not
      mounted on this server. *)
-  | [ ""; "jobs"; id; "events" ] -> (
-    match req.Http.meth with
-    | "GET" ->
-      Some
-        (match job_by_id t id with
-         | None -> error_response 404 "no such job"
-         | Some _ -> error_response 503 "event streaming not enabled")
-    | _ ->
-      Some
-        (error_response ~headers:[ ("Allow", "GET") ] 405
-           "method not allowed on /jobs/:id/events"))
-  | [ ""; "events" ] -> (
-    match req.Http.meth with
-    | "GET" -> Some (error_response 503 "event streaming not enabled")
-    | _ ->
-      Some
-        (error_response ~headers:[ ("Allow", "GET") ] 405
-           "method not allowed on /events"))
+  | [ ""; "jobs"; id; "events" ] ->
+    route req "/jobs/:id/events"
+      [ ( "GET",
+          fun () ->
+            with_job t id (fun _ -> error_response 503 "event streaming not enabled") ) ]
+  | [ ""; "events" ] ->
+    route req "/events"
+      [ ("GET", fun () -> error_response 503 "event streaming not enabled") ]
   | _ -> None (* /metrics, /healthz, /spans, 404: the builtin routes *)
 
 (* ------------------------------------------------------------------ *)
@@ -419,11 +315,6 @@ let handler t (req : Http.request) =
 
 let heartbeat_every = 10.0
 let poll_sleep = 0.05
-
-let terminal (job : Queue.job) =
-  match job.Queue.state with
-  | Queue.Done | Queue.Failed | Queue.Cancelled -> true
-  | Queue.Queued | Queue.Running -> false
 
 (* Snapshot greeting for a per-job stream: everything a late-joining
    watcher needs (the grid shape, progress so far) before live events
@@ -455,60 +346,63 @@ let hello_json (job : Queue.job) =
    delivered; watchers dedup by param (cells are deterministic, so the
    duplicates are byte-identical). *)
 let replay_rows (job : Queue.job) =
-  let mk param cells =
-    Json.Obj
-      [ ("job_id", Json.int job.Queue.id);
-        ("param", Json.int param);
-        ("cells", Json.List cells) ]
-  in
-  match (job.Queue.state, job.Queue.table) with
-  | Queue.Done, Some tbl -> (
+  let member_int k j = Option.bind (Json.member k j) Json.to_int in
+  match (job.Queue.state, job.Queue.table, job.Queue.partial) with
+  | Queue.Done, Some tbl, _ -> (
     match Json.member "rows" tbl with
     | Some (Json.List rows) ->
       List.filter_map
         (fun row ->
-          match
-            ( Option.bind (Json.member "param" row) Json.to_int,
-              Json.member "cells" row )
-          with
-          | Some p, Some (Json.List cells) -> Some (mk p cells)
+          match (member_int "param" row, Json.member "cells" row) with
+          | Some p, Some (Json.List cells) ->
+            Some (Runner.row_json ~job:job.Queue.id p cells)
           | _ -> None)
         rows
     | _ -> [])
-  | _ -> (
-    match job.Queue.partial with
-    | None -> []
-    | Some partial -> (
-      match Json.member "cells" partial with
-      | Some (Json.List cells) ->
-        let seeds_n = List.length job.Queue.spec.Spec.seeds in
-        let by_param : (int, Json.t list) Hashtbl.t = Hashtbl.create 16 in
-        List.iter
-          (fun c ->
-            match
-              ( Option.bind (Json.member "param" c) Json.to_int,
-                Json.member "cell" c )
-            with
-            | Some p, Some cell ->
-              Hashtbl.replace by_param p
-                (cell
-                 :: Option.value ~default:[] (Hashtbl.find_opt by_param p))
-            | _ -> ())
-          cells;
-        List.filter_map
-          (fun p ->
-            match Hashtbl.find_opt by_param p with
-            | Some cs when List.length cs = seeds_n ->
-              Some (mk p (List.rev cs))
-            | _ -> None)
-          job.Queue.spec.Spec.params
-      | _ -> []))
+  | _, _, Some partial -> (
+    match Json.member "cells" partial with
+    | Some (Json.List cells) ->
+      List.map snd
+        (Runner.rows ~job:job.Queue.id job.Queue.spec
+           (List.filter_map
+              (fun c ->
+                match (member_int "param" c, Json.member "cell" c) with
+                | Some p, Some cell -> Some (p, cell)
+                | _ -> None)
+              cells))
+    | _ -> [])
+  | _ -> []
 
 let sse_stream write =
   { Http.s_status = 200;
     s_content_type = "text/event-stream";
     s_headers = [ ("X-Accel-Buffering", "no") ];
     s_write = write }
+
+(* Forward [sub]'s events as SSE frames until the client hangs up, the
+   server stops or [last] marks the stream complete; a heartbeat comment
+   keeps an idle connection open. *)
+let pump ~push ~should_stop ?(last = fun _ -> false) sub =
+  let ok = ref true and finished = ref false in
+  let last_sent = ref (Unix.gettimeofday ()) in
+  while !ok && (not !finished) && not (should_stop ()) do
+    match Events.poll sub with
+    | [] ->
+      Unix.sleepf poll_sleep;
+      if Unix.gettimeofday () -. !last_sent > heartbeat_every then begin
+        ok := push (Events.sse_comment "heartbeat");
+        last_sent := Unix.gettimeofday ()
+      end
+    | evs ->
+      List.iter
+        (fun ev ->
+          if !ok then begin
+            ok := push (Events.sse_frame ev);
+            last_sent := Unix.gettimeofday ();
+            if last ev then finished := true
+          end)
+        evs
+  done
 
 (* GET /jobs/:id/events.  Subscribe FIRST, then snapshot — an event
    landing in between is delivered twice, never lost.  The stream closes
@@ -523,36 +417,17 @@ let job_stream t (job : Queue.job) =
   List.iter
     (fun row -> if !ok then ok := push (Events.sse_event ~typ:"row" row))
     (replay_rows job);
-  if terminal job then begin
+  if Job_state.terminal job.Queue.state then begin
     if !ok then
-      ignore (push (Events.sse_event ~typ:"state" (state_event job)))
+      ignore (push (Events.sse_event ~typ:"state" (Queue.state_event job)))
   end
-  else begin
-    let finished = ref false in
-    let last_sent = ref (Unix.gettimeofday ()) in
-    while !ok && (not !finished) && not (should_stop ()) do
-      match Events.poll sub with
-      | [] ->
-        Unix.sleepf poll_sleep;
-        if Unix.gettimeofday () -. !last_sent > heartbeat_every then begin
-          ok := push (Events.sse_comment "heartbeat");
-          last_sent := Unix.gettimeofday ()
-        end
-      | evs ->
-        List.iter
-          (fun ev ->
-            if !ok then begin
-              ok := push (Events.sse_frame ev);
-              last_sent := Unix.gettimeofday ();
-              if ev.Events.typ = "state" then
-                match Json.member "state" ev.Events.body with
-                | Some (Json.Str ("done" | "failed" | "cancelled")) ->
-                  finished := true
-                | _ -> ()
-            end)
-          evs
-    done
-  end
+  else if !ok then
+    pump ~push ~should_stop sub ~last:(fun ev ->
+        ev.Events.typ = "state"
+        &&
+        match Json.member "state" ev.Events.body with
+        | Some (Json.Str ("done" | "failed" | "cancelled")) -> true
+        | _ -> false)
 
 (* GET /events — the firehose: every job's events, no replay, runs until
    the client hangs up or the server stops. *)
@@ -561,25 +436,8 @@ let firehose_stream t =
   let sub = Events.subscribe t.events in
   Fun.protect ~finally:(fun () -> Events.unsubscribe t.events sub)
   @@ fun () ->
-  let ok = ref (push (Events.sse_comment "firehose: all jobs")) in
-  let last_sent = ref (Unix.gettimeofday ()) in
-  while !ok && not (should_stop ()) do
-    match Events.poll sub with
-    | [] ->
-      Unix.sleepf poll_sleep;
-      if Unix.gettimeofday () -. !last_sent > heartbeat_every then begin
-        ok := push (Events.sse_comment "heartbeat");
-        last_sent := Unix.gettimeofday ()
-      end
-    | evs ->
-      List.iter
-        (fun ev ->
-          if !ok then begin
-            ok := push (Events.sse_frame ev);
-            last_sent := Unix.gettimeofday ()
-          end)
-        evs
-  done
+  if push (Events.sse_comment "firehose: all jobs") then
+    pump ~push ~should_stop sub
 
 let stream_handler t (req : Http.request) =
   if req.Http.meth <> "GET" then None

@@ -14,7 +14,7 @@
     run sweeps; the owner drives execution with {!step} from its own
     loop.
 
-    {b Event streams.} Every committed queue transition, plus the
+    {b Event streams.} Every committed job record, plus the
     runner's cell / checkpoint / row hooks and the supervisor's retry /
     quarantine verdicts, is published to an {!Events} broker. Mount
     {!stream_handler} alongside {!handler} to expose them as SSE:
@@ -24,12 +24,14 @@
     slow client loses oldest-first from its own bounded buffer
     ([serve.events.dropped]) and never blocks the runner.
 
-    {b Durability.} Admissions and terminal transitions are WAL-logged
-    before the HTTP response. {!create} replays the WAL — skipping a
-    torn tail, quarantining a corrupt file and keeping the sound prefix
-    — re-admits live jobs with their ids and strike counts, parks jobs
-    whose recorded strikes already exhaust the retry budget, and
-    compacts the log. Resumed jobs restore from their checkpoints and
+    {b Durability.} Every job transition is one {!Wal} record, applied,
+    appended and published in one step ({!Queue}); admissions and
+    terminal transitions are on disk before the HTTP response. {!create}
+    replays the WAL — skipping a torn tail, quarantining a corrupt file
+    and keeping the sound prefix — folds {!Job_state.apply} over it,
+    compacts the log to the live jobs, re-admits them with their ids and
+    attempts on record, and parks jobs whose attempts already exhaust
+    the retry budget. Resumed jobs restore from their checkpoints and
     finish with tables byte-identical to an uninterrupted run.
 
     Drain ({!request_drain}): in-flight cells finish, the checkpoint is
@@ -53,10 +55,6 @@ val queue : t -> Queue.t
 val events : t -> Events.t
 (** The broker behind {!stream_handler} — tests and embedders can
     subscribe directly. *)
-
-val dir : t -> string
-val wal_dir : t -> string
-val wal : t -> Wal.t
 
 val recovered : t -> int
 (** Jobs re-admitted from the WAL at startup. *)

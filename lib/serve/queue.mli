@@ -1,4 +1,5 @@
-(** Bounded job queue for the sweep daemon.
+(** Bounded job queue for the sweep daemon: the live side of the job
+    log.
 
     Lifecycle: [Queued → Running → Done | Failed | Cancelled], plus
     [Running → Queued] on a drain ({!requeue} — the checkpoint makes the
@@ -6,8 +7,14 @@
     window that {!take} honors), and [Queued → Cancelled] directly.
     Admission depth counts Queued {e and} Running jobs — a Running job
     saturates the one-sweep-at-a-time pool — and {!submit} rejects at
-    the cap, which the HTTP layer reports as 429. {!recover} re-admits
-    jobs replayed from the WAL with their id and strike count intact.
+    the cap, which the HTTP layer reports as 429.
+
+    Every transition is one {!Wal.record}, committed in one step under
+    the queue mutex: {!Job_state.apply} computes the next state, the
+    record is appended to the WAL and a ["state"] event is published
+    (not for [Checkpointed]). Log order is therefore commit order. The
+    fsync that makes a durable record safe runs after the mutex is
+    released and before the transition returns.
 
     Metrics:
     [serve.jobs.{submitted,rejected,completed,failed,cancelled,recovered}],
@@ -16,7 +23,7 @@
 
 open Sinr_obs
 
-type state = Queued | Running | Done | Failed | Cancelled
+type state = Job_state.state = Queued | Running | Done | Failed | Cancelled
 
 val state_name : state -> string
 
@@ -24,13 +31,14 @@ type job = {
   id : int;
   spec : Spec.t;
   cells_total : int;
-  submitted_at : float;
   cancel : bool Atomic.t;
       (** polled by the runner at cell boundaries *)
-  mutable state : state;
+  mutable state : state;  (** with [attempts] and [quarantined]: a view
+                              of {!log}, written only from
+                              {!Job_state.apply}'s result *)
   mutable cells_done : int;
   mutable restored : int;  (** cells restored from a checkpoint *)
-  mutable attempts : int;  (** supervision strikes (attempts started) *)
+  mutable attempts : int;  (** attempts on record (drains withdrawn) *)
   mutable not_before : float;  (** retry backoff: {!take} skips until then *)
   mutable quarantined : bool;  (** parked as Failed by the supervisor *)
   mutable dump : string option;  (** flight-recorder dump path, if any *)
@@ -38,20 +46,23 @@ type job = {
       (** completed cells so far, while the job runs; [None] once done *)
   mutable table : Json.t option;   (** final table once [Done] *)
   mutable error : string option;  (** last failure (cleared on Done) *)
-  mutable finished_at : float option;
 }
+
+val state_event : job -> Json.t
+(** The ["state"] event body published with each committed record:
+    [{job_id, state, cells_done, cells_total, attempts, quarantined,
+    error?}]. *)
 
 type t
 
-val create : ?max_queued:int -> unit -> t
-(** [max_queued] (default 8, clamped [>= 1]) caps Queued + Running. *)
-
-val on_transition : t -> (job -> unit) -> unit
-(** Install the state-transition hook (the daemon feeds {!Events} with
-    it): called after every committed transition — submit, recover,
-    take, cancel, finish, requeue, retry — while the queue mutex is
-    held, so observers see transitions in commit order. The hook must
-    not call back into the queue; exceptions are swallowed. *)
+val create :
+  ?max_queued:int -> ?wal:Wal.t -> ?events:Events.t -> ?log:Wal.record list
+  -> unit -> t
+(** [max_queued] (default 8, clamped [>= 1]) caps Queued + Running.
+    Committed records are appended to [wal] and narrated on [events].
+    [log] is records already on the WAL (recovery): they are applied —
+    each [Submitted] re-admits its job with its id, past the cap — but
+    neither re-appended nor published. *)
 
 val max_queued : t -> int
 val depth : t -> int
@@ -60,15 +71,13 @@ val submit : t -> Spec.t -> (job, [ `Backpressure of int ]) result
 (** Admit or reject; [`Backpressure depth] carries the depth seen. Spec
     and registry validation are the caller's job — the queue only bounds. *)
 
-val recover : t -> id:int -> spec:Spec.t -> attempts:int -> job
-(** Re-admit a WAL-replayed job as Queued, preserving its id and strike
-    count; bypasses the admission cap (the job was admitted once
-    already) and bumps [next_id] past [id]. *)
-
 val take : ?now:float -> t -> job option
-(** Oldest runnable Queued job, flipped to Running. Jobs whose
-    [not_before] is after [now] (default [gettimeofday]) are skipped —
-    they are serving a retry backoff. *)
+(** Oldest runnable Queued job, started ([Started], one more attempt).
+    Jobs whose [not_before] is after [now] (default [gettimeofday]) are
+    skipped — they are serving a retry backoff. *)
+
+val log : t -> Job_state.t
+(** Every record committed so far (and [log] at creation), folded. *)
 
 val find : t -> int -> job option
 val jobs : t -> job list
@@ -87,6 +96,7 @@ val cancel :
 (** {1 Runner/supervisor-side transitions} *)
 
 val progress : t -> job -> cells_done:int -> partial:Json.t -> unit
+(** Cells on disk: records [Checkpointed cells_done]. *)
 
 val finish :
   t -> job ->
@@ -97,8 +107,10 @@ val finish :
     with [quarantined] set — the supervisor's poison verdict. *)
 
 val requeue : t -> job -> unit
-(** Drain: back to Queued, resumable from its checkpoint. *)
+(** Drain: [Yielded] — back to Queued, the attempt withdrawn, resumable
+    from its checkpoint. *)
 
 val retry : t -> job -> not_before:float -> error:string -> unit
-(** Supervised retry: back to Queued, but {!take} will not hand the job
-    out before [not_before]. *)
+(** Supervised retry: [Strikes attempts] — back to Queued with the
+    attempt on record, but {!take} will not hand the job out before
+    [not_before]. *)

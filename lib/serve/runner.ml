@@ -130,8 +130,29 @@ let table_json (reg : Registry.t) (spec : Spec.t) cursor =
                  [ ("param", Json.int p); ("cells", Json.List cells) ])
              (Sweep.results cursor)) ) ]
 
+let row_json ~job param cells =
+  Json.Obj
+    [ ("job_id", Json.int job); ("param", Json.int param);
+      ("cells", Json.List cells) ]
+
+let rows ~job (spec : Spec.t) cells =
+  let seeds_n = List.length spec.Spec.seeds in
+  List.filter_map
+    (fun p ->
+      match List.filter_map (fun (q, c) -> if q = p then Some c else None) cells with
+      | cs when List.length cs = seeds_n -> Some (p, row_json ~job p cs)
+      | _ -> None)
+    spec.Spec.params
+
+(* Unsupervised settling: success, cancellation and failure are
+   terminal; a stopped attempt stays open (Running), which is what a
+   process death leaves on the log. *)
+let default_settle queue job = function
+  | (`Done _ | `Cancelled | `Failed _) as outcome -> Queue.finish queue job outcome
+  | `Stopped -> ()
+
 let run_job ?(checkpoint_every = 4) ?(should_stop = fun () -> false)
-    ?wrap_cell ?on_fail ?on_checkpoint ?notify ~dir queue (job : Queue.job) =
+    ?wrap_cell ?settle ?notify ~dir queue (job : Queue.job) =
   let spec = job.Queue.spec in
   let jid = job.Queue.id in
   (* Ambient job identity: every span opened for the rest of this attempt
@@ -160,18 +181,11 @@ let run_job ?(checkpoint_every = 4) ?(should_stop = fun () -> false)
        off when a cell ends) must not outlive it *)
     Span.abandon "job_id" (Json.int jid)
   in
-  (* Unsupervised, a failure is terminal; under a supervisor, [on_fail]
-     owns the disposition (retry with backoff, or quarantine) and must
-     leave the job in a settled state before returning. *)
-  let fail msg =
-    match on_fail with
-    | Some f -> f msg
-    | None -> Queue.finish queue job (`Failed msg)
-  in
+  let settle = Option.value settle ~default:(default_settle queue job) in
   match Registry.resolve spec with
   | Error msg ->
     (* admission validates, so only a registry change mid-flight lands here *)
-    fail msg;
+    settle (`Failed msg);
     finish_span ()
   | Ok reg -> (
     let cursor =
@@ -192,36 +206,19 @@ let run_job ?(checkpoint_every = 4) ?(should_stop = fun () -> false)
       Queue.progress queue job ~cells_done:restored
         ~partial:(partial_json cursor)
     end;
-    (* Row announcements: a param's row is complete once all its seeds'
-       cells are in.  Cells come back in canonical grid order, so the
-       reassembled row is byte-identical to the matching [table_json]
-       row — a watch client can rebuild the final table from row events
-       alone. *)
-    let seeds_n = List.length spec.Spec.seeds in
+    (* Row announcements, each param's once: a watch client can rebuild
+       the final table from row events alone. *)
     let announced : (int, unit) Hashtbl.t = Hashtbl.create 16 in
     let publish_rows c =
-      if notify <> None then begin
-        let by_param : (int, Json.t list) Hashtbl.t = Hashtbl.create 16 in
+      if notify <> None then
         List.iter
-          (fun (p, _s, cell) ->
-            let prev =
-              Option.value ~default:[] (Hashtbl.find_opt by_param p)
-            in
-            Hashtbl.replace by_param p (cell :: prev))
-          (Sweep.completed_cells c);
-        List.iter
-          (fun p ->
-            if not (Hashtbl.mem announced p) then
-              match Hashtbl.find_opt by_param p with
-              | Some cells when List.length cells = seeds_n ->
-                Hashtbl.replace announced p ();
-                emit "row"
-                  (Json.Obj
-                     [ ("job_id", Json.int jid); ("param", Json.int p);
-                       ("cells", Json.List (List.rev cells)) ])
-              | _ -> ())
-          spec.Spec.params
-      end
+          (fun (p, row) ->
+            if not (Hashtbl.mem announced p) then begin
+              Hashtbl.replace announced p ();
+              emit "row" row
+            end)
+          (rows ~job:jid spec
+             (List.map (fun (p, _s, cell) -> (p, cell)) (Sweep.completed_cells c)))
     in
     let counted = ref restored in
     let on_chunk c =
@@ -235,8 +232,7 @@ let run_job ?(checkpoint_every = 4) ?(should_stop = fun () -> false)
         (Json.Obj
            [ ("job_id", Json.int jid); ("cells_done", Json.int done_now);
              ("cells_total", Json.int job.Queue.cells_total) ]);
-      publish_rows c;
-      Option.iter (fun f -> f ~cells:done_now) on_checkpoint
+      publish_rows c
     in
     let stop () = should_stop () || Atomic.get job.Queue.cancel in
     let cell =
@@ -270,15 +266,13 @@ let run_job ?(checkpoint_every = 4) ?(should_stop = fun () -> false)
       (* an all-restored grid never fires on_chunk; normalize the file *)
       if Sweep.completed cursor = restored then save_ck cursor;
       publish_rows cursor;
-      Queue.finish queue job (`Done (table_json reg spec cursor));
+      settle (`Done (table_json reg spec cursor));
       finish_span ()
     | `Stopped ->
       save_ck cursor;
-      if Atomic.get job.Queue.cancel then
-        Queue.finish queue job `Cancelled
-      else Queue.requeue queue job;
+      settle (if Atomic.get job.Queue.cancel then `Cancelled else `Stopped);
       finish_span ()
     | exception exn ->
       save_ck cursor;
-      fail (Printexc.to_string exn);
+      settle (`Failed (Printexc.to_string exn));
       finish_span ())

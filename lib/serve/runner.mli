@@ -38,24 +38,37 @@ val table_json : Registry.t -> Spec.t -> (int, Json.t) Sweep.cursor -> Json.t
 (** The final table: [{"exp","param_name","seeds","rows":[{"param","cells"}]}].
     Raises if the cursor is incomplete. *)
 
+val row_json : job:int -> int -> Json.t list -> Json.t
+(** The ["row"] event body [{job_id, param, cells}]. *)
+
+val rows : job:int -> Spec.t -> (int * Json.t) list -> (int * Json.t) list
+(** The complete rows among [(param, cell)] pairs in canonical grid
+    order: each param all of whose seeds are in, with its {!row_json} —
+    cells in seed order, byte-identical to the matching {!table_json}
+    row. *)
+
 val run_job :
   ?checkpoint_every:int -> ?should_stop:(unit -> bool)
   -> ?wrap_cell:
        (param:int -> seed:int
         -> cell:(int -> int -> Sinr_obs.Json.t) -> Sinr_obs.Json.t)
-  -> ?on_fail:(string -> unit) -> ?on_checkpoint:(cells:int -> unit)
+  -> ?settle:
+       ([ `Done of Json.t | `Cancelled | `Stopped | `Failed of string ]
+        -> unit)
   -> ?notify:(typ:string -> Json.t -> unit)
   -> dir:string -> Queue.t -> Queue.job -> unit
-(** Run (or resume) one job to a terminal state — or back to Queued if
-    [should_stop] fired without the job's cancel flag (drain). Cell
-    exceptions mark the job Failed; the checkpoint survives either way.
+(** Run (or resume) one attempt of a taken (Running) job and hand its
+    outcome to [settle]: the table, the job's cancel flag honored,
+    [should_stop] fired without it, or a cell exception. The checkpoint
+    is written in every case, and each checkpoint records its progress
+    through {!Queue.progress}.
 
-    Supervision hooks: [wrap_cell] interposes on every cell evaluation
-    (the supervisor times cells and raises on budget overrun); [on_fail]
-    replaces the default [Failed] disposition — the supervisor decides
-    retry vs quarantine and must settle the job before returning;
-    [on_checkpoint] fires after each checkpoint lands (the supervisor
-    WAL-logs progress).
+    The default [settle] finishes the job as Done, Cancelled or Failed
+    and leaves a [`Stopped] attempt open (Running) — what a process
+    death leaves on the log; the supervisor passes its own, which tells
+    a drain from a deadline and a failure from a poison job.
+    [wrap_cell] interposes on every cell evaluation (the supervisor
+    times cells and raises on budget overrun).
 
     [notify] feeds the event stream: ["cell"] start/done around every
     cell (fired from pool worker domains), ["checkpoint"] after each

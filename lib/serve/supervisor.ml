@@ -1,34 +1,19 @@
 (* Supervision for daemon jobs: deadlines, capped-exponential-backoff
    retries, and poison quarantine.
 
-   Every attempt at a job runs through [run]: the attempt is WAL-logged
-   (Started), wrapped with a wall-clock deadline (enforced at cell
-   boundaries through the runner's should_stop — cells are the atomicity
-   unit everywhere in lib/serve) and a per-cell budget (measured at cell
-   completion through wrap_cell), and classified afterwards:
+   [run] wraps one attempt (started by [Queue.take]) with a wall-clock
+   deadline, enforced at cell boundaries through the runner's
+   should_stop — cells are the atomicity unit everywhere in lib/serve —
+   and a per-cell budget measured at cell completion through wrap_cell,
+   then settles the runner's outcome in one match; each transition it
+   commits is one WAL record through Queue.  The retry policy mirrors
+   Mac_driver.with_retry: what backoff slots are to the MAC layer,
+   wall-clock seconds are to the daemon.
 
-     Done / Cancelled            terminal, WAL-logged
-     drain (external stop)       job back to Queued, attempt closes with
-                                 a Yielded record — not a strike
-     failure (exception, cell    a strike: retried with capped
-     timeout, deadline)          exponential backoff while strikes <=
-                                 max_retries, else quarantined — parked
-                                 as Failed with the flight-recorder dump
-                                 attached, so one poison spec can never
-                                 wedge the queue
-
-   The retry policy mirrors Mac_driver.with_retry (capped exponential
-   backoff from a base, a deadline splitting intentional stops from
-   failures); what backoff slots are to the MAC layer, wall-clock seconds
-   are to the daemon.
-
-   Honesty note on stuck cells: a cell that never returns cannot be
-   preempted in-process (cells run as pool tasks; cancellation is
-   cooperative at cell boundaries).  The per-cell budget catches slow
-   cells when they finish; a truly wedged cell is caught by the
-   cross-process path — its WAL Started record has no closing Yielded or
-   terminal, so the restart counts it as a strike, and a job that wedges
-   the process repeatedly quarantines after max_retries restarts. *)
+   A cell that never returns cannot be preempted in-process (cells run
+   as pool tasks); it is caught across processes — its Started record
+   has no closing record, so the restart counts the strike, and a job
+   that wedges the process repeatedly is quarantined at recovery. *)
 
 open Sinr_obs
 
@@ -85,15 +70,13 @@ let backoff t ~strikes =
   let p = t.policy in
   min p.max_backoff_s (p.base_backoff_s *. (2. ** float_of_int (max 0 (strikes - 1))))
 
-let log wal r = Option.iter (fun w -> Wal.append w r) wal
-
 let emit notify typ body =
   match notify with None -> () | Some f -> f ~typ body
 
 (* Quarantine: park the job as Failed with the flight recorder attached.
    The dump is best-effort — a full disk must not turn parking a poison
    job into a crash loop. *)
-let quarantine ?wal ?notify ~dir queue (job : Queue.job) reason =
+let quarantine ?notify ~dir queue (job : Queue.job) reason =
   let msg =
     Printf.sprintf "quarantined after %d strikes: %s" job.Queue.attempts
       reason
@@ -118,14 +101,13 @@ let quarantine ?wal ?notify ~dir queue (job : Queue.job) reason =
               ("reason", Json.Str msg) ];
             (match job.Queue.dump with
              | Some p -> [ ("dump", Json.Str p) ]
-             | None -> []) ]));
-  log wal { Wal.job = job.Queue.id; ev = Wal.Quarantined msg }
+             | None -> []) ]))
 
 (* One failed attempt: retry with backoff while strikes fit the policy,
    quarantine past it. *)
-let strike t ?wal ?notify ~dir queue (job : Queue.job) reason =
+let strike t ?notify ~dir queue (job : Queue.job) reason =
   if job.Queue.attempts > t.policy.max_retries then
-    quarantine ?wal ?notify ~dir queue job reason
+    quarantine ?notify ~dir queue job reason
   else begin
     let delay = backoff t ~strikes:job.Queue.attempts in
     Queue.retry queue job ~not_before:(t.now () +. delay)
@@ -140,12 +122,10 @@ let strike t ?wal ?notify ~dir queue (job : Queue.job) reason =
            ("backoff_s", Json.Num delay) ])
   end
 
-let run t ?wal ?notify ?(should_stop = fun () -> false)
-    ?(checkpoint_every = 4) ~dir queue (job : Queue.job) =
+let run t ?notify ?(should_stop = fun () -> false) ?(checkpoint_every = 4)
+    ~dir queue (job : Queue.job) =
   let p = t.policy in
-  job.Queue.attempts <- job.Queue.attempts + 1;
   Metrics.incr m_attempts;
-  log wal { Wal.job = job.Queue.id; ev = Wal.Started job.Queue.attempts };
   let started = t.now () in
   let deadline_hit = ref false in
   let stop () =
@@ -156,11 +136,6 @@ let run t ?wal ?notify ?(should_stop = fun () -> false)
      &&
      (deadline_hit := true;
       true))
-  in
-  let failure = ref None in
-  let on_fail msg =
-    failure := Some msg;
-    strike t ?wal ?notify ~dir queue job msg
   in
   let hj_cell =
     Metrics.histogram_with "serve.cell.seconds"
@@ -178,31 +153,24 @@ let run t ?wal ?notify ?(should_stop = fun () -> false)
     end;
     v
   in
-  Runner.run_job ~checkpoint_every ~should_stop:stop ~wrap_cell ~on_fail
-    ~on_checkpoint:(fun ~cells ->
-      log wal { Wal.job = job.Queue.id; ev = Wal.Checkpointed cells })
-    ?notify ~dir queue job;
-  (* classify what the runner left behind *)
-  match job.Queue.state with
-  | Queue.Done ->
-    if job.Queue.attempts > 1 then Metrics.incr m_recovered;
-    log wal { Wal.job = job.Queue.id; ev = Wal.Completed }
-  | Queue.Cancelled ->
-    log wal { Wal.job = job.Queue.id; ev = Wal.Cancelled }
-  | Queue.Queued when !failure <> None ->
-    (* on_fail already settled the disposition (retry) *)
-    ()
-  | Queue.Queued when !deadline_hit && not (should_stop ()) ->
-    (* the runner read the deadline stop as a drain and requeued; it is
-       a strike — checkpointed progress survives into the next attempt,
-       so a job that makes headway each attempt still completes *)
-    Metrics.incr m_deadline;
-    strike t ?wal ?notify ~dir queue job
-      (Printf.sprintf "deadline %.2gs exceeded (%d/%d cells done)"
-         p.deadline_s job.Queue.cells_done job.Queue.cells_total)
-  | Queue.Queued ->
-    (* genuine drain: not a strike — close the attempt gracefully *)
-    log wal { Wal.job = job.Queue.id; ev = Wal.Yielded }
-  | Queue.Failed when !failure <> None ->
-    () (* unreachable with our on_fail, kept total *)
-  | Queue.Failed | Queue.Running -> ()
+  (* the attempt's one disposition, decided from the runner's outcome *)
+  let settle = function
+    | `Done table ->
+      if job.Queue.attempts > 1 then Metrics.incr m_recovered;
+      Queue.finish queue job (`Done table)
+    | `Cancelled -> Queue.finish queue job `Cancelled
+    | `Failed msg -> strike t ?notify ~dir queue job msg
+    | `Stopped when !deadline_hit && not (should_stop ()) ->
+      (* a deadline is a strike — checkpointed progress survives into the
+         next attempt, so a job that makes headway each attempt still
+         completes *)
+      Metrics.incr m_deadline;
+      strike t ?notify ~dir queue job
+        (Printf.sprintf "deadline %.2gs exceeded (%d/%d cells done)"
+           p.deadline_s job.Queue.cells_done job.Queue.cells_total)
+    | `Stopped ->
+      (* genuine drain: not a strike — close the attempt gracefully *)
+      Queue.requeue queue job
+  in
+  Runner.run_job ~checkpoint_every ~should_stop:stop ~wrap_cell ~settle
+    ?notify ~dir queue job

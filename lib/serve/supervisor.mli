@@ -1,10 +1,11 @@
 (** Supervision for daemon jobs: wall-clock deadlines, per-cell budgets,
     capped-exponential-backoff retries, and poison quarantine.
 
-    {!run} drives one attempt of a {!Queue.job} through {!Runner.run_job}
-    and classifies the outcome: success and cancellation are terminal
-    (WAL-logged); a drain closes the attempt gracefully ([Yielded] — not
-    a strike); any failure — a cell exception, a cell over its
+    {!run} drives one attempt of a taken {!Queue.job} through
+    {!Runner.run_job} and settles the outcome through {!Queue}'s
+    transitions (each one WAL record): success and cancellation are
+    terminal; a drain closes the attempt gracefully ([Yielded] — not a
+    strike); any failure — a cell exception, a cell over its
     [cell_timeout_s] budget, or the job over its [deadline_s] — is a
     strike.  Strikes up to [max_retries] are retried with capped
     exponential backoff ([base_backoff_s] doubling to [max_backoff_s],
@@ -55,12 +56,13 @@ val backoff : t -> strikes:int -> float
 (** The delay scheduled after the [strikes]-th failed attempt. *)
 
 val run :
-  t -> ?wal:Wal.t -> ?notify:(typ:string -> Json.t -> unit)
+  t -> ?notify:(typ:string -> Json.t -> unit)
   -> ?should_stop:(unit -> bool) -> ?checkpoint_every:int
   -> dir:string -> Queue.t -> Queue.job -> unit
-(** Run one supervised attempt.  On return the job is settled: Done,
-    Cancelled, Failed (quarantined), Queued inside a backoff window
-    (retry scheduled), or Queued cleanly (drain — [should_stop] fired).
+(** Run one supervised attempt of a job {!Queue.take} has started.  On
+    return the job is settled: Done, Cancelled, Failed (quarantined),
+    Queued inside a backoff window (retry scheduled), or Queued cleanly
+    (drain — [should_stop] fired).
 
     [notify] is forwarded to {!Runner.run_job} (cell / checkpoint / row
     events) and additionally fed supervision outcomes: ["retry"]

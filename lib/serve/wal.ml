@@ -1,27 +1,22 @@
 (* Append-only write-ahead log for the sweep daemon's job store.
 
-   Every job transition is one line:
+   Every job transition is one line,
 
      <crc32 of the JSON, 8 hex chars> <one-line JSON>\n
 
-   appended with a single O_APPEND write(2) so a record is either fully
-   present or fully absent — a SIGKILL mid-append can tear at most the
-   final line.  Replay applies exactly that model: a bad *final* line
-   (CRC mismatch, truncation, parse failure) is a torn tail and is
-   skipped; a bad line with valid records after it means real corruption
-   and replay stops there, reporting it so the caller can quarantine the
-   file and keep the recovered prefix.
+   appended with a single O_APPEND write(2), so a SIGKILL mid-append can
+   tear at most the final line.  Replay applies exactly that model: a
+   bad *final* line is a torn tail and is skipped; a bad line with valid
+   records after it is corruption, and replay stops there so the caller
+   can quarantine the file and keep the sound prefix.
 
-   Durability is two-tier: admission and terminal transitions
-   (submitted/completed/cancelled/failed/quarantined) fsync before
-   [append] returns; high-frequency progress records (started,
-   checkpointed, yielded) batch, fsyncing every [fsync_every] appends —
-   losing a batched record on a crash only costs re-deriving progress
-   from the checkpoint files, never a job.
-
-   Metrics: [serve.wal.appends], [serve.wal.syncs],
-   [serve.wal.replayed], [serve.wal.torn_tails], [serve.wal.corrupt],
-   and the [serve.wal.bytes] gauge. *)
+   Durability is two-tier: admission and terminal records are on disk
+   once the [flush] after their [append] returns; progress records
+   batch, fsyncing every [fsync_every] appends — losing one on a crash
+   costs re-deriving progress from the checkpoint files, never a job.
+   [flush] fsyncs with no lock held, so a caller can append under its
+   own lock (log order = commit order) and wait for the disk after
+   releasing it. *)
 
 open Sinr_obs
 
@@ -149,7 +144,9 @@ type t = {
   fd : Unix.file_descr;
   wal_path : string;
   fsync_every : int;
-  mutable unsynced : int;
+  mutable written : int; (* records appended so far *)
+  mutable due : int; (* the newest durable record's number *)
+  mutable synced : int; (* records known to be on disk *)
   mutable bytes : int;
   mutable healthy : bool;
   mutex : Mutex.t;
@@ -165,7 +162,9 @@ let open_ ?(fsync_every = 16) ~dir () =
   { fd;
     wal_path;
     fsync_every = max 1 fsync_every;
-    unsynced = 0;
+    written = 0;
+    due = 0;
+    synced = 0;
     bytes;
     healthy = true;
     mutex = Mutex.create () }
@@ -175,16 +174,6 @@ let locked t f =
   Fun.protect ~finally:(fun () -> Mutex.unlock t.mutex) f
 
 let healthy t = locked t (fun () -> t.healthy)
-
-let sync_locked t =
-  if t.unsynced > 0 then begin
-    Unix.fsync t.fd;
-    t.unsynced <- 0;
-    Metrics.incr m_syncs
-  end
-
-let sync t =
-  locked t (fun () -> try sync_locked t with Unix.Unix_error _ -> t.healthy <- false)
 
 (* Admission and terminal records must survive a crash that follows the
    HTTP response; progress records may ride the batch. *)
@@ -199,18 +188,38 @@ let append t r =
         let n = Unix.write_substring t.fd line 0 (String.length line) in
         if n <> String.length line then raise (Unix.Unix_error (Unix.EIO, "write", t.wal_path));
         t.bytes <- t.bytes + n;
-        t.unsynced <- t.unsynced + 1;
+        t.written <- t.written + 1;
+        if durable_event r.ev then t.due <- t.written;
         Metrics.incr m_appends;
         Metrics.set g_bytes (float_of_int t.bytes);
-        if durable_event r.ev || t.unsynced >= t.fsync_every then
-          sync_locked t;
         t.healthy <- true
       with Unix.Unix_error _ -> t.healthy <- false)
 
+(* fsync(2) covers every write that returned before it was called, so
+   records 1..[upto] are durable once it returns.  No lock is held across
+   it: appends carry on while the disk catches up. *)
+let fsync ?(all = false) t =
+  let upto =
+    locked t (fun () ->
+        let s = t.synced in
+        if t.written > s && (all || t.due > s || t.written - s >= t.fsync_every)
+        then t.written
+        else 0)
+  in
+  if upto > 0 then
+    let ok = try Unix.fsync t.fd; true with Unix.Unix_error _ -> false in
+    locked t (fun () ->
+        if ok then begin
+          t.synced <- max t.synced upto;
+          Metrics.incr m_syncs
+        end
+        else t.healthy <- false)
+
+let flush t = fsync t
+
 let close t =
-  locked t (fun () ->
-      (try sync_locked t with Unix.Unix_error _ -> ());
-      try Unix.close t.fd with Unix.Unix_error _ -> ())
+  fsync ~all:true t;
+  locked t (fun () -> try Unix.close t.fd with Unix.Unix_error _ -> ())
 
 (* ------------------------------------------------------------------ *)
 (* Replay                                                              *)
@@ -289,4 +298,8 @@ let reset ?fsync_every ~dir records =
       Buffer.add_char buf '\n')
     records;
   Sink.write_file (path ~dir) (Buffer.contents buf);
-  open_ ?fsync_every ~dir ()
+  let t = open_ ?fsync_every ~dir () in
+  (* the compacted records restate durable ones: on disk before any use *)
+  if records <> [] then
+    (try Unix.fsync t.fd with Unix.Unix_error _ -> t.healthy <- false);
+  t

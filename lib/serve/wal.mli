@@ -11,18 +11,21 @@
       keeps the sound prefix and reports [corrupt = true] so the caller
       can move the file aside ({!quarantine_file}) and restart clean.
 
-    Durability is two-tier: submitted/terminal records fsync before
-    {!append} returns; progress records (started/checkpointed/yielded)
-    batch on [fsync_every].  All writer operations are mutex-protected
-    (the HTTP accept domain and the job loop both append) and never
-    raise: an I/O failure flips {!healthy}, which [/readyz] reports. *)
+    Durability is two-tier: submitted/terminal records are on disk once
+    the {!flush} after their {!append} returns; progress records
+    (started/checkpointed/yielded/strikes) batch on [fsync_every].
+    Appends are mutex-protected (the HTTP accept domain and the job loop
+    both append); fsyncs hold no lock. No writer operation raises: an
+    I/O failure flips {!healthy}, which [/readyz] reports. *)
 
 type event =
   | Submitted of Spec.t  (** job admitted (durable) *)
   | Started of int  (** attempt [n] (1-based) began *)
   | Checkpointed of int  (** [cells] done are on disk *)
   | Yielded  (** attempt closed gracefully (drain) — not a strike *)
-  | Strikes of int  (** compaction form: [n] open attempts on record *)
+  | Strikes of int
+      (** back to Queued with [n] attempts on record: a retry, and the
+          compaction form *)
   | Completed  (** terminal (durable) *)
   | Cancelled  (** terminal (durable) *)
   | Failed of string  (** terminal (durable) *)
@@ -39,9 +42,6 @@ val encode : record -> string
 val decode : string -> record option
 (** Inverse of {!encode}; [None] on CRC mismatch or malformed JSON. *)
 
-val crc32 : string -> int32
-(** IEEE CRC-32 of a string (exposed for tests). *)
-
 type t
 
 val open_ : ?fsync_every:int -> dir:string -> unit -> t
@@ -49,11 +49,19 @@ val open_ : ?fsync_every:int -> dir:string -> unit -> t
     clamped [>= 1]) batches fsyncs of non-durable records. *)
 
 val append : t -> record -> unit
-(** Append one record. Never raises; I/O failure flips {!healthy}. *)
+(** Write one record (one [write(2)], no fsync). Never raises; I/O
+    failure flips {!healthy}. *)
 
-val sync : t -> unit
+val flush : t -> unit
+(** fsync if a durable record or [fsync_every] records are unsynced;
+    returns once every durable record appended before the call is on
+    disk. Holds no lock across the fsync. *)
+
+
 val healthy : t -> bool
+
 val close : t -> unit
+(** fsync everything appended, then close. *)
 
 type replay = {
   records : record list;  (** the sound prefix, in append order *)

@@ -24,6 +24,7 @@ let () =
       ("chaos", Test_chaos.suite);
       ("phys_fast", Test_phys_fast.suite);
       ("serve", Test_serve.suite);
+      ("job_log", Test_job_log.suite);
       ("scale", Test_scale.suite);
       ("active", Test_active.suite);
       ("cli", Test_cli.suite) ]

@@ -218,8 +218,10 @@ let test_queue_cancel () =
 (* One small but real grid: 2 deltas x 2 seeds of the ack experiment. *)
 let bitid_spec ?jobs ?tag () = spec_ack ?jobs ?tag [ 2; 3 ] [ 1; 2 ]
 
+(* Supervised, so a stop is a drain that requeues the job. *)
 let run_to_done ?should_stop ~dir q job =
-  Runner.run_job ~checkpoint_every:1 ?should_stop ~dir q job
+  Supervisor.run (Supervisor.create ()) ~checkpoint_every:1 ?should_stop ~dir
+    q job
 
 let table_string (job : Sq.job) =
   match job.Sq.table with
@@ -833,7 +835,6 @@ let test_daemon_crash_recovery =
         (status_of t409);
       Alcotest.(check bool) "409 names the state" true
         (has_sub t409 "X-Job-State: queued");
-      Wal.append (Daemon.wal a) { Wal.job = 1; ev = Wal.Started 1 };
       let job =
         match Sq.take (Daemon.queue a) with
         | Some j -> j
@@ -955,6 +956,62 @@ let test_daemon_readyz =
       Alcotest.(check (option int)) "readyz method discipline" (Some 405)
         (status_of (handle "DELETE /readyz HTTP/1.1\r\n\r\n"));
       Daemon.close daemon)
+
+(* The graceful lifecycle end to end: admission and 429 backpressure at
+   a queue cap of 1, the job run to done with its table, its checkpoint
+   under its tag, the serve.* counters on /metrics, and the job's /spans
+   scrape clean under trace-report's strict bounds (the Thm 5.1 / 9.1
+   gate). *)
+let test_daemon_lifecycle =
+  with_registry (fun () ->
+      Recorder.clear ();
+      Recorder.set_enabled true;
+      Fun.protect
+        ~finally:(fun () ->
+          Recorder.set_enabled false;
+          Recorder.clear ())
+      @@ fun () ->
+      let dir = fresh_dir () in
+      let daemon = Daemon.create ~dir ~max_queued:1 ~checkpoint_every:2 () in
+      Fun.protect ~finally:(fun () -> Daemon.close daemon) @@ fun () ->
+      let handle = Http.handle ~handler:(Daemon.handler daemon) in
+      Alcotest.(check (option int)) "submit accepted" (Some 202)
+        (status_of
+           (handle
+              (post_jobs
+                 {|{"exp":"ack","params":[2,3,4],"seeds":[1,2,3],"tag":"smoke"}|})));
+      Alcotest.(check (option int)) "second job gets 429 backpressure"
+        (Some 429)
+        (status_of (handle (post_jobs {|{"exp":"ack","params":[2],"seeds":[1]}|})));
+      while Daemon.step daemon do () done;
+      let status = body_of (handle "GET /jobs/1 HTTP/1.1\r\n\r\n") in
+      Alcotest.(check bool) "job done" true (has_sub status {|"state":"done"|});
+      Alcotest.(check bool) "done job has its table" true
+        (has_sub status {|"table":|});
+      let metrics = body_of (handle "GET /metrics HTTP/1.1\r\n\r\n") in
+      let counter name =
+        List.find_map
+          (fun line ->
+            match String.split_on_char ' ' line with
+            | [ n; v ] when n = name -> int_of_string_opt v
+            | _ -> None)
+          (String.split_on_char '\n' metrics)
+      in
+      Alcotest.(check bool) "rejection on /metrics" true
+        (match counter "serve_jobs_rejected" with Some n -> n >= 1 | None -> false);
+      Alcotest.(check bool) "completion on /metrics" true
+        (match counter "serve_jobs_completed" with Some n -> n >= 1 | None -> false);
+      Alcotest.(check bool) "checkpoint file under the tag" true
+        (Sys.file_exists (Filename.concat dir "serve-smoke.ckpt.jsonl"));
+      let spans =
+        List.filter (fun l -> l <> "")
+          (String.split_on_char '\n' (body_of (handle "GET /spans HTTP/1.1\r\n\r\n")))
+      in
+      let r = Trace_report.analyze (Trace_report.of_lines spans) in
+      Alcotest.(check bool) "spans carry the job's messages" true
+        (r.Trace_report.messages <> []);
+      Alcotest.(check int) "no message past its bound (trace-report --strict)" 0
+        (Trace_report.flagged r))
 
 (* ---------------- event streams -------------------------------------- *)
 
@@ -1362,6 +1419,8 @@ let suite =
       test_daemon_recovery_quarantine;
     Alcotest.test_case "daemon: /readyz honest readiness" `Quick
       test_daemon_readyz;
+    Alcotest.test_case "daemon: submit, 429, done, scrape" `Quick
+      test_daemon_lifecycle;
     Alcotest.test_case "events: per-job isolation and order" `Quick
       test_events_isolation;
     Alcotest.test_case "events: stalled client drops oldest" `Quick
