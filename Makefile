@@ -302,12 +302,15 @@ perf-digest:
 	done < bench/baselines/perfbench_digests.txt; \
 	exit $$fail
 
-# Outcome gate for the traced path: every perfbench workload at seed 1
-# with --trace 1, which replays the fixed prefix untraced and then with the
-# flight recorder armed.  The verdict must report correct true (both replays
-# simulated the same execution) and the traced digest must equal the
-# workload's seed-1 line in bench/baselines/perfbench_digests.txt, so a
-# recorder change that alters what is simulated fails here.
+# Outcome and allocation gate for the traced path: every perfbench
+# workload at seed 1 with --trace 1, which replays the fixed prefix
+# untraced and then with the flight recorder armed.  The verdict must
+# report correct true (both replays simulated the same execution) and the
+# traced digest must equal the workload's seed-1 line in
+# bench/baselines/perfbench_digests.txt, so a recorder change that alters
+# what is simulated fails here.  The traced replay's
+# engine.minor_words_per_slot, an exact count, must not exceed the
+# workload's ceiling in bench/baselines/perfbench_alloc.txt.
 trace-digest:
 	dune build ./perfbench/main.exe
 	@fail=0; \
@@ -322,6 +325,16 @@ trace-digest:
 	    echo "trace-digest: $$w traced $$got correct true ok"; \
 	  else echo "trace-digest: $$w traced digest '$$got' correct" \
 	    "'$$verdict', want $$want correct true"; \
+	    fail=1; fi; \
+	  words=$$(printf '%s\n' "$$out" | tail -n 1 | \
+	    sed -n 's/.*"engine.minor_words_per_slot":{"value":\([^,}]*\).*/\1/p'); \
+	  ceil=$$(awk -v w="$$w" '$$1 == w {print $$2; exit}' \
+	    bench/baselines/perfbench_alloc.txt); \
+	  if [ -n "$$words" ] && [ -n "$$ceil" ] && \
+	     awk -v a="$$words" -v c="$$ceil" 'BEGIN {exit !(a + 0 <= c + 0)}'; then \
+	    echo "trace-digest: $$w minor words/slot $$words <= $$ceil ok"; \
+	  else echo "trace-digest: $$w minor words/slot '$$words'," \
+	    "ceiling '$$ceil' (bench/baselines/perfbench_alloc.txt)"; \
 	    fail=1; fi; \
 	done < bench/baselines/perfbench_digests.txt; \
 	exit $$fail

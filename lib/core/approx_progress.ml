@@ -94,14 +94,18 @@ type t = {
          [seq * n + origin]; [no_rcvs] until its first rcv *)
   no_rcvs : unit Int_tbl.t;
   mutable mis : Sw_mis.t option;
-  mutable labels : int array;
+  labels : int array;
+      (* the phase's temporary labels, redrawn in place for the
+         participants each phase *)
   mutable pos : int;        (* slot within the epoch, [0, epoch_slots) *)
   mutable phase : int;      (* [pos] decoded, once per slot *)
   mutable stage : stage;
   mutable epoch : int;
   mutable pending_rcv : rcv_event list;
   (* diagnostics *)
-  mutable last_h_graph : Sinr_graph.Graph.t option;
+  mutable last_h_edges : (int * int) list option;
+      (* the latest H~~ estimate's edges; [last_h_graph] builds the graph
+         on demand, so a phase allocates O(edges), not O(n) *)
   mutable drops_total : int;
   (* causal tracing: the epoch > phase > stage span stack currently open,
      rolled forward by [trace_slot] as the machine advances.  [clock]
@@ -212,7 +216,7 @@ let create params config ~lambda ~n ~rng =
       stage;
       epoch = -1;
       pending_rcv = [];
-      last_h_graph = None;
+      last_h_edges = None;
       drops_total = 0;
       clock = (fun () -> 0);
       epoch_span = Span.none;
@@ -231,7 +235,8 @@ let epoch_index t = t.epoch
 let member t ~node = Bits.get t.member node
 let has_payload t ~node = t.payload.(node) <> None
 let drops_total t = t.drops_total
-let last_h_graph t = t.last_h_graph
+let last_h_graph t =
+  Option.map (Sinr_graph.Graph.of_edges ~n:t.n) t.last_h_edges
 
 let start t ~node payload =
   t.payload.(node) <- Some payload;
@@ -357,9 +362,10 @@ let finish_list_stage t =
           List.filter (fun u -> Hashtbl.mem nd.listed_by u) nd.potential;
         members := v :: !members
       end);
-  (* Fresh temporary labels and a fresh MIS machine for this phase. *)
-  t.labels <-
-    Labels.draw t.rng ~n:t.n ~participants:!members ~bits:t.sched.label_bits;
+  (* Fresh temporary labels and a fresh MIS machine for this phase, both
+     written or sized for the members only. *)
+  Labels.draw_into t.rng t.labels ~participants:!members
+    ~bits:t.sched.label_bits;
   t.mis <-
     Some
       (Sw_mis.create ~n:t.n ~participants:!members ~labels:t.labels
@@ -372,7 +378,7 @@ let finish_list_stage t =
           t.nodes.(v).h_neighbors);
   Metrics.observe_int m_h_edges (List.length !edges);
   Metrics.observe_int m_phase_members (List.length !members);
-  t.last_h_graph <- Some (Sinr_graph.Graph.of_edges ~n:t.n !edges)
+  t.last_h_edges <- Some !edges
 
 let finish_mis_round t =
   match t.mis with

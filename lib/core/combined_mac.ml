@@ -139,11 +139,12 @@ let create ?(ack_params = Params.default_ack)
 (* Exact local broadcast (Remark 4.6): with signal-strength measurement a
    node can reject data from outside the strong radius, because received
    power is a strictly decreasing function of distance under Eq. 1. *)
-let accept_data t (d : Events.wire Engine.delivery) =
+let accept_data t ~receiver ~sender =
   match t.exact_threshold with
   | None -> true
   | Some thr ->
-    let ok = d.Engine.power >= thr -. 1e-12 in
+    let power = Sinr.power (Engine.sinr t.engine) ~sender ~receiver in
+    let ok = power >= thr -. 1e-12 in
     if not ok then Metrics.incr m_data_rejected;
     ok
 
@@ -271,46 +272,37 @@ let step t =
      broadcast, Algorithm 9.1 phase participation.  B.1's contenders are
      stepped in one batched pass, which also adds the ones it halts to
      [due]. *)
-  let deliveries =
+  let e = t.engine in
+  let ndeliv =
     if hm_slot then
-      Engine.step_select t.engine
+      Engine.step_select e
         ~select:(Hm_ack.select t.hm ~contenders:t.ongoing_set ~due:t.due)
     else
-      Engine.step ~contenders:(Approx_progress.contenders t.approg) t.engine
-        ~decide:(fun v ->
-          match Approx_progress.decide t.approg ~node:v with
-          | Some w -> Engine.Transmit w
-          | None -> Engine.Listen)
+      Engine.step_select e
+        ~select:
+          (Engine.walk ~contenders:(Approx_progress.contenders t.approg) e
+             ~decide:(fun v -> Approx_progress.decide t.approg ~node:v))
   in
-  if hm_slot then begin
-    List.iter
-      (fun d ->
-        (* Any decoded message feeds B.1's reception counter (lines 17-22);
-           data payloads additionally produce rcv outputs. *)
-        Hm_ack.on_receive t.hm ~node:d.Engine.receiver;
-        match d.Engine.message with
-        | Events.Data _ | Events.Decay _ ->
-          if accept_data t d then
-            Approx_progress.on_receive t.approg ~receiver:d.Engine.receiver
-              ~sender:d.Engine.sender d.Engine.message
-        | Events.Probe | Events.Neighbor_list _ | Events.Mis_round _ -> ())
-      deliveries;
-    fire_rcvs t (Approx_progress.drain_rcv t.approg)
-  end
-  else begin
-    List.iter
-      (fun d ->
-        let data_wire =
-          match d.Engine.message with
-          | Events.Data _ | Events.Decay _ -> true
-          | Events.Probe | Events.Neighbor_list _ | Events.Mis_round _ -> false
-        in
-        if (not data_wire) || accept_data t d then
-          Approx_progress.on_receive t.approg ~receiver:d.Engine.receiver
-            ~sender:d.Engine.sender d.Engine.message)
-      deliveries;
-    fire_rcvs t (Approx_progress.end_slot t.approg)
-  end;
+  (* The slot's outcome is read in place, in ascending receiver order. *)
+  for i = 0 to ndeliv - 1 do
+    let u = Engine.receiver e i in
+    let v = Engine.sender_of e u in
+    let w = Engine.message e v in
+    (* Even slots: any decoded message feeds B.1's reception counter
+       (lines 17-22), and only data payloads go on to Algorithm 9.1's
+       rcv outputs.  Odd slots feed every message to Algorithm 9.1. *)
+    if hm_slot then Hm_ack.on_receive t.hm ~node:u;
+    match w with
+    | Events.Data _ | Events.Decay _ ->
+      if accept_data t ~receiver:u ~sender:v then
+        Approx_progress.on_receive t.approg ~receiver:u ~sender:v w
+    | Events.Probe | Events.Neighbor_list _ | Events.Mis_round _ ->
+      if not hm_slot then
+        Approx_progress.on_receive t.approg ~receiver:u ~sender:v w
+  done;
+  fire_rcvs t
+    (if hm_slot then Approx_progress.drain_rcv t.approg
+     else Approx_progress.end_slot t.approg);
   (* Acknowledgments: B.1 halt or the f_ack cap.  A node that crashed with
      an ongoing broadcast must never ack (the ack cap is a timer, not a
      liveness proof): drop the payload as an abort, which Spec_check then

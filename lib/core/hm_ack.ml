@@ -158,8 +158,8 @@ let advance t ~node nd =
     t.ramps <- t.ramps + 1
   end;
   nd.slots_run <- nd.slots_run + 1;
+  let send = Rng.bernoulli_at t.rng t.p node in
   let p = Float.Array.get t.p node in
-  let send = Rng.bernoulli t.rng p in
   (* Line 13: tp accounts for the *probability*, not the outcome. *)
   let tp = Float.Array.get t.tp node +. p in
   Float.Array.set t.tp node tp;

@@ -77,6 +77,9 @@ type 'm t = {
   mutable on_crash : int -> unit;
       (* the layer above's crash hook (Combined_mac's ack due-set) *)
   selection : 'm selection;  (* the state's slot buffers, for [select] *)
+  mutable ntx : int;
+      (* senders of the outcome held in the slot buffers: their [messages]
+         entries stay set until the next step clears them *)
   mutable live : int;  (* awake nodes (hence not crashed, see above) *)
   mutable seen : int array;
       (* telemetry scratch, allocated on first use: the collision walk's
@@ -101,6 +104,7 @@ let create ?(wake_on_receive = true) ?trace sinr =
       { eligible = state.State.awake;
         senders = state.State.senders;
         messages = state.State.messages };
+    ntx = 0;
     live = 0;
     seen = [||];
     seen_gen = 0 }
@@ -198,11 +202,27 @@ let collision_losses t ~ntx =
   done;
   !lost
 
-(* Run one slot whose transmitters [select] picks: it writes them
-   ascending into [senders], sets their [messages] entries and returns
-   how many there are.  Returns the deliveries of the slot.  Also calls
-   [on_deliver] per delivery if given (before waking the receiver), so
-   callers can distinguish "received while asleep".
+(* Empty the previous slot's outcome: the [messages] entries of its
+   senders and the [decoded] buffers, O(senders + receivers). *)
+let clear_outcome t =
+  let st = t.state in
+  let messages = st.State.messages and senders = st.State.senders in
+  for i = 0 to t.ntx - 1 do
+    Array.unsafe_set messages (Array.unsafe_get senders i) None
+  done;
+  t.ntx <- 0;
+  Sinr.clear_decoded st.State.decoded
+
+let reject_selection messages =
+  Array.fill messages 0 (Array.length messages) None;
+  invalid_arg "Engine.step_select: senders not ascending and eligible"
+
+(* The one slot body.  [select] writes the slot's transmitters ascending
+   into [senders], sets their [messages] entries and returns how many
+   there are; the body resolves the slot and leaves its outcome in place
+   (see [receiver] below) until the next step clears it.  [before_wake],
+   given only by the list wrapper [step], sees each receiver before it is
+   woken.
 
    Untraced, the slot costs [select] plus O(senders + receivers) on top
    of the resolution kernel: resolution writes into the reusable
@@ -210,31 +230,21 @@ let collision_losses t ~ntx =
    adds O(senders + receivers) for the listener and undelivered counts
    (derived from the live-node count) plus the senders' neighbourhoods
    for the collision/silence split. *)
-let step_select ?on_deliver t ~select =
+let run_slot t ~select ~before_wake =
+  clear_outcome t;
   let n = n t in
   let st = t.state in
   let awake = st.State.awake and crashed = st.State.crashed in
-  (* Reusable slot buffers (State): no per-slot O(n) allocation.  The
-     [messages] and [decoded] invariants — all-None / empty between
-     slots — are restored under Fun.protect by clearing exactly the
-     entries written (all of [messages] if [select] raised, since its
-     count is then unknown), so a raising [select]/[on_deliver] cannot
-     poison the next slot. *)
   let messages = st.State.messages and senders = st.State.senders in
   let decoded = st.State.decoded in
-  let ntx = ref 0 in
   (* Profiler stage boundaries (profile.<stage>.ns, see lib/obs/profile).
      With the profiler off every [Profile.start] is one atomic load and
      every [Profile.stop] one float compare. *)
   let p_step = Profile.start () in
-  Fun.protect
-    ~finally:(fun () ->
-      for i = 0 to !ntx - 1 do
-        messages.(senders.(i)) <- None
-      done;
-      Sinr.clear_decoded decoded)
-  @@ fun () ->
   let p0 = Profile.start () in
+  (* A raising or contract-breaking [select] leaves an unknown set of
+     [messages] entries written: all of them are cleared (O(n), on that
+     path only) so the next slot starts empty. *)
   let k =
     match select t.selection with
     | k -> k
@@ -242,16 +252,18 @@ let step_select ?on_deliver t ~select =
       Array.fill messages 0 n None;
       raise e
   in
-  ntx := k;
   Profile.stop Profile.Decide p0;
   (* The selection contract, checked in O(senders): strictly ascending
      eligible ids. *)
+  if k < 0 || k > n then reject_selection messages;
   for i = 0 to k - 1 do
     let v = senders.(i) in
-    if (i > 0 && v <= senders.(i - 1)) || not (State.Bits.get awake v) then
-      invalid_arg "Engine.step_select: senders not ascending and eligible"
+    if v < 0 || v >= n || (i > 0 && v <= senders.(i - 1))
+       || not (State.Bits.get awake v)
+    then reject_selection messages
   done;
   let ntx = k in
+  t.ntx <- ntx;
   (* The seed built its sender list by consing an ascending scan, so
      resolution accumulated interference in DESCENDING node order.
      Reverse the ascending prefix to keep every float — and therefore
@@ -278,8 +290,6 @@ let step_select ?on_deliver t ~select =
     Metrics.add m_listens (t.live - count_awake awake senders ntx);
     Profile.stop Profile.Telemetry p0
   end;
-  let deliveries = ref [] in
-  let ndeliv = ref 0 in
   if ntx > 0 then begin
     (* The adversary's channel state for this slot; [None] keeps the exact
        clean-channel resolution path. *)
@@ -293,31 +303,29 @@ let step_select ?on_deliver t ~select =
     Sinr.resolve_into ?perturb t.sinr ~senders ~nsenders:ntx decoded;
     Profile.stop Profile.Resolve p0;
     let p0 = Profile.start () in
-    (* Receivers come in ascending order, so deliveries keep the order of
-       a full node scan. *)
+    (* Receivers come in ascending order.  A crashed node decodes in the
+       physics but receives nothing: it is dropped from the outcome here,
+       which keeps the remaining receivers ascending.  The check is made
+       at visit time, so a receiver crashed by an earlier receiver's
+       [before_wake] is dropped too. *)
     let sender_of = decoded.Sinr.sender
     and receivers = decoded.Sinr.receivers in
+    let kept = ref 0 in
     for i = 0 to decoded.Sinr.count - 1 do
       let u = receivers.(i) in
-      if not (State.Bits.get crashed u) then begin
-        let v = sender_of.(u) in
-        match messages.(v) with
-        | Some m ->
-          (* Cached-gain lookup: same value as power_between on the two
-             positions, without re-deriving the path loss. *)
-          let power = Sinr.power t.sinr ~sender:v ~receiver:u in
-          let d = { receiver = u; sender = v; message = m; power } in
-          if tracing then
-            Span.record_event ~slot:t.slot
-              (Sim_event.Deliver { node = u; from = v });
-          (match on_deliver with Some f -> f d | None -> ());
-          deliveries := d :: !deliveries;
-          t.delivery_total <- t.delivery_total + 1;
-          incr ndeliv;
-          if t.wake_on_receive then wake t u
-        | None -> assert false
+      if State.Bits.get crashed u then sender_of.(u) <- -1
+      else begin
+        receivers.(!kept) <- u;
+        incr kept;
+        if tracing then
+          Span.record_event ~slot:t.slot
+            (Sim_event.Deliver { node = u; from = sender_of.(u) });
+        (match before_wake with Some f -> f u | None -> ());
+        t.delivery_total <- t.delivery_total + 1;
+        if t.wake_on_receive then wake t u
       end
     done;
+    decoded.Sinr.count <- !kept;
     Profile.stop Profile.Delivery p0;
     if telemetry then begin
       (* An awake listener that decoded nothing: either some sender was
@@ -339,40 +347,82 @@ let step_select ?on_deliver t ~select =
       Profile.stop Profile.Telemetry p0
     end
   end;
+  let ndeliv = decoded.Sinr.count in
   if telemetry then begin
     let p0 = Profile.start () in
-    Metrics.add m_deliveries !ndeliv;
-    Metrics.observe_int m_slot_deliveries !ndeliv;
+    Metrics.add m_deliveries ndeliv;
+    Metrics.observe_int m_slot_deliveries ndeliv;
     Profile.stop Profile.Telemetry p0
   end;
   t.slot <- t.slot + 1;
-  let out = List.rev !deliveries in
   Profile.stop Profile.Step p_step;
-  out
+  ndeliv
+
+let step_select t ~select = run_slot t ~select ~before_wake:None
+
+(* The last slot's outcome, read in place. *)
+let receiver t i =
+  let d = t.state.State.decoded in
+  if i < 0 || i >= d.Sinr.count then invalid_arg "Engine.receiver";
+  Array.unsafe_get d.Sinr.receivers i
+
+let sender_of t u = t.state.State.decoded.Sinr.sender.(u)
+
+let message t v =
+  match t.state.State.messages.(v) with
+  | Some m -> m
+  | None -> invalid_arg "Engine.message: not a sender of the last slot"
+
+let delivery t u =
+  let v = sender_of t u in
+  { receiver = u;
+    sender = v;
+    message = message t v;
+    power = Sinr.power t.sinr ~sender:v ~receiver:u }
+
+let deliveries t =
+  let d = t.state.State.decoded in
+  let acc = ref [] in
+  for i = d.Sinr.count - 1 downto 0 do
+    acc := delivery t d.Sinr.receivers.(i) :: !acc
+  done;
+  !acc
 
 (* The per-node walk as a selector: [decide v] for each eligible node —
    all of them, or only those in [contenders] — in ascending order. *)
+let walk ?contenders t ~decide sel =
+  let eligible = sel.eligible in
+  let senders = sel.senders and messages = sel.messages in
+  let ntx = ref 0 in
+  let consider v =
+    if State.Bits.get eligible v then
+      match decide v with
+      | Some _ as m ->
+        messages.(v) <- m;
+        senders.(!ntx) <- v;
+        incr ntx
+      | None -> ()
+  in
+  (match contenders with
+   | None ->
+     for v = 0 to n t - 1 do
+       consider v
+     done
+   | Some set -> Node_set.iter set consider);
+  !ntx
+
+(* The list view over the in-place outcome, for callers that want one
+   record per delivery: [on_deliver] sees each one before its receiver is
+   woken. *)
 let step ?on_deliver ?contenders t ~decide =
-  step_select ?on_deliver t ~select:(fun sel ->
-      let eligible = sel.eligible in
-      let senders = sel.senders and messages = sel.messages in
-      let ntx = ref 0 in
-      let consider v =
-        if State.Bits.get eligible v then
-          match decide v with
-          | Transmit m ->
-            messages.(v) <- Some m;
-            senders.(!ntx) <- v;
-            incr ntx
-          | Listen -> ()
-      in
-      (match contenders with
-       | None ->
-         for v = 0 to n t - 1 do
-           consider v
-         done
-       | Some set -> Node_set.iter set consider);
-      !ntx)
+  let decide v = match decide v with Transmit m -> Some m | Listen -> None in
+  let before_wake =
+    match on_deliver with
+    | None -> None
+    | Some f -> Some (fun u -> f (delivery t u))
+  in
+  ignore (run_slot t ~select:(walk ?contenders t ~decide) ~before_wake : int);
+  deliveries t
 
 (* Drive the simulation until [stop] returns true or [max_slots] elapse.
    Returns the number of slots executed.  [on_slot] fires after every slot

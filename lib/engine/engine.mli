@@ -81,19 +81,22 @@ type 'm selection = private {
 (** The slot's sender buffers, owned by the engine and reused every slot
     (no per-slot allocation). *)
 
-val step_select :
-  ?on_deliver:('m delivery -> unit) -> 'm t ->
-  select:('m selection -> int) -> 'm delivery list
-(** Run one slot whose transmitters [select] picks, and return its
-    deliveries in ascending receiver order. [select sel] writes the
-    transmitters into [sel.senders.(0 .. k-1)], strictly ascending and
-    each [eligible], sets [sel.messages.(v) <- Some m] for each of them
-    and for no other node, and returns [k]. The engine checks the ids in
-    O(k) and raises [Invalid_argument] if they are not ascending and
-    eligible. If [select] raises, the engine clears all of [messages]
-    (O(n), on that path only) and re-raises. [on_deliver] is called per
-    delivery, before the receiver is woken, so callers can distinguish
-    "received while asleep".
+val step_select : 'm t -> select:('m selection -> int) -> int
+(** Run one slot whose transmitters [select] picks, and return how many
+    deliveries it made. [select sel] writes the transmitters into
+    [sel.senders.(0 .. k-1)], strictly ascending and each [eligible], sets
+    [sel.messages.(v) <- Some m] for each of them and for no other node,
+    and returns [k]. The engine checks the ids in O(k) and raises
+    [Invalid_argument] if they are not ascending and eligible. If
+    [select] raises, the engine clears all of [messages] (O(n), on that
+    path only) and re-raises.
+
+    The slot's outcome stays in the engine's buffers, read with
+    {!receiver}, {!sender_of} and {!message}, until the next step, which
+    clears them first (O(senders + receivers)). No record, list or power
+    is built per delivery. Waking receivers, {!delivery_total}, the
+    [engine.*] telemetry and the flight recorder's [Deliver] events are
+    all done inside the step.
 
     Untraced, the cost beyond [select] and the resolution kernel is
     O(transmitters + receivers): resolution writes into reusable engine
@@ -105,19 +108,48 @@ val step_select :
     recorder armed each delivery pushes one typed [Deliver] event into
     its ring (never into the attached trace). *)
 
+(** {2 The last slot's outcome}
+
+    Valid from the end of a step until the start of the next one. *)
+
+val receiver : 'm t -> int -> int
+(** [receiver t i], for [i] below the step's delivery count, is the
+    [i]-th node that received in the last slot, in ascending id order.
+    Crashed nodes never appear. *)
+
+val sender_of : 'm t -> int -> int
+(** The sender that node [u] decoded in the last slot, or [-1]. *)
+
+val message : 'm t -> int -> 'm
+(** The message sender [v] transmitted in the last slot. Raises
+    [Invalid_argument] if [v] did not transmit. *)
+
+val deliveries : 'm t -> 'm delivery list
+(** The last slot's outcome as records in ascending receiver order, each
+    with its received power from {!Sinr.power}. *)
+
+val walk :
+  ?contenders:Node_set.t -> 'm t -> decide:(int -> 'm option) ->
+  'm selection -> int
+(** The per-node walk as a selector for {!step_select}: [decide] is
+    consulted only for awake, non-crashed nodes, in ascending id order,
+    at most once each; [Some m] transmits [m] and [None] listens. Without
+    [contenders] that is every such node. With [contenders], only the
+    members of the set are consulted, walked in ascending order. The
+    caller guarantees that [decide v] for any other awake node would
+    return [None] with no side effect (no RNG draw, no state change);
+    under that contract the slot — deliveries, wake and trace events, and
+    every later RNG draw — is identical to the full scan. The walk adds
+    O(consulted nodes), one closure call each. *)
+
 val step :
   ?on_deliver:('m delivery -> unit) -> ?contenders:Node_set.t -> 'm t ->
   decide:(int -> 'm action) -> 'm delivery list
-(** {!step_select} with the per-node walk as the selector: [decide] is
-    consulted only for awake, non-crashed nodes, in ascending id order,
-    at most once each; all others listen. Without [contenders] that is
-    every such node. With [contenders], only the members of the set are
-    consulted, walked in ascending order. The caller guarantees that
-    [decide v] for any other awake node would return [Listen] with no
-    side effect (no RNG draw, no state change); under that contract the
-    slot — deliveries, wake and trace events, and every later RNG draw —
-    is identical to the full scan. The walk adds O(consulted nodes), one
-    closure call each, to {!step_select}'s cost. *)
+(** {!step_select} over {!walk} ([Transmit m] is [Some m]), returning
+    {!deliveries}. [on_deliver] is called per delivery in ascending
+    receiver order, before the receiver is woken, so callers can
+    distinguish "received while asleep"; a receiver crashed by an earlier
+    call is skipped. *)
 
 val run :
   ?on_deliver:('m delivery -> unit) ->

@@ -36,11 +36,12 @@ type 'm t = {
   crashed : Bits.t;
   senders : int array;          (* slot scratch: ids of this slot's transmitters *)
   messages : 'm option array;   (* slot scratch: per-node offered message;
-                                   all-None between slots (the engine clears
-                                   exactly the sender entries it set) *)
+                                   set for the last slot's senders until the
+                                   next slot clears exactly those entries *)
   decoded : Sinr_phys.Sinr.decoded;
-                                (* slot scratch: resolution output; empty
-                                   between slots (cleared in O(receivers)) *)
+                                (* slot scratch: the last slot's resolution
+                                   output, read in place; cleared in
+                                   O(receivers) when the next slot starts *)
 }
 
 let create n =

@@ -22,9 +22,11 @@ type 'm t = {
   senders : int array;
       (** slot scratch: the first [ntx] entries are the slot's transmitters *)
   messages : 'm option array;
-      (** slot scratch: per-node offered message; all-[None] between slots *)
+      (** slot scratch: per-node offered message; between slots [Some m]
+          for exactly the last slot's senders *)
   decoded : Sinr_phys.Sinr.decoded;
-      (** slot scratch: the resolution output; empty between slots *)
+      (** slot scratch: the last slot's resolution output, which the engine
+          reads in place; emptied at the start of the next slot *)
 }
 
 val create : int -> 'm t

@@ -33,11 +33,28 @@ let float t bound = Random.State.float t.state bound
 
 let bool t = Random.State.bool t.state
 
-(* Bernoulli trial with success probability [p] (clamped to [0,1]). *)
-let bernoulli t p =
+(* [Random.State.float s 1.0] is [n * 2^-53] for the top 53 bits [n] of
+   the next 64-bit output, redrawn while [n = 0].  This is that [n], as an
+   int: nothing is boxed on the way. *)
+let rec bits53 t =
+  let n =
+    Int64.to_int (Int64.shift_right_logical (Random.State.bits64 t.state) 11)
+  in
+  if n <> 0 then n else bits53 t
+
+(* Bernoulli trial with success probability [p] (clamped to [0,1]):
+   [Random.State.float t.state 1.0 < p] on raw bits.  Scaling both sides
+   by 2^53 is exact (n < 2^53 converts exactly, and p * 2^53 neither
+   overflows nor loses a bit), so the outcome and the state advance are
+   those of the float draw, without allocating its boxed result. *)
+let[@inline] below t p =
   if p <= 0. then false
   else if p >= 1. then true
-  else Random.State.float t.state 1.0 < p
+  else Float.of_int (bits53 t) < p *. 0x1p53
+
+let bernoulli t p = below t p
+
+let bernoulli_at t ps i = below t (Float.Array.get ps i)
 
 (* Uniform integer in the inclusive range [lo, hi]. *)
 let int_range t lo hi =

@@ -32,7 +32,15 @@ val float : t -> float -> float
 val bool : t -> bool
 
 val bernoulli : t -> float -> bool
-(** [bernoulli t p] is [true] with probability [p] (clamped to [0, 1]). *)
+(** [bernoulli t p] is [true] with probability [p] (clamped to [0, 1]).
+    For [0 < p < 1] it draws exactly as [Random.State.float s 1.0 < p]
+    (same outcome, same state advance) but compares raw bits, so it
+    allocates nothing when [p] arrives boxed. *)
+
+val bernoulli_at : t -> Float.Array.t -> int -> bool
+(** [bernoulli_at t ps i] is [bernoulli t (Float.Array.get ps i)] without
+    boxing the probability: the draw for callers that keep per-node
+    probabilities in an unboxed column. *)
 
 val shuffle : t -> 'a array -> unit
 (** In-place Fisher–Yates shuffle. *)

@@ -17,10 +17,14 @@ let bits_for ?(exponent = 3.0) ~lambda ~eps_approg () =
   let bits = int_of_float (Float.ceil (Float.log2 (Float.max 2. range))) in
   max 4 (min 24 bits)
 
-(* One fresh label per node; non-participants get label 0 (never used). *)
+(* One fresh label per participant, drawn in list order. *)
+let draw_into rng labels ~participants ~bits =
+  List.iter (fun v -> labels.(v) <- 1 + Rng.int rng ((1 lsl bits) - 1)) participants
+
+(* Non-participants get label 0 (never used). *)
 let draw rng ~n ~participants ~bits =
   let labels = Array.make n 0 in
-  List.iter (fun v -> labels.(v) <- 1 + Rng.int rng ((1 lsl bits) - 1)) participants;
+  draw_into rng labels ~participants ~bits;
   labels
 
 (* Unique labels in [1, n] for baseline comparisons (the unmodified

@@ -8,5 +8,9 @@ val bits_for : ?exponent:float -> lambda:float -> eps_approg:float -> unit -> in
 val draw : Rng.t -> n:int -> participants:int list -> bits:int -> int array
 (** Fresh uniform labels for the participants; 0 elsewhere. *)
 
+val draw_into : Rng.t -> int array -> participants:int list -> bits:int -> unit
+(** {!draw} into a caller's reused array: only the participants' entries
+    are written, with the same draws in the same (list) order. *)
+
 val unique : n:int -> participants:int list -> int array
 (** Unique labels (the unmodified [47] baseline with global IDs). *)

@@ -43,9 +43,14 @@ type node = {
   mutable inbox : msg list; (* messages of the current round *)
 }
 
+(* State is kept for the participants only, so a machine costs
+   O(participants) to build and to advance whatever the node count: [ids]
+   holds them ascending and [nodes] their records at the same index.
+   Every other node is [Dropped] for good, sends nothing, and what is
+   delivered to it is never read. *)
 type t = {
+  ids : int array;
   nodes : node array;
-  participating : bool array;
   label_bits : int;
   phases_per_stage : int;
   settle_phases : int;
@@ -61,17 +66,18 @@ let phases_for ~label_bits =
 let create ~n ~participants ~labels ~label_bits ~stages =
   if Array.length labels <> n then invalid_arg "Sw_mis.create: labels size";
   if stages < 1 then invalid_arg "Sw_mis.create: stages < 1";
-  let participating = Array.make n false in
-  List.iter (fun v -> participating.(v) <- true) participants;
+  let ids = Array.of_list (List.sort_uniq compare participants) in
+  Array.iter
+    (fun v -> if v < 0 || v >= n then invalid_arg "Sw_mis.create: participant")
+    ids;
   let nodes =
-    Array.init n (fun v ->
-        { state = (if participating.(v) then Competitor else Dropped);
-          r = labels.(v);
-          label = labels.(v);
-          inbox = [] })
+    Array.map
+      (fun v ->
+        { state = Competitor; r = labels.(v); label = labels.(v); inbox = [] })
+      ids
   in
-  { nodes;
-    participating;
+  { ids;
+    nodes;
     label_bits;
     phases_per_stage = phases_for ~label_bits + settle_phases_default;
     settle_phases = settle_phases_default;
@@ -82,27 +88,45 @@ let total_rounds t = t.stages * t.phases_per_stage
 
 let finished t = t.round >= total_rounds t
 
-let status t v = t.nodes.(v).state
+(* [v]'s index in [ids], or [-1] for a non-participant: binary search. *)
+let index t v =
+  let lo = ref 0 and hi = ref (Array.length t.ids) in
+  while !lo < !hi do
+    let mid = (!lo + !hi) / 2 in
+    if t.ids.(mid) < v then lo := mid + 1 else hi := mid
+  done;
+  if !lo < Array.length t.ids && t.ids.(!lo) = v then !lo else -1
+
+let status t v =
+  let i = index t v in
+  if i < 0 then Dropped else t.nodes.(i).state
 
 (* Every state keeps announcing itself (a resolved or dropped node sends a
    status beacon): receivers must be able to distinguish "neighbor is
    silent by protocol" from "message lost", because a driver running over a
    lossy medium drops a node that misses any neighbor's round message. *)
 let outgoing t v =
-  let nd = t.nodes.(v) in
-  if t.participating.(v) then
+  let i = index t v in
+  if i < 0 then None
+  else
+    let nd = t.nodes.(i) in
     Some { st = nd.state; r = nd.r; label = nd.label }
-  else None
 
 let deliver t ~node ~payload =
-  let nd = t.nodes.(node) in
-  nd.inbox <- payload :: nd.inbox
+  let i = index t node in
+  if i >= 0 then begin
+    let nd = t.nodes.(i) in
+    nd.inbox <- payload :: nd.inbox
+  end
 
 (* A node whose communication failed drops out for the rest of this MIS
    computation (paper Section 9.3.2: it stops participating in the epoch). *)
 let drop t v =
-  let nd = t.nodes.(v) in
-  if nd.state <> Dominator && nd.state <> Dominated then nd.state <- Dropped
+  let i = index t v in
+  if i >= 0 then begin
+    let nd = t.nodes.(i) in
+    if nd.state <> Dominator && nd.state <> Dominated then nd.state <- Dropped
+  end
 
 (* Lexicographic key used for strict-minimum election and bit reduction. *)
 let key nd = (nd.r, nd.label)
@@ -180,10 +204,10 @@ let advance t =
 
 let dominators t =
   let acc = ref [] in
-  Array.iteri
-    (fun v nd -> if nd.state = Dominator then acc := v :: !acc)
-    t.nodes;
-  List.rev !acc
+  for i = Array.length t.ids - 1 downto 0 do
+    if t.nodes.(i).state = Dominator then acc := t.ids.(i) :: !acc
+  done;
+  !acc
 
 let resolved t =
   Array.for_all
@@ -198,13 +222,14 @@ let resolved t =
 let run_congest graph t =
   let open Sinr_graph in
   while not (finished t) do
-    for v = 0 to Graph.n graph - 1 do
-      match outgoing t v with
-      | None -> ()
-      | Some m ->
-        Array.iter
-          (fun u -> if t.participating.(u) then deliver t ~node:u ~payload:m)
-          (Graph.neighbors graph v)
-    done;
+    Array.iter
+      (fun v ->
+        match outgoing t v with
+        | None -> ()
+        | Some m ->
+          Array.iter
+            (fun u -> deliver t ~node:u ~payload:m)
+            (Graph.neighbors graph v))
+      t.ids;
     advance t
   done

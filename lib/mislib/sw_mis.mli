@@ -22,8 +22,11 @@ type t
 val create :
   n:int -> participants:int list -> labels:int array -> label_bits:int ->
   stages:int -> t
-(** [labels.(v)] is node [v]'s temporary label in [0, 2^label_bits);
-    non-participants are [Dropped] from the start. *)
+(** [labels.(v)] is node [v]'s temporary label in [0, 2^label_bits)
+    (only the participants' entries are read); non-participants are
+    [Dropped] from the start. The machine's state, and the cost of
+    building and advancing it, is O(participants), not O(n); a node id is
+    looked up in O(log participants). *)
 
 val total_rounds : t -> int
 (** The predetermined runtime (paper: the algorithm terminates at a fixed

@@ -2,8 +2,9 @@
    committed baseline with per-metric tolerance bands.
 
    The direction of "worse" is inferred from the metric name — durations
-   regress upward, throughputs and speedups regress downward, everything
-   else is held to a symmetric band.  Machine-dependent absolutes
+   and overhead ratios ([*_ratio]: a run with a feature on over the same
+   run with it off) regress upward, throughputs and speedups regress
+   downward, everything else is held to a symmetric band.  Machine-dependent absolutes
    (wall-clock seconds, slots/s) should be excluded by the caller via
    ignore globs; the committed baselines gate ratios (speedups), which
    transfer across hosts.  Exit policy lives in bench/main.ml: any
@@ -23,8 +24,8 @@ let contains s sub =
 let direction_of_name name =
   if
     has_suffix name ".seconds" || has_suffix name ".ns"
-    || has_suffix name ".minor_w" || contains name "latency"
-    || contains name "delay"
+    || has_suffix name ".minor_w" || has_suffix name "_ratio"
+    || contains name "latency" || contains name "delay"
   then Lower_better
   else if
     contains name "speedup" || contains name "throughput"

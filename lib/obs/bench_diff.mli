@@ -2,7 +2,8 @@
     committed baseline with per-metric tolerance bands.
 
     "Worse" is inferred from the metric name: [.seconds]/[.ns]/[.minor_w]/
-    [*latency*]/[*delay*] regress upward, [*speedup*]/[*throughput*]/
+    [*_ratio] (an overhead: feature on over feature off)/[*latency*]/
+    [*delay*] regress upward, [*speedup*]/[*throughput*]/
     [.slots_per_s]/[.per_s]/[.ok] regress downward, anything else is held
     to a symmetric band of [tolerance * max(|baseline|, 1)]. Histograms
     compare on their p50. Machine-dependent absolutes belong in [ignores]

@@ -48,6 +48,20 @@
    listener of the cell needs them.  Both skips leave every decision
    bit-identical.
 
+   The loudest candidate is found on squared distances first.  Its power
+   clears beta * N only if its squared distance is within the padded range
+   bound (R + 1e-9 (1 + R))^2: the power is P / d^alpha evaluated with a
+   few correctly rounded operations (and libm's pow, within an ulp, for
+   alpha <> 3), so clearing beta * N forces d <= R (1 + c u) for a small
+   constant c and the unit roundoff u, some 10^6 times inside the pad.  A
+   listener with no candidate that near is silent without evaluating any
+   power.  For alpha = 3 the power of the nearest candidate is the
+   loudest exactly (d2 * sqrt d2 and the division are correctly rounded,
+   hence monotone), so one power decides; for other alpha every candidate
+   in range is evaluated as before.  The slot's sorted senders' ids and
+   positions are copied once into contiguous scratch columns, which the
+   per-listener loops read in place of two gathers per sender.
+
    Per-slot state lives in domain-local scratch (the [Sinr] pattern:
    busy flag, grow-only arrays, stamp-based set membership), so
    Reliability's Pool workers can resolve concurrently on one instance.
@@ -87,6 +101,9 @@ type t = {
   mcy : int;
   mcells : int;
   active_r2 : float;  (* center-to-center radius of possibly-decoding cells *)
+  silence_r2 : float;
+      (* squared listener-to-sender distance beyond which a lone sender
+         cannot reach beta * N (the padded range bound, see [resolve]) *)
   window : float;     (* finite marking radius (active_r clamped to grid) *)
   threshold2 : float; (* squared center distance of the far/near split *)
   soa : Soa.t;
@@ -187,6 +204,9 @@ let create (config : Config.t) soa ~eps =
     mcy;
     mcells;
     active_r2 = active_r *. active_r;
+    silence_r2 =
+      (let r' = r +. (1e-9 *. (1. +. r)) in
+       r' *. r');
     window;
     threshold2 = threshold *. threshold;
     soa;
@@ -208,11 +228,15 @@ type scratch = {
   mutable cell_cnt : int array;     (* -> sender count *)
   mutable cell_cx : float array;    (* -> cell center *)
   mutable cell_cy : float array;
+  mutable combo : int array;        (* sort keys (fine cell, input position) *)
+  mutable sid : int array;          (* sorted position -> sender id *)
+  mutable sx : Float.Array.t;       (* -> sender position *)
+  mutable sy : Float.Array.t;
   mutable near : int array;         (* near cell indices for one coarse cell *)
   mutable cand_head : int array;    (* coarse cell -> first candidate pair *)
   mutable pair_cell : int array;    (* pair -> sender cell in active radius *)
   mutable pair_next : int array;    (* -> next pair of the coarse cell, or -1 *)
-  mutable sort_tmp : int array;     (* radix-sort buffer for the receivers *)
+  mutable sort_tmp : int array;     (* radix-sort buffer *)
   sort_cnt : int array;             (* radix-sort digit counts, 257 *)
   mutable seen : int array;         (* coarse-cell stamps *)
   mutable active : int array;       (* marked coarse cells *)
@@ -227,6 +251,10 @@ let scratch_key =
         cell_cnt = [||];
         cell_cx = [||];
         cell_cy = [||];
+        combo = [||];
+        sid = [||];
+        sx = Float.Array.create 0;
+        sy = Float.Array.create 0;
         near = [||];
         cand_head = [||];
         pair_cell = [||];
@@ -244,6 +272,10 @@ let fresh_scratch ~cells ~mcells =
     cell_cnt = Array.make cells 0;
     cell_cx = Array.make cells 0.;
     cell_cy = Array.make cells 0.;
+    combo = Array.make cells 0;
+    sid = Array.make cells 0;
+    sx = Float.Array.make cells 0.;
+    sy = Float.Array.make cells 0.;
     near = Array.make cells 0;
     cand_head = Array.make mcells 0;
     pair_cell = [||];
@@ -266,6 +298,10 @@ let with_scratch ~cells ~mcells f =
       sc.cell_cnt <- Array.make cells 0;
       sc.cell_cx <- Array.make cells 0.;
       sc.cell_cy <- Array.make cells 0.;
+      sc.combo <- Array.make cells 0;
+      sc.sid <- Array.make cells 0;
+      sc.sx <- Float.Array.make cells 0.;
+      sc.sy <- Float.Array.make cells 0.;
       sc.near <- Array.make cells 0
     end;
     (* Fresh stamp arrays start zeroed; the running stamp is always >= 1,
@@ -286,10 +322,45 @@ let with_scratch ~cells ~mcells f =
 let[@inline] pow_alpha t d2 =
   if t.alpha3 then d2 *. sqrt d2 else d2 ** t.half_alpha
 
+(* Sort [a.(0 .. k-1)], non-negative ints at most [top], ascending in
+   place: an LSD radix sort on 8-bit digits, O(k) per pass, as many passes
+   as [top] has bytes, and no allocation once [sort_tmp] has grown. *)
+let radix_sort sc a k ~top =
+  if k > 1 then begin
+    if Array.length sc.sort_tmp < k then
+      sc.sort_tmp <- Array.make (max k (2 * Array.length sc.sort_tmp)) 0;
+    let cnt = sc.sort_cnt in
+    let src = ref a and dst = ref sc.sort_tmp in
+    let shift = ref 0 in
+    while top lsr !shift > 0 do
+      let a = !src and b = !dst and sh = !shift in
+      Array.fill cnt 0 257 0;
+      for i = 0 to k - 1 do
+        let d = (Array.unsafe_get a i lsr sh) land 255 in
+        cnt.(d + 1) <- cnt.(d + 1) + 1
+      done;
+      for d = 1 to 256 do
+        cnt.(d) <- cnt.(d) + cnt.(d - 1)
+      done;
+      for i = 0 to k - 1 do
+        let v = Array.unsafe_get a i in
+        let d = (v lsr sh) land 255 in
+        b.(cnt.(d)) <- v;
+        cnt.(d) <- cnt.(d) + 1
+      done;
+      src := b;
+      dst := a;
+      shift := sh + 8
+    done;
+    if !src != a then Array.blit !src 0 a 0 k
+  end
+
 (* Bucket the slot's senders by fine cell: sort keys (cell, position) so
    grouping is one linear walk and the within-cell order is the input
-   order (deterministic accumulation).  Returns the sorted key array; the
-   sender at sorted position [j] is [ids.(combo.(j) land mask)]. *)
+   order (deterministic accumulation).  The sorted senders' ids and
+   positions are copied into the scratch columns [sid], [sx] and [sy], so
+   the per-listener loops read them contiguously.  Returns the number of
+   occupied cells. *)
 let bucket t sc ~ids ~nsend =
   let stride =
     let s = ref 1 in
@@ -299,10 +370,18 @@ let bucket t sc ~ids ~nsend =
     !s
   in
   let mask = stride - 1 in
-  let combo =
-    Array.init nsend (fun k -> (t.fine_of.(ids.(k)) * stride) + k)
-  in
-  Array.sort (fun a b -> compare (a : int) b) combo;
+  let combo = sc.combo in
+  for k = 0 to nsend - 1 do
+    combo.(k) <- (t.fine_of.(ids.(k)) * stride) + k
+  done;
+  radix_sort sc combo nsend ~top:((fine_cells t * stride) - 1);
+  let xs = Soa.xs t.soa and ys = Soa.ys t.soa in
+  for j = 0 to nsend - 1 do
+    let v = ids.(combo.(j) land mask) in
+    sc.sid.(j) <- v;
+    Float.Array.set sc.sx j (Float.Array.unsafe_get xs v);
+    Float.Array.set sc.sy j (Float.Array.unsafe_get ys v)
+  done;
   let ncells = ref 0 in
   let k = ref 0 in
   while !k < nsend do
@@ -322,7 +401,7 @@ let bucket t sc ~ids ~nsend =
     incr ncells;
     k := !j
   done;
-  (combo, mask, !ncells)
+  !ncells
 
 (* Mark every coarse cell whose center lies within the active radius of
    an occupied sender cell's center; cells outside cannot decode (see the
@@ -373,51 +452,20 @@ let mark_active t sc ~ncells =
   done;
   !nactive
 
-(* Ascending order for [receivers.(0 .. k-1)], which the kernel appends
-   coarse cell by coarse cell: an LSD radix sort on 8-bit digits, O(k)
-   per pass and as many passes as the node ids have bytes. *)
-let sort_receivers t sc receivers k =
-  if k > 1 then begin
-    if Array.length sc.sort_tmp < k then
-      sc.sort_tmp <- Array.make (max k (2 * Array.length sc.sort_tmp)) 0;
-    let cnt = sc.sort_cnt in
-    let src = ref receivers and dst = ref sc.sort_tmp in
-    let shift = ref 0 in
-    while (Array.length t.fine_of - 1) lsr !shift > 0 do
-      let a = !src and b = !dst and sh = !shift in
-      Array.fill cnt 0 257 0;
-      for i = 0 to k - 1 do
-        let d = (Array.unsafe_get a i lsr sh) land 255 in
-        cnt.(d + 1) <- cnt.(d + 1) + 1
-      done;
-      for d = 1 to 256 do
-        cnt.(d) <- cnt.(d) + cnt.(d - 1)
-      done;
-      for i = 0 to k - 1 do
-        let v = Array.unsafe_get a i in
-        let d = (v lsr sh) land 255 in
-        b.(cnt.(d)) <- v;
-        cnt.(d) <- cnt.(d) + 1
-      done;
-      src := b;
-      dst := a;
-      shift := sh + 8
-    done;
-    if !src != receivers then Array.blit !src 0 receivers 0 k
-  end
-
 let resolve t ~ids ~nsend ~mark ~sender ~receivers =
   if nsend = 0 then 0
   else
     with_scratch ~cells:(max 1 nsend) ~mcells:(max 1 t.mcells) @@ fun sc ->
-    let combo, mask, ncells = bucket t sc ~ids ~nsend in
+    let ncells = bucket t sc ~ids ~nsend in
     let nactive = mark_active t sc ~ncells in
     (* Per-pair loops index the columns directly: a call into [Soa] from
        here would not be inlined and would box every coordinate. *)
     let xs = Soa.xs t.soa and ys = Soa.ys t.soa in
+    let sid = sc.sid and sx = sc.sx and sy = sc.sy in
     let cmembers = t.cmembers in
     let power = t.power and beta = t.beta and noise = t.noise in
     let floor = beta *. noise in
+    let silence_r2 = t.silence_r2 in
     let count = ref 0 in
     let near_links = ref 0 and far_pairs = ref 0 and silent = ref 0 in
     for a = 0 to nactive - 1 do
@@ -435,26 +483,50 @@ let resolve t ~ids ~nsend ~mark ~sender ~receivers =
           if Bytes.unsafe_get mark u = '\000' then begin
             let ux = Float.Array.unsafe_get xs u
             and uy = Float.Array.unsafe_get ys u in
-            (* Exact per-listener silence (see the module comment):
-               a decodable listener's strongest sender reaches beta * N
-               on its own and lies in a candidate cell. *)
-            let loudest = ref 0. in
+            (* Exact per-listener silence (see the module comment): a
+               decodable listener's strongest sender reaches beta * N on
+               its own, lies in a candidate cell, and is within the
+               padded range bound.  The nearest candidate is found on
+               squared distances alone. *)
+            let nearest = ref Float.infinity in
             let p = ref sc.cand_head.(g) in
             while !p >= 0 do
               let c = Array.unsafe_get sc.pair_cell !p in
               let jbeg = sc.cell_beg.(c) in
               for j = jbeg to jbeg + sc.cell_cnt.(c) - 1 do
-                let v =
-                  Array.unsafe_get ids (Array.unsafe_get combo j land mask)
-                in
-                let dx = Float.Array.unsafe_get xs v -. ux
-                and dy = Float.Array.unsafe_get ys v -. uy in
-                let pw = power /. pow_alpha t ((dx *. dx) +. (dy *. dy)) in
-                if pw > !loudest then loudest := pw
+                let dx = Float.Array.unsafe_get sx j -. ux
+                and dy = Float.Array.unsafe_get sy j -. uy in
+                let d2 = (dx *. dx) +. (dy *. dy) in
+                if d2 < !nearest then nearest := d2
               done;
               p := Array.unsafe_get sc.pair_next !p
             done;
-            if !loudest < floor then incr silent
+            (* The loudest candidate's power, evaluated only in range.
+               For alpha = 3 it is the nearest one's: sqrt, multiply and
+               divide are correctly rounded, hence monotone.  Otherwise
+               libm's pow is not guaranteed monotone, so every candidate
+               is evaluated as the full test would. *)
+            let loudest =
+              if !nearest > silence_r2 then 0.
+              else if t.alpha3 then power /. pow_alpha t !nearest
+              else begin
+                let loudest = ref 0. in
+                let p = ref sc.cand_head.(g) in
+                while !p >= 0 do
+                  let c = Array.unsafe_get sc.pair_cell !p in
+                  let jbeg = sc.cell_beg.(c) in
+                  for j = jbeg to jbeg + sc.cell_cnt.(c) - 1 do
+                    let dx = Float.Array.unsafe_get sx j -. ux
+                    and dy = Float.Array.unsafe_get sy j -. uy in
+                    let pw = power /. pow_alpha t ((dx *. dx) +. (dy *. dy)) in
+                    if pw > !loudest then loudest := pw
+                  done;
+                  p := Array.unsafe_get sc.pair_next !p
+                done;
+                !loudest
+              end
+            in
+            if loudest < floor then incr silent
             else begin
               if not !split then begin
                 let gxc = t.x0 +. ((float_of_int (g mod t.mcx) +. 0.5) *. t.cc)
@@ -485,17 +557,14 @@ let resolve t ~ids ~nsend ~mark ~sender ~receivers =
                 let c = Array.unsafe_get sc.near q in
                 let jbeg = sc.cell_beg.(c) in
                 for j = jbeg to jbeg + sc.cell_cnt.(c) - 1 do
-                  let v =
-                    Array.unsafe_get ids (Array.unsafe_get combo j land mask)
-                  in
-                  let dx = Float.Array.unsafe_get xs v -. ux
-                  and dy = Float.Array.unsafe_get ys v -. uy in
+                  let dx = Float.Array.unsafe_get sx j -. ux
+                  and dy = Float.Array.unsafe_get sy j -. uy in
                   let d2 = (dx *. dx) +. (dy *. dy) in
                   let pw = power /. pow_alpha t d2 in
                   total := !total +. pw;
                   if pw > !best_pw then begin
                     best_pw := pw;
-                    best := v
+                    best := j
                   end
                 done
               done;
@@ -503,7 +572,7 @@ let resolve t ~ids ~nsend ~mark ~sender ~receivers =
               if !best >= 0
                  && !best_pw >= beta *. (noise +. !total -. !best_pw)
               then begin
-                Array.unsafe_set sender u !best;
+                Array.unsafe_set sender u (Array.unsafe_get sid !best);
                 Array.unsafe_set receivers !count u;
                 incr count
               end
@@ -520,7 +589,8 @@ let resolve t ~ids ~nsend ~mark ~sender ~receivers =
       Metrics.add m_silent !silent;
       Metrics.add m_links (!near_links + !far_pairs)
     end;
-    sort_receivers t sc receivers !count;
+    (* The receivers were appended coarse cell by coarse cell. *)
+    radix_sort sc receivers !count ~top:(Array.length t.fine_of - 1);
     !count
 
 (* Approximate total incoming power at listener [u], exactly as the
@@ -531,7 +601,7 @@ let interference t ~ids ~nsend ~receiver:u =
   if nsend = 0 then 0.
   else
     with_scratch ~cells:(max 1 nsend) ~mcells:(max 1 t.mcells) @@ fun sc ->
-    let combo, mask, ncells = bucket t sc ~ids ~nsend in
+    let ncells = bucket t sc ~ids ~nsend in
     let kx = t.fine_of.(u) mod t.ncx and ky = t.fine_of.(u) / t.ncx in
     let g = ((ky / coarse_k) * t.mcx) + (kx / coarse_k) in
     let gxc = t.x0 +. ((float_of_int (g mod t.mcx) +. 0.5) *. t.cc) in
@@ -548,9 +618,8 @@ let interference t ~ids ~nsend ~receiver:u =
       else begin
         let jbeg = sc.cell_beg.(c) in
         for j = jbeg to jbeg + sc.cell_cnt.(c) - 1 do
-          let v = ids.(combo.(j) land mask) in
-          let dx = Float.Array.unsafe_get xs v -. ux
-          and dy = Float.Array.unsafe_get ys v -. uy in
+          let dx = Float.Array.get sc.sx j -. ux
+          and dy = Float.Array.get sc.sy j -. uy in
           let d2 = (dx *. dx) +. (dy *. dy) in
           total := !total +. (t.power /. pow_alpha t d2)
         done

@@ -281,14 +281,18 @@ let hm_select_run ~seed ~batch =
     done;
     let picked v w = Printf.bprintf log "%d:%s," v (wire_id w) in
     let ds =
-      if batch then
-        Engine.step_select eng ~select:(fun sel ->
-            let k = Hm_ack.select hm ~contenders:ongoing ~due sel in
-            for i = 0 to k - 1 do
-              let v = sel.Engine.senders.(i) in
-              picked v (Option.get sel.Engine.messages.(v))
-            done;
-            k)
+      if batch then begin
+        ignore
+          (Engine.step_select eng ~select:(fun sel ->
+               let k = Hm_ack.select hm ~contenders:ongoing ~due sel in
+               for i = 0 to k - 1 do
+                 let v = sel.Engine.senders.(i) in
+                 picked v (Option.get sel.Engine.messages.(v))
+               done;
+               k)
+            : int);
+        Engine.deliveries eng
+      end
       else
         Engine.step ~contenders:ongoing eng ~decide:(fun v ->
             let w = Hm_ack.decide hm ~node:v in

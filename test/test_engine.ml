@@ -95,11 +95,13 @@ let test_step_select_contract () =
    | _ -> Alcotest.fail "select's exception was swallowed"
    | exception Failure _ -> ());
   let clean = ref false in
-  let ds =
+  let k =
     Engine.step_select eng ~select:(fun sel ->
         clean := Array.for_all Option.is_none sel.Engine.messages;
         select_ids [ 0 ] sel)
   in
+  let ds = Engine.deliveries eng in
+  Alcotest.(check int) "delivery count" 2 k;
   Alcotest.(check bool) "messages empty after a raise" true !clean;
   Alcotest.(check (list int)) "lone sender delivers" [ 1; 2 ]
     (List.map (fun d -> d.Engine.receiver) ds)

@@ -171,8 +171,50 @@ let test_survivors_independent_in_h () =
   Alcotest.(check bool) "checks happened" true (!checks >= 2);
   Alcotest.(check bool) "independence violations rare" true (!violations <= 1)
 
+(* The per-phase state of Algorithm 9.1 (temporary labels, the MIS
+   machine, the H~~ snapshot) is sized by the phase's participants: the
+   bytes allocated over one whole phase, boundaries included, must not
+   grow from n = 1,000 to n = 100,000 with the same eight participants.
+   Nobody hears anybody (no deliveries are fed), so the phase runs the
+   same draws and the same transitions at both sizes. *)
+let phase_bytes ~n =
+  let machine =
+    Approx_progress.create Params.default_approg cfg ~lambda:16. ~n
+      ~rng:(Rng.create 5)
+  in
+  for v = 0 to 7 do
+    Approx_progress.start machine ~node:(v * 97)
+      { Events.origin = v * 97; seq = 0; data = v }
+  done;
+  while Approx_progress.epoch_index machine < 1 do
+    ignore (Approx_progress.end_slot machine)
+  done;
+  let slot () =
+    Node_set.iter (Approx_progress.contenders machine) (fun v ->
+        ignore (Approx_progress.decide machine ~node:v));
+    ignore (Approx_progress.end_slot machine)
+  in
+  (* The window is epoch 1's phase 0, from its first slot to phase 1's
+     (Phi = 4 phases per epoch at Lambda = 16). *)
+  Gc.minor ();
+  let b0 = Gc.allocated_bytes () in
+  while Approx_progress.current_phase machine < 1 do
+    slot ()
+  done;
+  let bytes = Gc.allocated_bytes () -. b0 in
+  Alcotest.(check bool) "the phase elected its members" true
+    (Approx_progress.last_h_graph machine <> None);
+  bytes
+
+let test_phase_alloc_flat_in_n () =
+  let small = phase_bytes ~n:1_000 and large = phase_bytes ~n:100_000 in
+  if large > small then
+    Alcotest.failf "phase allocation grew with n: %.0f B at n = 1000, %.0f B \
+                    at n = 100000" small large
+
 let suite =
-  [ Alcotest.test_case "sender sets shrink" `Slow test_sender_sets_shrink;
+  [ Alcotest.test_case "phase allocation flat in n" `Quick
+      test_phase_alloc_flat_in_n; Alcotest.test_case "sender sets shrink" `Slow test_sender_sets_shrink;
     Alcotest.test_case "min distance grows (Lemma 10.15)" `Slow
       test_min_distance_grows;
     Alcotest.test_case "H~~ estimate sane (Lemma 10.14)" `Slow

@@ -267,6 +267,46 @@ let prop_triangle_inequality =
       and c = Point.make x3 y3 in
       Point.dist a c <= Point.dist a b +. Point.dist b c +. 1e-9)
 
+(* Rng.bernoulli compares raw bits where the stdlib draws a float: for
+   every p, including the clamped and degenerate ones, the outcome and
+   the state advance must be those of [Random.State.float s 1.0 < p].
+   [Rng.create seed] draws from [Random.State.make [| seed |]], so a
+   reference stream made the same way is an independent copy of it; the
+   next 8 draws after each p check that both advanced alike. *)
+let special_ps =
+  [ -1.; -0.; 0.; 5e-324; Float.min_float; 1e-17; 0x1p-53; 0.5;
+    Float.pred 1.; 1.; 2.; Float.infinity; Float.neg_infinity; Float.nan ]
+
+let prop_bernoulli_raw_bits =
+  QCheck.Test.make ~name:"rng: bernoulli = stdlib float draw" ~count:200
+    QCheck.(triple (int_range 0 1_000_000) (int_range 0 40)
+              (list_of_size (Gen.return 8) (float_bound_inclusive 1.)))
+    (fun (seed, skip, next) ->
+      let r = Rng.create seed and s = Random.State.make [| seed |] in
+      for _ = 1 to skip do
+        ignore (Rng.float r 1.0 : float);
+        ignore (Random.State.float s 1.0 : float)
+      done;
+      let agrees p =
+        let want =
+          if p <= 0. then false
+          else if p >= 1. then true
+          else Random.State.float s 1.0 < p
+        in
+        Rng.bernoulli r p = want
+      in
+      let column = Float.Array.of_list next in
+      List.for_all
+        (fun p ->
+          agrees p
+          && List.for_all agrees next
+          && List.for_all
+               (fun i ->
+                 let want = Random.State.float s 1.0 < Float.Array.get column i in
+                 Rng.bernoulli_at r column i = want)
+               (List.init (Float.Array.length column) Fun.id))
+        (special_ps @ next))
+
 let prop_linf_le_l2 =
   QCheck.Test.make ~name:"L-inf <= L2" ~count:200
     QCheck.(quad (float_bound_exclusive 100.) (float_bound_exclusive 100.)
@@ -307,4 +347,6 @@ let suite =
       test_min_pairwise_brute_agreement;
     QCheck_alcotest.to_alcotest prop_dist_symmetric;
     QCheck_alcotest.to_alcotest prop_triangle_inequality;
-    QCheck_alcotest.to_alcotest prop_linf_le_l2 ]
+    QCheck_alcotest.to_alcotest prop_linf_le_l2;
+    QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 53 |])
+      prop_bernoulli_raw_bits ]

@@ -27,4 +27,5 @@ let () =
       ("job_log", Test_job_log.suite);
       ("scale", Test_scale.suite);
       ("active", Test_active.suite);
+      ("outcome", Test_outcome.suite);
       ("cli", Test_cli.suite) ]

@@ -431,6 +431,9 @@ let test_bench_diff_directions () =
   Alcotest.(check bool) "speedups regress downward" true
     (Bench_diff.direction_of_name "phys.bench.n64.speedup"
      = Bench_diff.Higher_better);
+  Alcotest.(check bool) "overhead ratios regress upward" true
+    (Bench_diff.direction_of_name "obs.bench.traced_ratio"
+     = Bench_diff.Lower_better);
   Alcotest.(check bool) "unknown names get a band" true
     (Bench_diff.direction_of_name "obs.bench.ring_entries" = Bench_diff.Band)
 
