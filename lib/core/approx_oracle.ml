@@ -65,7 +65,7 @@ let sparsify t =
 let create params sinr ~rng =
   let params = Params.validate_approg params in
   let config = Sinr.config sinr in
-  let lambda = Induced.lambda config (Sinr.points sinr) in
+  let lambda = (Induced.local_params config (Sinr.soa sinr)).Induced.lambda in
   let sched = Params.schedule config ~lambda params in
   let t =
     { params;

@@ -74,9 +74,9 @@ let create ?(ack_params = Params.default_ack)
     ~rng =
   let n = Sinr.n sinr in
   let config = Sinr.config sinr in
-  let lambda = Induced.lambda config (Sinr.points sinr) in
-  let strong = Induced.strong config (Sinr.points sinr) in
-  let delta = Sinr_graph.Graph.max_degree strong in
+  (* Delta and Lambda straight off the position columns: no G_{1-eps} is
+     built and no point boxed. *)
+  let { Induced.delta; lambda } = Induced.local_params config (Sinr.soa sinr) in
   let hm = Hm_ack.create ack_params ~lambda ~n ~rng:(Rng.split rng ~key:1) in
   let approg =
     Approx_progress.create approg_params config ~lambda ~n

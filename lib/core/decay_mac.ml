@@ -40,7 +40,7 @@ let budget_for ~n_tilde ~eps_ack ~scale =
 let create ?(eps_ack = 0.1) ?(budget_scale = 0.5) ?trace sinr ~rng =
   let n = Sinr.n sinr in
   let config = Sinr.config sinr in
-  let lambda = Induced.lambda config (Sinr.points sinr) in
+  let lambda = (Induced.local_params config (Sinr.soa sinr)).Induced.lambda in
   let n_tilde = Params.contention_default ~lambda in
   let ack_budget = budget_for ~n_tilde ~eps_ack ~scale:budget_scale in
   let bounds =

@@ -13,24 +13,40 @@ type deployment = {
   profile : Induced.profile;
 }
 
+(* Set while [connected] draws: [make] then builds the strong graph
+   first and gives a disconnected draw up at once, before the simulator,
+   the other graphs, Lambda and the two all-pairs diameters are paid for. *)
+exception Disconnected
+
+let drawing = Domain.DLS.new_key (fun () -> false)
+
 let make ~name config points =
-  { name;
-    sinr = Sinr.create config points;
-    profile = Induced.profile config points }
+  let strong = Induced.strong config points in
+  if Domain.DLS.get drawing && not (Sinr_graph.Components.is_connected strong)
+  then raise Disconnected;
+  let profile = Induced.profile ~strong config points in
+  { name; sinr = Sinr.create config points; profile }
 
 (* The paper assumes G_{1-eps} is connected (Section 4.6); experiment
-   deployments retry with derived seeds until that holds. *)
+   deployments retry with derived seeds until that holds.  A builder that
+   goes through [make] stops a rejected draw right after the strong
+   graph's component check (see [drawing]); any other is checked once
+   built. *)
 let connected ?(attempts = 25) rng build =
+  let draw k =
+    let outer = Domain.DLS.get drawing in
+    Domain.DLS.set drawing true;
+    Fun.protect ~finally:(fun () -> Domain.DLS.set drawing outer) @@ fun () ->
+    match build (Rng.split rng ~key:(1000 + k)) with
+    | d when Sinr_graph.Components.is_connected d.profile.Induced.strong -> Some d
+    | _ | (exception Disconnected) -> None
+  in
   let rec go k =
     if k = 0 then
       raise
         (Sinr_geom.Placement.Placement_failed
            "Workloads.connected: no connected deployment found")
-    else begin
-      let d = build (Rng.split rng ~key:(1000 + k)) in
-      if Sinr_graph.Components.is_connected d.profile.Induced.strong then d
-      else go (k - 1)
-    end
+    else match draw k with Some d -> d | None -> go (k - 1)
   in
   go attempts
 

@@ -10,26 +10,27 @@
    - [two_balls]  : Theorem 8.1             (Decay needs Omega(Delta log 1/eps)),
    - [star]       : Remark 5.3              (f_ack >= Delta). *)
 
-let min_pairwise_dist pts =
-  let n = Array.length pts in
+(* One grid-accelerated pass over a flat cell index (Grid_index.min_dist2):
+   O(n) expected for the bounded-density point sets we generate.  The cell
+   is the mean spacing of the bounding box. *)
+let min_pairwise_dist_xy xs ys =
+  let n = Float.Array.length xs in
   if n < 2 then Float.infinity
   else begin
-    (* Grid-accelerated nearest-neighbor sweep: O(n) expected for the
-       bounded-density point sets we generate. *)
-    let best = ref Float.infinity in
+    let lo a = Float.Array.fold_left Float.min Float.infinity a
+    and hi a = Float.Array.fold_left Float.max Float.neg_infinity a in
+    let w = hi xs -. lo xs and h = hi ys -. lo ys in
     let cell =
-      let b = Box.of_points pts in
-      Float.max 1e-9 (Box.diagonal b /. Float.max 1. (sqrt (float_of_int n)))
+      Float.max 1e-9
+        (sqrt ((w *. w) +. (h *. h)) /. Float.max 1. (sqrt (float_of_int n)))
     in
-    let idx = Grid_index.create ~cell pts in
-    Array.iteri
-      (fun i _ ->
-        match Grid_index.nearest_other idx i with
-        | Some (_, d) -> if d < !best then best := d
-        | None -> ())
-      pts;
-    !best
+    sqrt (Grid_index.min_dist2 (Grid_index.of_columns ~cell xs ys))
   end
+
+let min_pairwise_dist pts =
+  min_pairwise_dist_xy
+    (Float.Array.map_from_array Point.x pts)
+    (Float.Array.map_from_array Point.y pts)
 
 let max_pairwise_dist pts =
   let n = Array.length pts in

@@ -9,6 +9,10 @@ exception Placement_failed of string
 val min_pairwise_dist : Point.t array -> float
 (** Smallest pairwise distance ([infinity] for fewer than two points). *)
 
+val min_pairwise_dist_xy : Float.Array.t -> Float.Array.t -> float
+(** {!min_pairwise_dist} over coordinate columns (node [i] at
+    [(xs.(i), ys.(i))]), without boxing a point. *)
+
 val max_pairwise_dist : Point.t array -> float
 (** Largest pairwise distance (exhaustive; intended for test-sized inputs). *)
 

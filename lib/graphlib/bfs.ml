@@ -6,24 +6,43 @@
 
 let unreachable = max_int
 
+(* Breadth-first search from [src] over one int-array queue: every node
+   it reaches gets [stamp.(u) = gen] and its hop distance in [dist], and
+   [queue.(0 .. count-1)] lists them in visiting order (non-decreasing
+   distance); returns [count].  Stamping instead of clearing lets the
+   diameter reuse the three arrays across all its sources. *)
+let search g ~queue ~dist ~stamp ~(gen : int) src =
+  stamp.(src) <- gen;
+  dist.(src) <- 0;
+  queue.(0) <- src;
+  let head = ref 0 and tail = ref 1 in
+  while !head < !tail do
+    let v = Array.unsafe_get queue !head in
+    incr head;
+    let dv = Array.unsafe_get dist v + 1 in
+    let row = Graph.neighbors g v in
+    for k = 0 to Array.length row - 1 do
+      let u = Array.unsafe_get row k in
+      if Array.unsafe_get stamp u <> gen then begin
+        Array.unsafe_set stamp u gen;
+        Array.unsafe_set dist u dv;
+        Array.unsafe_set queue !tail u;
+        incr tail
+      end
+    done
+  done;
+  !tail
+
+let check_source g src =
+  if src < 0 || src >= Graph.n g then invalid_arg "Bfs.distances: bad source"
+
 (* Hop distances from [src]; [unreachable] marks disconnected nodes. *)
 let distances g ~src =
+  check_source g src;
   let n = Graph.n g in
-  if src < 0 || src >= n then invalid_arg "Bfs.distances: bad source";
   let dist = Array.make n unreachable in
-  let q = Queue.create () in
-  dist.(src) <- 0;
-  Queue.add src q;
-  while not (Queue.is_empty q) do
-    let v = Queue.pop q in
-    Array.iter
-      (fun u ->
-        if dist.(u) = unreachable then begin
-          dist.(u) <- dist.(v) + 1;
-          Queue.add u q
-        end)
-      (Graph.neighbors g v)
-  done;
+  ignore
+    (search g ~queue:(Array.make n 0) ~dist ~stamp:(Array.make n 0) ~gen:1 src);
   dist
 
 let hop_distance g u v =
@@ -38,17 +57,23 @@ let eccentricity g ~src =
     0 dist
 
 (* Exact diameter of the component containing [within] (default: the
-   component of node 0), by running a BFS from every node of that
-   component.  Fine for experiment-scale graphs (n <= a few thousand). *)
+   component of node 0): the largest eccentricity over the component,
+   one BFS per member.  The BFS runs allocate nothing past the three
+   arrays they share, so the cost is O(members * component edges). *)
 let diameter ?(within = 0) g =
-  let from_within = distances g ~src:within in
+  check_source g within;
+  let n = Graph.n g in
+  let queue = Array.make n 0 and dist = Array.make n 0
+  and stamp = Array.make n (-1) in
+  let count = search g ~queue ~dist ~stamp ~gen:0 within in
+  let members = Array.sub queue 0 count in
   let best = ref 0 in
-  for v = 0 to Graph.n g - 1 do
-    if from_within.(v) <> unreachable then begin
-      let e = eccentricity g ~src:v in
-      if e > !best then best := e
-    end
-  done;
+  Array.iteri
+    (fun k v ->
+      let last = search g ~queue ~dist ~stamp ~gen:(k + 1) v - 1 in
+      let e = dist.(queue.(last)) in
+      if e > !best then best := e)
+    members;
   !best
 
 (* Closed r-neighborhood N_{G,r}(v) = { u | d_G(v,u) <= r } (includes v),

@@ -14,7 +14,8 @@ val eccentricity : Graph.t -> src:int -> int
 
 val diameter : ?within:int -> Graph.t -> int
 (** Exact diameter of the connected component containing [within]
-    (default: node 0). Runs a BFS per component node. *)
+    (default: node 0). Runs a BFS per component node over one shared
+    int-array queue and stamp array, O(members * component edges) time. *)
 
 val ball : Graph.t -> src:int -> r:int -> int list
 (** Closed r-neighborhood N₍G,r₎(src), including [src] itself. *)

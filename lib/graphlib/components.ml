@@ -4,27 +4,32 @@
    needs the connected components of G and G-tilde to have the same vertex
    sets; experiments check both with this module. *)
 
-(* Component label of every node; labels are 0-based and dense. *)
+(* Component label of every node; labels are 0-based and dense.  One
+   int-array queue serves every component's BFS; the labels double as
+   the visited marks. *)
 let labels g =
   let n = Graph.n g in
-  let label = Array.make n (-1) in
+  let label = Array.make n (-1) and queue = Array.make n 0 in
   let next = ref 0 in
   for v = 0 to n - 1 do
     if label.(v) = -1 then begin
       let id = !next in
       incr next;
-      let q = Queue.create () in
       label.(v) <- id;
-      Queue.add v q;
-      while not (Queue.is_empty q) do
-        let w = Queue.pop q in
-        Array.iter
-          (fun u ->
-            if label.(u) = -1 then begin
-              label.(u) <- id;
-              Queue.add u q
-            end)
-          (Graph.neighbors g w)
+      queue.(0) <- v;
+      let head = ref 0 and tail = ref 1 in
+      while !head < !tail do
+        let w = Array.unsafe_get queue !head in
+        incr head;
+        let row = Graph.neighbors g w in
+        for k = 0 to Array.length row - 1 do
+          let u = Array.unsafe_get row k in
+          if Array.unsafe_get label u = -1 then begin
+            Array.unsafe_set label u id;
+            Array.unsafe_set queue !tail u;
+            incr tail
+          end
+        done
       done
     end
   done;

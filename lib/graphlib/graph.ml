@@ -76,6 +76,10 @@ let of_predicate ~n ?candidates pred =
   done;
   { n; adj = Array.mapi normalize_row tmp }
 
+(* Adopt ready-made rows: the caller guarantees the representation
+   invariant (see [t]) and symmetry; nothing is copied. *)
+let of_rows rows = { n = Array.length rows; adj = rows }
+
 let empty n = { n; adj = Array.make n [||] }
 
 let edges t =

@@ -25,6 +25,12 @@ val of_predicate :
 (** [of_predicate ~n pred] connects [u -- v] iff [pred u v] for [u < v].
     [candidates v] may prune the tested pairs (e.g. with a spatial index). *)
 
+val of_rows : int array array -> t
+(** [of_rows adj] adopts [adj] as the adjacency rows of a graph on
+    [Array.length adj] nodes, without copying. Each row must be ascending,
+    without duplicates or the node itself, and the rows symmetric
+    ([u] in row [v] iff [v] in row [u]); this is not checked. *)
+
 val empty : int -> t
 
 val edges : t -> (int * int) list

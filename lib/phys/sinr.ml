@@ -48,6 +48,9 @@ type t = {
   cache : Gain_cache.t;
   sparse : Sparse.t option;
   par_threshold : int;
+  range_bound : float;
+      (* [Config.range] + 1e-12, the [in_range] bound, taken once: the
+         range is a libm pow *)
   nbrs : near array option Atomic.t;
       (* every node's neighbour list, built together on first use; never
          built when [sparse] is installed (its grid answers
@@ -79,10 +82,11 @@ let make config soa points =
          Some (Sparse.create config soa ~eps:(Phys_tuning.sparse_eps ()))
        else None);
     par_threshold = Phys_tuning.par_threshold ();
+    range_bound = Config.range config +. 1e-12;
     nbrs = Atomic.make None }
 
-let validate_min_dist ~who points =
-  let dmin = Placement.min_pairwise_dist points in
+let validate_min_dist ~who soa =
+  let dmin = Placement.min_pairwise_dist_xy (Soa.xs soa) (Soa.ys soa) in
   if dmin < 1. -. 1e-9 then
     invalid_arg
       (Fmt.str "%s: min pairwise distance %.4g violates the \
@@ -90,16 +94,16 @@ let validate_min_dist ~who points =
 
 let create config points =
   if Array.length points = 0 then invalid_arg "Sinr.create: no nodes";
-  validate_min_dist ~who:"Sinr.create" points;
-  make config (Soa.of_points points) (Lazy.from_val points)
+  let soa = Soa.of_points points in
+  validate_min_dist ~who:"Sinr.create" soa;
+  make config soa (Lazy.from_val points)
 
 (* Column-first constructor (streaming placements at large n).  [check]
    defaults to true; generators that guarantee the min-distance invariant
-   by construction pass [~check:false] to skip the O(n) validation pass
-   (and its temporary boxed view). *)
+   by construction pass [~check:false] to skip the O(n) validation pass. *)
 let create_soa ?(check = true) config soa =
   if Soa.length soa = 0 then invalid_arg "Sinr.create_soa: no nodes";
-  if check then validate_min_dist ~who:"Sinr.create_soa" (Soa.to_points soa);
+  if check then validate_min_dist ~who:"Sinr.create_soa" soa;
   make config soa (lazy (Soa.to_points soa))
 
 let config t = t.config
@@ -258,8 +262,6 @@ let[@inline] decode d u v =
 (* Neighbour lists                                                     *)
 (* ------------------------------------------------------------------ *)
 
-let range_bound t = Config.range t.config +. 1e-12
-
 (* [Soa.dist v u <= r], with the distance evaluated by the same float
    expression, on columns and a bound hoisted out of a caller's loop. *)
 let[@inline] within xs ys v u r =
@@ -269,11 +271,11 @@ let[@inline] within xs ys v u r =
 
 (* Is a single isolated transmission from v decodable at u?  Defines weak
    reachability: true iff d(v,u) <= R. *)
-let in_range t v u = within (Soa.xs t.soa) (Soa.ys t.soa) v u (range_bound t)
+let in_range t v u = within (Soa.xs t.soa) (Soa.ys t.soa) v u t.range_bound
 
 (* Every node's neighbour list ([near]), each from a cell-R [Grid_index]
    window of radius r' = r + 1e-9 (1 + r), r = [range_bound].  Built
-   together the first time one is asked for (the grid is dropped after)
+   together the first time one is asked for (the index is dropped after)
    and published through one atomic cell: a racing domain builds
    identical lists, so a lost race wastes one build, never correctness.
 
@@ -290,22 +292,31 @@ let in_range t v u = within (Soa.xs t.soa) (Soa.ys t.soa) v u (range_bound t)
    [v]'s possible decoders all lie in the list; the ring only adds a few
    listeners that are scored and decode nothing. *)
 let build_near t =
-  let r = range_bound t and xs = Soa.xs t.soa and ys = Soa.ys t.soa in
-  let pts = Soa.to_points t.soa in
-  let g = Grid_index.create ~cell:r pts in
-  let sorted l =
-    let a = Array.of_list l in
-    Array.sort Int.compare a;
-    a
-  in
-  Array.init (Array.length pts) (fun v ->
-      let inner = ref [] and ring = ref [] in
-      Grid_index.iter_within g ~center:pts.(v) ~r:(r +. (1e-9 *. (1. +. r)))
-        (fun u ->
-          if within xs ys v u r then inner := u :: !inner
-          else ring := u :: !ring);
-      let inner = sorted !inner in
-      { near = Array.append inner (sorted !ring); split = Array.length inner })
+  let r = t.range_bound and n = Soa.length t.soa in
+  let g = Grid_index.of_columns ~cell:r (Soa.xs t.soa) (Soa.ys t.soa) in
+  let buf = Array.make n 0 and ring = Array.make n 0
+  and d2 = Float.Array.create n in
+  Array.init n (fun v ->
+      let k = Grid_index.within_node g v ~r:(r +. (1e-9 *. (1. +. r))) buf d2 in
+      let inner = ref 0 and outer = ref 0 in
+      for j = 0 to k - 1 do
+        let u = buf.(j) in
+        (* [within]'s test on the distance the index already took *)
+        if sqrt (Float.Array.unsafe_get d2 j) <= r then begin
+          buf.(!inner) <- u;
+          incr inner
+        end
+        else begin
+          ring.(!outer) <- u;
+          incr outer
+        end
+      done;
+      Grid_index.sort_ids buf !inner;
+      Grid_index.sort_ids ring !outer;
+      let near = Array.make (!inner + !outer) 0 in
+      Array.blit buf 0 near 0 !inner;
+      Array.blit ring 0 near !inner !outer;
+      { near; split = !inner })
 
 let near_of t v =
   match Atomic.get t.nbrs with
@@ -330,9 +341,7 @@ let neighbours t v =
    the prefix of [v]'s neighbour list. *)
 let iter_in_range t v f =
   match t.sparse with
-  | Some sp ->
-    let r = range_bound t and xs = Soa.xs t.soa and ys = Soa.ys t.soa in
-    Sparse.iter_window sp v ~radius:r (fun u -> if within xs ys v u r then f u)
+  | Some sp -> Sparse.iter_within sp v ~radius:t.range_bound f
   | None ->
     let l = near_of t v in
     for i = 0 to l.split - 1 do

@@ -627,37 +627,43 @@ let interference t ~ids ~nsend ~receiver:u =
     done;
     !total
 
-(* Every node whose coarse cell overlaps the axis-aligned square of
-   half-side [radius] around node [v] — a superset of the nodes within
-   [radius] of [v], found from the deployment's coarse-cell index in
-   O(members of the overlapped cells).  The window is computed with the
-   expression that assigned the nodes to fine cells and widened by one
-   fine cell (side >= 1) each way, which absorbs any rounding in the
-   coordinate arithmetic; a radius that does not fit the grid visits
-   every cell. *)
-let iter_window t v ~radius f =
-  let x = Float.Array.get (Soa.xs t.soa) v
-  and y = Float.Array.get (Soa.ys t.soa) v in
+(* Window bound along one axis: the coarse cell of the fine cell holding
+   coordinate [c], moved [pad] fine cells and clamped to the grid. *)
+let[@inline] coarse_bound c lo cf ncells ~pad =
+  let k = int_of_float ((c -. lo) /. cf) + pad in
+  let k = if k < 0 then 0 else if k > ncells - 1 then ncells - 1 else k in
+  k / coarse_k
+
+(* Every node within [radius] of node [v] ([v] included): [Soa.dist v u
+   <= radius], with the distance evaluated by that float expression.  The
+   candidates are the members of the coarse cells that overlap the
+   axis-aligned square of half-side [radius] around [v], found from the
+   deployment's coarse-cell index in O(members of the overlapped cells).
+   The window is computed with the expression that assigned the nodes to
+   fine cells and widened by one fine cell (side >= 1) each way, which
+   absorbs any rounding in the coordinate arithmetic; a radius that does
+   not fit the grid visits every cell.  No closure or tuple is allocated:
+   telemetry calls this once per sender per slot. *)
+let iter_within t v ~radius f =
+  let xs = Soa.xs t.soa and ys = Soa.ys t.soa in
+  let x = Float.Array.get xs v and y = Float.Array.get ys v in
   let span = float_of_int (max t.ncx t.ncy) *. t.cf in
-  let gx0, gx1, gy0, gy1 =
-    if not (radius < span) then (0, t.mcx - 1, 0, t.mcy - 1)
-    else begin
-      let coarse c lo ncells ~pad =
-        let k = int_of_float ((c -. lo) /. t.cf) + pad in
-        let k = if k < 0 then 0 else if k > ncells - 1 then ncells - 1 else k in
-        k / coarse_k
-      in
-      ( coarse (x -. radius) t.x0 t.ncx ~pad:(-1),
-        coarse (x +. radius) t.x0 t.ncx ~pad:1,
-        coarse (y -. radius) t.y0 t.ncy ~pad:(-1),
-        coarse (y +. radius) t.y0 t.ncy ~pad:1 )
-    end
+  let fits = radius < span in
+  let gx0 = if fits then coarse_bound (x -. radius) t.x0 t.cf t.ncx ~pad:(-1) else 0
+  and gx1 =
+    if fits then coarse_bound (x +. radius) t.x0 t.cf t.ncx ~pad:1 else t.mcx - 1
+  and gy0 = if fits then coarse_bound (y -. radius) t.y0 t.cf t.ncy ~pad:(-1) else 0
+  and gy1 =
+    if fits then coarse_bound (y +. radius) t.y0 t.cf t.ncy ~pad:1 else t.mcy - 1
   in
   for gy = gy0 to gy1 do
     for gx = gx0 to gx1 do
       let g = (gy * t.mcx) + gx in
       for m = t.cstart.(g) to t.cstart.(g + 1) - 1 do
-        f t.cmembers.(m)
+        let u = Array.unsafe_get t.cmembers m in
+        let dx = x -. Float.Array.unsafe_get xs u
+        and dy = y -. Float.Array.unsafe_get ys u in
+        if sqrt ((dx *. dx) +. (dy *. dy)) <= radius then f u
       done
     done
   done

@@ -43,8 +43,8 @@ val interference :
     exactly as {!resolve} does (shared far sum + exact near terms) — for
     asserting the eps bound in tests. *)
 
-val iter_window : t -> int -> radius:float -> (int -> unit) -> unit
-(** [iter_window t v ~radius f] calls [f] on every node of the coarse
-    cells that overlap the square of half-side [radius] around node [v]:
-    a superset of the nodes within [radius] of [v] (each once, in
-    unspecified order), in O(members of those cells). *)
+val iter_within : t -> int -> radius:float -> (int -> unit) -> unit
+(** [iter_within t v ~radius f] calls [f] on every node [u] with
+    [Soa.dist v u <= radius] ([v] included), each once, in unspecified
+    order, in O(members of the coarse cells that overlap the square of
+    half-side [radius] around [v]). Allocates nothing itself. *)

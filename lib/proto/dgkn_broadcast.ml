@@ -29,7 +29,7 @@ type result = {
 let run ?(params = Params.default_approg) sinr ~rng ~source ~max_slots =
   let n = Sinr.n sinr in
   let config = Sinr.config sinr in
-  let lambda = Induced.lambda config (Sinr.points sinr) in
+  let lambda = (Induced.local_params config (Sinr.soa sinr)).Induced.lambda in
   let params =
     { params with Params.eps_approg = Float.min 0.5 (1. /. float_of_int n) }
   in

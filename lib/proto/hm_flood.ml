@@ -25,7 +25,7 @@ type result = {
 let smb ?ack_params sinr ~rng ~source ~max_slots =
   let n = Sinr.n sinr in
   let config = Sinr.config sinr in
-  let lambda = Induced.lambda config (Sinr.points sinr) in
+  let lambda = (Induced.local_params config (Sinr.soa sinr)).Induced.lambda in
   let ack_params = Option.value ack_params ~default:Params.default_ack in
   let hm = Hm_ack.create ack_params ~lambda ~n ~rng in
   let engine = Engine.create sinr in

@@ -28,4 +28,5 @@ let () =
       ("scale", Test_scale.suite);
       ("active", Test_active.suite);
       ("outcome", Test_outcome.suite);
+      ("setup", Test_setup.suite);
       ("cli", Test_cli.suite) ]
