@@ -96,67 +96,100 @@ let uniform rng ~n ~box ~min_dist =
   pts
 
 (* Streaming dart throwing for the million-node path: accepted positions
-   go straight to [set] (a column writer — Phys.Soa at the call sites)
-   and are read back through the unboxed [x]/[y] accessors, so no
-   [Point.t] is ever boxed and no point array materialized.  The
-   min-distance grid is an int-chain over a single-int cell key: one
-   [next] slot per node plus one hash entry per occupied cell, O(n)
-   memory however large the box.  Distinct cells may share a key (the
-   packing is a hash, not an injection); a collision only merges two
-   chains, adding distance checks, never admitting a violating point.
-   The invariant is guaranteed by construction, so [Sinr.create_soa
-   ~check:false] can skip its O(n) validation pass. *)
-let uniform_stream rng ~n ~box ~min_dist ~set ~x ~y =
+   go straight to [set] (a column writer — Phys.Soa at the call sites),
+   so no [Point.t] is ever boxed and no point array materialized.  The
+   generator keeps its own copy of the accepted coordinates in two float
+   columns, so probes read them unboxed (the [x]/[y] accessors are not
+   called).  The min-distance grid is an int-chain over a single-int cell
+   key: one [next] slot per node plus an open-addressed key -> chain-head
+   table of at least twice as many slots as nodes, O(n) flat memory
+   however large the box.  Distinct cells may share a key (the packing is
+   a hash, not an injection); a collision only merges two chains, adding
+   distance checks, never admitting a violating point.  Probes allocate
+   nothing: the candidate is written into slot [i] of the columns, the
+   helpers take only ints, and each draw is [Rng.float]'s computed from
+   [Rng.bits53], so no float is boxed on return.  The invariant is
+   guaranteed by construction, so [Sinr.create_soa ~check:false] can skip
+   its O(n) validation pass. *)
+let uniform_stream rng ~n ~box ~min_dist ~set ~x:_ ~y:_ =
   if min_dist <= 0. then invalid_arg "Placement.uniform_stream: min_dist <= 0";
   let cell = min_dist in
-  let cell_key px py =
+  let bits =
+    let b = ref 4 in
+    while 1 lsl !b < 2 * n do
+      incr b
+    done;
+    !b
+  in
+  let mask = (1 lsl bits) - 1 in
+  let keys = Array.make (mask + 1) 0 and heads = Array.make (mask + 1) (-1) in
+  let next = Array.make (max 1 n) (-1) in
+  let xs = Float.Array.make (max 1 n) 0. and ys = Float.Array.make (max 1 n) 0. in
+  let md2 = min_dist *. min_dist in
+  (* The table slot of cell key [k]: its entry, or the empty slot where it
+     goes (Fibonacci hashing, linear probing). *)
+  let slot k =
+    let s = ref ((k * 0x2545F4914F6CDD1D) lsr (63 - bits)) in
+    while heads.(!s) >= 0 && keys.(!s) <> k do
+      s := (!s + 1) land mask
+    done;
+    !s
+  in
+  (* The cell key of node [i]'s coordinates moved by (dx, dy) cells. *)
+  let cell_key i dx dy =
+    let px = Float.Array.unsafe_get xs i +. (float_of_int dx *. cell)
+    and py = Float.Array.unsafe_get ys i +. (float_of_int dy *. cell) in
     let kx = int_of_float (Float.floor (px /. cell))
     and ky = int_of_float (Float.floor (py /. cell)) in
     (kx * 0x1fffff7) + ky
   in
-  let heads : (int, int) Hashtbl.t = Hashtbl.create (4 * n) in
-  let next = Array.make (max 1 n) (-1) in
-  let md2 = min_dist *. min_dist in
-  let chain_clear k px py =
-    let rec walk id =
-      id < 0
-      || (let dx = x id -. px and dy = y id -. py in
-          ((dx *. dx) +. (dy *. dy) >= md2 && walk next.(id)))
-    in
-    walk (Option.value (Hashtbl.find_opt heads k) ~default:(-1))
-  in
-  let ok px py =
-    let clear = ref true in
+  (* Whether candidate [i] keeps [min_dist] from every accepted point in
+     the 3x3 cells around it. *)
+  let clear i =
+    let px = Float.Array.unsafe_get xs i and py = Float.Array.unsafe_get ys i in
+    let ok = ref true in
     for dx = -1 to 1 do
       for dy = -1 to 1 do
-        if !clear then
-          let k =
-            cell_key (px +. (float_of_int dx *. cell))
-              (py +. (float_of_int dy *. cell))
-          in
-          if not (chain_clear k px py) then clear := false
+        if !ok then begin
+          let id = ref heads.(slot (cell_key i dx dy)) in
+          while !id >= 0 do
+            let ex = Float.Array.unsafe_get xs !id -. px
+            and ey = Float.Array.unsafe_get ys !id -. py in
+            if (ex *. ex) +. (ey *. ey) >= md2 then id := next.(!id)
+            else begin
+              ok := false;
+              id := -1
+            end
+          done
+        end
       done
     done;
-    !clear
+    !ok
   in
   let w = Box.width box and h = Box.height box in
   let xmin = box.Box.xmin and ymin = box.Box.ymin in
   let attempts_per_point = 200 in
   for i = 0 to n - 1 do
-    let rec try_once k =
-      if k = 0 then
+    let k = ref attempts_per_point and placed = ref false in
+    while not !placed do
+      if !k = 0 then
         raise
           (Placement_failed
              (Fmt.str "uniform_stream: could not place point %d of %d in %a \
                        with min_dist %.3g" (i + 1) n Box.pp box min_dist));
-      let px = xmin +. Rng.float rng w and py = ymin +. Rng.float rng h in
-      if ok px py then (px, py) else try_once (k - 1)
-    in
-    let px, py = try_once attempts_per_point in
-    set i ~x:px ~y:py;
-    let k = cell_key px py in
-    next.(i) <- Option.value (Hashtbl.find_opt heads k) ~default:(-1);
-    Hashtbl.replace heads k i
+      decr k;
+      let px = xmin +. (float_of_int (Rng.bits53 rng) *. 0x1.p-53 *. w)
+      and py = ymin +. (float_of_int (Rng.bits53 rng) *. 0x1.p-53 *. h) in
+      Float.Array.unsafe_set xs i px;
+      Float.Array.unsafe_set ys i py;
+      placed := clear i
+    done;
+    set i ~x:(Float.Array.unsafe_get xs i) ~y:(Float.Array.unsafe_get ys i);
+    let key = cell_key i 0 0 in
+    let s = slot key in
+    next.(i) <- heads.(s);
+    keys.(s) <- key;
+    heads.(s) <- i
   done
 
 let jittered_grid rng ~nx ~ny ~spacing ~jitter =

@@ -28,12 +28,13 @@ val uniform_stream :
   set:(int -> x:float -> y:float -> unit) ->
   x:(int -> float) -> y:(int -> float) -> unit
 (** Streaming {!uniform} for the million-node path: accepted positions are
-    written through [set] and read back through the unboxed [x]/[y]
-    accessors (a [Phys.Soa] column store at the call sites), so no point
-    is ever boxed and memory stays O(n) whatever the box size. The
-    min-distance invariant holds by construction, so [Sinr.create_soa
-    ~check:false] may skip validation. Raises {!Placement_failed} like
-    {!uniform}. *)
+    written through [set] (a [Phys.Soa] column store at the call sites),
+    so no point is ever boxed and memory stays O(n) whatever the box size.
+    The generator keeps its own unboxed copy of the accepted coordinates,
+    so [x] and [y] are not called; they remain in the signature for its
+    callers. Probes allocate nothing. The min-distance invariant holds by
+    construction, so [Sinr.create_soa ~check:false] may skip validation.
+    Raises {!Placement_failed} like {!uniform}. *)
 
 val jittered_grid :
   Rng.t -> nx:int -> ny:int -> spacing:float -> jitter:float -> Point.t array

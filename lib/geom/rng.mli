@@ -31,6 +31,12 @@ val float : t -> float -> float
 
 val bool : t -> bool
 
+val bits53 : t -> int
+(** The top 53 bits of the next 64-bit output, redrawn while zero: the
+    draw behind [float], as an int. [float t bound] is
+    [float_of_int (bits53 t) *. 0x1.p-53 *. bound] with the same state
+    advance, and a caller that computes it this way boxes nothing. *)
+
 val bernoulli : t -> float -> bool
 (** [bernoulli t p] is [true] with probability [p] (clamped to [0, 1]).
     For [0 < p < 1] it draws exactly as [Random.State.float s 1.0 < p]

@@ -579,13 +579,14 @@ let resolve_marked ?perturb t sc ~ids ~nsend ~listeners ~out =
         (match t.sparse with
          | Some sp ->
            (* Auto-installed sparse path (n >= Phys_tuning.sparse_threshold):
-              occupied-cell iteration, shared per-coarse-cell far sums,
-              exact silent-cell and silent-listener skipping.  Timed as a
-              profiler sub-stage, reported inside Resolve. *)
+              listeners found from the senders' neighbourhoods, exact
+              silence, shared per-coarse-cell far sums computed only where
+              a decision needs them.  Timed as a profiler sub-stage,
+              reported inside Resolve. *)
            let p0 = Profile.start () in
            out.count <-
-             Sparse.resolve sp ~ids ~nsend ~mark:sc.mark ~sender:out.sender
-               ~receivers:out.receivers;
+             Sparse.resolve sp ~ids ~nsend ~listeners ~mark:sc.mark
+               ~sender:out.sender ~receivers:out.receivers;
            Profile.stop Profile.Sparse p0;
            -1
          | None -> score_clean t sc ~ids ~nsend ~listeners ~out)

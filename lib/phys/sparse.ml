@@ -1,73 +1,61 @@
 (* Sparse cell-aggregated slot resolution for large n.
 
    The exact kernels walk every (listener, sender) pair: O(s * n) per slot,
-   hopeless at n = 10^5..10^6.  This module resolves a slot touching only
-   *occupied* grid cells, with cost O(s log s + A*(C + near pairs)) where
-   s is the slot's sender count, C <= s the number of occupied sender
-   cells and A the number of *active* listener cells — silent regions of
-   the plane are never visited and nothing n x n is ever materialized.
+   hopeless at n = 10^5..10^6.  This kernel works from the senders out:
+   O(s log s) to bucket the s senders, then the listeners in decoding
+   range of some sender, then per coarse cell holding a listener that can
+   decode one near/far split.  Listeners no sender reaches are never
+   visited, and nothing n x n is materialized.
 
-   Two grids over the frozen [Soa] columns:
+   Grids over the frozen [Soa] columns: a fine grid (side ~R/2, doubled
+   until it has O(n) cells even for spreads like the two-lines
+   construction) indexes the nodes once (a CSR: node ids counting-sorted
+   by fine cell) and buckets each slot's senders (one sort by fine key);
+   a coarse grid (4x4 fine cells) groups listeners, which share one split.
 
-   - a fine grid (cell side ~R/2, doubled until the grid has O(n) cells
-     even for pathological spreads like the two-lines construction)
-     buckets the slot's senders: one sort of the sender ids by fine cell
-     key, no per-cell allocation;
-   - a coarse grid (4x4 fine cells) groups listeners: all listeners of a
-     coarse cell share one far-field interference sum, computed once per
-     (coarse cell, occupied fine cell) pair.
+   Far/near split: a sender cell whose center is at least thr = max(Dmin,
+   R + h) from the listener cell's center contributes count *
+   P/d(centers)^alpha; closer senders are scored exactly.  With h the sum
+   of the cells' half-diagonals and Dmin = h / ((1+eps)^(1/alpha) - 1) the
+   far sum's relative error is at most eps (each true distance is within
+   h of the center distance).  The interference is the far sum (far cells
+   in cell order) plus the near powers (sorted order); the best sender is
+   always exact, so only interference near the threshold is approximate.
 
-   Far/near split: a sender cell whose center is at
-   least max(Dmin, R + h) from the listener cell's center contributes its
-   aggregate count * P/d(centers)^alpha; anything closer is scored
-   exactly per listener.  With h the sum of the two cells' half-diagonals
-   and Dmin = h / ((1+eps)^(1/alpha) - 1), the far sum's relative error
-   is bounded by eps (each far pair's true distance is within [d-h, d+h]
-   of the center distance, and d >= Dmin makes the power ratio at most
-   1+eps).  The best-sender candidate is always scored exactly: decisions
-   can flip only when the eps-perturbed interference crosses the beta
-   threshold, never because the signal itself was approximated.
+   Exact silence: a listener decodes only if its strongest sender reaches
+   beta * N alone (the test's right-hand side is beta * (N + total -
+   best), and total >= best since the sum only adds non-negative terms).
+   P / d^alpha takes a few correctly rounded operations (and libm's pow,
+   within an ulp, for alpha <> 3), so clearing beta * N forces d <= R (1 +
+   c u), some 10^6 times inside the padded bound R' = R + 1e-9 (1 + R).
+   So each sender, in sorted order, walks the fine cells within R' of it
+   and records, for every unmarked listener with d^2 <= R'^2, the loudest
+   power and its sender (the first in sorted order on ties, as a scan of
+   the near senders picks).  A listener that is not reached, or whose
+   loudest is below beta * N, is decided without a sum; otherwise its
+   loudest sender lies within R', hence in a near cell: the best sender.
 
-   Exact silence skipping: a listener can decode only a sender within
-   R = (P / (beta N))^(1/alpha) (beta > 1 forces the best sender past the
-   noise floor alone).  A coarse cell whose center is farther than
-   R + h from every occupied sender cell's center therefore decodes
-   nothing — the whole cell is skipped without looking at its members.
-   This is exact, not part of the eps approximation.
+   Lazy far sums.  Rounding is monotone (a <= b gives fl(a + c) <= fl(b +
+   c)), so the total, the near powers added in order to the far sum F,
+   lies between the same additions started from 0 and from any F' >= F,
+   and beta * ((N + total) - best) is monotone in the total.  If the test
+   passes from F' it passes; if it fails from 0 it fails; only a listener
+   in between needs F, computed once per coarse cell (cell order, the
+   expression above), with its stored near powers re-added in order.  F'
+   bounds each far cell by the power at the lower edge of its band of
+   squared center distance (thr^2, 4 thr^2, 16 thr^2, 64 thr^2): with
+   alpha = 3 sqrt, multiply and divide are correctly rounded, so a term
+   never exceeds its band's bound; libm's pow is within an ulp, so for
+   other alpha a term may exceed it by a few u.  Summing k terms in
+   another order moves a total by at most ~k u.  The margin 1 + 1e-9
+   covers both up to 10^6 occupied sender cells; past that F' is infinite.
 
-   The same argument, applied per listener inside an active cell, skips
-   most of the remaining work.  A listener decodes only if its strongest
-   sender reaches beta * N on its own: the SINR test's right-hand side is
-   beta * (N + total - best), and total >= best in floating point because
-   the sum only adds non-negative terms.  Such a sender is within R of the
-   listener, so its fine cell's center lies within R + h of the coarse
-   cell's center: it is in one of the cell's *candidate* sender cells
-   (usually one or two).  A listener whose loudest candidate sender falls
-   below beta * N therefore cannot decode and skips its interference sum;
-   a cell's near/far split and far aggregate are computed only once some
-   listener of the cell needs them.  Both skips leave every decision
-   bit-identical.
-
-   The loudest candidate is found on squared distances first.  Its power
-   clears beta * N only if its squared distance is within the padded range
-   bound (R + 1e-9 (1 + R))^2: the power is P / d^alpha evaluated with a
-   few correctly rounded operations (and libm's pow, within an ulp, for
-   alpha <> 3), so clearing beta * N forces d <= R (1 + c u) for a small
-   constant c and the unit roundoff u, some 10^6 times inside the pad.  A
-   listener with no candidate that near is silent without evaluating any
-   power.  For alpha = 3 the power of the nearest candidate is the
-   loudest exactly (d2 * sqrt d2 and the division are correctly rounded,
-   hence monotone), so one power decides; for other alpha every candidate
-   in range is evaluated as before.  The slot's sorted senders' ids and
-   positions are copied once into contiguous scratch columns, which the
-   per-listener loops read in place of two gathers per sender.
-
-   Per-slot state lives in domain-local scratch (the [Sinr] pattern:
-   busy flag, grow-only arrays, stamp-based set membership), so
-   Reliability's Pool workers can resolve concurrently on one instance.
-   Determinism: for a fixed sender array the sort key is (fine cell,
-   input position), so accumulation order — and every float — is a pure
-   function of the input, whatever the domain count. *)
+   Per-slot state lives in domain-local scratch (busy flag, grow-only
+   arrays), so Reliability's Pool workers can resolve concurrently on one
+   instance; per-listener state (the walk's record index, the record's
+   listener) lives in the caller's [sender] and [receivers] buffers.
+   Determinism: the sort key is (fine cell, input position), so every
+   float is a pure function of the input, whatever the domain count. *)
 
 open Sinr_obs
 
@@ -75,6 +63,7 @@ let m_slots = Metrics.counter "phys.sparse.slots"
 let m_active = Metrics.counter "phys.sparse.active_cells"
 let m_near = Metrics.counter "phys.sparse.near_links"
 let m_far = Metrics.counter "phys.sparse.far_cell_pairs"
+let m_far_exact = Metrics.counter "phys.sparse.far_exact"
 let m_silent = Metrics.counter "phys.sparse.silent_listeners"
 
 (* The resolution-wide link counter [Sinr] also feeds: this kernel adds
@@ -84,7 +73,6 @@ let m_links = Metrics.counter "phys.resolve.links"
 
 type t = {
   power : float;
-  alpha : float;
   half_alpha : float;
   alpha3 : bool;  (* d^alpha = d2 * sqrt d2 for the default alpha = 3 *)
   beta : float;
@@ -93,26 +81,39 @@ type t = {
   x0 : float;
   y0 : float;
   cf : float;  (* fine cell side *)
-  inv_cf : float;
   ncx : int;
   ncy : int;
   cc : float;  (* coarse cell side = 4 * cf *)
   mcx : int;
-  mcy : int;
   mcells : int;
-  active_r2 : float;  (* center-to-center radius of possibly-decoding cells *)
   silence_r2 : float;
       (* squared listener-to-sender distance beyond which a lone sender
          cannot reach beta * N (the padded range bound, see [resolve]) *)
-  window : float;     (* finite marking radius (active_r clamped to grid) *)
+  reach : float;      (* R', the senders' walk radius *)
   threshold2 : float; (* squared center distance of the far/near split *)
+  band : Float.Array.t;
+      (* far-term bounds: P / (thr^2 4^b)^(alpha/2), b = 0 .. 3 *)
+  band_rows : int array;  (* thr 2^b / cf, rows: [row_edge]'s first guess *)
   soa : Soa.t;
-  fine_of : int array;    (* node -> fine cell key *)
-  cstart : int array;     (* coarse cell -> offset into cmembers, len mcells+1 *)
-  cmembers : int array;   (* node ids grouped by coarse cell *)
+  fstart : int array;   (* fine cell -> offset into fmembers, len ncx*ncy+1 *)
+  fmembers : int array; (* node ids grouped by fine cell *)
 }
 
 let coarse_k = 4
+
+(* d^alpha from d^2, avoiding libm pow on the default alpha = 3. *)
+let[@inline] pow_alpha t d2 =
+  if t.alpha3 then d2 *. sqrt d2 else d2 ** t.half_alpha
+
+(* The fine cell index of coordinate [c] along an axis from [lo], moved
+   [pad] cells and clamped to [0, n-1]: with [pad] 0, the expression that
+   assigns nodes to fine cells. *)
+let[@inline] fine_bound c lo cf n ~pad =
+  let k = int_of_float ((c -. lo) /. cf) + pad in
+  if k < 0 then 0 else if k > n - 1 then n - 1 else k
+
+let[@inline] fine_key t x y =
+  (fine_bound y t.y0 t.cf t.ncy ~pad:0 * t.ncx) + fine_bound x t.x0 t.cf t.ncx ~pad:0
 
 let create (config : Config.t) soa ~eps =
   if eps <= 0. || eps >= 1. then invalid_arg "Sparse.create: eps not in (0, 1)";
@@ -143,88 +144,74 @@ let create (config : Config.t) soa ~eps =
   let cc = float_of_int coarse_k *. cf in
   let mcx = (ncx + coarse_k - 1) / coarse_k in
   let mcy = (ncy + coarse_k - 1) / coarse_k in
-  let mcells = mcx * mcy in
   let half_diag side = side *. sqrt 2. /. 2. in
   let h = half_diag cf +. half_diag cc in
   let denom = ((1. +. eps) ** (1. /. alpha)) -. 1. in
   let dmin = h /. denom in
   let threshold = Float.max dmin (r +. h) +. 1e-9 in
-  let active_r = r +. h +. 1e-9 in
-  (* Window stays finite even when R is (noise 0 makes it infinite): a
-     radius covering the whole grid marks every cell, which is correct,
-     just no longer sparse. *)
-  let window =
-    let diag = float_of_int (max mcx mcy) *. cc *. 2. in
-    if Float.is_finite active_r then Float.min active_r diag else diag
+  let reach = r +. (1e-9 *. (1. +. r)) in
+  let base =
+    { power = config.Config.power;
+      half_alpha = alpha /. 2.;
+      alpha3 = alpha = 3.;
+      beta = config.Config.beta;
+      noise = config.Config.noise;
+      eps;
+      x0 = xmin;
+      y0 = ymin;
+      cf;
+      ncx;
+      ncy;
+      cc;
+      mcx;
+      mcells = mcx * mcy;
+      silence_r2 = reach *. reach;
+      reach;
+      threshold2 = threshold *. threshold;
+      band = Float.Array.make 4 0.;
+      band_rows = Array.make 4 0;
+      soa;
+      fstart = Array.make ((ncx * ncy) + 1) 0;
+      fmembers = Array.make n 0 }
   in
-  let fine_of = Array.make n 0 in
-  let clampi v hi = if v < 0 then 0 else if v > hi then hi else v in
+  for b = 0 to 3 do
+    let lo = base.threshold2 *. float_of_int (1 lsl (2 * b)) in
+    Float.Array.set base.band b (base.power /. pow_alpha base lo);
+    base.band_rows.(b) <- int_of_float (Float.min (sqrt lo /. cf) (float_of_int ncy))
+  done;
+  (* Counting sort of the nodes into their fine cells. *)
   let xs = Soa.xs soa and ys = Soa.ys soa in
+  let key i = fine_key base (Float.Array.get xs i) (Float.Array.get ys i) in
+  let fstart = base.fstart in
   for i = 0 to n - 1 do
-    let x = Float.Array.unsafe_get xs i and y = Float.Array.unsafe_get ys i in
-    let kx = clampi (int_of_float ((x -. xmin) /. cf)) (ncx - 1) in
-    let ky = clampi (int_of_float ((y -. ymin) /. cf)) (ncy - 1) in
-    fine_of.(i) <- (ky * ncx) + kx
+    let f = key i in
+    fstart.(f + 1) <- fstart.(f + 1) + 1
   done;
-  (* Counting sort of the nodes into their coarse cells. *)
-  let coarse_of_fine key =
-    let kx = key mod ncx and ky = key / ncx in
-    ((ky / coarse_k) * mcx) + (kx / coarse_k)
-  in
-  let cstart = Array.make (mcells + 1) 0 in
+  for f = 1 to ncx * ncy do
+    fstart.(f) <- fstart.(f) + fstart.(f - 1)
+  done;
+  let fill = Array.sub fstart 0 (ncx * ncy) in
   for i = 0 to n - 1 do
-    let g = coarse_of_fine fine_of.(i) in
-    cstart.(g + 1) <- cstart.(g + 1) + 1
+    let f = key i in
+    let m = fill.(f) in
+    base.fmembers.(m) <- i;
+    fill.(f) <- m + 1
   done;
-  for g = 1 to mcells do
-    cstart.(g) <- cstart.(g) + cstart.(g - 1)
-  done;
-  let fill = Array.copy cstart in
-  let cmembers = Array.make n 0 in
-  for i = 0 to n - 1 do
-    let g = coarse_of_fine fine_of.(i) in
-    cmembers.(fill.(g)) <- i;
-    fill.(g) <- fill.(g) + 1
-  done;
-  { power = config.Config.power;
-    alpha;
-    half_alpha = alpha /. 2.;
-    alpha3 = alpha = 3.;
-    beta = config.Config.beta;
-    noise = config.Config.noise;
-    eps;
-    x0 = xmin;
-    y0 = ymin;
-    cf;
-    inv_cf = 1. /. cf;
-    ncx;
-    ncy;
-    cc;
-    mcx;
-    mcy;
-    mcells;
-    active_r2 = active_r *. active_r;
-    silence_r2 =
-      (let r' = r +. (1e-9 *. (1. +. r)) in
-       r' *. r');
-    window;
-    threshold2 = threshold *. threshold;
-    soa;
-    fine_of;
-    cstart;
-    cmembers }
+  base
 
 let eps t = t.eps
 let fine_cells t = t.ncx * t.ncy
 let coarse_cells t = t.mcells
+let far_threshold t = sqrt t.threshold2
 
 (* ------------------------------------------------------------------ *)
 (* Per-domain slot scratch                                             *)
 (* ------------------------------------------------------------------ *)
 
 type scratch = {
-  mutable cell_key : int array;     (* occupied fine cell -> fine key *)
-  mutable cell_beg : int array;     (* -> first index in the sorted order *)
+  mutable cell_beg : int array;     (* occupied fine cell -> first index in
+                                       the sorted order; then nsend *)
+  mutable rowc : int array;         (* fine row r -> first cell in row >= r *)
   mutable cell_cnt : int array;     (* -> sender count *)
   mutable cell_cx : float array;    (* -> cell center *)
   mutable cell_cy : float array;
@@ -232,95 +219,100 @@ type scratch = {
   mutable sid : int array;          (* sorted position -> sender id *)
   mutable sx : Float.Array.t;       (* -> sender position *)
   mutable sy : Float.Array.t;
-  mutable near : int array;         (* near cell indices for one coarse cell *)
-  mutable cand_head : int array;    (* coarse cell -> first candidate pair *)
-  mutable pair_cell : int array;    (* pair -> sender cell in active radius *)
-  mutable pair_next : int array;    (* -> next pair of the coarse cell, or -1 *)
+  mutable near : int array;         (* one coarse cell's near senders *)
+  mutable npw : Float.Array.t;      (* one listener's near powers *)
+  mutable lbest : int array;        (* walk record -> loudest sender ... *)
+  mutable lpw : Float.Array.t;      (* -> ... and its power *)
+  mutable llink : int array;
+      (* -> the listener's coarse cell, then the next record of that
+         cell or -1 *)
+  mutable nrec : int;               (* walk records in use *)
+  mutable ghead : int array;        (* coarse cell -> first record ... *)
+  mutable gstamp : int array;       (* ... valid when stamped this slot *)
+  mutable groups : int array;       (* coarse cells holding a record *)
+  mutable stamp : int;
+  bands : int array;                (* far senders per distance band *)
+  far : Float.Array.t;              (* [| far bound; exact far sum |] *)
+  mutable exact_sums : int;         (* exact far sums this slot *)
+  mutable far_terms : int;          (* their terms *)
   mutable sort_tmp : int array;     (* radix-sort buffer *)
   sort_cnt : int array;             (* radix-sort digit counts, 257 *)
-  mutable seen : int array;         (* coarse-cell stamps *)
-  mutable active : int array;       (* marked coarse cells *)
-  mutable stamp : int;
   mutable busy : bool;
 }
 
-let scratch_key =
-  Domain.DLS.new_key (fun () ->
-      { cell_key = [||];
-        cell_beg = [||];
-        cell_cnt = [||];
-        cell_cx = [||];
-        cell_cy = [||];
-        combo = [||];
-        sid = [||];
-        sx = Float.Array.create 0;
-        sy = Float.Array.create 0;
-        near = [||];
-        cand_head = [||];
-        pair_cell = [||];
-        pair_next = [||];
-        sort_tmp = [||];
-        sort_cnt = Array.make 257 0;
-        seen = [||];
-        active = [||];
-        stamp = 0;
-        busy = false })
-
-let fresh_scratch ~cells ~mcells =
-  { cell_key = Array.make cells 0;
-    cell_beg = Array.make cells 0;
-    cell_cnt = Array.make cells 0;
-    cell_cx = Array.make cells 0.;
-    cell_cy = Array.make cells 0.;
-    combo = Array.make cells 0;
-    sid = Array.make cells 0;
-    sx = Float.Array.make cells 0.;
-    sy = Float.Array.make cells 0.;
-    near = Array.make cells 0;
-    cand_head = Array.make mcells 0;
-    pair_cell = [||];
-    pair_next = [||];
+let fresh_scratch () =
+  { cell_beg = [||];
+    rowc = [||];
+    cell_cnt = [||];
+    cell_cx = [||];
+    cell_cy = [||];
+    combo = [||];
+    sid = [||];
+    sx = Float.Array.create 0;
+    sy = Float.Array.create 0;
+    near = [||];
+    npw = Float.Array.create 0;
+    lbest = [||];
+    lpw = Float.Array.create 0;
+    llink = [||];
+    nrec = 0;
+    ghead = [||];
+    gstamp = [||];
+    groups = [||];
+    stamp = 0;
+    bands = Array.make 4 0;
+    far = Float.Array.make 2 0.;
+    exact_sums = 0;
+    far_terms = 0;
     sort_tmp = [||];
     sort_cnt = Array.make 257 0;
-    seen = Array.make mcells 0;
-    active = Array.make mcells 0;
-    stamp = 0;
     busy = false }
 
-let with_scratch ~cells ~mcells f =
+let scratch_key = Domain.DLS.new_key fresh_scratch
+
+(* The domain's scratch, sized for [cells] senders and [mcells] coarse
+   cells; a fresh one when a resolution already holds it.  No closure:
+   [release] ends the hold. *)
+let acquire ~cells ~mcells =
   let sc = Domain.DLS.get scratch_key in
-  if sc.busy then f (fresh_scratch ~cells ~mcells)
-  else begin
-    sc.busy <- true;
-    if Array.length sc.cell_key < cells then begin
-      sc.cell_key <- Array.make cells 0;
-      sc.cell_beg <- Array.make cells 0;
-      sc.cell_cnt <- Array.make cells 0;
-      sc.cell_cx <- Array.make cells 0.;
-      sc.cell_cy <- Array.make cells 0.;
-      sc.combo <- Array.make cells 0;
-      sc.sid <- Array.make cells 0;
-      sc.sx <- Float.Array.make cells 0.;
-      sc.sy <- Float.Array.make cells 0.;
-      sc.near <- Array.make cells 0
-    end;
-    (* Fresh stamp arrays start zeroed; the running stamp is always >= 1,
-       so grown entries can never read as marked. *)
-    if Array.length sc.seen < mcells then begin
-      sc.seen <- Array.make mcells 0;
-      sc.active <- Array.make mcells 0;
-      sc.cand_head <- Array.make mcells 0
-    end;
-    Fun.protect ~finally:(fun () -> sc.busy <- false) (fun () -> f sc)
+  let sc = if sc.busy then fresh_scratch () else sc in
+  sc.busy <- true;
+  if Array.length sc.cell_cnt < cells then begin
+    sc.cell_beg <- Array.make (cells + 1) 0;
+    sc.cell_cnt <- Array.make cells 0;
+    sc.cell_cx <- Array.make cells 0.;
+    sc.cell_cy <- Array.make cells 0.;
+    sc.combo <- Array.make cells 0;
+    sc.sid <- Array.make cells 0;
+    sc.sx <- Float.Array.make cells 0.;
+    sc.sy <- Float.Array.make cells 0.;
+    sc.near <- Array.make cells 0;
+    sc.npw <- Float.Array.make cells 0.
+  end;
+  (* Fresh stamp arrays start zeroed; the running stamp is always >= 1,
+     so grown entries can never read as stamped. *)
+  if Array.length sc.gstamp < mcells then begin
+    sc.ghead <- Array.make mcells 0;
+    sc.gstamp <- Array.make mcells 0;
+    sc.groups <- Array.make mcells 0
+  end;
+  sc
+
+let release sc = sc.busy <- false
+
+(* Room for walk record [k]: the record columns grow by doubling. *)
+let grow_records sc k =
+  if k >= Array.length sc.lbest then begin
+    let m = max 256 (2 * k) in
+    let grow a = Array.append a (Array.make (m - Array.length a) 0) in
+    sc.lbest <- grow sc.lbest;
+    sc.llink <- grow sc.llink;
+    sc.lpw <- Float.Array.append sc.lpw (Float.Array.make (m - Float.Array.length sc.lpw) 0.)
   end
 
 (* ------------------------------------------------------------------ *)
 (* Slot resolution                                                     *)
 (* ------------------------------------------------------------------ *)
-
-(* d^alpha from d^2, avoiding libm pow on the default alpha = 3. *)
-let[@inline] pow_alpha t d2 =
-  if t.alpha3 then d2 *. sqrt d2 else d2 ** t.half_alpha
 
 (* Sort [a.(0 .. k-1)], non-negative ints at most [top], ascending in
    place: an LSD radix sort on 8-bit digits, O(k) per pass, as many passes
@@ -359,8 +351,8 @@ let radix_sort sc a k ~top =
    grouping is one linear walk and the within-cell order is the input
    order (deterministic accumulation).  The sorted senders' ids and
    positions are copied into the scratch columns [sid], [sx] and [sy], so
-   the per-listener loops read them contiguously.  Returns the number of
-   occupied cells. *)
+   the per-listener loops read them contiguously, and [rowc] indexes the
+   occupied cells by fine row.  Returns the number of occupied cells. *)
 let bucket t sc ~ids ~nsend =
   let stride =
     let s = ref 1 in
@@ -371,18 +363,21 @@ let bucket t sc ~ids ~nsend =
   in
   let mask = stride - 1 in
   let combo = sc.combo in
+  let xs = Soa.xs t.soa and ys = Soa.ys t.soa in
   for k = 0 to nsend - 1 do
-    combo.(k) <- (t.fine_of.(ids.(k)) * stride) + k
+    let v = ids.(k) in
+    combo.(k) <-
+      (fine_key t (Float.Array.get xs v) (Float.Array.get ys v) * stride) + k
   done;
   radix_sort sc combo nsend ~top:((fine_cells t * stride) - 1);
-  let xs = Soa.xs t.soa and ys = Soa.ys t.soa in
   for j = 0 to nsend - 1 do
     let v = ids.(combo.(j) land mask) in
     sc.sid.(j) <- v;
     Float.Array.set sc.sx j (Float.Array.unsafe_get xs v);
     Float.Array.set sc.sy j (Float.Array.unsafe_get ys v)
   done;
-  let ncells = ref 0 in
+  if Array.length sc.rowc < t.ncy + 1 then sc.rowc <- Array.make (t.ncy + 1) 0;
+  let ncells = ref 0 and row = ref 0 in
   let k = ref 0 in
   while !k < nsend do
     let key = combo.(!k) / stride in
@@ -391,7 +386,10 @@ let bucket t sc ~ids ~nsend =
       incr j
     done;
     let c = !ncells in
-    sc.cell_key.(c) <- key;
+    while !row <= key / t.ncx do
+      sc.rowc.(!row) <- c;
+      incr row
+    done;
     sc.cell_beg.(c) <- !k;
     sc.cell_cnt.(c) <- !j - !k;
     sc.cell_cx.(c) <-
@@ -401,269 +399,346 @@ let bucket t sc ~ids ~nsend =
     incr ncells;
     k := !j
   done;
+  sc.cell_beg.(!ncells) <- nsend;
+  for r = !row to t.ncy do
+    sc.rowc.(r) <- !ncells
+  done;
   !ncells
 
-(* Mark every coarse cell whose center lies within the active radius of
-   an occupied sender cell's center; cells outside cannot decode (see the
-   header proof) and are never visited.  Each such (coarse cell, sender
-   cell) pair is also listed as a candidate of the coarse cell: the only
-   sender cells that can hold a sender one of its listeners decodes. *)
-let mark_active t sc ~ncells =
-  sc.stamp <- sc.stamp + 1;
-  let stamp = sc.stamp in
-  let nactive = ref 0 and npairs = ref 0 in
-  let w = t.window in
-  for c = 0 to ncells - 1 do
-    let cx = sc.cell_cx.(c) and cy = sc.cell_cy.(c) in
-    let gxlo = max 0 (int_of_float ((cx -. w -. t.x0) /. t.cc)) in
-    let gxhi = min (t.mcx - 1) (int_of_float ((cx +. w -. t.x0) /. t.cc)) in
-    let gylo = max 0 (int_of_float ((cy -. w -. t.y0) /. t.cc)) in
-    let gyhi = min (t.mcy - 1) (int_of_float ((cy +. w -. t.y0) /. t.cc)) in
-    for gy = gylo to gyhi do
-      let gyc = t.y0 +. ((float_of_int gy +. 0.5) *. t.cc) in
-      for gx = gxlo to gxhi do
-        let g = (gy * t.mcx) + gx in
-        let gxc = t.x0 +. ((float_of_int gx +. 0.5) *. t.cc) in
-        let dx = gxc -. cx and dy = gyc -. cy in
-        if (dx *. dx) +. (dy *. dy) <= t.active_r2 then begin
-          if sc.seen.(g) <> stamp then begin
-            sc.seen.(g) <- stamp;
-            sc.active.(!nactive) <- g;
-            incr nactive;
-            sc.cand_head.(g) <- -1
-          end;
-          let p = !npairs in
-          if p >= Array.length sc.pair_cell then begin
-            let grow a =
-              let b = Array.make (max 64 (2 * p)) 0 in
-              Array.blit a 0 b 0 p;
-              b
-            in
-            sc.pair_cell <- grow sc.pair_cell;
-            sc.pair_next <- grow sc.pair_next
-          end;
-          sc.pair_cell.(p) <- c;
-          sc.pair_next.(p) <- sc.cand_head.(g);
-          sc.cand_head.(g) <- p;
-          npairs := p + 1
+(* One run of the sender walk: sorted sender [j] against the nodes
+   [fmembers.(lo .. hi-1)], all in coarse cell [g].  Records, per unmarked
+   listener with d^2 <= R'^2, the loudest power, its sender (strict [>]
+   in sorted order keeps the first on ties) and the coarse cell.  Record
+   [k]'s listener is [receivers.(k)], and a listener's record index lives
+   in [sender] (which is -1 for every listener on entry) until its
+   decision. *)
+let walk_run t sc ~mark ~sender ~receivers ~j ~g ~lo ~hi =
+  let x = Float.Array.unsafe_get sc.sx j and y = Float.Array.unsafe_get sc.sy j in
+  let xs = Soa.xs t.soa and ys = Soa.ys t.soa in
+  for m = lo to hi - 1 do
+    let u = Array.unsafe_get t.fmembers m in
+    if Bytes.unsafe_get mark u = '\000' then begin
+      let dx = x -. Float.Array.unsafe_get xs u
+      and dy = y -. Float.Array.unsafe_get ys u in
+      let d2 = (dx *. dx) +. (dy *. dy) in
+      if d2 <= t.silence_r2 then begin
+        let pw = t.power /. pow_alpha t d2 in
+        let k = Array.unsafe_get sender u in
+        if k < 0 then begin
+          let k = sc.nrec in
+          grow_records sc k;
+          sc.nrec <- k + 1;
+          Array.unsafe_set sender u k;
+          receivers.(k) <- u;
+          sc.lbest.(k) <- j;
+          sc.llink.(k) <- g;
+          Float.Array.set sc.lpw k pw
         end
+        else if pw > Float.Array.unsafe_get sc.lpw k then begin
+          Float.Array.unsafe_set sc.lpw k pw;
+          Array.unsafe_set sc.lbest k j
+        end
+      end
+    end
+  done
+
+(* The sender walk: each sorted sender visits the fine cells within R' of
+   it, a row at a time, in runs that share a coarse cell.  A listener with
+   d^2 <= R'^2 is within R' (1 + 2u) on each axis, so within the rounded
+   bound x -+ (R' + 1e-9 (1 + |x| + R')); the cells come from the
+   expression that assigned the nodes, which is monotone. *)
+let walk t sc ~nsend ~mark ~sender ~receivers =
+  let reach = t.reach in
+  let fits = reach < float_of_int (max t.ncx t.ncy) *. t.cf in
+  for j = 0 to nsend - 1 do
+    let x = Float.Array.unsafe_get sc.sx j and y = Float.Array.unsafe_get sc.sy j in
+    let wx = reach +. (1e-9 *. (1. +. Float.abs x +. reach))
+    and wy = reach +. (1e-9 *. (1. +. Float.abs y +. reach)) in
+    let kx0 = if fits then fine_bound (x -. wx) t.x0 t.cf t.ncx ~pad:0 else 0
+    and kx1 = if fits then fine_bound (x +. wx) t.x0 t.cf t.ncx ~pad:0 else t.ncx - 1
+    and ky0 = if fits then fine_bound (y -. wy) t.y0 t.cf t.ncy ~pad:0 else 0
+    and ky1 = if fits then fine_bound (y +. wy) t.y0 t.cf t.ncy ~pad:0 else t.ncy - 1 in
+    for ky = ky0 to ky1 do
+      let kx = ref kx0 in
+      while !kx <= kx1 do
+        let run_end = min kx1 ((((!kx / coarse_k) + 1) * coarse_k) - 1) in
+        let row = ky * t.ncx in
+        walk_run t sc ~mark ~sender ~receivers ~j
+          ~g:(((ky / coarse_k) * t.mcx) + (!kx / coarse_k))
+          ~lo:t.fstart.(row + !kx) ~hi:t.fstart.(row + run_end + 1);
+        kx := run_end + 1
       done
     done
-  done;
-  !nactive
+  done
 
-let resolve t ~ids ~nsend ~mark ~sender ~receivers =
-  if nsend = 0 then 0
+(* Whether fine row [r] exists and its center is within squared
+   vertical distance [q] of [gyc]: the row part of the center distance
+   [split] evaluates, a lower bound on it. *)
+let[@inline] row_in t r ~gyc ~q =
+  r >= 0 && r < t.ncy
+  && (let dy = t.y0 +. ((float_of_int r +. 0.5) *. t.cf) -. gyc in
+      dy *. dy < q)
+
+(* The last fine row from [r0] in direction [dir] (+1 or -1) that is
+   [row_in] at q = thr^2 4^i of coarse cell [g]'s center, or [r0 - dir]
+   if none.  On each side of the center the rows' distance only grows
+   outwards (every operation is monotone), so an estimate is corrected
+   in a step or two. *)
+let row_edge t ~g ~i ~r0 ~dir =
+  let gyc = t.y0 +. ((float_of_int (g / t.mcx) +. 0.5) *. t.cc)
+  and q = t.threshold2 *. float_of_int (1 lsl (2 * i)) in
+  let est = r0 + (dir * t.band_rows.(i)) in
+  let r = ref (if est < -1 then -1 else if est > t.ncy then t.ncy else est) in
+  if row_in t !r ~gyc ~q then
+    while row_in t (!r + dir) ~gyc ~q do
+      r := !r + dir
+    done
   else
-    with_scratch ~cells:(max 1 nsend) ~mcells:(max 1 t.mcells) @@ fun sc ->
-    let ncells = bucket t sc ~ids ~nsend in
-    let nactive = mark_active t sc ~ncells in
-    (* Per-pair loops index the columns directly: a call into [Soa] from
-       here would not be inlined and would box every coordinate. *)
-    let xs = Soa.xs t.soa and ys = Soa.ys t.soa in
-    let sid = sc.sid and sx = sc.sx and sy = sc.sy in
-    let cmembers = t.cmembers in
-    let power = t.power and beta = t.beta and noise = t.noise in
-    let floor = beta *. noise in
-    let silence_r2 = t.silence_r2 in
-    let count = ref 0 in
-    let near_links = ref 0 and far_pairs = ref 0 and silent = ref 0 in
-    for a = 0 to nactive - 1 do
-      let g = sc.active.(a) in
-      let mbeg = t.cstart.(g) and mend = t.cstart.(g + 1) in
-      (* A marked cell with no members is still silent: skip. *)
-      if mbeg < mend then begin
-        (* Split the occupied sender cells — near ones are scored
-           exactly per listener, far ones share one aggregate — only once
-           some listener of this cell can decode. *)
-        let nnear = ref 0 and split = ref false in
-        let far = ref 0. and near_sz = ref 0 in
-        for m = mbeg to mend - 1 do
-          let u = Array.unsafe_get cmembers m in
-          if Bytes.unsafe_get mark u = '\000' then begin
-            let ux = Float.Array.unsafe_get xs u
-            and uy = Float.Array.unsafe_get ys u in
-            (* Exact per-listener silence (see the module comment): a
-               decodable listener's strongest sender reaches beta * N on
-               its own, lies in a candidate cell, and is within the
-               padded range bound.  The nearest candidate is found on
-               squared distances alone. *)
-            let nearest = ref Float.infinity in
-            let p = ref sc.cand_head.(g) in
-            while !p >= 0 do
-              let c = Array.unsafe_get sc.pair_cell !p in
-              let jbeg = sc.cell_beg.(c) in
-              for j = jbeg to jbeg + sc.cell_cnt.(c) - 1 do
-                let dx = Float.Array.unsafe_get sx j -. ux
-                and dy = Float.Array.unsafe_get sy j -. uy in
-                let d2 = (dx *. dx) +. (dy *. dy) in
-                if d2 < !nearest then nearest := d2
-              done;
-              p := Array.unsafe_get sc.pair_next !p
-            done;
-            (* The loudest candidate's power, evaluated only in range.
-               For alpha = 3 it is the nearest one's: sqrt, multiply and
-               divide are correctly rounded, hence monotone.  Otherwise
-               libm's pow is not guaranteed monotone, so every candidate
-               is evaluated as the full test would. *)
-            let loudest =
-              if !nearest > silence_r2 then 0.
-              else if t.alpha3 then power /. pow_alpha t !nearest
-              else begin
-                let loudest = ref 0. in
-                let p = ref sc.cand_head.(g) in
-                while !p >= 0 do
-                  let c = Array.unsafe_get sc.pair_cell !p in
-                  let jbeg = sc.cell_beg.(c) in
-                  for j = jbeg to jbeg + sc.cell_cnt.(c) - 1 do
-                    let dx = Float.Array.unsafe_get sx j -. ux
-                    and dy = Float.Array.unsafe_get sy j -. uy in
-                    let pw = power /. pow_alpha t ((dx *. dx) +. (dy *. dy)) in
-                    if pw > !loudest then loudest := pw
-                  done;
-                  p := Array.unsafe_get sc.pair_next !p
-                done;
-                !loudest
-              end
-            in
-            if loudest < floor then incr silent
-            else begin
-              if not !split then begin
-                let gxc = t.x0 +. ((float_of_int (g mod t.mcx) +. 0.5) *. t.cc)
-                and gyc = t.y0 +. ((float_of_int (g / t.mcx) +. 0.5) *. t.cc) in
-                for c = 0 to ncells - 1 do
-                  let dx = sc.cell_cx.(c) -. gxc
-                  and dy = sc.cell_cy.(c) -. gyc in
-                  let d2 = (dx *. dx) +. (dy *. dy) in
-                  if d2 >= t.threshold2 then begin
-                    far :=
-                      !far
-                      +. float_of_int sc.cell_cnt.(c)
-                         *. (power /. pow_alpha t d2);
-                    incr far_pairs
-                  end
-                  else begin
-                    sc.near.(!nnear) <- c;
-                    incr nnear;
-                    near_sz := !near_sz + sc.cell_cnt.(c)
-                  end
-                done;
-                split := true
-              end;
-              let nnear = !nnear in
-              let total = ref !far in
-              let best = ref (-1) and best_pw = ref 0. in
-              for q = 0 to nnear - 1 do
-                let c = Array.unsafe_get sc.near q in
-                let jbeg = sc.cell_beg.(c) in
-                for j = jbeg to jbeg + sc.cell_cnt.(c) - 1 do
-                  let dx = Float.Array.unsafe_get sx j -. ux
-                  and dy = Float.Array.unsafe_get sy j -. uy in
-                  let d2 = (dx *. dx) +. (dy *. dy) in
-                  let pw = power /. pow_alpha t d2 in
-                  total := !total +. pw;
-                  if pw > !best_pw then begin
-                    best_pw := pw;
-                    best := j
-                  end
-                done
-              done;
-              near_links := !near_links + !near_sz;
-              if !best >= 0
-                 && !best_pw >= beta *. (noise +. !total -. !best_pw)
-              then begin
-                Array.unsafe_set sender u (Array.unsafe_get sid !best);
-                Array.unsafe_set receivers !count u;
-                incr count
-              end
-            end
-          end
-        done
-      end
+    while !r <> r0 - dir && not (row_in t !r ~gyc ~q) do
+      r := !r - dir
     done;
-    if Metrics.is_enabled () then begin
-      Metrics.incr m_slots;
-      Metrics.add m_active nactive;
-      Metrics.add m_near !near_links;
-      Metrics.add m_far !far_pairs;
-      Metrics.add m_silent !silent;
-      Metrics.add m_links (!near_links + !far_pairs)
-    end;
-    (* The receivers were appended coarse cell by coarse cell. *)
-    radix_sort sc receivers !count ~top:(Array.length t.fine_of - 1);
-    !count
+  !r
 
-(* Approximate total incoming power at listener [u], exactly as the
-   resolve kernel accumulates it (shared far sum of u's coarse cell plus
-   exact near terms).  Exposed so tests can assert the eps bound against
-   the exact interference sum. *)
+(* The senders in fine rows [lo .. hi] (clamped to the grid). *)
+let row_senders t sc ~lo ~hi =
+  let lo = max lo 0 and hi = min hi (t.ncy - 1) in
+  if lo > hi then 0 else sc.cell_beg.(sc.rowc.(hi + 1)) - sc.cell_beg.(sc.rowc.(lo))
+
+(* The senders in the rows [row_in] at q = thr^2 4^i of coarse cell [g]'s
+   center, rows [dn] and [up] being the two nearest it. *)
+let window_senders t sc ~g ~i ~dn ~up =
+  row_senders t sc
+    ~lo:(row_edge t ~g ~i ~r0:dn ~dir:(-1))
+    ~hi:(row_edge t ~g ~i ~r0:up ~dir:1)
+
+(* Split the occupied sender cells for coarse cell [g]: near cells'
+   senders go to [near] in sorted order (their count is returned), and
+   [far.(0)] becomes the bound F' (see the module comment), [far.(1)]
+   nan (F not computed).  Only cells in rows within thr of the center can
+   be near: those are visited and banded on their center distance; every
+   other row is banded whole, from per-row counts, on its vertical
+   distance alone (a lower bound). *)
+let split t sc ~ncells ~g =
+  let gxc = t.x0 +. ((float_of_int (g mod t.mcx) +. 0.5) *. t.cc)
+  and gyc = t.y0 +. ((float_of_int (g / t.mcx) +. 0.5) *. t.cc) in
+  let thr2 = t.threshold2 in
+  let q4 = 4. *. thr2 and q16 = 16. *. thr2 and q64 = 64. *. thr2 in
+  let up = ((g / t.mcx) * coarse_k) + (coarse_k / 2) in
+  let dn = min (up - 1) (t.ncy - 1) in
+  let s1 = window_senders t sc ~g ~i:1 ~dn ~up
+  and s2 = window_senders t sc ~g ~i:2 ~dn ~up
+  and s3 = window_senders t sc ~g ~i:3 ~dn ~up in
+  let lo = max (row_edge t ~g ~i:0 ~r0:dn ~dir:(-1)) 0
+  and hi = min (row_edge t ~g ~i:0 ~r0:up ~dir:1) (t.ncy - 1) in
+  let bands = sc.bands in
+  bands.(0) <- s1 - row_senders t sc ~lo ~hi;
+  bands.(1) <- s2 - s1;
+  bands.(2) <- s3 - s2;
+  bands.(3) <- sc.cell_beg.(ncells) - s3;
+  (* Branch-free: a cell's senders are always written after the near
+     list, which only grows past them when the cell is near. *)
+  let nnear = ref 0 in
+  for c = sc.rowc.(lo) to (if lo > hi then -1 else sc.rowc.(hi + 1) - 1) do
+    let dx = Array.unsafe_get sc.cell_cx c -. gxc
+    and dy = Array.unsafe_get sc.cell_cy c -. gyc in
+    let d2 = (dx *. dx) +. (dy *. dy) in
+    let cnt = Array.unsafe_get sc.cell_cnt c in
+    let far = Bool.to_int (d2 >= thr2) in
+    let b = Bool.to_int (d2 >= q4) + Bool.to_int (d2 >= q16) + Bool.to_int (d2 >= q64) in
+    Array.unsafe_set bands b (Array.unsafe_get bands b + (cnt * far));
+    let jbeg = Array.unsafe_get sc.cell_beg c in
+    for j = 0 to cnt - 1 do
+      Array.unsafe_set sc.near (!nnear + j) (jbeg + j)
+    done;
+    nnear := !nnear + (cnt * (1 - far))
+  done;
+  let band = t.band in
+  if ncells > 1_000_000 then Float.Array.set sc.far 0 Float.infinity
+  else
+    Float.Array.set sc.far 0
+      (((float_of_int bands.(0) *. Float.Array.get band 0)
+        +. (float_of_int bands.(1) *. Float.Array.get band 1)
+        +. (float_of_int bands.(2) *. Float.Array.get band 2)
+        +. (float_of_int bands.(3) *. Float.Array.get band 3))
+       *. (1. +. 1e-9));
+  Float.Array.set sc.far 1 Float.nan;
+  !nnear
+
+(* The exact far sum of coarse cell [g] into [far.(1)]: far cells in cell
+   order, count * P / d(centers)^alpha. *)
+let far_exact t sc ~ncells ~g =
+  let gxc = t.x0 +. ((float_of_int (g mod t.mcx) +. 0.5) *. t.cc)
+  and gyc = t.y0 +. ((float_of_int (g / t.mcx) +. 0.5) *. t.cc) in
+  let far = ref 0. in
+  for c = 0 to ncells - 1 do
+    let dx = sc.cell_cx.(c) -. gxc and dy = sc.cell_cy.(c) -. gyc in
+    let d2 = (dx *. dx) +. (dy *. dy) in
+    if d2 >= t.threshold2 then begin
+      far := !far +. (float_of_int sc.cell_cnt.(c) *. (t.power /. pow_alpha t d2));
+      sc.far_terms <- sc.far_terms + 1
+    end
+  done;
+  sc.exact_sums <- sc.exact_sums + 1;
+  Float.Array.set sc.far 1 !far
+
+(* The SINR test of walk record [k] (listener [u]) against coarse cell [g]'s split
+   ([nnear] near senders): its near powers summed from 0 and from the far
+   bound decide it unless they disagree; then the exact far sum (computed
+   at most once per cell) and the stored powers re-added in order do. *)
+let decide t sc ~u ~k ~g ~ncells ~nnear =
+  let ux = Float.Array.get (Soa.xs t.soa) u and uy = Float.Array.get (Soa.ys t.soa) u in
+  let power = t.power and beta = t.beta and noise = t.noise in
+  let best = Float.Array.get sc.lpw k in
+  let lo = ref 0. and hi = ref (Float.Array.get sc.far 0) in
+  for q = 0 to nnear - 1 do
+    let j = Array.unsafe_get sc.near q in
+    let dx = Float.Array.unsafe_get sc.sx j -. ux
+    and dy = Float.Array.unsafe_get sc.sy j -. uy in
+    let pw = power /. pow_alpha t ((dx *. dx) +. (dy *. dy)) in
+    Float.Array.unsafe_set sc.npw q pw;
+    lo := !lo +. pw;
+    hi := !hi +. pw
+  done;
+  if best >= beta *. (noise +. !hi -. best) then true
+  else if not (best >= beta *. (noise +. !lo -. best)) then false
+  else begin
+    if Float.is_nan (Float.Array.get sc.far 1) then far_exact t sc ~ncells ~g;
+    let total = ref (Float.Array.get sc.far 1) in
+    for q = 0 to nnear - 1 do
+      total := !total +. Float.Array.unsafe_get sc.npw q
+    done;
+    best >= beta *. (noise +. !total -. best)
+  end
+
+let resolve_in t sc ~ids ~nsend ~listeners ~mark ~sender ~receivers =
+  let ncells = bucket t sc ~ids ~nsend in
+  sc.nrec <- 0;
+  walk t sc ~nsend ~mark ~sender ~receivers;
+  (* Silent records (loudest below beta * N) are decided here; the rest
+     are chained by coarse cell. *)
+  sc.stamp <- sc.stamp + 1;
+  let stamp = sc.stamp in
+  let floor = t.beta *. t.noise in
+  let ngroups = ref 0 and summed = ref 0 in
+  for k = 0 to sc.nrec - 1 do
+    if Float.Array.get sc.lpw k < floor then sender.(receivers.(k)) <- -1
+    else begin
+      let g = sc.llink.(k) in
+      if sc.gstamp.(g) <> stamp then begin
+        sc.gstamp.(g) <- stamp;
+        sc.ghead.(g) <- -1;
+        sc.groups.(!ngroups) <- g;
+        incr ngroups
+      end;
+      sc.llink.(k) <- sc.ghead.(g);
+      sc.ghead.(g) <- k;
+      incr summed
+    end
+  done;
+  let near_links = ref 0 in
+  sc.exact_sums <- 0;
+  sc.far_terms <- 0;
+  for a = 0 to !ngroups - 1 do
+    let g = sc.groups.(a) in
+    let nnear = split t sc ~ncells ~g in
+    let k = ref sc.ghead.(g) in
+    while !k >= 0 do
+      let u = receivers.(!k) in
+      near_links := !near_links + nnear;
+      sender.(u) <-
+        (if decide t sc ~u ~k:!k ~g ~ncells ~nnear then sc.sid.(sc.lbest.(!k))
+         else -1);
+      k := sc.llink.(!k)
+    done
+  done;
+  (* Every record is decided: the decoders are the listeners with a
+     sender, kept in record order. *)
+  let count = ref 0 in
+  for k = 0 to sc.nrec - 1 do
+    let u = receivers.(k) in
+    if sender.(u) >= 0 then begin
+      receivers.(!count) <- u;
+      incr count
+    end
+  done;
+  sc.nrec <- 0;
+  if Metrics.is_enabled () then begin
+    Metrics.incr m_slots;
+    Metrics.add m_active !ngroups;
+    Metrics.add m_near !near_links;
+    Metrics.add m_far sc.far_terms;
+    Metrics.add m_far_exact sc.exact_sums;
+    Metrics.add m_silent (listeners - !summed);
+    Metrics.add m_links (!near_links + sc.far_terms)
+  end;
+  (* The receivers are in walk order. *)
+  radix_sort sc receivers !count ~top:(Soa.length t.soa - 1);
+  !count
+
+let resolve t ~ids ~nsend ~listeners ~mark ~sender ~receivers =
+  if nsend = 0 then 0
+  else begin
+    let sc = acquire ~cells:nsend ~mcells:t.mcells in
+    match resolve_in t sc ~ids ~nsend ~listeners ~mark ~sender ~receivers with
+    | count ->
+      release sc;
+      count
+    | exception e ->
+      (* Listeners still holding a walk record get their -1 back. *)
+      for k = 0 to sc.nrec - 1 do
+        sender.(receivers.(k)) <- -1
+      done;
+      sc.nrec <- 0;
+      release sc;
+      raise e
+  end
+
+(* The approximate total incoming power at listener [u], accumulated
+   exactly as the resolve kernel's exact branch does: the far sum of u's
+   coarse cell (far cells in cell order), then the near senders' exact
+   powers in sorted order.  Exposed so tests can assert the eps bound
+   against the exact interference sum, and decisions bit for bit. *)
 let interference t ~ids ~nsend ~receiver:u =
   if nsend = 0 then 0.
-  else
-    with_scratch ~cells:(max 1 nsend) ~mcells:(max 1 t.mcells) @@ fun sc ->
+  else begin
+    let sc = acquire ~cells:nsend ~mcells:t.mcells in
+    Fun.protect ~finally:(fun () -> release sc) @@ fun () ->
     let ncells = bucket t sc ~ids ~nsend in
-    let kx = t.fine_of.(u) mod t.ncx and ky = t.fine_of.(u) / t.ncx in
+    let ux = Soa.x t.soa u and uy = Soa.y t.soa u in
+    let kx = fine_bound ux t.x0 t.cf t.ncx ~pad:0
+    and ky = fine_bound uy t.y0 t.cf t.ncy ~pad:0 in
     let g = ((ky / coarse_k) * t.mcx) + (kx / coarse_k) in
-    let gxc = t.x0 +. ((float_of_int (g mod t.mcx) +. 0.5) *. t.cc) in
-    let gyc = t.y0 +. ((float_of_int (g / t.mcx) +. 0.5) *. t.cc) in
-    let total = ref 0. in
-    let xs = Soa.xs t.soa and ys = Soa.ys t.soa in
-    let ux = Float.Array.get xs u and uy = Float.Array.get ys u in
-    for c = 0 to ncells - 1 do
-      let dx = sc.cell_cx.(c) -. gxc and dy = sc.cell_cy.(c) -. gyc in
-      let d2 = (dx *. dx) +. (dy *. dy) in
-      if d2 >= t.threshold2 then
-        total :=
-          !total +. (float_of_int sc.cell_cnt.(c) *. (t.power /. pow_alpha t d2))
-      else begin
-        let jbeg = sc.cell_beg.(c) in
-        for j = jbeg to jbeg + sc.cell_cnt.(c) - 1 do
-          let dx = Float.Array.get sc.sx j -. ux
-          and dy = Float.Array.get sc.sy j -. uy in
-          let d2 = (dx *. dx) +. (dy *. dy) in
-          total := !total +. (t.power /. pow_alpha t d2)
-        done
-      end
+    far_exact t sc ~ncells ~g;
+    let total = ref (Float.Array.get sc.far 1) in
+    let nnear = split t sc ~ncells ~g in
+    for q = 0 to nnear - 1 do
+      let j = sc.near.(q) in
+      let dx = Float.Array.get sc.sx j -. ux and dy = Float.Array.get sc.sy j -. uy in
+      total := !total +. (t.power /. pow_alpha t ((dx *. dx) +. (dy *. dy)))
     done;
     !total
-
-(* Window bound along one axis: the coarse cell of the fine cell holding
-   coordinate [c], moved [pad] fine cells and clamped to the grid. *)
-let[@inline] coarse_bound c lo cf ncells ~pad =
-  let k = int_of_float ((c -. lo) /. cf) + pad in
-  let k = if k < 0 then 0 else if k > ncells - 1 then ncells - 1 else k in
-  k / coarse_k
+  end
 
 (* Every node within [radius] of node [v] ([v] included): [Soa.dist v u
-   <= radius], with the distance evaluated by that float expression.  The
-   candidates are the members of the coarse cells that overlap the
-   axis-aligned square of half-side [radius] around [v], found from the
-   deployment's coarse-cell index in O(members of the overlapped cells).
-   The window is computed with the expression that assigned the nodes to
-   fine cells and widened by one fine cell (side >= 1) each way, which
-   absorbs any rounding in the coordinate arithmetic; a radius that does
-   not fit the grid visits every cell.  No closure or tuple is allocated:
-   telemetry calls this once per sender per slot. *)
+   <= radius], evaluated by that float expression, over the fine cells
+   that overlap the square of half-side [radius] around [v].  The window
+   comes from the expression that assigned the nodes to fine cells,
+   widened by one cell (side >= 1) each way to absorb rounding; a radius
+   that does not fit the grid visits every cell.  No closure or tuple is
+   allocated: telemetry calls this once per sender per slot. *)
 let iter_within t v ~radius f =
   let xs = Soa.xs t.soa and ys = Soa.ys t.soa in
   let x = Float.Array.get xs v and y = Float.Array.get ys v in
-  let span = float_of_int (max t.ncx t.ncy) *. t.cf in
-  let fits = radius < span in
-  let gx0 = if fits then coarse_bound (x -. radius) t.x0 t.cf t.ncx ~pad:(-1) else 0
-  and gx1 =
-    if fits then coarse_bound (x +. radius) t.x0 t.cf t.ncx ~pad:1 else t.mcx - 1
-  and gy0 = if fits then coarse_bound (y -. radius) t.y0 t.cf t.ncy ~pad:(-1) else 0
-  and gy1 =
-    if fits then coarse_bound (y +. radius) t.y0 t.cf t.ncy ~pad:1 else t.mcy - 1
-  in
-  for gy = gy0 to gy1 do
-    for gx = gx0 to gx1 do
-      let g = (gy * t.mcx) + gx in
-      for m = t.cstart.(g) to t.cstart.(g + 1) - 1 do
-        let u = Array.unsafe_get t.cmembers m in
-        let dx = x -. Float.Array.unsafe_get xs u
-        and dy = y -. Float.Array.unsafe_get ys u in
-        if sqrt ((dx *. dx) +. (dy *. dy)) <= radius then f u
-      done
+  let fits = radius < float_of_int (max t.ncx t.ncy) *. t.cf in
+  let kx0 = if fits then fine_bound (x -. radius) t.x0 t.cf t.ncx ~pad:(-1) else 0
+  and kx1 = if fits then fine_bound (x +. radius) t.x0 t.cf t.ncx ~pad:1 else t.ncx - 1
+  and ky0 = if fits then fine_bound (y -. radius) t.y0 t.cf t.ncy ~pad:(-1) else 0
+  and ky1 = if fits then fine_bound (y +. radius) t.y0 t.cf t.ncy ~pad:1 else t.ncy - 1 in
+  for ky = ky0 to ky1 do
+    for m = t.fstart.((ky * t.ncx) + kx0) to t.fstart.((ky * t.ncx) + kx1 + 1) - 1 do
+      let u = Array.unsafe_get t.fmembers m in
+      let dx = x -. Float.Array.unsafe_get xs u
+      and dy = y -. Float.Array.unsafe_get ys u in
+      if sqrt ((dx *. dx) +. (dy *. dy)) <= radius then f u
     done
   done

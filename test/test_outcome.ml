@@ -13,7 +13,13 @@
      other node marked) so the silent counter speaks for it alone: a
      silent listener has no sender within Config.range, and every
      decision equals the full sum, for alpha = 3 and for other alpha (the
-     pow branch). *)
+     pow branch).
+   - With every listener resolved together, each decision is best >=
+     beta (N + interference - best) with the kernel's own interference,
+     over every family tiled past three far thresholds; a ring of
+     listeners whose margins fall inside the far bound takes the exact
+     far sum, and tied loudest senders resolve to the first in sorted
+     order. *)
 
 open Sinr_geom
 open Sinr_phys
@@ -188,7 +194,8 @@ let resolve_alone sp ~n ~ids u =
   in
   let s0 = silent () in
   let k =
-    Sparse.resolve sp ~ids ~nsend:(Array.length ids) ~mark ~sender ~receivers
+    Sparse.resolve sp ~ids ~nsend:(Array.length ids) ~listeners:1 ~mark ~sender
+      ~receivers
   in
   ((if k > 0 then sender.(u) else -1), silent () - s0 = 1)
 
@@ -279,10 +286,154 @@ let test_silence_engages () =
   Alcotest.(check bool) "some listener scored" true
     (Option.value ~default:0 (Metrics.counter_peek "phys.sparse.near_links") > 0)
 
+(* ---------------- sparse decisions = the full sum ---------------- *)
+
+(* The decision the kernel must reach at listener [u]: the strongest
+   sender by the kernel's own power expression (ties are broken below),
+   against the oracle interference, which adds the terms in the kernel's
+   order. *)
+let sum_decision sp c ~soa ~ids u =
+  let total = Sparse.interference sp ~ids ~nsend:(Array.length ids) ~receiver:u in
+  let best = Array.fold_left (fun b v -> Float.max b (link_power c (Soa.dist2 soa v u))) 0. ids in
+  (best, best > 0. && best >= c.Config.beta *. (c.Config.noise +. total -. best))
+
+(* Resolve [ids] on [sp] with every other node listening, and check every
+   listener against [sum_decision]: decoded exactly when the test passes,
+   from a sender of the best power.  Returns how many decoded. *)
+let check_decisions ~label sp c ~soa ~ids =
+  let n = Soa.length soa in
+  let mark = Bytes.make n '\000' in
+  Array.iter (fun v -> Bytes.set mark v '\001') ids;
+  let sender = Array.make n (-1) and receivers = Array.make n 0 in
+  let k =
+    Sparse.resolve sp ~ids ~nsend:(Array.length ids)
+      ~listeners:(n - Array.length ids) ~mark ~sender ~receivers
+  in
+  for u = 0 to n - 1 do
+    if Bytes.get mark u = '\000' then begin
+      let best, decodes = sum_decision sp c ~soa ~ids u in
+      let got = sender.(u) in
+      if decodes <> (got >= 0) then
+        Alcotest.failf "%s: listener %d decodes %b, the full sum says %b" label u
+          (got >= 0) decodes;
+      if got >= 0 && not (Float.equal (link_power c (Soa.dist2 soa got u)) best) then
+        Alcotest.failf "%s: listener %d decoded a sender below the best power" label u
+    end
+  done;
+  Array.iter (fun v -> if sender.(v) <> -1 then Alcotest.failf "%s: sender %d decoded" label v) ids;
+  k
+
+(* A deployment from [family], tiled three times along x with offsets of
+   1.6 far thresholds (Sparse's split distance on an undoubled grid), so
+   the box spans more than 3 thresholds and far cells exist. *)
+let tiled rng ~family c ~eps =
+  let r = Config.range c in
+  let cf = Float.max 1. (r /. 2.) in
+  let h = 5. *. cf *. sqrt 2. /. 2. in
+  let thr = Float.max (h /. (((1. +. eps) ** (1. /. c.Config.alpha)) -. 1.)) (r +. h) in
+  let base = deployment rng ~family ~n:(20 + Rng.int rng 30) in
+  let bb = Box.of_points base in
+  let off = Float.max (1.6 *. thr) (Box.width bb +. 2.) in
+  let tile t =
+    Placement.translate
+      (Point.make ((float_of_int t *. off) -. bb.Box.xmin) (-.bb.Box.ymin))
+      base
+  in
+  (Array.concat (List.init 3 tile), thr)
+
+let decisions_run ~seed ~alpha =
+  let rng = Rng.create seed in
+  let c = Config.with_range ~alpha ~range:12. () in
+  let eps = 0.4 +. Rng.float rng 0.55 in
+  let family = seed mod families in
+  let pts, thr = tiled rng ~family c ~eps in
+  let soa = Soa.of_points pts in
+  let sp = Sparse.create c soa ~eps in
+  let label = Printf.sprintf "seed %d family %d alpha %g eps %.3g" seed family alpha eps in
+  Alcotest.(check (float 1e-6)) (label ^ ": undoubled grid") thr (Sparse.far_threshold sp);
+  let bb = Box.of_points pts in
+  Alcotest.(check bool) (label ^ ": box spans 3 far thresholds") true
+    (Box.width bb >= 3. *. thr);
+  let n = Array.length pts in
+  for case = 0 to 1 do
+    let p = 0.05 +. Rng.float rng 0.3 in
+    let ids =
+      Array.of_list (List.filter (fun _ -> Rng.bernoulli rng p) (List.init n Fun.id))
+    in
+    if Array.length ids > 0 then
+      ignore (check_decisions ~label:(Printf.sprintf "%s case %d" label case) sp c ~soa ~ids : int)
+  done
+
+let prop_decisions =
+  QCheck.Test.make ~name:"sparse: every decision = best >= beta (N + interference - best)"
+    ~count:36
+    QCheck.(pair (int_range 1 100_000) bool)
+    (fun (seed, alpha3) ->
+      let alpha =
+        if alpha3 then 3. else 2.1 +. Rng.float (Rng.create (seed + 11)) 3.9
+      in
+      decisions_run ~seed ~alpha;
+      true)
+
+(* A sender ringed by listeners from 8.5 to 12 away (range 12) and a
+   1024-sender block about 215 away, in far cells: its interference moves
+   the decoding edge to ~11.1, inside the far bound's reach (~9.8), so the
+   ring's outer listeners can be decided only by the exact far sum. *)
+let test_far_exact_margins () =
+  Metrics.reset_for_tests ();
+  Fun.protect ~finally:Metrics.reset_for_tests @@ fun () ->
+  Metrics.set_enabled true;
+  let c = cfg in
+  let ring =
+    List.init 36 (fun i ->
+        let r = 8.5 +. (0.1 *. float_of_int i)
+        and a = 2. *. Float.pi *. 0.6180339887 *. float_of_int i in
+        Point.make (300. +. (r *. cos a)) (300. +. (r *. sin a)))
+  in
+  let block =
+    List.init 1024 (fun i ->
+        Point.make (500. +. (1.05 *. float_of_int (i mod 32)))
+          (284. +. (1.05 *. float_of_int (i / 32))))
+  in
+  let pts = Array.of_list ((Point.make 300. 300. :: ring) @ block) in
+  Alcotest.(check bool) "unit minimum distance" true (Placement.min_pairwise_dist pts >= 1.);
+  let soa = Soa.of_points pts in
+  let sp = Sparse.create c soa ~eps:0.5 in
+  let ids = Array.init 1025 (fun i -> if i = 0 then 0 else 36 + i) in
+  let k = check_decisions ~label:"ring" sp c ~soa ~ids in
+  let exact = Option.value ~default:0 (Metrics.counter_peek "phys.sparse.far_exact") in
+  Alcotest.(check bool) "the exact far sum was taken" true (exact > 0);
+  Alcotest.(check bool)
+    (Printf.sprintf "the ring splits inside the far bound (%d of 36 decode)" k)
+    true (k > 14 && k < 30)
+
+(* Equal loudest powers: at beta = 1 and negligible noise a tie still
+   decodes, from the first sender in the kernel's sorted order (fine
+   cell, then input position) -- the near scan's choice. *)
+let test_tie_first_sender () =
+  let c = { (Config.with_range ~range:12. ()) with Config.beta = 1.; noise = 1e-20 } in
+  let pts = [| Point.make 100. 100.; Point.make 97. 100.; Point.make 103. 100. |] in
+  let soa = Soa.of_points pts in
+  let sp = Sparse.create c soa ~eps:0.5 in
+  List.iter
+    (fun ids ->
+      let mark = Bytes.of_string "\000\001\001" in
+      let sender = Array.make 3 (-1) and receivers = Array.make 3 0 in
+      let k = Sparse.resolve sp ~ids ~nsend:2 ~listeners:1 ~mark ~sender ~receivers in
+      Alcotest.(check (pair int int))
+        (Printf.sprintf "senders %d, %d" ids.(0) ids.(1))
+        (1, ids.(0)) (k, sender.(0)))
+    [ [| 1; 2 |]; [| 2; 1 |] ]
+
 let fixed_rand () = Random.State.make [| 1505 |]
 
 let suite =
   [ QCheck_alcotest.to_alcotest ~rand:(fixed_rand ()) prop_outcome;
     QCheck_alcotest.to_alcotest ~rand:(fixed_rand ()) prop_silence;
     Alcotest.test_case "sparse: silence pre-filter engages" `Quick
-      test_silence_engages ]
+      test_silence_engages;
+    QCheck_alcotest.to_alcotest ~rand:(fixed_rand ()) prop_decisions;
+    Alcotest.test_case "sparse: margins inside the far bound" `Quick
+      test_far_exact_margins;
+    Alcotest.test_case "sparse: loudest ties go to the first sender" `Quick
+      test_tie_first_sender ]

@@ -256,6 +256,39 @@ let test_uniform_stream_invariant_and_equivalence () =
     (Sinr.resolve_reference sinr ~senders)
     (Sinr.resolve sinr ~senders)
 
+(* A streamed placement's coordinates, bit for bit, and the minor words
+   the generator allocated per node. *)
+let stream_digest ~rng ~n ~side =
+  let soa = Soa.create ~n in
+  let w0 = Gc.minor_words () in
+  Placement.uniform_stream rng ~n ~box:(Box.square ~side) ~min_dist:1.
+    ~set:(fun i ~x ~y -> Soa.set soa i ~x ~y)
+    ~x:(Soa.x soa) ~y:(Soa.y soa);
+  let words = (Gc.minor_words () -. w0) /. float_of_int n in
+  let b = Buffer.create (16 * n) in
+  for i = 0 to n - 1 do
+    Buffer.add_int64_le b (Int64.bits_of_float (Soa.x soa i));
+    Buffer.add_int64_le b (Int64.bits_of_float (Soa.y soa i))
+  done;
+  (Digest.to_hex (Digest.string (Buffer.contents b)), words)
+
+(* The generator's points are pinned, as the hash-table generator drew
+   them: the test's own n = 600 layout and absmac-32k's seed-41 layout.
+   It allocates nothing per probe: the [set] call boxes the two
+   coordinates it passes (4 words), so the pass stays under 5 minor
+   words per node. *)
+let test_uniform_stream_pinned () =
+  let check label ~rng ~n ~side want =
+    let got, words = stream_digest ~rng ~n ~side in
+    Alcotest.(check string) (label ^ ": coordinates") want got;
+    if words > 5. then
+      Alcotest.failf "%s: %.2f minor words per node (ceiling 5)" label words
+  in
+  check "seed 905, n 600" ~rng:(Rng.create 905) ~n:600
+    ~side:(8. +. (4.4 *. sqrt 600.)) "abadf1a3855838bfd7202e16f0d7697f";
+  check "seed 41, n 32768" ~rng:(Rng.split (Rng.create 41) ~key:1) ~n:32_768
+    ~side:(4.4 *. sqrt 32_768.) "f8fbcb962f1db624d717a7b235bd6774"
+
 (* ---------------- sparse resolution ---------------- *)
 
 let with_sparse ~threshold ~eps f =
@@ -441,6 +474,8 @@ let suite =
       test_engine_step_exception_safe;
     Alcotest.test_case "uniform_stream invariant + equivalence" `Quick
       test_uniform_stream_invariant_and_equivalence;
+    Alcotest.test_case "uniform_stream points pinned, allocation-free" `Quick
+      test_uniform_stream_pinned;
     Alcotest.test_case "gain-cache bypass with sparse" `Quick
       test_cache_bypass_with_sparse;
     Alcotest.test_case "sparse: single-sender bit-identical" `Quick
