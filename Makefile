@@ -1,5 +1,5 @@
 .PHONY: all build check test fmt bench par-smoke chaos-smoke phys-smoke \
-        obs-smoke serve-smoke crash-smoke scale-smoke \
+        obs-smoke crash-smoke scale-smoke \
         stream-smoke bench-diff perf-digest trace-digest clean
 
 all: build
@@ -30,9 +30,9 @@ chaos-smoke:
 # End-to-end exercise of the physics fast path: the CLI self-check
 # (exits 1 if the cached kernel diverges from the seed kernel).  The
 # second, sparser deployment leaves most listeners beyond every sender's
-# neighbour list, so its slots take the list-limited path as well as the
-# dense one.  The third runs at n = 1200, past Phys_tuning.par_threshold,
-# with two jobs: the pooled listener fan-out at its real threshold.
+# neighbour list, so its slots score few of them.  The third runs at
+# n = 1200, past Sinr.par_threshold (1024), with two jobs: the pooled
+# listener fan-out.
 phys-smoke:
 	dune exec bin/sinr_sim.exe -- phys --seed 3 --n 90 --cases 60
 	dune exec bin/sinr_sim.exe -- phys --seed 3 --n 400 --degree 2 --cases 60
@@ -47,36 +47,6 @@ obs-smoke:
 	dune exec bin/sinr_sim.exe -- obs --seed 3 --n 24 --max-slots 60000 \
 	  --trace-out flight-obs.jsonl --prometheus-out obs.prom
 	dune exec bin/sinr_sim.exe -- trace-report --strict flight-obs.jsonl
-
-# End-to-end exercise of the live observability plane: run a real sweep
-# with the embedded HTTP server up, scrape /metrics and /healthz while it
-# runs, and assert the scrape is well-formed Prometheus exposition.  The
-# scrape is kept as serve-metrics.prom (uploaded as a CI artifact).  The
-# binary is launched directly (not via dune exec) so $$! is the simulator
-# pid, not a wrapper.
-serve-smoke:
-	dune build bin/sinr_sim.exe
-	rm -f serve-port.txt; \
-	./_build/default/bin/sinr_sim.exe exp table1-ack --serve 0 \
-	  --serve-port-file serve-port.txt \
-	  > serve-smoke.log 2>&1 & pid=$$!; \
-	up=0; for i in $$(seq 1 50); do \
-	  if [ -s serve-port.txt ]; then up=1; break; fi; sleep 0.1; done; \
-	if [ $$up -ne 1 ]; then echo "serve-smoke: port file never appeared"; \
-	  cat serve-smoke.log; kill $$pid 2>/dev/null; exit 1; fi; \
-	port=$$(cat serve-port.txt); \
-	health=$$(curl -sf http://127.0.0.1:$$port/healthz); \
-	curl -sf http://127.0.0.1:$$port/metrics > serve-metrics.prom; \
-	rc=$$?; kill $$pid 2>/dev/null; wait $$pid 2>/dev/null; \
-	if [ $$rc -ne 0 ]; then echo "serve-smoke: /metrics scrape failed"; exit 1; fi; \
-	case "$$health" in *'"status":"ok"'*) ;; \
-	  *) echo "serve-smoke: bad /healthz: $$health"; exit 1;; esac; \
-	grep -q '^# TYPE engine_slots counter' serve-metrics.prom || \
-	  { echo "serve-smoke: /metrics missing engine_slots family"; exit 1; }; \
-	awk '!/^#/ && !/^[a-zA-Z0-9_:]+(\{[^}]*\})? (-?[0-9.eE+-]+|NaN|[+-]Inf)$$/ \
-	  { print "serve-smoke: bad exposition line: " $$0; bad=1 } END { exit bad }' \
-	  serve-metrics.prom; \
-	echo "serve-smoke: OK ($$(wc -l < serve-metrics.prom) exposition lines)"
 
 # Crash-tolerance gate for the daemon: start `sinr_sim serve`, submit a
 # sweep, SIGKILL the process mid-grid (a failpoint slows every cell so

@@ -297,8 +297,7 @@ let run_slot t ~select ~before_wake =
     let perturb = t.perturb ~slot:t.slot in
     Profile.stop Profile.Perturb p0;
     if telemetry && Option.is_some perturb then Metrics.incr m_perturbed_slots;
-    (* Timed by phys.resolve.ns inside the kernel and by the profiler's
-       resolve stage here. *)
+    (* Timed by the profiler's resolve stage. *)
     let p0 = Profile.start () in
     Sinr.resolve_into ?perturb t.sinr ~senders ~nsenders:ntx decoded;
     Profile.stop Profile.Resolve p0;

@@ -36,19 +36,10 @@ type cell = {
   c_total : int;
 }
 
-(* The deployment build and the measurement are split so the sweep daemon
-   can cache the former (placements + gain rows are expensive and fully
-   determined by (delta, seed)) and re-run only the latter.  [Rng.split]
-   derives the child from the parent's seed alone — not its stream
-   position — so recreating the parent in each half yields exactly the
-   streams the fused [star_cell] always used. *)
-let star_instance ~delta ~seed =
+let star_cell ~delta seed =
   let rng = Rng.create (0x5A1 + seed) in
   let d, s = Workloads.star rng ~delta in
-  (d, s.Placement.leaves)
-
-let star_cell_on d ~leaves ~seed =
-  let rng = Rng.create (0x5A1 + seed) in
+  let leaves = s.Placement.leaves in
   let samples =
     Measure.acks d.Workloads.sinr
       ~rng:(Rng.split rng ~key:1)
@@ -77,10 +68,6 @@ let star_cell_on d ~leaves ~seed =
     c_mean = mean;
     c_nice = !nice;
     c_total = !total }
-
-let star_cell ~delta seed =
-  let d, leaves = star_instance ~delta ~seed in
-  star_cell_on d ~leaves ~seed
 
 (* Aggregate one parameter's cells (in seed order): the profile columns
    come from the last seed, like the sequential fold they replace. *)

@@ -17,12 +17,10 @@ val run : ?seeds:int list -> ?deltas:int list -> unit -> row list
 
 (** {1 Cell-level surface}
 
-    Exposed for the sweep daemon ([lib/serve]): one grid cell split into
-    its cacheable deployment build and its measurement, so warm placements
-    and gain-cache rows can be shared across jobs. Everything is
-    deterministic in [(delta, seed)] —
-    [star_cell_on (star_instance ~delta ~seed) ~seed] is bit-identical to
-    the fused cell the sweep has always run. *)
+    Exposed for the sweep daemon ([lib/serve]): one grid cell, the star
+    build plus its full-ack measurement. Deterministic in
+    [(delta, seed)]: the daemon's cell is bit-identical to the one
+    {!run}'s sweep computes. *)
 
 type cell = {
   c_delta : int;          (** realized max degree of the instance *)
@@ -32,13 +30,5 @@ type cell = {
   c_total : int;
 }
 
-val star_instance :
-  delta:int -> seed:int -> Workloads.deployment * int array
-(** The seeded star deployment and its broadcasting leaves. *)
-
-val star_cell_on :
-  Workloads.deployment -> leaves:int array -> seed:int -> cell
-(** Measure one cell on a prebuilt instance. *)
-
 val star_cell : delta:int -> int -> cell
-(** [star_cell_on] of [star_instance] — the fused cell. *)
+(** [star_cell ~delta seed] builds the seeded star and measures it. *)

@@ -18,18 +18,17 @@
    or a sender, and half-duplex listeners skip themselves).
 
    Memory: [Sinr] bypasses the cache outright exactly when it installs
-   the sparse kernel (n >= Phys_tuning.sparse_threshold) — no row-pointer
-   array, no atomics, every lookup evaluates the seed formula directly;
-   an n x n table is quadratic by design, that kernel never reads it,
-   and a perturbed slot there needs only its senders' entries.  The
-   decision is counted once per create on [phys.cache.bypassed].
-   Otherwise rows fill lazily (first touch wins) until the configured
-   byte budget (Phys_tuning.cache_cap_bytes at Sinr.create time) is
-   spent; past the cap only the slot's sender entries are computed into
-   the caller's per-domain scratch buffer (the kernels read no others)
-   and nothing is retained.  No other size limit is needed: the default
-   64 MiB holds the whole table only below n ~ 2,900 anyway.  Row
-   publication goes through an [Atomic.t] per row, so concurrent Pool
+   the sparse kernel — no row-pointer array, no atomics, every lookup
+   evaluates the seed formula directly; an n x n table is quadratic by
+   design, that kernel never reads it, and a perturbed slot there needs
+   only its senders' entries.  The decision is counted once per create on
+   [phys.cache.bypassed].  Otherwise rows fill lazily (first touch wins)
+   until the byte budget ([cap_bytes]; [Sinr] passes
+   [default_cap_bytes], 64 MiB) is spent; past it only the slot's sender
+   entries are computed into the caller's per-domain scratch buffer (the
+   kernels read no others) and nothing is retained.  No other size limit
+   is needed: 64 MiB holds the whole table only below n ~ 2,900 anyway.
+   Row publication goes through an [Atomic.t] per row, so concurrent Pool
    workers (the Reliability Monte-Carlo) either see a fully initialized
    row or build their own — a lost race wastes one row fill of identical
    values, never correctness.
@@ -45,6 +44,8 @@ let m_hits = Metrics.counter "phys.cache.hits"
 let m_fills = Metrics.counter "phys.cache.fills"
 let m_scratch = Metrics.counter "phys.cache.scratch_rows"
 let m_bypassed = Metrics.counter "phys.cache.bypassed"
+
+let default_cap_bytes = 64 * 1024 * 1024
 
 type t = {
   power : float;

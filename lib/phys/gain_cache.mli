@@ -12,11 +12,16 @@
     sparse kernel: then no row-pointer array exists, every lookup
     evaluates the formula directly, and the decision ticks the
     [phys.cache.bypassed] counter. No other size limit is needed: from
-    n ≈ 2,900 up the default 64 MiB cannot hold the table anyway. *)
+    n ≈ 2,900 up {!default_cap_bytes} cannot hold the table anyway. *)
 
 type t
 
+val default_cap_bytes : int
+(** The row budget [Sinr] gives every instance: 64 MiB. *)
+
 val create : Config.t -> Soa.t -> cap_bytes:int -> bypass:bool -> t
+(** [cap_bytes] is the byte budget for retained rows; [0] retains none
+    (every row is computed into the caller's scratch buffer). *)
 
 val n : t -> int
 

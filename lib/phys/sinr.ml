@@ -17,16 +17,16 @@
    direct formula) instead of re-deriving a sqrt and a libm pow per pair
    per slot.  Senders travel as an int array plus a membership bitmap held
    in per-domain scratch (no per-slot list/tuple churn), decodes land in
-   caller-owned [decoded] buffers (no per-slot n-array), perturbed gains
-   multiply the cached clean-channel power, and listeners fan out over
-   [Sinr_par.Pool] past [Phys_tuning.par_threshold].  Each node keeps one
+   caller-owned [decoded] buffers (no per-slot n-array), and perturbed
+   gains multiply the cached clean-channel power.  Each node keeps one
    neighbour list (its [in_range] set, then a thin boundary ring; see
-   [build_near]): [iter_in_range] walks it, and clean slots score only the
-   listeners on some sender's list (beta > 1 makes everyone else silent,
-   see [score_clean]) unless those lists cover the listeners anyway.  From
-   [Phys_tuning.sparse_threshold] nodes on, [Sparse] (the one approximate
-   kernel, eps-bounded far interference) resolves clean slots instead and
-   the gain cache is bypassed.
+   [build_near]): [iter_in_range] walks it, and a clean slot scores only
+   the listeners on some sender's list (beta > 1 makes everyone else
+   silent, see [score_clean]), on the calling domain or, from
+   [par_threshold] nodes on, fanned out over [Sinr_par.Pool].  From
+   [sparse_threshold] nodes on (or at any size with [?sparse_eps]),
+   [Sparse] (the one approximate kernel, eps-bounded far interference)
+   resolves clean slots instead and the gain cache is bypassed.
    [resolve_reference] keeps the seed kernel verbatim so tests and benches
    can assert the equivalence. *)
 
@@ -37,7 +37,16 @@ open Sinr_obs
 let m_resolve_calls = Metrics.counter "phys.resolve.calls"
 let m_resolve_links = Metrics.counter "phys.resolve.links"
 let m_resolve_silent = Metrics.counter "phys.resolve.silent_listeners"
-let m_resolve_ns = Metrics.histogram "phys.resolve.ns"
+
+(* From this node count on, [create] installs [Sparse] with
+   [default_sparse_eps]: the only way 10^5..10^6-node slots stay
+   sub-second.  Below it resolution is exact. *)
+let sparse_threshold = 4096
+let default_sparse_eps = 0.5
+
+(* Below this node count the per-chunk pool overhead dwarfs the scoring
+   work, so clean slots are scored on the calling domain. *)
+let par_threshold = 1024
 
 type t = {
   config : Config.t;
@@ -47,7 +56,6 @@ type t = {
          (Induced, Spec_check, the experiments) — never by the hot path *)
   cache : Gain_cache.t;
   sparse : Sparse.t option;
-  par_threshold : int;
   range_bound : float;
       (* [Config.range] + 1e-12, the [in_range] bound, taken once: the
          range is a libm pow *)
@@ -64,24 +72,24 @@ type t = {
 and near = { near : int array; split : int }
 
 (* Shared constructor body: [points] must be the record view of [soa]
-   (lazily, so the column-first path at n = 10^6 never boxes a point). *)
-let make config soa points =
-  (* Tuning knobs are captured here: flipping them later never changes an
-     existing simulator. *)
-  (* Large simulators install the sparse cell-aggregated path, which
-     reads neither the gain cache nor the neighbour lists. *)
-  let sparse = Soa.length soa >= Phys_tuning.sparse_threshold () in
+   (lazily, so the column-first path at n = 10^6 never boxes a point).
+   The sparse kernel, which reads neither the gain cache nor the
+   neighbour lists, is installed with [sparse_eps] when given and
+   otherwise from [sparse_threshold] nodes on. *)
+let make ?sparse_eps config soa points =
+  let sparse_eps =
+    match sparse_eps with
+    | Some _ -> sparse_eps
+    | None when Soa.length soa >= sparse_threshold -> Some default_sparse_eps
+    | None -> None
+  in
   { config;
     soa;
     points;
     cache =
-      Gain_cache.create config soa
-        ~cap_bytes:(Phys_tuning.cache_cap_bytes ()) ~bypass:sparse;
-    sparse =
-      (if sparse then
-         Some (Sparse.create config soa ~eps:(Phys_tuning.sparse_eps ()))
-       else None);
-    par_threshold = Phys_tuning.par_threshold ();
+      Gain_cache.create config soa ~cap_bytes:Gain_cache.default_cap_bytes
+        ~bypass:(Option.is_some sparse_eps);
+    sparse = Option.map (fun eps -> Sparse.create config soa ~eps) sparse_eps;
     range_bound = Config.range config +. 1e-12;
     nbrs = Atomic.make None }
 
@@ -92,19 +100,19 @@ let validate_min_dist ~who soa =
       (Fmt.str "%s: min pairwise distance %.4g violates the \
                 near-field normalization (must be >= 1)" who dmin)
 
-let create config points =
+let create ?sparse_eps config points =
   if Array.length points = 0 then invalid_arg "Sinr.create: no nodes";
   let soa = Soa.of_points points in
   validate_min_dist ~who:"Sinr.create" soa;
-  make config soa (Lazy.from_val points)
+  make ?sparse_eps config soa (Lazy.from_val points)
 
 (* Column-first constructor (streaming placements at large n).  [check]
    defaults to true; generators that guarantee the min-distance invariant
    by construction pass [~check:false] to skip the O(n) validation pass. *)
-let create_soa ?(check = true) config soa =
+let create_soa ?(check = true) ?sparse_eps config soa =
   if Soa.length soa = 0 then invalid_arg "Sinr.create_soa: no nodes";
   if check then validate_min_dist ~who:"Sinr.create_soa" soa;
-  make config soa (lazy (Soa.to_points soa))
+  make ?sparse_eps config soa (lazy (Soa.to_points soa))
 
 let config t = t.config
 let soa t = t.soa
@@ -154,20 +162,19 @@ let link_sinr t ~senders ~sender:v ~receiver:u =
 (* Per-domain scratch                                                  *)
 (* ------------------------------------------------------------------ *)
 
-(* Sender ids + membership bitmap, the candidate listeners of a clean
-   exact slot (a bitmap plus their ids in marking order, grown on first
-   use by [score_clean]), and a row buffer for uncached gain rows.  Held
-   in domain-local storage so Pool workers never share, with a busy flag
-   so reentrant use (a perturb closure calling back into reception) falls
-   back to fresh allocations instead of aliasing; the [with_*] wrappers
-   drop the flag on every exit (a match on the exception rather than
-   Fun.protect, whose two closures per call show in a per-slot path).
-   The bitmap invariant: both bitmaps are all-zero between uses (their
-   users clear exactly the bits they set, on every exit). *)
+(* A slot's membership bytes ('\001' for a sender and, while
+   [score_clean] runs, '\002' for a candidate listener) with its listener
+   count, the candidates' ids in marking order (grown on first use by
+   [score_clean]), and a row buffer for uncached gain rows.  Held in
+   domain-local storage so Pool workers never share, with a busy flag so
+   reentrant use (a perturb closure calling back into the simulator) gets
+   fresh buffers instead of aliasing.  Taking and giving back are plain calls, not a wrapper
+   around a closure, so a slot allocates nothing here; every taker gives
+   back on every exit.  The invariant: [mark] is all-zero between
+   uses (its users clear exactly the bytes they set, on every exit). *)
 type sender_scratch = {
-  mutable ids : int array;
   mutable mark : Bytes.t;
-  mutable cand : Bytes.t;
+  mutable listeners : int;  (* nodes left unmarked by [mark_senders] *)
   mutable cands : int array;
   mutable s_busy : bool;
 }
@@ -179,55 +186,62 @@ type row_scratch = {
 
 let sender_key =
   Domain.DLS.new_key (fun () ->
-      { ids = [||]; mark = Bytes.empty; cand = Bytes.empty; cands = [||];
-        s_busy = false })
+      { mark = Bytes.empty; listeners = 0; cands = [||]; s_busy = false })
 
 let row_key =
   Domain.DLS.new_key (fun () ->
       { buf = Float.Array.create 0; r_busy = false })
 
-let with_senders ~count ~n f =
-  let sc = Domain.DLS.get sender_key in
-  if sc.s_busy then
-    f { ids = Array.make (max 1 count) 0;
-        mark = Bytes.make n '\000';
-        cand = Bytes.empty;
-        cands = [||];
-        s_busy = true }
-  else begin
-    sc.s_busy <- true;
-    if Array.length sc.ids < count then sc.ids <- Array.make count 0;
-    if Bytes.length sc.mark < n then sc.mark <- Bytes.make n '\000';
-    match f sc with
-    | r ->
-      sc.s_busy <- false;
-      r
-    | exception e ->
-      sc.s_busy <- false;
-      raise e
-  end
-
-(* Unset the bits of the first [nsend] ids: restores a bitmap's all-zero
-   invariant in O(bits set). *)
+(* Zero the bytes of the first [nsend] ids: restores [mark]'s all-zero
+   invariant in O(bytes set). *)
 let clear_marks mark ids nsend =
   for i = 0 to nsend - 1 do
     Bytes.unsafe_set mark (Array.unsafe_get ids i) '\000'
   done
 
-let with_row ~n f =
+(* Validate the senders [ids.(0 .. nsend-1)], take the sender scratch and
+   mark them, counting the nodes left unmarked into [listeners].
+   Validation comes first, so a raise takes nothing. *)
+let mark_senders ~who t ~ids ~nsend =
+  let n = Soa.length t.soa in
+  for k = 0 to nsend - 1 do
+    let s = Array.unsafe_get ids k in
+    if s < 0 || s >= n then invalid_arg (who ^ ": sender out of range")
+  done;
+  let sc = Domain.DLS.get sender_key in
+  let sc =
+    if sc.s_busy then
+      { mark = Bytes.make n '\000'; listeners = 0; cands = [||];
+        s_busy = true }
+    else begin
+      sc.s_busy <- true;
+      if Bytes.length sc.mark < n then sc.mark <- Bytes.make n '\000';
+      sc
+    end
+  in
+  let listeners = ref n in
+  for k = 0 to nsend - 1 do
+    let s = Array.unsafe_get ids k in
+    if Bytes.unsafe_get sc.mark s = '\000' then decr listeners;
+    Bytes.unsafe_set sc.mark s '\001'
+  done;
+  sc.listeners <- !listeners;
+  sc
+
+let unmark_senders sc ~ids ~nsend =
+  clear_marks sc.mark ids nsend;
+  sc.s_busy <- false
+
+let take_row n =
   let rc = Domain.DLS.get row_key in
-  if rc.r_busy then f (Float.Array.create n)
+  if rc.r_busy then { buf = Float.Array.create n; r_busy = true }
   else begin
     rc.r_busy <- true;
     if Float.Array.length rc.buf < n then rc.buf <- Float.Array.create n;
-    match f rc.buf with
-    | r ->
-      rc.r_busy <- false;
-      r
-    | exception e ->
-      rc.r_busy <- false;
-      raise e
+    rc
   end
+
+let give_row rc = rc.r_busy <- false
 
 (* ------------------------------------------------------------------ *)
 (* Decoded-sender buffers                                              *)
@@ -398,45 +412,47 @@ let[@inline] score_listener_perturbed t p ~ids ~nsend ~rowbuf u =
     !best
   else -1
 
-(* Score the non-senders among listeners [lo..hi], recording decodes into
-   [out] in ascending order. *)
-let score_range t ~ids ~nsend ~mark ~rowbuf ~out ~lo ~hi =
-  for u = lo to hi do
-    if Bytes.unsafe_get mark u = '\000' then begin
-      let v = score_listener t ~ids ~nsend ~rowbuf u in
-      if v >= 0 then decode out u v
-    end
-  done
-
 (* Score the candidates [among.(lo..hi)] (non-senders), recording decodes
    into [out] in candidate order. *)
-let score_among t ~ids ~nsend ~among ~rowbuf ~out ~lo ~hi =
-  for i = lo to hi do
-    let u = Array.unsafe_get among i in
-    let v = score_listener t ~ids ~nsend ~rowbuf u in
-    if v >= 0 then decode out u v
-  done
+let score_among t ~ids ~nsend ~among ~out ~lo ~hi =
+  let rc = take_row (Soa.length t.soa) in
+  match
+    for i = lo to hi do
+      let u = Array.unsafe_get among i in
+      let v = score_listener t ~ids ~nsend ~rowbuf:rc.buf u in
+      if v >= 0 then decode out u v
+    done
+  with
+  | () -> give_row rc
+  | exception e ->
+    give_row rc;
+    raise e
 
 (* Score every non-sender under the perturbation [p], in ascending
    order. *)
-let score_all_perturbed t p ~ids ~nsend ~mark ~rowbuf ~out =
-  for u = 0 to Soa.length t.soa - 1 do
-    if Bytes.unsafe_get mark u = '\000' then begin
-      let v = score_listener_perturbed t p ~ids ~nsend ~rowbuf u in
-      if v >= 0 then decode out u v
-    end
-  done
+let score_all_perturbed t p ~ids ~nsend ~mark ~out =
+  let rc = take_row (Soa.length t.soa) in
+  match
+    for u = 0 to Soa.length t.soa - 1 do
+      if Bytes.unsafe_get mark u = '\000' then begin
+        let v = score_listener_perturbed t p ~ids ~nsend ~rowbuf:rc.buf u in
+        if v >= 0 then decode out u v
+      end
+    done
+  with
+  | () -> give_row rc
+  | exception e ->
+    give_row rc;
+    raise e
 
-(* Fan listener positions [0..len-1] (node ids, or with [among] indices
-   into a candidate list) out over the shared pool: chunk [c] covers the
-   positions [lo..hi] and records its decodes into its own slice of
-   [out.receivers] (which starts at [lo] and has room for every listener
-   of the chunk); the slices are then packed in chunk order, so the
-   outcome is bit-identical whatever the jobs count.  Workers only read
-   [mark] and [among], which the calling domain owns for the duration of
-   the call. *)
-let score_parallel t pool ~ids ~nsend ~mark ?among ~out ~len () =
-  let n = Soa.length t.soa in
+(* Fan the candidates [among.(0 .. len-1)] out over the shared pool:
+   chunk [c] covers the positions [lo..hi] and records its decodes into
+   its own slice of [out.receivers] (which starts at [lo] and has room for
+   every candidate of the chunk); the slices are then packed in chunk
+   order, so the outcome is bit-identical whatever the jobs count.
+   Workers only read [among], which the calling domain owns for the
+   duration of the call. *)
+let score_parallel t pool ~ids ~nsend ~among ~out ~len =
   let jobs = Pool.jobs pool in
   let csize = max 64 ((len + (jobs * 4) - 1) / (jobs * 4)) in
   let nchunks = (len + csize - 1) / csize in
@@ -445,11 +461,7 @@ let score_parallel t pool ~ids ~nsend ~mark ?among ~out ~len () =
         let lo = c * csize in
         let hi = min (len - 1) (lo + csize - 1) in
         let slice = { out with count = lo } in
-        with_row ~n (fun rowbuf ->
-            match among with
-            | None -> score_range t ~ids ~nsend ~mark ~rowbuf ~out:slice ~lo ~hi
-            | Some among ->
-              score_among t ~ids ~nsend ~among ~rowbuf ~out:slice ~lo ~hi);
+        score_among t ~ids ~nsend ~among ~out:slice ~lo ~hi;
         slice.count - lo)
   in
   Array.iteri
@@ -459,10 +471,9 @@ let score_parallel t pool ~ids ~nsend ~mark ?among ~out ~len () =
     counts
 
 (* Sort [a.(0 .. len-1)] ascending in place: Shell sort with Knuth's
-   gaps, no allocation.  The decodes of a list-limited slot are a few
-   ascending runs (two per sender's neighbour list: its in-range prefix
-   and its ring), on which the final insertion pass does nearly all the
-   work. *)
+   gaps, no allocation.  The decodes of a clean slot are a few ascending
+   runs (two per sender's neighbour list: its in-range prefix and its
+   ring), on which the final insertion pass does nearly all the work. *)
 let sort_prefix (a : int array) len =
   let h = ref 1 in
   while !h < len / 3 do
@@ -482,144 +493,86 @@ let sort_prefix (a : int array) len =
     h := gap / 3
   done
 
-(* A clean exact slot, limited to the senders' neighbour lists.  Only a
-   listener on some sender's list can decode (see [build_near]), so those
-   are collected (once each, into [sc.cand]/[sc.cands]) and scored by
-   [score_listener], everyone else decodes nothing, and the decodes are
-   sorted — the outcome is bit-identical to scoring all [listeners] in id
-   order.  When the lists (less each sender itself) hold at least
-   [listeners] entries, collecting costs more than it saves and every
-   listener is scored instead.  Returns the number of listeners
-   scored. *)
-let score_clean t sc ~ids ~nsend ~listeners ~out =
+(* A clean exact slot.  Only a listener on some sender's neighbour list
+   can decode (see [build_near]), so those are collected (once each,
+   marked '\002' and listed in [sc.cands]) and scored by
+   [score_listener] — on the calling domain, or over the pool from
+   [par_threshold] nodes on when it has more than one job — everyone else
+   decodes nothing, and the decodes are sorted: the outcome is
+   bit-identical to scoring every listener in id order.  Returns the
+   number of listeners scored. *)
+let score_clean t sc ~ids ~nsend ~out =
   let n = Soa.length t.soa in
-  let mark = sc.mark in
-  let pool =
-    if n >= t.par_threshold && Pool.default_jobs () > 1 then
-      Some (Pool.get ())
-    else None
-  in
-  let score ?among len =
-    match pool with
-    | Some pool when Pool.jobs pool > 1 ->
-      score_parallel t pool ~ids ~nsend ~mark ?among ~out ~len ()
-    | Some _ | None ->
-      let hi = len - 1 in
-      with_row ~n (fun rowbuf ->
-          match among with
-          | None -> score_range t ~ids ~nsend ~mark ~rowbuf ~out ~lo:0 ~hi
-          | Some among ->
-            score_among t ~ids ~nsend ~among ~rowbuf ~out ~lo:0 ~hi)
-  in
-  let entries = ref 0 and k = ref 0 in
-  while !k < nsend && !entries < listeners do
-    let l = near_of t (Array.unsafe_get ids !k) in
-    entries := !entries + Array.length l.near - 1;
-    incr k
-  done;
-  if !entries >= listeners then begin
-    score n;
-    listeners
-  end
-  else begin
-    if Bytes.length sc.cand < n then begin
-      sc.cand <- Bytes.make n '\000';
-      sc.cands <- Array.make n 0
-    end;
-    let cand = sc.cand and cands = sc.cands in
-    let scored = ref 0 in
-    match
-      for k = 0 to nsend - 1 do
-        let l = (near_of t (Array.unsafe_get ids k)).near in
-        for i = 0 to Array.length l - 1 do
-          let u = Array.unsafe_get l i in
-          if Bytes.unsafe_get mark u = '\000'
-             && Bytes.unsafe_get cand u = '\000'
-          then begin
-            Bytes.unsafe_set cand u '\001';
-            Array.unsafe_set cands !scored u;
-            incr scored
-          end
-        done
+  if Array.length sc.cands < n then sc.cands <- Array.make n 0;
+  let mark = sc.mark and cands = sc.cands in
+  let scored = ref 0 and k = ref 0 in
+  match
+    (* Once every listener is a candidate, no list can add one. *)
+    while !k < nsend && !scored < sc.listeners do
+      let l = (near_of t (Array.unsafe_get ids !k)).near in
+      for i = 0 to Array.length l - 1 do
+        let u = Array.unsafe_get l i in
+        if Bytes.unsafe_get mark u = '\000' then begin
+          Bytes.unsafe_set mark u '\002';
+          Array.unsafe_set cands !scored u;
+          incr scored
+        end
       done;
-      if !scored > 0 then begin
-        score ~among:cands !scored;
-        sort_prefix out.receivers out.count
-      end
-    with
-    | () ->
-      clear_marks cand cands !scored;
-      !scored
-    | exception e ->
-      clear_marks cand cands !scored;
-      raise e
-  end
+      incr k
+    done;
+    let len = !scored in
+    if len > 0 then begin
+      if n >= par_threshold && Pool.default_jobs () > 1 then
+        score_parallel t (Pool.get ()) ~ids ~nsend ~among:cands ~out ~len
+      else score_among t ~ids ~nsend ~among:cands ~out ~lo:0 ~hi:(len - 1);
+      sort_prefix out.receivers out.count
+    end
+  with
+  | () ->
+    clear_marks mark cands !scored;
+    !scored
+  | exception e ->
+    clear_marks mark cands !scored;
+    raise e
 
 (* Whole-slot resolution over the sender set [ids.(0 .. nsend-1)], marked
-   in [sc.mark] ([listeners] nodes unmarked), into [out] (which must be
+   in [sc] ([sc.listeners] nodes unmarked), into [out] (which must be
    empty).  Dispatch: perturbed slots run the sequential perturbed kernel
    over every listener (adversary closures are not required to be
    domain-safe, and gains above 1 void the neighbour-list argument);
    clean slots run the sparse kernel when it is installed and otherwise
-   the list-limited cached kernel, which fans listeners out over the
-   shared pool past the parallelism threshold. *)
-let resolve_marked ?perturb t sc ~ids ~nsend ~listeners ~out =
-  let n = Soa.length t.soa in
+   [score_clean]. *)
+let resolve_marked ?perturb t sc ~ids ~nsend ~out =
   if nsend > 0 then begin
     let telemetry = Metrics.is_enabled () in
+    if telemetry then Metrics.incr m_resolve_calls;
     (* The number of listeners scored; [-1] when the sparse kernel ran
        (it counts its own links). *)
-    let run () =
+    let scored =
       match perturb with
       | Some p ->
-        with_row ~n (fun rowbuf ->
-            score_all_perturbed t p ~ids ~nsend ~mark:sc.mark ~rowbuf ~out);
-        listeners
-      | None ->
-        (match t.sparse with
-         | Some sp ->
-           (* Auto-installed sparse path (n >= Phys_tuning.sparse_threshold):
-              listeners found from the senders' neighbourhoods, exact
-              silence, shared per-coarse-cell far sums computed only where
-              a decision needs them.  Timed as a profiler sub-stage,
-              reported inside Resolve. *)
-           let p0 = Profile.start () in
-           out.count <-
-             Sparse.resolve sp ~ids ~nsend ~listeners ~mark:sc.mark
-               ~sender:out.sender ~receivers:out.receivers;
-           Profile.stop Profile.Sparse p0;
-           -1
-         | None -> score_clean t sc ~ids ~nsend ~listeners ~out)
+        score_all_perturbed t p ~ids ~nsend ~mark:sc.mark ~out;
+        sc.listeners
+      | None -> (
+        match t.sparse with
+        | Some sp ->
+          (* Listeners found from the senders' neighbourhoods, exact
+             silence, shared per-coarse-cell far sums computed only where
+             a decision needs them.  Timed as a profiler sub-stage,
+             reported inside Resolve. *)
+          let p0 = Profile.start () in
+          out.count <-
+            Sparse.resolve sp ~ids ~nsend ~listeners:sc.listeners
+              ~mark:sc.mark ~sender:out.sender ~receivers:out.receivers;
+          Profile.stop Profile.Sparse p0;
+          -1
+        | None -> score_clean t sc ~ids ~nsend ~out)
     in
-    if telemetry then begin
-      Metrics.incr m_resolve_calls;
-      let r = Timer.start () in
-      let scored = run () in
-      Metrics.observe m_resolve_ns ((Timer.stop r).Timer.wall_s *. 1e9);
-      (* Links actually scored; the sparse kernel counts its own. *)
-      if scored >= 0 then begin
-        Metrics.add m_resolve_links (scored * nsend);
-        Metrics.add m_resolve_silent (listeners - scored)
-      end
+    if telemetry && scored >= 0 then begin
+      Metrics.add m_resolve_links (scored * nsend);
+      Metrics.add m_resolve_silent (sc.listeners - scored)
     end
-    else ignore (run () : int)
   end
-
-(* Copy + validate the sender list into scratch, then set the membership
-   bitmap.  Validation happens before any bit is set, so a raise leaves
-   the bitmap invariant (all-zero) intact. *)
-let load_senders ~who ~n sc senders =
-  let k = ref 0 in
-  List.iter
-    (fun s ->
-      if s < 0 || s >= n then invalid_arg (who ^ ": sender out of range");
-      sc.ids.(!k) <- s;
-      incr k)
-    senders;
-  for i = 0 to !k - 1 do
-    Bytes.unsafe_set sc.mark sc.ids.(i) '\001'
-  done;
-  !k
 
 (* The simulator's entry point: the first [nsenders] entries of
    [senders] transmit (the array is only read); decodes land in [out],
@@ -632,24 +585,11 @@ let resolve_into ?perturb t ~senders ~nsenders out =
     invalid_arg "Sinr.resolve_into: nsenders out of bounds";
   if Array.length out.sender < n || Array.length out.receivers < n then
     invalid_arg "Sinr.resolve_into: buffers shorter than the node count";
-  for k = 0 to nsenders - 1 do
-    let s = Array.unsafe_get senders k in
-    if s < 0 || s >= n then invalid_arg "Sinr.resolve: sender out of range"
-  done;
-  with_senders ~count:0 ~n @@ fun sc ->
-  let listeners = ref n in
-  for k = 0 to nsenders - 1 do
-    let s = Array.unsafe_get senders k in
-    if Bytes.unsafe_get sc.mark s = '\000' then decr listeners;
-    Bytes.unsafe_set sc.mark s '\001'
-  done;
-  match
-    resolve_marked ?perturb t sc ~ids:senders ~nsend:nsenders
-      ~listeners:!listeners ~out
-  with
-  | () -> clear_marks sc.mark senders nsenders
+  let sc = mark_senders ~who:"Sinr.resolve" t ~ids:senders ~nsend:nsenders in
+  match resolve_marked ?perturb t sc ~ids:senders ~nsend:nsenders ~out with
+  | () -> unmark_senders sc ~ids:senders ~nsend:nsenders
   | exception e ->
-    clear_marks sc.mark senders nsenders;
+    unmark_senders sc ~ids:senders ~nsend:nsenders;
     clear_decoded out;
     raise e
 
@@ -695,27 +635,33 @@ let resolve ?perturb t ~senders =
   let senders = Array.of_list senders in
   resolve_array ?perturb t ~senders ~nsenders:(Array.length senders)
 
-(* Single-listener reception through the same kernel: O(|S|) to mark the
-   membership bitmap (the test [u in senders] is then O(1)), one row read,
-   one scoring pass. *)
+(* Single-listener reception: the senders, on an array of their own, are
+   validated and marked as for [resolve_into], which answers whether
+   [receiver] transmits; then one row read and one scoring pass, so a
+   perturbation sees this receiver's links only. *)
 let reception ?perturb t ~senders ~receiver:u =
   let n = Soa.length t.soa in
   if u < 0 || u >= n then invalid_arg "Sinr.reception: receiver out of range";
-  let count = List.length senders in
-  with_senders ~count ~n @@ fun sc ->
-  let nsend = load_senders ~who:"Sinr.reception" ~n sc senders in
-  Fun.protect
-    ~finally:(fun () -> clear_marks sc.mark sc.ids nsend)
-    (fun () ->
-      if Bytes.get sc.mark u <> '\000' || nsend = 0 then None
-      else
-        with_row ~n @@ fun rowbuf ->
-        let v =
-          match perturb with
-          | None -> score_listener t ~ids:sc.ids ~nsend ~rowbuf u
-          | Some p -> score_listener_perturbed t p ~ids:sc.ids ~nsend ~rowbuf u
-        in
-        if v >= 0 then Some v else None)
+  let ids = Array.of_list senders in
+  let nsend = Array.length ids in
+  let sc = mark_senders ~who:"Sinr.reception" t ~ids ~nsend in
+  let listens = Bytes.unsafe_get sc.mark u = '\000' in
+  unmark_senders sc ~ids ~nsend;
+  if (not listens) || nsend = 0 then None
+  else begin
+    let rc = take_row n in
+    match
+      match perturb with
+      | None -> score_listener t ~ids ~nsend ~rowbuf:rc.buf u
+      | Some p -> score_listener_perturbed t p ~ids ~nsend ~rowbuf:rc.buf u
+    with
+    | v ->
+      give_row rc;
+      if v >= 0 then Some v else None
+    | exception e ->
+      give_row rc;
+      raise e
+  end
 
 (* ------------------------------------------------------------------ *)
 (* Seed kernel, kept verbatim                                          *)

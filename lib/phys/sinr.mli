@@ -10,26 +10,40 @@
     range R plus a 1e-9 relative pad: a decode needs the sender's lone
     power to clear βN, which forces d ≤ R to within a few ulps), so
     outcomes — including every seeded experiment number — are unchanged.
-    The seed kernel is kept as {!resolve_reference} for equivalence tests
-    and benchmarks. *)
+    From {!par_threshold} nodes on those listeners are scored over the
+    shared [Sinr_par.Pool] when it has more than one job; from
+    {!sparse_threshold} nodes on the one approximate kernel, [Sparse],
+    resolves clean slots instead. The seed kernel is kept as
+    {!resolve_reference} for equivalence tests and benchmarks. *)
 
 open Sinr_geom
 
 type t
 
-val create : Config.t -> Point.t array -> t
-(** Raises [Invalid_argument] if any pairwise distance is below 1 (the
-    near-field normalization of Section 4.2). Captures the current
-    [Phys_tuning] knobs (gain-cache byte cap, sparse threshold/eps,
-    parallelism threshold). From [Phys_tuning.sparse_threshold] nodes on
-    the sparse cell-aggregated path is installed and the gain cache
-    bypassed; below it resolution is exact. *)
+val sparse_threshold : int
+(** 4096: from this node count on, {!create} installs [Sparse] with
+    ε = 0.5 and bypasses the gain cache; below it resolution is exact. *)
 
-val create_soa : ?check:bool -> Config.t -> Soa.t -> t
+val par_threshold : int
+(** 1024: from this node count on, a clean exact slot scores its
+    listeners over the shared [Sinr_par.Pool] when
+    [Sinr_par.Pool.default_jobs ()] is above 1. *)
+
+val create : ?sparse_eps:float -> Config.t -> Point.t array -> t
+(** Raises [Invalid_argument] if any pairwise distance is below 1 (the
+    near-field normalization of Section 4.2). The result depends on the
+    arguments alone: the gain cache gets a 64 MiB row budget
+    ([Gain_cache.default_cap_bytes]), and from {!sparse_threshold} nodes
+    on the sparse cell-aggregated path is installed with ε = 0.5 and the
+    gain cache bypassed. [sparse_eps] installs [Sparse] with that ε at any
+    node count (raises [Invalid_argument] unless it lies in (0, 1)). *)
+
+val create_soa : ?check:bool -> ?sparse_eps:float -> Config.t -> Soa.t -> t
 (** Column-first constructor for streaming placements at large n: the
     boxed [points] view is materialized lazily, only if something forces
     it. [check] (default true) validates the min-distance invariant;
-    generators that guarantee it by construction pass [~check:false]. *)
+    generators that guarantee it by construction pass [~check:false].
+    [sparse_eps] as for {!create}. *)
 
 val config : t -> Config.t
 
@@ -47,7 +61,7 @@ val gain_cache : t -> Gain_cache.t
 
 val sparse : t -> Sparse.t option
 (** The sparse cell-aggregated resolution state, when the node count
-    reached [Phys_tuning.sparse_threshold] at creation. *)
+    reached {!sparse_threshold} or [sparse_eps] was given at creation. *)
 
 val power_between : t -> from:Point.t -> at:Point.t -> float
 (** Received power [P/d^α] between two plane positions. *)
@@ -78,8 +92,9 @@ type perturb = {
 val reception : ?perturb:perturb -> t -> senders:int list -> receiver:int -> int option
 (** The sender decoded by [receiver] in a slot where exactly [senders]
     transmit; [None] if the receiver transmits or decodes nothing.
-    Membership is one O(|senders|) bitmap pass (then O(1)); scoring goes
-    through the shared cached kernel. *)
+    The senders are validated and marked as for {!resolve_into}; then
+    [receiver] alone is scored (a [perturb] sees its links only), through
+    the shared cached kernel. *)
 
 type decoded = {
   sender : int array;

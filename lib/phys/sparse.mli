@@ -17,10 +17,9 @@
     range), held in domain-local scratch (safe under [Sinr_par.Pool]
     workers).
 
-    Installed automatically by [Sinr.create] at
-    [Phys_tuning.sparse_threshold] nodes and above (eps from
-    [Phys_tuning.sparse_eps]); it is the simulator's only approximate
-    kernel. *)
+    Installed by [Sinr.create] at [Sinr.sparse_threshold] nodes and above
+    with eps 0.5, or at any size with its [?sparse_eps]; it is the
+    simulator's only approximate kernel. *)
 
 type t
 

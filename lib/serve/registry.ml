@@ -1,8 +1,8 @@
 (* The experiments the daemon knows how to serve, as (param, seed) -> JSON
    cell functions.  Cells must be pure in their pair — all randomness from
-   seeded streams, results independent of execution order and of the
-   warm-state cache — because the runner records them through the
-   [Sweep.cursor] and replays them from checkpoints.
+   seeded streams, results independent of execution order — because the
+   runner records them through the [Sweep.cursor] and replays them from
+   checkpoints.
 
    Cell JSON only uses shapes whose printing round-trips byte-stably
    (integers, %.17g floats, null for missing), so a restored cell prints
@@ -26,23 +26,13 @@ let range name lo hi v =
 
 (* -- ack: Exp_ack's star grid, param = requested Delta ---------------- *)
 
-(* The deployment build is cached; the key encodes everything it reads:
-   the (delta, seed) pair.  The gain-row byte cap is deliberately absent —
-   it changes residency, never values. *)
-let ack_key ~delta ~seed = Printf.sprintf "ack-star:delta=%d:seed=%d" delta seed
-
 let ack_cell ~param:delta ~seed =
   (* the lib/chaos process-level failpoint: disarmed it is one atomic
      load; armed (tests, SINR_FAILPOINTS) it injects a cell failure or a
      stall so the supervisor's retry/quarantine/timeout paths can be
      exercised through the public surface *)
   Failpoint.hit "serve.cell";
-  let d, leaves =
-    Cache.find_or_build Cache.shared (ack_key ~delta ~seed) (fun () ->
-        let d, leaves = Exp_ack.star_instance ~delta ~seed in
-        (d, leaves))
-  in
-  let c = Exp_ack.star_cell_on d ~leaves ~seed in
+  let c = Exp_ack.star_cell ~delta seed in
   Json.Obj
     [ ("delta", Json.int c.Exp_ack.c_delta);
       ("lambda", Json.Num c.Exp_ack.c_lambda);

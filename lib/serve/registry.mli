@@ -2,8 +2,8 @@
     cell functions pure in their pair — the property the checkpoint/resume
     machinery rests on.
 
-    ["ack"]: Exp_ack's star grid (param = requested Δ), with the
-    deployment build shared through {!Cache.shared}.
+    ["ack"]: Exp_ack's star grid (param = requested Δ), one
+    {!Sinr_expt.Exp_ack.star_cell} per pair.
     ["chaos"]: one E-chaos jamming point (param = jam duty percent) on the
     fixed [n = 36, degree = 6] scenario. *)
 

@@ -749,10 +749,8 @@ let prop_bmmb_completion =
 
 (* ---------------- sparse: exact per-listener silence skip ---------------- *)
 
-let with_sparse f =
-  let pt = Phys_tuning.sparse_threshold () in
-  Phys_tuning.set_sparse_threshold 1;
-  Fun.protect ~finally:(fun () -> Phys_tuning.set_sparse_threshold pt) f
+(* The sparse kernel at any size, with its default eps. *)
+let sparse_create pts = Sinr.create ~sparse_eps:0.5 cfg pts
 
 (* The decision the kernel must reach for listener [u]: the exact near
    sum (every sender here is near) accumulated as the kernel does, the
@@ -804,7 +802,7 @@ let boundary_points r =
       Point.make (1.5 *. r *. cos 2.2) (1.5 *. r *. sin 2.2) ]
 
 let check_sparse_case ~label pts ~senders =
-  let sinr = Sinr.create cfg pts in
+  let sinr = sparse_create pts in
   let sp =
     match Sinr.sparse sinr with
     | Some sp -> sp
@@ -820,7 +818,6 @@ let check_sparse_case ~label pts ~senders =
   got
 
 let test_sparse_silence_boundary () =
-  with_sparse @@ fun () ->
   Metrics.reset_for_tests ();
   Fun.protect ~finally:Metrics.reset_for_tests @@ fun () ->
   Metrics.set_enabled true;
@@ -855,12 +852,11 @@ let prop_sparse_skip_exact =
   QCheck.Test.make ~name:"sparse: silence skip = full near sum" ~count:60
     QCheck.(int_range 1 100_000)
     (fun seed ->
-      with_sparse @@ fun () ->
       let rng = Rng.create seed in
       let n = 10 + Rng.int rng 50 in
       let side = 3. *. Config.range cfg in
       let pts = Placement.uniform rng ~n ~box:(Box.square ~side) ~min_dist:1. in
-      let sinr = Sinr.create cfg pts in
+      let sinr = sparse_create pts in
       let sp = Option.get (Sinr.sparse sinr) in
       let senders =
         List.filter (fun _ -> Rng.bernoulli rng 0.15) (List.init n Fun.id)
@@ -896,19 +892,15 @@ let test_resolve_into_buffers () =
   in
   let senders = [ 3; 17; 40; 41; 66 ] in
   check_on (Sinr.create cfg pts) senders;
-  with_sparse (fun () -> check_on (Sinr.create cfg pts) [ 3; 66 ]);
-  (* The pooled exact kernel: several listener chunks, each recording
-     into its own slice of the receiver list before they are packed. *)
-  let prev_thresh = Phys_tuning.par_threshold () in
+  check_on (sparse_create pts) [ 3; 66 ];
+  (* The pooled exact kernel (n at the fan-out threshold, jobs 3): several
+     listener chunks, each recording into its own slice of the receiver
+     list before they are packed. *)
   let prev_jobs = Sinr_par.Pool.default_jobs () in
-  Phys_tuning.set_par_threshold 4;
   Sinr_par.Pool.set_default_jobs 3;
-  Fun.protect
-    ~finally:(fun () ->
-      Phys_tuning.set_par_threshold prev_thresh;
-      Sinr_par.Pool.set_default_jobs prev_jobs)
+  Fun.protect ~finally:(fun () -> Sinr_par.Pool.set_default_jobs prev_jobs)
   @@ fun () ->
-  let n = 300 in
+  let n = Sinr.par_threshold in
   let side = 4.4 *. sqrt (float_of_int n) in
   let pts = Placement.uniform rng ~n ~box:(Box.square ~side) ~min_dist:1. in
   check_on (Sinr.create cfg pts)
@@ -942,11 +934,10 @@ let test_iter_in_range () =
   in
   check_all "exact" (Sinr.create cfg pts);
   check_all "exact boundary" (Sinr.create cfg boundary);
-  with_sparse (fun () ->
-      let sinr = Sinr.create cfg pts in
-      Alcotest.(check bool) "sparse installed" true (Sinr.sparse sinr <> None);
-      check_all "sparse" sinr;
-      check_all "sparse boundary" (Sinr.create cfg boundary))
+  let sinr = sparse_create pts in
+  Alcotest.(check bool) "sparse installed" true (Sinr.sparse sinr <> None);
+  check_all "sparse" sinr;
+  check_all "sparse boundary" (sparse_create boundary)
 
 (* ---------------- Engine telemetry: counters = reference scan ---------------- *)
 
@@ -966,8 +957,7 @@ let engine_counters_agree ~seed ~sparse =
   let side = (0.8 +. Rng.float ops 2.5) *. Config.range cfg in
   let pts = Placement.uniform ops ~n ~box:(Box.square ~side) ~min_dist:1. in
   let sinr =
-    if sparse then with_sparse (fun () -> Sinr.create cfg pts)
-    else Sinr.create cfg pts
+    if sparse then sparse_create pts else Sinr.create cfg pts
   in
   assert (Option.is_some (Sinr.sparse sinr) = sparse);
   let eng = Engine.create sinr in

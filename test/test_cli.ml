@@ -10,7 +10,10 @@
    - smb and cons refuse a deployment whose weak graph G1 is disconnected
      with exit 2, in seconds.
    - A run with every output flag writes all three files and reports
-     them in order; `profile --n 20` prints a pinned profile. *)
+     them in order; `profile --n 20` prints a pinned profile.
+   - `exp table1-ack --serve 0` serves /healthz (status ok) and /metrics
+     (the engine_slots counter family) while it runs, and every line of
+     the scrape is well-formed Prometheus exposition. *)
 
 let exe =
   List.fold_left Filename.concat
@@ -195,6 +198,114 @@ let test_profile_output () =
     \  connected     true\n"
     out
 
+(* A Prometheus exposition line: a comment, or a sample
+   [name{labels} value] with a numeric, NaN or infinite value. *)
+let exposition_line_ok line =
+  let name_char = function
+    | 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '_' | ':' -> true
+    | _ -> false
+  and num_char = function
+    | '0' .. '9' | '.' | 'e' | 'E' | '+' | '-' -> true
+    | _ -> false
+  in
+  (line <> "" && line.[0] = '#')
+  ||
+  match String.rindex_opt line ' ' with
+  | None -> false
+  | Some sp ->
+    let series = String.sub line 0 sp
+    and value = String.sub line (sp + 1) (String.length line - sp - 1) in
+    let stop =
+      Option.value ~default:(String.length series) (String.index_opt series '{')
+    in
+    let labels = String.sub series stop (String.length series - stop) in
+    let nl = String.length labels in
+    stop > 0
+    && String.for_all name_char (String.sub series 0 stop)
+    && (nl = 0
+       || labels.[nl - 1] = '}'
+          && not (String.contains (String.sub labels 0 (nl - 1)) '}'))
+    && (List.mem value [ "NaN"; "+Inf"; "-Inf" ]
+       || (value <> "" && String.for_all num_char value))
+
+(* Start [exp table1-ack] with a live server on a kernel-picked port and
+   scrape it while the sweep runs: /healthz once, then /metrics until the
+   engine_slots family shows (the engine registers it with its first
+   slot).  The run lasts about 0.1 s, so the port file and /metrics are
+   polled every millisecond; the result is [None] when the run ended
+   first. *)
+let scrape_live_run () =
+  let port_file = Filename.temp_file "sinr_cli" ".port" in
+  let log = Filename.temp_file "sinr_cli" ".log" in
+  Sys.remove port_file;
+  let fd = Unix.openfile log [ Unix.O_WRONLY; Unix.O_TRUNC ] 0o600 in
+  let pid =
+    Unix.create_process exe
+      [| exe; "exp"; "table1-ack"; "--serve"; "0"; "--serve-port-file";
+         port_file |]
+      Unix.stdin fd fd
+  in
+  Unix.close fd;
+  (* The file is created empty up front and gets the port once the
+     server is up. *)
+  let rec port tries =
+    match
+      if Sys.file_exists port_file then
+        int_of_string_opt (String.trim (read_file port_file))
+      else None
+    with
+    | Some p -> Some p
+    | None when tries = 0 -> None
+    | None ->
+      Unix.sleepf 0.001;
+      port (tries - 1)
+  in
+  let rec metrics port =
+    let body = String.trim (Test_obs.body_of (Test_obs.http_get port "/metrics")) in
+    if List.mem "# TYPE engine_slots counter" (String.split_on_char '\n' body)
+    then body
+    else begin
+      Unix.sleepf 0.001;
+      metrics port
+    end
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
+      ignore (Unix.waitpid [] pid);
+      List.iter
+        (fun f -> if Sys.file_exists f then Sys.remove f)
+        [ port_file; log ])
+  @@ fun () ->
+  match port 10_000 with
+  | None -> Alcotest.failf "port file never appeared:\n%s" (read_file log)
+  | Some port -> (
+    match
+      let health = Test_obs.http_get port "/healthz" in
+      (health, metrics port)
+    with
+    | scrape -> Some scrape
+    | exception
+        Unix.Unix_error ((Unix.ECONNREFUSED | Unix.ECONNRESET | Unix.EPIPE), _, _)
+      ->
+      None)
+
+let test_serve_scrape () =
+  let rec attempt k =
+    match scrape_live_run () with
+    | Some r -> r
+    | None when k > 1 -> attempt (k - 1)
+    | None -> Alcotest.fail "every run ended before /metrics showed engine_slots"
+  in
+  let health, body = attempt 5 in
+  Alcotest.(check bool) "/healthz ok" true
+    (contains health "\"status\":\"ok\"");
+  List.iter
+    (fun line ->
+      if not (exposition_line_ok line) then
+        Alcotest.failf "bad exposition line: %S" line)
+    (String.split_on_char '\n' body)
+
 let suite =
   [ Alcotest.test_case "subcommand flag sets" `Quick test_flag_sets;
     Alcotest.test_case "exp unknown id lists the catalog" `Quick
@@ -207,4 +318,6 @@ let suite =
       test_disconnected_refused;
     Alcotest.test_case "run outputs reported in order" `Quick
       test_run_outputs;
-    Alcotest.test_case "profile output" `Quick test_profile_output ]
+    Alcotest.test_case "profile output" `Quick test_profile_output;
+    Alcotest.test_case "live /healthz and /metrics scrape" `Quick
+      test_serve_scrape ]

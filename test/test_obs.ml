@@ -819,18 +819,6 @@ let test_spans_last_cap =
       Alcotest.(check int) "negative last = default cap"
         (List.length all) (List.length fallback))
 
-(* ---------------- timer ---------------- *)
-
-let test_timer () =
-  (* Cons cells allocate on the minor heap (large arrays would go straight
-     to the major heap and leave minor_words at 0). *)
-  let r = Timer.start () in
-  let x = List.length (List.init 1000 Fun.id) in
-  let span = Timer.stop r in
-  Alcotest.(check int) "work ran" 1000 x;
-  Alcotest.(check bool) "wall time non-negative" true (span.Timer.wall_s >= 0.);
-  Alcotest.(check bool) "allocated" true (span.Timer.minor_words > 0.)
-
 (* ---------------- trace ring buffer ---------------- *)
 
 let test_trace_eviction_keeps_newest () =
@@ -968,18 +956,14 @@ let test_profile_report =
           (Metrics.histogram_count (Metrics.histogram "profile.step.ns")))
 
 (* The [Sparse] sub-stage is timed inside resolve only when the sparse
-   kernel runs: forcing it on (threshold 1) reports a sparse row, the
+   kernel runs: forcing it on ([?sparse_eps]) reports a sparse row, the
    exact kernel on the same run reports none. *)
-let profile_sparse_row ~threshold =
+let profile_sparse_row ?sparse_eps () =
   Metrics.reset ();
-  let prev = Phys_tuning.sparse_threshold () in
-  Phys_tuning.set_sparse_threshold threshold;
-  Fun.protect ~finally:(fun () -> Phys_tuning.set_sparse_threshold prev)
-  @@ fun () ->
   Profile.with_enabled (fun () ->
       let eng =
         Engine.create ~wake_on_receive:false
-          (Sinr.create cfg (Placement.line ~n:8 ~spacing:5.))
+          (Sinr.create ?sparse_eps cfg (Placement.line ~n:8 ~spacing:5.))
       in
       Engine.wake eng 0;
       for _ = 1 to 20 do
@@ -991,14 +975,14 @@ let profile_sparse_row ~threshold =
 
 let test_profile_sparse_substage =
   with_registry (fun () ->
-      (match profile_sparse_row ~threshold:1 with
+      (match profile_sparse_row ~sparse_eps:0.5 () with
        | None -> Alcotest.fail "sparse kernel ran but reported no sparse row"
        | Some row ->
          Alcotest.(check string) "row name" "sparse" row.Profile.r_stage;
          Alcotest.(check bool) "sparse row counted" true
            (row.Profile.r_count > 0));
       Alcotest.(check bool) "exact kernel reports no sparse row" true
-        (profile_sparse_row ~threshold:0 = None))
+        (profile_sparse_row () = None))
 
 (* ---------------- instrumented approx-progress smoke ---------------- *)
 
@@ -1083,7 +1067,6 @@ let suite =
       `Quick test_prometheus_hardening;
     Alcotest.test_case "http /metrics /healthz /spans endpoints" `Quick
       test_http_endpoints;
-    Alcotest.test_case "timer spans" `Quick test_timer;
     Alcotest.test_case "trace eviction keeps newest" `Quick
       test_trace_eviction_keeps_newest;
     Alcotest.test_case "trace 100k stack safety" `Quick

@@ -28,11 +28,6 @@ open Sinr_obs
 
 let cfg = Config.default
 
-let with_sparse f =
-  let pt = Phys_tuning.sparse_threshold () in
-  Phys_tuning.set_sparse_threshold 1;
-  Fun.protect ~finally:(fun () -> Phys_tuning.set_sparse_threshold pt) f
-
 (* A deployment of about [n] nodes from one of the Placement families,
    scaled to the default range R = 12 so that each has both decoding and
    silent pairs; a dense part's radius grows with its node count so that
@@ -167,7 +162,7 @@ let prop_outcome =
       let n = 2 + Rng.int rng 299 in
       let pts = deployment rng ~family ~n in
       let sinr =
-        if sparse then with_sparse (fun () -> Sinr.create cfg pts)
+        if sparse then Sinr.create ~sparse_eps:0.5 cfg pts
         else Sinr.create cfg pts
       in
       assert (Option.is_some (Sinr.sparse sinr) = sparse);

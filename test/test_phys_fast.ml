@@ -53,74 +53,86 @@ let test_cached_matches_reference () =
       ~perturb:(Some (perturb_of rng ~case))
   done
 
-(* ---------------- scratch rows (cache cap exhausted) ---------------- *)
+(* ---------------- row budget (Gain_cache) ---------------- *)
+
+(* Every listener's row from [cache] (which may be past its byte budget)
+   must hold, at the sender entries [ids] (the only ones the kernels
+   read), the bits of an unbudgeted cache's resident row and of the seed
+   expression. *)
+let check_rows ~label soa cache ~ids =
+  let n = Soa.length soa and nsend = Array.length ids in
+  let resident = Gain_cache.create cfg soa ~cap_bytes:max_int ~bypass:false in
+  let scratch = Float.Array.make n Float.nan
+  and unused = Float.Array.make n Float.nan in
+  let bits f = Int64.bits_of_float f in
+  for u = 0 to n - 1 do
+    if not (Array.mem u ids) then begin
+      let got = Gain_cache.row cache u ~ids ~nsend ~scratch in
+      let want = Gain_cache.row resident u ~ids ~nsend ~scratch:unused in
+      Array.iter
+        (fun v ->
+          let g = Float.Array.get got v in
+          if bits g <> bits (Float.Array.get want v)
+             || bits g <> bits (Gain_cache.compute cache ~sender:v ~receiver:u)
+          then Alcotest.failf "%s: entry %d->%d differs" label v u)
+        ids
+    end
+  done
 
 let test_scratch_matches_reference () =
-  let prev = Phys_tuning.cache_cap_bytes () in
-  Phys_tuning.set_cache_cap_bytes 0;
-  Fun.protect ~finally:(fun () -> Phys_tuning.set_cache_cap_bytes prev)
-  @@ fun () ->
   let rng = Rng.create 72 in
   for case = 0 to 74 do
     let pts, senders = random_case rng ~case in
-    let sinr = Sinr.create cfg pts in
-    Alcotest.(check int)
-      "no rows retained" 0
-      (Gain_cache.rows_cached (Sinr.gain_cache sinr));
-    check_case ~label:(Fmt.str "scratch case %d" case) sinr ~senders
-      ~perturb:None;
-    check_case
-      ~label:(Fmt.str "scratch perturbed %d" case)
-      sinr ~senders
-      ~perturb:(Some (perturb_of rng ~case));
-    (* Single-listener reception reads the same partially filled rows. *)
-    Array.iteri
-      (fun u expected ->
-        Alcotest.(check (option int))
-          (Fmt.str "scratch reception %d/%d" case u)
-          expected
-          (Sinr.reception sinr ~senders ~receiver:u))
-      (Sinr.resolve_reference sinr ~senders)
+    let soa = Soa.of_points pts in
+    let cache = Gain_cache.create cfg soa ~cap_bytes:0 ~bypass:false in
+    check_rows ~label:(Fmt.str "cap 0, case %d" case) soa cache
+      ~ids:(Array.of_list senders);
+    Alcotest.(check int) "no rows retained" 0 (Gain_cache.rows_cached cache)
   done
 
 let test_cache_cap_partial () =
-  (* A cap admitting exactly 3 rows: resolution stays exact, retention
-     stops at the budget. *)
+  (* A budget of exactly 3 rows: retention stops there, and the rows past
+     it stay exact. *)
   let rng = Rng.create 73 in
   let pts = Placement.uniform rng ~n:20 ~box:(Box.square ~side:25.) ~min_dist:1. in
-  let n = Array.length pts in
-  let prev = Phys_tuning.cache_cap_bytes () in
-  Phys_tuning.set_cache_cap_bytes (3 * n * 8);
-  Fun.protect ~finally:(fun () -> Phys_tuning.set_cache_cap_bytes prev)
-  @@ fun () ->
-  let sinr = Sinr.create cfg pts in
-  let senders = [ 0; 3; 7 ] in
-  check_case ~label:"capped cache" sinr ~senders ~perturb:None;
-  let cache = Sinr.gain_cache sinr in
+  let soa = Soa.of_points pts in
+  let n = Soa.length soa in
+  let cache = Gain_cache.create cfg soa ~cap_bytes:(3 * n * 8) ~bypass:false in
+  Alcotest.(check int) "rows admitted" 3 (Gain_cache.max_rows cache);
+  check_rows ~label:"capped cache" soa cache ~ids:[| 0; 3; 7 |];
   Alcotest.(check int) "rows at cap" 3 (Gain_cache.rows_cached cache);
   Alcotest.(check int) "bytes at cap" (3 * n * 8) (Gain_cache.bytes_cached cache);
   (* Still exact on a second, different sender set. *)
-  check_case ~label:"capped cache, slot 2" sinr ~senders:[ 1; 2 ] ~perturb:None
+  check_rows ~label:"capped cache, slot 2" soa cache ~ids:[| 1; 2 |]
 
 (* ---------------- parallel listener fan-out ---------------- *)
 
+(* A deployment of [Sinr.par_threshold] nodes at constant density (~20
+   in-range neighbours per node at R = 12, or fewer with [spread]). *)
+let fan_out_case ?(spread = 1.) r =
+  let n = Sinr.par_threshold in
+  let side = spread *. 4.4 *. sqrt (float_of_int n) in
+  let pts = Placement.uniform r ~n ~box:(Box.square ~side) ~min_dist:1. in
+  Alcotest.(check int) "fan-out size" n (Array.length pts);
+  pts
+
 let test_parallel_matches_reference () =
-  let prev_thresh = Phys_tuning.par_threshold () in
   let prev_jobs = Sinr_par.Pool.default_jobs () in
-  Phys_tuning.set_par_threshold 4;
   Sinr_par.Pool.set_default_jobs 3;
-  Fun.protect
-    ~finally:(fun () ->
-      Phys_tuning.set_par_threshold prev_thresh;
-      Sinr_par.Pool.set_default_jobs prev_jobs)
+  Fun.protect ~finally:(fun () -> Sinr_par.Pool.set_default_jobs prev_jobs)
   @@ fun () ->
   let rng = Rng.create 74 in
-  for case = 0 to 59 do
-    let pts, senders = random_case rng ~case in
-    let sinr = Sinr.create cfg pts in
-    check_case ~label:(Fmt.str "parallel case %d" case) sinr ~senders
-      ~perturb:None
-  done
+  List.iteri
+    (fun case p ->
+      let r = Rng.split rng ~key:case in
+      let pts = fan_out_case r in
+      let senders =
+        List.filter (fun _ -> Rng.bernoulli r p)
+          (List.init (Array.length pts) Fun.id)
+      in
+      check_case ~label:(Fmt.str "parallel case %d" case) (Sinr.create cfg pts)
+        ~senders ~perturb:None)
+    [ 0.01; 0.05; 0.25 ]
 
 (* ---------------- array entry point & reception ---------------- *)
 
@@ -287,33 +299,53 @@ let check_spread ~seed () =
 
 let test_reach_spread () = check_spread ~seed:79 ()
 
+(* The same kind of spread-out slots, resolved by Sinr and read from a
+   cap-0 Gain_cache: every row is a scratch row, and at the sender
+   entries it holds a resident row's bits. *)
 let test_reach_spread_scratch () =
-  let prev = Phys_tuning.cache_cap_bytes () in
-  Phys_tuning.set_cache_cap_bytes 0;
-  Fun.protect ~finally:(fun () -> Phys_tuning.set_cache_cap_bytes prev)
-  @@ check_spread ~seed:80
+  check_spread ~seed:80 ();
+  let rng = Rng.create 80 in
+  for case = 0 to 79 do
+    let pts, senders = spread_case rng ~case in
+    let soa = Soa.of_points pts in
+    let cache = Gain_cache.create cfg soa ~cap_bytes:0 ~bypass:false in
+    check_rows ~label:(Fmt.str "spread cap 0, case %d" case) soa cache
+      ~ids:(Array.of_list senders);
+    Alcotest.(check int) "no rows retained" 0 (Gain_cache.rows_cached cache)
+  done
+
+(* A tight cluster of 10: everyone within reach of everyone. *)
+let cluster =
+  List.init 10 (fun i ->
+      let cell k = 1.5 *. float_of_int k in
+      Point.make (cell (i mod 5)) (cell (i / 5)))
 
 let test_reach_dense_rule () =
   with_telemetry @@ fun () ->
+  (* The cluster alone: every listener is on each sender's list, so
+     every slot scores everyone, however few its senders. *)
+  let sinr = Sinr.create cfg (Array.of_list cluster) in
+  List.iter
+    (fun senders ->
+      let label = Fmt.str "dense slot %a" Fmt.(Dump.list int) senders in
+      Alcotest.(check int) (label ^ ": no listener skipped") 0
+        (check_counted ~label sinr ~senders))
+    [ [ 0; 4; 7 ]; [ 4 ]; [ 1; 2; 3; 5; 6; 8; 9 ] ]
+
+let test_reach_busy_slot () =
+  with_telemetry @@ fun () ->
   (* A tight cluster of 10 (everyone within reach of everyone) with three
      senders, plus 10 nodes far out of reach: the senders' lists, less
-     the senders themselves, hold 3 x 9 = 27 entries for 17 listeners, so
-     every listener is scored — the far ones too, and they still decode
-     nothing. *)
-  let cluster =
-    List.init 10 (fun i ->
-        let cell k = 1.5 *. float_of_int k in
-        Point.make (cell (i mod 5)) (cell (i / 5)))
-  in
+     the senders themselves, hold 3 x 9 = 27 entries for 17 listeners,
+     yet only the 7 cluster listeners on them are scored. *)
   let far =
     List.init 10 (fun i -> Point.make (100. +. (3. *. float_of_int i)) 100.)
   in
   let sinr = Sinr.create cfg (Array.of_list (cluster @ far)) in
-  let silent = check_counted ~label:"dense slot" sinr ~senders:[ 0; 4; 7 ] in
-  Alcotest.(check int) "dense: no listener skipped" 0 silent;
-  (* One sender: 9 entries for 19 listeners, so the far ones are skipped. *)
-  let silent = check_counted ~label:"sparse slot" sinr ~senders:[ 4 ] in
-  Alcotest.(check int) "reach-limited: the far listeners skipped" 10 silent
+  let silent = check_counted ~label:"busy slot" sinr ~senders:[ 0; 4; 7 ] in
+  Alcotest.(check int) "busy: the far listeners skipped" 10 silent;
+  let silent = check_counted ~label:"one sender" sinr ~senders:[ 4 ] in
+  Alcotest.(check int) "one sender: the far listeners skipped" 10 silent
 
 let test_reach_many_decodes () =
   with_telemetry @@ fun () ->
@@ -349,25 +381,19 @@ let test_reach_many_decodes () =
   done
 
 let test_reach_parallel () =
-  (* n >= par_threshold: the candidate window fans out over the pool,
-     and jobs 2 must agree with jobs 1 and with the seed kernel. *)
-  let prev_thresh = Phys_tuning.par_threshold () in
+  (* n = par_threshold: the candidates fan out over the pool, and jobs 2
+     must agree with jobs 1 and with the seed kernel. *)
   let prev_jobs = Sinr_par.Pool.default_jobs () in
-  Phys_tuning.set_par_threshold 64;
-  Fun.protect
-    ~finally:(fun () ->
-      Phys_tuning.set_par_threshold prev_thresh;
-      Sinr_par.Pool.set_default_jobs prev_jobs)
+  Fun.protect ~finally:(fun () -> Sinr_par.Pool.set_default_jobs prev_jobs)
   @@ fun () ->
   with_telemetry @@ fun () ->
   let rng = Rng.create 81 in
   let silent = ref 0 in
-  for case = 0 to 11 do
+  for case = 0 to 5 do
     let r = Rng.split rng ~key:case in
-    let side = 120. +. Rng.float r 120. in
-    let pts = Placement.uniform r ~n:300 ~box:(Box.square ~side) ~min_dist:1. in
+    let pts = fan_out_case ~spread:(2.5 +. Rng.float r 2.5) r in
     let n = Array.length pts in
-    (* Every third slot is busy enough for the dense rule. *)
+    (* Every third slot is busy: the lists overlap. *)
     let p = if case mod 3 = 0 then 0.3 else 0.02 in
     let senders =
       List.filter (fun _ -> Rng.bernoulli r p) (List.init n Fun.id)
@@ -446,8 +472,7 @@ let prop_neighbours_superset =
    the inner calls find the per-domain scratch busy and must fall back to
    fresh buffers, so the outer slot and every inner answer stay equal to
    the seed kernel's.  Dense and spread-out cases alternate (the inner
-   clean slot takes the dense rule or the list-limited path), and cap 0
-   makes every row a scratch row. *)
+   clean slot's senders' lists cover most listeners, or few). *)
 let check_reentrant ~seed () =
   let rng = Rng.create seed in
   for case = 0 to 19 do
@@ -484,12 +509,7 @@ let check_reentrant ~seed () =
       ~perturb:None
   done
 
-let test_reentrant_reception () =
-  check_reentrant ~seed:83 ();
-  let prev = Phys_tuning.cache_cap_bytes () in
-  Phys_tuning.set_cache_cap_bytes 0;
-  Fun.protect ~finally:(fun () -> Phys_tuning.set_cache_cap_bytes prev)
-  @@ check_reentrant ~seed:84
+let test_reentrant_reception () = check_reentrant ~seed:83 ()
 
 (* ---------------- reliability estimate bit-identity ---------------- *)
 
@@ -559,6 +579,8 @@ let suite =
     Alcotest.test_case "reach: many decodes, ascending" `Quick
       test_reach_many_decodes;
     Alcotest.test_case "reach: jobs 2 = jobs 1" `Quick test_reach_parallel;
+    Alcotest.test_case "reach: busy slot skips far listeners" `Quick
+      test_reach_busy_slot;
     QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 1207 |])
       prop_neighbours_superset;
     Alcotest.test_case "reentrant reception in a perturbed slot" `Quick

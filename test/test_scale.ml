@@ -291,17 +291,6 @@ let test_uniform_stream_pinned () =
 
 (* ---------------- sparse resolution ---------------- *)
 
-let with_sparse ~threshold ~eps f =
-  let pt = Phys_tuning.sparse_threshold () in
-  let pe = Phys_tuning.sparse_eps () in
-  Phys_tuning.set_sparse_threshold threshold;
-  Phys_tuning.set_sparse_eps eps;
-  Fun.protect
-    ~finally:(fun () ->
-      Phys_tuning.set_sparse_threshold pt;
-      Phys_tuning.set_sparse_eps pe)
-    f
-
 let sparse_of sinr =
   match Sinr.sparse sinr with
   | Some sp -> sp
@@ -314,14 +303,13 @@ let sparse_of sinr =
    bypassed path is checked on a perturbed slot, which scores every
    listener with powers computed on the fly. *)
 let test_cache_bypass_with_sparse () =
-  with_sparse ~threshold:10 ~eps:(Phys_tuning.sparse_eps ()) @@ fun () ->
   Metrics.reset_for_tests ();
   Fun.protect ~finally:Metrics.reset_for_tests @@ fun () ->
   Metrics.set_enabled true;
   let rng = Rng.create 906 in
   let pts = deployment rng ~n:40 in
   let n = Array.length pts in
-  let sinr = Sinr.create cfg pts in
+  let sinr = Sinr.create ~sparse_eps:0.5 cfg pts in
   ignore (sparse_of sinr : Sparse.t);
   let gc = Sinr.gain_cache sinr in
   Alcotest.(check bool) "bypassed with sparse" true (Gain_cache.bypassed gc);
@@ -341,7 +329,7 @@ let test_cache_bypass_with_sparse () =
      | Some c -> c >= 1
      | None -> false);
   let small = Sinr.create cfg (deployment rng ~n:8) in
-  Alcotest.(check bool) "below the sparse threshold the cache engages" false
+  Alcotest.(check bool) "without the sparse kernel the cache engages" false
     (Gain_cache.bypassed (Sinr.gain_cache small))
 
 (* With a single transmitter there is no far-field approximation to lean
@@ -350,11 +338,10 @@ let test_cache_bypass_with_sparse () =
    its coarse cell is skipped without being visited.  The sparse path must
    therefore be bit-identical to the seed kernel. *)
 let test_sparse_silence_is_exact () =
-  with_sparse ~threshold:16 ~eps:0.5 @@ fun () ->
   let rng = Rng.create 907 in
   let pts = wide_deployment rng ~n:300 ~side:600. in
   let n = Array.length pts in
-  let sinr = Sinr.create cfg pts in
+  let sinr = Sinr.create ~sparse_eps:0.5 cfg pts in
   let sp = sparse_of sinr in
   Alcotest.(check bool) "grids built" true
     (Sparse.fine_cells sp > 0 && Sparse.coarse_cells sp > 0);
@@ -369,11 +356,10 @@ let test_sparse_silence_is_exact () =
 
 let test_sparse_interference_bound () =
   let eps = 0.15 in
-  with_sparse ~threshold:16 ~eps @@ fun () ->
   let rng = Rng.create 908 in
   let pts = wide_deployment rng ~n:120 ~side:300. in
   let n = Array.length pts in
-  let sinr = Sinr.create cfg pts in
+  let sinr = Sinr.create ~sparse_eps:eps cfg pts in
   let sp = sparse_of sinr in
   let aggregated_something = ref false in
   for case = 0 to 9 do
@@ -418,8 +404,7 @@ let test_sparse_decisions_near_exact () =
     (Sinr.sparse sinr_exact = None);
   let exact = Sinr.resolve_reference sinr_exact ~senders in
   let sparse_out =
-    with_sparse ~threshold:16 ~eps @@ fun () ->
-    let sinr_sp = Sinr.create cfg pts in
+    let sinr_sp = Sinr.create ~sparse_eps:eps cfg pts in
     ignore (sparse_of sinr_sp);
     Sinr.resolve sinr_sp ~senders
   in
@@ -449,19 +434,31 @@ let test_sparse_decisions_near_exact () =
     exact;
   ignore !flips
 
-(* Reaching the threshold installs the sparse path; disabling the
-   threshold (<= 0) turns auto-sparse off entirely. *)
+(* The sparse kernel is installed from [Sinr.sparse_threshold] nodes on
+   with eps 0.5, and at any size with [?sparse_eps]; otherwise resolution
+   is exact. *)
 let test_sparse_install_rules () =
   let rng = Rng.create 910 in
   let pts = wide_deployment rng ~n:40 ~side:150. in
-  (with_sparse ~threshold:16 ~eps:0.3 @@ fun () ->
-   let sinr = Sinr.create cfg pts in
-   Alcotest.(check bool) "n >= threshold installs sparse" true
-     (Sinr.sparse sinr <> None));
-  with_sparse ~threshold:0 ~eps:0.3 @@ fun () ->
-  let sinr = Sinr.create cfg pts in
-  Alcotest.(check bool) "threshold <= 0 disables auto-sparse" true
-    (Sinr.sparse sinr = None)
+  Alcotest.(check bool) "below the threshold: exact" true
+    (Sinr.sparse (Sinr.create cfg pts) = None);
+  let eps_of sinr = Option.map Sparse.eps (Sinr.sparse sinr) in
+  Alcotest.(check (option (float 0.))) "?sparse_eps installs at n = 8"
+    (Some 0.3)
+    (eps_of (Sinr.create ~sparse_eps:0.3 cfg (Array.sub pts 0 8)));
+  let soa =
+    Soa.of_points
+      (Array.init Sinr.sparse_threshold (fun i ->
+           Point.make (2. *. float_of_int (i mod 64)) (2. *. float_of_int (i / 64))))
+  in
+  Alcotest.(check (option (float 0.))) "at the threshold: eps 0.5"
+    (Some 0.5)
+    (eps_of (Sinr.create_soa ~check:false cfg soa));
+  Alcotest.(check bool) "eps outside (0, 1) rejected" true
+    (try
+       ignore (Sinr.create ~sparse_eps:1. cfg pts);
+       false
+     with Invalid_argument _ -> true)
 
 let suite =
   [ Alcotest.test_case "soa distances bit-identical" `Quick

@@ -343,35 +343,6 @@ let test_checkpoint_restore_guards () =
   let c3 = Sweep.cursor ~params:spec.Spec.params ~seeds:spec.Spec.seeds in
   Alcotest.(check int) "garbage skipped" 1 (Runner.restore ~path spec c3)
 
-(* ---------------- cache ---------------- *)
-
-let test_cache_reuse_and_eviction =
-  with_registry (fun () ->
-      let builds = ref 0 in
-      let build hops () =
-        incr builds;
-        (Workloads.line ~hops (), [| 0 |])
-      in
-      let unlimited = Cache.create ~cap_bytes:(fun () -> max_int) () in
-      let d1, _ = Cache.find_or_build unlimited "a" (build 2) in
-      let d1', _ = Cache.find_or_build unlimited "a" (build 2) in
-      Alcotest.(check int) "one build" 1 !builds;
-      Alcotest.(check bool) "same instance" true (d1 == d1');
-      Alcotest.(check (option int)) "hit metric" (Some 1)
-        (Metrics.counter_peek "serve.cache.hits");
-      (* a 1-byte cap keeps only the newest entry *)
-      let tiny = Cache.create ~cap_bytes:(fun () -> 1) () in
-      builds := 0;
-      ignore (Cache.find_or_build tiny "a" (build 2));
-      ignore (Cache.find_or_build tiny "b" (build 3));
-      Alcotest.(check int) "older entry evicted" 1 (Cache.length tiny);
-      ignore (Cache.find_or_build tiny "a" (build 2));
-      Alcotest.(check int) "evicted key rebuilds" 3 !builds;
-      Alcotest.(check bool) "evictions counted" true
-        (match Metrics.counter_peek "serve.cache.evictions" with
-         | Some n -> n >= 2
-         | None -> false))
-
 (* ---------------- daemon HTTP surface ---------------- *)
 
 let status_of response =
@@ -1393,8 +1364,6 @@ let suite =
     Alcotest.test_case "runner: cancel mid-grid" `Slow test_cancel_mid_grid;
     Alcotest.test_case "runner: restore guards" `Quick
       test_checkpoint_restore_guards;
-    Alcotest.test_case "cache: reuse and eviction" `Quick
-      test_cache_reuse_and_eviction;
     Alcotest.test_case "daemon: /jobs http surface" `Quick test_daemon_http;
     Alcotest.test_case "http: hardened request handling" `Quick
       test_http_hardening;
