@@ -199,15 +199,18 @@ let clear_marks mark ids nsend =
     Bytes.unsafe_set mark (Array.unsafe_get ids i) '\000'
   done
 
+let check_senders ~who n ~ids ~nsend =
+  for k = 0 to nsend - 1 do
+    let s = Array.unsafe_get ids k in
+    if s < 0 || s >= n then invalid_arg (who ^ ": sender out of range")
+  done
+
 (* Validate the senders [ids.(0 .. nsend-1)], take the sender scratch and
    mark them, counting the nodes left unmarked into [listeners].
    Validation comes first, so a raise takes nothing. *)
 let mark_senders ~who t ~ids ~nsend =
   let n = Soa.length t.soa in
-  for k = 0 to nsend - 1 do
-    let s = Array.unsafe_get ids k in
-    if s < 0 || s >= n then invalid_arg (who ^ ": sender out of range")
-  done;
+  check_senders ~who n ~ids ~nsend;
   let sc = Domain.DLS.get sender_key in
   let sc =
     if sc.s_busy then
@@ -636,18 +639,15 @@ let resolve ?perturb t ~senders =
   resolve_array ?perturb t ~senders ~nsenders:(Array.length senders)
 
 (* Single-listener reception: the senders, on an array of their own, are
-   validated and marked as for [resolve_into], which answers whether
-   [receiver] transmits; then one row read and one scoring pass, so a
-   perturbation sees this receiver's links only. *)
+   validated as for [resolve_into]; then one row read and one scoring
+   pass, so a perturbation sees this receiver's links only. *)
 let reception ?perturb t ~senders ~receiver:u =
   let n = Soa.length t.soa in
   if u < 0 || u >= n then invalid_arg "Sinr.reception: receiver out of range";
   let ids = Array.of_list senders in
   let nsend = Array.length ids in
-  let sc = mark_senders ~who:"Sinr.reception" t ~ids ~nsend in
-  let listens = Bytes.unsafe_get sc.mark u = '\000' in
-  unmark_senders sc ~ids ~nsend;
-  if (not listens) || nsend = 0 then None
+  check_senders ~who:"Sinr.reception" n ~ids ~nsend;
+  if nsend = 0 || Array.exists (( = ) u) ids then None
   else begin
     let rc = take_row n in
     match

@@ -92,7 +92,7 @@ type perturb = {
 val reception : ?perturb:perturb -> t -> senders:int list -> receiver:int -> int option
 (** The sender decoded by [receiver] in a slot where exactly [senders]
     transmit; [None] if the receiver transmits or decodes nothing.
-    The senders are validated and marked as for {!resolve_into}; then
+    The senders are validated as for {!resolve_into}; then
     [receiver] alone is scored (a [perturb] sees its links only), through
     the shared cached kernel. *)
 

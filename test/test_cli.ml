@@ -233,7 +233,8 @@ let exposition_line_ok line =
    engine_slots family shows (the engine registers it with its first
    slot).  The run lasts about 0.1 s, so the port file and /metrics are
    polled every millisecond; the result is [None] when the run ended
-   first. *)
+   first.  A server that stays up without engine_slots for 10 s, or a
+   reply that stalls for 5 s, fails the test with the child's log. *)
 let scrape_live_run () =
   let port_file = Filename.temp_file "sinr_cli" ".port" in
   let log = Filename.temp_file "sinr_cli" ".log" in
@@ -260,10 +261,19 @@ let scrape_live_run () =
       Unix.sleepf 0.001;
       port (tries - 1)
   in
+  let get port path =
+    try Test_obs.http_get ~timeout:5. port path
+    with Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
+      Alcotest.failf "GET %s stalled for 5 s:\n%s" path (read_file log)
+  in
+  let deadline = Unix.gettimeofday () +. 10. in
   let rec metrics port =
-    let body = String.trim (Test_obs.body_of (Test_obs.http_get port "/metrics")) in
+    let body = String.trim (Test_obs.body_of (get port "/metrics")) in
     if List.mem "# TYPE engine_slots counter" (String.split_on_char '\n' body)
     then body
+    else if Unix.gettimeofday () > deadline then
+      Alcotest.failf "/metrics showed no engine_slots within 10 s:\n%s"
+        (read_file log)
     else begin
       Unix.sleepf 0.001;
       metrics port
@@ -281,7 +291,7 @@ let scrape_live_run () =
   | None -> Alcotest.failf "port file never appeared:\n%s" (read_file log)
   | Some port -> (
     match
-      let health = Test_obs.http_get port "/healthz" in
+      let health = get port "/healthz" in
       (health, metrics port)
     with
     | scrape -> Some scrape

@@ -680,11 +680,18 @@ let test_procstat_ticker =
 
 (* ---------------- embedded HTTP server ---------------- *)
 
-let http_get port path =
+(* With [timeout] (seconds), a send or a read that waits longer raises
+   [Unix.Unix_error (EAGAIN | EWOULDBLOCK, _, _)]. *)
+let http_get ?timeout port path =
   let sock = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
   Fun.protect
     ~finally:(fun () -> try Unix.close sock with Unix.Unix_error _ -> ())
   @@ fun () ->
+  Option.iter
+    (fun t ->
+      Unix.setsockopt_float sock Unix.SO_RCVTIMEO t;
+      Unix.setsockopt_float sock Unix.SO_SNDTIMEO t)
+    timeout;
   Unix.connect sock (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
   let req =
     Printf.sprintf "GET %s HTTP/1.1\r\nHost: test\r\nConnection: close\r\n\r\n"

@@ -87,7 +87,27 @@ let test_scratch_matches_reference () =
     let cache = Gain_cache.create cfg soa ~cap_bytes:0 ~bypass:false in
     check_rows ~label:(Fmt.str "cap 0, case %d" case) soa cache
       ~ids:(Array.of_list senders);
-    Alcotest.(check int) "no rows retained" 0 (Gain_cache.rows_cached cache)
+    Alcotest.(check int) "no rows retained" 0 (Gain_cache.rows_cached cache);
+    (* With [Sparse] installed the cache is bypassed, so a perturbed slot
+       and every reception score scratch rows, against the seed kernel. *)
+    let sinr = Sinr.create ~sparse_eps:0.5 cfg pts in
+    Alcotest.(check int) "bypassed: no rows retained" 0
+      (Gain_cache.rows_cached (Sinr.gain_cache sinr));
+    let p = perturb_of rng ~case in
+    check_case ~label:(Fmt.str "scratch perturbed %d" case) sinr ~senders
+      ~perturb:(Some p);
+    let pert = Sinr.resolve_reference ~perturb:p sinr ~senders in
+    Array.iteri
+      (fun u expected ->
+        Alcotest.(check (option int))
+          (Fmt.str "scratch reception %d/%d" case u)
+          expected
+          (Sinr.reception sinr ~senders ~receiver:u);
+        Alcotest.(check (option int))
+          (Fmt.str "scratch perturbed reception %d/%d" case u)
+          pert.(u)
+          (Sinr.reception ~perturb:p sinr ~senders ~receiver:u))
+      (Sinr.resolve_reference sinr ~senders)
   done
 
 let test_cache_cap_partial () =
@@ -472,28 +492,40 @@ let prop_neighbours_superset =
    the inner calls find the per-domain scratch busy and must fall back to
    fresh buffers, so the outer slot and every inner answer stay equal to
    the seed kernel's.  Dense and spread-out cases alternate (the inner
-   clean slot's senders' lists cover most listeners, or few). *)
-let check_reentrant ~seed () =
+   clean slot's senders' lists cover most listeners, or few).  With
+   [sparse_eps] the cache is bypassed, so the outer slot and every inner
+   reception write the row scratch, and a clean slot is [Sparse]'s own,
+   taken before any re-entry. *)
+let check_reentrant ?sparse_eps ~seed () =
   let rng = Rng.create seed in
   for case = 0 to 19 do
     let pts, senders =
       if case mod 2 = 0 then random_case rng ~case else spread_case rng ~case
     in
-    let sinr = Sinr.create cfg pts in
+    let sinr = Sinr.create ?sparse_eps cfg pts in
     let base = perturb_of rng ~case in
-    let clean = Sinr.resolve_reference sinr ~senders in
+    let reference = Sinr.resolve_reference sinr ~senders in
+    let clean =
+      if Option.is_some sparse_eps then Sinr.resolve sinr ~senders
+      else reference
+    in
     let pert = Sinr.resolve_reference ~perturb:base sinr ~senders in
-    let inner = ref 0 in
+    let inner = ref 0 and n = Array.length pts in
     let gain ~sender ~receiver =
       incr inner;
-      Alcotest.(check (option int))
-        (Fmt.str "case %d: inner reception %d" case receiver)
-        pert.(receiver)
-        (Sinr.reception ~perturb:base sinr ~senders ~receiver);
-      Alcotest.(check (option int))
-        (Fmt.str "case %d: inner clean reception %d" case receiver)
-        clean.(receiver)
-        (Sinr.reception sinr ~senders ~receiver);
+      (* The next node too: its row differs from the outer listener's, so
+         a shared buffer would show. *)
+      List.iter
+        (fun receiver ->
+          Alcotest.(check (option int))
+            (Fmt.str "case %d: inner reception %d" case receiver)
+            pert.(receiver)
+            (Sinr.reception ~perturb:base sinr ~senders ~receiver);
+          Alcotest.(check (option int))
+            (Fmt.str "case %d: inner clean reception %d" case receiver)
+            reference.(receiver)
+            (Sinr.reception sinr ~senders ~receiver))
+        [ receiver; (receiver + 1) mod n ];
       if !inner = 1 then
         Alcotest.check outcome (Fmt.str "case %d: inner clean slot" case) clean
           (Sinr.resolve sinr ~senders);
@@ -502,14 +534,18 @@ let check_reentrant ~seed () =
     Alcotest.check outcome (Fmt.str "case %d: outer slot" case) pert
       (Sinr.resolve ~perturb:{ base with gain } sinr ~senders);
     Alcotest.(check bool) (Fmt.str "case %d: re-entered" case)
-      (senders <> [] && List.length senders < Array.length pts)
+      (senders <> [] && List.length senders < n)
       (!inner > 0);
-    (* The scratch is released: a later slot still agrees. *)
-    check_case ~label:(Fmt.str "case %d: after" case) sinr ~senders
-      ~perturb:None
+    (* The scratch is released: later slots still agree. *)
+    Alcotest.check outcome (Fmt.str "case %d: after" case) clean
+      (Sinr.resolve sinr ~senders);
+    check_case ~label:(Fmt.str "case %d: after, perturbed" case) sinr ~senders
+      ~perturb:(Some base)
   done
 
-let test_reentrant_reception () = check_reentrant ~seed:83 ()
+let test_reentrant_reception () =
+  check_reentrant ~seed:83 ();
+  check_reentrant ~sparse_eps:0.5 ~seed:84 ()
 
 (* ---------------- reliability estimate bit-identity ---------------- *)
 
