@@ -1,6 +1,6 @@
 .PHONY: all build check test fmt bench par-smoke chaos-smoke phys-smoke \
         obs-smoke crash-smoke scale-smoke \
-        stream-smoke bench-diff perf-digest trace-digest clean
+        stream-smoke bench-diff perf-digest trace-digest opaque-check clean
 
 all: build
 
@@ -308,6 +308,27 @@ trace-digest:
 	    fail=1; fi; \
 	done < bench/baselines/perfbench_digests.txt; \
 	exit $$fail
+
+# Cross-module inlining gate.  dune's dev profile compiles every module
+# with -opaque, which keeps each call into another module (State.Bits.get,
+# Int.min, ...) out of line in the hot loops; dune-workspace selects the
+# release profile instead.  This fails if dune's rules show -opaque on any
+# native compile under lib/ or perfbench/ (say, once dune-workspace is
+# gone), or show no such compile at all.
+opaque-check:
+	@dune rules -r ./perfbench/main.exe ./bin/sinr_sim.exe 2>/dev/null | \
+	awk 'BEGIN { RS = "" } \
+	  /-o\n *(lib|perfbench)\/[^ \n]*\.cmx/ { \
+	    n++; \
+	    if ($$0 ~ /\n *-opaque\n/) { \
+	      bad++; \
+	      match($$0, /-o\n *(lib|perfbench)\/[^ \n]*\.cmx/); \
+	      o = substr($$0, RSTART, RLENGTH); sub(/^-o\n */, "", o); \
+	      print "opaque-check: -opaque on " o } } \
+	  END { \
+	    if (n == 0) { print "opaque-check: no native compile of lib/ or perfbench/ in dune rules"; exit 1 } \
+	    if (bad > 0) { print "opaque-check: " bad " of " n " native compiles are -opaque"; exit 1 } \
+	    print "opaque-check: " n " native compiles of lib/ and perfbench/, none -opaque ok" }'
 
 test: check
 

@@ -29,7 +29,7 @@ type t = {
   data_slots : int;
   rng : Rng.t;
   nodes : node_data array;
-  emitted : (int * (int * int), unit) Hashtbl.t;
+  rcvd : Rcv_once.t;
   mutable pos : int;
   mutable epoch : int;
   mutable pending_rcv : Approx_progress.rcv_event list;
@@ -76,7 +76,7 @@ let create params sinr ~rng =
       rng;
       nodes =
         Array.init (Sinr.n sinr) (fun _ -> { payload = None; member = false });
-      emitted = Hashtbl.create 64;
+      rcvd = Rcv_once.create (Sinr.n sinr);
       pos = 0;
       epoch = -1;
       pending_rcv = [] }
@@ -102,14 +102,10 @@ let decide t ~node =
 let on_receive t ~receiver ~sender wire =
   match wire with
   | Events.Data payload | Events.Decay payload ->
-    let id = (receiver, Events.payload_id payload) in
-    if payload.Events.origin <> receiver && not (Hashtbl.mem t.emitted id)
-    then begin
-      Hashtbl.add t.emitted id ();
+    if Rcv_once.admit t.rcvd ~node:receiver payload then
       t.pending_rcv <-
         { Approx_progress.node = receiver; payload; from = sender }
         :: t.pending_rcv
-    end
   | Events.Probe | Events.Neighbor_list _ | Events.Mis_round _ -> ()
 
 let end_slot t =

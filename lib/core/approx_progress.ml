@@ -60,7 +60,6 @@ type stage =
    bitmap on [t] rather than as record fields scattered across the heap. *)
 module Bits = Sinr_engine.State.Bits
 module Node_set = Sinr_engine.Node_set
-module Int_tbl = Hashtbl.Make (Int)
 
 (* Cold per-node phase tables; the hot scalar state (payload, membership)
    lives in flat columns on [t].  Only phase participants ever write
@@ -89,10 +88,7 @@ type t = {
   participants : Node_set.t;
       (* was in S_phi at phase start (beacons); a superset of [member],
          and the only nodes whose [decide] can transmit *)
-  emitted : unit Int_tbl.t array;
-      (* per receiver, the payloads it has output, keyed by
-         [seq * n + origin]; [no_rcvs] until its first rcv *)
-  no_rcvs : unit Int_tbl.t;
+  rcvd : Rcv_once.t; (* the rcv outputs so far, one seq per origin *)
   mutable mis : Sw_mis.t option;
   labels : int array;
       (* the phase's temporary labels, redrawn in place for the
@@ -194,7 +190,6 @@ let create params config ~lambda ~n ~rng =
   let params = Params.validate_approg params in
   let sched = Params.schedule config ~lambda params in
   let unused = fresh_node () in
-  let no_rcvs = Int_tbl.create 1 in
   let phase, stage = stage_of sched 0 in
   let t =
     { params;
@@ -207,8 +202,7 @@ let create params config ~lambda ~n ~rng =
       holders = Node_set.create n;
       member = Bits.create n;
       participants = Node_set.create n;
-      emitted = Array.make n no_rcvs;
-      no_rcvs;
+      rcvd = Rcv_once.create n;
       mis = None;
       labels = Array.make n 0;
       pos = 0;
@@ -295,22 +289,15 @@ let decide t ~node =
 
 (* A rcv(m)_i output is emitted at most once per (node, message): protocols
    above the layer ([37]'s BSMB/BMMB) deduplicate anyway, and experiments
-   that need raw reception times watch engine deliveries directly.  The
-   message (origin, seq) is keyed as the int [seq * n + origin] in the
-   receiver's own table.  Entries outlive the broadcast: [stop] must not
-   prune them, since a protocol such as Dgkn_broadcast relays an origin's
-   payload from other senders after the origin has acked. *)
+   that need raw reception times watch engine deliveries directly.  What
+   was output outlives the broadcast ([stop] must not forget it: a
+   protocol such as Dgkn_broadcast relays an origin's payload from other
+   senders after the origin has acked); {!Rcv_once} stays bounded by
+   keeping one seq per origin. *)
 let emit_rcv t ~node ~payload ~from =
-  let origin = payload.Events.origin in
-  if origin <> node then begin
-    if t.emitted.(node) == t.no_rcvs then t.emitted.(node) <- Int_tbl.create 8;
-    let seen = t.emitted.(node) in
-    let key = (payload.Events.seq * t.n) + origin in
-    if not (Int_tbl.mem seen key) then begin
-      Int_tbl.add seen key ();
-      Metrics.incr m_data_rcv;
-      t.pending_rcv <- { node; payload; from } :: t.pending_rcv
-    end
+  if Rcv_once.admit t.rcvd ~node payload then begin
+    Metrics.incr m_data_rcv;
+    t.pending_rcv <- { node; payload; from } :: t.pending_rcv
   end
 
 let on_receive t ~receiver ~sender wire =
@@ -349,7 +336,7 @@ let finish_probe_stage t =
           (fun sender c ->
             if c >= t.sched.potential_threshold then acc := sender :: !acc)
           nd.counts;
-        nd.potential <- List.sort compare !acc
+        nd.potential <- List.sort Int.compare !acc
       end)
 
 let finish_list_stage t =

@@ -24,7 +24,7 @@ type t = {
   seq : int array;
   ongoing : Events.payload option array;
   bcast_slot : int array;
-  emitted : (int * (int * int), unit) Hashtbl.t;
+  rcvd : Rcv_once.t;
   trace : Trace.t option;
 }
 
@@ -61,7 +61,7 @@ let create ?(eps_ack = 0.1) ?(budget_scale = 0.5) ?trace sinr ~rng =
     seq = Array.make n 0;
     ongoing = Array.make n None;
     bcast_slot = Array.make n 0;
-    emitted = Hashtbl.create 64;
+    rcvd = Rcv_once.create n;
     trace }
 
 let n t = Engine.n t.engine
@@ -94,9 +94,7 @@ let abort t ~node =
       (Trace.Abort { node; msg = payload.Events.seq })
 
 let emit_rcv t ~node ~payload ~from =
-  let id = (node, Events.payload_id payload) in
-  if payload.Events.origin <> node && not (Hashtbl.mem t.emitted id) then begin
-    Hashtbl.add t.emitted id ();
+  if Rcv_once.admit t.rcvd ~node payload then begin
     Trace.emit t.trace ~slot:(now t)
       (Trace.Rcv { node; msg = payload.Events.seq; from });
     t.handlers.Absmac_intf.on_rcv ~node ~payload

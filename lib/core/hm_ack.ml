@@ -43,7 +43,9 @@ let m_ramps = Metrics.counter "hm.ramps"
 let m_broadcast_slots = Metrics.histogram "hm.broadcast_slots"
 
 type node_state = {
-  mutable payload : Events.payload option; (* ongoing broadcast, if any *)
+  mutable msg : Events.wire option;
+      (* [Some (Data m)] for the ongoing broadcast m: built once in [start],
+         so a transmission allocates nothing *)
   mutable rc : int;
   mutable j : int;         (* position within the inner for-loop *)
   mutable ramp_pending : bool; (* double p before the next slot *)
@@ -61,6 +63,9 @@ type t = {
   p_start : float;
   p_cap : float;
   nodes : node_state array;
+  active : State.Bits.t;
+      (* broadcasting and not halted, one bit per node: [on_receive]
+         tests it per delivery without touching [nodes] *)
   p : Float.Array.t;
   tp : Float.Array.t;
       (* per-node p_y and tp_y, unboxed: an update neither allocates nor
@@ -76,7 +81,7 @@ type t = {
 }
 
 let fresh_node () =
-  { payload = None;
+  { msg = None;
     rc = 0;
     j = 0;
     ramp_pending = false;
@@ -106,6 +111,7 @@ let create (params : Params.ack) ~lambda ~n ~rng =
     p_start = 1. /. (params.p_start_div *. float_of_int n_tilde);
     p_cap = params.p_cap;
     nodes = Array.init n (fun _ -> fresh_node ());
+    active = State.Bits.create n;
     p = Float.Array.make n 0.;
     tp = Float.Array.make n 0.;
     rng;
@@ -117,7 +123,8 @@ let n_tilde t = t.n_tilde
 
 let start t ~node payload =
   let nd = t.nodes.(node) in
-  nd.payload <- Some payload;
+  nd.msg <- Some (Events.Data payload);
+  State.Bits.set t.active node true;
   (* Lines 1-5 followed by the first pass of line 7: the ramp doubles p on
      entry to each inner loop. *)
   Float.Array.set t.p node (Float.max t.p_min (t.p_start /. 32.));
@@ -131,19 +138,17 @@ let start t ~node payload =
 
 let stop t ~node =
   let nd = t.nodes.(node) in
-  nd.payload <- None;
+  nd.msg <- None;
   nd.halted <- false;
+  State.Bits.set t.active node false;
   t.spans.(node) <- Span.none
 
 let set_clock t f = t.clock <- f
 let set_span t ~node id = t.spans.(node) <- id
 
-let active t ~node =
-  let nd = t.nodes.(node) in
-  nd.payload <> None && not nd.halted
+let active t ~node = State.Bits.get t.active node
 
 let halted t ~node = t.nodes.(node).halted
-let payload t ~node = t.nodes.(node).payload
 let slots_run t ~node = t.nodes.(node).slots_run
 let fallbacks t ~node = t.nodes.(node).fallbacks
 
@@ -166,6 +171,7 @@ let advance t ~node nd =
   if tp > t.tp_cap then begin
     (* lines 14-16 *)
     nd.halted <- true;
+    State.Bits.set t.active node false;
     Metrics.incr m_halts;
     Metrics.observe_int m_broadcast_slots nd.slots_run;
     if t.spans.(node) <> Span.none then
@@ -192,11 +198,11 @@ let publish t ~slots ~tx =
    called exactly once per HM slot for each active node. *)
 let decide t ~node =
   let nd = t.nodes.(node) in
-  match nd.payload with
-  | Some payload when not nd.halted ->
+  match nd.msg with
+  | Some _ when not nd.halted ->
     let send = advance t ~node nd in
     publish t ~slots:1 ~tx:(Bool.to_int send);
-    if send then Some (Events.Data payload) else None
+    if send then nd.msg else None
   | Some _ | None -> None
 
 (* [decide] for every eligible contender in ascending order, in one loop:
@@ -212,13 +218,13 @@ let select t ~contenders ~due (sel : Events.wire Engine.selection) =
     let v = Array.unsafe_get ids i in
     if State.Bits.get eligible v then begin
       let nd = t.nodes.(v) in
-      match nd.payload with
+      match nd.msg with
       | None -> ()
-      | Some payload ->
+      | Some _ as msg ->
         if not nd.halted then begin
           incr slots;
           if advance t ~node:v nd then begin
-            messages.(v) <- Some (Events.Data payload);
+            messages.(v) <- msg;
             senders.(!k) <- v;
             incr k
           end
@@ -231,11 +237,8 @@ let select t ~contenders ~due (sel : Events.wire Engine.selection) =
 
 (* Lines 17-22: a message was received during this HM slot. *)
 let on_receive t ~node =
-  let nd = t.nodes.(node) in
-  match nd.payload with
-  | None -> ()
-  | Some _ when nd.halted -> ()
-  | Some _ ->
+  if State.Bits.get t.active node then begin
+    let nd = t.nodes.(node) in
     nd.rc <- nd.rc + 1;
     Metrics.incr m_rcv;
     if nd.rc > t.rc_cap then begin
@@ -250,3 +253,4 @@ let on_receive t ~node =
         Span.annotate t.spans.(node) ~slot:(t.clock ())
           (Printf.sprintf "hm.fallback p=%.3g" (Float.Array.get t.p node))
     end
+  end

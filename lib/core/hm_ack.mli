@@ -32,7 +32,6 @@ val halted : t -> node:int -> bool
 (** The probability budget is exhausted: the algorithm's halt condition,
     at which the MAC emits the acknowledgment. *)
 
-val payload : t -> node:int -> Events.payload option
 val slots_run : t -> node:int -> int
 val fallbacks : t -> node:int -> int
 

@@ -66,7 +66,7 @@ let phases_for ~label_bits =
 let create ~n ~participants ~labels ~label_bits ~stages =
   if Array.length labels <> n then invalid_arg "Sw_mis.create: labels size";
   if stages < 1 then invalid_arg "Sw_mis.create: stages < 1";
-  let ids = Array.of_list (List.sort_uniq compare participants) in
+  let ids = Array.of_list (List.sort_uniq Int.compare participants) in
   Array.iter
     (fun v -> if v < 0 || v >= n then invalid_arg "Sw_mis.create: participant")
     ids;

@@ -449,7 +449,7 @@ let walk_run t sc ~mark ~sender ~receivers ~j ~g ~lo ~hi =
    expression that assigned the nodes, which is monotone. *)
 let walk t sc ~nsend ~mark ~sender ~receivers =
   let reach = t.reach in
-  let fits = reach < float_of_int (max t.ncx t.ncy) *. t.cf in
+  let fits = reach < float_of_int (Int.max t.ncx t.ncy) *. t.cf in
   for j = 0 to nsend - 1 do
     let x = Float.Array.unsafe_get sc.sx j and y = Float.Array.unsafe_get sc.sy j in
     let wx = reach +. (1e-9 *. (1. +. Float.abs x +. reach))
@@ -461,7 +461,7 @@ let walk t sc ~nsend ~mark ~sender ~receivers =
     for ky = ky0 to ky1 do
       let kx = ref kx0 in
       while !kx <= kx1 do
-        let run_end = min kx1 ((((!kx / coarse_k) + 1) * coarse_k) - 1) in
+        let run_end = Int.min kx1 ((((!kx / coarse_k) + 1) * coarse_k) - 1) in
         let row = ky * t.ncx in
         walk_run t sc ~mark ~sender ~receivers ~j
           ~g:(((ky / coarse_k) * t.mcx) + (!kx / coarse_k))
@@ -501,7 +501,7 @@ let row_edge t ~g ~i ~r0 ~dir =
 
 (* The senders in fine rows [lo .. hi] (clamped to the grid). *)
 let row_senders t sc ~lo ~hi =
-  let lo = max lo 0 and hi = min hi (t.ncy - 1) in
+  let lo = Int.max lo 0 and hi = Int.min hi (t.ncy - 1) in
   if lo > hi then 0 else sc.cell_beg.(sc.rowc.(hi + 1)) - sc.cell_beg.(sc.rowc.(lo))
 
 (* The senders in the rows [row_in] at q = thr^2 4^i of coarse cell [g]'s
@@ -524,12 +524,12 @@ let split t sc ~ncells ~g =
   let thr2 = t.threshold2 in
   let q4 = 4. *. thr2 and q16 = 16. *. thr2 and q64 = 64. *. thr2 in
   let up = ((g / t.mcx) * coarse_k) + (coarse_k / 2) in
-  let dn = min (up - 1) (t.ncy - 1) in
+  let dn = Int.min (up - 1) (t.ncy - 1) in
   let s1 = window_senders t sc ~g ~i:1 ~dn ~up
   and s2 = window_senders t sc ~g ~i:2 ~dn ~up
   and s3 = window_senders t sc ~g ~i:3 ~dn ~up in
-  let lo = max (row_edge t ~g ~i:0 ~r0:dn ~dir:(-1)) 0
-  and hi = min (row_edge t ~g ~i:0 ~r0:up ~dir:1) (t.ncy - 1) in
+  let lo = Int.max (row_edge t ~g ~i:0 ~r0:dn ~dir:(-1)) 0
+  and hi = Int.min (row_edge t ~g ~i:0 ~r0:up ~dir:1) (t.ncy - 1) in
   let bands = sc.bands in
   bands.(0) <- s1 - row_senders t sc ~lo ~hi;
   bands.(1) <- s2 - s1;
@@ -729,7 +729,7 @@ let interference t ~ids ~nsend ~receiver:u =
 let iter_within t v ~radius f =
   let xs = Soa.xs t.soa and ys = Soa.ys t.soa in
   let x = Float.Array.get xs v and y = Float.Array.get ys v in
-  let fits = radius < float_of_int (max t.ncx t.ncy) *. t.cf in
+  let fits = radius < float_of_int (Int.max t.ncx t.ncy) *. t.cf in
   let kx0 = if fits then fine_bound (x -. radius) t.x0 t.cf t.ncx ~pad:(-1) else 0
   and kx1 = if fits then fine_bound (x +. radius) t.x0 t.cf t.ncx ~pad:1 else t.ncx - 1
   and ky0 = if fits then fine_bound (y -. radius) t.y0 t.cf t.ncy ~pad:(-1) else 0

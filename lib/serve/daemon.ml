@@ -139,7 +139,7 @@ let job_json ~full (job : Queue.job) =
             List.concat
               [ [ ("spec", Spec.to_json job.Queue.spec) ];
                 opt_field "partial" job.Queue.partial;
-                opt_field "table" job.Queue.table ]
+                opt_field "table" (Option.map Json.parse job.Queue.table) ]
           else []) ])
 
 let queue_state t =
@@ -232,11 +232,12 @@ let cancel t id_str =
         (Json.Obj [ ("id", Json.int id); ("state", Json.Str "cancelling") ]))
 
 (* The bare table, for piping and byte-comparison (the crash-smoke
-   diffing in CI curls this into a file and cmp(1)s it). *)
+   diffing in CI curls this into a file and cmp(1)s it): the stored JSON
+   text, newline-terminated as every JSON response is. *)
 let table t id_str =
   with_job t id_str @@ fun job ->
   match (job.Queue.state, job.Queue.table) with
-  | Queue.Done, Some table -> json_response 200 table
+  | Queue.Done, Some table -> Http.response 200 (table ^ "\n")
   | _ ->
     error_response
       ~headers:[ ("X-Job-State", Queue.state_name job.Queue.state) ]
@@ -349,7 +350,7 @@ let replay_rows (job : Queue.job) =
   let member_int k j = Option.bind (Json.member k j) Json.to_int in
   match (job.Queue.state, job.Queue.table, job.Queue.partial) with
   | Queue.Done, Some tbl, _ -> (
-    match Json.member "rows" tbl with
+    match Json.member "rows" (Json.parse tbl) with
     | Some (Json.List rows) ->
       List.filter_map
         (fun row ->

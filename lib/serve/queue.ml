@@ -35,7 +35,7 @@ type job = {
   mutable quarantined : bool;
   mutable dump : string option;
   mutable partial : Json.t option;
-  mutable table : Json.t option;
+  mutable table : string option;
   mutable error : string option;
 }
 
@@ -222,7 +222,10 @@ let finish t job outcome =
       commit_locked t job
         (match outcome with
          | `Done table ->
-           job.table <- Some table;
+           (* kept as its JSON text, the bytes GET /jobs/:id/table
+              serves: a chaos table's text is a seventh of its tree's
+              words *)
+           job.table <- Some (Json.to_string_json table);
            (* the table supersedes the last checkpoint's partial results *)
            job.partial <- None;
            job.error <- None; (* a success after retries clears the scar *)

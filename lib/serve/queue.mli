@@ -44,7 +44,10 @@ type job = {
   mutable dump : string option;  (** flight-recorder dump path, if any *)
   mutable partial : Json.t option;
       (** completed cells so far, while the job runs; [None] once done *)
-  mutable table : Json.t option;   (** final table once [Done] *)
+  mutable table : string option;
+      (** the final table's JSON text once [Done]: the body of
+          [GET /jobs/:id/table], parsed only when a request needs the
+          tree *)
   mutable error : string option;  (** last failure (cleared on Done) *)
 }
 
@@ -102,9 +105,10 @@ val finish :
   t -> job ->
   [ `Done of Json.t | `Failed of string | `Quarantined of string
   | `Cancelled ] -> unit
-(** [`Done table] stores the table and drops [partial], which only holds
-    results while the job runs. [`Quarantined] parks the job as Failed
-    with [quarantined] set — the supervisor's poison verdict. *)
+(** [`Done table] stores the table as its JSON text and drops [partial],
+    which only holds results while the job runs. [`Quarantined] parks the
+    job as Failed with [quarantined] set — the supervisor's poison
+    verdict. *)
 
 val requeue : t -> job -> unit
 (** Drain: [Yielded] — back to Queued, the attempt withdrawn, resumable

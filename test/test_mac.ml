@@ -577,6 +577,70 @@ let test_covered_listeners () =
   Alcotest.(check (list int)) "sender not covered" [ 0; 2 ]
     (Measure.covered_listeners ~approx_graph:g ~senders:[ 1 ] ~n:4)
 
+(* ---------------- Rcv_once ---------------- *)
+
+(* Deliveries (receiver, origin, seq) over [k] nodes, each origin's seq
+   nondecreasing: a step repeats the origin's current seq, or raises it by
+   1 or by 3.  Receivers may be the origin itself. *)
+let deliveries (k, steps) =
+  let cur = Array.make k 0 in
+  List.map
+    (fun (r, o, bump) ->
+      let r = r mod k and o = o mod k in
+      cur.(o) <- cur.(o) + [| 0; 1; 3 |].(bump);
+      (r, o, cur.(o)))
+    steps
+
+let payload o seq = { Events.origin = o; seq; data = 0 }
+
+(* The outputs against the set of every (receiver, message) pair output
+   so far: the same pairs, in the same order. *)
+let prop_rcv_once_model =
+  QCheck.Test.make ~name:"rcv once = set of output pairs" ~count:300
+    QCheck.(
+      pair (int_range 1 6)
+        (list_of_size Gen.(0 -- 200)
+           (triple (int_range 0 5) (int_range 0 5) (int_range 0 2))))
+    (fun input ->
+      let k = fst input in
+      let ds = deliveries input in
+      let t = Rcv_once.create k in
+      let seen = Hashtbl.create 64 in
+      let model =
+        List.filter
+          (fun (r, o, s) ->
+            r <> o
+            && (not (Hashtbl.mem seen (r, o, s)))
+            && (Hashtbl.add seen (r, o, s) ();
+                true))
+          ds
+      in
+      let got =
+        List.filter (fun (r, o, s) -> Rcv_once.admit t ~node:r (payload o s)) ds
+      in
+      got = model)
+
+let test_rcv_once_order_and_size () =
+  let t = Rcv_once.create 3 in
+  Alcotest.(check bool) "own message" false (Rcv_once.admit t ~node:0 (payload 0 0));
+  Alcotest.(check int) "nothing held for an own message" 0 (Rcv_once.words t ~node:0);
+  Alcotest.(check bool) "first seq 2" true (Rcv_once.admit t ~node:1 (payload 0 2));
+  Alcotest.(check bool) "seq 2 again" false (Rcv_once.admit t ~node:1 (payload 0 2));
+  (match Rcv_once.admit t ~node:1 (payload 0 1) with
+   | _ -> Alcotest.fail "a lower seq was accepted"
+   | exception Invalid_argument _ -> ());
+  (* One origin re-broadcasting 1,000 times: the receiver's state is the
+     size it had after the first. *)
+  Alcotest.(check bool) "first of origin 2" true
+    (Rcv_once.admit t ~node:0 (payload 2 0));
+  let after_one = Rcv_once.words t ~node:0 in
+  for seq = 1 to 999 do
+    Alcotest.(check bool) "new seq" true (Rcv_once.admit t ~node:0 (payload 2 seq));
+    Alcotest.(check bool) "repeat" false (Rcv_once.admit t ~node:0 (payload 2 seq))
+  done;
+  Alcotest.(check int) "words after 1,000 = after 1" after_one
+    (Rcv_once.words t ~node:0)
+
 let suite =
   [ Alcotest.test_case "schedule monotone in lambda" `Quick
       test_schedule_monotone_in_lambda;
@@ -625,4 +689,8 @@ let suite =
       test_combined_hm_counters;
     Alcotest.test_case "measure: acks all delivered" `Slow
       test_measure_acks_all_delivered;
-    Alcotest.test_case "measure: covered listeners" `Quick test_covered_listeners ]
+    Alcotest.test_case "measure: covered listeners" `Quick test_covered_listeners;
+    QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 1505 |])
+      prop_rcv_once_model;
+    Alcotest.test_case "rcv once: order contract and size" `Quick
+      test_rcv_once_order_and_size ]

@@ -225,7 +225,7 @@ let run_to_done ?should_stop ~dir q job =
 
 let table_string (job : Sq.job) =
   match job.Sq.table with
-  | Some t -> Json.to_string_json t
+  | Some t -> t
   | None -> Alcotest.failf "job %d has no table (%s)" job.Sq.id
               (Sq.state_name job.Sq.state)
 
@@ -1158,6 +1158,50 @@ let test_done_job_drops_partial =
           (Json.to_string_json table ^ "\n")
       | _ -> Alcotest.fail "replay watch did not complete")
 
+(* A finished job keeps its table as JSON text, not as a tree (a chaos
+   job's table tree alone is ~750 words): the words the queue retains per
+   job, its spec, table and record, stay bounded as jobs accumulate.  One
+   real chaos job supplies the table; every later job gets its own parsed
+   spec and its own parsed copy of that table, as a daemon's jobs do. *)
+let test_done_job_words =
+  with_registry (fun () ->
+      let body = {|{"exp":"chaos","params":[0,50],"seeds":[1,2],"jobs":1}|} in
+      let spec () =
+        match Spec.of_string body with
+        | Ok s -> s
+        | Error e -> Alcotest.failf "spec: %s" e
+      in
+      let q = Sq.create () in
+      let next () =
+        match Sq.submit q (spec ()) with
+        | Error _ -> Alcotest.fail "submit rejected"
+        | Ok j -> (
+          match Sq.take q with
+          | Some j' when j' == j -> j
+          | _ -> Alcotest.fail "take did not start the job")
+      in
+      let j0 = next () in
+      run_to_done ~dir:(fresh_dir ()) q j0;
+      let text = table_string j0 in
+      let check_words ~jobs =
+        while List.length (Sq.jobs q) < jobs do
+          let j = next () in
+          Sq.finish q j (`Done (Json.parse text))
+        done;
+        let all = Sq.jobs q in
+        List.iter
+          (fun j ->
+            Alcotest.(check (option string)) "table kept as its text"
+              (Some text) j.Sq.table)
+          all;
+        let per_job = Obj.reachable_words (Obj.repr all) / List.length all in
+        if per_job > 250 then
+          Alcotest.failf "%d jobs retain %d words each, want <= 250" jobs
+            per_job
+      in
+      check_words ~jobs:100;
+      check_words ~jobs:300)
+
 (* Two jobs through the same daemon: each /jobs/:id/metrics page carries
    only its own job's labeled children. *)
 let test_job_metrics_disjoint =
@@ -1398,6 +1442,8 @@ let suite =
       test_watch_reassembles_table;
     Alcotest.test_case "daemon: done job drops its partial" `Quick
       test_done_job_drops_partial;
+    Alcotest.test_case "daemon: done job words bounded" `Quick
+      test_done_job_words;
     Alcotest.test_case "daemon: /jobs/:id/metrics disjoint" `Quick
       test_job_metrics_disjoint;
     Alcotest.test_case "job spans scrape carries its rcv events" `Quick
