@@ -1,6 +1,7 @@
 .PHONY: all build check test fmt bench par-smoke chaos-smoke phys-smoke \
         obs-smoke crash-smoke scale-smoke \
-        stream-smoke bench-diff perf-digest trace-digest opaque-check clean
+        stream-smoke bench-diff perf-digest trace-digest tables-diff \
+        opaque-check clean
 
 all: build
 
@@ -308,6 +309,27 @@ trace-digest:
 	    fail=1; fi; \
 	done < bench/baselines/perfbench_digests.txt; \
 	exit $$fail
+
+# Outcome gate for the paper's tables: every Catalog experiment but
+# capacity, at two jobs, must print exactly bench/baselines/tables.txt.
+# The experiments are seeded and their rows are identical at any job
+# count; the runner's wall clocks go to stderr.  capacity (E11) is left
+# out because its table reports wall times and slots/s by design.
+# Re-record the file only with a change that is meant to alter a table,
+# and say so in its description:
+#   dune exec bench/main.exe -- --jobs 2 $(TABLE_IDS) \
+#     > bench/baselines/tables.txt
+TABLE_IDS = table1-ack fig1-progress-lb table1-approg thm8-decay \
+  table2-smb table1-mmb table1-cons ablation mac-compare chaos
+
+tables-diff:
+	dune build bench/main.exe
+	./_build/default/bench/main.exe --jobs 2 $(TABLE_IDS) \
+	  > tables-current.txt
+	@cmp tables-current.txt bench/baselines/tables.txt || \
+	  { diff -u bench/baselines/tables.txt tables-current.txt | head -40; \
+	    exit 1; }
+	@echo "tables-diff: OK (tables byte-identical to the baseline)"
 
 # Cross-module inlining gate.  dune's dev profile compiles every module
 # with -opaque, which keeps each call into another module (State.Bits.get,

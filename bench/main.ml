@@ -18,7 +18,10 @@
    (default: SINR_JOBS, else Domain.recommended_domain_count (); 1 forces
    the sequential path).  A failing experiment no longer loses the run:
    its error is reported, its status gauge records the failure, and the
-   remaining experiments plus the BENCH_obs.json snapshot still happen. *)
+   remaining experiments plus the BENCH_obs.json snapshot still happen.
+   The runner's wall clocks (pool size, per-experiment times, the total)
+   go to stderr, so the experiments' stdout is deterministic: `make
+   tables-diff` compares it with bench/baselines/tables.txt. *)
 
 open Sinr_geom
 open Sinr_phys
@@ -877,7 +880,7 @@ let run_experiments args =
       end)
     requested;
   let t0 = Unix.gettimeofday () in
-  Fmt.pr "[pool: %d jobs]@." (Pool.default_jobs ());
+  Fmt.epr "[pool: %d jobs]@." (Pool.default_jobs ());
   let failures = ref [] in
   (* Always leave a snapshot behind, even if an experiment (or the loop
      itself) dies: partial results beat no results. *)
@@ -886,7 +889,7 @@ let run_experiments args =
       let snap = Sinr_obs.Metrics.snapshot () in
       Sinr_obs.Sink.write_snapshot ~label:"bench" obs_path snap;
       Fmt.pr "@.[obs snapshot written: %s]@." obs_path;
-      Fmt.pr "total wall time: %.1fs@." (Unix.gettimeofday () -. t0))
+      Fmt.epr "total wall time: %.1fs@." (Unix.gettimeofday () -. t0))
     (fun () ->
       List.iter
         (fun id ->
@@ -906,7 +909,7 @@ let run_experiments args =
           record_gauge ("bench." ^ id ^ ".seconds") dt;
           record_gauge ("bench." ^ id ^ ".ok") (if ok then 1. else 0.);
           if not ok then failures := id :: !failures;
-          Fmt.pr "@.[%s %s in %.1fs]@." id
+          Fmt.epr "@.[%s %s in %.1fs]@." id
             (if ok then "done" else "FAILED")
             dt)
         requested);
