@@ -430,20 +430,15 @@ let phys_bench () =
 (* scale: slot throughput and peak RSS at 10^4..10^6 -> BENCH_scale.json *)
 (* ------------------------------------------------------------------ *)
 
-(* The million-node gate (DESIGN.md §15): a uniform constant-density
-   deployment streamed straight into position columns (never an O(n)
-   Point boxing pass), resolved on the auto-installed sparse path, with
-   slot throughput and the kernel's RSS high-water mark recorded per
-   size.  Sizes run ascending so each VmHWM reading is dominated by the
-   run it follows.  SINR_SCALE_NS=10000,100000 lets CI drop the
-   million-node size (its absolute gauges are in the diff ignore list
-   anyway). *)
+(* The million-node gate (DESIGN.md §15): Exp_scale's workload, a
+   uniform constant-density deployment streamed straight into position
+   columns (never an O(n) Point boxing pass), resolved on the
+   auto-installed sparse path, with slot throughput and the kernel's RSS
+   high-water mark recorded per size.  Sizes run ascending so each VmHWM
+   reading is dominated by the run it follows.  SINR_SCALE_NS=10000,100000
+   lets CI drop the million-node size (its absolute gauges are in the diff
+   ignore list anyway). *)
 let scale_bench_path = "BENCH_scale.json"
-
-(* Expected transmitters per slot: enough concurrent load to exercise the
-   sparse kernel's far-field aggregation, capped so the per-slot sender
-   work stays O(active) as n grows. *)
-let scale_senders ~n = max 64 (min 1000 (n / 333))
 
 let scale_sizes () =
   match Sys.getenv_opt "SINR_SCALE_NS" with
@@ -461,39 +456,6 @@ let scale_sizes () =
     end;
     ns
 
-let scale_run ~n ~slots =
-  let t0 = Unix.gettimeofday () in
-  let rng = Rng.create 71 in
-  (* Constant density: ~20 in-range neighbours per node at R = 12. *)
-  let side = 4.4 *. sqrt (float_of_int n) in
-  let soa = Soa.create ~n in
-  Placement.uniform_stream rng ~n ~box:(Sinr_geom.Box.square ~side)
-    ~min_dist:1.
-    ~set:(fun i ~x ~y -> Soa.set soa i ~x ~y)
-    ~x:(Soa.x soa) ~y:(Soa.y soa);
-  let sinr = Sinr.create_soa ~check:false Config.default soa in
-  let eng = Sinr_engine.Engine.create sinr in
-  Sinr_engine.Engine.wake_all eng;
-  let setup_s = Unix.gettimeofday () -. t0 in
-  let p = float_of_int (scale_senders ~n) /. float_of_int n in
-  let decide v =
-    if Rng.hash_unit rng (Sinr_engine.Engine.slot eng) v < p then
-      Sinr_engine.Engine.Transmit v
-    else Sinr_engine.Engine.Listen
-  in
-  let t1 = Unix.gettimeofday () in
-  for _ = 1 to slots do
-    ignore (Sinr_engine.Engine.step eng ~decide)
-  done;
-  let run_s = Unix.gettimeofday () -. t1 in
-  let slots_per_s = float_of_int slots /. Float.max run_s 1e-9 in
-  ( slots_per_s,
-    setup_s,
-    run_s,
-    Sinr_engine.Engine.tx_total eng,
-    Sinr_engine.Engine.delivery_total eng,
-    Sinr.sparse sinr <> None )
-
 let scale_bench () =
   Report.section "scale: slot throughput at 10^4..10^6 nodes";
   let gauges = ref [] in
@@ -501,8 +463,8 @@ let scale_bench () =
   List.iter
     (fun n ->
       let slots = if n >= 1_000_000 then 100 else 200 in
-      let slots_per_s, setup_s, run_s, tx, deliveries, sparse =
-        scale_run ~n ~slots
+      let { Exp_scale.slots_per_s; setup_s; run_s; tx; deliveries; sparse } =
+        Exp_scale.run ~seed:71 ~n ~slots
       in
       let rss_mb = Sinr_obs.Procstat.peak_rss_mb () in
       Fmt.pr
@@ -538,7 +500,7 @@ let record_gauge name v =
 (* ------------------------------------------------------------------ *)
 
 (* The one-load-and-branch guarantee (DESIGN.md §11): the span hooks in
-   Engine.step / Combined_mac / the B.1 and 9.1 machines must be free
+   Engine.step_select / Combined_mac / the B.1 and 9.1 machines must be free
    when the recorder is off.  Clock the same Algorithm 11.1 ack workload
    with the recorder off twice — the relative spread between the two off
    runs is the host's noise floor, and the disabled hook cost has to hide

@@ -699,40 +699,14 @@ let scale_cmd =
       Fmt.epr "sinr_sim scale: --slots must be positive@.";
       Stdlib.exit 2
     end;
-    let rng = Rng.create seed in
-    let t0 = Unix.gettimeofday () in
-    (* Constant density: ~20 in-range neighbours per node at R = 12. *)
-    let side = 4.4 *. sqrt (float_of_int n) in
-    let soa = Soa.create ~n in
-    Placement.uniform_stream rng ~n ~box:(Box.square ~side) ~min_dist:1.
-      ~set:(fun i ~x ~y -> Soa.set soa i ~x ~y)
-      ~x:(Soa.x soa) ~y:(Soa.y soa);
-    let sinr = Sinr.create_soa ~check:false Config.default soa in
-    let eng = Sinr_engine.Engine.create sinr in
-    Sinr_engine.Engine.wake_all eng;
-    let setup_s = Unix.gettimeofday () -. t0 in
-    (* Expected transmitters per slot: the scale bench's load curve. *)
-    let senders = max 64 (min 1000 (n / 333)) in
-    let p = float_of_int senders /. float_of_int n in
-    let decide v =
-      if Rng.hash_unit rng (Sinr_engine.Engine.slot eng) v < p then
-        Sinr_engine.Engine.Transmit v
-      else Sinr_engine.Engine.Listen
-    in
-    let t1 = Unix.gettimeofday () in
-    for _ = 1 to slots do
-      ignore (Sinr_engine.Engine.step eng ~decide)
-    done;
-    let run_s = Unix.gettimeofday () -. t1 in
-    let rate = float_of_int slots /. Float.max run_s 1e-9 in
+    let r = Exp_scale.run ~seed ~n ~slots in
+    let rate = r.Exp_scale.slots_per_s in
     let rss_mb = Procstat.peak_rss_mb () in
     Fmt.pr
       "scale: n=%d %d slots in %.2fs (%.1f slots/s)   setup %.2fs   tx %d \
        deliveries %d   sparse %b   peak RSS %s@."
-      n slots run_s rate setup_s
-      (Sinr_engine.Engine.tx_total eng)
-      (Sinr_engine.Engine.delivery_total eng)
-      (Sinr.sparse sinr <> None)
+      n slots r.Exp_scale.run_s rate r.Exp_scale.setup_s r.Exp_scale.tx
+      r.Exp_scale.deliveries r.Exp_scale.sparse
       (match rss_mb with
        | Some mb -> Fmt.str "%.0f MiB" mb
        | None -> "n/a");

@@ -74,17 +74,18 @@ let () =
         (phase + 1) (phase + 1) (count ms);
       render points ms
     end;
-    let ds =
-      Engine.step engine ~decide:(fun v ->
-          match Approx_progress.decide machine ~node:v with
-          | Some w -> Engine.Transmit w
-          | None -> Engine.Listen)
+    let k =
+      Engine.step_select engine
+        ~select:
+          (Engine.walk engine ~decide:(fun v ->
+               Approx_progress.decide machine ~node:v))
     in
-    List.iter
-      (fun d ->
-        Approx_progress.on_receive machine ~receiver:d.Engine.receiver
-          ~sender:d.Engine.sender d.Engine.message)
-      ds;
+    for i = 0 to k - 1 do
+      let u = Engine.receiver engine i in
+      let v = Engine.sender_of engine u in
+      Approx_progress.on_receive machine ~receiver:u ~sender:v
+        (Engine.message engine v)
+    done;
     ignore (Approx_progress.end_slot machine)
   done;
   Fmt.pr "@.epoch complete: every phase kept an independent set of the \

@@ -32,7 +32,7 @@ val contenders : t -> Sinr_engine.Node_set.t
 (** The current phase's participants: a superset of the members, and the
     only nodes for which {!decide} can return a message or draw from the
     RNG — for every other node it is [None] with no side effect. Pass it
-    as [Engine.step ~contenders]; read-only for the caller. *)
+    as [Engine.walk ~contenders]; read-only for the caller. *)
 
 val on_receive : t -> receiver:int -> sender:int -> Events.wire -> unit
 (** Feed one delivery of the current slot. *)

@@ -102,19 +102,20 @@ let emit_rcv t ~node ~payload ~from =
 
 let step t =
   let slot = Engine.slot t.engine in
-  let deliveries =
-    Engine.step t.engine ~decide:(fun v ->
-        match Decay.decide t.decay ~node:v ~slot with
-        | Some w -> Engine.Transmit w
-        | None -> Engine.Listen)
+  let e = t.engine in
+  let k =
+    Engine.step_select e
+      ~select:
+        (Engine.walk e ~decide:(fun v -> Decay.decide t.decay ~node:v ~slot))
   in
-  List.iter
-    (fun d ->
-      match d.Engine.message with
-      | Events.Decay payload | Events.Data payload ->
-        emit_rcv t ~node:d.Engine.receiver ~payload ~from:d.Engine.sender
-      | Events.Probe | Events.Neighbor_list _ | Events.Mis_round _ -> ())
-    deliveries;
+  for i = 0 to k - 1 do
+    let u = Engine.receiver e i in
+    let v = Engine.sender_of e u in
+    match Engine.message e v with
+    | Events.Decay payload | Events.Data payload ->
+      emit_rcv t ~node:u ~payload ~from:v
+    | Events.Probe | Events.Neighbor_list _ | Events.Mis_round _ -> ()
+  done;
   Array.iteri
     (fun node slot0 ->
       match t.ongoing.(node) with

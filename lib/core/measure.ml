@@ -164,17 +164,18 @@ let approx_progress_only ?(params = Params.default_approg) sinr ~rng ~senders
   List.iter (fun i -> watched.(i) <- true) listeners;
   let budget = ref max_slots in
   while !remaining > 0 && !budget > 0 do
-    let ds =
-      Engine.step engine ~decide:(fun v ->
-          match Approx_progress.decide machine ~node:v with
-          | Some w -> Engine.Transmit w
-          | None -> Engine.Listen)
+    let k =
+      Engine.step_select engine
+        ~select:
+          (Engine.walk engine ~decide:(fun v ->
+               Approx_progress.decide machine ~node:v))
     in
-    List.iter
-      (fun d ->
-        Approx_progress.on_receive machine ~receiver:d.Engine.receiver
-          ~sender:d.Engine.sender d.Engine.message)
-      ds;
+    for i = 0 to k - 1 do
+      let u = Engine.receiver engine i in
+      let v = Engine.sender_of engine u in
+      Approx_progress.on_receive machine ~receiver:u ~sender:v
+        (Engine.message engine v)
+    done;
     let rcvs = Approx_progress.end_slot machine in
     List.iter
       (fun ev ->
@@ -213,17 +214,18 @@ let approx_progress_oracle ?(params = Params.default_approg) sinr ~rng
   List.iter (fun i -> watched.(i) <- true) listeners;
   let budget = ref max_slots in
   while !remaining > 0 && !budget > 0 do
-    let ds =
-      Engine.step engine ~decide:(fun v ->
-          match Approx_oracle.decide machine ~node:v with
-          | Some w -> Engine.Transmit w
-          | None -> Engine.Listen)
+    let k =
+      Engine.step_select engine
+        ~select:
+          (Engine.walk engine ~decide:(fun v ->
+               Approx_oracle.decide machine ~node:v))
     in
-    List.iter
-      (fun d ->
-        Approx_oracle.on_receive machine ~receiver:d.Engine.receiver
-          ~sender:d.Engine.sender d.Engine.message)
-      ds;
+    for i = 0 to k - 1 do
+      let u = Engine.receiver engine i in
+      let v = Engine.sender_of engine u in
+      Approx_oracle.on_receive machine ~receiver:u ~sender:v
+        (Engine.message engine v)
+    done;
     let rcvs = Approx_oracle.end_slot machine in
     List.iter
       (fun ev ->
@@ -273,22 +275,21 @@ let decay_progress ?n_tilde sinr ~rng ~senders ~max_slots =
   let budget = ref max_slots in
   while !remaining > 0 && !budget > 0 do
     let slot = Engine.slot engine in
-    let ds =
-      Engine.step engine ~decide:(fun v ->
-          match Decay.decide decay ~node:v ~slot with
-          | Some w -> Engine.Transmit w
-          | None -> Engine.Listen)
+    let k =
+      Engine.step_select engine
+        ~select:
+          (Engine.walk engine ~decide:(fun v ->
+               Decay.decide decay ~node:v ~slot))
     in
-    List.iter
-      (fun d ->
-        let i = d.Engine.receiver in
-        if watched.(i) && first.(i) = None
-           && Graph.mem_edge strong i d.Engine.sender
-        then begin
-          first.(i) <- Some (Engine.slot engine);
-          decr remaining
-        end)
-      ds;
+    for j = 0 to k - 1 do
+      let i = Engine.receiver engine j in
+      if watched.(i) && first.(i) = None
+         && Graph.mem_edge strong i (Engine.sender_of engine i)
+      then begin
+        first.(i) <- Some (Engine.slot engine);
+        decr remaining
+      end
+    done;
     decr budget
   done;
   List.map

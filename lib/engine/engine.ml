@@ -36,18 +36,6 @@ let m_perturbed_slots = Metrics.counter "engine.perturbed_slots"
 let m_slot_tx = Metrics.histogram "engine.slot_tx"
 let m_slot_deliveries = Metrics.histogram "engine.slot_deliveries"
 
-type 'm action = Transmit of 'm | Listen
-
-type 'm delivery = {
-  receiver : int;
-  sender : int;
-  message : 'm;
-  power : float;
-      (* received signal power P/d^alpha of the decoded transmission --
-         the physical quantity a radio with signal-strength measurement
-         (the paper's Remark 4.6 CCA assumption) can observe *)
-}
-
 (* The slot's sender buffers as a selector sees them.  [eligible] is the
    awake map: awake implies not crashed, since only [wake] sets the awake
    bit (refusing crashed nodes) and [crash] clears it, so it is exactly
@@ -64,7 +52,6 @@ type 'm t = {
   state : 'm State.t;
       (* flat node state: bit-packed awake/crashed maps plus the reusable
          per-slot sender/message buffers (no per-slot O(n) allocation) *)
-  wake_on_receive : bool;
   mutable tx_total : int;        (* transmissions across all slots *)
   mutable delivery_total : int;  (* successful decodings across all slots *)
   trace : Trace.t option;
@@ -88,13 +75,12 @@ type 'm t = {
   mutable seen_gen : int;
 }
 
-let create ?(wake_on_receive = true) ?trace sinr =
+let create ?trace sinr =
   let n = Sinr.n sinr in
   let state = State.create n in
   { sinr;
     slot = 0;
     state;
-    wake_on_receive;
     tx_total = 0;
     delivery_total = 0;
     trace;
@@ -162,14 +148,6 @@ let revive t v =
     Trace.emit t.trace ~slot:t.slot (Trace.Recover { node = v })
   end
 
-let awake_nodes t =
-  let awake = t.state.State.awake in
-  let acc = ref [] in
-  for v = n t - 1 downto 0 do
-    if State.Bits.get awake v then acc := v :: !acc
-  done;
-  !acc
-
 (* How many of the first [k] entries of [ids] are awake now. *)
 let count_awake awake ids k =
   let c = ref 0 in
@@ -220,9 +198,7 @@ let reject_selection messages =
 (* The one slot body.  [select] writes the slot's transmitters ascending
    into [senders], sets their [messages] entries and returns how many
    there are; the body resolves the slot and leaves its outcome in place
-   (see [receiver] below) until the next step clears it.  [before_wake],
-   given only by the list wrapper [step], sees each receiver before it is
-   woken.
+   (see [receiver] below) until the next step clears it.
 
    Untraced, the slot costs [select] plus O(senders + receivers) on top
    of the resolution kernel: resolution writes into the reusable
@@ -230,7 +206,7 @@ let reject_selection messages =
    adds O(senders + receivers) for the listener and undelivered counts
    (derived from the live-node count) plus the senders' neighbourhoods
    for the collision/silence split. *)
-let run_slot t ~select ~before_wake =
+let step_select t ~select =
   clear_outcome t;
   let n = n t in
   let st = t.state in
@@ -267,7 +243,7 @@ let run_slot t ~select ~before_wake =
   (* The seed built its sender list by consing an ascending scan, so
      resolution accumulated interference in DESCENDING node order.
      Reverse the ascending prefix to keep every float — and therefore
-     every decoding decision — bit-identical to the record-based path. *)
+     every decoding decision — bit-identical to the seed's. *)
   for i = 0 to (ntx / 2) - 1 do
     let j = ntx - 1 - i in
     let tmp = senders.(i) in
@@ -302,11 +278,11 @@ let run_slot t ~select ~before_wake =
     Sinr.resolve_into ?perturb t.sinr ~senders ~nsenders:ntx decoded;
     Profile.stop Profile.Resolve p0;
     let p0 = Profile.start () in
-    (* Receivers come in ascending order.  A crashed node decodes in the
-       physics but receives nothing: it is dropped from the outcome here,
-       which keeps the remaining receivers ascending.  The check is made
-       at visit time, so a receiver crashed by an earlier receiver's
-       [before_wake] is dropped too. *)
+    (* Receivers come in ascending order.  The physics knows nothing of
+       crashes, so a crashed node still decodes there; it receives
+       nothing, and is dropped from the outcome here, which keeps the
+       remaining receivers ascending.  Every receiver kept is woken
+       (conditional wakeup, Definition 4.4). *)
     let sender_of = decoded.Sinr.sender
     and receivers = decoded.Sinr.receivers in
     let kept = ref 0 in
@@ -319,9 +295,8 @@ let run_slot t ~select ~before_wake =
         if tracing then
           Span.record_event ~slot:t.slot
             (Sim_event.Deliver { node = u; from = sender_of.(u) });
-        (match before_wake with Some f -> f u | None -> ());
         t.delivery_total <- t.delivery_total + 1;
-        if t.wake_on_receive then wake t u
+        wake t u
       end
     done;
     decoded.Sinr.count <- !kept;
@@ -357,8 +332,6 @@ let run_slot t ~select ~before_wake =
   Profile.stop Profile.Step p_step;
   ndeliv
 
-let step_select t ~select = run_slot t ~select ~before_wake:None
-
 (* The last slot's outcome, read in place. *)
 let receiver t i =
   let d = t.state.State.decoded in
@@ -371,21 +344,6 @@ let message t v =
   match t.state.State.messages.(v) with
   | Some m -> m
   | None -> invalid_arg "Engine.message: not a sender of the last slot"
-
-let delivery t u =
-  let v = sender_of t u in
-  { receiver = u;
-    sender = v;
-    message = message t v;
-    power = Sinr.power t.sinr ~sender:v ~receiver:u }
-
-let deliveries t =
-  let d = t.state.State.decoded in
-  let acc = ref [] in
-  for i = d.Sinr.count - 1 downto 0 do
-    acc := delivery t d.Sinr.receivers.(i) :: !acc
-  done;
-  !acc
 
 (* The per-node walk as a selector: [decide v] for each eligible node —
    all of them, or only those in [contenders] — in ascending order. *)
@@ -409,32 +367,3 @@ let walk ?contenders t ~decide sel =
      done
    | Some set -> Node_set.iter set consider);
   !ntx
-
-(* The list view over the in-place outcome, for callers that want one
-   record per delivery: [on_deliver] sees each one before its receiver is
-   woken. *)
-let step ?on_deliver ?contenders t ~decide =
-  let decide v = match decide v with Transmit m -> Some m | Listen -> None in
-  let before_wake =
-    match on_deliver with
-    | None -> None
-    | Some f -> Some (fun u -> f (delivery t u))
-  in
-  ignore (run_slot t ~select:(walk ?contenders t ~decide) ~before_wake : int);
-  deliveries t
-
-(* Drive the simulation until [stop] returns true or [max_slots] elapse.
-   Returns the number of slots executed.  [on_slot] fires after every slot
-   with that slot's index and deliveries, so observers can hook slot
-   boundaries without reimplementing the loop. *)
-let run ?on_deliver ?on_slot t ~decide ~stop ~max_slots =
-  let start = t.slot in
-  let rec loop () =
-    if stop () || t.slot - start >= max_slots then t.slot - start
-    else begin
-      let ds = step ?on_deliver t ~decide in
-      (match on_slot with Some f -> f ~slot:(t.slot - 1) ds | None -> ());
-      loop ()
-    end
-  in
-  loop ()

@@ -6,22 +6,11 @@
 
 open Sinr_phys
 
-type 'm action = Transmit of 'm | Listen
-
-type 'm delivery = {
-  receiver : int;
-  sender : int;
-  message : 'm;
-  power : float;
-      (** received power P/d^α of the decoded transmission (the observable
-          of Remark 4.6's signal-strength assumption) *)
-}
-
 type 'm t
 
-val create : ?wake_on_receive:bool -> ?trace:Trace.t -> Sinr.t -> 'm t
-(** Fresh simulation with every node asleep. [wake_on_receive] (default
-    true) makes asleep nodes wake when they decode a message, per the
+val create : ?trace:Trace.t -> Sinr.t -> 'm t
+(** Fresh simulation with every node asleep. A node wakes when the
+    environment wakes it ({!wake}) or when it decodes a message, per the
     conditional-wakeup model. [trace] records Wake/Crash/Recover fault
     events as the simulation advances, through {!Trace.emit}: with the
     flight recorder armed the same typed events also go to its ring,
@@ -63,8 +52,6 @@ val revive : 'm t -> int -> unit
 (** Un-crash a node (crash–recover adversaries). The node rejoins asleep —
     conditional wakeup applies as for a fresh node. No effect on
     non-crashed nodes. *)
-
-val awake_nodes : 'm t -> int list
 
 type 'm selection = private {
   eligible : State.Bits.t;
@@ -110,12 +97,16 @@ val step_select : 'm t -> select:('m selection -> int) -> int
 
 (** {2 The last slot's outcome}
 
-    Valid from the end of a step until the start of the next one. *)
+    Valid from the end of a step until the start of the next one. Only a
+    step changes it: a caller may {!wake}, {!crash} or {!revive} nodes
+    while it reads the outcome, and later reads still see the slot as
+    it ended. A reception's power is {!Sinr.power} of its sender and
+    receiver. *)
 
 val receiver : 'm t -> int -> int
 (** [receiver t i], for [i] below the step's delivery count, is the
     [i]-th node that received in the last slot, in ascending id order.
-    Crashed nodes never appear. *)
+    A node crashed when the slot ran never appears. *)
 
 val sender_of : 'm t -> int -> int
 (** The sender that node [u] decoded in the last slot, or [-1]. *)
@@ -123,10 +114,6 @@ val sender_of : 'm t -> int -> int
 val message : 'm t -> int -> 'm
 (** The message sender [v] transmitted in the last slot. Raises
     [Invalid_argument] if [v] did not transmit. *)
-
-val deliveries : 'm t -> 'm delivery list
-(** The last slot's outcome as records in ascending receiver order, each
-    with its received power from {!Sinr.power}. *)
 
 val walk :
   ?contenders:Node_set.t -> 'm t -> decide:(int -> 'm option) ->
@@ -141,20 +128,3 @@ val walk :
     under that contract the slot — deliveries, wake and trace events, and
     every later RNG draw — is identical to the full scan. The walk adds
     O(consulted nodes), one closure call each. *)
-
-val step :
-  ?on_deliver:('m delivery -> unit) -> ?contenders:Node_set.t -> 'm t ->
-  decide:(int -> 'm action) -> 'm delivery list
-(** {!step_select} over {!walk} ([Transmit m] is [Some m]), returning
-    {!deliveries}. [on_deliver] is called per delivery in ascending
-    receiver order, before the receiver is woken, so callers can
-    distinguish "received while asleep"; a receiver crashed by an earlier
-    call is skipped. *)
-
-val run :
-  ?on_deliver:('m delivery -> unit) ->
-  ?on_slot:(slot:int -> 'm delivery list -> unit) ->
-  'm t -> decide:(int -> 'm action) ->
-  stop:(unit -> bool) -> max_slots:int -> int
-(** Step until [stop ()] or [max_slots] slots; returns slots executed.
-    [on_slot] fires after each slot with its index and deliveries. *)

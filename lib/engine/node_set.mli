@@ -1,7 +1,7 @@
 (** Sets of node ids with an ascending walk whose cost is the set's size,
     not the node count.
 
-    Built for per-slot contender sets (see {!Engine.step}): [add] and
+    Built for per-slot contender sets (see {!Engine.walk}): [add] and
     [remove] are O(1) bit flips plus an amortized O(log k) merge, and
     {!iter} visits the members in ascending id order. A walk tolerates
     updates from its own callback exactly like a full [for v = 0 to n - 1]

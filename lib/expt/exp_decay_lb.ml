@@ -17,21 +17,22 @@ open Sinr_stats
 open Sinr_mac
 
 (* First slot at which some B1 node receives from the other B1 node, under
-   a per-slot decide function. *)
-let b1_progress engine (tb : Placement.two_balls) ~decide ~on_delivery
+   a per-node decide function.  [after_step k] sees each slot's outcome
+   (its [k] deliveries) first. *)
+let b1_progress engine (tb : Placement.two_balls) ~decide ~after_step
     ~max_slots =
   let a = tb.Placement.ball1.(0) and b = tb.Placement.ball1.(1) in
   let hit = ref None in
   let budget = ref max_slots in
   while !hit = None && !budget > 0 do
-    let ds = Engine.step engine ~decide in
-    on_delivery ds;
-    List.iter
-      (fun d ->
-        let r = d.Engine.receiver and s = d.Engine.sender in
-        if (r = a && s = b) || (r = b && s = a) then
-          hit := Some (Engine.slot engine))
-      ds;
+    let k = Engine.step_select engine ~select:(Engine.walk engine ~decide) in
+    after_step k;
+    for i = 0 to k - 1 do
+      let r = Engine.receiver engine i in
+      let s = Engine.sender_of engine r in
+      if (r = a && s = b) || (r = b && s = a) then
+        hit := Some (Engine.slot engine)
+    done;
     decr budget
   done;
   !hit
@@ -53,11 +54,8 @@ let decay_trial ~seed ~delta =
     Decay.start decay ~node:v ~slot:0 { Events.origin = v; seq = 0; data = v }
   done;
   b1_progress engine tb
-    ~decide:(fun v ->
-      match Decay.decide decay ~node:v ~slot:(Engine.slot engine) with
-      | Some w -> Engine.Transmit w
-      | None -> Engine.Listen)
-    ~on_delivery:(fun _ -> ())
+    ~decide:(fun v -> Decay.decide decay ~node:v ~slot:(Engine.slot engine))
+    ~after_step:ignore
     ~max_slots:3_000_000
 
 let approg_trial ~seed ~delta =
@@ -79,16 +77,14 @@ let approg_trial ~seed ~delta =
   done;
   let sched = Approx_progress.schedule machine in
   b1_progress engine tb
-    ~decide:(fun v ->
-      match Approx_progress.decide machine ~node:v with
-      | Some w -> Engine.Transmit w
-      | None -> Engine.Listen)
-    ~on_delivery:(fun ds ->
-      List.iter
-        (fun dv ->
-          Approx_progress.on_receive machine ~receiver:dv.Engine.receiver
-            ~sender:dv.Engine.sender dv.Engine.message)
-        ds;
+    ~decide:(fun v -> Approx_progress.decide machine ~node:v)
+    ~after_step:(fun k ->
+      for i = 0 to k - 1 do
+        let u = Engine.receiver engine i in
+        let v = Engine.sender_of engine u in
+        Approx_progress.on_receive machine ~receiver:u ~sender:v
+          (Engine.message engine v)
+      done;
       ignore (Approx_progress.end_slot machine))
     ~max_slots:(10 * sched.Params.epoch_slots)
 

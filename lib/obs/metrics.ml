@@ -6,7 +6,7 @@
    flag plus one atomic RMW (counters/gauges) or a handful of plain writes
    into a per-domain shard (histograms).  With the switch off the whole
    subsystem costs one load-and-branch per call site, which is what lets
-   the instrumentation live inside [Engine.step] and the per-slot MAC
+   the instrumentation live inside [Engine.step_select] and the per-slot MAC
    machines without a measurable tax (acceptance: < 2% on the sinr_resolve
    kernel).
 

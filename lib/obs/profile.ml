@@ -1,6 +1,6 @@
 (* Slot-phase profiler: where does a simulated slot's wall time go?
 
-   The engine wraps each stage of [Engine.step] (decide callbacks, chaos
+   The engine wraps each stage of [Engine.step_select] (the selector, chaos
    perturbation, SINR resolution, delivery fan-out, metrics/trace
    bookkeeping) in [start]/[stop] hooks; each stage's duration lands in a
    log2 histogram named [profile.<stage>.ns], which therefore flows through

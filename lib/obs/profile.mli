@@ -1,5 +1,5 @@
-(** Slot-phase profiler: attributes wall time per [Engine.step] stage
-    (decide, chaos perturb, SINR resolve — with the sparse kernel as a
+(** Slot-phase profiler: attributes wall time per [Engine.step_select]
+    stage (decide, chaos perturb, SINR resolve — with the sparse kernel as a
     sub-stage — delivery fan-out, metrics/trace overhead) into log2
     histograms named [profile.<stage>.ns].
 

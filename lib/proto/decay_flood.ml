@@ -34,21 +34,20 @@ let run sinr ~rng ~source ~max_slots =
   let budget = ref max_slots in
   while !completed = None && !budget > 0 do
     let slot = Engine.slot engine in
-    let ds =
-      Engine.step engine ~decide:(fun v ->
-          match Decay.decide decay ~node:v ~slot with
-          | Some w -> Engine.Transmit w
-          | None -> Engine.Listen)
+    let k =
+      Engine.step_select engine
+        ~select:
+          (Engine.walk engine ~decide:(fun v ->
+               Decay.decide decay ~node:v ~slot))
     in
-    List.iter
-      (fun d ->
-        let u = d.Engine.receiver in
-        if not informed.(u) then begin
-          informed.(u) <- true;
-          incr informed_count;
-          Decay.start decay ~node:u ~slot:(Engine.slot engine) payload
-        end)
-      ds;
+    for i = 0 to k - 1 do
+      let u = Engine.receiver engine i in
+      if not informed.(u) then begin
+        informed.(u) <- true;
+        incr informed_count;
+        Decay.start decay ~node:u ~slot:(Engine.slot engine) payload
+      end
+    done;
     if !informed_count = n then completed := Some (Engine.slot engine);
     decr budget
   done;

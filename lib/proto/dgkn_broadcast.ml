@@ -44,28 +44,28 @@ let run ?(params = Params.default_approg) sinr ~rng ~source ~max_slots =
   let completed = ref None in
   let budget = ref max_slots in
   while !completed = None && !budget > 0 do
-    let ds =
-      Engine.step engine ~decide:(fun v ->
-          match Approx_progress.decide machine ~node:v with
-          | Some w -> Engine.Transmit w
-          | None -> Engine.Listen)
+    let k =
+      Engine.step_select engine
+        ~select:
+          (Engine.walk engine ~decide:(fun v ->
+               Approx_progress.decide machine ~node:v))
     in
-    List.iter
-      (fun d ->
-        (* Relay rule of [14]: receiving the broadcast message makes the
-           receiver a broadcaster (from the next epoch on). *)
-        (match d.Engine.message with
-         | Events.Data _ | Events.Decay _ ->
-           let u = d.Engine.receiver in
-           if not informed.(u) then begin
-             informed.(u) <- true;
-             incr informed_count;
-             Approx_progress.start machine ~node:u payload
-           end
-         | Events.Probe | Events.Neighbor_list _ | Events.Mis_round _ -> ());
-        Approx_progress.on_receive machine ~receiver:d.Engine.receiver
-          ~sender:d.Engine.sender d.Engine.message)
-      ds;
+    for i = 0 to k - 1 do
+      let u = Engine.receiver engine i in
+      let v = Engine.sender_of engine u in
+      let w = Engine.message engine v in
+      (* Relay rule of [14]: receiving the broadcast message makes the
+         receiver a broadcaster (from the next epoch on). *)
+      (match w with
+       | Events.Data _ | Events.Decay _ ->
+         if not informed.(u) then begin
+           informed.(u) <- true;
+           incr informed_count;
+           Approx_progress.start machine ~node:u payload
+         end
+       | Events.Probe | Events.Neighbor_list _ | Events.Mis_round _ -> ());
+      Approx_progress.on_receive machine ~receiver:u ~sender:v w
+    done;
     ignore (Approx_progress.end_slot machine);
     if !informed_count = n then completed := Some (Engine.slot engine);
     decr budget

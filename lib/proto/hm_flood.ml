@@ -38,23 +38,21 @@ let smb ?ack_params sinr ~rng ~source ~max_slots =
   let completed = ref None in
   let budget = ref max_slots in
   while !completed = None && !budget > 0 do
-    let ds =
-      Engine.step engine ~decide:(fun v ->
-          match Hm_ack.decide hm ~node:v with
-          | Some w -> Engine.Transmit w
-          | None -> Engine.Listen)
+    let k =
+      Engine.step_select engine
+        ~select:
+          (Engine.walk engine ~decide:(fun v -> Hm_ack.decide hm ~node:v))
     in
-    List.iter
-      (fun d ->
-        let u = d.Engine.receiver in
-        Hm_ack.on_receive hm ~node:u;
-        if not informed.(u) then begin
-          informed.(u) <- true;
-          incr informed_count;
-          Engine.wake engine u;
-          Hm_ack.start hm ~node:u payload
-        end)
-      ds;
+    for i = 0 to k - 1 do
+      let u = Engine.receiver engine i in
+      Hm_ack.on_receive hm ~node:u;
+      if not informed.(u) then begin
+        informed.(u) <- true;
+        incr informed_count;
+        Engine.wake engine u;
+        Hm_ack.start hm ~node:u payload
+      end
+    done;
     if !informed_count = n then completed := Some (Engine.slot engine);
     decr budget
   done;

@@ -6,7 +6,7 @@
      0..n-1, membership tested at visit time) under random updates made
      from inside the walk, and the ascending view against the sorted
      members and the walk order.
-   - Engine.step over a contender set is checked against the full scan on
+   - Engine.walk over a contender set is checked against the full scan on
      generated placements with decide functions that are pure off the
      set: same deliveries, same wake/crash trace, same later RNG draws.
    - Hm_ack's batched selection is checked against the per-node decide
@@ -164,7 +164,7 @@ let prop_node_set_view =
       done;
       !ok)
 
-(* ---------------- Engine.step: contender walk = full scan ---------------- *)
+(* ---------------- Engine.walk: contender walk = full scan ---------------- *)
 
 (* A slot-by-slot run where only [member] nodes may transmit, drawing
    from [drv]; the scenario (wakes, crashes, revivals, membership) comes
@@ -198,19 +198,18 @@ let engine_run ~seed ~use_set =
     done;
     let decide v =
       incr consulted;
-      if member.(v) && Rng.bernoulli drv 0.35 then Engine.Transmit (v, slot)
-      else Engine.Listen
+      if member.(v) && Rng.bernoulli drv 0.35 then Some (v, slot) else None
     in
-    let ds =
-      if use_set then Engine.step ~contenders:set eng ~decide
-      else Engine.step eng ~decide
+    let contenders = if use_set then Some set else None in
+    let k =
+      Engine.step_select eng ~select:(Engine.walk ?contenders eng ~decide)
     in
-    List.iter
-      (fun (d : (int * int) Engine.delivery) ->
-        let v, s = d.Engine.message in
-        Printf.bprintf log "%d<%d:%d/%d:%h;" d.Engine.receiver d.Engine.sender v
-          s d.Engine.power)
-      ds;
+    for i = 0 to k - 1 do
+      let u = Engine.receiver eng i in
+      let sender = Engine.sender_of eng u in
+      let v, s = Engine.message eng sender in
+      Printf.bprintf log "%d<%d:%d/%d;" u sender v s
+    done;
     Buffer.add_char log '\n'
   done;
   Buffer.add_string log (Trace.to_jsonl trace);
@@ -280,35 +279,30 @@ let hm_select_run ~seed ~batch =
       | _ -> Engine.wake eng v
     done;
     let picked v w = Printf.bprintf log "%d:%s," v (wire_id w) in
-    let ds =
-      if batch then begin
-        ignore
-          (Engine.step_select eng ~select:(fun sel ->
-               let k = Hm_ack.select hm ~contenders:ongoing ~due sel in
-               for i = 0 to k - 1 do
-                 let v = sel.Engine.senders.(i) in
-                 picked v (Option.get sel.Engine.messages.(v))
-               done;
-               k)
-            : int);
-        Engine.deliveries eng
-      end
+    let k =
+      if batch then
+        Engine.step_select eng ~select:(fun sel ->
+            let k = Hm_ack.select hm ~contenders:ongoing ~due sel in
+            for i = 0 to k - 1 do
+              let v = sel.Engine.senders.(i) in
+              picked v (Option.get sel.Engine.messages.(v))
+            done;
+            k)
       else
-        Engine.step ~contenders:ongoing eng ~decide:(fun v ->
-            let w = Hm_ack.decide hm ~node:v in
-            if Hm_ack.halted hm ~node:v then Node_set.add due v;
-            match w with
-            | Some w ->
-              picked v w;
-              Engine.Transmit w
-            | None -> Engine.Listen)
+        Engine.step_select eng
+          ~select:
+            (Engine.walk ~contenders:ongoing eng ~decide:(fun v ->
+                 let w = Hm_ack.decide hm ~node:v in
+                 if Hm_ack.halted hm ~node:v then Node_set.add due v;
+                 Option.iter (picked v) w;
+                 w))
     in
     Buffer.add_char log '>';
-    List.iter
-      (fun (d : Events.wire Engine.delivery) ->
-        Hm_ack.on_receive hm ~node:d.Engine.receiver;
-        Printf.bprintf log "%d<%d;" d.Engine.receiver d.Engine.sender)
-      ds;
+    for i = 0 to k - 1 do
+      let u = Engine.receiver eng i in
+      Hm_ack.on_receive hm ~node:u;
+      Printf.bprintf log "%d<%d;" u (Engine.sender_of eng u)
+    done;
     Buffer.add_string log " due";
     Node_set.iter due (fun v -> Printf.bprintf log " %d" v);
     Node_set.clear due;
@@ -443,7 +437,7 @@ let script_ack_crash ~mac ~bcast ~on_ack =
         ids
 
 (* Recorded on the full-scan implementations: the first four before
-   Engine.step took a contender set, the "ack crash" pair before the ack
+   the engine's walk took a contender set, the "ack crash" pair before the ack
    pass walked a due-set.  Any change here means the slot path changed
    outcomes. *)
 let pinned =
@@ -945,8 +939,7 @@ let test_iter_in_range () =
    live-node count and the senders' neighbourhoods; here they are checked
    slot by slot against the O(n) scans they replaced.  Scenario: wakes,
    crashes and revivals between slots, asleep receivers woken by delivery,
-   an on_deliver that crashes nodes (later receivers of the slot
-   included), and jammed slots; on the exact kernel and on the sparse one.
+   and jammed slots; on the exact kernel and on the sparse one.
    The reference listener count is taken when the engine asks for the
    slot's perturbation (after every decide, before resolution); the
    reference decodes come from resolving the same senders, in the
@@ -1002,16 +995,12 @@ let engine_counters_agree ~seed ~sparse =
     let decide v =
       if Rng.bernoulli ops 0.25 then begin
         senders := v :: !senders;
-        Engine.Transmit v
+        Some v
       end
-      else Engine.Listen
-    in
-    let on_deliver (d : int Engine.delivery) =
-      if Rng.bernoulli ops 0.15 then Engine.crash eng (Rng.int ops n);
-      if Rng.bernoulli ops 0.1 then Engine.crash eng d.Engine.receiver
+      else None
     in
     let l0, c0, s0 = counters () in
-    ignore (Engine.step ~on_deliver eng ~decide : int Engine.delivery list);
+    ignore (Engine.step_select eng ~select:(Engine.walk eng ~decide) : int);
     let l1, c1, s1 = counters () in
     let label what = Printf.sprintf "seed %d slot %d %s" seed slot what in
     (* No sender: no perturbation asked, nothing delivered since decide. *)

@@ -61,7 +61,7 @@ let test_fault_apply () =
   Alcotest.(check (list (pair int int))) "future crash kept" [ (5, 2) ] rest;
   Alcotest.(check bool) "node 1 down" true (Engine.is_crashed eng 1);
   for _ = 1 to 5 do
-    ignore (Engine.step eng ~decide:(fun _ -> Engine.Listen))
+    ignore (Engine.step_select eng ~select:(fun _ -> 0) : int)
   done;
   let crashed, rest = Fault.apply rest eng in
   Alcotest.(check (list int)) "second crash at its slot" [ 2 ] crashed;
@@ -96,19 +96,6 @@ let test_crash_trace_idempotent () =
   (* A fresh down-phase records a fresh Crash event. *)
   Engine.crash eng 0;
   Alcotest.(check int) "second down-phase recorded" 2 (crashes ())
-
-let test_no_wake_on_receive_still_delivers () =
-  let eng = Engine.create ~wake_on_receive:false (line_net 2 5.) in
-  Engine.wake eng 0;
-  let ds =
-    Engine.step eng ~decide:(fun v ->
-        if v = 0 then Engine.Transmit "x" else Engine.Listen)
-  in
-  (* The opt-out suppresses the wake, not the delivery. *)
-  (match ds with
-   | [ d ] -> Alcotest.(check int) "delivered to 1" 1 d.Engine.receiver
-   | _ -> Alcotest.fail "expected exactly one delivery");
-  Alcotest.(check bool) "receiver asleep" false (Engine.is_awake eng 1)
 
 (* ---------------- crashed broadcaster never acks ---------------- *)
 
@@ -232,7 +219,7 @@ let test_crash_recover_schedule () =
     for v = 0 to 9 do
       if Engine.is_crashed eng v then down_history := max !down_history 1
     done;
-    ignore (Engine.step eng ~decide:(fun _ -> Engine.Listen))
+    ignore (Engine.step_select eng ~select:(fun _ -> 0) : int)
   done;
   Alcotest.(check int) "somebody went down" 1 !down_history;
   Alcotest.(check bool) "protected node never crashed" false
@@ -422,8 +409,6 @@ let suite =
       test_fault_apply;
     Alcotest.test_case "engine: crash/recover traced, idempotent" `Quick
       test_crash_trace_idempotent;
-    Alcotest.test_case "engine: wake_on_receive:false still delivers" `Quick
-      test_no_wake_on_receive_still_delivers;
     Alcotest.test_case "mac: crashed broadcaster never acks" `Quick
       test_crash_mid_broadcast_no_ack;
     Alcotest.test_case "chaos: jam blocks reception" `Quick

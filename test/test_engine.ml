@@ -9,58 +9,56 @@ let cfg = Config.default
 let line_net n spacing =
   Sinr.create cfg (Placement.line ~n ~spacing)
 
+(* One slot over the per-node walk; returns the delivery count. *)
+let step eng ~decide =
+  Engine.step_select eng ~select:(Engine.walk eng ~decide)
+
+(* The last slot's outcome as (receiver, sender, message) triples. *)
+let outcome eng k =
+  List.init k (fun i ->
+      let u = Engine.receiver eng i in
+      let v = Engine.sender_of eng u in
+      (u, v, Engine.message eng v))
+
 let test_wakeup_semantics () =
   let eng = Engine.create (line_net 3 5.) in
   Alcotest.(check bool) "initially asleep" false (Engine.is_awake eng 0);
   Engine.wake eng 0;
   Alcotest.(check bool) "woken" true (Engine.is_awake eng 0);
-  Alcotest.(check (list int)) "awake set" [ 0 ] (Engine.awake_nodes eng)
+  Alcotest.(check (list int)) "awake set" [ 0 ]
+    (List.filter (Engine.is_awake eng) [ 0; 1; 2 ])
 
 let test_asleep_nodes_do_not_transmit () =
   let eng = Engine.create (line_net 2 5.) in
   (* Nobody awake: decide must not be consulted; no deliveries. *)
   let consulted = ref false in
-  let ds =
-    Engine.step eng ~decide:(fun _ -> consulted := true; Engine.Listen)
-  in
+  let k = step eng ~decide:(fun _ -> consulted := true; None) in
   Alcotest.(check bool) "decide not consulted" false !consulted;
-  Alcotest.(check int) "no deliveries" 0 (List.length ds)
+  Alcotest.(check int) "no deliveries" 0 k
 
 let test_delivery_and_wake_on_receive () =
   let eng = Engine.create (line_net 2 5.) in
   Engine.wake eng 0;
-  let ds =
-    Engine.step eng ~decide:(fun v ->
-        if v = 0 then Engine.Transmit "hello" else Engine.Listen)
+  let k =
+    step eng ~decide:(fun v -> if v = 0 then Some "hello" else None)
   in
-  (match ds with
-   | [ d ] ->
-     Alcotest.(check int) "receiver" 1 d.Engine.receiver;
-     Alcotest.(check int) "sender" 0 d.Engine.sender;
-     Alcotest.(check string) "message" "hello" d.Engine.message
+  (match outcome eng k with
+   | [ (u, v, m) ] ->
+     Alcotest.(check int) "receiver" 1 u;
+     Alcotest.(check int) "sender" 0 v;
+     Alcotest.(check string) "message" "hello" m
    | _ -> Alcotest.fail "expected exactly one delivery");
   Alcotest.(check bool) "receiver woke up" true (Engine.is_awake eng 1)
-
-let test_no_wake_on_receive_opt_out () =
-  let eng = Engine.create ~wake_on_receive:false (line_net 2 5.) in
-  Engine.wake eng 0;
-  let _ =
-    Engine.step eng ~decide:(fun v ->
-        if v = 0 then Engine.Transmit "x" else Engine.Listen)
-  in
-  Alcotest.(check bool) "receiver stays asleep" false (Engine.is_awake eng 1)
 
 let test_crashed_nodes_silent () =
   let eng = Engine.create (line_net 2 5.) in
   Engine.wake eng 0;
   Engine.wake eng 1;
   Engine.crash eng 0;
-  let ds =
-    Engine.step eng ~decide:(fun _ -> Engine.Transmit "x")
-  in
+  let k = step eng ~decide:(fun _ -> Some "x") in
   (* Node 0 crashed: it neither transmits nor receives; node 1 transmits but
      no listener remains. *)
-  Alcotest.(check int) "no deliveries" 0 (List.length ds);
+  Alcotest.(check int) "no deliveries" 0 k;
   Alcotest.(check bool) "crashed not awake" false (Engine.is_awake eng 0);
   Alcotest.(check bool) "crashed cannot rewake" false
     (Engine.wake eng 0; Engine.is_awake eng 0)
@@ -100,48 +98,59 @@ let test_step_select_contract () =
         clean := Array.for_all Option.is_none sel.Engine.messages;
         select_ids [ 0 ] sel)
   in
-  let ds = Engine.deliveries eng in
   Alcotest.(check int) "delivery count" 2 k;
   Alcotest.(check bool) "messages empty after a raise" true !clean;
   Alcotest.(check (list int)) "lone sender delivers" [ 1; 2 ]
-    (List.map (fun d -> d.Engine.receiver) ds)
+    (List.init k (Engine.receiver eng))
+
+(* The outcome is read in place, and only the next step changes it: a
+   caller that crashes a later receiver and wakes an asleep node between
+   two reads still reads the slot as it ended. *)
+let test_outcome_stable_under_reads () =
+  let eng = Engine.create (line_net 6 5.) in
+  Engine.wake eng 0;
+  let k = step eng ~decide:(fun v -> if v = 0 then Some v else None) in
+  if k < 2 then Alcotest.failf "want >= 2 receivers, got %d" k;
+  let snapshot = outcome eng k in
+  let asleep =
+    match
+      List.find_opt (fun v -> not (Engine.is_awake eng v)) [ 1; 2; 3; 4; 5 ]
+    with
+    | Some v -> v
+    | None -> Alcotest.fail "want an asleep node after the slot"
+  in
+  let delivered = Engine.delivery_total eng in
+  let reads =
+    List.init k (fun i ->
+        let u = Engine.receiver eng i in
+        let v = Engine.sender_of eng u in
+        let m = Engine.message eng v in
+        if i = 0 then begin
+          Engine.crash eng (Engine.receiver eng (k - 1));
+          Engine.wake eng asleep
+        end;
+        (u, v, m))
+  in
+  Alcotest.(check (list (triple int int int))) "reads = snapshot" snapshot
+    reads;
+  Alcotest.(check (list (triple int int int))) "re-read = snapshot" snapshot
+    (outcome eng k);
+  Alcotest.(check bool) "crash took effect" true
+    (Engine.is_crashed eng (Engine.receiver eng (k - 1)));
+  Alcotest.(check bool) "wake took effect" true (Engine.is_awake eng asleep);
+  Alcotest.(check int) "delivery total unchanged" delivered
+    (Engine.delivery_total eng)
 
 let test_slot_counter_and_totals () =
-  (* wake_on_receive off so node 1 stays a pure listener. *)
-  let eng = Engine.create ~wake_on_receive:false (line_net 2 5.) in
+  (* Only node 0 transmits, so node 1 stays a pure listener. *)
+  let eng = Engine.create (line_net 2 5.) in
   Engine.wake eng 0;
   for _ = 1 to 5 do
-    ignore (Engine.step eng ~decide:(fun _ -> Engine.Transmit "m"))
+    ignore (step eng ~decide:(fun v -> if v = 0 then Some "m" else None))
   done;
   Alcotest.(check int) "slots" 5 (Engine.slot eng);
   Alcotest.(check int) "tx total" 5 (Engine.tx_total eng);
   Alcotest.(check int) "deliveries" 5 (Engine.delivery_total eng)
-
-let test_run_stop_condition () =
-  let eng = Engine.create (line_net 2 5.) in
-  Engine.wake eng 0;
-  let got = ref false in
-  let slots =
-    Engine.run eng
-      ~on_deliver:(fun _ -> got := true)
-      ~decide:(fun _ -> Engine.Transmit "m")
-      ~stop:(fun () -> !got)
-      ~max_slots:100
-  in
-  Alcotest.(check bool) "stopped early" true (slots < 100);
-  Alcotest.(check bool) "delivered" true !got
-
-let test_run_max_slots () =
-  let eng = Engine.create (line_net 2 100.) in
-  (* Out of range: nothing ever delivered, must hit the slot cap. *)
-  Engine.wake eng 0;
-  let slots =
-    Engine.run eng
-      ~decide:(fun _ -> Engine.Transmit "m")
-      ~stop:(fun () -> false)
-      ~max_slots:37
-  in
-  Alcotest.(check int) "cap respected" 37 slots
 
 let test_determinism_same_seed () =
   (* Full pipeline determinism: same seed, same deployment, same protocol
@@ -155,9 +164,8 @@ let test_determinism_same_seed () =
     Engine.wake_all eng;
     for _ = 1 to 50 do
       ignore
-        (Engine.step eng ~decide:(fun _ ->
-             if Rng.bernoulli rng 0.2 then Engine.Transmit "m"
-             else Engine.Listen))
+        (step eng ~decide:(fun _ ->
+             if Rng.bernoulli rng 0.2 then Some "m" else None))
     done;
     (Engine.tx_total eng, Engine.delivery_total eng)
   in
@@ -229,14 +237,12 @@ let suite =
       test_asleep_nodes_do_not_transmit;
     Alcotest.test_case "delivery + wake on receive" `Quick
       test_delivery_and_wake_on_receive;
-    Alcotest.test_case "wake_on_receive opt out" `Quick
-      test_no_wake_on_receive_opt_out;
     Alcotest.test_case "crashed nodes silent" `Quick test_crashed_nodes_silent;
     Alcotest.test_case "step_select contract" `Quick test_step_select_contract;
+    Alcotest.test_case "outcome stable under reads" `Quick
+      test_outcome_stable_under_reads;
     Alcotest.test_case "slot counter and totals" `Quick
       test_slot_counter_and_totals;
-    Alcotest.test_case "run stop condition" `Quick test_run_stop_condition;
-    Alcotest.test_case "run max slots" `Quick test_run_max_slots;
     Alcotest.test_case "determinism per seed" `Quick test_determinism_same_seed;
     Alcotest.test_case "trace order and count" `Quick test_trace_order_and_count;
     Alcotest.test_case "trace capacity" `Quick test_trace_capacity;

@@ -14,7 +14,7 @@ let cfg = Config.default
 (* Invariants under random transmission patterns:
    - deliveries per slot <= listeners (n - senders);
    - a transmitting node never appears as a receiver;
-   - tx_total counts every Transmit decision. *)
+   - tx_total counts every transmit decision. *)
 let prop_engine_conservation =
   QCheck.Test.make ~name:"engine conservation invariants" ~count:30
     QCheck.(int_range 1 10_000)
@@ -29,22 +29,25 @@ let prop_engine_conservation =
       let expected_tx = ref 0 in
       for _ = 1 to 30 do
         let senders = ref [] in
-        let ds =
-          Engine.step eng ~decide:(fun v ->
-              if Rng.bernoulli rng 0.3 then begin
-                incr expected_tx;
-                senders := v :: !senders;
-                Engine.Transmit v
-              end
-              else Engine.Listen)
+        let k =
+          Engine.step_select eng
+            ~select:
+              (Engine.walk eng ~decide:(fun v ->
+                   if Rng.bernoulli rng 0.3 then begin
+                     incr expected_tx;
+                     senders := v :: !senders;
+                     Some v
+                   end
+                   else None))
         in
-        if List.length ds > 20 - List.length !senders then ok := false;
-        List.iter
-          (fun d ->
-            if List.mem d.Engine.receiver !senders then ok := false;
-            if not (List.mem d.Engine.sender !senders) then ok := false;
-            if d.Engine.message <> d.Engine.sender then ok := false)
-          ds
+        if k > 20 - List.length !senders then ok := false;
+        for i = 0 to k - 1 do
+          let u = Engine.receiver eng i in
+          let v = Engine.sender_of eng u in
+          if List.mem u !senders then ok := false;
+          if not (List.mem v !senders) then ok := false;
+          if Engine.message eng v <> v then ok := false
+        done
       done;
       !ok && Engine.tx_total eng = !expected_tx)
 
@@ -53,7 +56,8 @@ let test_wake_idempotent () =
   let eng = Engine.create (Sinr.create cfg pts) in
   Engine.wake eng 0;
   Engine.wake eng 0;
-  Alcotest.(check (list int)) "single wake entry" [ 0 ] (Engine.awake_nodes eng)
+  Alcotest.(check (list int)) "single wake entry" [ 0 ]
+    (List.filter (Engine.is_awake eng) [ 0; 1 ])
 
 let test_crash_then_wake_all () =
   let pts = [| Point.make 0. 0.; Point.make 5. 0.; Point.make 10. 0. |] in
@@ -61,17 +65,18 @@ let test_crash_then_wake_all () =
   Engine.crash eng 1;
   Engine.wake_all eng;
   Alcotest.(check (list int)) "crashed excluded from wake_all" [ 0; 2 ]
-    (Engine.awake_nodes eng)
+    (List.filter (Engine.is_awake eng) [ 0; 1; 2 ])
 
 let test_crashed_receiver_gets_nothing () =
   let pts = [| Point.make 0. 0.; Point.make 5. 0. |] in
   let eng = Engine.create (Sinr.create cfg pts) in
   Engine.wake eng 0;
   Engine.crash eng 1;
-  let ds =
-    Engine.step eng ~decide:(fun _ -> Engine.Transmit "x")
+  let k =
+    Engine.step_select eng
+      ~select:(Engine.walk eng ~decide:(fun _ -> Some "x"))
   in
-  Alcotest.(check int) "no delivery to crashed" 0 (List.length ds)
+  Alcotest.(check int) "no delivery to crashed" 0 k
 
 (* BMMB FIFO: two messages arriving at the same node are broadcast in
    arrival order ([37]'s bcastq is a FIFO queue). *)

@@ -211,15 +211,15 @@ let test_hm_pair_delivery () =
   let got = ref false in
   let steps = ref 0 in
   while Hm_ack.active hm ~node:0 && !steps < 200_000 do
-    let ds =
-      Sinr_engine.Engine.step engine ~decide:(fun v ->
-          match Hm_ack.decide hm ~node:v with
-          | Some w -> Sinr_engine.Engine.Transmit w
-          | None -> Sinr_engine.Engine.Listen)
+    let k =
+      Sinr_engine.Engine.step_select engine
+        ~select:
+          (Sinr_engine.Engine.walk engine ~decide:(fun v ->
+               Hm_ack.decide hm ~node:v))
     in
-    List.iter
-      (fun d -> if d.Sinr_engine.Engine.receiver = 1 then got := true)
-      ds;
+    for i = 0 to k - 1 do
+      if Sinr_engine.Engine.receiver engine i = 1 then got := true
+    done;
     incr steps
   done;
   Alcotest.(check bool) "halted" true (Hm_ack.halted hm ~node:0);

@@ -1,5 +1,6 @@
 (* Extended MAC-layer tests: exact local broadcast (Remark 4.6), the oracle
-   machine, traces, wire contents, and engine power reporting. *)
+   machine, traces, wire contents, and the received power of an engine
+   outcome. *)
 
 open Sinr_geom
 open Sinr_graph
@@ -18,14 +19,18 @@ let test_engine_reports_power () =
   let sinr = Sinr.create cfg weak_link_pts in
   let eng = Engine.create sinr in
   Engine.wake eng 0;
-  let ds = Engine.step eng ~decide:(fun _ -> Engine.Transmit "m") in
-  List.iter
-    (fun d ->
-      let dist = Point.dist weak_link_pts.(0) weak_link_pts.(d.Engine.receiver) in
-      let expect = cfg.Config.power /. (dist ** cfg.Config.alpha) in
-      Alcotest.(check (float 1e-9)) "power = P/d^alpha" expect d.Engine.power)
-    ds;
-  Alcotest.(check int) "both listeners decoded" 2 (List.length ds)
+  let k =
+    Engine.step_select eng ~select:(Engine.walk eng ~decide:(fun _ -> Some "m"))
+  in
+  for i = 0 to k - 1 do
+    let u = Engine.receiver eng i in
+    let v = Engine.sender_of eng u in
+    let dist = Point.dist weak_link_pts.(v) weak_link_pts.(u) in
+    let expect = cfg.Config.power /. (dist ** cfg.Config.alpha) in
+    Alcotest.(check (float 1e-9)) "power = P/d^alpha" expect
+      (Sinr.power sinr ~sender:v ~receiver:u)
+  done;
+  Alcotest.(check int) "both listeners decoded" 2 k
 
 let run_mac ?exact ~slots pts ~senders =
   let sinr = Sinr.create cfg pts in

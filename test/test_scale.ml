@@ -104,6 +104,14 @@ let test_column_path_matches_reference () =
    (descending-order sender list + resolve_reference) through identical
    slots — including crashes, recoveries and perturbed (chaos) slots —
    and demand identical deliveries, wake states and totals. *)
+(* One slot over the per-node walk, its outcome as (receiver, sender)
+   pairs in ascending receiver order. *)
+let step_pairs eng ~decide =
+  let k = Engine.step_select eng ~select:(Engine.walk eng ~decide) in
+  List.init k (fun i ->
+      let u = Engine.receiver eng i in
+      (u, Engine.sender_of eng u))
+
 let test_engine_step_bit_identical () =
   let rng = Rng.create 903 in
   List.iter
@@ -146,8 +154,7 @@ let test_engine_step_bit_identical () =
               end)
             crashes;
         let decide v =
-          if Rng.hash_unit r slot v < 0.2 then Engine.Transmit (slot, v)
-          else Engine.Listen
+          if Rng.hash_unit r slot v < 0.2 then Some (slot, v) else None
         in
         (* Seed semantics: ascending scan consing, so the sender list is
            descending; resolve_reference consumes it in that order. *)
@@ -172,10 +179,7 @@ let test_engine_step_bit_identical () =
               if not ref_crashed.(u) then ref_awake.(u) <- true
             | None -> ()
         done;
-        let got = Engine.step eng ~decide in
-        let got_pairs =
-          List.map (fun d -> (d.Engine.receiver, d.Engine.sender)) got
-        in
+        let got_pairs = step_pairs eng ~decide in
         Alcotest.(check (list (pair int int)))
           (Fmt.str "deliveries n=%d slot %d" n slot)
           !expected_deliveries got_pairs
@@ -191,7 +195,7 @@ let test_engine_step_bit_identical () =
       done)
     [ 16; 256 ]
 
-(* A decide/on_deliver callback that raises must not poison the reusable
+(* A decide callback that raises must not poison the reusable
    slot buffers: the next slot still matches the reference. *)
 let test_engine_step_exception_safe () =
   let rng = Rng.create 904 in
@@ -202,8 +206,8 @@ let test_engine_step_exception_safe () =
   Engine.wake_all eng;
   (try
      ignore
-       (Engine.step eng ~decide:(fun v ->
-            if v = 7 then failwith "boom" else Engine.Transmit v));
+       (step_pairs eng ~decide:(fun v ->
+            if v = 7 then failwith "boom" else Some v));
      Alcotest.fail "decide exception swallowed"
    with Failure _ -> ());
   let senders = ref [] in
@@ -212,15 +216,13 @@ let test_engine_step_exception_safe () =
   done;
   let expected = Sinr.resolve_reference sinr ~senders:!senders in
   let got =
-    Engine.step eng ~decide:(fun v ->
-        if v mod 3 = 0 then Engine.Transmit v else Engine.Listen)
+    step_pairs eng ~decide:(fun v -> if v mod 3 = 0 then Some v else None)
   in
   List.iter
-    (fun d ->
+    (fun (u, v) ->
       Alcotest.(check (option int))
-        (Fmt.str "post-exception delivery at %d" d.Engine.receiver)
-        (Some d.Engine.sender)
-        expected.(d.Engine.receiver))
+        (Fmt.str "post-exception delivery at %d" u)
+        (Some v) expected.(u))
     got;
   let expected_count =
     Array.fold_left
