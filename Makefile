@@ -1,24 +1,18 @@
-.PHONY: all build check test fmt bench par-smoke chaos-smoke phys-smoke \
-        obs-smoke crash-smoke scale-smoke \
-        stream-smoke bench-diff perf-digest trace-digest tables-diff \
-        opaque-check clean
+.PHONY: all build check test fmt bench chaos-smoke phys-smoke obs-smoke \
+        crash-smoke scale-smoke bench-diff perf-digest trace-digest \
+        tables-diff opaque-check clean
 
 all: build
 
 build:
 	dune build
 
-# Tier-1 gate: full build + test suite, then a parallel-path smoke run.
+# Tier-1 gate: full build + test suite, then the paper's tables through
+# the parallel sweep at two jobs, byte-compared with the baseline.
 check:
 	dune build
 	dune runtest
-	$(MAKE) par-smoke
-
-# Quick end-to-end exercise of the domain pool: one real experiment
-# through the parallel sweep at jobs=2 (its rows are asserted
-# bit-identical to jobs=1 by the test suite).
-par-smoke:
-	dune exec bench/main.exe -- --jobs 2 table1-ack
+	$(MAKE) tables-diff
 
 # End-to-end exercise of the fault-injection stack: the full E-chaos
 # degradation sweep (writes BENCH_chaos.json), then one heavily
@@ -57,7 +51,10 @@ obs-smoke:
 # the log, and (d) the table is byte-identical (cmp) to an uninterrupted
 # reference run in a fresh directory.  The graceful lifecycle (429
 # backpressure, serve.* metrics, checkpoint file, strict /spans) is the
-# in-process test "daemon: submit, 429, done, scrape".  Artifacts:
+# in-process test "daemon: submit, 429, done, scrape"; the live SSE
+# stream is "watch: SSE stream reassembles table", and `sinr_sim watch`
+# against a real daemon is the cli test "serve + watch prints the
+# table".  Artifacts:
 # crash-smoke.log, crash-table.json, crash-table-ref.json and the
 # crash-smoke-dir WAL + checkpoints.
 crash-smoke:
@@ -136,90 +133,6 @@ crash-smoke:
 	  { echo "crash-smoke: table after SIGKILL+restart differs from the \
 	    uninterrupted reference"; exit 1; }; \
 	echo "crash-smoke: OK (tables byte-identical across SIGKILL)"
-
-# End-to-end exercise of the per-job observability plane: start the
-# daemon (a failpoint slows every cell so the stream has time to show
-# live progress), submit a grid, follow it with `curl -N` on the SSE
-# endpoint, and require (a) at least one live `cell` event lands before
-# the terminal done state, (b) the stream closes itself after the job
-# settles, (c) /jobs/1/metrics is well-formed Prometheus exposition
-# scoped to job_id="1" with the right cell count, and (d) `sinr_sim
-# watch` on a second job rebuilds, from SSE alone, a table byte-identical
-# to GET /jobs/2/table.  Artifacts: stream-smoke.log, stream-events.log,
-# stream-job-metrics.prom.
-stream-smoke:
-	dune build bin/sinr_sim.exe
-	rm -rf stream-smoke-dir stream-port.txt stream-events.log \
-	  stream-watch-table.json stream-curl-table.json; \
-	SINR_FAILPOINTS=serve.cell=sleep:0.1 \
-	./_build/default/bin/sinr_sim.exe serve --port 0 \
-	  --serve-port-file stream-port.txt --dir stream-smoke-dir \
-	  --checkpoint-every 2 --jobs 2 \
-	  > stream-smoke.log 2>&1 & pid=$$!; \
-	up=0; for i in $$(seq 1 50); do \
-	  if [ -s stream-port.txt ]; then up=1; break; fi; sleep 0.1; done; \
-	if [ $$up -ne 1 ]; then echo "stream-smoke: port file never appeared"; \
-	  cat stream-smoke.log; kill $$pid 2>/dev/null; exit 1; fi; \
-	port=$$(cat stream-port.txt); \
-	code=$$(curl -s -o /dev/null -w '%{http_code}' \
-	  -X POST http://127.0.0.1:$$port/jobs \
-	  -d '{"exp":"ack","params":[2,3,4],"seeds":[1,2,3],"tag":"stream"}'); \
-	if [ "$$code" != "202" ]; then echo "stream-smoke: submit got $$code"; \
-	  cat stream-smoke.log; kill $$pid 2>/dev/null; exit 1; fi; \
-	curl -sN http://127.0.0.1:$$port/jobs/1/events > stream-events.log & \
-	cpid=$$!; \
-	done_=0; for i in $$(seq 1 240); do \
-	  if curl -sf http://127.0.0.1:$$port/jobs/1 | grep -q '"state":"done"'; \
-	  then done_=1; break; fi; sleep 0.5; done; \
-	if [ $$done_ -ne 1 ]; then echo "stream-smoke: job never finished"; \
-	  cat stream-smoke.log; kill $$cpid $$pid 2>/dev/null; exit 1; fi; \
-	closed=0; for i in $$(seq 1 100); do \
-	  if ! kill -0 $$cpid 2>/dev/null; then closed=1; break; fi; \
-	  sleep 0.1; done; \
-	if [ $$closed -ne 1 ]; then \
-	  echo "stream-smoke: stream never closed after the terminal state"; \
-	  kill $$cpid $$pid 2>/dev/null; exit 1; fi; \
-	wait $$cpid 2>/dev/null; \
-	grep -q '^event: cell' stream-events.log || \
-	  { echo "stream-smoke: no live cell event in the stream"; \
-	    cat stream-events.log; kill $$pid 2>/dev/null; exit 1; }; \
-	awk '/^event: cell/ && !c { c = NR } \
-	     /^event: state/ { s = NR } \
-	     /"state":"done"/ { done_line = NR } \
-	     END { exit !(c && done_line && c < done_line) }' \
-	  stream-events.log || \
-	  { echo "stream-smoke: no cell event before the job was done"; \
-	    cat stream-events.log; kill $$pid 2>/dev/null; exit 1; }; \
-	grep -q '^event: row' stream-events.log || \
-	  { echo "stream-smoke: no row event in the stream"; \
-	    kill $$pid 2>/dev/null; exit 1; }; \
-	curl -sf http://127.0.0.1:$$port/jobs/1/metrics \
-	  > stream-job-metrics.prom || \
-	  { echo "stream-smoke: /jobs/1/metrics scrape failed"; \
-	    kill $$pid 2>/dev/null; exit 1; }; \
-	grep -q '^serve_cells_done{job_id="1"} 9' stream-job-metrics.prom || \
-	  { echo "stream-smoke: per-job cell counter wrong or missing"; \
-	    cat stream-job-metrics.prom; kill $$pid 2>/dev/null; exit 1; }; \
-	awk '!/^#/ && !/^[a-zA-Z0-9_:]+(\{[^}]*\})? (-?[0-9.eE+-]+|NaN|[+-]Inf)$$/ \
-	  { print "stream-smoke: bad exposition line: " $$0; bad=1 } \
-	  END { exit bad }' stream-job-metrics.prom; \
-	code=$$(curl -s -o /dev/null -w '%{http_code}' \
-	  -X POST http://127.0.0.1:$$port/jobs \
-	  -d '{"exp":"ack","params":[2,3],"seeds":[1,2],"tag":"stream2"}'); \
-	if [ "$$code" != "202" ]; then echo "stream-smoke: second submit got $$code"; \
-	  kill $$pid 2>/dev/null; exit 1; fi; \
-	./_build/default/bin/sinr_sim.exe watch 2 --port-file stream-port.txt \
-	  > stream-watch-table.json 2>> stream-smoke.log || \
-	  { echo "stream-smoke: watch client failed"; cat stream-smoke.log; \
-	    kill $$pid 2>/dev/null; exit 1; }; \
-	curl -sf http://127.0.0.1:$$port/jobs/2/table > stream-curl-table.json; \
-	cmp stream-watch-table.json stream-curl-table.json || \
-	  { echo "stream-smoke: watch table differs from GET /jobs/2/table"; \
-	    kill $$pid 2>/dev/null; exit 1; }; \
-	kill -TERM $$pid; wait $$pid; rc=$$?; \
-	if [ $$rc -ne 0 ]; then echo "stream-smoke: drain exited $$rc, want 0"; \
-	  cat stream-smoke.log; exit 1; fi; \
-	echo "stream-smoke: OK (live SSE, per-job metrics, watch == table)"
 
 # End-to-end exercise of the million-node path: a short n=10^5 run on the
 # streamed-placement + sparse-resolution engine with a conservative

@@ -8,9 +8,8 @@
                         before the ack ("nice" broadcasts, Definition 12.2);
    - f_approg samples   (Theorem 9.1 / Definition 7.1): for each listener
                         with a broadcasting G_{1-2eps}-neighbor, the delay
-                        until a rcv from a G_{1-eps}-neighbor;
-   - Decay progress     (Theorem 8.1): the same event under the Decay
-                        strategy, for the lower-bound comparison. *)
+                        until a rcv from a G_{1-eps}-neighbor, under
+                        Algorithm 9.1 alone or its oracle variant. *)
 
 open Sinr_graph
 open Sinr_phys
@@ -100,62 +99,22 @@ let covered_listeners ~approx_graph ~senders ~n =
       && Array.exists (fun u -> is_sender.(u)) (Graph.neighbors approx_graph i))
     (List.init n Fun.id)
 
-(* Broadcast continuously from [senders] (re-bcast on every ack so the
-   broadcasts stay ongoing) and record, for every covered listener, the
-   first slot with a rcv transmitted by a G_{1-eps}-neighbor. *)
-let approx_progress ?ack_params ?approg_params sinr ~rng ~senders ~max_slots =
-  let n = Sinr.n sinr in
-  let config = Sinr.config sinr in
-  let mac = Combined_mac.create ?ack_params ?approg_params sinr ~rng in
-  let strong = Induced.strong config (Sinr.points sinr) in
-  let approx = Induced.approx config (Sinr.points sinr) in
-  let listeners = covered_listeners ~approx_graph:approx ~senders ~n in
-  let first = Array.make n None in
-  let remaining = ref (List.length listeners) in
-  let watched = Array.make n false in
-  List.iter (fun i -> watched.(i) <- true) listeners;
-  Combined_mac.set_raw_rcv_hook mac (fun ev ->
-      let i = ev.Approx_progress.node in
-      if watched.(i) && first.(i) = None
-         && Graph.mem_edge strong i ev.Approx_progress.from
-      then begin
-        first.(i) <- Some (Combined_mac.now mac);
-        decr remaining
-      end);
-  Combined_mac.set_handlers mac
-    { Absmac_intf.on_rcv = (fun ~node:_ ~payload:_ -> ());
-      on_ack =
-        (fun ~node ~payload ->
-          (* Keep the broadcast ongoing for the whole measurement. *)
-          ignore (Combined_mac.bcast mac ~node ~data:payload.Events.data)) };
-  List.iter
-    (fun v -> ignore (Combined_mac.bcast mac ~node:v ~data:v))
-    senders;
-  let budget = ref max_slots in
-  while !remaining > 0 && !budget > 0 do
-    Combined_mac.step mac;
-    decr budget
-  done;
-  List.map (fun i -> { listener = i; delay = first.(i) }) listeners
-
-(* Algorithm 9.1 in isolation: the approximate-progress machine runs on
-   every slot, with no acknowledgment algorithm interleaved.  Exposes the
-   epoch machinery itself (H~~ estimation, MIS sparsification, p/Q data
-   slots) — the quantity Theorem 9.1 bounds. *)
-let approx_progress_only ?(params = Params.default_approg) sinr ~rng ~senders
-    ~max_slots =
+(* Alg 9.1's progress driver, shared by the real machine and the oracle:
+   [start] every sender, then run the machine on every slot (no
+   acknowledgment interleave) and record, for every covered listener, the
+   first slot with a rcv transmitted by a G_{1-eps}-neighbor.  The caller
+   creates the machine; the driver itself draws nothing from the RNG. *)
+let progress_run sinr ~senders ~max_slots ~start ~decide ~on_receive
+    ~end_slot =
   let n = Sinr.n sinr in
   let config = Sinr.config sinr in
   let strong = Induced.strong config (Sinr.points sinr) in
   let approx = Induced.approx config (Sinr.points sinr) in
-  let lambda = Induced.lambda config (Sinr.points sinr) in
-  let machine = Approx_progress.create params config ~lambda ~n ~rng in
   let engine = Engine.create sinr in
   List.iter
     (fun v ->
       Engine.wake engine v;
-      Approx_progress.start machine ~node:v
-        { Events.origin = v; seq = 0; data = v })
+      start ~node:v { Events.origin = v; seq = 0; data = v })
     senders;
   let listeners = covered_listeners ~approx_graph:approx ~senders ~n in
   let first = Array.make n None in
@@ -165,18 +124,13 @@ let approx_progress_only ?(params = Params.default_approg) sinr ~rng ~senders
   let budget = ref max_slots in
   while !remaining > 0 && !budget > 0 do
     let k =
-      Engine.step_select engine
-        ~select:
-          (Engine.walk engine ~decide:(fun v ->
-               Approx_progress.decide machine ~node:v))
+      Engine.step_select engine ~select:(Engine.walk engine ~decide)
     in
     for i = 0 to k - 1 do
       let u = Engine.receiver engine i in
       let v = Engine.sender_of engine u in
-      Approx_progress.on_receive machine ~receiver:u ~sender:v
-        (Engine.message engine v)
+      on_receive ~receiver:u ~sender:v (Engine.message engine v)
     done;
-    let rcvs = Approx_progress.end_slot machine in
     List.iter
       (fun ev ->
         let i = ev.Approx_progress.node in
@@ -186,112 +140,33 @@ let approx_progress_only ?(params = Params.default_approg) sinr ~rng ~senders
           first.(i) <- Some (Engine.slot engine);
           decr remaining
         end)
-      rcvs;
+      (end_slot ());
     decr budget
   done;
-  (List.map (fun i -> { listener = i; delay = first.(i) }) listeners, machine)
+  List.map (fun i -> { listener = i; delay = first.(i) }) listeners
 
-(* The oracle machine under the same driver shape: used by the
+(* Algorithm 9.1 in isolation: exposes the epoch machinery itself (H~~
+   estimation, MIS sparsification, p/Q data slots) — the quantity Theorem
+   9.1 bounds. *)
+let approx_progress_only ?(params = Params.default_approg) sinr ~rng ~senders
+    ~max_slots =
+  let config = Sinr.config sinr in
+  let lambda = Induced.lambda config (Sinr.points sinr) in
+  let m = Approx_progress.create params config ~lambda ~n:(Sinr.n sinr) ~rng in
+  let samples =
+    progress_run sinr ~senders ~max_slots ~start:(Approx_progress.start m)
+      ~decide:(fun v -> Approx_progress.decide m ~node:v)
+      ~on_receive:(Approx_progress.on_receive m)
+      ~end_slot:(fun () -> Approx_progress.end_slot m)
+  in
+  (samples, m)
+
+(* The oracle machine under the same driver: used by the
    coordination-overhead ablation. *)
 let approx_progress_oracle ?(params = Params.default_approg) sinr ~rng
     ~senders ~max_slots =
-  let n = Sinr.n sinr in
-  let config = Sinr.config sinr in
-  let strong = Induced.strong config (Sinr.points sinr) in
-  let approx = Induced.approx config (Sinr.points sinr) in
-  let machine = Approx_oracle.create params sinr ~rng in
-  let engine = Engine.create sinr in
-  List.iter
-    (fun v ->
-      Engine.wake engine v;
-      Approx_oracle.start machine ~node:v
-        { Events.origin = v; seq = 0; data = v })
-    senders;
-  let listeners = covered_listeners ~approx_graph:approx ~senders ~n in
-  let first = Array.make n None in
-  let remaining = ref (List.length listeners) in
-  let watched = Array.make n false in
-  List.iter (fun i -> watched.(i) <- true) listeners;
-  let budget = ref max_slots in
-  while !remaining > 0 && !budget > 0 do
-    let k =
-      Engine.step_select engine
-        ~select:
-          (Engine.walk engine ~decide:(fun v ->
-               Approx_oracle.decide machine ~node:v))
-    in
-    for i = 0 to k - 1 do
-      let u = Engine.receiver engine i in
-      let v = Engine.sender_of engine u in
-      Approx_oracle.on_receive machine ~receiver:u ~sender:v
-        (Engine.message engine v)
-    done;
-    let rcvs = Approx_oracle.end_slot machine in
-    List.iter
-      (fun ev ->
-        let i = ev.Approx_progress.node in
-        if watched.(i) && first.(i) = None
-           && Graph.mem_edge strong i ev.Approx_progress.from
-        then begin
-          first.(i) <- Some (Engine.slot engine);
-          decr remaining
-        end)
-      rcvs;
-    decr budget
-  done;
-  List.map (fun i -> { listener = i; delay = first.(i) }) listeners
-
-(* ------------------------------------------------------------------ *)
-(* Decay progress (Theorem 8.1 comparison)                              *)
-(* ------------------------------------------------------------------ *)
-
-(* Run the bare Decay strategy from [senders]; record for each covered
-   listener the first slot it decodes any sender's payload from a strong
-   neighbor. *)
-let decay_progress ?n_tilde sinr ~rng ~senders ~max_slots =
-  let n = Sinr.n sinr in
-  let config = Sinr.config sinr in
-  let strong = Induced.strong config (Sinr.points sinr) in
-  let approx = Induced.approx config (Sinr.points sinr) in
-  let lambda = Induced.lambda config (Sinr.points sinr) in
-  let n_tilde =
-    match n_tilde with
-    | Some v -> v
-    | None -> Params.contention_default ~lambda
-  in
-  let decay = Decay.create ~n_tilde ~n ~rng in
-  let engine = Engine.create sinr in
-  List.iter
-    (fun v ->
-      Engine.wake engine v;
-      Decay.start decay ~node:v ~slot:0
-        { Events.origin = v; seq = 0; data = v })
-    senders;
-  let listeners = covered_listeners ~approx_graph:approx ~senders ~n in
-  let first = Array.make n None in
-  let remaining = ref (List.length listeners) in
-  let watched = Array.make n false in
-  List.iter (fun i -> watched.(i) <- true) listeners;
-  let budget = ref max_slots in
-  while !remaining > 0 && !budget > 0 do
-    let slot = Engine.slot engine in
-    let k =
-      Engine.step_select engine
-        ~select:
-          (Engine.walk engine ~decide:(fun v ->
-               Decay.decide decay ~node:v ~slot))
-    in
-    for j = 0 to k - 1 do
-      let i = Engine.receiver engine j in
-      if watched.(i) && first.(i) = None
-         && Graph.mem_edge strong i (Engine.sender_of engine i)
-      then begin
-        first.(i) <- Some (Engine.slot engine);
-        decr remaining
-      end
-    done;
-    decr budget
-  done;
-  List.map
-    (fun i -> { listener = i; delay = first.(i) })
-    listeners
+  let m = Approx_oracle.create params sinr ~rng in
+  progress_run sinr ~senders ~max_slots ~start:(Approx_oracle.start m)
+    ~decide:(fun v -> Approx_oracle.decide m ~node:v)
+    ~on_receive:(Approx_oracle.on_receive m)
+    ~end_slot:(fun () -> Approx_oracle.end_slot m)

@@ -1,6 +1,5 @@
 (** Measurement drivers extracting the quantities the paper's theorems
-    bound: f_ack samples, approximate-progress delays, and Decay progress
-    delays for the Theorem 8.1 comparison. *)
+    bound: f_ack samples and approximate-progress delays. *)
 
 open Sinr_geom
 open Sinr_phys
@@ -29,12 +28,6 @@ val covered_listeners :
 (** Non-senders with a broadcasting G₁₋₂ε-neighbor: the nodes Definition
     7.1 guarantees approximate progress for. *)
 
-val approx_progress :
-  ?ack_params:Params.ack -> ?approg_params:Params.approg -> Sinr.t ->
-  rng:Rng.t -> senders:int list -> max_slots:int -> approg_sample list
-(** Continuous broadcasts from [senders]; one sample per covered
-    listener. *)
-
 val approx_progress_only :
   ?params:Params.approg -> Sinr.t -> rng:Rng.t -> senders:int list ->
   max_slots:int -> approg_sample list * Approx_progress.t
@@ -47,8 +40,3 @@ val approx_progress_oracle :
   max_slots:int -> approg_sample list
 (** The {!Approx_oracle} machine under the same driver: data slots only,
     coordination by oracle — the E8 overhead baseline. *)
-
-val decay_progress :
-  ?n_tilde:int -> Sinr.t -> rng:Rng.t -> senders:int list -> max_slots:int ->
-  approg_sample list
-(** The same progress event under the bare Decay strategy (Theorem 8.1). *)

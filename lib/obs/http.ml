@@ -311,8 +311,6 @@ let handle ?handler raw =
   | P_error resp -> resp
   | P_req req -> route ?handler req
 
-let response_for request = handle request
-
 (* ------------------------------------------------------------------ *)
 (* Socket plumbing                                                     *)
 (* ------------------------------------------------------------------ *)

@@ -121,6 +121,3 @@ val handle : ?handler:handler -> string -> string
     (request line, headers, body) — the routing, bounds and method
     checks without the socket, exposed for tests. *)
 
-val response_for : string -> string
-(** [handle] without a handler: the PR 6 read-only surface (non-GET
-    methods are 405). Kept for existing tests and callers. *)

@@ -13,7 +13,9 @@
      them in order; `profile --n 20` prints a pinned profile.
    - `exp table1-ack --serve 0` serves /healthz (status ok) and /metrics
      (the engine_slots counter family) while it runs, and every line of
-     the scrape is well-formed Prometheus exposition. *)
+     the scrape is well-formed Prometheus exposition.
+   - `watch --port-file` on a `serve` job prints exactly the bytes of
+     GET /jobs/:id/table, and SIGTERM drains the daemon to exit 0. *)
 
 let exe =
   List.fold_left Filename.concat
@@ -198,36 +200,6 @@ let test_profile_output () =
     \  connected     true\n"
     out
 
-(* A Prometheus exposition line: a comment, or a sample
-   [name{labels} value] with a numeric, NaN or infinite value. *)
-let exposition_line_ok line =
-  let name_char = function
-    | 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '_' | ':' -> true
-    | _ -> false
-  and num_char = function
-    | '0' .. '9' | '.' | 'e' | 'E' | '+' | '-' -> true
-    | _ -> false
-  in
-  (line <> "" && line.[0] = '#')
-  ||
-  match String.rindex_opt line ' ' with
-  | None -> false
-  | Some sp ->
-    let series = String.sub line 0 sp
-    and value = String.sub line (sp + 1) (String.length line - sp - 1) in
-    let stop =
-      Option.value ~default:(String.length series) (String.index_opt series '{')
-    in
-    let labels = String.sub series stop (String.length series - stop) in
-    let nl = String.length labels in
-    stop > 0
-    && String.for_all name_char (String.sub series 0 stop)
-    && (nl = 0
-       || labels.[nl - 1] = '}'
-          && not (String.contains (String.sub labels 0 (nl - 1)) '}'))
-    && (List.mem value [ "NaN"; "+Inf"; "-Inf" ]
-       || (value <> "" && String.for_all num_char value))
-
 (* Start [exp table1-ack] with a live server on a kernel-picked port and
    scrape it while the sweep runs: /healthz once, then /metrics until the
    engine_slots family shows (the engine registers it with its first
@@ -262,7 +234,7 @@ let scrape_live_run () =
       port (tries - 1)
   in
   let get port path =
-    try Test_obs.http_get ~timeout:5. port path
+    try Test_obs.http_request ~timeout:5. port path
     with Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
       Alcotest.failf "GET %s stalled for 5 s:\n%s" path (read_file log)
   in
@@ -310,11 +282,66 @@ let test_serve_scrape () =
   let health, body = attempt 5 in
   Alcotest.(check bool) "/healthz ok" true
     (contains health "\"status\":\"ok\"");
-  List.iter
-    (fun line ->
-      if not (exposition_line_ok line) then
-        Alcotest.failf "bad exposition line: %S" line)
-    (String.split_on_char '\n' body)
+  Test_obs.check_prometheus_text "live /metrics" body
+
+(* Start [sinr_sim serve] on a kernel-picked port, submit a job, and
+   follow it with [sinr_sim watch --port-file]: the table watch prints is
+   byte for byte the body of GET /jobs/:id/table, and a SIGTERM then
+   drains the daemon to exit 0. *)
+let test_serve_watch () =
+  let dir = Filename.temp_dir "sinr_cli" ".serve" in
+  let port_file = Filename.concat dir "port.txt" in
+  let log = Filename.concat dir "serve.log" in
+  let fd = Unix.openfile log [ Unix.O_WRONLY; Unix.O_CREAT ] 0o600 in
+  let pid =
+    Unix.create_process exe
+      [| exe; "serve"; "--port"; "0"; "--serve-port-file"; port_file;
+         "--dir"; dir |]
+      Unix.stdin fd fd
+  in
+  Unix.close fd;
+  let reaped = ref false in
+  Fun.protect
+    ~finally:(fun () ->
+      if not !reaped then begin
+        (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
+        ignore (Unix.waitpid [] pid)
+      end;
+      Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
+      Sys.rmdir dir)
+  @@ fun () ->
+  let deadline = Unix.gettimeofday () +. 10. in
+  let rec port () =
+    match
+      if Sys.file_exists port_file then
+        int_of_string_opt (String.trim (read_file port_file))
+      else None
+    with
+    | Some p -> p
+    | None when Unix.gettimeofday () > deadline ->
+      Alcotest.failf "port file never appeared:\n%s" (read_file log)
+    | None ->
+      Unix.sleepf 0.01;
+      port ()
+  in
+  let port = port () in
+  let get path = Test_obs.http_request ~timeout:5. port path in
+  Alcotest.(check (option int)) "submit" (Some 202)
+    (Test_obs.status_of
+       (Test_obs.http_request ~timeout:5. ~meth:"POST"
+          ~body:{|{"exp":"ack","params":[2,3],"seeds":[1,2]}|} port "/jobs"));
+  let code, out, err = run [ "watch"; "1"; "--port-file"; port_file ] in
+  Alcotest.(check int) ("watch exit; stderr:\n" ^ err) 0 code;
+  let table = get "/jobs/1/table" in
+  Alcotest.(check (option int)) "table served" (Some 200)
+    (Test_obs.status_of table);
+  Alcotest.(check string) "watch prints GET /jobs/1/table" (Test_obs.body_of table)
+    out;
+  Unix.kill pid Sys.sigterm;
+  let _, status = Unix.waitpid [] pid in
+  reaped := true;
+  Alcotest.(check bool) ("SIGTERM drains to exit 0:\n" ^ read_file log) true
+    (status = Unix.WEXITED 0)
 
 let suite =
   [ Alcotest.test_case "subcommand flag sets" `Quick test_flag_sets;
@@ -330,4 +357,6 @@ let suite =
       test_run_outputs;
     Alcotest.test_case "profile output" `Quick test_profile_output;
     Alcotest.test_case "live /healthz and /metrics scrape" `Quick
-      test_serve_scrape ]
+      test_serve_scrape;
+    Alcotest.test_case "serve + watch prints the table" `Quick
+      test_serve_watch ]

@@ -682,7 +682,7 @@ let test_procstat_ticker =
 
 (* With [timeout] (seconds), a send or a read that waits longer raises
    [Unix.Unix_error (EAGAIN | EWOULDBLOCK, _, _)]. *)
-let http_get ?timeout port path =
+let http_request ?timeout ?(meth = "GET") ?(body = "") port path =
   let sock = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
   Fun.protect
     ~finally:(fun () -> try Unix.close sock with Unix.Unix_error _ -> ())
@@ -694,8 +694,10 @@ let http_get ?timeout port path =
     timeout;
   Unix.connect sock (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
   let req =
-    Printf.sprintf "GET %s HTTP/1.1\r\nHost: test\r\nConnection: close\r\n\r\n"
-      path
+    Printf.sprintf
+      "%s %s HTTP/1.1\r\nHost: test\r\nConnection: close\r\n\
+       Content-Length: %d\r\n\r\n%s"
+      meth path (String.length body) body
   in
   let (_ : int) = Unix.write_substring sock req 0 (String.length req) in
   let buf = Buffer.create 4096 in
@@ -736,7 +738,7 @@ let test_http_endpoints =
       Fun.protect ~finally:(fun () -> Http.stop srv) @@ fun () ->
       let port = Http.port srv in
       Alcotest.(check bool) "kernel assigned a port" true (port > 0);
-      let health = http_get port "/healthz" in
+      let health = http_request port "/healthz" in
       Alcotest.(check (option int)) "healthz 200" (Some 200) (status_of health);
       (* /healthz is JSON now: status, build version, start time, uptime. *)
       (match Json.parse_opt (body_of health) with
@@ -758,16 +760,16 @@ let test_http_endpoints =
             | _ -> false));
       (* build.info: constant-1 gauge labeled with the version. *)
       Alcotest.(check bool) "build.info labeled gauge" true
-        (has_sub (body_of (http_get port "/metrics"))
+        (has_sub (body_of (http_request port "/metrics"))
            (Printf.sprintf "build_info{version=\"%s\"} 1" Build_info.version));
-      let metrics = http_get port "/metrics" in
+      let metrics = http_request port "/metrics" in
       Alcotest.(check (option int)) "metrics 200" (Some 200)
         (status_of metrics);
       let body = body_of metrics in
       check_prometheus_text "GET /metrics" body;
       Alcotest.(check bool) "served the live counter" true
         (has_sub body "http_requests 3");
-      let spans = http_get port "/spans" in
+      let spans = http_request port "/spans" in
       Alcotest.(check (option int)) "spans 200" (Some 200) (status_of spans);
       (* The ring may be empty, but whatever comes back must be JSONL:
          every non-empty line parses as a JSON object. *)
@@ -777,14 +779,14 @@ let test_http_endpoints =
             Alcotest.failf "GET /spans: invalid JSONL line %S" line)
         (String.split_on_char '\n' (body_of spans));
       Alcotest.(check (option int)) "unknown path is 404" (Some 404)
-        (status_of (http_get port "/nope"));
+        (status_of (http_request port "/nope"));
       (* Routing corner cases, via the socket-free unit surface. *)
       Alcotest.(check (option int)) "POST rejected" (Some 405)
-        (status_of (Http.response_for "POST /metrics HTTP/1.1\r\n\r\n"));
+        (status_of (Http.handle "POST /metrics HTTP/1.1\r\n\r\n"));
       Alcotest.(check (option int)) "garbage rejected" (Some 400)
-        (status_of (Http.response_for "??"));
+        (status_of (Http.handle "??"));
       Alcotest.(check (option int)) "query string ignored" (Some 200)
-        (status_of (Http.response_for "GET /healthz?x=1 HTTP/1.1\r\n\r\n")))
+        (status_of (Http.handle "GET /healthz?x=1 HTTP/1.1\r\n\r\n")))
 
 (* /spans?last=N: the ring is served newest-N-capped (default
    Http.default_spans_last) and the header owns up to the truncation. *)
@@ -807,10 +809,10 @@ let test_spans_last_cap =
       let entries body =
         List.filter (fun l -> l <> "") (String.split_on_char '\n' body)
       in
-      let all = entries (body_of (http_get port "/spans")) in
+      let all = entries (body_of (http_request port "/spans")) in
       let total = List.length all - 1 (* minus header *) in
       Alcotest.(check bool) "spans recorded" true (total >= 10);
-      let capped = entries (body_of (http_get port "/spans?last=3")) in
+      let capped = entries (body_of (http_request port "/spans?last=3")) in
       Alcotest.(check int) "capped to header + 3" 4 (List.length capped);
       (match Json.parse_opt (List.hd capped) with
        | None -> Alcotest.fail "capped header is not JSON"
@@ -822,7 +824,7 @@ let test_spans_last_cap =
            (Some total)
            (Option.bind (Json.member "total_entries" h) Json.to_int));
       (* a nonsense value falls back to the default cap, not unbounded *)
-      let fallback = entries (body_of (http_get port "/spans?last=-5")) in
+      let fallback = entries (body_of (http_request port "/spans?last=-5")) in
       Alcotest.(check int) "negative last = default cap"
         (List.length all) (List.length fallback))
 

@@ -1076,7 +1076,10 @@ let test_events_drop_policy =
 
 (* End-to-end over a real socket: the watch client, fed nothing but the
    SSE stream, reassembles the job's table byte-identically to what
-   GET /jobs/:id/table serves. *)
+   GET /jobs/:id/table serves.  Both clients attach before the job runs:
+   the watcher sees a live cell frame before the terminal done state,
+   and a raw reader of the same stream sees it close by itself once that
+   state is sent. *)
 let test_watch_reassembles_table =
   with_registry (fun () ->
       let daemon = Daemon.create ~dir:(fresh_dir ()) ~checkpoint_every:2 () in
@@ -1093,14 +1096,61 @@ let test_watch_reassembles_table =
       Alcotest.(check (option int)) "submit" (Some 202)
         (status_of
            (handle (post_jobs {|{"exp":"ack","params":[2,3,4],"seeds":[1,2]}|})));
-      (* the watcher connects while the job is still queued, so the rows
-         arrive live; the runner starts once the stream is up *)
+      let port = Http.port server in
       let watcher =
         Domain.spawn (fun () ->
-            Watch.watch ~port:(Http.port server) ~job:1 ())
+            let frames = ref [] in
+            let on_event ~typ body =
+              let state =
+                match Json.member "state" body with
+                | Some (Json.Str s) -> s
+                | _ -> ""
+              in
+              frames := (typ, state) :: !frames
+            in
+            let outcome = Watch.watch ~on_event ~port ~job:1 () in
+            (outcome, List.rev !frames))
       in
+      (* Test_obs.http_request reads to EOF; a stream still open 5 s after
+         its last frame raises EAGAIN instead. *)
+      let raw =
+        Domain.spawn (fun () ->
+            match Test_obs.http_request ~timeout:5. port "/jobs/1/events" with
+            | bytes -> Ok bytes
+            | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _)
+              ->
+              Error "stream still open 5 s after its last frame")
+      in
+      let deadline = Unix.gettimeofday () +. 10. in
+      while Events.subscriber_count (Daemon.events daemon) < 2 do
+        if Unix.gettimeofday () > deadline then
+          Alcotest.fail "stream clients never subscribed";
+        Unix.sleepf 0.001
+      done;
       while Daemon.step daemon do () done;
-      let outcome = Domain.join watcher in
+      let outcome, frames = Domain.join watcher in
+      let rec cell_before_done = function
+        | [] -> false
+        | ("cell", _) :: _ -> true
+        | ("state", "done") :: _ -> false
+        | _ :: rest -> cell_before_done rest
+      in
+      Alcotest.(check bool) "a live cell frame before the done state" true
+        (cell_before_done frames);
+      Alcotest.(check bool) "row frames in the stream" true
+        (List.mem_assoc "row" frames);
+      (match Domain.join raw with
+       | Error e -> Alcotest.fail e
+       | Ok bytes ->
+         let frame_lines =
+           List.filter
+             (fun l -> has_sub l "event: " || has_sub l "data: ")
+             (String.split_on_char '\n' bytes)
+         in
+         Alcotest.(check bool) "closed right after the done state" true
+           (match List.rev frame_lines with
+            | data :: "event: state" :: _ -> has_sub data {|"state":"done"|}
+            | _ -> false));
       let table =
         match outcome with
         | Watch.Completed table -> table
@@ -1115,14 +1165,14 @@ let test_watch_reassembles_table =
         (body_of served)
         (Json.to_string_json table ^ "\n");
       (* a watch attached after completion replays to the same bytes *)
-      let replayed = Watch.watch ~port:(Http.port server) ~job:1 () in
+      let replayed = Watch.watch ~port ~job:1 () in
       (match replayed with
        | Watch.Completed t2 ->
          Alcotest.(check string) "replay-only watch agrees"
            (Json.to_string_json table) (Json.to_string_json t2)
        | _ -> Alcotest.fail "replay watch did not complete");
       Alcotest.(check bool) "watching a missing job is an error" true
-        (match Watch.watch ~port:(Http.port server) ~job:99 () with
+        (match Watch.watch ~port ~job:99 () with
          | Watch.Stream_error _ -> true
          | _ -> false))
 
@@ -1227,6 +1277,8 @@ let test_job_metrics_disjoint =
         (has_sub (body_of m1) {|job_id="2"|});
       Alcotest.(check bool) "job 2 page carries no job-1 labels" false
         (has_sub (body_of m2) {|job_id="1"|});
+      Test_obs.check_prometheus_text "job 1 page" (body_of m1);
+      Test_obs.check_prometheus_text "job 2 page" (body_of m2);
       (* the per-job cell latency histogram rides along *)
       Alcotest.(check bool) "job page carries its cell histogram" true
         (has_sub (body_of m1) {|serve_cell_seconds_count{job_id="1"}|});
