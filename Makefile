@@ -14,11 +14,10 @@ check:
 	dune runtest
 	$(MAKE) tables-diff
 
-# End-to-end exercise of the fault-injection stack: the full E-chaos
-# degradation sweep (writes BENCH_chaos.json), then one heavily
-# adversarial single scenario through the CLI.
+# End-to-end exercise of the fault-injection stack: one heavily
+# adversarial single scenario through the CLI.  The full E-chaos sweep
+# (and its BENCH_chaos.json) runs in tables-diff.
 chaos-smoke:
-	dune exec bench/main.exe -- --jobs 2 chaos
 	dune exec bin/sinr_sim.exe -- chaos --seed 3 --n 36 --degree 6 \
 	  --jam 0.5 --crash-frac 0.2 --abort-rate 0.0005
 
@@ -50,13 +49,13 @@ obs-smoke:
 # SIGTERM drains the restarted daemon to exit 0 with its drain line in
 # the log, and (d) the table is byte-identical (cmp) to an uninterrupted
 # reference run in a fresh directory.  The graceful lifecycle (429
-# backpressure, serve.* metrics, checkpoint file, strict /spans) is the
+# backpressure, serve.* metrics, cells on the job log, strict /spans) is the
 # in-process test "daemon: submit, 429, done, scrape"; the live SSE
 # stream is "watch: SSE stream reassembles table", and `sinr_sim watch`
 # against a real daemon is the cli test "serve + watch prints the
 # table".  Artifacts:
 # crash-smoke.log, crash-table.json, crash-table-ref.json and the
-# crash-smoke-dir WAL + checkpoints.
+# crash-smoke-dir WAL (the jobs' logged cells included).
 crash-smoke:
 	dune build bin/sinr_sim.exe
 	rm -rf crash-smoke-dir crash-ref-dir crash-port.txt \

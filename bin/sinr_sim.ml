@@ -746,10 +746,10 @@ let scale_cmd =
    server.  The accept domain answers the /jobs API (and the builtin
    /metrics /healthz /spans); this main loop runs the queued jobs one at a
    time through the checkpointing runner.  SIGINT/SIGTERM request a drain:
-   the in-flight chunk of cells finishes, the checkpoint lands, the
+   the in-flight chunk of cells finishes and is logged, the
    running job returns to Queued, the flight recorder is dumped, and the
    process exits 0 — a later `sinr_sim serve` in the same --dir resumes
-   the job bit-identically from its checkpoint. *)
+   the job bit-identically from the cells on its job log. *)
 let serve_cmd =
   let port_arg =
     Arg.(value & opt int 0
@@ -761,8 +761,8 @@ let serve_cmd =
   let dir_arg =
     Arg.(value & opt string "."
          & info [ "dir" ] ~docv:"DIR"
-             ~doc:"Directory for job checkpoints and recorder dumps \
-                   (created if missing).")
+             ~doc:"Directory for recorder dumps and, unless $(b,--wal-dir) \
+                   says otherwise, the write-ahead log (created if missing).")
   in
   let queue_cap_arg =
     Arg.(value & opt int 8
@@ -773,15 +773,15 @@ let serve_cmd =
   let checkpoint_arg =
     Arg.(value & opt int 4
          & info [ "checkpoint-every" ] ~docv:"CELLS"
-             ~doc:"Snapshot a running job's completed cells every $(docv) \
-                   cells (atomic temp+rename JSONL).")
+             ~doc:"Log a running job's completed cells to the write-ahead \
+                   log every $(docv) cells.")
   in
   let wal_dir_arg =
     Arg.(value & opt (some string) None
          & info [ "wal-dir" ] ~docv:"DIR"
              ~doc:"Directory for the write-ahead log (default: $(b,--dir)). \
                    Restarting with the same $(docv) replays the WAL and \
-                   resumes in-flight jobs from their checkpoints.")
+                   resumes in-flight jobs from the cells logged there.")
   in
   let deadline_arg =
     Arg.(value & opt float 0.
@@ -842,7 +842,7 @@ let serve_cmd =
        Fmt.pr "[wal: corrupt log quarantined to %s; sound prefix kept]@." path);
     let recovered = Sinr_serve.Daemon.recovered daemon in
     if recovered > 0 then
-      Fmt.pr "[wal: %d job%s recovered; resuming from checkpoints]@." recovered
+      Fmt.pr "[wal: %d job%s recovered; resuming from the job log]@." recovered
         (if recovered = 1 then "" else "s");
     let server =
       start_server

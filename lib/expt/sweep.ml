@@ -110,7 +110,9 @@ let run_cursor ?jobs ?chunk ?(should_stop = fun () -> false) ?on_chunk c f =
       let batch = match chunk with None -> rem | Some k -> take (max 1 k) rem in
       let results = cells ?jobs (fun (p, s) -> f p s) batch in
       List.iter2 (fun (p, s) v -> ignore (record c p s v)) batch results;
-      Option.iter (fun g -> g c) on_chunk;
+      Option.iter
+        (fun g -> g c (List.map2 (fun (p, s) v -> (p, s, v)) batch results))
+        on_chunk;
       loop ()
     end
   in

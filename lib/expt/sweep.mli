@@ -18,7 +18,7 @@
     bit-identical to an uninterrupted run: {!cursor} holds the partial
     matrix, {!record} restores checkpointed cells, {!run_cursor} runs only
     what is missing. The sweep daemon ([lib/serve]) builds its
-    checkpoint/resume on exactly this. *)
+    resume-from-the-job-log on exactly this. *)
 
 val cells : ?jobs:int -> ('a -> 'b) -> 'a list -> 'b list
 (** Parallel map preserving order: one task per element. [jobs] defaults
@@ -46,15 +46,15 @@ val is_complete : ('p, 'c) cursor -> bool
 
 val record : ('p, 'c) cursor -> 'p -> int -> 'c -> bool
 (** [record c p s v] fills cell [(p, s)] if it belongs to the grid and is
-    still missing; [false] (and no change) otherwise — so restoring from a
-    stale or foreign checkpoint silently skips cells that don't belong.
+    still missing; [false] (and no change) otherwise — so a restore
+    silently skips cells that don't belong or are already in.
     Parameters are matched with structural equality. *)
 
 val remaining : ('p, 'c) cursor -> ('p * int) list
 (** Missing cells in canonical grid order (params outer, seeds inner). *)
 
 val completed_cells : ('p, 'c) cursor -> ('p * int * 'c) list
-(** Filled cells in canonical grid order — the checkpoint payload. *)
+(** Filled cells in canonical grid order. *)
 
 val results : ('p, 'c) cursor -> ('p * 'c list) list
 (** The {!grid}-shaped table. Raises [Invalid_argument] if any cell is
@@ -62,11 +62,13 @@ val results : ('p, 'c) cursor -> ('p * 'c list) list
 
 val run_cursor :
   ?jobs:int -> ?chunk:int -> ?should_stop:(unit -> bool)
-  -> ?on_chunk:(('p, 'c) cursor -> unit) -> ('p, 'c) cursor
+  -> ?on_chunk:(('p, 'c) cursor -> ('p * int * 'c) list -> unit)
+  -> ('p, 'c) cursor
   -> ('p -> int -> 'c) -> [ `Complete | `Stopped ]
 (** Run the missing cells through the pool, [chunk] cells per batch (all
     of them when omitted). After each batch the results are recorded and
-    [on_chunk] fires (checkpoint hook); before each batch [should_stop] is
+    [on_chunk cursor batch] fires with the batch's [(param, seed, cell)]
+    in grid order (checkpoint hook); before each batch [should_stop] is
     polled — [true] returns [`Stopped] at the cell boundary, leaving the
     cursor resumable. Results are independent of [chunk], [jobs] and any
     stop/resume history. *)

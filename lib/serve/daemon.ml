@@ -22,12 +22,13 @@
    transition as one WAL record, and [create] folds [Job_state.apply]
    over the replayed log. *)
 
+open Sinr_expt
 open Sinr_obs
 open Sinr_par
 
 type t = {
   queue : Queue.t;
-  dir : string;
+  dir : string; (* quarantine dumps *)
   wal : Wal.t;
   supervisor : Supervisor.t;
   events : Events.t;
@@ -120,7 +121,18 @@ let opt_field name = function
   | None -> []
   | Some j -> [ (name, j) ]
 
-let job_json ~full (job : Queue.job) =
+(* A live job's logged cells, in grid order. *)
+let partial t (job : Queue.job) =
+  let c = Runner.logged_cursor t.queue job in
+  if Sweep.completed c = 0 then None
+  else
+    Some
+      (Json.Obj
+         [ ("done", Json.int (Sweep.completed c));
+           ("total", Json.int (Sweep.total c));
+           ("cells", Wal.cells_json (Sweep.completed_cells c)) ])
+
+let job_json t ~full (job : Queue.job) =
   Json.Obj
     (List.concat
        [ [ ("id", Json.int job.Queue.id);
@@ -138,7 +150,7 @@ let job_json ~full (job : Queue.job) =
          (if full then
             List.concat
               [ [ ("spec", Spec.to_json job.Queue.spec) ];
-                opt_field "partial" job.Queue.partial;
+                opt_field "partial" (partial t job);
                 opt_field "table" (Option.map Json.parse job.Queue.table) ]
           else []) ])
 
@@ -198,9 +210,7 @@ let submit t body =
               (Json.Obj
                  [ ("id", Json.int job.Queue.id);
                    ("state", Json.Str (Queue.state_name job.Queue.state));
-                   ("cells", Json.int job.Queue.cells_total);
-                   ( "checkpoint",
-                     Json.Str (Runner.checkpoint_path ~dir:t.dir job) ) ]))))
+                   ("cells", Json.int job.Queue.cells_total) ]))))
 
 let job_by_id t id_str =
   match int_of_string_opt id_str with
@@ -284,13 +294,13 @@ let handler t (req : Http.request) =
               (Json.Obj
                  (( "jobs",
                     Json.List
-                      (List.map (job_json ~full:false) (Queue.jobs t.queue)) )
+                      (List.map (job_json t ~full:false) (Queue.jobs t.queue)) )
                  :: queue_state t)) );
         ("POST", fun () -> submit t req.Http.body) ]
   | [ ""; "jobs"; id ] ->
     route req "/jobs/:id"
       [ ( "GET",
-          fun () -> with_job t id (fun job -> json_response 200 (job_json ~full:true job)) );
+          fun () -> with_job t id (fun job -> json_response 200 (job_json t ~full:true job)) );
         ("DELETE", fun () -> cancel t id) ]
   | [ ""; "jobs"; id; "table" ] ->
     route req "/jobs/:id/table" [ ("GET", fun () -> table t id) ]
@@ -341,15 +351,14 @@ let hello_json (job : Queue.job) =
 
 (* Backlog replay: rows already complete when the client connected, as
    synthesized ["row"] events — from the final table when the job is
-   done, else reassembled from the partial's cells (canonical grid
-   order, so seed order within a row is preserved).  A row published
-   live between our subscription and this snapshot may be replayed AND
-   delivered; watchers dedup by param (cells are deterministic, so the
-   duplicates are byte-identical). *)
-let replay_rows (job : Queue.job) =
+   done, else from the job's logged cells.  A row published live between
+   our subscription and this snapshot may be replayed AND delivered;
+   watchers dedup by param (cells are deterministic, so the duplicates
+   are byte-identical). *)
+let replay_rows t (job : Queue.job) =
   let member_int k j = Option.bind (Json.member k j) Json.to_int in
-  match (job.Queue.state, job.Queue.table, job.Queue.partial) with
-  | Queue.Done, Some tbl, _ -> (
+  match (job.Queue.state, job.Queue.table) with
+  | Queue.Done, Some tbl -> (
     match Json.member "rows" (Json.parse tbl) with
     | Some (Json.List rows) ->
       List.filter_map
@@ -360,19 +369,11 @@ let replay_rows (job : Queue.job) =
           | _ -> None)
         rows
     | _ -> [])
-  | _, _, Some partial -> (
-    match Json.member "cells" partial with
-    | Some (Json.List cells) ->
-      List.map snd
-        (Runner.rows ~job:job.Queue.id job.Queue.spec
-           (List.filter_map
-              (fun c ->
-                match (member_int "param" c, Json.member "cell" c) with
-                | Some p, Some cell -> Some (p, cell)
-                | _ -> None)
-              cells))
-    | _ -> [])
-  | _ -> []
+  | _ ->
+    List.map snd
+      (Runner.rows ~job:job.Queue.id job.Queue.spec
+         (List.map (fun (p, _, cell) -> (p, cell))
+            (Sweep.completed_cells (Runner.logged_cursor t.queue job))))
 
 let sse_stream write =
   { Http.s_status = 200;
@@ -417,7 +418,7 @@ let job_stream t (job : Queue.job) =
   let ok = ref (push (Events.sse_event ~typ:"hello" (hello_json job))) in
   List.iter
     (fun row -> if !ok then ok := push (Events.sse_event ~typ:"row" row))
-    (replay_rows job);
+    (replay_rows t job);
   if Job_state.terminal job.Queue.state then begin
     if !ok then
       ignore (push (Events.sse_event ~typ:"state" (Queue.state_event job)))

@@ -31,13 +31,13 @@
     and keeping the sound prefix — folds {!Job_state.apply} over it,
     compacts the log to the live jobs, re-admits them with their ids and
     attempts on record, and parks jobs whose attempts already exhaust
-    the retry budget. Resumed jobs restore from their checkpoints and
-    finish with tables byte-identical to an uninterrupted run.
+    the retry budget. Resumed jobs restore the cells their [Cells]
+    records hold and finish with tables byte-identical to an
+    uninterrupted run.
 
-    Drain ({!request_drain}): in-flight cells finish, the checkpoint is
-    written, the running job returns to Queued (a [Yielded] WAL record —
-    not a strike), {!step} refuses further work and [POST /jobs] answers
-    429. *)
+    Drain ({!request_drain}): in-flight cells finish and are logged,
+    the running job returns to Queued (a [Yielded] WAL record — not a
+    strike), {!step} refuses further work and [POST /jobs] answers 429. *)
 
 open Sinr_obs
 
@@ -46,8 +46,9 @@ type t
 val create :
   ?dir:string -> ?wal_dir:string -> ?max_queued:int ->
   ?checkpoint_every:int -> ?policy:Supervisor.policy -> unit -> t
-(** [dir] (default ".") holds checkpoints and quarantine dumps;
-    [wal_dir] (default [dir]) holds the WAL. Performs WAL recovery —
+(** [dir] (default ".") holds quarantine dumps; [wal_dir] (default
+    [dir]) holds the WAL, finished cells included. [checkpoint_every]
+    (default 4) is the cells per [Cells] record. Performs WAL recovery —
     replay, re-admission, compaction — before returning. *)
 
 val queue : t -> Queue.t

@@ -1,7 +1,10 @@
 (* The job table as a pure fold over WAL records: one transition type
    (Wal.event), one transition function.  The live queue and recovery
    both go through [apply], so what a restart rebuilds cannot drift
-   from what the crashed process held. *)
+   from what the crashed process held.  A live job's finished cells
+   are part of its state, so resume reads them from the same fold. *)
+
+open Sinr_obs
 
 module Ids = Map.Make (Int)
 
@@ -23,25 +26,29 @@ type job = {
   state : state;
   attempts : int;
   quarantined : bool;
+  cells : (int * int * Json.t) list;
 }
 
 type t = job Ids.t
 
 let empty = Ids.empty
 
-let unknown = { spec = None; state = Queued; attempts = 0; quarantined = false }
+let unknown =
+  { spec = None; state = Queued; attempts = 0; quarantined = false; cells = [] }
 
 let step j = function
   | Wal.Submitted spec when j.spec = None -> { j with spec = Some spec }
-  | Wal.Submitted _ | Wal.Checkpointed _ -> j
+  | Wal.Submitted _ -> j
   | _ when terminal j.state -> j
   | Wal.Started _ -> { j with state = Running; attempts = j.attempts + 1 }
+  | Wal.Cells cs -> { j with cells = j.cells @ cs }
   | Wal.Yielded -> { j with state = Queued; attempts = max 0 (j.attempts - 1) }
   | Wal.Strikes n -> { j with state = Queued; attempts = max 0 n }
-  | Wal.Completed -> { j with state = Done }
-  | Wal.Cancelled -> { j with state = Cancelled }
-  | Wal.Failed _ -> { j with state = Failed }
-  | Wal.Quarantined _ -> { j with state = Failed; quarantined = true }
+  (* a settled job's results are its table (or nothing): drop its cells *)
+  | Wal.Completed -> { j with state = Done; cells = [] }
+  | Wal.Cancelled -> { j with state = Cancelled; cells = [] }
+  | Wal.Failed _ -> { j with state = Failed; cells = [] }
+  | Wal.Quarantined _ -> { j with state = Failed; quarantined = true; cells = [] }
 
 let apply t { Wal.job = id; ev } =
   let j = Option.value (Ids.find_opt id t) ~default:unknown in
@@ -56,9 +63,12 @@ let compact t =
       (fun (id, j) ->
         match j.spec with
         | Some spec when not (terminal j.state) ->
-          { Wal.job = id; ev = Wal.Submitted spec }
-          :: (if j.attempts > 0 then [ { Wal.job = id; ev = Wal.Strikes j.attempts } ]
-              else [])
+          List.map
+            (fun ev -> { Wal.job = id; ev })
+            (List.concat
+               [ [ Wal.Submitted spec ];
+                 (if j.attempts > 0 then [ Wal.Strikes j.attempts ] else []);
+                 (if j.cells <> [] then [ Wal.Cells j.cells ] else []) ])
         | _ -> [])
       (jobs t)
   in

@@ -34,7 +34,6 @@ type job = {
   mutable not_before : float;
   mutable quarantined : bool;
   mutable dump : string option;
-  mutable partial : Json.t option;
   mutable table : string option;
   mutable error : string option;
 }
@@ -85,7 +84,7 @@ let counters = function
   | Wal.Quarantined _ -> [ m_failed; m_quarantined ]
   | Wal.Cancelled -> [ m_cancelled ]
   | Wal.Strikes _ -> [ m_retry_scheduled ]
-  | Wal.Started _ | Wal.Checkpointed _ | Wal.Yielded -> []
+  | Wal.Started _ | Wal.Cells _ | Wal.Yielded -> []
 
 let commit_locked t job ev =
   let r = { Wal.job = job.id; ev } in
@@ -94,7 +93,7 @@ let commit_locked t job ev =
   Option.iter (fun w -> Wal.append w r) t.wal;
   Metrics.set g_depth (float_of_int (depth_locked t));
   match (t.events, ev) with
-  | None, _ | _, Wal.Checkpointed _ -> ()
+  | None, _ | _, Wal.Cells _ -> ()
   | Some e, _ -> Events.publish e ~job:job.id ~typ:"state" (state_event job)
 
 let locked t f =
@@ -122,7 +121,6 @@ let add_locked t id spec =
       not_before = 0.;
       quarantined = false;
       dump = None;
-      partial = None;
       table = None;
       error = None }
   in
@@ -152,6 +150,13 @@ let create ?(max_queued = 8) ?wal ?events ?(log = []) () =
   t.entries <-
     List.sort (fun a b -> compare b.id a.id)
       (List.filter (fun j -> not (Job_state.terminal j.state)) t.entries);
+  (* a re-admitted job's progress is the cells its log holds *)
+  List.iter
+    (fun j ->
+      Option.iter
+        (fun (s : Job_state.job) -> j.cells_done <- List.length s.Job_state.cells)
+        (Job_state.find t.log j.id))
+    t.entries;
   Metrics.add m_recovered (List.length t.entries);
   Metrics.set g_depth (float_of_int (depth_locked t));
   t
@@ -211,11 +216,10 @@ let cancel t id =
           `Already_cancelled
         | Done | Failed -> `Already_finished))
 
-let progress t job ~cells_done ~partial =
+let progress t job ~cells_done cells =
   transition t (fun () ->
       job.cells_done <- cells_done;
-      job.partial <- Some partial;
-      commit_locked t job (Wal.Checkpointed cells_done))
+      commit_locked t job (Wal.Cells cells))
 
 let finish t job outcome =
   transition t (fun () ->
@@ -226,8 +230,6 @@ let finish t job outcome =
               serves: a chaos table's text is a seventh of its tree's
               words *)
            job.table <- Some (Json.to_string_json table);
-           (* the table supersedes the last checkpoint's partial results *)
-           job.partial <- None;
            job.error <- None; (* a success after retries clears the scar *)
            Wal.Completed
          | `Failed msg ->
@@ -239,9 +241,9 @@ let finish t job outcome =
          | `Cancelled -> Wal.Cancelled))
 
 (* Drain path: the runner stopped at a cell boundary for a reason that is
-   not this job's cancel flag (process shutdown).  The checkpoint on disk
-   holds everything done so far; Yielded puts the job back to Queued and
-   withdraws the attempt — a drain is not a strike. *)
+   not this job's cancel flag (process shutdown).  The job's Cells
+   records hold everything done so far; Yielded puts the job back to
+   Queued and withdraws the attempt — a drain is not a strike. *)
 let requeue t job = transition t (fun () -> commit_locked t job Wal.Yielded)
 
 (* Supervision path: the attempt failed for a reason worth retrying.  The

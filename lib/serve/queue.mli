@@ -2,8 +2,8 @@
     log.
 
     Lifecycle: [Queued → Running → Done | Failed | Cancelled], plus
-    [Running → Queued] on a drain ({!requeue} — the checkpoint makes the
-    job resumable) or a supervised retry ({!retry} — with a backoff
+    [Running → Queued] on a drain ({!requeue} — the job's logged cells
+    make it resumable) or a supervised retry ({!retry} — with a backoff
     window that {!take} honors), and [Queued → Cancelled] directly.
     Admission depth counts Queued {e and} Running jobs — a Running job
     saturates the one-sweep-at-a-time pool — and {!submit} rejects at
@@ -12,7 +12,7 @@
     Every transition is one {!Wal.record}, committed in one step under
     the queue mutex: {!Job_state.apply} computes the next state, the
     record is appended to the WAL and a ["state"] event is published
-    (not for [Checkpointed]). Log order is therefore commit order. The
+    (not for [Cells]). Log order is therefore commit order. The
     fsync that makes a durable record safe runs after the mutex is
     released and before the transition returns.
 
@@ -37,13 +37,11 @@ type job = {
                               of {!log}, written only from
                               {!Job_state.apply}'s result *)
   mutable cells_done : int;
-  mutable restored : int;  (** cells restored from a checkpoint *)
+  mutable restored : int;  (** cells the latest attempt restored from the log *)
   mutable attempts : int;  (** attempts on record (drains withdrawn) *)
   mutable not_before : float;  (** retry backoff: {!take} skips until then *)
   mutable quarantined : bool;  (** parked as Failed by the supervisor *)
   mutable dump : string option;  (** flight-recorder dump path, if any *)
-  mutable partial : Json.t option;
-      (** completed cells so far, while the job runs; [None] once done *)
   mutable table : string option;
       (** the final table's JSON text once [Done]: the body of
           [GET /jobs/:id/table], parsed only when a request needs the
@@ -98,21 +96,22 @@ val cancel :
 
 (** {1 Runner/supervisor-side transitions} *)
 
-val progress : t -> job -> cells_done:int -> partial:Json.t -> unit
-(** Cells on disk: records [Checkpointed cells_done]. *)
+val progress : t -> job -> cells_done:int -> (int * int * Json.t) list -> unit
+(** A checkpoint: records [Cells] of the cells finished since the job's
+    previous record (grid order) and sets [cells_done]. *)
 
 val finish :
   t -> job ->
   [ `Done of Json.t | `Failed of string | `Quarantined of string
   | `Cancelled ] -> unit
-(** [`Done table] stores the table as its JSON text and drops [partial],
-    which only holds results while the job runs. [`Quarantined] parks the
+(** [`Done table] stores the table as its JSON text; the terminal record
+    drops the job's logged cells. [`Quarantined] parks the
     job as Failed with [quarantined] set — the supervisor's poison
     verdict. *)
 
 val requeue : t -> job -> unit
 (** Drain: [Yielded] — back to Queued, the attempt withdrawn, resumable
-    from its checkpoint. *)
+    from its logged cells. *)
 
 val retry : t -> job -> not_before:float -> error:string -> unit
 (** Supervised retry: [Strikes attempts] — back to Queued with the

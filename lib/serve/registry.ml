@@ -2,11 +2,11 @@
    cell functions.  Cells must be pure in their pair — all randomness from
    seeded streams, results independent of execution order — because the
    runner records them through the [Sweep.cursor] and replays them from
-   checkpoints.
+   the job log.
 
    Cell JSON only uses shapes whose printing round-trips byte-stably
    (integers, %.17g floats, null for missing), so a restored cell prints
-   exactly like the fresh one it checkpointed. *)
+   exactly like the fresh one it logged. *)
 
 open Sinr_expt
 open Sinr_obs

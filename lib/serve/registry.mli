@@ -1,6 +1,6 @@
 (** The experiments the sweep daemon serves, as [(param, seed) -> Json]
-    cell functions pure in their pair — the property the checkpoint/resume
-    machinery rests on.
+    cell functions pure in their pair — the property resume from the job
+    log rests on.
 
     ["ack"]: Exp_ack's star grid (param = requested Δ), one
     {!Sinr_expt.Exp_ack.star_cell} per pair.

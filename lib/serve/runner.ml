@@ -1,19 +1,13 @@
 (* Checkpointing sweep runner: one [Queue.job] driven through
-   [Sweep.run_cursor] with the completed cells snapshotted to disk every
-   [checkpoint_every] cells.
-
-   Checkpoint file (JSONL, written atomically via [Sink.write_file]):
-
-     {"serve_checkpoint":1,"spec":{...}}          header
-     {"param":4,"seed":1,"cell":{...}}            one line per done cell
-     ...
+   [Sweep.run_cursor], every [checkpoint_every] cells committed to the job
+   log as one [Cells] record of the cells that chunk finished.
 
    Resume contract: cells are pure in (param, seed) and cell JSON prints
    byte-stably through a parse/print round trip, so a killed job restored
-   from its checkpoint produces a final table bit-identical to an
+   from its logged cells produces a final table bit-identical to an
    uninterrupted run — whatever the jobs setting, chunk size or number of
-   interruptions.  The spec match deliberately ignores the [jobs] and
-   [tag] fields: they steer execution, not results. *)
+   interruptions.  The cells sit in the log under the job's id, next to
+   the job's own spec, so a restore cannot pick up another job's work. *)
 
 open Sinr_expt
 open Sinr_obs
@@ -22,100 +16,16 @@ let m_cells = Metrics.counter "serve.cells.done"
 let m_checkpoints = Metrics.counter "serve.checkpoints"
 let m_resumed = Metrics.counter "serve.resume.cells"
 
-let tag_of (job : Queue.job) =
-  match job.Queue.spec.Spec.tag with
-  | Some t -> t
-  | None -> Printf.sprintf "job%d" job.Queue.id
-
-let checkpoint_path ~dir (job : Queue.job) =
-  Filename.concat dir (Printf.sprintf "serve-%s.ckpt.jsonl" (tag_of job))
-
-(* Identity for checkpoint matching: the grid, not the knobs. *)
-let spec_matches (a : Spec.t) (b : Spec.t) =
-  a.Spec.exp = b.Spec.exp
-  && a.Spec.params = b.Spec.params
-  && a.Spec.seeds = b.Spec.seeds
-
-let checkpoint_string (spec : Spec.t) cursor =
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf
-    (Json.to_string_json
-       (Json.Obj
-          [ ("serve_checkpoint", Json.int 1);
-            ("spec", Spec.to_json spec) ]));
-  Buffer.add_char buf '\n';
-  List.iter
-    (fun (p, s, cell) ->
-      Buffer.add_string buf
-        (Json.to_string_json
-           (Json.Obj
-              [ ("param", Json.int p); ("seed", Json.int s);
-                ("cell", cell) ]));
-      Buffer.add_char buf '\n')
-    (Sweep.completed_cells cursor);
-  Buffer.contents buf
-
-let save ~path spec cursor =
-  Sink.write_file path (checkpoint_string spec cursor);
-  Metrics.incr m_checkpoints
-
-let read_lines path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () ->
-      let rec go acc =
-        match input_line ic with
-        | line -> go (line :: acc)
-        | exception End_of_file -> List.rev acc
-      in
-      go [])
-
-(* Restore completed cells into [cursor]; the count restored.  A missing
-   file, foreign spec or malformed header restores nothing; malformed or
-   out-of-grid cell lines are skipped individually ([Sweep.record] already
-   rejects foreign cells). *)
-let restore ~path spec cursor =
-  match read_lines path with
-  | exception Sys_error _ -> 0
-  | [] -> 0
-  | header :: cells -> (
-    match Json.parse_opt header with
-    | None -> 0
-    | Some h -> (
-      match
-        ( Option.bind (Json.member "serve_checkpoint" h) Json.to_int,
-          Option.map Spec.of_json (Json.member "spec" h) )
-      with
-      | Some 1, Some (Ok ck_spec) when spec_matches spec ck_spec ->
-        List.fold_left
-          (fun acc line ->
-            match Json.parse_opt line with
-            | None -> acc
-            | Some j -> (
-              match
-                ( Option.bind (Json.member "param" j) Json.to_int,
-                  Option.bind (Json.member "seed" j) Json.to_int,
-                  Json.member "cell" j )
-              with
-              | Some p, Some s, Some cell ->
-                if Sweep.record cursor p s cell then acc + 1 else acc
-              | _ -> acc))
-          0 cells
-      | _ -> 0))
-
-let partial_json cursor =
-  Json.Obj
-    [ ("done", Json.int (Sweep.completed cursor));
-      ("total", Json.int (Sweep.total cursor));
-      ( "cells",
-        Json.List
-          (List.map
-             (fun (p, s, cell) ->
-               Json.Obj
-                 [ ("param", Json.int p); ("seed", Json.int s);
-                   ("cell", cell) ])
-             (Sweep.completed_cells cursor)) ) ]
+let logged_cursor queue (job : Queue.job) =
+  let spec = job.Queue.spec in
+  let c = Sweep.cursor ~params:spec.Spec.params ~seeds:spec.Spec.seeds in
+  Option.iter
+    (fun (logged : Job_state.job) ->
+      List.iter
+        (fun (p, s, cell) -> ignore (Sweep.record c p s cell))
+        logged.Job_state.cells)
+    (Job_state.find (Queue.log queue) job.Queue.id);
+  c
 
 let table_json (reg : Registry.t) (spec : Spec.t) cursor =
   Json.Obj
@@ -152,7 +62,7 @@ let default_settle queue job = function
   | `Stopped -> ()
 
 let run_job ?(checkpoint_every = 4) ?(should_stop = fun () -> false)
-    ?wrap_cell ?settle ?notify ~dir queue (job : Queue.job) =
+    ?wrap_cell ?settle ?notify queue (job : Queue.job) =
   let spec = job.Queue.spec in
   let jid = job.Queue.id in
   (* Ambient job identity: every span opened for the rest of this attempt
@@ -188,23 +98,14 @@ let run_job ?(checkpoint_every = 4) ?(should_stop = fun () -> false)
     settle (`Failed msg);
     finish_span ()
   | Ok reg -> (
-    let cursor =
-      Sweep.cursor ~params:spec.Spec.params ~seeds:spec.Spec.seeds
-    in
-    let path = checkpoint_path ~dir job in
-    let save_ck c =
-      save ~path spec c;
-      Metrics.incr mj_checkpoints
-    in
-    let restored = restore ~path spec cursor in
+    let cursor = logged_cursor queue job in
+    let restored = Sweep.completed cursor in
+    job.Queue.restored <- restored;
     if restored > 0 then begin
-      job.Queue.restored <- restored;
       Metrics.add m_resumed restored;
       Metrics.add mj_resumed restored;
       Span.annotate span ~slot:restored
-        (Printf.sprintf "restored %d cells from %s" restored path);
-      Queue.progress queue job ~cells_done:restored
-        ~partial:(partial_json cursor)
+        (Printf.sprintf "restored %d cells from the job log" restored)
     end;
     (* Row announcements, each param's once: a watch client can rebuild
        the final table from row events alone. *)
@@ -220,14 +121,13 @@ let run_job ?(checkpoint_every = 4) ?(should_stop = fun () -> false)
           (rows ~job:jid spec
              (List.map (fun (p, _s, cell) -> (p, cell)) (Sweep.completed_cells c)))
     in
-    let counted = ref restored in
-    let on_chunk c =
-      save_ck c;
+    let on_chunk c batch =
       let done_now = Sweep.completed c in
-      Metrics.add m_cells (done_now - !counted);
-      Metrics.add mj_cells (done_now - !counted);
-      counted := done_now;
-      Queue.progress queue job ~cells_done:done_now ~partial:(partial_json c);
+      Metrics.add m_cells (List.length batch);
+      Metrics.add mj_cells (List.length batch);
+      Metrics.incr m_checkpoints;
+      Metrics.incr mj_checkpoints;
+      Queue.progress queue job ~cells_done:done_now batch;
       emit "checkpoint"
         (Json.Obj
            [ ("job_id", Json.int jid); ("cells_done", Json.int done_now);
@@ -263,16 +163,12 @@ let run_job ?(checkpoint_every = 4) ?(should_stop = fun () -> false)
         ~should_stop:stop ~on_chunk cursor cell
     with
     | `Complete ->
-      (* an all-restored grid never fires on_chunk; normalize the file *)
-      if Sweep.completed cursor = restored then save_ck cursor;
       publish_rows cursor;
       settle (`Done (table_json reg spec cursor));
       finish_span ()
     | `Stopped ->
-      save_ck cursor;
       settle (if Atomic.get job.Queue.cancel then `Cancelled else `Stopped);
       finish_span ()
     | exception exn ->
-      save_ck cursor;
       settle (`Failed (Printexc.to_string exn));
       finish_span ())

@@ -1,17 +1,15 @@
 (** Checkpointing sweep runner: drives one {!Queue.job} through
-    [Sweep.run_cursor], snapshotting completed cells to an atomic JSONL
-    checkpoint every [checkpoint_every] cells and restoring them on the
-    next attempt.
+    [Sweep.run_cursor], committing every [checkpoint_every] cells to the
+    job log as one [Cells] record ({!Queue.progress}) and restoring the
+    logged cells on the next attempt.
 
     {b Bit-identity.} Cells are pure in [(param, seed)] and cell JSON
     prints byte-stably through parse/print, so a job killed and resumed
     any number of times yields a final table byte-identical to an
-    uninterrupted run, whatever the [jobs] setting. Checkpoint matching
-    compares the grid identity (exp, params, seeds) and ignores the
-    execution knobs (jobs, tag).
+    uninterrupted run, whatever the [jobs] setting.
 
-    Metrics: [serve.cells.done], [serve.checkpoints],
-    [serve.resume.cells] — each also bumped as a labeled
+    Metrics: [serve.cells.done], [serve.checkpoints] (one per [Cells]
+    record), [serve.resume.cells] — each also bumped as a labeled
     [{job_id="<id>"}] child so [/jobs/:id/metrics] can serve a per-job
     scope. Every span opened during an attempt (including inside cells,
     on pool worker domains) carries a [job_id] attribute via
@@ -20,19 +18,11 @@
 open Sinr_expt
 open Sinr_obs
 
-val checkpoint_path : dir:string -> Queue.job -> string
-(** [<dir>/serve-<tag>.ckpt.jsonl], tag defaulting to [job<id>]. *)
-
-val checkpoint_string : Spec.t -> (int, Json.t) Sweep.cursor -> string
-(** Header line [{"serve_checkpoint":1,"spec":{...}}] then one
-    [{"param":..,"seed":..,"cell":..}] line per completed cell. *)
-
-val save : path:string -> Spec.t -> (int, Json.t) Sweep.cursor -> unit
-(** Atomic write ({!Sink.write_file}) of {!checkpoint_string}. *)
-
-val restore : path:string -> Spec.t -> (int, Json.t) Sweep.cursor -> int
-(** Fill the cursor from a checkpoint; returns cells restored. Missing
-    file, foreign spec, or malformed lines restore nothing/skip. *)
+val logged_cursor : Queue.t -> Queue.job -> (int, Json.t) Sweep.cursor
+(** A cursor over the job's grid filled with its cells on the job log
+    ({!Job_state.job.cells} in {!Queue.log}): what the next attempt
+    resumes from, and the job's partial results while it is live. Cells
+    outside the grid or already in are skipped ({!Sweep.record}). *)
 
 val table_json : Registry.t -> Spec.t -> (int, Json.t) Sweep.cursor -> Json.t
 (** The final table: [{"exp","param_name","seeds","rows":[{"param","cells"}]}].
@@ -56,12 +46,13 @@ val run_job :
        ([ `Done of Json.t | `Cancelled | `Stopped | `Failed of string ]
         -> unit)
   -> ?notify:(typ:string -> Json.t -> unit)
-  -> dir:string -> Queue.t -> Queue.job -> unit
-(** Run (or resume) one attempt of a taken (Running) job and hand its
-    outcome to [settle]: the table, the job's cancel flag honored,
-    [should_stop] fired without it, or a cell exception. The checkpoint
-    is written in every case, and each checkpoint records its progress
-    through {!Queue.progress}.
+  -> Queue.t -> Queue.job -> unit
+(** Run (or resume, from {!logged_cursor}) one attempt of a taken
+    (Running) job and hand its outcome to [settle]: the table, the job's
+    cancel flag honored, [should_stop] fired without it, or a cell
+    exception. Each chunk's cells are committed to the log before the
+    next chunk starts, so a stopped or failed attempt leaves every
+    finished cell resumable.
 
     The default [settle] finishes the job as Done, Cancelled or Failed
     and leaves a [`Stopped] attempt open (Running) — what a process

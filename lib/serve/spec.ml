@@ -132,7 +132,3 @@ let validate t =
                    && tag <> "") ->
             Error "tag: alphanumeric, '-' or '_', at most 64 chars"
           | _ -> Ok ()))
-
-(* Specs are compared structurally when a checkpoint is restored; the
-   wire form is the identity. *)
-let equal a b = to_json a = to_json b

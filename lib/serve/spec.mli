@@ -1,5 +1,5 @@
 (** Wire form of one sweep job: experiment name, integer parameter grid,
-    seeds, optional pool-size override and checkpoint tag.
+    seeds, optional pool-size override and label.
 
     [of_json] is strict (unknown fields rejected); {!validate} applies the
     admission caps ({!max_axis} entries per axis, {!max_cells} grid cells)
@@ -12,7 +12,7 @@ type t = {
   params : int list;     (** outer sweep axis *)
   seeds : int list;      (** inner sweep axis *)
   jobs : int option;     (** pool size override; results are unaffected *)
-  tag : string option;   (** checkpoint file tag; default [job<id>] *)
+  tag : string option;   (** a client's label, validated and echoed *)
 }
 
 val max_axis : int
@@ -28,6 +28,3 @@ val cells : t -> int
 val validate : t -> (unit, string) result
 (** Caps and well-formedness only — experiment-name resolution is the
     registry's job. *)
-
-val equal : t -> t -> bool
-(** Structural equality on the wire form — checkpoint/spec matching. *)

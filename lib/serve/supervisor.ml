@@ -173,4 +173,4 @@ let run t ?notify ?(should_stop = fun () -> false) ?(checkpoint_every = 4)
       Queue.requeue queue job
   in
   Runner.run_job ~checkpoint_every ~should_stop:stop ~wrap_cell ~settle
-    ?notify ~dir queue job
+    ?notify queue job

@@ -13,7 +13,7 @@
    Durability is two-tier: admission and terminal records are on disk
    once the [flush] after their [append] returns; progress records
    batch, fsyncing every [fsync_every] appends — losing one on a crash
-   costs re-deriving progress from the checkpoint files, never a job.
+   costs re-running its cells, never a job.
    [flush] fsyncs with no lock held, so a caller can append under its
    own lock (log order = commit order) and wait for the disk after
    releasing it. *)
@@ -30,7 +30,7 @@ let g_bytes = Metrics.gauge "serve.wal.bytes"
 type event =
   | Submitted of Spec.t
   | Started of int
-  | Checkpointed of int
+  | Cells of (int * int * Json.t) list
   | Yielded
   | Strikes of int
   | Completed
@@ -75,13 +75,28 @@ let crc32 s =
 (* Record (de)serialization                                            *)
 (* ------------------------------------------------------------------ *)
 
+let cells_json cells =
+  Json.List
+    (List.map
+       (fun (p, s, cell) ->
+         Json.Obj [ ("param", Json.int p); ("seed", Json.int s); ("cell", cell) ])
+       cells)
+
+let cell_of_json j =
+  match
+    ( Option.bind (Json.member "param" j) Json.to_int,
+      Option.bind (Json.member "seed" j) Json.to_int,
+      Json.member "cell" j )
+  with
+  | Some p, Some s, Some cell -> Some (p, s, cell)
+  | _ -> None
+
 let event_json = function
   | Submitted spec ->
     [ ("ev", Json.Str "submitted"); ("spec", Spec.to_json spec) ]
   | Started attempt ->
     [ ("ev", Json.Str "started"); ("attempt", Json.int attempt) ]
-  | Checkpointed cells ->
-    [ ("ev", Json.Str "checkpointed"); ("cells", Json.int cells) ]
+  | Cells cells -> [ ("ev", Json.Str "cells"); ("cells", cells_json cells) ]
   | Yielded -> [ ("ev", Json.Str "yielded") ]
   | Strikes n -> [ ("ev", Json.Str "strikes"); ("n", Json.int n) ]
   | Completed -> [ ("ev", Json.Str "completed") ]
@@ -106,7 +121,14 @@ let event_of_json j =
     | Some (Ok spec) -> Some (Submitted spec)
     | _ -> None)
   | Some "started" -> Option.map (fun a -> Started a) (int "attempt")
-  | Some "checkpointed" -> Option.map (fun c -> Checkpointed c) (int "cells")
+  | Some "cells" -> (
+    match Json.member "cells" j with
+    | Some (Json.List l) ->
+      let cells = List.filter_map cell_of_json l in
+      if List.length cells = List.length l then Some (Cells cells) else None
+    | _ -> None)
+  (* the progress count an older daemon logged: no cells to restore *)
+  | Some "checkpointed" -> Some (Cells [])
   | Some "yielded" -> Some Yielded
   | Some "strikes" -> Option.map (fun n -> Strikes n) (int "n")
   | Some "completed" -> Some Completed
@@ -179,7 +201,7 @@ let healthy t = locked t (fun () -> t.healthy)
    HTTP response; progress records may ride the batch. *)
 let durable_event = function
   | Submitted _ | Completed | Cancelled | Failed _ | Quarantined _ -> true
-  | Started _ | Checkpointed _ | Yielded | Strikes _ -> false
+  | Started _ | Cells _ | Yielded | Strikes _ -> false
 
 let append t r =
   let line = encode r ^ "\n" in

@@ -13,15 +13,23 @@
 
     Durability is two-tier: submitted/terminal records are on disk once
     the {!flush} after their {!append} returns; progress records
-    (started/checkpointed/yielded/strikes) batch on [fsync_every].
+    (started/cells/yielded/strikes) batch on [fsync_every]. Power loss
+    can therefore drop the progress records after the last durable one:
+    their cells are re-run, and an attempt whose [started] record was not
+    yet synced comes back with one strike fewer.
     Appends are mutex-protected (the HTTP accept domain and the job loop
     both append); fsyncs hold no lock. No writer operation raises: an
     I/O failure flips {!healthy}, which [/readyz] reports. *)
 
+open Sinr_obs
+
 type event =
   | Submitted of Spec.t  (** job admitted (durable) *)
   | Started of int  (** attempt [n] (1-based) began *)
-  | Checkpointed of int  (** [cells] done are on disk *)
+  | Cells of (int * int * Json.t) list
+      (** [(param, seed, cell)]: the cells finished since the job's
+          previous record, in grid order. An older daemon's
+          [{"ev":"checkpointed"}] line decodes as [Cells []]. *)
   | Yielded  (** attempt closed gracefully (drain) — not a strike *)
   | Strikes of int
       (** back to Queued with [n] attempts on record: a retry, and the
@@ -32,6 +40,10 @@ type event =
   | Quarantined of string  (** terminal (durable): poison, parked *)
 
 type record = { job : int; ev : event }
+
+val cells_json : (int * int * Json.t) list -> Json.t
+(** [[{"param","seed","cell"}, ...]]: the cells as a [Cells] record and
+    a job's [partial] carry them. *)
 
 val path : dir:string -> string
 (** [<dir>/serve.wal]. *)

@@ -4,24 +4,30 @@
 
    The model test drives a real daemon — HTTP submit and cancel, take,
    checkpoints, supervised attempts that succeed, fail, hit their
-   deadline or drain, restarts, and SIGKILLs — which keep every record
+   deadline or drain, restarts, SIGKILLs — which keep every record
    written, may land part-way through the last operation's records and
-   may leave a torn line — and checks after every step that
+   may leave a torn line — and power cuts, which lose every record after
+   the last durable one — and checks after every step that
 
-   - the live job table is [fold apply] over [Wal.replay], job by job;
+   - the live job table, logged cells included, is [fold apply] over
+     [Wal.replay], job by job;
    - the ["state"] events are exactly the committed records, in order;
    - every job's first record is its Submitted (log order = commit
      order);
    - no acknowledged job is lost or duplicated, no id is handed out
      twice, and a restart re-admits exactly the live jobs of the
-     surviving log;
-   - strike counts never go down.
+     surviving log, with their attempts and cells;
+   - an attempt restores exactly the cells its job's log holds;
+   - every done job's table is byte-equal to an uninterrupted run;
+   - strike counts never go down, except across a power cut, which may
+     forget a strike whose records were not yet synced.
 
    Two regression tests pin what the old three-writer design got wrong:
    a Submitted written after the job had already finished (the job ran
    again after a restart), and a drained job showing one attempt live
    but none after a restart. *)
 
+open Sinr_expt
 open Sinr_obs
 open Sinr_serve
 module Sq = Sinr_serve.Queue
@@ -43,6 +49,50 @@ let fold = List.fold_left Job_state.apply Job_state.empty
 let strikes (j : Sq.job) =
   if j.Sq.state = Sq.Running then j.Sq.attempts - 1 else j.Sq.attempts
 
+(* Every job in the model runs this two-cell grid. *)
+let spec_body = {|{"exp":"ack","params":[2,3],"seeds":[1]}|}
+
+let spec =
+  match Spec.of_string spec_body with Ok s -> s | Error e -> failwith e
+
+let cell =
+  let memo = Hashtbl.create 4 in
+  fun p s ->
+    match Hashtbl.find_opt memo (p, s) with
+    | Some c -> c
+    | None ->
+      let c =
+        match Registry.resolve spec with
+        | Ok reg -> reg.Registry.cell ~param:p ~seed:s
+        | Error e -> failwith e
+      in
+      Hashtbl.add memo (p, s) c;
+      c
+
+(* The table of an uninterrupted run. *)
+let reference =
+  lazy
+    (let q = Sq.create () in
+     match Sq.submit q spec with
+     | Error _ -> failwith "reference submit rejected"
+     | Ok j ->
+       ignore (Sq.take q);
+       Runner.run_job q j;
+       Option.get j.Sq.table)
+
+(* A job's logged state, its cells as the bytes the log holds them in. *)
+let cells_text (s : Job_state.job) =
+  Json.to_string_json (Wal.cells_json s.Job_state.cells)
+
+let view (s : Job_state.job) =
+  ( s.Job_state.spec,
+    Job_state.state_name s.Job_state.state,
+    s.Job_state.attempts,
+    s.Job_state.quarantined,
+    cells_text s )
+
+let views t = List.map (fun (id, s) -> (id, view s)) (Job_state.jobs t)
+
 type op =
   | Submit
   | Cancel of int
@@ -50,6 +100,7 @@ type op =
   | Checkpoint
   | Run of [ `Success | `Failure | `Deadline | `Drain ]
   | Kill of { cut : int; torn : bool }
+  | Power_cut
   | Restart
 
 let op_name = function
@@ -62,6 +113,7 @@ let op_name = function
   | Run `Deadline -> "deadline"
   | Run `Drain -> "drain"
   | Kill { cut; torn } -> Printf.sprintf "kill cut=%d torn=%b" cut torn
+  | Power_cut -> "power cut"
   | Restart -> "restart"
 
 let gen_op =
@@ -76,6 +128,7 @@ let gen_op =
         (1, return (Run `Deadline));
         (1, return (Run `Drain));
         (2, map2 (fun cut torn -> Kill { cut; torn }) (int_bound 1000) bool);
+        (1, return Power_cut);
         (1, return Restart) ])
 
 let arb_ops =
@@ -125,7 +178,10 @@ let check_recovery w prefix =
         if j.Sq.state <> want || j.Sq.attempts <> s.Job_state.attempts then
           fail "job %d recovered as %s/%d, want %s/%d" id
             (Sq.state_name j.Sq.state) j.Sq.attempts (Sq.state_name want)
-            s.Job_state.attempts
+            s.Job_state.attempts;
+        let live = Option.map cells_text (Job_state.find (Sq.log q) id) in
+        if want = Sq.Queued && live <> Some (cells_text s) then
+          fail "job %d recovered without the cells its log holds" id
       | None, false -> ()
       | Some _, false -> fail "job %d re-admitted after it settled" id
       | None, true -> fail "live job %d lost at restart" id)
@@ -152,7 +208,7 @@ let check w =
       end)
     records;
   let folded = fold records in
-  if Job_state.jobs (Sq.log q) <> Job_state.jobs folded then
+  if views (Sq.log q) <> views folded then
     fail "the queue's table is not the fold of its log";
   let jobs = Sq.jobs q in
   List.iter
@@ -179,7 +235,14 @@ let check w =
        | _ -> ());
       Hashtbl.replace w.strikes j.Sq.id s)
     jobs;
-  (* one "state" event per committed record but Checkpointed, carrying
+  List.iter
+    (fun (j : Sq.job) ->
+      match (j.Sq.state, j.Sq.table) with
+      | Sq.Done, Some t when t <> Lazy.force reference ->
+        fail "job %d: table differs from an uninterrupted run" j.Sq.id
+      | _ -> ())
+    jobs;
+  (* one "state" event per committed record but Cells, carrying
      the state that record produced *)
   List.iter
     (fun (e : Events.event) ->
@@ -193,15 +256,13 @@ let check w =
       (fun (i, t, acc) (r : Wal.record) ->
         let t = Job_state.apply t r in
         match (r.Wal.ev, Job_state.find t r.Wal.job) with
-        | Wal.Checkpointed _, _ | _, None -> (i + 1, t, acc)
+        | Wal.Cells _, _ | _, None -> (i + 1, t, acc)
         | _, Some s when i >= w.base ->
           (i + 1, t, (r.Wal.job, Job_state.state_name s.Job_state.state) :: acc)
         | _ -> (i + 1, t, acc))
       (0, Job_state.empty, []) records
   in
   if want <> w.states then fail "state events differ from the committed records"
-
-let spec_body = {|{"exp":"ack","params":[2],"seeds":[1]}|}
 
 let running w =
   List.find_opt
@@ -241,11 +302,14 @@ let step w op =
       | _ -> fail "cancel of job %d answered oddly" j.Sq.id)
   | Take -> ignore (Sq.take ~now:infinity q)
   | Checkpoint ->
+    (* the running attempt finishes its next cell *)
     Option.iter
       (fun (j : Sq.job) ->
-        Sq.progress q j
-          ~cells_done:(min j.Sq.cells_total (j.Sq.cells_done + 1))
-          ~partial:(Json.Obj []))
+        let c = Runner.logged_cursor q j in
+        match Sweep.remaining c with
+        | (p, s) :: _ ->
+          Sq.progress q j ~cells_done:(Sweep.completed c + 1) [ (p, s, cell p s) ]
+        | [] -> ())
       (running w)
   | Run outcome ->
     Option.iter
@@ -254,17 +318,27 @@ let step w op =
         let sup =
           match outcome with
           | `Deadline ->
+            (* the clock ticks once per read: the deadline passes after
+               the attempt's first cell *)
             Supervisor.create
-              ~policy:{ policy with Supervisor.deadline_s = 0.5 }
+              ~policy:{ policy with Supervisor.deadline_s = 2.5 }
               ~now:(fun () -> tick := !tick +. 1.; !tick)
               ()
           | _ -> Supervisor.create ~policy ()
         in
+        let logged = Sweep.completed (Runner.logged_cursor q j) in
         if outcome = `Failure then Fp.arm "serve.cell" Fp.Always;
+        (* a drain lands after the attempt's first cell *)
+        let polls = ref 0 in
         Fun.protect ~finally:Fp.clear (fun () ->
             Supervisor.run sup ~checkpoint_every:1
-              ~should_stop:(fun () -> outcome = `Drain)
-              ~dir:w.dir q j))
+              ~should_stop:(fun () ->
+                incr polls;
+                outcome = `Drain && !polls >= 2)
+              ~dir:w.dir q j);
+        if j.Sq.restored <> logged then
+          fail "job %d restored %d cells, its log holds %d" j.Sq.id
+            j.Sq.restored logged)
       (running w)
   | Kill { cut; torn } ->
     (* the process dies: nothing in memory survives; the OS closes its
@@ -297,6 +371,35 @@ let step w op =
     if torn && Daemon.wal_recovery w.d <> `Torn_tail then
       fail "torn tail not reported";
     check_recovery w prefix
+  | Power_cut ->
+    (* the host loses power: what survives is the log up to its last
+       durable record (an fsync covers every write before it), plus the
+       compacted records, which were synced when the daemon started *)
+    Daemon.close w.d;
+    let path = Wal.path ~dir:w.dir in
+    let lines = read_lines path in
+    let durable l =
+      match Wal.decode l with
+      | Some
+          { Wal.ev =
+              Wal.Submitted _ | Wal.Completed | Wal.Cancelled | Wal.Failed _
+              | Wal.Quarantined _;
+            _ } -> true
+      | _ -> false
+    in
+    let keep =
+      List.fold_left max w.base
+        (List.mapi (fun i l -> if durable l then i + 1 else 0) lines)
+    in
+    let kept = List.filteri (fun i _ -> i < keep) lines in
+    let oc = open_out_bin path in
+    List.iter (fun l -> output_string oc (l ^ "\n")) kept;
+    close_out oc;
+    boot w;
+    (* every acknowledged job survives; attempts are the durable
+       prefix's, so a strike whose records were cut is forgotten *)
+    check_recovery w (List.filter_map Wal.decode kept);
+    Hashtbl.reset w.strikes
   | Restart ->
     Daemon.close w.d;
     let prefix = (Wal.replay ~dir:w.dir).Wal.records in
@@ -333,7 +436,7 @@ let run_ops ops =
 
 let prop_job_log =
   QCheck.Test.make ~name:"job log: live table = fold apply over replay"
-    ~count:40 arb_ops run_ops
+    ~count:100 arb_ops run_ops
 
 (* ---------------- regressions ---------------------------------------- *)
 
@@ -348,7 +451,7 @@ let test_late_submitted_not_resurrected =
       let w = Wal.open_ ~dir () in
       List.iter (Wal.append w)
         [ { Wal.job = 1; ev = Wal.Started 1 };
-          { Wal.job = 1; ev = Wal.Checkpointed 1 };
+          { Wal.job = 1; ev = Wal.Cells [ (2, 1, Json.int 7) ] };
           { Wal.job = 1; ev = Wal.Completed };
           { Wal.job = 1; ev = Wal.Submitted spec } ];
       Wal.close w;
@@ -407,9 +510,35 @@ let test_drained_attempts_survive_restart =
         after;
       Daemon.close d2)
 
+(* A log written before cells went into it carries a bare progress
+   count; it replays as an empty [Cells] record, not as mid-log
+   corruption, and the job resumes from nothing. *)
+let test_older_log_replays =
+  Test_serve.with_registry (fun () ->
+      let dir = Test_serve.fresh_dir () in
+      let spec = Test_serve.spec_ack [ 2 ] [ 1 ] in
+      let line r = Wal.encode { Wal.job = 1; ev = r } ^ "\n" in
+      Test_serve.write_raw (Wal.path ~dir)
+        (String.concat ""
+           [ line (Wal.Submitted spec);
+             {|3e050790 {"wal":1,"job":1,"ev":"checkpointed","cells":1}|} ^ "\n";
+             line (Wal.Started 1) ]);
+      let d = Daemon.create ~dir () in
+      Fun.protect ~finally:(fun () -> Daemon.close d) @@ fun () ->
+      Alcotest.(check bool) "replays clean" true (Daemon.wal_recovery d = `Clean);
+      Alcotest.(check int) "job re-admitted" 1 (Daemon.recovered d);
+      Alcotest.(check bool) "step ran the job" true (Daemon.step d);
+      match Sq.find (Daemon.queue d) 1 with
+      | Some j ->
+        Alcotest.(check int) "no cells restored" 0 j.Sq.restored;
+        Alcotest.(check bool) "done" true (j.Sq.state = Sq.Done)
+      | None -> Alcotest.fail "job lost")
+
 let suite =
   [ QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 25 |]) prop_job_log;
     Alcotest.test_case "late Submitted does not resurrect a job" `Quick
       test_late_submitted_not_resurrected;
     Alcotest.test_case "drained attempts equal across a restart" `Quick
-      test_drained_attempts_survive_restart ]
+      test_drained_attempts_survive_restart;
+    Alcotest.test_case "older log's progress count replays" `Quick
+      test_older_log_replays ]

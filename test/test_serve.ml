@@ -47,7 +47,7 @@ let test_spec_roundtrip () =
   Alcotest.(check bool) "validates" true (Spec.validate s = Ok ());
   (* wire round trip *)
   (match Spec.of_json (Spec.to_json s) with
-   | Ok s' -> Alcotest.(check bool) "roundtrip equal" true (Spec.equal s s')
+   | Ok s' -> Alcotest.(check bool) "roundtrip equal" true (s = s')
    | Error e -> Alcotest.failf "roundtrip failed: %s" e);
   (* optional fields survive *)
   match
@@ -218,6 +218,20 @@ let test_queue_cancel () =
 (* One small but real grid: 2 deltas x 2 seeds of the ack experiment. *)
 let bitid_spec ?jobs ?tag () = spec_ack ?jobs ?tag [ 2; 3 ] [ 1; 2 ]
 
+(* Every cell the [Cells] records on [dir]'s WAL hold, in log order. *)
+let logged_cells dir =
+  List.concat_map
+    (fun (r : Wal.record) -> match r.Wal.ev with Wal.Cells cs -> cs | _ -> [])
+    (Wal.replay ~dir).Wal.records
+
+let logged_text dir = Json.to_string_json (Wal.cells_json (logged_cells dir))
+
+(* A queue committing to a WAL in a fresh directory. *)
+let logged_queue () =
+  let dir = fresh_dir () in
+  let wal = Wal.open_ ~dir () in
+  (dir, wal, Sq.create ~wal ())
+
 (* Supervised, so a stop is a drain that requeues the job. *)
 let run_to_done ?should_stop ~dir q job =
   Supervisor.run (Supervisor.create ()) ~checkpoint_every:1 ?should_stop ~dir
@@ -231,8 +245,7 @@ let table_string (job : Sq.job) =
 
 let test_resume_bit_identical () =
   (* uninterrupted reference run *)
-  let dir1 = fresh_dir () in
-  let q1 = Sq.create () in
+  let dir1, wal1, q1 = logged_queue () in
   let j1 =
     match Sq.submit q1 (bitid_spec ~jobs:1 ()) with
     | Ok j -> j
@@ -242,11 +255,10 @@ let test_resume_bit_identical () =
   run_to_done ~dir:dir1 q1 j1;
   Alcotest.(check bool) "reference done" true (j1.Sq.state = Sq.Done);
   let t1 = table_string j1 in
-  let ck1 = read_file (Runner.checkpoint_path ~dir:dir1 j1) in
+  Wal.close wal1;
 
   (* killed after one cell, then resumed *)
-  let dir2 = fresh_dir () in
-  let q2 = Sq.create () in
+  let dir2, wal2, q2 = logged_queue () in
   let j2 =
     match Sq.submit q2 (bitid_spec ~jobs:1 ()) with
     | Ok j -> j
@@ -268,8 +280,9 @@ let test_resume_bit_identical () =
   Alcotest.(check int) "restored from checkpoint" 1 j2.Sq.restored;
   Alcotest.(check string) "table bit-identical after kill+resume" t1
     (table_string j2);
-  Alcotest.(check string) "checkpoint bit-identical" ck1
-    (read_file (Runner.checkpoint_path ~dir:dir2 j2));
+  Wal.close wal2;
+  Alcotest.(check string) "checkpoint bit-identical" (logged_text dir1)
+    (logged_text dir2);
 
   (* jobs invariance: a parallel run of the same grid, same bytes *)
   let dir3 = fresh_dir () in
@@ -285,8 +298,7 @@ let test_resume_bit_identical () =
 
 let test_cancel_mid_grid =
   with_registry (fun () ->
-      let dir = fresh_dir () in
-      let q = Sq.create () in
+      let dir, wal, q = logged_queue () in
       let job =
         match Sq.submit q (bitid_spec ~tag:"cancelme" ()) with
         | Ok j -> j
@@ -300,48 +312,16 @@ let test_cancel_mid_grid =
           if job.Sq.cells_done >= 1 && not (Atomic.get job.Sq.cancel) then
             ignore (Sq.cancel q job.Sq.id);
           false)
-        ~dir q job;
+        q job;
       Alcotest.(check bool) "cancelled" true (job.Sq.state = Sq.Cancelled);
       Alcotest.(check bool) "stopped mid-grid" true
         (job.Sq.cells_done >= 1 && job.Sq.cells_done < job.Sq.cells_total);
       Alcotest.(check (option int)) "metric" (Some 1)
         (Metrics.counter_peek "serve.jobs.cancelled");
-      (* the checkpoint holds exactly the completed cells *)
-      let ck = read_file (Runner.checkpoint_path ~dir job) in
-      let lines =
-        List.filter (fun l -> String.trim l <> "")
-          (String.split_on_char '\n' ck)
-      in
-      Alcotest.(check int) "header + one line per done cell"
-        (1 + job.Sq.cells_done) (List.length lines))
-
-let test_checkpoint_restore_guards () =
-  let spec = bitid_spec () in
-  let dir = fresh_dir () in
-  let path = Filename.concat dir "guard.ckpt.jsonl" in
-  let c = Sweep.cursor ~params:spec.Spec.params ~seeds:spec.Spec.seeds in
-  Alcotest.(check int) "missing file restores nothing" 0
-    (Runner.restore ~path spec c);
-  (* foreign spec: same shape, different experiment *)
-  ignore (Sweep.record c 2 1 (Json.int 7));
-  Runner.save ~path spec c;
-  let c2 = Sweep.cursor ~params:spec.Spec.params ~seeds:spec.Spec.seeds in
-  let foreign = { spec with Spec.exp = "chaos" } in
-  Alcotest.(check int) "foreign spec rejected" 0
-    (Runner.restore ~path foreign c2);
-  (* matching spec restores; jobs/tag differences don't matter *)
-  let retagged = { spec with Spec.jobs = Some 7; tag = Some "other" } in
-  Alcotest.(check int) "jobs/tag ignored in matching" 1
-    (Runner.restore ~path retagged c2);
-  (* malformed cell lines are skipped, not fatal *)
-  let garbled =
-    read_file path ^ "not json\n{\"param\":999,\"seed\":1,\"cell\":1}\n"
-  in
-  let oc = open_out_bin path in
-  output_string oc garbled;
-  close_out oc;
-  let c3 = Sweep.cursor ~params:spec.Spec.params ~seeds:spec.Spec.seeds in
-  Alcotest.(check int) "garbage skipped" 1 (Runner.restore ~path spec c3)
+      (* the log holds exactly the completed cells *)
+      Wal.close wal;
+      Alcotest.(check int) "one logged cell per done cell" job.Sq.cells_done
+        (List.length (logged_cells dir)))
 
 (* ---------------- daemon HTTP surface ---------------- *)
 
@@ -477,7 +457,9 @@ let test_wal_roundtrip =
   with_registry (fun () ->
       let spec = spec_ack ~jobs:2 ~tag:"w" [ 2 ] [ 1 ] in
       let evs =
-        [ Wal.Submitted spec; Wal.Started 2; Wal.Checkpointed 3; Wal.Yielded;
+        [ Wal.Submitted spec; Wal.Started 2;
+          Wal.Cells [ (2, 1, Json.Obj [ ("slots", Json.int 3) ]); (2, 2, Json.Null) ];
+          Wal.Cells []; Wal.Yielded;
           Wal.Strikes 2; Wal.Completed; Wal.Cancelled; Wal.Failed "boom";
           Wal.Quarantined "poison" ]
       in
@@ -503,7 +485,7 @@ let test_wal_roundtrip =
       let records =
         [ { Wal.job = 1; ev = Wal.Submitted spec };
           { Wal.job = 1; ev = Wal.Started 1 };
-          { Wal.job = 1; ev = Wal.Checkpointed 1 };
+          { Wal.job = 1; ev = Wal.Cells [ (2, 1, Json.int 7) ] };
           { Wal.job = 1; ev = Wal.Completed } ]
       in
       let w = Wal.open_ ~fsync_every:2 ~dir () in
@@ -524,7 +506,7 @@ let test_wal_torn_tail =
       let records =
         [ { Wal.job = 1; ev = Wal.Submitted spec };
           { Wal.job = 1; ev = Wal.Started 1 };
-          { Wal.job = 1; ev = Wal.Checkpointed 1 } ]
+          { Wal.job = 1; ev = Wal.Cells [ (2, 1, Json.int 7) ] } ]
       in
       let w = Wal.open_ ~dir () in
       List.iter (Wal.append w) records;
@@ -591,21 +573,31 @@ let test_wal_corruption =
       Alcotest.(check (option int)) "corruption counted" (Some 2)
         (Metrics.counter_peek "serve.wal.corrupt"))
 
-let test_checkpoint_torn_tail () =
-  (* Checkpoints are written atomically (temp+rename), but restore must
-     still survive a half-written file from a foreign source. *)
-  let spec = bitid_spec () in
-  let dir = fresh_dir () in
-  let path = Filename.concat dir "torn.ckpt.jsonl" in
-  let c = Sweep.cursor ~params:spec.Spec.params ~seeds:spec.Spec.seeds in
-  ignore (Sweep.record c 2 1 (Json.int 7));
-  ignore (Sweep.record c 2 2 (Json.int 8));
-  Runner.save ~path spec c;
-  let raw = read_file path in
-  write_raw path (String.sub raw 0 (String.length raw - 4));
-  let c2 = Sweep.cursor ~params:spec.Spec.params ~seeds:spec.Spec.seeds in
-  Alcotest.(check int) "clean prefix restored" 1
-    (Runner.restore ~path spec c2)
+let test_checkpoint_torn_tail =
+  with_registry (fun () ->
+      (* the second checkpoint's record is torn: the first one's cells are
+         what the job resumes from *)
+      let spec = bitid_spec () in
+      let dir = fresh_dir () in
+      let w = Wal.open_ ~dir () in
+      List.iter (Wal.append w)
+        [ { Wal.job = 1; ev = Wal.Submitted spec };
+          { Wal.job = 1; ev = Wal.Started 1 };
+          { Wal.job = 1; ev = Wal.Cells [ (2, 1, Json.int 7) ] };
+          { Wal.job = 1; ev = Wal.Cells [ (2, 2, Json.int 8) ] } ];
+      Wal.close w;
+      let path = Wal.path ~dir in
+      let raw = read_file path in
+      write_raw path (String.sub raw 0 (String.length raw - 4));
+      let d = Daemon.create ~dir () in
+      Fun.protect ~finally:(fun () -> Daemon.close d) @@ fun () ->
+      Alcotest.(check bool) "torn record skipped" true
+        (Daemon.wal_recovery d = `Torn_tail);
+      match Sq.find (Daemon.queue d) 1 with
+      | None -> Alcotest.fail "job not re-admitted"
+      | Some job ->
+        let c = Runner.logged_cursor (Daemon.queue d) job in
+        Alcotest.(check int) "clean prefix restored" 1 (Sweep.completed c))
 
 (* ---------------- supervisor: retry, quarantine, budgets ------------ *)
 
@@ -814,7 +806,7 @@ let test_daemon_crash_recovery =
       let polls = ref 0 in
       Runner.run_job ~checkpoint_every:1
         ~should_stop:(fun () -> incr polls; !polls >= 2)
-        ~dir (Daemon.queue a) job;
+        (Daemon.queue a) job;
       Alcotest.(check int) "one cell checkpointed before the crash" 1
         job.Sq.cells_done;
 
@@ -830,13 +822,19 @@ let test_daemon_crash_recovery =
       in
       Alcotest.(check int) "interrupted attempt is on record" 1
         jb.Sq.attempts;
+      let hb = Http.handle ~handler:(Daemon.handler b) in
+      let partial =
+        Json.member "partial" (Json.parse (body_of (hb "GET /jobs/1 HTTP/1.1\r\n\r\n")))
+      in
+      Alcotest.(check (option int)) "partial from the logged cells" (Some 1)
+        (Option.bind (Option.bind partial (Json.member "done")) Json.to_int);
+      Alcotest.(check int) "progress from the logged cells" 1 jb.Sq.cells_done;
       while Daemon.step b do () done;
       Alcotest.(check bool) "recovered job completes" true
         (jb.Sq.state = Sq.Done);
       Alcotest.(check int) "resumed from the checkpoint" 1 jb.Sq.restored;
       Alcotest.(check (option int)) "recovered metric" (Some 1)
         (Metrics.counter_peek "serve.jobs.recovered");
-      let hb = Http.handle ~handler:(Daemon.handler b) in
       let tb = hb "GET /jobs/1/table HTTP/1.1\r\n\r\n" in
       Alcotest.(check (option int)) "table after recovery" (Some 200)
         (status_of tb);
@@ -929,10 +927,10 @@ let test_daemon_readyz =
       Daemon.close daemon)
 
 (* The graceful lifecycle end to end: admission and 429 backpressure at
-   a queue cap of 1, the job run to done with its table, its checkpoint
-   under its tag, the serve.* counters on /metrics, and the job's /spans
-   scrape clean under trace-report's strict bounds (the Thm 5.1 / 9.1
-   gate). *)
+   a queue cap of 1, the job run to done with its table, its cells on the
+   job log and in no other file, the serve.* counters on /metrics, and
+   the job's /spans scrape clean under trace-report's strict bounds (the
+   Thm 5.1 / 9.1 gate). *)
 let test_daemon_lifecycle =
   with_registry (fun () ->
       Recorder.clear ();
@@ -972,8 +970,21 @@ let test_daemon_lifecycle =
         (match counter "serve_jobs_rejected" with Some n -> n >= 1 | None -> false);
       Alcotest.(check bool) "completion on /metrics" true
         (match counter "serve_jobs_completed" with Some n -> n >= 1 | None -> false);
-      Alcotest.(check bool) "checkpoint file under the tag" true
-        (Sys.file_exists (Filename.concat dir "serve-smoke.ckpt.jsonl"));
+      (* 9 cells at --checkpoint-every 2: five cells records, one per
+         checkpoint, and the WAL the only file the job wrote *)
+      let cells_records =
+        List.filter
+          (fun (r : Wal.record) ->
+            match r.Wal.ev with Wal.Cells _ -> true | _ -> false)
+          (Wal.replay ~dir).Wal.records
+      in
+      Alcotest.(check int) "one cells record per checkpoint" 5
+        (List.length cells_records);
+      Alcotest.(check (option int)) "serve_checkpoints counts them" (Some 5)
+        (counter "serve_checkpoints");
+      Alcotest.(check int) "every cell logged" 9 (List.length (logged_cells dir));
+      Alcotest.(check (list string)) "no file but the WAL" [ "serve.wal" ]
+        (Array.to_list (Sys.readdir dir));
       let spans =
         List.filter (fun l -> l <> "")
           (String.split_on_char '\n' (body_of (handle "GET /spans HTTP/1.1\r\n\r\n")))
@@ -1458,8 +1469,6 @@ let suite =
     Alcotest.test_case "runner: kill+resume bit-identical" `Slow
       test_resume_bit_identical;
     Alcotest.test_case "runner: cancel mid-grid" `Slow test_cancel_mid_grid;
-    Alcotest.test_case "runner: restore guards" `Quick
-      test_checkpoint_restore_guards;
     Alcotest.test_case "daemon: /jobs http surface" `Quick test_daemon_http;
     Alcotest.test_case "http: hardened request handling" `Quick
       test_http_hardening;
