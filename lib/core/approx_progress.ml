@@ -388,7 +388,7 @@ let finish_mis_round t =
             Metrics.incr m_drops;
             if t.phase_span <> Span.none then
               Span.annotate t.phase_span ~slot:(t.clock ())
-                (Printf.sprintf "drop node=%d" v);
+                (Span.Text (Printf.sprintf "drop node=%d" v));
             Sw_mis.drop mis v
           end
           else

@@ -244,7 +244,7 @@ let fire_rcvs t rcvs =
          match t.ongoing.(origin) with
          | Some p when p.Events.seq = payload.Events.seq ->
            Span.annotate t.spans.(origin) ~slot:(now t)
-             (Printf.sprintf "rcv@%d from=%d" node from)
+             (Span.Rcv_from { node; from })
          | Some _ | None -> ());
       (match t.raw_rcv_hook with Some f -> f ev | None -> ());
       t.handlers.Absmac_intf.on_rcv ~node ~payload)

@@ -175,7 +175,7 @@ let advance t ~node nd =
     Metrics.incr m_halts;
     Metrics.observe_int m_broadcast_slots nd.slots_run;
     if t.spans.(node) <> Span.none then
-      Span.annotate t.spans.(node) ~slot:(t.clock ()) "hm.halt"
+      Span.annotate t.spans.(node) ~slot:(t.clock ()) (Span.Text "hm.halt")
   end
   else begin
     nd.j <- nd.j + 1;
@@ -251,6 +251,6 @@ let on_receive t ~node =
       Metrics.incr m_fallbacks;
       if t.spans.(node) <> Span.none then
         Span.annotate t.spans.(node) ~slot:(t.clock ())
-          (Printf.sprintf "hm.fallback p=%.3g" (Float.Array.get t.p node))
+          (Span.Fallback (Float.Array.get t.p node))
     end
   end

@@ -293,8 +293,7 @@ let step_select t ~select =
         receivers.(!kept) <- u;
         incr kept;
         if tracing then
-          Span.record_event ~slot:t.slot
-            (Sim_event.Deliver { node = u; from = sender_of.(u) });
+          Span.record_deliver ~slot:t.slot ~node:u ~from:sender_of.(u);
         t.delivery_total <- t.delivery_total + 1;
         wake t u
       end

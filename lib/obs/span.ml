@@ -12,34 +12,61 @@
    against [none]), so the hooks can live inside per-slot kernels.
 
    Finished spans and loose events land in a bounded ring (the flight
-   recorder's storage).  Events stay typed ([Sim_event.t]) in the ring;
-   JSON is built only by [entry_to_json] when a dump is written.  The
-   last [capacity] entries are retained, older
-   ones are overwritten and counted in [dropped].  Spans still open live
-   in a side table until [finish] moves them into the ring, so a dump can
-   also show what was in flight at the moment of failure.
+   recorder's storage).  The ring holds no boxed entries: an event is a
+   row of unboxed ints (slot and kind, node, msg or sender) plus, when it
+   changed, one pointer store for the ambient context, so recording
+   allocates nothing and leaves nothing for the minor collector to
+   promote.  A finished span is a reference in the same ring.  The typed entries ([entry], [Sim_event.t]) and their JSON
+   are built only when the ring is read.  The last [capacity] entries are
+   retained, older ones are overwritten and counted in [dropped].  Spans
+   still open live in a side table until [finish] moves them into the
+   ring, so a dump can also show what was in flight at the moment of
+   failure.
 
-   Domain safety mirrors Metrics: the id counter and enable flag are
-   atomic, everything else is guarded by one mutex.  Tracing is intended
+   Domain safety: the id counter and enable flag are atomic, the open-span
+   table is guarded by a mutex and the ring by its own lock (see
+   [ring_lock]).  Tracing is intended
    for single-run debugging, not for [Sweep.grid] fan-outs — all domains
    share the one ring. *)
 
 let on = Atomic.make false
-let set_enabled b = Atomic.set on b
 let is_enabled () = Atomic.get on
 
 type id = int
 
 let none : id = 0
 
+(* A span note stays typed until a dump formats it: the per-event notes
+   of the MAC stack cost no [Printf] on the hot path. *)
+type note =
+  | Text of string
+  | Rcv_from of { node : int; from : int }
+  | Fallback of float
+
+let note_text = function
+  | Text s -> s
+  | Rcv_from { node; from } -> Printf.sprintf "rcv@%d from=%d" node from
+  | Fallback p -> Printf.sprintf "hm.fallback p=%.3g" p
+
+(* A span as recorded; [t] below is its read-time view. *)
+type span = {
+  sid : id;
+  sparent : id;  (* [none] for roots *)
+  sname : string;
+  sstart : int;
+  mutable send : int;  (* -1 while open *)
+  mutable sattrs : (string * Json.t) list;  (* newest first *)
+  mutable snotes : (int * note) list;  (* newest first *)
+}
+
 type t = {
   id : id;
-  parent : id;  (* [none] for roots *)
+  parent : id;
   name : string;
   start_slot : int;
-  mutable end_slot : int;  (* -1 while open *)
-  mutable attrs : (string * Json.t) list;  (* newest first *)
-  mutable notes : (int * string) list;  (* (slot, text), newest first *)
+  end_slot : int;
+  attrs : (string * Json.t) list;
+  notes : (int * string) list;
 }
 
 type entry =
@@ -50,6 +77,16 @@ type entry =
       event : Sim_event.t;
     }
 
+let view sp =
+  { id = sp.sid;
+    parent = sp.sparent;
+    name = sp.sname;
+    start_slot = sp.sstart;
+    end_slot = sp.send;
+    attrs = sp.sattrs;
+    notes = List.map (fun (slot, n) -> (slot, note_text n)) sp.snotes }
+
+(* Guards [active] and the open spans in it. *)
 let mutex = Mutex.create ()
 
 let locked f =
@@ -59,44 +96,146 @@ let locked f =
 (* Span ids are process-unique and never reused, so a dump's parent links
    are unambiguous even across [clear]s. *)
 let next_id = Atomic.make 1
-let active : (id, t) Hashtbl.t = Hashtbl.create 64
+(* Keyed by id with an int hash and equality: no C call per lookup. *)
+module Ids = Hashtbl.Make (struct
+  type t = id
+
+  let equal = Int.equal
+  let hash id = id land max_int
+end)
+
+let active : span Ids.t = Ids.create 64
 
 let default_capacity = 32_768
 
+(* Entry kinds.  A span or a [Note] holds a pointer in [boxed]; every
+   other kind is its int fields alone: [a] the node, [b] the msg (a
+   [Deliver]'s sender), [c] a [Rcv]'s sender. *)
+type kind =
+  | K_span
+  | K_bcast
+  | K_rcv
+  | K_ack
+  | K_abort
+  | K_wake
+  | K_crash
+  | K_recover
+  | K_deliver
+  | K_note
+
+let kinds =
+  [| K_span; K_bcast; K_rcv; K_ack; K_abort; K_wake; K_crash; K_recover;
+     K_deliver; K_note |]
+
+let[@inline] code = function
+  | K_span -> 0
+  | K_bcast -> 1
+  | K_rcv -> 2
+  | K_ack -> 3
+  | K_abort -> 4
+  | K_wake -> 5
+  | K_crash -> 6
+  | K_recover -> 7
+  | K_deliver -> 8
+  | K_note -> 9
+
+type boxed = Unboxed | Span_ref of span | Note_ref of string
+
+type ints = (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t
+
 (* The ring: [head] is the next write position, [size] the live prefix.
-   Slots outside the live prefix hold [vacant], so a push stores the entry
-   itself, not an option around it. *)
-let vacant = Event_entry { slot = 0; ctx = []; event = Sim_event.Note "" }
-let ring = ref (Array.make default_capacity vacant)
-let head = ref 0
-let size = ref 0
-let dropped = ref 0
+   Entry [i] is the row [rows.{3i .. 3i+2}] = [slot lsl 4 lor code kind;
+   a; b], plus column [i] of [c], [ctxs] and [boxed].  What every event
+   writes is one 24-byte row: the ring cycles through as little cache as
+   it can, since its footprint, not its instructions, is most of what
+   recording costs in a run whose working set fits in cache.  [c] is
+   written for rcvs only, [boxed] for spans and notes only, and [ctxs]
+   when the context changes.  The int parts live outside the OCaml heap,
+   so the collector neither scans them nor paces itself by them.  Slots
+   must lie within ±2^58. *)
+type ring = {
+  rows : ints;
+  c : ints;
+  ctxs : (string * Json.t) list array;
+  boxed : boxed array;
+  mutable head : int;
+  mutable size : int;
+  mutable dropped : int;
+}
+
+let row_words = 3
+
+let make_ring cap =
+  let ints n fill =
+    let a = Bigarray.Array1.create Bigarray.int Bigarray.c_layout n in
+    Bigarray.Array1.fill a fill;
+    a
+  in
+  { rows = ints (row_words * cap) (code K_wake);
+    c = ints cap 0;
+    ctxs = Array.make cap [];
+    boxed = Array.make cap Unboxed;
+    head = 0;
+    size = 0;
+    dropped = 0 }
+
+let ring_capacity r = Array.length r.boxed
+
+(* The ring is allocated when tracing is first armed, so a process that
+   never traces carries none of it; [wanted] is its configured size. *)
+let wanted = Atomic.make default_capacity
+let ring = Atomic.make (make_ring 0)
+
+(* The ring has its own lock, a spin flag: on the per-event path it costs
+   two atomic operations where a [Mutex] costs two C calls.  No critical
+   section under it allocates, raises or blocks — a new ring or a reader's
+   copy is allocated before the lock is taken — so a holder never stops at
+   a GC poll or a thread switch inside, and a waiter spins only for a few
+   stores (a reader's copy: a few array blits).  Lock order: [mutex],
+   then the ring's. *)
+let ring_lock = Atomic.make false
+
+let lock_ring () =
+  while not (Atomic.compare_and_set ring_lock false true) do
+    Domain.cpu_relax ()
+  done
+
+let unlock_ring () = Atomic.set ring_lock false
+
+let install r =
+  lock_ring ();
+  Atomic.set ring r;
+  unlock_ring ()
 
 let set_capacity cap =
-  let cap = max 16 cap in
-  locked (fun () ->
-    ring := Array.make cap vacant;
-    head := 0;
-    size := 0;
-    dropped := 0)
+  Atomic.set wanted (max 16 cap);
+  if ring_capacity (Atomic.get ring) > 0 then install (make_ring (Atomic.get wanted))
 
-let capacity () = locked (fun () -> Array.length !ring)
+let capacity () = Atomic.get wanted
+
+let set_enabled b =
+  if b && ring_capacity (Atomic.get ring) = 0 then begin
+    let r = make_ring (Atomic.get wanted) in
+    lock_ring ();
+    (* another domain may have armed it meanwhile *)
+    if ring_capacity (Atomic.get ring) = 0 then Atomic.set ring r;
+    unlock_ring ()
+  end;
+  Atomic.set on b
 
 let clear () =
   locked (fun () ->
-    Array.fill !ring 0 (Array.length !ring) vacant;
-    head := 0;
-    size := 0;
-    dropped := 0;
-    Hashtbl.reset active)
-
-(* Caller holds the mutex. *)
-let push e =
-  let r = !ring in
-  let cap = Array.length r in
-  if !size = cap then incr dropped else incr size;
-  r.(!head) <- e;
-  head := (!head + 1) mod cap
+    Ids.reset active;
+    lock_ring ();
+    let r = Atomic.get ring in
+    (* release what the ring pointed at *)
+    Bigarray.Array1.fill r.rows (code K_wake);
+    Array.fill r.ctxs 0 (ring_capacity r) [];
+    Array.fill r.boxed 0 (ring_capacity r) Unboxed;
+    r.head <- 0;
+    r.size <- 0;
+    r.dropped <- 0;
+    unlock_ring ())
 
 (* Ambient context: attributes stamped onto every span opened and every
    event recorded while the context is set.  The daemon's runner scopes a
@@ -112,54 +251,110 @@ let with_context attrs f =
   Atomic.set context (attrs @ prev);
   Fun.protect ~finally:(fun () -> Atomic.set context prev) f
 
-(* The event stays typed in the ring; [entry_to_json] renders it only when
-   a dump is written.  The context list is shared, not copied. *)
-let record_event ~slot event =
-  if Atomic.get on then begin
-    let e = Event_entry { slot; ctx = Atomic.get context; event } in
-    (* [push] cannot raise, so the hot path skips [locked]'s closure. *)
-    Mutex.lock mutex;
-    push e;
-    Mutex.unlock mutex
-  end
+(* Claim the next ring position and write its row; returns the position.
+   Caller holds the ring's lock.  A position that held a pointer drops
+   it, so an overwritten span is not kept alive; the context is stored
+   only when it differs from the one already there, so a run inside one
+   context pays neither a write barrier nor a store for it. *)
+let[@inline] claim r kind ~slot a b =
+  let cap = ring_capacity r in
+  let i = r.head in
+  if r.size = cap then r.dropped <- r.dropped + 1 else r.size <- r.size + 1;
+  let w = row_words * i in
+  let old = Bigarray.Array1.unsafe_get r.rows w land 15 in
+  if old = code K_span || old = code K_note then
+    Array.unsafe_set r.boxed i Unboxed;
+  Bigarray.Array1.unsafe_set r.rows w ((slot lsl 4) lor code kind);
+  Bigarray.Array1.unsafe_set r.rows (w + 1) a;
+  Bigarray.Array1.unsafe_set r.rows (w + 2) b;
+  let ctx = Atomic.get context in
+  if Array.unsafe_get r.ctxs i != ctx then Array.unsafe_set r.ctxs i ctx;
+  r.head <- (if i + 1 = cap then 0 else i + 1);
+  i
+
+let push_ints kind ~slot a b =
+  lock_ring ();
+  ignore (claim (Atomic.get ring) kind ~slot a b);
+  unlock_ring ()
+
+let push_rcv ~slot node msg from =
+  lock_ring ();
+  let r = Atomic.get ring in
+  let i = claim r K_rcv ~slot node msg in
+  Bigarray.Array1.unsafe_set r.c i from;
+  unlock_ring ()
+
+(* [v] is built by the caller, before the lock is taken. *)
+let push_boxed kind ~slot v =
+  lock_ring ();
+  let r = Atomic.get ring in
+  let i = claim r kind ~slot 0 0 in
+  Array.unsafe_set r.boxed i v;
+  unlock_ring ()
+
+let record_event ~slot (event : Sim_event.t) =
+  if Atomic.get on then
+    match event with
+    | Bcast { node; msg } -> push_ints K_bcast ~slot node msg
+    | Rcv { node; msg; from } -> push_rcv ~slot node msg from
+    | Ack { node; msg } -> push_ints K_ack ~slot node msg
+    | Abort { node; msg } -> push_ints K_abort ~slot node msg
+    | Wake { node } -> push_ints K_wake ~slot node 0
+    | Crash { node } -> push_ints K_crash ~slot node 0
+    | Recover { node } -> push_ints K_recover ~slot node 0
+    | Deliver { node; from } -> push_ints K_deliver ~slot node from
+    | Note s -> push_boxed K_note ~slot (Note_ref s)
+
+let record_deliver ~slot ~node ~from =
+  if Atomic.get on then push_ints K_deliver ~slot node from
 
 let start ?(parent = none) ~name ~slot () =
   if not (Atomic.get on) then none
   else begin
     let id = Atomic.fetch_and_add next_id 1 in
     let sp =
-      { id; parent; name; start_slot = slot; end_slot = -1;
-        attrs = Atomic.get context; notes = [] }
+      { sid = id; sparent = parent; sname = name; sstart = slot; send = -1;
+        sattrs = Atomic.get context; snotes = [] }
     in
-    locked (fun () -> Hashtbl.replace active id sp);
+    Mutex.lock mutex;
+    Ids.replace active id sp;
+    Mutex.unlock mutex;
     id
   end
 
+(* The open-span updates below touch only the table and the span: none
+   can raise, so they lock without [locked]'s closure. *)
 let set_attr id key v =
-  if id <> none then
-    locked (fun () ->
-      match Hashtbl.find_opt active id with
-      | Some sp -> sp.attrs <- (key, v) :: List.remove_assoc key sp.attrs
-      | None -> ())
+  if id <> none then begin
+    Mutex.lock mutex;
+    (match Ids.find_opt active id with
+     | Some sp -> sp.sattrs <- (key, v) :: List.remove_assoc key sp.sattrs
+     | None -> ());
+    Mutex.unlock mutex
+  end
 
-let annotate id ~slot text =
-  if id <> none then
-    locked (fun () ->
-      match Hashtbl.find_opt active id with
-      | Some sp -> sp.notes <- (slot, text) :: sp.notes
-      | None -> ())
+let annotate id ~slot note =
+  if id <> none then begin
+    Mutex.lock mutex;
+    (match Ids.find_opt active id with
+     | Some sp -> sp.snotes <- (slot, note) :: sp.snotes
+     | None -> ());
+    Mutex.unlock mutex
+  end
 
 (* [finish] works even with tracing switched off mid-run, so spans opened
    under the flag cannot leak in the active table. *)
 let finish id ~slot =
-  if id <> none then
-    locked (fun () ->
-      match Hashtbl.find_opt active id with
-      | Some sp ->
-        sp.end_slot <- slot;
-        Hashtbl.remove active id;
-        push (Span_entry sp)
-      | None -> ())
+  if id <> none then begin
+    Mutex.lock mutex;
+    (match Ids.find_opt active id with
+     | Some sp ->
+       sp.send <- slot;
+       Ids.remove active id;
+       push_boxed K_span ~slot (Span_ref sp)
+     | None -> ());
+    Mutex.unlock mutex
+  end
 
 (* Spans left open by a scope that has ended — a daemon job whose cells
    stopped mid-epoch never reach the machines' own [finish] — would stay
@@ -170,43 +365,96 @@ let finish id ~slot =
 let abandon key v =
   locked (fun () ->
     let left =
-      Hashtbl.fold
+      Ids.fold
         (fun _ sp acc ->
-          if List.assoc_opt key sp.attrs = Some v then sp :: acc else acc)
+          if List.assoc_opt key sp.sattrs = Some v then sp :: acc else acc)
         active []
-      |> List.sort (fun a b -> compare a.id b.id)
+      |> List.sort (fun a b -> compare a.sid b.sid)
     in
     List.iter
       (fun sp ->
-        sp.end_slot <-
-          (match sp.notes with
-           | (slot, _) :: _ -> max sp.start_slot slot
-           | [] -> sp.start_slot);
-        sp.attrs <- ("abandoned", Json.Bool true) :: sp.attrs;
-        Hashtbl.remove active sp.id;
-        push (Span_entry sp))
+        sp.send <-
+          (match sp.snotes with
+           | (slot, _) :: _ -> max sp.sstart slot
+           | [] -> sp.sstart);
+        sp.sattrs <- ("abandoned", Json.Bool true) :: sp.sattrs;
+        Ids.remove active sp.sid;
+        push_boxed K_span ~slot:sp.send (Span_ref sp))
       left)
 
 (* ------------------------------------------------------------------ *)
 (* Reading (for Recorder and tests)                                    *)
 (* ------------------------------------------------------------------ *)
 
+(* A copy of the ring, taken under its lock: the copy is allocated first,
+   so the critical section only blits. *)
+let snapshot () =
+  let rec go () =
+    let r = Atomic.get ring in
+    let s = make_ring (ring_capacity r) in
+    lock_ring ();
+    if Atomic.get ring != r then begin
+      (* [set_capacity] swapped the ring meanwhile *)
+      unlock_ring ();
+      go ()
+    end
+    else begin
+      let blit src dst = Array.blit src 0 dst 0 (Array.length src) in
+      Bigarray.Array1.blit r.rows s.rows;
+      Bigarray.Array1.blit r.c s.c;
+      blit r.ctxs s.ctxs;
+      blit r.boxed s.boxed;
+      s.head <- r.head;
+      s.size <- r.size;
+      s.dropped <- r.dropped;
+      unlock_ring ();
+      s
+    end
+  in
+  go ()
+
+(* The typed entry at ring position [i]. *)
+let entry_at r i : entry =
+  let w = row_words * i in
+  let word = r.rows.{w} and a = r.rows.{w + 1} and b = r.rows.{w + 2} in
+  let event (ev : Sim_event.t) =
+    Event_entry { slot = word asr 4; ctx = r.ctxs.(i); event = ev }
+  in
+  match (kinds.(word land 15), r.boxed.(i)) with
+  | K_span, Span_ref sp -> Span_entry (view sp)
+  | K_note, Note_ref s -> event (Note s)
+  | K_bcast, _ -> event (Bcast { node = a; msg = b })
+  | K_rcv, _ -> event (Rcv { node = a; msg = b; from = r.c.{i} })
+  | K_ack, _ -> event (Ack { node = a; msg = b })
+  | K_abort, _ -> event (Abort { node = a; msg = b })
+  | K_wake, _ -> event (Wake { node = a })
+  | K_crash, _ -> event (Crash { node = a })
+  | K_recover, _ -> event (Recover { node = a })
+  | K_deliver, _ -> event (Deliver { node = a; from = b })
+  | (K_span | K_note), _ -> invalid_arg "Span: ring entry without its pointer"
+
+(* Built newest first onto the list's tail: one cons per entry. *)
 let entries () =
-  locked (fun () ->
-    let r = !ring in
-    let cap = Array.length r in
-    let n = !size in
-    let first = (!head - n + cap) mod cap in
-    List.init n (fun i -> r.((first + i) mod cap)))
+  let r = snapshot () in
+  let cap = ring_capacity r in
+  let first = r.head - r.size + cap in
+  let rec build k acc =
+    if k < 0 then acc else build (k - 1) (entry_at r ((first + k) mod cap) :: acc)
+  in
+  build (r.size - 1) []
 
 let open_spans () =
-  locked (fun () -> Hashtbl.fold (fun _ sp acc -> sp :: acc) active [])
+  locked (fun () -> Ids.fold (fun _ sp acc -> view sp :: acc) active [])
   |> List.sort (fun a b ->
     match compare a.start_slot b.start_slot with
     | 0 -> compare a.id b.id
     | c -> c)
 
-let dropped_count () = locked (fun () -> !dropped)
+let dropped_count () =
+  lock_ring ();
+  let d = (Atomic.get ring).dropped in
+  unlock_ring ();
+  d
 
 (* ------------------------------------------------------------------ *)
 (* JSON                                                                *)

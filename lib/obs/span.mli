@@ -12,7 +12,9 @@
     kernels. Enable with {!set_enabled}.
 
     Domain-safe but intended for single-run debugging: all domains share
-    one ring. *)
+    one ring. The ring holds unboxed rows: recording an event stores its
+    int fields (and the ambient context, when that changed) and allocates
+    nothing; typed entries are built only when the ring is read. *)
 
 val set_enabled : bool -> unit
 val is_enabled : unit -> bool
@@ -40,7 +42,14 @@ val with_context : (string * Json.t) list -> (unit -> 'a) -> 'a
 val set_attr : id -> string -> Json.t -> unit
 (** Set (or replace) an attribute on a still-open span. *)
 
-val annotate : id -> slot:int -> string -> unit
+(** A span note, kept typed until the ring is read. *)
+type note =
+  | Text of string
+  | Rcv_from of { node : int; from : int }
+      (** read as ["rcv@<node> from=<from>"] *)
+  | Fallback of float  (** read as ["hm.fallback p=<p>"], [p] as [%.3g] *)
+
+val annotate : id -> slot:int -> note -> unit
 (** Append a slot-stamped note to a still-open span. *)
 
 val finish : id -> slot:int -> unit
@@ -56,15 +65,22 @@ val abandon : string -> Json.t -> unit
 
 val record_event : slot:int -> Sim_event.t -> unit
 (** Push a loose (span-less) event into the ring, stamped with the
-    ambient context; no-op when disabled. The event is stored typed:
-    {!entry_to_json} renders it at dump time. *)
+    ambient context; no-op when disabled. Every event but [Note] is stored
+    as its int fields, without allocating; {!entries} rebuilds the typed
+    event and {!entry_to_json} renders it at dump time. *)
+
+val record_deliver : slot:int -> node:int -> from:int -> unit
+(** [record_event ~slot (Deliver { node; from })] without building the
+    event: the engine's per-decoding hook. *)
 
 (** {1 Ring management} *)
 
 val default_capacity : int
 
 val set_capacity : int -> unit
-(** Re-allocate the ring (clamped to >= 16). Discards current entries. *)
+(** Set the ring's size (clamped to >= 16), re-allocating it if tracing
+    has been armed before; discards current entries. The ring is
+    allocated when {!set_enabled}[ true] first arms tracing. *)
 
 val capacity : unit -> int
 
@@ -82,10 +98,11 @@ type t = private {
   parent : id;
   name : string;
   start_slot : int;
-  mutable end_slot : int;  (** -1 while open *)
-  mutable attrs : (string * Json.t) list;  (** newest first *)
-  mutable notes : (int * string) list;  (** (slot, text), newest first *)
+  end_slot : int;  (** -1 while open *)
+  attrs : (string * Json.t) list;  (** newest first *)
+  notes : (int * string) list;  (** (slot, the note's text), newest first *)
 }
+(** A snapshot of a span, built when the ring or the open table is read. *)
 
 type entry =
   | Span_entry of t
@@ -98,7 +115,7 @@ type entry =
     }
 
 val entries : unit -> entry list
-(** Ring contents, oldest first. *)
+(** Ring contents, oldest first, decoded from a copy of the ring. *)
 
 val open_spans : unit -> t list
 (** Spans started but not finished, by start slot then id. *)

@@ -46,6 +46,8 @@ type t = {
   mutable log : Job_state.t;
   mutable next_id : int;
   mutable entries : job list; (* newest first; [jobs] reverses *)
+  mutable live : job list; (* the Queued and Running entries, newest first *)
+  mutable depth : int; (* [List.length live] *)
 }
 
 (* The ["state"] event body: enough for a watcher to render the job line
@@ -61,20 +63,28 @@ let state_event job =
            ("quarantined", Json.Bool job.quarantined) ];
          (match job.error with Some e -> [ ("error", Json.Str e) ] | None -> []) ])
 
-let depth_locked t =
-  List.length
-    (List.filter (fun j -> j.state = Queued || j.state = Running) t.entries)
+let is_live j = not (Job_state.terminal j.state)
 
 (* The job's logged fields are a view of [t.log]: this copy of
-   [Job_state.apply]'s result is their only assignment. *)
+   [Job_state.apply]'s result is their only assignment, and the live list
+   follows the state it sets. *)
 let apply_locked t job r =
   t.log <- Job_state.apply t.log r;
+  let was_live = is_live job in
   Option.iter
     (fun (s : Job_state.job) ->
       job.state <- s.state;
       job.attempts <- s.attempts;
       job.quarantined <- s.quarantined)
-    (Job_state.find t.log job.id)
+    (Job_state.find t.log job.id);
+  match (was_live, is_live job) with
+  | true, false ->
+    t.live <- List.filter (fun j -> j != job) t.live;
+    t.depth <- t.depth - 1
+  | false, true ->
+    t.live <- job :: t.live;
+    t.depth <- t.depth + 1
+  | true, true | false, false -> ()
 
 (* The serve.jobs.* counters count committed records. *)
 let counters = function
@@ -91,7 +101,7 @@ let commit_locked t job ev =
   apply_locked t job r;
   List.iter Metrics.incr (counters ev);
   Option.iter (fun w -> Wal.append w r) t.wal;
-  Metrics.set g_depth (float_of_int (depth_locked t));
+  Metrics.set g_depth (float_of_int t.depth);
   match (t.events, ev) with
   | None, _ | _, Wal.Cells _ -> ()
   | Some e, _ -> Events.publish e ~job:job.id ~typ:"state" (state_event job)
@@ -126,6 +136,8 @@ let add_locked t id spec =
   in
   t.next_id <- max t.next_id (id + 1);
   t.entries <- job :: t.entries;
+  t.live <- job :: t.live;
+  t.depth <- t.depth + 1;
   job
 
 let create ?(max_queued = 8) ?wal ?events ?(log = []) () =
@@ -136,7 +148,9 @@ let create ?(max_queued = 8) ?wal ?events ?(log = []) () =
       events;
       log = Job_state.empty;
       next_id = 1;
-      entries = [] }
+      entries = [];
+      live = [];
+      depth = 0 }
   in
   (* records already on the log: rebuild, neither re-append nor publish;
      a job the log already settled only reserves its id *)
@@ -148,8 +162,9 @@ let create ?(max_queued = 8) ?wal ?events ?(log = []) () =
       | _, None -> t.log <- Job_state.apply t.log r)
     log;
   t.entries <-
-    List.sort (fun a b -> compare b.id a.id)
-      (List.filter (fun j -> not (Job_state.terminal j.state)) t.entries);
+    List.sort (fun a b -> compare b.id a.id) (List.filter is_live t.entries);
+  t.live <- t.entries;
+  t.depth <- List.length t.live;
   (* a re-admitted job's progress is the cells its log holds *)
   List.iter
     (fun j ->
@@ -158,16 +173,16 @@ let create ?(max_queued = 8) ?wal ?events ?(log = []) () =
         (Job_state.find t.log j.id))
     t.entries;
   Metrics.add m_recovered (List.length t.entries);
-  Metrics.set g_depth (float_of_int (depth_locked t));
+  Metrics.set g_depth (float_of_int t.depth);
   t
 
-let depth t = locked t (fun () -> depth_locked t)
+let depth t = locked t (fun () -> t.depth)
 let max_queued t = t.max_queued
 let log t = locked t (fun () -> t.log)
 
 let submit t spec =
   transition t (fun () ->
-      let d = depth_locked t in
+      let d = t.depth in
       if d >= t.max_queued then begin
         Metrics.incr m_rejected;
         Error (`Backpressure d)
@@ -186,12 +201,13 @@ let find t id =
 let take ?now t =
   let now = match now with Some f -> f | None -> Unix.gettimeofday () in
   transition t (fun () ->
-      (* oldest runnable Queued first (entries are newest-first, so scan
-         reversed); jobs inside their retry backoff window are skipped *)
+      (* oldest runnable Queued first (the live list is newest-first, so
+         scan it reversed); jobs inside their retry backoff window are
+         skipped *)
       match
         List.find_opt
           (fun j -> j.state = Queued && j.not_before <= now)
-          (List.rev t.entries)
+          (List.rev t.live)
       with
       | None -> None
       | Some j ->

@@ -105,7 +105,7 @@ let run_job ?(checkpoint_every = 4) ?(should_stop = fun () -> false)
       Metrics.add m_resumed restored;
       Metrics.add mj_resumed restored;
       Span.annotate span ~slot:restored
-        (Printf.sprintf "restored %d cells from the job log" restored)
+        (Span.Text (Printf.sprintf "restored %d cells from the job log" restored))
     end;
     (* Row announcements, each param's once: a watch client can rebuild
        the final table from row events alone. *)

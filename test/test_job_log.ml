@@ -211,6 +211,14 @@ let check w =
   if views (Sq.log q) <> views folded then
     fail "the queue's table is not the fold of its log";
   let jobs = Sq.jobs q in
+  let live =
+    List.length
+      (List.filter
+         (fun (j : Sq.job) -> j.Sq.state = Sq.Queued || j.Sq.state = Sq.Running)
+         jobs)
+  in
+  if Sq.depth q <> live then
+    fail "depth %d, but %d jobs are queued or running" (Sq.depth q) live;
   List.iter
     (fun (j : Sq.job) ->
       match Job_state.find folded j.Sq.id with

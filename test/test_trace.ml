@@ -54,7 +54,7 @@ let test_span_disabled_is_none () =
     ((id :> int) = (Span.none :> int));
   (* Every operation on none is a no-op, not an error. *)
   Span.set_attr id "k" (Json.Num 1.);
-  Span.annotate id ~slot:1 "note";
+  Span.annotate id ~slot:1 (Span.Text "note");
   Span.finish id ~slot:2;
   Span.record_event ~slot:0 (Sim_event.Note "x");
   Alcotest.(check int) "ring untouched" 0 (List.length (Span.entries ()))
@@ -68,8 +68,8 @@ let test_span_parent_attrs_notes =
       Span.set_attr child "k" (Json.Num 7.);
       Span.set_attr child "k" (Json.Num 8.);
       (* replace, not append *)
-      Span.annotate child ~slot:12 "first";
-      Span.annotate child ~slot:13 "second";
+      Span.annotate child ~slot:12 (Span.Text "first");
+      Span.annotate child ~slot:13 (Span.Text "second");
       Span.finish child ~slot:14;
       Span.finish root ~slot:20;
       match Span.entries () with
@@ -105,6 +105,116 @@ let test_ring_eviction =
       | Span.Event_entry { slot; _ } :: _ ->
         Alcotest.(check int) "oldest survivor is slot 4" 4 slot
       | _ -> Alcotest.fail "expected an event entry first")
+
+(* Two domains record at once into one ring: with room for everything,
+   every event appears exactly once; with less, entries + dropped is the
+   number recorded.  Either way each domain's events keep their order. *)
+let record_from_two_domains ~per =
+  let go = Atomic.make false in
+  let worker d () =
+    while not (Atomic.get go) do Domain.cpu_relax () done;
+    for k = 0 to per - 1 do
+      Span.record_event ~slot:k (Sim_event.Rcv { node = d; msg = k; from = d })
+    done
+  in
+  let ds = List.map (fun d -> Domain.spawn (worker d)) [ 1; 2 ] in
+  Atomic.set go true;
+  List.iter Domain.join ds;
+  List.map
+    (function
+      | Span.Event_entry { event = Sim_event.Rcv { node; msg; _ }; _ } ->
+        (node, msg)
+      | _ -> Alcotest.fail "expected only rcv events")
+    (Span.entries ())
+
+let check_domain_order seen =
+  List.iter
+    (fun d ->
+      let msgs = List.filter_map (fun (n, m) -> if n = d then Some m else None) seen in
+      Alcotest.(check bool)
+        (Printf.sprintf "domain %d's events in order, once each" d)
+        true
+        (List.sort_uniq compare msgs = msgs))
+    [ 1; 2 ]
+
+let test_ring_two_domains () =
+  let per = 5_000 in
+  with_recorder ~capacity:(2 * per)
+    (fun () ->
+      let seen = record_from_two_domains ~per in
+      Alcotest.(check int) "every event kept" (2 * per) (List.length seen);
+      Alcotest.(check int) "nothing dropped" 0 (Span.dropped_count ());
+      Alcotest.(check int) "each event exactly once" (2 * per)
+        (List.length (List.sort_uniq compare seen));
+      check_domain_order seen)
+    ();
+  with_recorder ~capacity:1024
+    (fun () ->
+      let seen = record_from_two_domains ~per in
+      Alcotest.(check int) "entries + dropped = recorded" (2 * per)
+        (List.length seen + Span.dropped_count ());
+      check_domain_order seen)
+    ()
+
+(* A wrap over spans and events recorded under two job contexts keeps the
+   newest entries, in order, each with the context it was recorded in. *)
+let test_ring_wrap_mixed =
+  with_recorder ~capacity:16 (fun () ->
+      let job id = [ ("job_id", Json.int id) ] in
+      let record i =
+        if i mod 3 = 0 then begin
+          let sp = Span.start ~name:(Printf.sprintf "s%d" i) ~slot:i () in
+          Span.finish sp ~slot:i
+        end
+        else Span.record_event ~slot:i (Sim_event.Wake { node = i })
+      in
+      Span.with_context (job 1) (fun () -> for i = 0 to 19 do record i done);
+      Span.with_context (job 2) (fun () -> for i = 20 to 29 do record i done);
+      let es = Span.entries () in
+      Alcotest.(check int) "ring full" 16 (List.length es);
+      Alcotest.(check int) "overwrites counted" 14 (Span.dropped_count ());
+      List.iteri
+        (fun k e ->
+          let i = 14 + k in
+          let want_job = Some (Json.int (if i < 20 then 1 else 2)) in
+          match e with
+          | Span.Span_entry sp ->
+            Alcotest.(check bool) (Printf.sprintf "entry %d is a span" i) true
+              (i mod 3 = 0);
+            Alcotest.(check string) "span name" (Printf.sprintf "s%d" i)
+              sp.Span.name;
+            Alcotest.(check bool) "span keeps its job" true
+              (List.assoc_opt "job_id" sp.Span.attrs = want_job)
+          | Span.Event_entry { slot; ctx; event } ->
+            Alcotest.(check bool) (Printf.sprintf "entry %d is an event" i)
+              true (i mod 3 <> 0);
+            Alcotest.(check int) "event slot" i slot;
+            Alcotest.(check bool) "event node" true
+              (event = Sim_event.Wake { node = i });
+            Alcotest.(check bool) "event keeps its job" true
+              (List.assoc_opt "job_id" ctx = want_job))
+        es)
+
+(* The per-event recording paths allocate nothing once the recorder is
+   armed: a delivery, and a pre-built event through Trace.emit. *)
+let test_record_allocates_nothing =
+  with_recorder (fun () ->
+      let ev = Sim_event.Rcv { node = 1; msg = 2; from = 3 } in
+      let run k =
+        for slot = 1 to k do
+          Span.record_deliver ~slot ~node:4 ~from:5;
+          Trace.emit None ~slot ev
+        done
+      in
+      run 100;
+      let m0 = Gc.minor_words () in
+      run 10_000;
+      let m1 = Gc.minor_words () in
+      Alcotest.(check int) "minor words for 10k deliveries and 10k emits" 0
+        (int_of_float (m1 -. m0));
+      Alcotest.(check int) "all recorded"
+        (min (Span.capacity ()) (2 * 10_100))
+        (List.length (Span.entries ())))
 
 let test_disabled_mac_run_records_nothing () =
   Recorder.set_enabled false;
@@ -517,6 +627,12 @@ let suite =
       test_span_parent_attrs_notes;
     Alcotest.test_case "span: ring eviction keeps newest" `Quick
       test_ring_eviction;
+    Alcotest.test_case "span: two domains share the ring" `Quick
+      test_ring_two_domains;
+    Alcotest.test_case "span: wrap keeps newest spans, events, jobs" `Quick
+      test_ring_wrap_mixed;
+    Alcotest.test_case "span: recording allocates nothing" `Quick
+      test_record_allocates_nothing;
     Alcotest.test_case "span: untraced MAC run records nothing" `Quick
       test_disabled_mac_run_records_nothing;
     Alcotest.test_case "recorder: dump round-trip + dump_once" `Quick
