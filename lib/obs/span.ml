@@ -16,18 +16,17 @@
    row of unboxed ints (slot and kind, node, msg or sender) plus, when it
    changed, one pointer store for the ambient context, so recording
    allocates nothing and leaves nothing for the minor collector to
-   promote.  A finished span is a reference in the same ring.  The typed entries ([entry], [Sim_event.t]) and their JSON
-   are built only when the ring is read.  The last [capacity] entries are
-   retained, older ones are overwritten and counted in [dropped].  Spans
-   still open live in a side table until [finish] moves them into the
-   ring, so a dump can also show what was in flight at the moment of
-   failure.
+   promote.  A finished span is a reference in the same ring.  The typed
+   entries ([entry], [Sim_event.t]) and their JSON are built only when
+   the ring is read.  The last [capacity] entries are retained, older
+   ones are overwritten and counted in [dropped].  Spans still open live
+   in a side table until [finish] moves them into the ring, so a dump can
+   also show what was in flight at the moment of failure.
 
    Domain safety: the id counter and enable flag are atomic, the open-span
-   table is guarded by a mutex and the ring by its own lock (see
-   [ring_lock]).  Tracing is intended
-   for single-run debugging, not for [Sweep.grid] fan-outs — all domains
-   share the one ring. *)
+   table is guarded by a mutex and the ring by its own ([ring_mutex]).
+   Tracing is intended for single-run debugging, not for [Sweep.grid]
+   fan-outs — all domains share the one ring. *)
 
 let on = Atomic.make false
 let is_enabled () = Atomic.get on
@@ -96,55 +95,30 @@ let locked f =
 (* Span ids are process-unique and never reused, so a dump's parent links
    are unambiguous even across [clear]s. *)
 let next_id = Atomic.make 1
-(* Keyed by id with an int hash and equality: no C call per lookup. *)
-module Ids = Hashtbl.Make (struct
-  type t = id
-
-  let equal = Int.equal
-  let hash id = id land max_int
-end)
-
-let active : span Ids.t = Ids.create 64
+let active : (id, span) Hashtbl.t = Hashtbl.create 64
 
 let default_capacity = 32_768
 
-(* Entry kinds.  A span or a [Note] holds a pointer in [boxed]; every
-   other kind is its int fields alone: [a] the node, [b] the msg (a
+(* Entry kinds, 4 bits.  A span or a [Note] holds a pointer in [boxed];
+   every other kind is its int fields alone: [a] the node, [b] the msg (a
    [Deliver]'s sender), [c] a [Rcv]'s sender. *)
-type kind =
-  | K_span
-  | K_bcast
-  | K_rcv
-  | K_ack
-  | K_abort
-  | K_wake
-  | K_crash
-  | K_recover
-  | K_deliver
-  | K_note
-
-let kinds =
-  [| K_span; K_bcast; K_rcv; K_ack; K_abort; K_wake; K_crash; K_recover;
-     K_deliver; K_note |]
-
-let[@inline] code = function
-  | K_span -> 0
-  | K_bcast -> 1
-  | K_rcv -> 2
-  | K_ack -> 3
-  | K_abort -> 4
-  | K_wake -> 5
-  | K_crash -> 6
-  | K_recover -> 7
-  | K_deliver -> 8
-  | K_note -> 9
+let k_span = 0
+let k_bcast = 1
+let k_rcv = 2
+let k_ack = 3
+let k_abort = 4
+let k_wake = 5
+let k_crash = 6
+let k_recover = 7
+let k_deliver = 8
+let k_note = 9
 
 type boxed = Unboxed | Span_ref of span | Note_ref of string
 
 type ints = (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t
 
 (* The ring: [head] is the next write position, [size] the live prefix.
-   Entry [i] is the row [rows.{3i .. 3i+2}] = [slot lsl 4 lor code kind;
+   Entry [i] is the row [rows.{3i .. 3i+2}] = [slot lsl 4 lor kind;
    a; b], plus column [i] of [c], [ctxs] and [boxed].  What every event
    writes is one 24-byte row: the ring cycles through as little cache as
    it can, since its footprint, not its instructions, is most of what
@@ -171,7 +145,7 @@ let make_ring cap =
     Bigarray.Array1.fill a fill;
     a
   in
-  { rows = ints (row_words * cap) (code K_wake);
+  { rows = ints (row_words * cap) k_wake;
     c = ints cap 0;
     ctxs = Array.make cap [];
     boxed = Array.make cap Unboxed;
@@ -186,21 +160,12 @@ let ring_capacity r = Array.length r.boxed
 let wanted = Atomic.make default_capacity
 let ring = Atomic.make (make_ring 0)
 
-(* The ring has its own lock, a spin flag: on the per-event path it costs
-   two atomic operations where a [Mutex] costs two C calls.  No critical
-   section under it allocates, raises or blocks — a new ring or a reader's
-   copy is allocated before the lock is taken — so a holder never stops at
-   a GC poll or a thread switch inside, and a waiter spins only for a few
-   stores (a reader's copy: a few array blits).  Lock order: [mutex],
-   then the ring's. *)
-let ring_lock = Atomic.make false
-
-let lock_ring () =
-  while not (Atomic.compare_and_set ring_lock false true) do
-    Domain.cpu_relax ()
-  done
-
-let unlock_ring () = Atomic.set ring_lock false
+(* The ring's own lock.  No critical section under it raises — a new ring
+   or a reader's copy is allocated before it is taken — so it is held
+   without [locked]'s closure.  Lock order: [mutex], then [ring_mutex]. *)
+let ring_mutex = Mutex.create ()
+let lock_ring () = Mutex.lock ring_mutex
+let unlock_ring () = Mutex.unlock ring_mutex
 
 let install r =
   lock_ring ();
@@ -225,11 +190,11 @@ let set_enabled b =
 
 let clear () =
   locked (fun () ->
-    Ids.reset active;
+    Hashtbl.reset active;
     lock_ring ();
     let r = Atomic.get ring in
     (* release what the ring pointed at *)
-    Bigarray.Array1.fill r.rows (code K_wake);
+    Bigarray.Array1.fill r.rows k_wake;
     Array.fill r.ctxs 0 (ring_capacity r) [];
     Array.fill r.boxed 0 (ring_capacity r) Unboxed;
     r.head <- 0;
@@ -262,9 +227,9 @@ let[@inline] claim r kind ~slot a b =
   if r.size = cap then r.dropped <- r.dropped + 1 else r.size <- r.size + 1;
   let w = row_words * i in
   let old = Bigarray.Array1.unsafe_get r.rows w land 15 in
-  if old = code K_span || old = code K_note then
+  if old = k_span || old = k_note then
     Array.unsafe_set r.boxed i Unboxed;
-  Bigarray.Array1.unsafe_set r.rows w ((slot lsl 4) lor code kind);
+  Bigarray.Array1.unsafe_set r.rows w ((slot lsl 4) lor kind);
   Bigarray.Array1.unsafe_set r.rows (w + 1) a;
   Bigarray.Array1.unsafe_set r.rows (w + 2) b;
   let ctx = Atomic.get context in
@@ -280,7 +245,7 @@ let push_ints kind ~slot a b =
 let push_rcv ~slot node msg from =
   lock_ring ();
   let r = Atomic.get ring in
-  let i = claim r K_rcv ~slot node msg in
+  let i = claim r k_rcv ~slot node msg in
   Bigarray.Array1.unsafe_set r.c i from;
   unlock_ring ()
 
@@ -295,18 +260,18 @@ let push_boxed kind ~slot v =
 let record_event ~slot (event : Sim_event.t) =
   if Atomic.get on then
     match event with
-    | Bcast { node; msg } -> push_ints K_bcast ~slot node msg
+    | Bcast { node; msg } -> push_ints k_bcast ~slot node msg
     | Rcv { node; msg; from } -> push_rcv ~slot node msg from
-    | Ack { node; msg } -> push_ints K_ack ~slot node msg
-    | Abort { node; msg } -> push_ints K_abort ~slot node msg
-    | Wake { node } -> push_ints K_wake ~slot node 0
-    | Crash { node } -> push_ints K_crash ~slot node 0
-    | Recover { node } -> push_ints K_recover ~slot node 0
-    | Deliver { node; from } -> push_ints K_deliver ~slot node from
-    | Note s -> push_boxed K_note ~slot (Note_ref s)
+    | Ack { node; msg } -> push_ints k_ack ~slot node msg
+    | Abort { node; msg } -> push_ints k_abort ~slot node msg
+    | Wake { node } -> push_ints k_wake ~slot node 0
+    | Crash { node } -> push_ints k_crash ~slot node 0
+    | Recover { node } -> push_ints k_recover ~slot node 0
+    | Deliver { node; from } -> push_ints k_deliver ~slot node from
+    | Note s -> push_boxed k_note ~slot (Note_ref s)
 
 let record_deliver ~slot ~node ~from =
-  if Atomic.get on then push_ints K_deliver ~slot node from
+  if Atomic.get on then push_ints k_deliver ~slot node from
 
 let start ?(parent = none) ~name ~slot () =
   if not (Atomic.get on) then none
@@ -317,7 +282,7 @@ let start ?(parent = none) ~name ~slot () =
         sattrs = Atomic.get context; snotes = [] }
     in
     Mutex.lock mutex;
-    Ids.replace active id sp;
+    Hashtbl.replace active id sp;
     Mutex.unlock mutex;
     id
   end
@@ -327,7 +292,7 @@ let start ?(parent = none) ~name ~slot () =
 let set_attr id key v =
   if id <> none then begin
     Mutex.lock mutex;
-    (match Ids.find_opt active id with
+    (match Hashtbl.find_opt active id with
      | Some sp -> sp.sattrs <- (key, v) :: List.remove_assoc key sp.sattrs
      | None -> ());
     Mutex.unlock mutex
@@ -336,7 +301,7 @@ let set_attr id key v =
 let annotate id ~slot note =
   if id <> none then begin
     Mutex.lock mutex;
-    (match Ids.find_opt active id with
+    (match Hashtbl.find_opt active id with
      | Some sp -> sp.snotes <- (slot, note) :: sp.snotes
      | None -> ());
     Mutex.unlock mutex
@@ -347,11 +312,11 @@ let annotate id ~slot note =
 let finish id ~slot =
   if id <> none then begin
     Mutex.lock mutex;
-    (match Ids.find_opt active id with
+    (match Hashtbl.find_opt active id with
      | Some sp ->
        sp.send <- slot;
-       Ids.remove active id;
-       push_boxed K_span ~slot (Span_ref sp)
+       Hashtbl.remove active id;
+       push_boxed k_span ~slot (Span_ref sp)
      | None -> ());
     Mutex.unlock mutex
   end
@@ -365,7 +330,7 @@ let finish id ~slot =
 let abandon key v =
   locked (fun () ->
     let left =
-      Ids.fold
+      Hashtbl.fold
         (fun _ sp acc ->
           if List.assoc_opt key sp.sattrs = Some v then sp :: acc else acc)
         active []
@@ -378,34 +343,51 @@ let abandon key v =
            | (slot, _) :: _ -> max sp.sstart slot
            | [] -> sp.sstart);
         sp.sattrs <- ("abandoned", Json.Bool true) :: sp.sattrs;
-        Ids.remove active sp.sid;
-        push_boxed K_span ~slot:sp.send (Span_ref sp))
+        Hashtbl.remove active sp.sid;
+        push_boxed k_span ~slot:sp.send (Span_ref sp))
       left)
 
 (* ------------------------------------------------------------------ *)
 (* Reading (for Recorder and tests)                                    *)
 (* ------------------------------------------------------------------ *)
 
-(* A copy of the ring, taken under its lock: the copy is allocated first,
-   so the critical section only blits. *)
+(* The live entries, oldest first, copied under the ring's lock into a
+   ring of exactly their number (so its [head] is 0).  The copy is
+   allocated first, so the critical section only blits; if the ring
+   changed size meanwhile, take it again. *)
 let snapshot () =
   let rec go () =
     let r = Atomic.get ring in
-    let s = make_ring (ring_capacity r) in
+    let n = r.size in
+    let ints len = Bigarray.Array1.create Bigarray.int Bigarray.c_layout len in
+    let s =
+      { rows = ints (row_words * n);
+        c = ints n;
+        ctxs = Array.make n [];
+        boxed = Array.make n Unboxed;
+        head = 0;
+        size = n;
+        dropped = 0 }
+    in
     lock_ring ();
-    if Atomic.get ring != r then begin
-      (* [set_capacity] swapped the ring meanwhile *)
+    if Atomic.get ring != r || r.size <> n then begin
       unlock_ring ();
       go ()
     end
     else begin
-      let blit src dst = Array.blit src 0 dst 0 (Array.length src) in
-      Bigarray.Array1.blit r.rows s.rows;
-      Bigarray.Array1.blit r.c s.c;
-      blit r.ctxs s.ctxs;
-      blit r.boxed s.boxed;
-      s.head <- r.head;
-      s.size <- r.size;
+      let cap = ring_capacity r in
+      (* [n] entries ending just before [head], in at most two runs *)
+      let first = (r.head - n + cap) mod max cap 1 in
+      let run src dst len =
+        let sub a i w = Bigarray.Array1.sub a (w * i) (w * len) in
+        Bigarray.Array1.blit (sub r.rows src row_words) (sub s.rows dst row_words);
+        Bigarray.Array1.blit (sub r.c src 1) (sub s.c dst 1);
+        Array.blit r.ctxs src s.ctxs dst len;
+        Array.blit r.boxed src s.boxed dst len
+      in
+      let l1 = min n (cap - first) in
+      run first 0 l1;
+      run 0 l1 (n - l1);
       s.dropped <- r.dropped;
       unlock_ring ();
       s
@@ -417,34 +399,33 @@ let snapshot () =
 let entry_at r i : entry =
   let w = row_words * i in
   let word = r.rows.{w} and a = r.rows.{w + 1} and b = r.rows.{w + 2} in
+  let k = word land 15 in
   let event (ev : Sim_event.t) =
     Event_entry { slot = word asr 4; ctx = r.ctxs.(i); event = ev }
   in
-  match (kinds.(word land 15), r.boxed.(i)) with
-  | K_span, Span_ref sp -> Span_entry (view sp)
-  | K_note, Note_ref s -> event (Note s)
-  | K_bcast, _ -> event (Bcast { node = a; msg = b })
-  | K_rcv, _ -> event (Rcv { node = a; msg = b; from = r.c.{i} })
-  | K_ack, _ -> event (Ack { node = a; msg = b })
-  | K_abort, _ -> event (Abort { node = a; msg = b })
-  | K_wake, _ -> event (Wake { node = a })
-  | K_crash, _ -> event (Crash { node = a })
-  | K_recover, _ -> event (Recover { node = a })
-  | K_deliver, _ -> event (Deliver { node = a; from = b })
-  | (K_span | K_note), _ -> invalid_arg "Span: ring entry without its pointer"
+  match r.boxed.(i) with
+  | Span_ref sp -> Span_entry (view sp)
+  | Note_ref s -> event (Note s)
+  | Unboxed ->
+    event
+      (if k = k_bcast then Bcast { node = a; msg = b }
+       else if k = k_rcv then Rcv { node = a; msg = b; from = r.c.{i} }
+       else if k = k_ack then Ack { node = a; msg = b }
+       else if k = k_abort then Abort { node = a; msg = b }
+       else if k = k_wake then Wake { node = a }
+       else if k = k_crash then Crash { node = a }
+       else if k = k_recover then Recover { node = a }
+       else if k = k_deliver then Deliver { node = a; from = b }
+       else invalid_arg "Span: ring entry without its pointer")
 
 (* Built newest first onto the list's tail: one cons per entry. *)
 let entries () =
   let r = snapshot () in
-  let cap = ring_capacity r in
-  let first = r.head - r.size + cap in
-  let rec build k acc =
-    if k < 0 then acc else build (k - 1) (entry_at r ((first + k) mod cap) :: acc)
-  in
+  let rec build k acc = if k < 0 then acc else build (k - 1) (entry_at r k :: acc) in
   build (r.size - 1) []
 
 let open_spans () =
-  locked (fun () -> Ids.fold (fun _ sp acc -> view sp :: acc) active [])
+  locked (fun () -> Hashtbl.fold (fun _ sp acc -> view sp :: acc) active [])
   |> List.sort (fun a b ->
     match compare a.start_slot b.start_slot with
     | 0 -> compare a.id b.id

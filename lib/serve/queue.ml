@@ -47,7 +47,6 @@ type t = {
   mutable next_id : int;
   mutable entries : job list; (* newest first; [jobs] reverses *)
   mutable live : job list; (* the Queued and Running entries, newest first *)
-  mutable depth : int; (* [List.length live] *)
 }
 
 (* The ["state"] event body: enough for a watcher to render the job line
@@ -65,6 +64,10 @@ let state_event job =
 
 let is_live j = not (Job_state.terminal j.state)
 
+(* [live] is bounded by admission: at most [max_queued] plus the running
+   jobs. *)
+let depth_locked t = List.length t.live
+
 (* The job's logged fields are a view of [t.log]: this copy of
    [Job_state.apply]'s result is their only assignment, and the live list
    follows the state it sets. *)
@@ -78,12 +81,8 @@ let apply_locked t job r =
       job.quarantined <- s.quarantined)
     (Job_state.find t.log job.id);
   match (was_live, is_live job) with
-  | true, false ->
-    t.live <- List.filter (fun j -> j != job) t.live;
-    t.depth <- t.depth - 1
-  | false, true ->
-    t.live <- job :: t.live;
-    t.depth <- t.depth + 1
+  | true, false -> t.live <- List.filter (fun j -> j != job) t.live
+  | false, true -> t.live <- job :: t.live
   | true, true | false, false -> ()
 
 (* The serve.jobs.* counters count committed records. *)
@@ -101,7 +100,7 @@ let commit_locked t job ev =
   apply_locked t job r;
   List.iter Metrics.incr (counters ev);
   Option.iter (fun w -> Wal.append w r) t.wal;
-  Metrics.set g_depth (float_of_int t.depth);
+  Metrics.set g_depth (float_of_int (depth_locked t));
   match (t.events, ev) with
   | None, _ | _, Wal.Cells _ -> ()
   | Some e, _ -> Events.publish e ~job:job.id ~typ:"state" (state_event job)
@@ -137,7 +136,6 @@ let add_locked t id spec =
   t.next_id <- max t.next_id (id + 1);
   t.entries <- job :: t.entries;
   t.live <- job :: t.live;
-  t.depth <- t.depth + 1;
   job
 
 let create ?(max_queued = 8) ?wal ?events ?(log = []) () =
@@ -149,8 +147,7 @@ let create ?(max_queued = 8) ?wal ?events ?(log = []) () =
       log = Job_state.empty;
       next_id = 1;
       entries = [];
-      live = [];
-      depth = 0 }
+      live = [] }
   in
   (* records already on the log: rebuild, neither re-append nor publish;
      a job the log already settled only reserves its id *)
@@ -164,7 +161,6 @@ let create ?(max_queued = 8) ?wal ?events ?(log = []) () =
   t.entries <-
     List.sort (fun a b -> compare b.id a.id) (List.filter is_live t.entries);
   t.live <- t.entries;
-  t.depth <- List.length t.live;
   (* a re-admitted job's progress is the cells its log holds *)
   List.iter
     (fun j ->
@@ -173,16 +169,16 @@ let create ?(max_queued = 8) ?wal ?events ?(log = []) () =
         (Job_state.find t.log j.id))
     t.entries;
   Metrics.add m_recovered (List.length t.entries);
-  Metrics.set g_depth (float_of_int t.depth);
+  Metrics.set g_depth (float_of_int (depth_locked t));
   t
 
-let depth t = locked t (fun () -> t.depth)
+let depth t = locked t (fun () -> depth_locked t)
 let max_queued t = t.max_queued
 let log t = locked t (fun () -> t.log)
 
 let submit t spec =
   transition t (fun () ->
-      let d = t.depth in
+      let d = depth_locked t in
       if d >= t.max_queued then begin
         Metrics.incr m_rejected;
         Error (`Backpressure d)
